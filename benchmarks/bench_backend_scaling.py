@@ -9,11 +9,8 @@ for the same job:
 
 * ``serial``  is the 1-process floor (all ranks in one interpreter —
   its "scaling" is flat by construction and anchors the comparison);
-* ``local/pickle`` scales over ``multiprocessing`` with the original
-  pickle-over-queue shuffle — the exchange baseline;
-* ``local``   is the same backend on the shared-memory zero-copy
-  exchange (binary KVSet codec, segments instead of pipes), so the
-  difference local/pickle - local is pure exchange-transport cost;
+* ``local``   scales over ``multiprocessing`` on the shared-memory
+  zero-copy exchange (binary KVSet codec, segments instead of pipes);
 * ``cluster`` scales over OS processes joined by the TCP socket
   fabric with streamed raw-codec batch frames, so the difference
   local - cluster is the real wire cost of the exchange;
@@ -22,7 +19,7 @@ for the same job:
 
 Besides wall-clock speedups the bench reports **exchange throughput**
 (network-destined shuffle bytes per second of exposed bin time) per
-backend — the column that shows the zero-copy win directly — plus the
+backend — shared memory next to the streamed TCP wire — plus the
 cluster backend's **frames-per-batch** (how few wire frames the
 coalescing data plane needs per (src, dst) shuffle batch) and a
 **load-balanced** section: the sim runs the same job with stealing
@@ -58,8 +55,7 @@ WORKER_COUNTS = (1, 2, 4)
 #: (label, backend, executor kwargs) — label is the table row key.
 VARIANTS = (
     ("serial", "serial", {}),
-    ("local/pickle", "local", {"exchange": "pickle"}),
-    ("local", "local", {"exchange": "shm"}),
+    ("local", "local", {}),
     ("cluster", "cluster", {}),
 )
 
@@ -117,8 +113,6 @@ def _measure():
         trace = recorded.schedule
         steal_counts[n] = trace.total_steals
         for label, backend, kwargs in VARIANTS:
-            if label == "local/pickle":
-                continue  # the exchange baseline adds nothing here
             t0 = time.perf_counter()
             result = make_executor(backend, n, **kwargs).run(
                 steal_job, dataset=ds, schedule=trace
@@ -133,8 +127,6 @@ def _measure():
     native_steals = {}  # (label, n) -> steals the backend decided itself
     for n in WORKER_COUNTS:
         for label, backend, kwargs in VARIANTS:
-            if label == "local/pickle":
-                continue
             t0 = time.perf_counter()
             result = make_executor(
                 backend, n, initial_distribution="single", **kwargs
@@ -152,7 +144,7 @@ def _measure():
     recovery_wall = {}      # label -> seconds at n_fault workers
     recovery_reclaims = {}  # label -> chunks reclaimed
     for label, backend, kwargs in VARIANTS:
-        if label in ("serial", "local/pickle"):
+        if label == "serial":
             continue
         t0 = time.perf_counter()
         result = make_executor(
@@ -171,8 +163,6 @@ def _measure():
     obs_wall = {}   # label -> traced seconds at n_obs workers
     obs_hists = {}  # label -> {"grant": summary|None, "batch": summary|None}
     for label, backend, kwargs in VARIANTS:
-        if label == "local/pickle":
-            continue
         obs = Observability()
         t0 = time.perf_counter()
         make_executor(backend, n_obs, obs=obs, **kwargs).run(job, dataset=ds)
@@ -208,14 +198,13 @@ def _render(ds, wall, exchange, frames, modeled, steal_wall, steal_counts,
     lines = [
         f"backend scaling — SIO, {ds.n_elements:,d} elements, "
         f"{ds.n_chunks} chunks (wall-clock vs sim-predicted speedup)",
-        f"{'n':>3} {'serial_ms':>10} {'lpickle_ms':>11} {'local_ms':>10} "
+        f"{'n':>3} {'serial_ms':>10} {'local_ms':>10} "
         f"{'cluster_ms':>11} {'local_x':>8} {'cluster_x':>10} {'sim_x':>7}",
     ]
     for n in WORKER_COUNTS:
         lines.append(
             f"{n:>3} "
             f"{wall[('serial', n)] * 1e3:>10.1f} "
-            f"{wall[('local/pickle', n)] * 1e3:>11.1f} "
             f"{wall[('local', n)] * 1e3:>10.1f} "
             f"{wall[('cluster', n)] * 1e3:>11.1f} "
             f"{speedup('local', n):>8.2f} "
@@ -227,14 +216,13 @@ def _render(ds, wall, exchange, frames, modeled, steal_wall, steal_counts,
         "exchange throughput — network-destined shuffle MB per second of "
         "exposed bin time; frames/batch = coalesced wire frames per "
         "(src, dst) cluster batch",
-        f"{'n':>3} {'lpickle_MBps':>13} {'local_MBps':>11} "
+        f"{'n':>3} {'local_MBps':>11} "
         f"{'cluster_MBps':>13} {'frames/batch':>13}",
     ]
     for n in WORKER_COUNTS[1:]:  # n=1 shuffles nothing over the fabric
         n_batches = n * (n - 1)
         lines.append(
             f"{n:>3} "
-            f"{_throughput(exchange, 'local/pickle', n) / 1e6:>13.1f} "
             f"{_throughput(exchange, 'local', n) / 1e6:>11.1f} "
             f"{_throughput(exchange, 'cluster', n) / 1e6:>13.1f} "
             f"{frames[('cluster', n)] / n_batches:>13.1f}"
@@ -330,14 +318,12 @@ def test_backend_scaling(benchmark, save_result, check):
     cluster_x = wall[("cluster", 1)] / wall[("cluster", 4)]
     sim_x = modeled[1] / modeled[4]
     shm_bps = _throughput(exchange, "local", 4)
-    pickle_bps = _throughput(exchange, "local/pickle", 4)
     benchmark.extra_info.update(
         {
             "local_speedup_4": round(local_x, 3),
             "cluster_speedup_4": round(cluster_x, 3),
             "sim_predicted_speedup_4": round(sim_x, 3),
             "local_shm_exchange_MBps_4": round(shm_bps / 1e6, 1),
-            "local_pickle_exchange_MBps_4": round(pickle_bps / 1e6, 1),
             "cluster_frames_per_batch_4": round(
                 frames[("cluster", 4)] / 12, 1
             ),
@@ -359,12 +345,6 @@ def test_backend_scaling(benchmark, save_result, check):
         check(local_x > 1.1, "local backend shows measurable 4-worker speedup")
         check(
             cluster_x > 1.05, "cluster backend shows measurable 4-worker speedup"
-        )
-        # The point of the zero-copy exchange: moving a shuffle byte
-        # through shared memory beats pickling it through a pipe.
-        check(
-            shm_bps > pickle_bps,
-            "shared-memory exchange beats pickle-over-queue bytes/s",
         )
     # The wire costs something, but not an order of magnitude vs pipes.
     check(

@@ -32,19 +32,24 @@ via record-on-real / replay-on-sim.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Sequence, Tuple
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chunk import Chunk
+from .faults import FaultPlan
 from .job import MapReduceJob
+from .kvset import KeyValueSet
 from .runtime import (
     DISTRIBUTIONS,
     GPMRRuntime,
     JobResult,
+    close_job,
     distribute_chunks,
     resolve_chunks,
 )
 from .scheduler import ChunkService, ScheduleTrace
+from .stats import WorkerStats
+from ..accel.fused import FusedMapper
 from ..obs import Observability
 from ..workloads.base import Dataset
 
@@ -60,11 +65,15 @@ __all__ = [
 ]
 
 
-class Executor(ABC):
+class Executor:
     """One way of executing :class:`MapReduceJob` dataflows."""
 
     #: registry name of the backend ("sim", "local", ...)
     name: str = "abstract"
+
+    #: scripted faults + recovery policy for every run; the real
+    #: backends set it from their ``fault_plan=`` argument
+    fault_plan: Optional[FaultPlan] = None
 
     def __init__(
         self,
@@ -132,7 +141,6 @@ class Executor(ABC):
         if self.trace_path:
             obs.write_jsonl(self.trace_path)
 
-    @abstractmethod
     def run(
         self,
         job: MapReduceJob,
@@ -152,7 +160,102 @@ class Executor(ABC):
         in the same per-rank order the trace dictates, which extends
         the bit-parity contract to load-balanced runs in both
         directions (record on sim / replay on real, and vice versa).
+
+        This is the driver every real backend shares — pre-flight,
+        pull authority, ledger cross-check, stats — around the one
+        backend-specific step, :meth:`_run_ranks`.  (The sim overrides
+        ``run`` whole: its ranks live on a modeled clock inside
+        :class:`~repro.core.runtime.GPMRRuntime`.)
         """
+        self._check_open()
+        # Stamp accel/fused into the job config before the job is
+        # pickled to any rank — their MapRunners read it off the config.
+        job = self._configure_job(job)
+        all_chunks = resolve_chunks(dataset, chunks)
+        # Replay and plan validation happen here, in the driver, before
+        # any process exists — a bad run fails fast with full context.
+        self._preflight(job, schedule)
+        fault = self.fault_plan
+        obs = self._begin_obs()
+        service = self._make_chunk_service(
+            all_chunks,
+            job,
+            schedule=schedule,
+            speculate_after=None if fault is None else fault.speculate_after,
+            obs=obs,
+        )
+        t_start = time.perf_counter()
+        outputs, worker_stats = self._run_ranks(job, service, obs)
+        # Every chunk must have been granted: ranks that reported
+        # results without draining the service would silently drop work.
+        if service.remaining:
+            raise RuntimeError(
+                f"every rank reported a result but {service.remaining} "
+                "chunk(s) were never granted"
+            )
+        result = close_job(
+            job,
+            service,
+            outputs,
+            worker_stats,
+            elapsed=time.perf_counter() - t_start,
+            clock="wall",
+            schedule=schedule,
+            obs=obs,
+        )
+        self._finish_obs(obs, result.stats)
+        return result
+
+    def _run_ranks(
+        self,
+        job: MapReduceJob,
+        service: ChunkService,
+        obs: Optional[Observability],
+    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats]]:
+        """Backend hook: run every rank of one job to completion.
+
+        Spawn/serve/collect only — ranks pull their chunks from
+        ``service`` and the backend returns ``(outputs, worker_stats)``,
+        both indexed by rank.  ``obs`` is the run's bundle (None when
+        tracing is off); rank-side records are absorbed into it here.
+        """
+        raise NotImplementedError
+
+    def _preflight(
+        self, job: MapReduceJob, schedule: Optional[ScheduleTrace]
+    ) -> None:
+        """Reject (job, fault plan, schedule) combinations that cannot
+        keep the bit-parity contract — one rule for every backend."""
+        fault = self.fault_plan
+        if fault is None:
+            return
+        if schedule is not None:
+            raise ValueError(
+                "fault_plan and schedule replay are mutually exclusive: a "
+                "recorded trace already fixes every grant, so there is "
+                "nothing to reclaim or speculate"
+            )
+        if fault.speculate_after is None:
+            return
+        # Receivers drop a speculative duplicate by the chunk id tagged
+        # on each emitted part.  Emissions made at finish time fold
+        # many chunks into one untagged part, so a duplicated chunk
+        # inside them cannot be told apart.
+        fused = job.fused if job.config.fused else None
+        if (
+            job.accumulator is not None
+            or job.combiner is not None
+            or (
+                fused is not None
+                and type(fused).finish_state is not FusedMapper.finish_state
+            )
+        ):
+            raise ValueError(
+                "speculate_after requires chunk-tagged map emissions; job "
+                f"{job.name!r} emits at finish time (an accumulator, a "
+                "combiner, or a fused kernel with a finish_state), and "
+                "finish-time output cannot be de-duplicated per chunk"
+            )
 
     # -- reusable lifecycle ------------------------------------------------
     #
@@ -246,39 +349,26 @@ class Executor(ABC):
         chunk queues coexist behind one front and the daemon can
         inspect/close them by :attr:`job_id`.
         """
-        initial = getattr(self, "initial_distribution", "round_robin")
-        context = (
-            f"{job.name}@{self.job_id}" if self.job_id else job.name
-        )
-        # Prefetching backends (local, cluster) pipeline requests, so
-        # the service must not treat a rank's newest grants as mapped
-        # on its next request — see ChunkScheduler(prefetch=).
-        prefetch = getattr(self, "prefetch_window", 0)
-        if self.chunk_authority is not None:
-            return self.chunk_authority.open_job(
-                chunks,
-                self.n_workers,
-                job_id=self.job_id,
-                initial_distribution=initial,
-                enable_stealing=job.config.enable_stealing,
-                schedule=schedule,
-                context=context,
-                speculate_after=speculate_after,
-                prefetch=prefetch,
-                obs=obs,
-            )
-        return ChunkService(
-            chunks,
-            self.n_workers,
-            initial_distribution=initial,
+        settings = dict(
+            initial_distribution=getattr(
+                self, "initial_distribution", "round_robin"
+            ),
             enable_stealing=job.config.enable_stealing,
             schedule=schedule,
-            context=context,
+            context=f"{job.name}@{self.job_id}" if self.job_id else job.name,
             speculate_after=speculate_after,
-            prefetch=prefetch,
+            # Prefetching backends (local, cluster) pipeline requests;
+            # the window sets which request proves which grants mapped
+            # — see ChunkScheduler.request.
+            prefetch=getattr(self, "prefetch_window", 0),
             obs=obs,
             job_id=self.job_id,
         )
+        if self.chunk_authority is not None:
+            return self.chunk_authority.open_job(
+                chunks, self.n_workers, **settings
+            )
+        return ChunkService(chunks, self.n_workers, **settings)
 
     def __enter__(self) -> "Executor":
         return self

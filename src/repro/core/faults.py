@@ -36,7 +36,7 @@ activates only on runs whose executor received a ``fault_plan``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 __all__ = ["FaultPlan"]
 
@@ -108,11 +108,3 @@ class FaultPlan:
                         f"{what} names rank {rank}, but the run has only "
                         f"{n_workers} worker(s)"
                     )
-
-    def merged_stalls(
-        self, extra: Optional[Mapping[int, float]] = None
-    ) -> Dict[int, float]:
-        """This plan's stalls merged over ``extra`` (plan wins)."""
-        merged = {int(r): float(s) for r, s in (extra or {}).items()}
-        merged.update(self.stall_seconds)
-        return merged

@@ -26,7 +26,7 @@ from .scheduler import (
     distribute_chunks,
     resolve_chunks,
 )
-from .stats import JobStats
+from .stats import JobStats, WorkerStats
 from ..hw.node import build_nodes
 from ..obs import Observability
 from ..hw.specs import ACCELERATOR, ClusterSpec
@@ -39,6 +39,7 @@ from ..workloads.base import Dataset
 __all__ = [
     "JobResult",
     "GPMRRuntime",
+    "close_job",
     "DISTRIBUTIONS",
     "resolve_chunks",
     "distribute_chunks",
@@ -69,6 +70,44 @@ class JobResult:
         """All ranks' outputs concatenated (None if nothing was produced)."""
         parts = [kv for kv in self.outputs if kv is not None and len(kv)]
         return KeyValueSet.concat(parts) if parts else None
+
+
+def close_job(
+    job: MapReduceJob,
+    service: ChunkService,
+    outputs: List[Optional[KeyValueSet]],
+    worker_stats: List[WorkerStats],
+    elapsed: float,
+    clock: str,
+    schedule: Optional[ScheduleTrace] = None,
+    obs: Optional[Observability] = None,
+) -> JobResult:
+    """The epilogue of every backend's run: cross-check, stats, result.
+
+    The service's grant ledger and the ranks' fetch ledgers are written
+    independently; they must agree rank for rank, or the recorded trace
+    would not describe the run it came from.  A replayed run carries
+    the ``schedule`` it was given; any other carries the trace the
+    service recorded.
+    """
+    service.validate_ledgers(worker_stats)
+    service.record_outcomes()
+    stats = JobStats(
+        job_name=job.name,
+        n_gpus=service.n_workers,
+        elapsed=elapsed,
+        workers=worker_stats,
+        chunks_reclaimed=service.chunks_reclaimed,
+        speculative_wins=service.speculative_wins,
+        retries_by_worker=list(service.retries_by_worker),
+        clock=clock,
+    )
+    return JobResult(
+        stats=stats,
+        outputs=outputs,
+        schedule=schedule if schedule is not None else service.trace,
+        obs=obs,
+    )
 
 
 class GPMRRuntime:
@@ -221,24 +260,12 @@ class GPMRRuntime:
         done = env.all_of(procs)
         env.run(until=done)
 
-        # The service's grant ledger and the pipeline's fetch ledger
-        # are written independently; they must agree per worker, or the
-        # recorded trace would not describe the run it came from.
-        service.validate_ledgers([w.stats for w in workers])
-        service.record_outcomes()
-
-        stats = JobStats(
-            job_name=job.name,
-            n_gpus=self.n_gpus,
-            elapsed=env.now,
-            workers=[w.stats for w in workers],
-            chunks_reclaimed=service.chunks_reclaimed,
-            speculative_wins=service.speculative_wins,
-            retries_by_worker=list(service.retries_by_worker),
-        )
-        return JobResult(
-            stats=stats,
+        return close_job(
+            job,
+            service,
             outputs=[w.result for w in workers],
-            schedule=service.trace,
+            worker_stats=[w.stats for w in workers],
+            elapsed=env.now,
+            clock="simulated",
             obs=obs,
         )

@@ -36,6 +36,9 @@ __all__ = [
     "JobChunkAuthority",
     "DISTRIBUTIONS",
     "DEFAULT_PREFETCH_WINDOW",
+    "GRANT_CHUNK",
+    "GRANT_DONE",
+    "GRANT_RETRY",
     "RETRY",
     "ReplayScheduler",
     "ScheduleGrant",
@@ -128,6 +131,10 @@ class _Retry:
 
 #: the tri-state pull answer: Assignment | RETRY | None (done)
 RETRY = _Retry()
+
+#: status codes of the same answer once it leaves the driver for a
+#: rank: every transport ships a ``(status, chunk, victim)`` triple
+GRANT_DONE, GRANT_CHUNK, GRANT_RETRY = 0, 1, 2
 
 
 class Assignment(NamedTuple):
@@ -328,12 +335,15 @@ class ChunkScheduler:
         self.n_workers = n_workers
         self.enable_stealing = enable_stealing
         self.speculate_after = speculate_after
-        #: grants per worker that may still be *unmapped* when its next
-        #: request arrives.  A prefetching worker keeps ``1 + prefetch``
-        #: requests pipelined, so its k-th request only proves grants
-        #: older than the newest ``prefetch`` have been mapped — those
-        #: newest grants must stay speculation-eligible.
+        #: requests a worker keeps pipelined beyond the one being
+        #: answered (its pull window is ``1 + prefetch``); sets which
+        #: request proves which grants mapped — see :meth:`request`.
         self.prefetch = max(0, int(prefetch))
+        #: worker -> its answers not yet proven consumed, oldest first:
+        #: the granted chunk id, or None for a RETRY/done answer
+        self._unproven: List[Deque[Optional[int]]] = [
+            deque() for _ in range(n_workers)
+        ]
         self._queues: List[Deque[Chunk]] = [deque() for _ in range(n_workers)]
         self.steals = 0
         self.steals_by_worker: List[int] = [0] * n_workers
@@ -414,21 +424,29 @@ class ChunkScheduler:
         """
         if not (0 <= worker < self.n_workers):
             raise ValueError(f"worker {worker} out of range")
-        # A worker's pull loop answers grants in order, so a new
-        # request proves it has mapped everything except the newest
-        # ``prefetch`` grants (those may still sit in its pipeline
-        # buffer).  The proven-mapped ones stop being speculation
-        # candidates (duplicating finished work is pure waste) but stay
-        # reclaimable until the worker posts; the buffered tail stays
-        # in-flight — a stalled prefetcher's buffered chunk is exactly
-        # what speculation must be allowed to duplicate.
-        if self._outstanding[worker]:
-            entries = list(self._outstanding[worker].items())
-            mapped = entries[: len(entries) - self.prefetch] \
-                if self.prefetch else entries
-            for cid, (chunk, _t) in mapped:
+        # A worker's pull loop keeps ``W = 1 + prefetch`` requests in
+        # flight and tops the window up only after it has mapped what
+        # its last answer granted, so its request number ``W + i``
+        # proves every grant among its first ``i`` answers mapped —
+        # RETRY/done answers count as answers.  The proven-mapped
+        # grants stop being speculation candidates (duplicating
+        # finished work is pure waste) but stay reclaimable until the
+        # worker posts; answers still unproven may sit unread in the
+        # worker's pipeline — a stalled prefetcher's buffered chunk is
+        # exactly what speculation must be allowed to duplicate.
+        unproven = self._unproven[worker]
+        while len(unproven) > self.prefetch:
+            cid = unproven.popleft()
+            if cid in self._outstanding[worker]:
+                chunk, _granted_at = self._outstanding[worker].pop(cid)
                 self._mapped[worker][cid] = chunk
-                del self._outstanding[worker][cid]
+        answer = self._next_for(worker)
+        unproven.append(
+            answer.chunk.index if isinstance(answer, Assignment) else None
+        )
+        return answer
+
+    def _next_for(self, worker: int):
         q = self._queues[worker]
         if q:
             return self._grant(worker, q.popleft(), worker)
@@ -525,6 +543,8 @@ class ChunkScheduler:
         ]
         self._mapped[worker].clear()
         self._outstanding[worker].clear()
+        # The replacement incarnation opens a fresh pull window.
+        self._unproven[worker].clear()
         requeued = 0
         for chunk in lost:
             grantees = self._grantees.get(chunk.index, [])

@@ -1,7 +1,8 @@
 """Real distributed execution over the TCP cluster fabric.
 
-``ClusterExecutor`` runs the same :mod:`repro.exec.dataflow` worker
-code as the ``local`` backend, but every byte between ranks rides the
+``ClusterExecutor`` runs the same rank loop
+(:func:`repro.exec.rank.drive_rank`) as the ``local`` backend, but
+every byte between ranks rides the
 :mod:`repro.fabric` wire instead of ``multiprocessing`` queues: ranks
 register with a driver-side :class:`~repro.fabric.Coordinator`, receive
 the job as a framed message, *pull* their chunks one at a time from the
@@ -34,19 +35,16 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import sys
-import time
 import traceback
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from .local import WorkerFailure, _default_start_method, dead_worker_failure
-from ..core.chunk import Chunk
 from ..core.executor import Executor, register_backend
 from ..core.faults import FaultPlan
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
-from ..core.runtime import JobResult, resolve_chunks
-from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, ScheduleTrace
-from ..core.stats import JobStats, WorkerStats
+from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, ChunkService
+from ..core.stats import WorkerStats
 from ..obs import Observability
 from ..fabric import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -55,7 +53,6 @@ from ..fabric import (
     RankFailure,
     run_rank,
 )
-from ..workloads.base import Dataset
 
 __all__ = ["ClusterExecutor"]
 
@@ -151,51 +148,15 @@ class ClusterExecutor(Executor):
         #: ``spawn_ranks=False``.
         self.coordinator_address: Optional[tuple] = None
 
-    def run(
+    def _run_ranks(
         self,
         job: MapReduceJob,
-        dataset: Optional[Dataset] = None,
-        chunks: Optional[Sequence[Chunk]] = None,
-        schedule: Optional[ScheduleTrace] = None,
-    ) -> JobResult:
-        self._check_open()
-        # Stamp accel/fused into the job config before the coordinator
-        # pickles the job into its ASSIGN payload — remote endpoints'
-        # MapRunners read it straight off the config, no wire changes.
-        job = self._configure_job(job)
-        all_chunks = resolve_chunks(dataset, chunks)
-        fault = self.fault_plan
-        if fault is not None and schedule is not None:
-            raise ValueError(
-                "fault_plan and schedule replay are mutually exclusive: a "
-                "recorded trace already fixes every grant, so there is "
-                "nothing to reclaim or speculate"
-            )
-        if (
-            fault is not None
-            and fault.speculate_after is not None
-            and (
-                job.accumulator is not None
-                or job.combiner is not None
-                or (job.config.fused and job.fused is not None)
-            )
-        ):
-            raise ValueError(
-                "speculate_after requires per-chunk map emissions; job "
-                f"{job.name!r} uses an accumulator/combiner/fused kernel "
-                "whose finish-time output cannot be deduplicated per chunk"
-            )
-        run_obs = self._begin_obs()
+        service: ChunkService,
+        obs: Optional[Observability],
+    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats]]:
         # The driver hosts the pull authority; ranks reach it through
         # the coordinator's CHUNK_REQ/CHUNK_GRANT control frames.
-        service = self._make_chunk_service(
-            all_chunks,
-            job,
-            schedule=schedule,
-            speculate_after=None if fault is None else fault.speculate_after,
-            obs=run_obs,
-        )
-
+        fault = self.fault_plan
         procs: Dict[int, mp.process.BaseProcess] = {}
         respawns_left = {
             rank: (0 if fault is None else fault.max_respawns)
@@ -215,7 +176,6 @@ class ClusterExecutor(Executor):
             if failure is not None:
                 raise failure
 
-        t_start = time.perf_counter()
         with Coordinator(
             self.n_workers,
             host=self.host,
@@ -224,7 +184,7 @@ class ClusterExecutor(Executor):
             max_frame_bytes=self.max_frame_bytes,
             liveness_probe=_probe if self.spawn_ranks else None,
             compress_exchange=self.compress_exchange,
-            obs=run_obs,
+            obs=obs,
             auth_key=self.auth_key,
             prefetch_window=self.prefetch_window,
         ) as coordinator:
@@ -302,44 +262,11 @@ class ClusterExecutor(Executor):
         worker_stats: List[WorkerStats] = []
         for rank, output, stats in collected:
             outputs[rank] = output
-            worker_stats.append(
-                stats if stats is not None else WorkerStats(rank=rank)
-            )
-        if run_obs is not None:
+            worker_stats.append(stats)
+        if obs is not None:
             for payload in coordinator.obs_payloads.values():
-                run_obs.absorb(payload)
-
-        # Every chunk must have been granted: a rank that reported a
-        # result without draining the service would silently drop work.
-        if service.remaining:
-            raise WorkerFailure(
-                -1,
-                f"all ranks reported results but {service.remaining} "
-                "chunk(s) were never granted",
-            )
-        # Ranks report the chunks/steals they pulled over the wire; the
-        # service logged what it granted.  The ledgers must agree.
-        service.validate_ledgers(worker_stats)
-        service.record_outcomes()
-
-        elapsed = time.perf_counter() - t_start
-        job_stats = JobStats(
-            job_name=job.name,
-            n_gpus=self.n_workers,
-            elapsed=elapsed,
-            workers=worker_stats,
-            chunks_reclaimed=service.chunks_reclaimed,
-            speculative_wins=service.speculative_wins,
-            retries_by_worker=list(service.retries_by_worker),
-            clock="wall",
-        )
-        self._finish_obs(run_obs, job_stats)
-        return JobResult(
-            stats=job_stats,
-            outputs=outputs,
-            schedule=schedule if schedule is not None else service.trace,
-            obs=run_obs,
-        )
+                obs.absorb(payload)
+        return outputs, worker_stats
 
 
 register_backend(ClusterExecutor.name, ClusterExecutor)

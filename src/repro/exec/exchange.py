@@ -1,28 +1,22 @@
 """Zero-copy batch transport for the local backend's shuffle.
 
-The ``multiprocessing`` queues used to carry whole pickled
-``KeyValueSet`` lists; every shuffle byte was serialised, copied into a
-pipe, and deserialised on the far side.  This module replaces that with
-the binary KVSet codec (:mod:`repro.core.kvset`): the queue message is
-now just a tiny routing tuple — a transport tag, a batch manifest, and
-either the raw bytes inline (small batches) or the *name* of a
+Shuffle batches cross the ``multiprocessing`` queues in the binary
+KVSet codec (:mod:`repro.core.kvset`): the queue message is just a tiny
+routing tuple — a tag, a batch manifest, and either the raw bytes
+inline (small batches) or the *name* of a
 ``multiprocessing.shared_memory`` segment holding them (large batches).
 Receivers map the arrays in place; the reduce path's concatenation is
 the single copy the data ever takes on the receiving side.
 
-Queue message shapes (the first element is the transport tag):
+Queue message shapes (the first element is the tag):
 
-``("pickle", parts)``
-    Legacy pickled list of KVSets — kept as an explicit baseline
-    (``LocalExecutor(exchange="pickle")``) so the shared-memory win
-    stays measurable in ``bench_backend_scaling``.
 ``("inline", manifest, data)``
-    Binary codec, payload bytes riding inside the message.  Used for
-    batches under :data:`SHM_MIN_BYTES` (a segment per tiny batch costs
-    more in syscalls than it saves in copies) and as the fallback when
-    segment creation fails.
+    Payload bytes riding inside the message.  Used for batches under
+    :data:`SHM_MIN_BYTES` (a segment per tiny batch costs more in
+    syscalls than it saves in copies) and as the fallback when segment
+    creation fails.
 ``("shm", name, nbytes, manifest)``
-    Binary codec, payload in a named shared-memory segment.
+    Payload in a named shared-memory segment.
 
 Segment lifecycle — explicit, no leaks on failure paths:
 
@@ -50,7 +44,6 @@ from ..core.kvset import KeyValueSet, pack_parts, unpack_parts
 
 __all__ = [
     "SHM_MIN_BYTES",
-    "EXCHANGE_TRANSPORTS",
     "encode_batch",
     "decode_batch",
     "ensure_shared_tracker",
@@ -119,13 +112,9 @@ def ensure_shared_tracker() -> None:
 #: ~32 KiB the shm_open/mmap/unlink round-trip costs more than the copy.
 SHM_MIN_BYTES = 32 * 1024
 
-#: Valid ``LocalExecutor(exchange=...)`` transports.
-EXCHANGE_TRANSPORTS = ("shm", "pickle")
-
 
 def encode_batch(
     parts: Sequence[KeyValueSet],
-    transport: str = "shm",
     min_shm_bytes: int = SHM_MIN_BYTES,
     counters: Optional[dict] = None,
 ) -> Tuple[Any, ...]:
@@ -133,21 +122,9 @@ def encode_batch(
 
     ``counters``, when given, is incremented in place with the batch's
     transport accounting — ``"batches" += 1``, ``"bytes" += payload``
-    (packed codec bytes; logical KVSet bytes for the pickle baseline).
-    The observability layer meters shuffle batches through this hook.
+    (packed codec bytes).  The observability layer meters shuffle
+    batches through this hook.
     """
-    if transport == "pickle":
-        if counters is not None:
-            counters["batches"] = counters.get("batches", 0) + 1
-            counters["bytes"] = counters.get("bytes", 0) + sum(
-                p.nbytes_logical for p in parts
-            )
-        return ("pickle", list(parts))
-    if transport != "shm":
-        raise ValueError(
-            f"unknown exchange transport {transport!r}; "
-            f"expected one of {EXCHANGE_TRANSPORTS}"
-        )
     manifest, chunks, nbytes = pack_parts(parts)
     if counters is not None:
         counters["batches"] = counters.get("batches", 0) + 1
@@ -175,12 +152,10 @@ def decode_batch(
 
     For ``"shm"`` messages the parts are zero-copy views into the
     returned segment; the caller must keep it alive until the data is
-    copied out, then :func:`release_segment` it.  Other transports
+    copied out, then :func:`release_segment` it.  Inline messages
     return ``None`` for the segment.
     """
     tag = message[0]
-    if tag == "pickle":
-        return list(message[1]), None
     if tag == "inline":
         _, manifest, data = message
         return unpack_parts(manifest, data), None

@@ -1,12 +1,15 @@
 """Real parallel execution on ``multiprocessing`` workers.
 
-One OS process per rank runs the full GPMR worker dataflow
-(:mod:`repro.exec.dataflow`).  Chunk distribution is **pull-based**:
-instead of receiving a precomputed chunk list, each rank requests
-chunks at runtime from a driver-side
+One OS process per rank runs the shared rank loop
+(:func:`repro.exec.rank.drive_rank`) over this module's *link*: the
+queue + shared-memory transport between a rank and its driver and
+peers (:class:`_LocalLink`).
+
+Chunk distribution is **pull-based**: each rank requests chunks at
+runtime from a driver-side
 :class:`~repro.core.scheduler.ChunkService` — a service thread answers
-``(rank)`` requests arriving on a shared queue with per-rank grant
-messages carrying ``(chunk, victim)``.  An idle rank therefore steals
+``("req", rank)`` messages arriving on a shared queue with per-rank
+``(status, chunk, victim)`` answers.  An idle rank therefore steals
 work from the longest queue *while the run executes* (the paper's
 dynamic load balancing, for real), every grant lands in a recorded
 :class:`~repro.core.scheduler.ScheduleTrace` returned as
@@ -15,16 +18,14 @@ replay a recorded trace grant-for-grant instead.
 
 The "network fabric" is a ``multiprocessing.Queue`` per rank used as a
 *control* channel: after its map phase a rank posts exactly one batch
-message — ``(source_rank, message)`` — to every destination's queue
-(including none to its own), then blocks until it has collected one
-batch from each source.  With the default ``exchange="shm"`` transport
-the message carries only the binary batch manifest plus the name of a
+message — ``(source_rank, message, chunk_ids)`` — to every peer's
+queue, then blocks until it has collected one batch from each peer.
+The message carries only the binary batch manifest plus the name of a
 shared-memory segment holding the raw key/value bytes
-(:mod:`repro.exec.exchange`); receivers map the arrays in place, so the
-shuffle no longer pickles or pipes the payload.  ``exchange="pickle"``
-keeps the original pickled-list messages as a measurable baseline.
-Receivers order batches by source rank, which makes the shuffle
-canonical and the run deterministic for a given schedule.
+(:mod:`repro.exec.exchange`); receivers map the arrays in place, so
+the shuffle never pickles or pipes the payload.  Receivers order
+batches by source rank, which makes the shuffle canonical and the run
+deterministic for a given schedule.
 
 Failure handling: a worker that raises ships its traceback to the
 driver over the result queue and still posts (empty) batches to every
@@ -35,53 +36,41 @@ caught by the driver's liveness watch; a worker that exits *cleanly*
 without reporting a result is detected the same way instead of being
 waited out.  After any run the driver drains the shuffle queues and
 unlinks undelivered shared-memory segments.
-
-Timing is real wall-clock: each worker buckets its map / exchange
-(bin) / sort / reduce time into the same Figure-2 stages the sim
-reports, so sim-modeled and measured breakdowns are directly
-comparable.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import queue as queue_mod
-import signal
 import threading
 import time
-import traceback
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from .dataflow import MapRunner, merge_incoming, reduce_worker
 from .exchange import (
-    EXCHANGE_TRANSPORTS,
     decode_batch,
     encode_batch,
     ensure_shared_tracker,
     release_message,
     release_segment,
 )
-from ..core.chunk import Chunk
+from .rank import GrantPuller, drive_rank
 from ..core.executor import Executor, register_backend
 from ..core.faults import FaultPlan
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
-from ..core.runtime import JobResult, resolve_chunks
 from ..core.scheduler import (
     DEFAULT_PREFETCH_WINDOW,
+    GRANT_CHUNK,
+    GRANT_DONE,
+    GRANT_RETRY,
     RETRY,
     ChunkService,
-    ScheduleTrace,
 )
-from ..core.stats import JobStats, WorkerStats
-from ..obs import BYTES_BUCKETS, NULL_TRACER, Observability
-from ..workloads.base import Dataset
+from ..core.stats import WorkerStats
+from ..obs import BYTES_BUCKETS, NULL_OBS, Observability
 
 __all__ = ["LocalExecutor", "WorkerFailure", "dead_worker_failure"]
-
-#: grant-message status codes of the local pull protocol
-_GRANT_DONE, _GRANT_CHUNK, _GRANT_RETRY = 0, 1, 2
 
 
 class WorkerFailure(RuntimeError):
@@ -110,131 +99,99 @@ def dead_worker_failure(procs) -> Optional["WorkerFailure"]:
     return WorkerFailure(-1, f"worker process(es) died without reporting: {codes}")
 
 
-class _PullChunkSource:
-    """Worker-side half of the local pull protocol.
+@dataclass
+class _LocalLink:
+    """One rank's queue + shared-memory transport (see the module docs
+    and the link contract in :mod:`repro.exec.rank`).
 
-    ``next()`` posts ``("req", rank)`` on the shared request queue and
-    blocks for the service thread's grant on the rank's own grant queue
-    — a ``(status, chunk, victim)`` triple: a chunk grant, a "retry
-    later" (speculation may free up work; sleep briefly and re-ask), or
-    "done".  ``stall_seconds`` sleeps before every request: the
-    fault-injection hook that makes this rank a straggler so tests can
-    watch its chunks get stolen (and, with speculation armed, its
-    in-flight chunks re-executed).  ``kill_at_chunk`` is the
-    :class:`~repro.core.faults.FaultPlan` kill hook: the process
-    SIGKILLs itself upon *receiving* its n-th grant — genuinely
-    mid-map, with that grant (plus any earlier un-posted ones)
-    outstanding at the service.
+    Built in the driver and shipped to the rank as its process
+    argument, so its fields are only queues and plain values;
+    :meth:`open` arms the in-process parts once the rank is running.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        request_queue,
-        grant_queue,
-        stall_seconds: float = 0.0,
-        kill_at_chunk: Optional[int] = None,
-        prefetch: int = 0,
-    ) -> None:
-        self.rank = rank
-        self.request_queue = request_queue
-        self.grant_queue = grant_queue
-        self.stall_seconds = float(stall_seconds)
-        self.kill_at_chunk = kill_at_chunk
-        #: extra requests kept in flight beyond the one being answered:
-        #: the service grants chunk i+1 while this rank maps chunk i,
-        #: so the grant round-trip overlaps map compute (the sim's
-        #: double buffer, for real).  0 restores strict alternation.
-        self.prefetch = max(0, int(prefetch))
-        #: requests posted but not yet answered
-        self._pending = 0
-        #: True after a DONE answer: stop posting new requests, but
-        #: keep draining pending answers — a pipelined answer behind a
-        #: DONE may still be a chunk (reclaim/speculation), which
-        #: resumes the loop.  Only "draining with nothing pending"
-        #: ends the pull.
-        self._draining = False
-        self._grants_received = 0
-        #: set in-child by :func:`_worker_main` when tracing is on; the
-        #: source itself is pickled to the child, an
-        #: :class:`~repro.obs.Observability` (it holds locks) is not.
-        self.obs: Optional[Observability] = None
+    rank: int
+    n_workers: int
+    job: MapReduceJob
+    #: record spans/metrics rank-side and ship them home with the result
+    trace: bool
+    request_queue: Any
+    grant_queue: Any
+    shuffle_queues: Sequence[Any]
+    result_queue: Any
+    stall_seconds: float = 0.0
+    kill_at_chunk: Optional[int] = None
+    prefetch: int = 0
 
-    def next(self) -> Optional[Tuple[Chunk, int]]:
-        obs = self.obs
-        while True:
-            if self.stall_seconds:
-                time.sleep(self.stall_seconds)
-            while not self._draining and self._pending < 1 + self.prefetch:
-                self.request_queue.put(("req", self.rank))
-                self._pending += 1
-            if self._draining and self._pending == 0:
-                return None
-            # With prefetch the answer was (usually) already served
-            # while the previous chunk mapped, so the measured grant
-            # wait is only the residual blocking time — the overlap the
-            # streaming bench's p99 column quantifies.
-            w0 = time.time()
-            status, chunk, victim = self.grant_queue.get()
-            self._pending -= 1
-            if obs is not None:
-                w1 = time.time()
-                obs.tracer.add_span("grant_wait", w0, w1, rank=self.rank)
-                obs.metrics.histogram("grant_latency_s").observe(w1 - w0)
-            if status == _GRANT_RETRY:
-                self._draining = False
-                time.sleep(0.02)
-                continue
-            if status == _GRANT_DONE:
-                self._draining = True
-                continue
-            self._draining = False
-            self._grants_received += 1
-            if (
-                self.kill_at_chunk is not None
-                and self._grants_received >= self.kill_at_chunk
-            ):
-                # Die exactly as "kill -9" would: no cleanup, no
-                # courtesy batches, the grant never mapped.  (A
-                # pipelined request this death leaves unanswered is
-                # safe: the service answers it either onto the old
-                # grant queue — which the driver replaces under the
-                # service lock, so the grant dies with it — or, after
-                # reclaim, onto the replacement's queue, where a chunk
-                # is simply mapped by the new incarnation and a
-                # trailing DONE goes unread.)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return chunk, victim
+    def open(self) -> MapReduceJob:
+        # Built here, not in the driver: an Observability holds locks
+        # and cannot travel.  Its picklable export() rides home with
+        # the result and the driver absorbs it into the run's bundle.
+        self.obs = Observability() if self.trace else NULL_OBS
+        #: shared-memory segments behind the batches received so far
+        self._segments: List[Any] = []
+        # A pipelined request a scripted kill leaves unanswered is
+        # safe: the service answers it either onto the old grant queue
+        # — which the driver replaces under the service lock, so the
+        # grant dies with it — or, after reclaim, onto the
+        # replacement's queue, where a chunk is simply mapped by the
+        # new incarnation and a trailing DONE goes unread.
+        self._puller = GrantPuller(
+            self.rank,
+            lambda: self.request_queue.put(("req", self.rank)),
+            self.grant_queue.get,
+            prefetch=self.prefetch,
+            stall_seconds=self.stall_seconds,
+            kill_at_chunk=self.kill_at_chunk,
+            obs=self.obs,
+        )
+        return self.job
+
+    def request_chunk(self):
+        return self._puller.next()
 
     def mark_posted(self) -> None:
-        """Tell the service this rank is about to post its batches —
-        past this point the unit-of-loss contract makes its death
-        unrecoverable (nothing left to reclaim)."""
         self.request_queue.put(("posted", self.rank))
 
+    def send(self, dest: int, parts, chunk_ids) -> None:
+        obs = self.obs
+        counters = {"bytes": 0} if obs.enabled else None
+        s0 = time.time()
+        message = encode_batch(parts, counters=counters)
+        try:
+            self.shuffle_queues[dest].put((self.rank, message, chunk_ids))
+        except BaseException:
+            release_message(message)  # never delivered; unlink now
+            raise
+        if obs.enabled:
+            s1 = time.time()
+            obs.tracer.add_span("shuffle_send", s0, s1, rank=self.rank, dest=dest)
+            obs.metrics.histogram("shuffle_batch_s").observe(s1 - s0)
+            obs.metrics.histogram(
+                "shuffle_batch_bytes", bounds=BYTES_BUCKETS
+            ).observe(counters["bytes"])
 
-class _ListChunkSource:
-    """A precomputed chunk list behind the pull interface.
+    def unblock(self, dest: int) -> None:
+        self.shuffle_queues[dest].put((self.rank, encode_batch([]), []))
 
-    Used by tests that drive :func:`_worker_main` directly, without a
-    live service; every chunk counts as the rank's own (victim ==
-    rank).
-    """
+    def recv_all(self) -> List[Tuple[int, List[KeyValueSet], List[int]]]:
+        batches = []
+        for _ in range(self.n_workers - 1):
+            src, message, tags = self.shuffle_queues[self.rank].get()
+            parts, segment = decode_batch(message)
+            if segment is not None:
+                self._segments.append(segment)
+            batches.append((src, parts, tags))
+        return batches
 
-    def __init__(self, chunks: Sequence[Chunk], rank: int) -> None:
-        self._chunks = list(chunks)
-        self.rank = rank
-        self._i = 0
-
-    def next(self) -> Optional[Tuple[Chunk, int]]:
-        if self._i >= len(self._chunks):
-            return None
-        chunk = self._chunks[self._i]
-        self._i += 1
-        return chunk, self.rank
-
-    def mark_posted(self) -> None:
-        pass
+    def report(self, output, stats, error) -> None:
+        # The reduce concatenated every incoming part into fresh
+        # arrays (or the rank failed): the zero-copy views are dead
+        # and the segments behind them can go.
+        while self._segments:
+            release_segment(self._segments.pop())
+        self.result_queue.put(
+            (self.rank, error, output, stats, self.obs.export())
+        )
 
 
 def _serve_chunks(
@@ -246,8 +203,8 @@ def _serve_chunks(
 ) -> None:
     """Driver-side service thread: answer pull requests until stopped.
 
-    Grant messages are ``(status, chunk, victim)`` — ``(_GRANT_DONE,
-    None, -1)`` tells the requesting rank it is done, ``_GRANT_RETRY``
+    Grant messages are ``(status, chunk, victim)`` — ``(GRANT_DONE,
+    None, -1)`` tells the requesting rank it is done, ``GRANT_RETRY``
     tells it to re-ask shortly (speculation may free up work).  A
     service failure is stashed in ``errors`` (the driver's collect loop
     re-raises it) and the requester is released with "done" so it
@@ -271,165 +228,32 @@ def _serve_chunks(
                     continue
                 assignment = service.request(rank)
                 if assignment is RETRY:
-                    grant_queues[rank].put((_GRANT_RETRY, None, -1))
+                    grant_queues[rank].put((GRANT_RETRY, None, -1))
                 elif assignment is None:
-                    grant_queues[rank].put((_GRANT_DONE, None, -1))
+                    grant_queues[rank].put((GRANT_DONE, None, -1))
                 else:
                     grant_queues[rank].put(
-                        (_GRANT_CHUNK, assignment.chunk, assignment.victim)
+                        (GRANT_CHUNK, assignment.chunk, assignment.victim)
                     )
         except BaseException as exc:
             errors.append(exc)
             try:
-                grant_queues[rank].put((_GRANT_DONE, None, -1))
+                grant_queues[rank].put((GRANT_DONE, None, -1))
             except BaseException:
                 return
 
 
-def _worker_main(
-    rank: int,
-    n_workers: int,
-    job: MapReduceJob,
-    chunk_source,
-    shuffle_queues: List[mp.Queue],
-    result_queue: mp.Queue,
-    exchange: str = "shm",
-    obs_enabled: bool = False,
-) -> None:
-    """Entry point of one rank's process: pull+map, exchange, sort, reduce.
-
-    ``chunk_source`` is the rank's pull handle (``next() -> (chunk,
-    victim) | None``); the worker counts a steal whenever a grant's
-    victim is another rank, which the driver cross-checks against the
-    service's ledger after the run.
-
-    With ``obs_enabled`` the rank builds its own
-    :class:`~repro.obs.Observability`, records its spans and metric
-    samples into it, and ships the picklable ``export()`` payload back
-    as the fifth element of the result tuple — the driver absorbs it
-    into the run-level bundle.
-    """
-    obs = Observability() if obs_enabled else None
-    tracer = obs.tracer if obs is not None else NULL_TRACER
-    chunk_source.obs = obs
-    stats = WorkerStats(rank=rank)
-    posted: Set[int] = set()
-    segments = []
-    try:
-        t0 = time.perf_counter()
-        runner = MapRunner(job, n_workers)
-        while True:
-            nxt = chunk_source.next()
-            if nxt is None:
-                break
-            chunk, victim = nxt
-            if victim != rank:
-                stats.chunks_stolen += 1
-            w0 = time.time()
-            runner.feed(chunk)
-            tracer.add_span(
-                "chunk_map", w0, time.time(), rank=rank, chunk=chunk.index
-            )
-        w0 = time.time()
-        mapped = runner.finish()
-        tracer.add_span("map_finish", w0, time.time(), rank=rank)
-        stats.chunks_mapped = mapped.chunks_mapped
-        stats.pairs_emitted_logical = mapped.pairs_emitted_logical
-        stats.bytes_sent_network = mapped.bytes_remote(rank)
-        stats.bytes_kept_local = mapped.bytes_self(rank)
-        t1 = time.perf_counter()
-        stats.add("map", t1 - t0)
-
-        # Self-destined parts stay in-process; remote batches ride the
-        # exchange transport.  Posted destinations are tracked one by
-        # one so a failure mid-posting backfills only the peers that
-        # never got this rank's batch.  The "posted" marker goes to the
-        # service first: once any batch may have shipped, this rank's
-        # map output is in the world and its death is no longer
-        # recoverable by reclaim (the batches would double-count).
-        chunk_source.mark_posted()
-        for dest in range(n_workers):
-            if dest == rank:
-                continue
-            counters = {"bytes": 0} if obs is not None else None
-            s0 = time.time()
-            message = encode_batch(
-                mapped.batch_for(dest), transport=exchange, counters=counters
-            )
-            try:
-                shuffle_queues[dest].put(
-                    (rank, message, mapped.chunk_ids_for(dest))
-                )
-            except BaseException:
-                release_message(message)  # never delivered; unlink now
-                raise
-            posted.add(dest)
-            if obs is not None:
-                s1 = time.time()
-                tracer.add_span("shuffle_send", s0, s1, rank=rank, dest=dest)
-                obs.metrics.histogram("shuffle_batch_s").observe(s1 - s0)
-                obs.metrics.histogram(
-                    "shuffle_batch_bytes", bounds=BYTES_BUCKETS
-                ).observe(counters["bytes"])
-
-        r0 = time.time()
-        batches: List[Tuple[int, List[KeyValueSet], List[int]]] = [
-            (rank, mapped.batch_for(rank), mapped.chunk_ids_for(rank))
-        ]
-        for _ in range(n_workers - 1):
-            src, message, tags = shuffle_queues[rank].get()
-            parts, segment = decode_batch(message)
-            if segment is not None:
-                segments.append(segment)
-            batches.append((src, parts, tags))
-        incoming = merge_incoming(batches)
-        del batches
-        tracer.add_span("shuffle_recv", r0, time.time(), rank=rank)
-        t2 = time.perf_counter()
-        stats.add("bin", t2 - t1)
-
-        output = reduce_worker(job, incoming, stats=stats, obs=obs)
-        # The reduce concatenated every incoming part into fresh
-        # arrays; the zero-copy views are dead and the segments can go.
-        del incoming
-        while segments:
-            release_segment(segments.pop())
-        result_queue.put(
-            (rank, None, output, stats, obs.export() if obs else None)
-        )
-    except BaseException:
-        # Unblock only the peers still waiting on this rank's batch —
-        # re-posting to an already-served peer would make it count two
-        # batches from one source and merge nondeterministically.
-        for dest in range(n_workers):
-            if dest != rank and dest not in posted:
-                try:
-                    shuffle_queues[dest].put(
-                        (rank, encode_batch([], transport=exchange), [])
-                    )
-                except BaseException:
-                    pass  # queue gone too; the driver's watch covers it
-        while segments:
-            release_segment(segments.pop())
-        result_queue.put(
-            (rank, traceback.format_exc(), None, stats,
-             obs.export() if obs else None)
-        )
-
-
 class LocalExecutor(Executor):
     """Execute jobs for real on ``n_workers`` OS processes.
-
-    ``stall_seconds`` (optional, ``{rank: seconds}``) injects a sleep
-    before each of that rank's chunk requests — a deliberate straggler
-    for load-balancing tests and benchmarks.
 
     ``fault_plan`` (a :class:`~repro.core.faults.FaultPlan`) arms the
     recovery machinery: ranks it kills mid-map are detected by the
     driver's liveness watch, their un-posted grants are reclaimed into
     the pool, and a replacement process is respawned under the same
     rank id — the run completes with output bit-identical to a
-    failure-free run.  ``speculate_after`` additionally re-executes
+    failure-free run.  Its ``stall_seconds`` make a rank sleep before
+    each chunk request (a deliberate straggler whose queue gets
+    stolen), and ``speculate_after`` additionally re-executes
     straggling in-flight grants on idle ranks; receivers drop the
     duplicate map output by chunk-id provenance tags.  Without a plan,
     any worker death is a :class:`WorkerFailure` exactly as before.
@@ -443,8 +267,6 @@ class LocalExecutor(Executor):
         initial_distribution: str = "round_robin",
         start_method: Optional[str] = None,
         timeout_seconds: float = 300.0,
-        exchange: str = "shm",
-        stall_seconds: Optional[Mapping[int, float]] = None,
         fault_plan: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
@@ -461,65 +283,23 @@ class LocalExecutor(Executor):
         #: chunk requests each rank keeps in flight beyond the one it
         #: is mapping (grant prefetch); 0 disables the overlap
         self.prefetch_window = max(0, int(prefetch_window))
-        if exchange not in EXCHANGE_TRANSPORTS:
-            raise ValueError(
-                f"unknown exchange transport {exchange!r}; "
-                f"expected one of {EXCHANGE_TRANSPORTS}"
-            )
-        self.exchange = exchange
         self.fault_plan = fault_plan
         if fault_plan is not None:
             fault_plan.validate_for(n_workers)
-            stall_seconds = fault_plan.merged_stalls(stall_seconds)
-        self.stall_seconds: Dict[int, float] = dict(stall_seconds or {})
 
-    def run(
+    def _run_ranks(
         self,
         job: MapReduceJob,
-        dataset: Optional[Dataset] = None,
-        chunks: Optional[Sequence[Chunk]] = None,
-        schedule: Optional[ScheduleTrace] = None,
-    ) -> JobResult:
-        self._check_open()
-        # Stamp accel/fused into the job config before the job is
-        # pickled to the worker processes — the children's MapRunners
-        # read it straight off the config.
-        job = self._configure_job(job)
-        all_chunks = resolve_chunks(dataset, chunks)
+        service: ChunkService,
+        obs: Optional[Observability],
+    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats]]:
         fault = self.fault_plan
-        if fault is not None and schedule is not None:
-            raise ValueError(
-                "fault_plan and schedule replay are mutually exclusive: a "
-                "recorded trace already fixes every grant, so there is "
-                "nothing to reclaim or speculate"
-            )
-        if (
-            fault is not None
-            and fault.speculate_after is not None
-            and (job.accumulator is not None or job.combiner is not None)
-        ):
-            raise ValueError(
-                "speculate_after requires per-chunk map emissions; job "
-                f"{job.name!r} uses an accumulator/combiner whose "
-                "finish-time output cannot be deduplicated per chunk"
-            )
-        run_obs = self._begin_obs()
-        # Replay validation happens here, in the driver, before any
-        # process exists — a bad trace fails fast with full context.
-        service = self._make_chunk_service(
-            all_chunks,
-            job,
-            schedule=schedule,
-            speculate_after=None if fault is None else fault.speculate_after,
-            obs=run_obs,
-        )
         ctx = mp.get_context(self.start_method)
-        if self.exchange == "shm":
-            # One tracker for the whole rank tree — see exchange docs.
-            ensure_shared_tracker()
+        # One tracker for the whole rank tree — see exchange docs.
+        ensure_shared_tracker()
         # mp.Queue writes through a feeder thread, so puts never block
         # on pipe capacity — no exchange deadlock however large a batch
-        # (and under "shm" the message is tiny regardless).
+        # (and the message is tiny regardless: payloads ride in shm).
         shuffle_queues = [ctx.Queue() for _ in range(self.n_workers)]
         result_queue = ctx.Queue()
         request_queue = ctx.Queue()
@@ -536,35 +316,30 @@ class LocalExecutor(Executor):
         )
         server.start()
 
-        t_start = time.perf_counter()
-
         def spawn(rank: int, incarnation: int) -> mp.process.BaseProcess:
             # Only the first incarnation carries the scripted kill: the
-            # replacement must survive to finish the reclaimed work.
-            kill_at = (
-                fault.kill_for(rank)
-                if fault is not None and incarnation == 0
-                else None
+            # replacement must survive to finish the reclaimed work.  A
+            # stall is a rank property and survives respawn.
+            link = _LocalLink(
+                rank,
+                self.n_workers,
+                job,
+                obs is not None,
+                request_queue,
+                grant_queues[rank],
+                shuffle_queues,
+                result_queue,
+                stall_seconds=0.0 if fault is None else fault.stall_for(rank),
+                kill_at_chunk=(
+                    fault.kill_for(rank)
+                    if fault is not None and incarnation == 0
+                    else None
+                ),
+                prefetch=self.prefetch_window,
             )
             return ctx.Process(
-                target=_worker_main,
-                args=(
-                    rank,
-                    self.n_workers,
-                    job,
-                    _PullChunkSource(
-                        rank,
-                        request_queue,
-                        grant_queues[rank],
-                        self.stall_seconds.get(rank, 0.0),
-                        kill_at,
-                        self.prefetch_window,
-                    ),
-                    shuffle_queues,
-                    result_queue,
-                    self.exchange,
-                    run_obs is not None,
-                ),
+                target=drive_rank,
+                args=(link,),
                 name=f"gpmr-local-r{rank}.{incarnation}",
                 daemon=True,
             )
@@ -630,8 +405,8 @@ class LocalExecutor(Executor):
                     continue
                 pending.discard(rank)
                 silent_since = None
-                if run_obs is not None:
-                    run_obs.absorb(obs_payload)
+                if obs is not None:
+                    obs.absorb(obs_payload)
                 if error is not None:
                     failures.append((rank, error))
                 else:
@@ -657,36 +432,7 @@ class LocalExecutor(Executor):
         # now so a run that silently dropped chunks can never return.
         if service_errors:
             raise service_errors[0]
-        if service.remaining:
-            raise RuntimeError(
-                f"chunk service finished with {service.remaining} chunk(s) "
-                "never granted"
-            )
-
-        # Workers report what they fetched; the service logged what it
-        # granted.  The two ledgers must agree rank for rank.
-        service.validate_ledgers([s for s in worker_stats if s is not None])
-        service.record_outcomes()
-
-        elapsed = time.perf_counter() - t_start
-        stats = JobStats(
-            job_name=job.name,
-            n_gpus=self.n_workers,
-            elapsed=elapsed,
-            workers=[s if s is not None else WorkerStats(rank=r)
-                     for r, s in enumerate(worker_stats)],
-            chunks_reclaimed=service.chunks_reclaimed,
-            speculative_wins=service.speculative_wins,
-            retries_by_worker=list(service.retries_by_worker),
-            clock="wall",
-        )
-        self._finish_obs(run_obs, stats)
-        return JobResult(
-            stats=stats,
-            outputs=outputs,
-            schedule=schedule if schedule is not None else service.trace,
-            obs=run_obs,
-        )
+        return outputs, worker_stats
 
     def _recover_dead_workers(
         self,

@@ -1,36 +1,35 @@
-"""In-process real execution: the same dataflow, one rank at a time.
+"""In-process real execution: the same rank loop, one rank at a time.
 
 ``SerialExecutor`` runs the identical functional semantics as the
 ``multiprocessing`` backend with zero IPC — useful for debugging app
 kernels, for environments where spawning processes is off-limits, and
 as a fast third witness in the backend-parity tests.
 
-Chunk distribution is pull-based like every other backend: ranks take
-turns requesting one chunk at a time from the shared driver-side
+There is no link here: the executor steps *n*
+:class:`~repro.exec.rank.RankRun`\\ s itself.  Chunk distribution is
+pull-based like every other backend — ranks take turns requesting one
+chunk at a time from the shared driver-side
 :class:`~repro.core.scheduler.ChunkService` (the serial analogue of
 concurrent workers pulling at matching rates), so a serial run with
 stealing enabled *generates* a deterministic load-balanced
 :class:`~repro.core.scheduler.ScheduleTrace` instead of only replaying
-one.
+one — and the "exchange" is handing each run its peers' batches.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
-from .dataflow import MapRunner, merge_incoming, reduce_worker
 from .local import WorkerFailure
-from ..core.chunk import Chunk
+from .rank import RankRun
 from ..core.executor import Executor, register_backend
 from ..core.faults import FaultPlan
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
-from ..core.runtime import JobResult, resolve_chunks
-from ..core.scheduler import ScheduleTrace
-from ..core.stats import JobStats, WorkerStats
+from ..core.scheduler import ChunkService
+from ..core.stats import WorkerStats
 from ..obs import NULL_OBS, Observability
-from ..workloads.base import Dataset
 
 __all__ = ["SerialExecutor"]
 
@@ -71,52 +70,34 @@ class SerialExecutor(Executor):
                     "straggle behind idle workers"
                 )
 
-    def run(
+    def _run_ranks(
         self,
         job: MapReduceJob,
-        dataset: Optional[Dataset] = None,
-        chunks: Optional[Sequence[Chunk]] = None,
-        schedule: Optional[ScheduleTrace] = None,
-    ) -> JobResult:
-        self._check_open()
-        job = self._configure_job(job)
-        all_chunks = resolve_chunks(dataset, chunks)
+        service: ChunkService,
+        obs: Optional[Observability],
+    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats]]:
         fault = self.fault_plan
-        if fault is not None and schedule is not None:
-            raise ValueError(
-                "fault_plan and schedule replay are mutually exclusive: a "
-                "recorded trace already fixes every grant, so there is "
-                "nothing to reclaim or speculate"
-            )
-        run_obs = self._begin_obs()
-        obs = run_obs if run_obs is not None else NULL_OBS
-        service = self._make_chunk_service(
-            all_chunks, job, schedule=schedule, obs=run_obs
-        )
+        obs = obs if obs is not None else NULL_OBS
         grant_latency = obs.metrics.histogram("grant_latency_s")
-
-        t_start = time.perf_counter()
-        stats = [WorkerStats(rank=r) for r in range(self.n_workers)]
-        runners = [MapRunner(job, self.n_workers) for _ in range(self.n_workers)]
-        grants_received = [0] * self.n_workers
-        respawns_left = [
-            0 if fault is None else fault.max_respawns
-            for _ in range(self.n_workers)
-        ]
-        killed = [False] * self.n_workers
+        n = self.n_workers
+        runs = [RankRun(job, rank, n, obs) for rank in range(n)]
+        grants_received = [0] * n
+        respawns_left = [0 if fault is None else fault.max_respawns] * n
+        killed = [False] * n
 
         # Interleaved pull: every active rank requests one chunk per
         # round, in rank order.  This models equal-speed workers, keeps
         # the generated schedule deterministic, and still exercises real
         # stealing — a rank whose queue is empty robs the longest one.
-        active = set(range(self.n_workers))
+        active = set(range(n))
         while active:
-            for rank in range(self.n_workers):
-                if rank not in active:
-                    continue
-                t_req = time.perf_counter()
+            for rank in sorted(active):
+                runs[rank].resume()
+                w0 = time.time()
                 assignment = service.request(rank)
-                grant_latency.observe(time.perf_counter() - t_req)
+                w1 = time.time()
+                obs.tracer.add_span("grant_wait", w0, w1, rank=rank)
+                grant_latency.observe(w1 - w0)
                 if assignment is None:
                     active.discard(rank)
                     service.mark_posted(rank)
@@ -140,71 +121,21 @@ class SerialExecutor(Executor):
                         )
                     respawns_left[rank] -= 1
                     service.reclaim(rank)
-                    runners[rank] = MapRunner(job, self.n_workers)
-                    stats[rank] = WorkerStats(rank=rank)
+                    runs[rank] = RankRun(job, rank, n, obs)
                     continue
-                w0 = time.time()
-                t0 = time.perf_counter()
-                runners[rank].feed(assignment.chunk)
-                # A streamed chunk's payload is done with once mapped;
-                # dropping it keeps the whole-run footprint bounded by
-                # one in-flight chunk, not the logical dataset.
-                assignment.chunk.release()
-                t1 = time.perf_counter()
-                stats[rank].add("map", t1 - t0)
-                # Spans are anchored at wall-clock (the tracer's
-                # timebase) but sized by the monotonic duration.
-                obs.tracer.add_span(
-                    "chunk_map", w0, w0 + (t1 - t0), rank=rank,
-                    chunk=assignment.chunk.index,
-                )
-                if assignment.stolen_by(rank):
-                    stats[rank].chunks_stolen += 1
+                runs[rank].map_chunk(assignment.chunk, assignment.victim)
 
-        mapped = []
-        for rank in range(self.n_workers):
-            w0 = time.time()
-            t0 = time.perf_counter()
-            out = runners[rank].finish()
-            t1 = time.perf_counter()
-            stats[rank].add("map", t1 - t0)
-            obs.tracer.add_span("map_finish", w0, w0 + (t1 - t0), rank=rank)
-            stats[rank].chunks_mapped = out.chunks_mapped
-            stats[rank].pairs_emitted_logical = out.pairs_emitted_logical
-            stats[rank].bytes_sent_network = out.bytes_remote(rank)
-            stats[rank].bytes_kept_local = out.bytes_self(rank)
-            mapped.append(out)
+        for run in runs:
+            run.resume()
+            run.finish_map()
 
         outputs: List[Optional[KeyValueSet]] = []
-        for rank in range(self.n_workers):
-            batches = [
-                (src, mapped[src].batch_for(rank)) for src in range(self.n_workers)
-            ]
-            outputs.append(
-                reduce_worker(
-                    job, merge_incoming(batches), stats=stats[rank], obs=run_obs
-                )
-            )
-
-        service.validate_ledgers(stats)
-        service.record_outcomes()
-        job_stats = JobStats(
-            job_name=job.name,
-            n_gpus=self.n_workers,
-            elapsed=time.perf_counter() - t_start,
-            workers=stats,
-            chunks_reclaimed=service.chunks_reclaimed,
-            speculative_wins=service.speculative_wins,
-            retries_by_worker=list(service.retries_by_worker),
-            clock="wall",
-        )
-        self._finish_obs(run_obs, job_stats)
-        return JobResult(
-            stats=job_stats,
-            outputs=outputs,
-            schedule=schedule if schedule is not None else service.trace,
-            obs=run_obs,
-        )
+        for run in runs:
+            run.resume()
+            outputs.append(run.reduce(
+                [peer.batch_for(run.rank) for peer in runs if peer is not run]
+            ))
+        return outputs, [run.stats for run in runs]
 
 
 register_backend(SerialExecutor.name, SerialExecutor)

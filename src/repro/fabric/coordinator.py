@@ -590,27 +590,19 @@ class Coordinator:
                 "attached to this run"
             )
         assignment = chunk_service.request(rank)
+        if assignment is None:
+            msg_type, payload = MSG_CHUNKS_DONE, {}
+        elif assignment is RETRY:
+            msg_type, payload = MSG_CHUNKS_DONE, {"retry": True}
+        else:
+            msg_type = MSG_CHUNK_GRANT
+            payload = {"chunk": assignment.chunk, "victim": assignment.victim}
+        payload["epoch"] = self.epoch
         try:
-            if assignment is None:
-                send_frame(
-                    self._conns[rank], MSG_CHUNKS_DONE,
-                    {"epoch": self.epoch},
-                    max_frame_bytes=self.max_frame_bytes,
-                )
-            elif assignment is RETRY:
-                send_frame(
-                    self._conns[rank], MSG_CHUNKS_DONE,
-                    {"retry": True, "epoch": self.epoch},
-                    max_frame_bytes=self.max_frame_bytes,
-                )
-            else:
-                send_frame(
-                    self._conns[rank],
-                    MSG_CHUNK_GRANT,
-                    {"chunk": assignment.chunk, "victim": assignment.victim,
-                     "epoch": self.epoch},
-                    max_frame_bytes=self.max_frame_bytes,
-                )
+            send_frame(
+                self._conns[rank], msg_type, payload,
+                max_frame_bytes=self.max_frame_bytes,
+            )
         except PeerDisconnected as exc:
             raise RankFailure(
                 rank, f"disconnected while being granted a chunk: {exc}"

@@ -2,32 +2,29 @@
 
 A :class:`RankEndpoint` is everything one worker rank needs to take
 part in a fabric run: a control connection to the coordinator and its
-own shuffle listener for the data plane.  The full worker flow
-(:meth:`run_job`) mirrors :mod:`repro.exec.local`'s ``_worker_main``
-exactly — pull+map, all-to-all exchange, sort, reduce — with the
-pickle-over-pipe queues replaced by framed TCP:
+own shuffle listener for the data plane.  It is the cluster backend's
+*link* — the framed-TCP transport the shared rank loop
+(:func:`repro.exec.rank.drive_rank`) runs over, see the link contract
+there — where the local backend uses queues and shared memory:
 
 * **chunks are pulled, not pushed**: after the start barrier the rank
-  requests work one chunk at a time over its control connection
-  (``CHUNK_REQ`` -> ``CHUNK_GRANT``/``CHUNKS_DONE``), feeding each
-  grant to an incremental :class:`~repro.exec.dataflow.MapRunner`.  A
-  grant whose victim is another rank is a *steal* the coordinator's
-  chunk service decided at runtime — dynamic load balancing over the
-  real wire, externally launched ranks included.
-
-* **exchange** is the same one-batch-per-(src, dst) protocol: after its
-  map phase a rank opens one connection to every peer's shuffle
-  listener, streams exactly one batch — a raw-codec ``BATCH`` header
-  frame plus chunked ``BATCH_DATA`` frames, see
-  :mod:`repro.fabric.stream` — and accepts exactly ``n-1`` inbound
-  batches.  Self-destined parts never touch the wire, and batches
-  larger than ``max_frame_bytes`` stream through it instead of dying.
-  Outbound sends run on one thread per destination (the TCP analogue
-  of ``mp.Queue``'s feeder thread) so a rank is always able to drain
-  inbound batches while its own sends are still in flight — no
-  send/recv interleaving deadlock at any batch size.
-* **timing** buckets real wall-clock into the same Figure-2 stages
-  (map / bin / sort / reduce) the sim charges modeled time to.
+  requests work over its control connection (``CHUNK_REQ`` ->
+  ``CHUNK_GRANT``/``CHUNKS_DONE``), pipelined by the shared
+  :class:`~repro.exec.rank.GrantPuller`.  A grant whose victim is
+  another rank is a *steal* the coordinator's chunk service decided at
+  runtime — dynamic load balancing over the real wire, externally
+  launched ranks included.
+* **exchange** is one batch per (src, dst): after its map phase a rank
+  opens one connection to every peer's shuffle listener, streams
+  exactly one batch — a raw-codec ``BATCH`` header frame plus chunked
+  ``BATCH_DATA`` frames, see :mod:`repro.fabric.stream` — and accepts
+  exactly ``n-1`` inbound batches.  Self-destined parts never touch
+  the wire, and batches larger than ``max_frame_bytes`` stream through
+  it instead of dying.  Outbound sends run on one thread per
+  destination (the TCP analogue of ``mp.Queue``'s feeder thread) so a
+  rank is always able to drain inbound batches while its own sends are
+  still in flight — no send/recv interleaving deadlock at any batch
+  size.
 
 The endpoint is transport-complete for multi-host runs: the rank
 itself states where its shuffle listener is reachable (``listen_host``
@@ -38,13 +35,10 @@ else is plain TCP — the same code joins a fabric from another host via
 
 from __future__ import annotations
 
-import os
 import pickle
-import signal
 import socket
 import threading
 import time
-import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .stream import recv_batch, send_batch
@@ -74,6 +68,7 @@ from .wire import (
     send_frame,
     send_raw_frame,
 )
+from ..core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY
 from ..obs import BYTES_BUCKETS, NULL_OBS, Observability
 
 __all__ = ["RankEndpoint", "run_rank"]
@@ -107,7 +102,7 @@ class RankEndpoint:
         self.auth_key = auth_key
         #: True when this endpoint is a replacement incarnation joining
         #: a run already past its start barrier (its HELLO says so, and
-        #: :meth:`run_job` skips the barrier)
+        #: :meth:`open` skips the barrier)
         self.rejoin = bool(rejoin)
         # Data plane first: the listener must exist before HELLO
         # advertises it, so no peer can ever dial a closed port.  A
@@ -136,10 +131,6 @@ class RankEndpoint:
         self.peers: Dict[int, Tuple[str, int]] = {}
         #: membership epoch last observed on a coordinator frame
         self.epoch = 0
-        #: scripted fault injection, learned from ASSIGN
-        self._kill_at_chunk: Optional[int] = None
-        self._stall_seconds = 0.0
-        self._grants_received = 0
         #: wire frames this rank's outbound shuffle used (BATCH +
         #: BATCH_DATA, summed over destinations) — the coalescing
         #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
@@ -151,15 +142,13 @@ class RankEndpoint:
         #: rank-side observability bundle, armed by the ``obs`` flag on
         #: ASSIGN; the export payload rides home on the RESULT frame
         self.obs = NULL_OBS
-        #: grant pipelining depth, learned from ASSIGN: up to
-        #: ``1 + prefetch_window`` CHUNK_REQ frames ride ahead of their
-        #: answers so the next grant is usually already buffered while
-        #: the current chunk maps (0 = fully synchronous request/reply)
-        self.prefetch_window = 0
-        #: CHUNK_REQ frames sent but not yet answered
-        self._pending_reqs = 0
-        #: a non-retry CHUNKS_DONE arrived; stop topping up and drain
-        self._draining = False
+        #: the pull state machine, built once ASSIGN has delivered the
+        #: grant pipelining depth and the scripted fault injection
+        self._puller = None
+        #: outbound batch threads started by :meth:`send`, and what
+        #: they raised
+        self._senders: List[threading.Thread] = []
+        self._send_errors: List[BaseException] = []
         # Early-exchange inbox: a background thread accepts inbound
         # shuffle batches while this rank is still mapping, so the
         # exchange barrier only waits for genuinely late data.
@@ -216,9 +205,16 @@ class RankEndpoint:
     def receive_assignment(self) -> Any:
         """Block for ASSIGN; returns the job and stores the peer map.
 
-        Chunks are not in the frame — the rank pulls them one at a
-        time via :meth:`request_chunk` after the start barrier.
+        Chunks are not in the frame — the rank pulls them via
+        :meth:`request_chunk` after the start barrier, through the
+        puller built here: ASSIGN carries the grant pipelining depth
+        (up to ``1 + prefetch`` CHUNK_REQ frames ride ahead of their
+        answers) and the rank's scripted fault injection.
         """
+        # Imported here: repro.exec imports repro.fabric (the cluster
+        # backend), so a module-level import would be circular.
+        from ..exec.rank import GrantPuller
+
         _, assign = recv_frame(
             self._control, max_frame_bytes=self.max_frame_bytes, expect=MSG_ASSIGN
         )
@@ -228,86 +224,59 @@ class RankEndpoint:
         self.epoch = int(assign.get("epoch", self.epoch))
         if assign.get("obs"):
             self.obs = Observability()
-        self.prefetch_window = max(0, int(assign.get("prefetch", 0)))
         fault = assign.get("fault") or {}
-        self._kill_at_chunk = fault.get("kill_at_chunk")
-        self._stall_seconds = float(fault.get("stall_seconds", 0.0))
+        self._puller = GrantPuller(
+            self.rank,
+            self._send_chunk_request,
+            self._recv_chunk_answer,
+            prefetch=int(assign.get("prefetch", 0)),
+            stall_seconds=float(fault.get("stall_seconds", 0.0)),
+            kill_at_chunk=fault.get("kill_at_chunk"),
+            obs=self.obs,
+        )
         # The job travels as a nested blob, pickled once for all ranks.
         return pickle.loads(assign["job_pickle"])
 
     def request_chunk(self) -> Optional[Tuple[Any, int]]:
-        """Pull the rank's next chunk from the coordinator's service.
+        """Pull the rank's next ``(chunk, victim_rank)`` from the
+        coordinator's service; None once it is done (the pipelined
+        :class:`~repro.exec.rank.GrantPuller` over the two frame
+        adapters below)."""
+        return self._puller.next()
 
-        Returns ``(chunk, victim_rank)``, or ``None`` once the
-        coordinator answers CHUNKS_DONE and every in-flight request has
-        drained.  Requests are *pipelined*: up to
-        ``1 + prefetch_window`` CHUNK_REQ frames ride ahead of their
-        answers, so the grant for chunk ``i+1`` is usually already in
-        the socket buffer while chunk ``i`` is mapping and the
-        ``grant_wait`` span measures only the exposed wait.  The
-        coordinator answers strictly one frame per request, so the
-        drain never leaves an answer unread (an unread grant would
-        strand a chunk the service considers delivered).
+    def _send_chunk_request(self) -> None:
+        send_frame(
+            self._control, MSG_CHUNK_REQ, {"rank": self.rank},
+            max_frame_bytes=self.max_frame_bytes,
+        )
 
-        A grant whose victim is not this rank was stolen from that
-        rank's queue at runtime.  A ``retry``-flagged CHUNKS_DONE
-        (speculation may still free up work) re-opens the window after
-        a short sleep.  Scripted fault injection from ASSIGN lives
-        here: ``stall_seconds`` sleeps before every round, and the rank
-        SIGKILLs itself upon receiving its ``kill_at_chunk``-th grant —
-        genuinely mid-map, with requests possibly still in flight
-        exactly like a real crash (recovery reclaims any grant the
-        coordinator answered into the dead connection, because the
-        rank never posted).
-        """
-        obs = self.obs
-        while True:
-            if self._stall_seconds:
-                time.sleep(self._stall_seconds)
-            while (
-                not self._draining
-                and self._pending_reqs < 1 + self.prefetch_window
-            ):
-                send_frame(
-                    self._control, MSG_CHUNK_REQ, {"rank": self.rank},
-                    max_frame_bytes=self.max_frame_bytes,
-                )
-                self._pending_reqs += 1
-            if self._draining and self._pending_reqs == 0:
-                return None
-            w0 = time.time()
-            msg_type, payload = recv_frame(
-                self._control, max_frame_bytes=self.max_frame_bytes
+    def _recv_chunk_answer(self) -> Tuple[int, Any, int]:
+        msg_type, payload = recv_frame(
+            self._control, max_frame_bytes=self.max_frame_bytes
+        )
+        if isinstance(payload, dict) and "epoch" in payload:
+            self.epoch = int(payload["epoch"])
+        if msg_type == MSG_CHUNKS_DONE:
+            # A ``retry``-flagged CHUNKS_DONE asks the idle rank to
+            # re-poll: speculation may still free up work.
+            return (GRANT_RETRY if payload.get("retry") else GRANT_DONE), None, -1
+        if msg_type != MSG_CHUNK_GRANT:
+            raise FabricError(
+                f"expected CHUNK_GRANT or CHUNKS_DONE, got "
+                f"{MSG_NAMES.get(msg_type, msg_type)}"
             )
-            self._pending_reqs -= 1
-            if obs.enabled:
-                w1 = time.time()
-                obs.tracer.add_span("grant_wait", w0, w1, rank=self.rank)
-                obs.metrics.histogram("grant_latency_s").observe(w1 - w0)
-            if isinstance(payload, dict) and "epoch" in payload:
-                self.epoch = int(payload["epoch"])
-            if msg_type == MSG_CHUNKS_DONE:
-                if payload.get("retry"):
-                    self._draining = False
-                    time.sleep(0.02)
-                    continue
-                self._draining = True
-                continue
-            if msg_type != MSG_CHUNK_GRANT:
-                raise FabricError(
-                    f"expected CHUNK_GRANT or CHUNKS_DONE, got "
-                    f"{MSG_NAMES.get(msg_type, msg_type)}"
-                )
-            self._draining = False
-            self._grants_received += 1
-            if (
-                self._kill_at_chunk is not None
-                and self._grants_received >= self._kill_at_chunk
-            ):
-                # Die exactly as "kill -9" would: no cleanup, no
-                # courtesy batches, the grant never mapped.
-                os.kill(os.getpid(), signal.SIGKILL)
-            return payload["chunk"], int(payload["victim"])
+        return GRANT_CHUNK, payload["chunk"], int(payload["victim"])
+
+    def mark_posted(self) -> None:
+        """Announce the map/post boundary before any batch leaves: once
+        the coordinator records this rank as posted, its chunks are no
+        longer reclaimable, which is exactly when its output starts
+        reaching peers."""
+        send_frame(
+            self._control, MSG_MAPS_DONE, {"rank": self.rank},
+            max_frame_bytes=self.max_frame_bytes,
+        )
+        self._posted_event.set()  # inbox may flush withheld ACKs
 
     def barrier(self, name: str = "start") -> None:
         """Report arrival at ``name`` and block until RESUME."""
@@ -325,20 +294,23 @@ class RankEndpoint:
                 f"resumed from barrier {resume.get('name')!r}, expected {name!r}"
             )
 
-    def send_result(self, output: Any, stats: Any) -> None:
+    def report(self, output: Any, stats: Any, error: Optional[str]) -> None:
+        """Ship the rank's RESULT — or, with ``error`` (a traceback),
+        its ERROR — frame to the coordinator."""
+        if error is not None:
+            send_frame(
+                self._control,
+                MSG_ERROR,
+                {"rank": self.rank, "traceback": error, "stats": stats},
+                max_frame_bytes=self.max_frame_bytes,
+            )
+            return
+        stats.shuffle_frames_sent = self.frames_sent
         send_frame(
             self._control,
             MSG_RESULT,
             {"rank": self.rank, "output": output, "stats": stats,
              "obs": self.obs.export()},
-            max_frame_bytes=self.max_frame_bytes,
-        )
-
-    def send_error(self, tb: str, stats: Any = None) -> None:
-        send_frame(
-            self._control,
-            MSG_ERROR,
-            {"rank": self.rank, "traceback": tb, "stats": stats},
             max_frame_bytes=self.max_frame_bytes,
         )
 
@@ -421,11 +393,11 @@ class RankEndpoint:
     def start_inbox(self) -> None:
         """Begin accepting inbound shuffle batches in the background.
 
-        :meth:`run_job` starts the inbox *before* its map loop: a peer
+        :meth:`open` starts the inbox *before* the map loop: a peer
         that finishes mapping early streams its batch into this rank
         while it is still mapping, so the exchange barrier afterwards
         only waits for genuinely late data — the early-reduce overlap.
-        Idempotent; :meth:`exchange` starts it lazily for direct
+        Idempotent; :meth:`recv_all` starts it lazily for direct
         callers.
 
         ACK discipline: a batch that arrives before this rank has
@@ -518,57 +490,44 @@ class RankEndpoint:
         finally:
             _flush_acks()
 
-    def exchange(
+    def send(
         self,
-        parts_for: Sequence[Sequence[Any]],
-        chunk_ids_for: Optional[Sequence[Sequence[int]]] = None,
-    ) -> List[Tuple[int, List[Any], Optional[List[int]]]]:
-        """Run the one-batch-per-(src, dst) all-to-all shuffle.
+        dest: int,
+        parts: Sequence[Any],
+        chunk_ids: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Start streaming one batch to ``dest`` on its own thread;
+        :meth:`recv_all` joins it and surfaces what it raised."""
 
-        ``parts_for[dest]`` is this rank's emission list for ``dest``;
-        ``chunk_ids_for`` (optional) the matching provenance tags.
-        Returns ``(source_rank, parts, chunk_ids)`` batches for *every*
-        source including self, in arrival order (callers canonicalise
-        with :func:`repro.exec.dataflow.merge_incoming`).  Inbound
-        batches are collected by the background inbox (possibly running
-        since before this rank's map phase ended — see
-        :meth:`start_inbox`); this method starts the senders, waits the
-        inbox out, and joins.
+        def _sender() -> None:
+            try:
+                self._send_batch(dest, parts, chunk_ids)
+            except BaseException as exc:  # surfaced after the joins
+                self._send_errors.append(exc)
+
+        thread = threading.Thread(
+            target=_sender, name=f"gpmr-shuffle-to-{dest}", daemon=True
+        )
+        self._senders.append(thread)
+        thread.start()
+
+    def unblock(self, dest: int) -> None:
+        """Best-effort empty batch so ``dest`` stops waiting on this
+        (failing) rank instead of running out its shuffle deadline."""
+        self._send_batch(dest, [], confirm=False)
+
+    def recv_all(self) -> List[Tuple[int, List[Any], Optional[List[int]]]]:
+        """Wait out the exchange: every peer's ``(source_rank, parts,
+        chunk_ids)`` batch, in arrival order, once every outbound batch
+        is confirmed.
+
+        Inbound batches are collected by the background inbox (possibly
+        running since before this rank's map phase ended — see
+        :meth:`start_inbox`); this method waits the inbox out and joins
+        the senders.
         """
         assert self.n_workers is not None, "exchange before connect()"
-        n = self.n_workers
-        errors: List[BaseException] = []
-
-        def _sender(dest: int) -> None:
-            try:
-                self._send_batch(
-                    dest,
-                    parts_for[dest],
-                    None if chunk_ids_for is None else chunk_ids_for[dest],
-                )
-            except BaseException as exc:  # surfaced after the joins
-                errors.append(exc)
-
-        senders = [
-            threading.Thread(
-                target=_sender, args=(dest,), name=f"gpmr-shuffle-to-{dest}",
-                daemon=True,
-            )
-            for dest in range(n)
-            if dest != self.rank
-        ]
-        for t in senders:
-            t.start()
-
-        # By the time exchange runs the map/post boundary has passed
-        # (run_job posts MAPS_DONE first; direct callers have no map
-        # phase at all), so withheld ACKs may flush.
-        self._posted_event.set()
         self.start_inbox()
-
-        self_tags = (
-            None if chunk_ids_for is None else list(chunk_ids_for[self.rank])
-        )
         deadline = time.monotonic() + self.timeout_seconds
         while True:
             if self._inbox_error is not None:
@@ -576,9 +535,8 @@ class RankEndpoint:
                     f"rank {self.rank} inbox failed: {self._inbox_error}"
                 ) from self._inbox_error
             with self._inbox_lock:
-                count = len(self._inbox_have)
                 have = set(self._inbox_have)
-            if count >= n - 1:
+            if len(have) >= self.n_workers - 1:
                 break
             if time.monotonic() > deadline:
                 raise FabricError(
@@ -589,108 +547,35 @@ class RankEndpoint:
             time.sleep(_POLL_SECONDS / 4)
         self._inbox_thread.join(timeout=self.timeout_seconds)
 
-        for t in senders:
+        for t in self._senders:
             t.join(timeout=self.timeout_seconds)
-        if errors:
+        if self._send_errors:
             raise FabricError(
-                f"rank {self.rank} failed sending shuffle batches: {errors[0]}"
-            ) from errors[0]
+                f"rank {self.rank} failed sending shuffle batches: "
+                f"{self._send_errors[0]}"
+            ) from self._send_errors[0]
         with self._inbox_lock:
-            batches = [(self.rank, list(parts_for[self.rank]), self_tags)]
-            batches.extend(self._inbox_batches)
-        return batches
+            return list(self._inbox_batches)
 
     # -- full worker flow --------------------------------------------------
+    def open(self) -> Any:
+        """The link's handshake: ASSIGN, start barrier, inbox.  Returns
+        the job."""
+        job = self.receive_assignment()
+        if not self.rejoin:
+            # A replacement rank joins mid-run: the start barrier
+            # already released while its predecessor was alive.
+            self.barrier("start")
+        # Accept peers' batches concurrently with our own map phase
+        # (early-exchange overlap; ACKs withheld until we post).
+        self.start_inbox()
+        return job
+
     def run_job(self) -> None:
-        """Handshake, then execute the complete GPMR worker dataflow.
+        """Run the shared rank loop over this link."""
+        from ..exec.rank import drive_rank
 
-        Wall-clock lands in the sim's Figure-2 buckets: ``map`` covers
-        the map phase, ``bin`` the exposed exchange time, ``sort`` and
-        ``reduce`` are recorded inside ``reduce_worker``.
-        """
-        # Imported here so repro.fabric stays importable without the
-        # exec package (the wire layer is dependency-free).
-        from ..core.stats import WorkerStats
-        from ..exec.dataflow import MapRunner, merge_incoming, reduce_worker
-
-        stats = WorkerStats(rank=self.rank)
-        posted = False
-        try:
-            job = self.receive_assignment()
-            if not self.rejoin:
-                # A replacement rank joins mid-run: the start barrier
-                # already released while its predecessor was alive.
-                self.barrier("start")
-
-            tracer = self.obs.tracer
-            t0 = time.perf_counter()
-            runner = MapRunner(job, self.n_workers)
-            # Accept peers' batches concurrently with our own map phase
-            # (early-exchange overlap; ACKs withheld until we post).
-            self.start_inbox()
-            while True:
-                grant = self.request_chunk()
-                if grant is None:
-                    break
-                chunk, victim = grant
-                if victim != self.rank:
-                    stats.chunks_stolen += 1
-                w0 = time.time()
-                runner.feed(chunk)
-                tracer.add_span("chunk_map", w0, time.time(),
-                                rank=self.rank, chunk=chunk.index)
-            w0 = time.time()
-            mapped = runner.finish()
-            tracer.add_span("map_finish", w0, time.time(), rank=self.rank)
-            stats.chunks_mapped = mapped.chunks_mapped
-            stats.pairs_emitted_logical = mapped.pairs_emitted_logical
-            stats.bytes_sent_network = mapped.bytes_remote(self.rank)
-            stats.bytes_kept_local = mapped.bytes_self(self.rank)
-            t1 = time.perf_counter()
-            stats.add("map", t1 - t0)
-
-            # Announce the map/post boundary before any batch leaves:
-            # once the coordinator records this rank as posted, its
-            # chunks are no longer reclaimable, which is exactly when
-            # its output starts reaching peers.
-            send_frame(
-                self._control, MSG_MAPS_DONE, {"rank": self.rank},
-                max_frame_bytes=self.max_frame_bytes,
-            )
-            posted = True  # exchange() sends every outbound batch itself
-            self._posted_event.set()  # inbox may flush withheld ACKs
-            r0 = time.time()
-            batches = self.exchange(mapped.parts, mapped.part_chunk_ids)
-            incoming = merge_incoming(batches)
-            tracer.add_span("shuffle_recv", r0, time.time(), rank=self.rank)
-            t2 = time.perf_counter()
-            stats.add("bin", t2 - t1)
-            stats.shuffle_frames_sent = self.frames_sent
-
-            output = reduce_worker(
-                job, incoming, stats=stats,
-                obs=self.obs if self.obs.enabled else None,
-            )
-            self.send_result(output, stats)
-        except BaseException:
-            if not posted and self.peers:
-                # Unblock peers waiting on this rank's batch (the same
-                # empty-batch courtesy the local backend's failing
-                # workers extend), so survivors finish promptly instead
-                # of running out their shuffle deadlines.
-                for dest in range(self.n_workers or 0):
-                    if dest == self.rank:
-                        continue
-                    try:
-                        self._send_batch(dest, [], confirm=False)
-                    except (OSError, FabricError):
-                        pass  # peer already gone; its own deadline covers it
-            # A failure that reaches the coordinator as an ERROR frame is
-            # a *reported* failure (the rank then exits cleanly, like the
-            # local backend's workers).  Only if shipping the traceback
-            # itself fails does the exception propagate — the process
-            # then dies visibly and the driver's liveness watch fires.
-            self.send_error(traceback.format_exc(), stats)
+        drive_rank(self)
 
     def close(self) -> None:
         self._inbox_stop.set()

@@ -542,6 +542,69 @@ def test_mapped_but_unposted_chunks_are_not_speculation_candidates():
     assert g0.chunk.index in sched._mapped[0]
 
 
+def test_prefetch_window_request_proves_exactly_the_consumed_answers():
+    """With a pull window of W = 1 + prefetch, request number W + i
+    proves the grants among the worker's first i answers mapped — no
+    more (a buffered grant stays a speculation candidate) and no less
+    (non-grant answers advance the proof too, so an idle worker's
+    prefetch tail does not stay "in flight" forever)."""
+    chunks = make_chunks(3)
+    sched = ChunkScheduler(2, speculate_after=30.0, prefetch=1)
+    sched.assign(chunks, "single")
+    a = sched.request(0)           # request 1
+    b = sched.request(0)           # request 2 = W: proves nothing yet
+    assert set(sched._outstanding[0]) == {a.chunk.index, b.chunk.index}
+    c = sched.request(0)           # request 3 = W + 1: a is mapped
+    assert set(sched._outstanding[0]) == {b.chunk.index, c.chunk.index}
+    assert set(sched._mapped[0]) == {a.chunk.index}
+    # The queue is dry; worker 0's remaining requests are answered
+    # RETRY/done, and each still proves one more answer consumed.
+    assert sched.request(1) is RETRY      # b, c in flight and under-age
+    assert sched.request(0) is None       # request 4: b is mapped
+    assert set(sched._outstanding[0]) == {c.chunk.index}
+    assert sched.request(0) is None       # request 5: c is mapped
+    assert not sched._outstanding[0]
+    # Nothing is in flight anywhere: the idle peer is released at once
+    # instead of RETRY-spinning until the tail ages past the threshold.
+    assert sched.request(1) is None
+    assert sched.retries_by_worker == [0, 0]
+
+
+def test_stalled_prefetchers_buffered_grant_is_still_speculated():
+    """A grant sitting unread in a stalled worker's pipeline is not
+    proven mapped by the requests already in flight, so once it ages an
+    idle peer duplicates it."""
+    chunks = make_chunks(2)
+    sched = ChunkScheduler(2, speculate_after=5.0, prefetch=1)
+    sched.assign(chunks, "single")
+    a = sched.request(0)           # being mapped by the stalled worker
+    b = sched.request(0)           # buffered behind it
+    for cid, (chunk, t) in list(sched._outstanding[0].items()):
+        sched._outstanding[0][cid] = (chunk, t - 10.0)
+    first = sched.request(1)
+    second = sched.request(1)
+    assert {first.chunk.index, second.chunk.index} == {
+        a.chunk.index, b.chunk.index
+    }
+    assert first.victim == second.victim == 0
+    assert sched.retries_by_worker == [0, 2]
+
+
+def test_reclaim_reopens_the_pull_window_for_the_replacement():
+    """A respawned rank starts a fresh window: its first W requests
+    prove nothing about the grants its new incarnation receives."""
+    chunks = make_chunks(3)
+    sched = ChunkScheduler(1, prefetch=1)
+    sched.assign(chunks, "single")
+    for _ in range(3):
+        sched.request(0)
+    sched.reclaim(0)
+    a = sched.request(0)
+    b = sched.request(0)
+    assert set(sched._outstanding[0]) == {a.chunk.index, b.chunk.index}
+    assert not sched._mapped[0]
+
+
 def test_chunk_service_rejects_speculation_under_replay():
     chunks = make_chunks(4)
     rec = ChunkScheduler(2)

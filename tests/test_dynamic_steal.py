@@ -44,7 +44,7 @@ from repro.apps.matmul import (
 )
 from repro.apps.sparse_int_occurrence import sio_dataset, sio_job, sio_validate
 from repro.apps.word_occurrence import wo_dataset, wo_job, wo_validate
-from repro.core import ScheduleTrace, make_executor
+from repro.core import FaultPlan, ScheduleTrace, make_executor
 from repro.exec import ClusterExecutor
 
 pytestmark = pytest.mark.slow
@@ -200,7 +200,7 @@ def test_stalled_local_worker_loses_chunks_to_its_peers():
     real = make_executor(
         "local", N_WORKERS,
         initial_distribution="single",
-        stall_seconds={0: 0.05},
+        fault_plan=FaultPlan(stall_seconds={0: 0.05}),
     ).run(job, dataset=ds)
     trace = real.schedule
 

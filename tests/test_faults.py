@@ -63,10 +63,3 @@ def test_validate_for_rejects_out_of_range_ranks():
     stalled = FaultPlan(stall_seconds={5: 0.2})
     with pytest.raises(ValueError, match="stall_seconds names rank 5"):
         stalled.validate_for(2)
-
-
-def test_merged_stalls_plan_wins_over_extra():
-    plan = FaultPlan(stall_seconds={1: 0.5})
-    merged = plan.merged_stalls({0: 0.1, 1: 9.0})
-    assert merged == {0: 0.1, 1: 0.5}
-    assert plan.merged_stalls(None) == {1: 0.5}

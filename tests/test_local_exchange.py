@@ -1,11 +1,10 @@
 """The local backend's zero-copy exchange and its failure paths.
 
 Covers the shared-memory queue transport in isolation (encode/decode,
-segment lifecycle, undelivered-message cleanup), the pickle-vs-shm
-parity, and three exchange-path regressions:
+segment lifecycle, undelivered-message cleanup) and two exchange-path
+regressions (the mid-posting backfill regression lives with the shared
+rank loop in ``tests/test_rank_loop.py``):
 
-* a worker that fails *mid-posting* backfills only the peers that never
-  got its batch (never double-posts to an already-served peer);
 * a worker that exits cleanly (code 0) without reporting a result is a
   prompt :class:`WorkerFailure`, not a full-timeout hang;
 * network byte accounting excludes self-destined parts (they never
@@ -34,7 +33,6 @@ from repro.exec.exchange import (
     release_message,
     release_segment,
 )
-from repro.exec.local import _ListChunkSource, _worker_main
 
 
 def _big_batch():
@@ -57,7 +55,7 @@ def _small_batch():
 # -- transport encode/decode ------------------------------------------------
 
 def test_small_batch_rides_inline():
-    message = encode_batch(_small_batch(), transport="shm")
+    message = encode_batch(_small_batch())
     assert message[0] == "inline"
     parts, segment = decode_batch(message)
     assert segment is None
@@ -67,7 +65,7 @@ def test_small_batch_rides_inline():
 
 def test_large_batch_rides_shared_memory_and_unlinks():
     batch = _big_batch()
-    message = encode_batch(batch, transport="shm")
+    message = encode_batch(batch)
     assert message[0] == "shm"
     name = message[1]
     parts, segment = decode_batch(message)
@@ -85,7 +83,7 @@ def test_large_batch_rides_shared_memory_and_unlinks():
 
 def test_release_segment_with_live_views_still_unlinks():
     """BufferError on close (views alive) must not block the unlink."""
-    message = encode_batch(_big_batch(), transport="shm")
+    message = encode_batch(_big_batch())
     parts, segment = decode_batch(message)
     release_segment(segment)  # parts still reference the mapping
     with pytest.raises(FileNotFoundError):
@@ -94,96 +92,11 @@ def test_release_segment_with_live_views_still_unlinks():
 
 
 def test_release_message_cleans_undelivered_segment():
-    message = encode_batch(_big_batch(), transport="shm")
+    message = encode_batch(_big_batch())
     release_message(message)
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=message[1])
     release_message(message)  # second release is a no-op, not an error
-
-
-def test_pickle_transport_round_trip():
-    message = encode_batch(_small_batch(), transport="pickle")
-    assert message[0] == "pickle"
-    parts, segment = decode_batch(message)
-    assert segment is None
-    assert parts[0].values.tobytes() == np.ones(8).tobytes()
-
-
-def test_unknown_transport_rejected():
-    with pytest.raises(ValueError, match="transport"):
-        encode_batch(_small_batch(), transport="carrier-pigeon")
-    with pytest.raises(ValueError, match="transport"):
-        make_executor("local", 2, exchange="carrier-pigeon")
-
-
-@pytest.mark.parametrize("n_workers", (2, 4))
-def test_pickle_and_shm_exchanges_are_bit_identical(n_workers):
-    ds = sio_dataset(60_000, chunk_elements=9_000, key_space=1 << 14, seed=19)
-    job = sio_job(key_space=1 << 14).with_config(enable_stealing=False)
-    shm_run = make_executor("local", n_workers, exchange="shm").run(
-        job, dataset=ds
-    )
-    pickle_run = make_executor("local", n_workers, exchange="pickle").run(
-        job, dataset=ds
-    )
-    for a, b in zip(shm_run.outputs, pickle_run.outputs):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert np.array_equal(a.keys, b.keys)
-            assert a.values.tobytes() == b.values.tobytes()
-
-
-# -- regression: mid-posting failure backfill -------------------------------
-
-class _ListQueue:
-    def __init__(self):
-        self.items = []
-
-    def put(self, item):
-        self.items.append(item)
-
-    def get(self, *a, **k):  # pragma: no cover - receive side unused
-        raise AssertionError("test worker should fail before receiving")
-
-
-class _BoomQueue:
-    """A queue whose put always fails (a torn-down pipe)."""
-
-    def put(self, item):
-        raise RuntimeError("pipe burst")
-
-
-@pytest.mark.parametrize("transport", ("pickle", "shm"))
-def test_mid_posting_failure_backfills_only_unserved_peers(transport):
-    """Rank 0 posts to rank 1, then fails posting to rank 2.  Rank 1
-    must end with exactly ONE batch from rank 0 — re-posting an empty
-    backfill to it would make its n-1 receive loop miscount and merge
-    another source's batch nondeterministically."""
-    ds = sio_dataset(6_000, chunk_elements=2_000, key_space=1 << 12, seed=3)
-    job = sio_job(key_space=1 << 12).with_config(enable_stealing=False)
-    chunks = resolve_chunks(ds, None)
-
-    own, served, result_queue = _ListQueue(), _ListQueue(), _ListQueue()
-    queues = [own, served, _BoomQueue()]
-    _worker_main(
-        0, 3, job, _ListChunkSource(chunks[:1], 0), queues, result_queue,
-        transport,
-    )
-
-    # Exactly one message for the served peer: the real batch.
-    assert len(served.items) == 1
-    src, message, tags = served.items[0]
-    assert src == 0
-    parts, segment = decode_batch(message)
-    assert sum(len(p) for p in parts) > 0
-    assert len(tags) == len(parts)
-    if segment is not None:
-        release_segment(segment)
-    # The failure itself was reported, with the posting traceback.
-    assert len(result_queue.items) == 1
-    rank, error, output, _stats, _obs = result_queue.items[0]
-    assert rank == 0 and output is None
-    assert "pipe burst" in error
 
 
 # -- regression: clean exit without a result --------------------------------

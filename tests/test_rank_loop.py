@@ -1,0 +1,475 @@
+"""The shared rank loop: ``GrantPuller``, ``RankRun``, ``drive_rank``.
+
+These are the pieces every real backend runs (``repro.exec.rank``), so
+they are tested once, here, against scripted transports:
+
+* :class:`GrantPuller` against a scripted answer list — the pipelined
+  pull state machine (window, drain-after-DONE, RETRY, kill ordinal,
+  one ``grant_wait`` record per answer);
+* :func:`drive_rank` against an in-memory fake link *and* the real
+  local link over in-process queues — the failure courtesy and the
+  receive-buffer lifecycle;
+* the three real backends report the same stage buckets and span names
+  for the same job;
+* the two end-to-end regressions the loop's consolidation fixed: a
+  healthy speculation-armed run no longer idles for ``speculate_after``,
+  and the speculation pre-flight is one rule on every backend.
+"""
+
+import dataclasses
+from collections import deque
+from multiprocessing import shared_memory
+
+import numpy as np
+import pytest
+
+from repro.apps.linear_regression import lr_job
+from repro.apps.sparse_int_occurrence import sio_dataset, sio_job, sio_validate
+from repro.core import (
+    FaultPlan,
+    Mapper,
+    MapReduceJob,
+    Reducer,
+    make_executor,
+)
+from repro.core.kvset import KeyValueSet
+from repro.core.runtime import resolve_chunks
+from repro.core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY
+from repro.exec import rank as rank_mod
+from repro.exec.exchange import SHM_MIN_BYTES, decode_batch, encode_batch
+from repro.exec.local import _LocalLink
+from repro.exec.rank import GrantPuller, drive_rank
+from repro.obs import NULL_OBS, Observability
+
+DONE = (GRANT_DONE, None, -1)
+RETRY = (GRANT_RETRY, None, -1)
+
+
+def _grant(chunk, victim=0):
+    return (GRANT_CHUNK, chunk, victim)
+
+
+# -- GrantPuller against a scripted answer list -------------------------------
+
+class _Script:
+    """A service that answers from a fixed list, one per request."""
+
+    def __init__(self, answers):
+        self.answers = deque(answers)
+        self.sent = 0
+        self.received = 0
+
+    def send(self):
+        self.sent += 1
+
+    def recv(self):
+        assert self.sent > self.received, "read an answer nobody asked for"
+        self.received += 1
+        return self.answers.popleft()
+
+    @property
+    def unanswered(self):
+        return self.sent - self.received
+
+
+def _pull_all(puller):
+    got = []
+    while True:
+        nxt = puller.next()
+        if nxt is None:
+            return got
+        got.append(nxt[0])
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(rank_mod, "RETRY_BACKOFF_SECONDS", 0.0)
+
+
+@pytest.mark.parametrize("prefetch", (0, 1, 3))
+def test_puller_returns_none_only_with_nothing_unanswered(prefetch):
+    """However deep the window, every request posted is answered and
+    read before the pull ends — an unread grant would strand a chunk
+    the service considers delivered."""
+    script = _Script(
+        [_grant("a"), _grant("b"), _grant("c"), *([DONE] * (1 + prefetch))]
+    )
+    puller = GrantPuller(0, script.send, script.recv, prefetch=prefetch)
+    assert _pull_all(puller) == ["a", "b", "c"]
+    assert script.unanswered == 0
+    assert not script.answers  # and it asked exactly as often as needed
+
+
+def test_chunk_behind_a_done_resumes_the_pull():
+    """A pipelined answer behind a DONE may still be a chunk (reclaim
+    or speculation freed it): it is mapped, and the window re-opens."""
+    script = _Script([_grant("a"), DONE, _grant("late"), DONE, DONE])
+    puller = GrantPuller(0, script.send, script.recv, prefetch=1)
+    assert _pull_all(puller) == ["a", "late"]
+    assert script.unanswered == 0 and not script.answers
+
+
+def test_retry_reopens_the_window(no_backoff):
+    """RETRY is "ask again", not "done": the puller keeps requesting,
+    and a RETRY behind a DONE cancels the drain."""
+    script = _Script([RETRY, RETRY, _grant("a"), DONE, RETRY, _grant("b"),
+                      DONE, DONE])
+    puller = GrantPuller(0, script.send, script.recv, prefetch=1)
+    assert _pull_all(puller) == ["a", "b"]
+    assert script.unanswered == 0 and not script.answers
+
+
+def test_kill_ordinal_fires_on_receipt_of_the_nth_grant(monkeypatch):
+    """The scripted death happens on *receiving* grant n — before it is
+    handed to the mapper — and non-grant answers do not count."""
+    kills = []
+    monkeypatch.setattr(
+        rank_mod.os, "kill", lambda pid, sig: kills.append(sig)
+    )
+    script = _Script([_grant("a"), RETRY, _grant("b"), _grant("c"), DONE])
+    monkeypatch.setattr(rank_mod, "RETRY_BACKOFF_SECONDS", 0.0)
+    puller = GrantPuller(0, script.send, script.recv, kill_at_chunk=2)
+    assert puller.next()[0] == "a"
+    assert not kills
+    puller.next()
+    assert kills == [rank_mod.signal.SIGKILL]
+
+
+def test_grant_wait_recorded_once_per_answer(no_backoff):
+    obs = Observability()
+    answers = [_grant("a"), RETRY, _grant("b"), DONE, DONE]
+    script = _Script(answers)
+    puller = GrantPuller(3, script.send, script.recv, prefetch=1, obs=obs)
+    _pull_all(puller)
+    waits = [r for r in obs.tracer.records if r["name"] == "grant_wait"]
+    assert len(waits) == len(answers)
+    assert all(r["rank"] == 3 for r in waits)
+    hist = obs.metrics.snapshot()["histograms"]["grant_latency_s"]
+    assert hist["count"] == len(answers)
+
+
+# -- drive_rank against scripted links ----------------------------------------
+
+N_RANKS = 3
+
+
+def _job_and_chunks():
+    ds = sio_dataset(6_000, chunk_elements=2_000, key_space=1 << 12, seed=3)
+    job = sio_job(key_space=1 << 12).with_config(enable_stealing=False)
+    return job, resolve_chunks(ds, None)
+
+
+class _FakeLink:
+    """An in-memory link: records every call, ships nothing."""
+
+    def __init__(self, job, grants, inbound=(), fail_send_to=None):
+        self.rank = 0
+        self.n_workers = N_RANKS
+        self.obs = NULL_OBS
+        self.job = job
+        self._grants = deque(grants)
+        self._inbound = list(inbound)
+        self._fail_send_to = fail_send_to
+        self.calls = []
+        self.sent = {}
+        self.unblocked = []
+        self.reports = []
+
+    def open(self):
+        return self.job
+
+    def request_chunk(self):
+        return self._grants.popleft() if self._grants else None
+
+    def mark_posted(self):
+        self.calls.append("mark_posted")
+
+    def send(self, dest, parts, chunk_ids):
+        self.calls.append(f"send:{dest}")
+        if dest == self._fail_send_to:
+            raise RuntimeError("pipe burst")
+        self.sent[dest] = (parts, chunk_ids)
+
+    def unblock(self, dest):
+        self.unblocked.append(dest)
+
+    def recv_all(self):
+        self.calls.append("recv_all")
+        return self._inbound
+
+    def report(self, output, stats, error):
+        self.reports.append((output, stats, error))
+
+
+class _ListQueue:
+    def __init__(self, items=()):
+        self.items = list(items)
+
+    def put(self, item):
+        self.items.append(item)
+
+    def get(self, *a, **k):
+        return self.items.pop(0)
+
+
+class _BoomQueue:
+    """A queue whose put always fails (a torn-down pipe)."""
+
+    def put(self, item):
+        raise RuntimeError("pipe burst")
+
+
+def _local_link(job, grants, shuffle_queues):
+    """The real local link over in-process queues: grants pre-answered
+    on its grant queue (prefetch 0, so one DONE ends the pull)."""
+    return _LocalLink(
+        0, N_RANKS, job, trace=False,
+        request_queue=_ListQueue(),
+        grant_queue=_ListQueue(
+            [(GRANT_CHUNK, c, v) for c, v in grants] + [DONE]
+        ),
+        shuffle_queues=shuffle_queues,
+        result_queue=_ListQueue(),
+    )
+
+
+def test_happy_path_order_and_report():
+    job, chunks = _job_and_chunks()
+    peer_part = KeyValueSet(keys=np.arange(4, dtype=np.uint32), values=np.ones(4))
+    link = _FakeLink(
+        job,
+        [(chunks[0], 0), (chunks[1], 1)],
+        inbound=[(2, [peer_part], [9]), (1, [], [])],
+    )
+    drive_rank(link)
+    # posted is announced before the first batch leaves
+    assert link.calls == ["mark_posted", "send:1", "send:2", "recv_all"]
+    assert not link.unblocked
+    (output, stats, error), = link.reports
+    assert error is None and output is not None
+    assert stats.chunks_mapped == 2 and stats.chunks_stolen == 1
+    assert set(stats.stage_seconds) == {"map", "bin", "sort", "reduce"}
+    # every sent part carries its provenance tag
+    for parts, tags in link.sent.values():
+        assert len(parts) == len(tags)
+
+
+class _ExplodingMapper(Mapper):
+    def map_chunk(self, chunk):
+        raise ValueError("bad chunk")
+
+    def map_cost(self, chunk):  # pragma: no cover - never priced
+        return []
+
+
+def test_failure_before_posting_unblocks_every_peer_exactly_once():
+    _job, chunks = _job_and_chunks()
+    job = MapReduceJob(name="boom", mapper=_ExplodingMapper())
+    link = _FakeLink(job, [(chunks[0], 0)])
+    drive_rank(link)
+    assert link.calls == []           # never posted, never sent
+    assert link.unblocked == [1, 2]
+    (output, _stats, error), = link.reports
+    assert output is None and "bad chunk" in error
+
+
+def test_handshake_failure_takes_the_same_courtesy_path():
+    """A link whose ``open()`` raises (a bad ASSIGN, a missed barrier)
+    is reported and its peers unblocked exactly like a failed map."""
+    link = _FakeLink(None, [])
+    link.open = lambda: (_ for _ in ()).throw(RuntimeError("no assignment"))
+    drive_rank(link)
+    assert link.calls == [] and link.unblocked == [1, 2]
+    (output, stats, error), = link.reports
+    assert output is None and stats.rank == 0 and "no assignment" in error
+
+
+def test_mid_posting_failure_backfills_only_unserved_peers_fake_link():
+    job, chunks = _job_and_chunks()
+    link = _FakeLink(job, [(chunks[0], 0)], fail_send_to=2)
+    drive_rank(link)
+    assert list(link.sent) == [1]
+    assert link.unblocked == [2]      # never the already-served rank 1
+    (_output, _stats, error), = link.reports
+    assert "pipe burst" in error
+
+
+def test_mid_posting_failure_backfills_only_unserved_peers_local_link():
+    """Rank 0 posts to rank 1, then fails posting to rank 2.  Rank 1
+    must end with exactly ONE batch from rank 0 — re-posting an empty
+    backfill to it would make its n-1 receive loop miscount and merge
+    another source's batch nondeterministically."""
+    job, chunks = _job_and_chunks()
+    own, served = _ListQueue(), _ListQueue()
+    link = _local_link(job, [(chunks[0], 0)], [own, served, _BoomQueue()])
+    drive_rank(link)
+
+    # Exactly one message for the served peer: the real batch.
+    assert len(served.items) == 1
+    src, message, tags = served.items[0]
+    assert src == 0
+    parts, segment = decode_batch(message)
+    assert segment is None  # small batch rode inline
+    assert sum(len(p) for p in parts) > 0
+    assert len(tags) == len(parts)
+    # The failure itself was reported, with the posting traceback.
+    (rank, error, output, _stats, _obs), = link.result_queue.items
+    assert rank == 0 and output is None
+    assert "pipe burst" in error
+
+
+class _ExplodingReducer(Reducer):
+    def reduce_segments(self, keys, values, offsets, counts, scale):
+        raise ValueError("bad reduce")
+
+    def reduce_cost(self, *args):  # pragma: no cover - never priced
+        return []
+
+
+# On the failure path the traceback's frames still hold zero-copy views
+# when the segment is released, so SharedMemory.__del__ re-raises the
+# BufferError close() already tolerated; in a worker that is stderr
+# noise at exit, here pytest would report it against the test.
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("fail_in_reduce", (False, True))
+def test_received_segments_are_released_on_success_and_failure(fail_in_reduce):
+    """A shared-memory batch received from a peer is unlinked once the
+    rank is through with it — whether the reduce finished or raised."""
+    job, chunks = _job_and_chunks()
+    if fail_in_reduce:
+        job = dataclasses.replace(job, reducer=_ExplodingReducer())
+    n = SHM_MIN_BYTES  # 12 B/pair -> comfortably above the threshold
+    big = KeyValueSet(
+        keys=np.arange(n, dtype=np.uint32) % 4096, values=np.ones(n)
+    )
+    messages = [encode_batch([big]), encode_batch([big])]
+    assert all(m[0] == "shm" for m in messages)
+    own = _ListQueue([(1, messages[0], [7]), (2, messages[1], [8])])
+    link = _local_link(job, [(chunks[0], 0)], [own, _ListQueue(), _ListQueue()])
+    drive_rank(link)
+
+    (_rank, error, output, _stats, _obs), = link.result_queue.items
+    if fail_in_reduce:
+        assert output is None and "bad reduce" in error
+    else:
+        assert error is None and len(output) > 0
+    for message in messages:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=message[1])
+
+
+# -- one loop: the backends agree on what they record -------------------------
+
+#: spans the rank loop itself records, on every backend
+RANK_SPANS = {
+    "grant_wait", "chunk_map", "map_finish", "shuffle_recv", "sort", "reduce",
+}
+#: spans a transport adds on top
+LINK_SPANS = {
+    "serial": set(),
+    "local": {"shuffle_send"},
+    "cluster": {"shuffle_send", "barrier_wait"},
+}
+
+
+def test_backends_report_the_same_buckets_and_span_names():
+    ds = sio_dataset(24_000, chunk_elements=3_000, key_space=1 << 12, seed=5)
+    job = sio_job(ds.key_space)
+    for backend, extra in LINK_SPANS.items():
+        obs = Observability()
+        result = make_executor(backend, 2, obs=obs).run(job, dataset=ds)
+        sio_validate(result, ds)
+        for w in result.stats.workers:
+            assert set(w.stage_seconds) == {"map", "bin", "sort", "reduce"}, backend
+        spans = {r["name"] for r in obs.tracer.records if r["ev"] == "span"}
+        assert spans == RANK_SPANS | extra, backend
+        per_rank = {
+            name: sorted(
+                r["rank"] for r in obs.tracer.records
+                if r["ev"] == "span" and r["name"] == name
+            )
+            for name in ("map_finish", "shuffle_recv")
+        }
+        assert per_rank == {"map_finish": [0, 1], "shuffle_recv": [0, 1]}, backend
+
+
+# -- regression: speculation + prefetch no longer idles a healthy run ---------
+
+@pytest.mark.parametrize("backend", ("local", "cluster"))
+def test_healthy_speculation_armed_run_does_not_wait_out_the_threshold(backend):
+    """Idle healthy ranks used to RETRY-spin against each other's
+    already-mapped prefetch tail until it aged past ``speculate_after``
+    and then re-execute it: every speculation-armed job took at least
+    the threshold.  With the exact mapped-proof nothing is in flight
+    once both ranks idle, so both are released at once."""
+    ds = sio_dataset(32_000, chunk_elements=2_000, key_space=1 << 14, seed=9)
+    obs = Observability()
+    result = make_executor(
+        backend, 2, fault_plan=FaultPlan(speculate_after=3.0), obs=obs,
+    ).run(sio_job(ds.key_space), dataset=ds)
+    sio_validate(result, ds)
+    assert result.stats.elapsed < 1.0
+    assert result.stats.retries_by_worker == [0, 0]
+    assert result.stats.speculative_wins == 0
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters.get("speculative_grants", 0) == 0
+
+
+# -- regression: one speculation pre-flight -----------------------------------
+
+def _fused_sio():
+    return sio_job(1 << 12).with_config(fused=True)
+
+
+def _fused_lr_without_accumulator():
+    """Only the fused kernel's finish_state stands between this job
+    and per-chunk emissions."""
+    job = dataclasses.replace(lr_job(use_accumulation=True), accumulator=None)
+    return job.with_config(fused=True)
+
+
+_SPECULATE = FaultPlan(speculate_after=0.5)
+_PREFLIGHT_CASES = [
+    # (job factory, plan, replaying a schedule?, rejection pattern or None)
+    (lambda: sio_job(1 << 12), _SPECULATE, False, None),
+    (_fused_sio, _SPECULATE, False, None),
+    (lambda: lr_job(use_accumulation=True), _SPECULATE, False,
+     "finish-time output cannot be de-duplicated"),
+    (_fused_lr_without_accumulator, _SPECULATE, False,
+     "finish-time output cannot be de-duplicated"),
+    (lambda: lr_job(use_accumulation=True), FaultPlan(), False, None),
+    (lambda: sio_job(1 << 12), FaultPlan(kill_rank_at_chunk={0: 1}), True,
+     "mutually exclusive"),
+]
+
+
+@pytest.mark.parametrize("backend", ("serial", "local", "cluster"))
+@pytest.mark.parametrize("make_job,plan,replay,rejects", _PREFLIGHT_CASES)
+def test_preflight_is_one_rule_on_every_backend(
+    backend, make_job, plan, replay, rejects
+):
+    """Every real backend accepts and rejects the same (job, plan)
+    pairs with the same message: chunk-tagged emissions (a fused kernel
+    without a finish_state included) can be speculated, finish-time
+    emissions cannot, and a plan never rides a replayed schedule."""
+    ex = make_executor(backend, 2)
+    # Attached after construction so the rule itself is what is under
+    # test (the serial backend refuses speculative plans up front).
+    ex.fault_plan = plan
+    schedule = object() if replay else None
+    if rejects is None:
+        ex._preflight(make_job(), schedule)
+    else:
+        with pytest.raises(ValueError, match=rejects):
+            ex._preflight(make_job(), schedule)
+
+
+@pytest.mark.parametrize("backend", ("local", "cluster"))
+def test_fused_sio_with_speculation_runs_on_both_process_backends(backend):
+    """Seed bug: the cluster backend rejected every fused job under
+    ``speculate_after`` while the local backend accepted them."""
+    ds = sio_dataset(16_000, chunk_elements=2_000, key_space=1 << 12, seed=4)
+    result = make_executor(
+        backend, 2, fused=True, fault_plan=FaultPlan(speculate_after=5.0),
+    ).run(sio_job(ds.key_space), dataset=ds)
+    sio_validate(result, ds)
