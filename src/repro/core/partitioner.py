@@ -55,7 +55,12 @@ class RoundRobinPartitioner(Partitioner):
     """The paper's default for integer keys: ``key % n_parts``."""
 
     def partition(self, kv: KeyValueSet, n_parts: int) -> np.ndarray:
-        return (kv.keys % np.uint64(n_parts)).astype(np.int64)
+        keys = kv.keys
+        if kv.is_host and n_parts <= np.iinfo(keys.dtype).max:
+            # Modulus in the keys' own dtype: no 8-byte temporaries per
+            # 4-byte key (split_by takes any integer id dtype).
+            return keys % keys.dtype.type(n_parts)
+        return (keys % np.uint64(n_parts)).astype(np.int64)
 
 
 class BlockPartitioner(Partitioner):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kvset import KeyValueSet
 from ..hw.kernel import KernelLaunch
-from ..primitives import launch_1d, radix_sort_cost, radix_sort_pairs, significant_bits
+from ..primitives import launch_1d, radix_sort_cost, radix_sort_pairs
 
 __all__ = ["Sorter", "RadixSorter", "ComparisonSorter"]
 
@@ -34,11 +34,16 @@ class Sorter(ABC):
 
 
 class RadixSorter(Sorter):
-    """LSD radix sort via the primitive library (GPMR default).
+    """Stable radix sort via the primitive library (GPMR default).
 
     ``key_bits`` may be pinned at construction (apps that know their
     key range, like WO's 43k MPH slots, pay fewer digit passes — the
-    kind of tuning the paper encourages).
+    kind of tuning the paper encourages).  The pin is a checked
+    promise: sorting a set that holds a key needing more bits (or a
+    negative key) raises ``ValueError`` rather than ordering by the low
+    bits only.  It prices the modeled sort (:meth:`sort_cost`); the
+    host execution picks its own pass structure, see
+    :mod:`repro.primitives.sort`.
     """
 
     def __init__(self, key_bits: Optional[int] = None) -> None:
@@ -46,15 +51,8 @@ class RadixSorter(Sorter):
             raise ValueError("key_bits must be in [1, 64]")
         self.key_bits = key_bits
 
-    def effective_bits(self, kv_or_bits) -> int:
-        if self.key_bits is not None:
-            return self.key_bits
-        if isinstance(kv_or_bits, int):
-            return kv_or_bits
-        return significant_bits(kv_or_bits.keys)
-
     def sort(self, kv: KeyValueSet) -> KeyValueSet:
-        keys, values = radix_sort_pairs(kv.keys, kv.values, key_bits=self.effective_bits(kv))
+        keys, values = radix_sort_pairs(kv.keys, kv.values, key_bits=self.key_bits)
         return KeyValueSet(keys=keys, values=values, scale=kv.scale)
 
     def sort_cost(self, n_pairs: int, key_bits: int, pair_bytes: int) -> List[KernelLaunch]:

@@ -73,8 +73,9 @@ from ..obs import BYTES_BUCKETS, NULL_OBS, Observability
 
 __all__ = ["RankEndpoint", "run_rank"]
 
-#: Accept-loop wake interval: how often exchange() re-checks its
-#: deadline while waiting for inbound batches.
+#: Accept-loop wake interval: how often the inbox thread, blocked in
+#: ``accept()``, looks at its stop flag.  It paces shutdown only — a
+#: landed batch is handed over by notification, never on this tick.
 _POLL_SECONDS = 0.2
 
 
@@ -152,15 +153,20 @@ class RankEndpoint:
         # Early-exchange inbox: a background thread accepts inbound
         # shuffle batches while this rank is still mapping, so the
         # exchange barrier only waits for genuinely late data.
-        self._inbox_lock = threading.Lock()
+        #: guards the inbox state below and ``_withheld``; notified per
+        #: landed batch and on inbox failure (:meth:`recv_all` waits on it)
+        self._inbox_cond = threading.Condition()
         self._inbox_batches: List[Tuple[int, List[Any], Optional[List[int]]]] = []
         self._inbox_have: set = set()
         self._inbox_error: Optional[BaseException] = None
         self._inbox_stop = threading.Event()
         self._inbox_thread: Optional[threading.Thread] = None
         #: set once MAPS_DONE is on the wire — inbound batches may not
-        #: be ACKed before this (see :meth:`_inbox_loop`)
+        #: be ACKed before this (see :meth:`start_inbox`)
         self._posted_event = threading.Event()
+        #: connections of batches that landed before this rank posted,
+        #: their BATCH_ACK still owed (:meth:`_release_withheld`)
+        self._withheld: List[socket.socket] = []
 
     # -- control plane -----------------------------------------------------
     def connect(self) -> None:
@@ -271,12 +277,14 @@ class RankEndpoint:
         """Announce the map/post boundary before any batch leaves: once
         the coordinator records this rank as posted, its chunks are no
         longer reclaimable, which is exactly when its output starts
-        reaching peers."""
+        reaching peers — and when the ACKs withheld from batches that
+        landed early are released, here rather than at any tick."""
         send_frame(
             self._control, MSG_MAPS_DONE, {"rank": self.rank},
             max_frame_bytes=self.max_frame_bytes,
         )
-        self._posted_event.set()  # inbox may flush withheld ACKs
+        self._posted_event.set()
+        self._release_withheld()
 
     def barrier(self, name: str = "start") -> None:
         """Report arrival at ``name`` and block until RESUME."""
@@ -406,7 +414,11 @@ class RankEndpoint:
         a rank that dies mid-map must look undelivered-to — recovery
         respawns it and reclaims exactly its un-posted map phase, so
         its senders must resend to the replacement incarnation.  An
-        early ACK would let a batch vanish with the dead process.
+        early ACK would let a batch vanish with the dead process.  The
+        withheld connections belong to the endpoint, not the thread:
+        :meth:`mark_posted` itself releases them, so ACK-implies-posted
+        costs the sender no wait beyond the post, and the thread is
+        free to exit the moment every expected batch is in.
         """
         if self._inbox_thread is not None:
             return
@@ -418,40 +430,46 @@ class RankEndpoint:
         )
         self._inbox_thread.start()
 
+    def _ack(self, conn: socket.socket) -> None:
+        """Confirm one received batch and hang up."""
+        try:
+            send_raw_frame(
+                conn, MSG_BATCH_ACK, b"", max_frame_bytes=self.max_frame_bytes
+            )
+        except (OSError, FabricError):
+            pass  # sender abandoned this attempt and resends; dedup covers it
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+    def _release_withheld(self) -> None:
+        """ACK every batch that landed before this rank posted.
+
+        Callers raise the flag the inbox thread reads under the lock
+        (posted, or stop) *before* calling, so a batch landing
+        concurrently is either swapped out here or ACKed by the thread.
+        """
+        with self._inbox_cond:
+            held, self._withheld = self._withheld, []
+        for conn in held:
+            self._ack(conn)
+
     def _inbox_loop(self, expected: int) -> None:
         """Accept, dedup, and buffer inbound batches until all arrive.
 
-        Every fully received batch is confirmed with BATCH_ACK (held
-        back until MAPS_DONE is posted, see :meth:`start_inbox`); a
-        second batch from a source that already delivered (its ACK got
-        lost, or a speculative-recovery resend) is acknowledged and
-        dropped by the dedup on source rank.
+        Every fully received batch is confirmed with BATCH_ACK — at
+        once when this rank has posted, else by :meth:`mark_posted`
+        (see :meth:`start_inbox`); a second batch from a source that
+        already delivered (its ACK got lost, or a speculative-recovery
+        resend) is acknowledged and dropped by the dedup on source
+        rank.  Each landed batch notifies :meth:`recv_all`.
         """
-        unacked: List[socket.socket] = []
-
-        def _flush_acks() -> None:
-            for held in unacked:
-                try:
-                    send_raw_frame(
-                        held, MSG_BATCH_ACK, b"",
-                        max_frame_bytes=self.max_frame_bytes,
-                    )
-                except (OSError, FabricError):
-                    pass  # sender abandoned this attempt; dedup covers it
-                try:
-                    held.close()
-                except OSError:
-                    pass
-            unacked.clear()
-
         try:
             while not self._inbox_stop.is_set():
-                if self._posted_event.is_set() and unacked:
-                    _flush_acks()
-                with self._inbox_lock:
-                    done = len(self._inbox_have) >= expected
-                if done and not unacked:
-                    break
+                with self._inbox_cond:
+                    if len(self._inbox_have) >= expected:
+                        break
                 try:
                     conn, _addr = self._shuffle_listener.accept()
                 except socket.timeout:
@@ -470,25 +488,23 @@ class RankEndpoint:
                         OSError):
                     conn.close()  # stray or abandoned connection; drop it
                     continue
-                with self._inbox_lock:
+                with self._inbox_cond:
                     if int(src) not in self._inbox_have:
                         self._inbox_have.add(int(src))
                         self._inbox_batches.append((int(src), parts, tags))
-                if self._posted_event.is_set():
-                    try:
-                        send_raw_frame(
-                            conn, MSG_BATCH_ACK, b"",
-                            max_frame_bytes=self.max_frame_bytes,
-                        )
-                    except (OSError, FabricError):
-                        pass  # sender resends; the dedup drops the copy
-                    conn.close()
-                else:
-                    unacked.append(conn)
+                        self._inbox_cond.notify_all()
+                    # close() owes parked senders the same release.
+                    withhold = not (
+                        self._posted_event.is_set() or self._inbox_stop.is_set()
+                    )
+                    if withhold:
+                        self._withheld.append(conn)
+                if not withhold:
+                    self._ack(conn)
         except BaseException as exc:
-            self._inbox_error = exc
-        finally:
-            _flush_acks()
+            with self._inbox_cond:
+                self._inbox_error = exc
+                self._inbox_cond.notify_all()
 
     def send(
         self,
@@ -523,28 +539,31 @@ class RankEndpoint:
 
         Inbound batches are collected by the background inbox (possibly
         running since before this rank's map phase ended — see
-        :meth:`start_inbox`); this method waits the inbox out and joins
-        the senders.
+        :meth:`start_inbox`).  This method blocks on the inbox's
+        condition — woken by each landed batch and by an inbox failure,
+        bounded by the ``timeout_seconds`` deadline — so it returns as
+        the last batch lands, then joins the senders.
         """
         assert self.n_workers is not None, "exchange before connect()"
         self.start_inbox()
         deadline = time.monotonic() + self.timeout_seconds
-        while True:
-            if self._inbox_error is not None:
-                raise FabricError(
-                    f"rank {self.rank} inbox failed: {self._inbox_error}"
-                ) from self._inbox_error
-            with self._inbox_lock:
-                have = set(self._inbox_have)
-            if len(have) >= self.n_workers - 1:
-                break
-            if time.monotonic() > deadline:
-                raise FabricError(
-                    f"rank {self.rank} shuffle timed out after "
-                    f"{self.timeout_seconds}s; received batches only from "
-                    f"{sorted(have | {self.rank})}"
-                )
-            time.sleep(_POLL_SECONDS / 4)
+        with self._inbox_cond:
+            while len(self._inbox_have) < self.n_workers - 1:
+                if self._inbox_error is not None:
+                    raise FabricError(
+                        f"rank {self.rank} inbox failed: {self._inbox_error}"
+                    ) from self._inbox_error
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise FabricError(
+                        f"rank {self.rank} shuffle timed out after "
+                        f"{self.timeout_seconds}s; received batches only from "
+                        f"{sorted(self._inbox_have | {self.rank})}"
+                    )
+                self._inbox_cond.wait(remaining)
+        # The last batch's ACK leaves on the inbox thread after the
+        # notify; see it out, or a fast reduce could exit the process
+        # under it and strand the sender in resends.
         self._inbox_thread.join(timeout=self.timeout_seconds)
 
         for t in self._senders:
@@ -554,7 +573,7 @@ class RankEndpoint:
                 f"rank {self.rank} failed sending shuffle batches: "
                 f"{self._send_errors[0]}"
             ) from self._send_errors[0]
-        with self._inbox_lock:
+        with self._inbox_cond:
             return list(self._inbox_batches)
 
     # -- full worker flow --------------------------------------------------
@@ -579,6 +598,9 @@ class RankEndpoint:
 
     def close(self) -> None:
         self._inbox_stop.set()
+        # Senders still parked on a withheld ACK are let go rather than
+        # left to run out their deadlines against a closed rank.
+        self._release_withheld()
         if self._control is not None:
             try:
                 self._control.close()

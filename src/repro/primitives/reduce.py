@@ -58,32 +58,31 @@ def segmented_reduce(
         return np.empty(0, dtype=v.dtype)
     if offsets[0] != 0:
         raise ValueError("segment_offsets[0] must be 0")
-    if np.any(np.diff(offsets) < 0):
+    # One pass gives every segment's length (the last runs to the end
+    # of ``values``); their minimum both validates the offsets and says
+    # whether any segment is empty.
+    lengths = np.diff(offsets, append=len(v))
+    if lengths.min() > 0:
+        # No empty segment (always so after ``unique_segments``):
+        # reduceat sums *within* each segment — a cumsum-difference
+        # formulation would leak floating-point error across segment
+        # boundaries.
+        return _UFUNCS[op].reduceat(v, offsets)
+    if lengths[:-1].min(initial=0) < 0:
         raise ValueError("segment_offsets must be non-decreasing")
-    if len(v) and offsets[-1] > len(v):
+    if lengths[-1] < 0:
         raise ValueError("segment offset beyond end of values")
-
-    if op == "sum":
-        # reduceat mishandles empty segments (it repeats the next value),
-        # so run it over the non-empty offsets only: consecutive non-empty
-        # offsets span exactly one real segment (empties contribute no
-        # elements).  This keeps summation *within* each segment — a
-        # cumsum-difference formulation would leak floating-point error
-        # across segment boundaries.
-        ends = np.concatenate((offsets[1:], [len(v)]))
-        lengths = ends - offsets
-        out = np.zeros(len(offsets), dtype=v.dtype)
-        nonempty = lengths > 0
-        if np.any(nonempty):
-            out[nonempty] = np.add.reduceat(v, offsets[nonempty])
-        return out
-
-    ufunc = _UFUNCS[op]
-    ends = np.concatenate((offsets[1:], [len(v)]))
-    lengths = ends - offsets
-    if np.any(lengths == 0):
+    if op != "sum":
         raise ValueError(f"zero-length segment not supported for op {op!r}")
-    return ufunc.reduceat(v, offsets)
+    # reduceat mishandles empty segments (it repeats the next value), so
+    # run it over the non-empty offsets only: consecutive non-empty
+    # offsets span exactly one real segment (empties contribute no
+    # elements), and the empties keep the identity.
+    out = np.zeros(len(offsets), dtype=v.dtype)
+    nonempty = lengths > 0
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(v, offsets[nonempty])
+    return out
 
 
 def reduce_cost(n: int, itemsize: int = 4) -> KernelLaunch:

@@ -1,14 +1,32 @@
-"""LSD radix sort — the CUDPP/Satish-et-al. sort role.
+"""Stable key-value sort — the CUDPP/Satish-et-al. radix-sort role.
 
-This is a genuine least-significant-digit radix sort built from
-counting-sort passes (histogram + exclusive scan + stable scatter), not
-a call to ``np.sort``: the pass structure is what gives the cost model
-its shape (cost scales with passes = ceil(key_bits / digit_bits), as in
-Satish, Harris & Garland, IPDPS 2009, which the paper uses via CUDPP).
+Two things live here and are deliberately decoupled:
 
-``radix_sort_pairs`` carries a value payload through the scatter, which
-is how GPMR sorts its key-value sets.  Values may be any ndarray whose
-first dimension matches the keys (e.g. ``(n, dims)`` float blocks).
+* **What the sort costs** (:func:`radix_sort_cost`): an LSD radix sort
+  of ``ceil(key_bits / DIGIT_BITS)`` counting-sort passes (histogram +
+  exclusive scan + stable scatter), as in Satish, Harris & Garland,
+  IPDPS 2009, which the paper uses via CUDPP.  The simulator prices the
+  GPU's sort with it, so its shape never follows the host's.
+* **What runs on the host** (:func:`radix_sort_pairs`): whichever of
+  three NumPy formulations yields the same stable permutation fastest,
+  chosen from ``key_bits`` and ``n`` alone:
+
+  1. ``key_bits <= 16`` — one counting pass: ``argsort(kind="stable")``
+     of the keys narrowed to ``uint8``/``uint16``, which NumPy runs as
+     a radix/counting sort (KMC's 5-bit and WO's 13-bit keys).
+  2. ``key_bits + ceil(log2 n) <= 64`` — sort **one** packed ``uint64``
+     word ``key << index_bits | index`` with ``ndarray.sort()`` (a
+     vectorised in-place quicksort), then read the sorted keys off the
+     high bits and the permutation off the low bits.  The words are
+     distinct and equal keys order by index, so it is the stable
+     permutation by construction (SIO's 22-bit keys).
+  3. otherwise — the counting pass of (1) looped over 16-bit digits,
+     least significant first (64-bit keys).
+
+``radix_sort_pairs`` carries a value payload through the permutation,
+which is how GPMR sorts its key-value sets.  Values may be any ndarray
+whose first dimension matches the keys (e.g. ``(n, dims)`` float
+blocks).
 """
 
 from __future__ import annotations
@@ -28,8 +46,14 @@ __all__ = [
     "significant_bits",
 ]
 
-#: Digit width used by the GPU counting-sort passes.
+#: Digit width of one *priced* GPU counting-sort pass (CUDPP's 8-bit
+#: digits).  Cost model only — :func:`radix_sort_cost` is its one
+#: reader; the host path below never looks at it.
 DIGIT_BITS = 8
+
+#: Widest digit one host counting pass takes: NumPy's stable argsort is
+#: a radix sort for 8- and 16-bit integers (and a timsort beyond).
+_HOST_DIGIT_BITS = 16
 
 
 def significant_bits(keys: np.ndarray) -> int:
@@ -39,28 +63,20 @@ def significant_bits(keys: np.ndarray) -> int:
         return 0
     if k.dtype.kind not in "iu":
         raise TypeError(f"radix sort requires integer keys, got {k.dtype}")
-    mx = int(k.max(initial=0))
-    mn = int(k.min(initial=0))
-    if mn < 0:
+    if k.dtype.kind == "i" and int(k.min()) < 0:
         raise ValueError("radix sort requires non-negative keys")
-    return max(int(mx).bit_length(), 1)
+    return max(int(k.max()).bit_length(), 1)
 
 
-def _counting_pass(keys: np.ndarray, order: np.ndarray, shift: int) -> np.ndarray:
-    """One stable counting-sort pass on the digit at ``shift``.
-
-    NumPy's ``argsort(kind="stable")`` on a uint8 array *is* a counting
-    sort internally (radix dispatch for small integer dtypes), so this
-    delegates the histogram+scan+stable-scatter to one call while
-    keeping the pass-per-digit structure explicit for the cost model.
-    """
-    digits = ((keys[order] >> shift) & ((1 << DIGIT_BITS) - 1)).astype(np.uint8)
-    perm = np.argsort(digits, kind="stable")
-    return order[perm]
+def _counting_order(digits: np.ndarray, bits: int) -> np.ndarray:
+    """Stable order of ``digits``' low ``bits`` (<= 16): one counting
+    pass (the narrowing cast keeps exactly the low 8 or 16 bits)."""
+    narrow = np.uint8 if bits <= 8 else np.uint16
+    return np.argsort(digits.astype(narrow), kind="stable")
 
 
 def radix_sort(keys: np.ndarray, key_bits: Optional[int] = None) -> np.ndarray:
-    """Return ``keys`` sorted ascending (stable), via LSD radix passes."""
+    """Return ``keys`` sorted ascending (stable)."""
     sorted_keys, _ = radix_sort_pairs(keys, None, key_bits=key_bits)
     return sorted_keys
 
@@ -70,7 +86,13 @@ def radix_sort_pairs(
     values: Optional[np.ndarray],
     key_bits: Optional[int] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Stable-sort ``keys`` carrying ``values``; returns sorted copies."""
+    """Stable-sort ``keys`` carrying ``values``; returns sorted copies.
+
+    ``key_bits`` pins the number of key bits to process (default: the
+    widest key's).  It is a promise about the keys, checked in the same
+    min/max pass that finds the default: a key that needs more bits, or
+    a negative one, raises ``ValueError`` instead of mis-sorting.
+    """
     ns = accel_namespace_for(keys)
     if ns is not None:
         return ns.sort_pairs(keys, values, key_bits=key_bits)
@@ -79,11 +101,36 @@ def radix_sort_pairs(
         raise TypeError(f"radix sort requires integer keys, got {k.dtype}")
     if values is not None and len(values) != len(k):
         raise ValueError("values must have the same length as keys")
-    bits = significant_bits(k) if key_bits is None else int(key_bits)
-    order = np.arange(len(k), dtype=np.int64)
-    for shift in range(0, bits, DIGIT_BITS):
-        order = _counting_pass(k, order, shift)
-    sorted_keys = k[order]
+    bits = significant_bits(k)
+    if key_bits is not None:
+        if bits > int(key_bits):
+            raise ValueError(
+                f"keys need {bits} bits but key_bits={int(key_bits)} was pinned"
+            )
+        # Bits beyond the dtype's width are zero for every key.
+        bits = min(int(key_bits), 8 * k.dtype.itemsize)
+
+    n = len(k)
+    index_bits = max(n - 1, 0).bit_length()
+    if bits <= _HOST_DIGIT_BITS:
+        order = _counting_order(k, bits)
+        sorted_keys = k[order]
+    elif bits + index_bits <= 64:
+        word = k.astype(np.uint64)
+        word <<= np.uint64(index_bits)
+        word |= np.arange(n, dtype=np.uint64)
+        word.sort()
+        # Keys stream off the high bits (cheaper than a second random
+        # gather); the word's own buffer then becomes the order.
+        sorted_keys = (word >> np.uint64(index_bits)).astype(k.dtype)
+        word &= np.uint64((1 << index_bits) - 1)
+        order = word.view(np.int64)
+    else:
+        order = _counting_order(k, _HOST_DIGIT_BITS)
+        for shift in range(_HOST_DIGIT_BITS, bits, _HOST_DIGIT_BITS):
+            digits = k[order] >> k.dtype.type(shift)
+            order = order[_counting_order(digits, _HOST_DIGIT_BITS)]
+        sorted_keys = k[order]
     sorted_values = values[order] if values is not None else None
     return sorted_keys, sorted_values
 

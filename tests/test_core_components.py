@@ -106,6 +106,49 @@ def test_property_split_by_partitions_everything(keys, n_parts):
     assert rebuilt == sorted(range(len(keys)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n_parts=st.sampled_from([1, 2, 3, 256, 257]),
+    n=st.integers(0, 300),
+    id_dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.int32, np.int64, np.uint64]),
+    two_d=st.booleans(),
+    data=st.data(),
+)
+def test_property_split_by_matches_boolean_mask_oracle(n_parts, n, id_dtype, two_d, data):
+    """Part ``p`` is exactly the pairs whose id is ``p``, in their
+    original order — whatever the id dtype, however many parts stay
+    empty (257 parts of at most 300 pairs: most of them)."""
+    hi = min(n_parts - 1, np.iinfo(id_dtype).max)
+    ids = np.asarray(
+        data.draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)), dtype=id_dtype
+    )
+    values = np.arange(n, dtype=np.float64)
+    if two_d:
+        values = np.column_stack([values, values * 0.5, -values])
+    s = KeyValueSet(keys=np.arange(n, dtype=np.uint32) * 7, values=values, scale=2.0)
+    parts = s.split_by(ids, n_parts)
+    assert len(parts) == n_parts
+    for p, part in enumerate(parts):
+        mask = ids == p
+        assert part.scale == s.scale
+        assert part.keys.dtype == s.keys.dtype and part.values.dtype == values.dtype
+        assert part.values.shape[1:] == values.shape[1:]
+        np.testing.assert_array_equal(part.keys, s.keys[mask])
+        np.testing.assert_array_equal(part.values, values[mask])
+
+
+@pytest.mark.parametrize("id_dtype", [np.int8, np.uint8, np.int64, np.uint64])
+def test_kvset_split_by_rejects_out_of_range_ids_of_any_dtype(id_dtype):
+    s = kv([1, 2, 3], [1, 2, 3])
+    with pytest.raises(ValueError, match="out of range"):
+        s.split_by(np.array([0, 1, 2], dtype=id_dtype), 2)
+    if np.dtype(id_dtype).kind == "i":
+        with pytest.raises(ValueError, match="out of range"):
+            s.split_by(np.array([0, -1, 1], dtype=id_dtype), 2)
+    with pytest.raises(TypeError):
+        s.split_by(np.array([0.0, 1.0, 1.0]), 2)
+
+
 def test_combine_by_key_sum_scalar():
     s = kv([3, 1, 3, 1, 2], [1, 10, 2, 20, 5])
     c = combine_by_key_sum(s)
@@ -229,6 +272,19 @@ def test_round_robin_partitioner():
     p = RoundRobinPartitioner()
     s = kv([0, 1, 2, 3, 4], np.zeros(5))
     np.testing.assert_array_equal(p.partition(s, 3), [0, 1, 2, 0, 1])
+
+
+def test_round_robin_partitioner_takes_the_modulus_in_the_key_dtype():
+    """No 8-byte temporaries per 4-byte key; the ids are the same
+    numbers, and a part count the key dtype cannot hold still works."""
+    p = RoundRobinPartitioner()
+    keys = np.array([0, 1, 2, 255, 254], dtype=np.uint8)
+    s = KeyValueSet(keys=keys, values=np.zeros(5))
+    ids = p.partition(s, 3)
+    assert ids.dtype == np.uint8
+    np.testing.assert_array_equal(ids, keys.astype(np.int64) % 3)
+    np.testing.assert_array_equal(p.partition(s, 300), keys)  # 300 > uint8 max
+    assert [len(part) for part in s.split_by(p.partition(s, 3), 3)] == [2, 1, 2]
 
 
 def test_block_partitioner_ranges():

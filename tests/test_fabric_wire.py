@@ -618,6 +618,126 @@ def test_stray_connection_does_not_abort_shuffle():
         b.close()
 
 
+# -- the exchange hands over, it does not poll --------------------------------
+
+#: what "promptly" means below; the poll ticks these tests keep out of
+#: the exchange were 200 ms (withheld ACKs) and 50 ms (recv_all)
+PROMPT_SECONDS = 0.05
+
+
+@pytest.fixture
+def exchange_ranks():
+    """Three unregistered endpoints wired to each other's shuffle
+    listeners; rank 0 is the receiver under test, with a socketpair
+    standing in for its control connection so it can ``mark_posted()``."""
+    eps = [
+        RankEndpoint(r, ("127.0.0.1", 1), timeout_seconds=5.0) for r in range(3)
+    ]
+    peers = {ep.rank: ep.shuffle_address for ep in eps}
+    for ep in eps:
+        ep.n_workers = 3
+        ep.peers = peers
+    eps[0]._control, coordinator_side = socket.socketpair()
+    yield eps
+    coordinator_side.close()
+    for ep in eps:
+        ep.close()
+
+
+def _small_batch():
+    return [KeyValueSet(keys=np.arange(8, dtype=np.uint32), values=np.arange(8.0))]
+
+
+def _timed_send(sender, dest, done_at):
+    """Confirmed send on a thread; records when the ACK came back."""
+    def _run():
+        sender._send_batch(dest, _small_batch())
+        done_at.append(time.monotonic())
+
+    thread = threading.Thread(target=_run, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_early_batch_is_acked_by_mark_posted_not_before(exchange_ranks):
+    """ACK-implies-posted, at no latency: a batch that lands while the
+    receiver is still mapping stays unconfirmed however long that
+    takes, and mark_posted() itself confirms it."""
+    receiver, sender, _absent = exchange_ranks
+    receiver.start_inbox()
+    acked_at = []
+    sending = _timed_send(sender, 0, acked_at)
+    with receiver._inbox_cond:
+        assert receiver._inbox_cond.wait_for(
+            lambda: 1 in receiver._inbox_have, timeout=5.0
+        )
+    time.sleep(0.3)  # well past any accept tick
+    assert sending.is_alive() and not acked_at, "ACKed before MAPS_DONE"
+    posted_at = time.monotonic()
+    receiver.mark_posted()
+    sending.join(timeout=5.0)
+    assert not sending.is_alive()
+    assert acked_at[0] - posted_at < PROMPT_SECONDS
+
+
+def test_recv_all_returns_as_the_last_batch_lands(exchange_ranks):
+    receiver, first, last = exchange_ranks
+    receiver._posted_event.set()  # no map phase to finish: ACKs may flow
+    returned = []
+
+    def _receive():
+        batches = receiver.recv_all()
+        returned.append((time.monotonic(), batches))
+
+    receiving = threading.Thread(target=_receive, daemon=True)
+    receiving.start()
+    first._send_batch(0, _small_batch())
+    time.sleep(0.13)  # off every multiple of the old poll interval
+    assert receiving.is_alive(), "recv_all returned with a peer missing"
+    last._send_batch(0, _small_batch())  # returns once rank 0 ACKed it
+    landed_at = time.monotonic()
+    receiving.join(timeout=5.0)
+    assert not receiving.is_alive()
+    returned_at, batches = returned[0]
+    assert returned_at - landed_at < PROMPT_SECONDS
+    assert [src for src, _parts, _tags in batches] == [1, 2]
+
+
+def test_recv_all_returns_only_once_every_ack_is_out(exchange_ranks):
+    """A rank may reduce and exit the moment recv_all returns; an ACK
+    still queued on the inbox thread would die with the process and
+    leave its sender resending to a closed port until the deadline."""
+    receiver, first, last = exchange_ranks
+    acked = []
+
+    def _slow_ack(conn, _ack=receiver._ack):
+        time.sleep(0.1)
+        _ack(conn)
+        acked.append(conn)
+
+    receiver._ack = _slow_ack
+    receiver._posted_event.set()
+    receiver.start_inbox()
+    sends = [_timed_send(sender, 0, []) for sender in (first, last)]
+    receiver.recv_all()
+    assert len(acked) == 2
+    for sending in sends:
+        sending.join(timeout=5.0)
+        assert not sending.is_alive()
+
+
+def test_recv_all_deadline_names_the_sources_it_has(exchange_ranks):
+    receiver, sender, _absent = exchange_ranks
+    receiver.timeout_seconds = 0.5
+    receiver._posted_event.set()
+    receiver.start_inbox()
+    sender._send_batch(0, _small_batch())
+    t0 = time.monotonic()
+    with pytest.raises(FabricError, match=r"timed out.*only from \[0, 1\]"):
+        receiver.recv_all()
+    assert 0.5 <= time.monotonic() - t0 < 0.5 + 10 * PROMPT_SECONDS
+
+
 def test_error_frame_at_barrier_surfaces_rank_traceback():
     """A rank that fails before the barrier reports its traceback as
     RankFailure, not as a framing ProtocolError."""

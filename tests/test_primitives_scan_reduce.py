@@ -160,6 +160,39 @@ def test_property_segmented_reduce_matches_python_sums(segments):
     np.testing.assert_array_equal(segmented_reduce(values, offsets), expected)
 
 
+_PY_OPS = {
+    "sum": lambda seg: sum(seg),
+    "min": min,
+    "max": max,
+    "prod": lambda seg: int(np.prod(np.asarray(seg, dtype=np.int64))),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segments=st.lists(
+        st.lists(st.integers(-9, 9), min_size=0, max_size=8), min_size=1, max_size=15
+    ),
+    op=st.sampled_from(sorted(_PY_OPS)),
+    as_float=st.booleans(),
+)
+def test_property_segmented_reduce_matches_python_loop(segments, op, as_float):
+    """Every op against a per-segment Python loop, with and without
+    empty segments: empties sum to 0 and are refused by the other ops
+    (they have no identity here).  Floats hold small integers, so the
+    oracle is exact whatever order the sums run in."""
+    dtype = np.float64 if as_float else np.int64
+    values = np.array([v for seg in segments for v in seg], dtype=dtype)
+    offsets = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    if op != "sum" and any(len(seg) == 0 for seg in segments):
+        with pytest.raises(ValueError, match="zero-length"):
+            segmented_reduce(values, offsets, op)
+        return
+    got = segmented_reduce(values, offsets, op)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, [_PY_OPS[op](seg) for seg in segments])
+
+
 def test_reduce_cost_cheaper_than_scan():
     n = 1 << 22
     assert kernel_duration(GT200, reduce_cost(n)) < kernel_duration(

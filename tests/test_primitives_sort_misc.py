@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.apps import sio_dataset, sio_job
+from repro.core import make_executor
 from repro.hw import GT200, kernel_duration
 from repro.primitives import (
     compact,
@@ -62,6 +64,23 @@ def test_radix_sort_rejects_floats_and_negatives():
         radix_sort(np.array([-1, 2], dtype=np.int64))
 
 
+def test_radix_sort_pinned_key_bits_narrower_than_keys_raises():
+    """Pinning ``key_bits`` is a checked promise: sorting only the low
+    digit used to return [1, 260, 5, 300] here."""
+    keys = np.array([300, 5, 260, 1], dtype=np.uint32)
+    with pytest.raises(ValueError, match="need 9 bits"):
+        radix_sort_pairs(keys, np.arange(4), key_bits=8)
+    sk, _ = radix_sort_pairs(keys, np.arange(4), key_bits=9)
+    np.testing.assert_array_equal(sk, [1, 5, 260, 300])
+
+
+def test_radix_sort_pinned_key_bits_still_rejects_negatives():
+    """The negative-key check used to be skipped whenever ``key_bits``
+    was pinned ([3, -1, 2] came back as [2, 3, -1])."""
+    with pytest.raises(ValueError, match="non-negative"):
+        radix_sort_pairs(np.array([3, -1, 2]), np.arange(3), key_bits=8)
+
+
 def test_radix_sort_value_length_mismatch():
     with pytest.raises(ValueError):
         radix_sort_pairs(np.array([1, 2], dtype=np.uint32), np.array([1]))
@@ -91,6 +110,96 @@ def test_property_radix_sort_pairs_is_permutation(keys):
     np.testing.assert_array_equal(np.sort(sk), np.sort(keys))
     np.testing.assert_array_equal(np.sort(sv), vals)
     np.testing.assert_array_equal(keys[sv], sk)
+
+
+def _assert_stable_sort(keys, values, key_bits):
+    order = np.argsort(keys, kind="stable")
+    sk, sv = radix_sort_pairs(keys, values, key_bits=key_bits)
+    assert sk.dtype == keys.dtype and sv.dtype == values.dtype
+    np.testing.assert_array_equal(sk, keys[order])
+    np.testing.assert_array_equal(sv, values[order])
+
+
+#: (key dtype, widest value bits): u8 ... u64 and the non-negative
+#: half of i32 / i64
+_KEY_DTYPES = [
+    (np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.uint64, 64),
+    (np.int32, 31), (np.int64, 63),
+]
+#: 0, 1, 2 and 2^k +- 1
+_SORT_SIZES = [0, 1, 2] + [2**k + d for k in (2, 5, 8, 11) for d in (-1, 1)]
+
+
+@st.composite
+def _sort_cases(draw):
+    dtype, dtype_bits = draw(st.sampled_from(_KEY_DTYPES))
+    n = draw(st.sampled_from(_SORT_SIZES))
+    # The key width picks the host regime: <= 16 bits is the single
+    # counting pass, wider keys pack with their index into one uint64,
+    # and widths past 64 - ceil(log2 n) take the 16-bit digit loop.
+    bits = draw(st.integers(1, dtype_bits))
+    top = (1 << bits) - 1
+    # A few repeated keys in every case, or stability goes untested at
+    # the widths where random keys never collide.
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    keys = draw(arrays(dtype, n, elements=st.sampled_from(pool + [top])))
+    key_bits = draw(st.sampled_from([None, "exact", 64]))
+    if key_bits == "exact":
+        key_bits = significant_bits(keys)
+    values = np.arange(n, dtype=np.int64)
+    if draw(st.booleans()):
+        values = np.column_stack([values, -values]).astype(np.float64)
+    return keys, values, key_bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sort_cases())
+def test_property_radix_sort_pairs_is_the_stable_argsort(case):
+    _assert_stable_sort(*case)
+
+
+@pytest.mark.parametrize(
+    "dtype, bits, n",
+    [
+        (np.uint32, 5, 1000),        # one counting pass, uint8 digits
+        (np.uint32, 13, 1000),       # ... uint16 digits
+        (np.uint16, 16, 1000),       # ... at its upper edge
+        (np.uint32, 17, 1000),       # packed word, lower edge
+        (np.uint32, 22, 70_000),     # packed word (SIO's shape)
+        (np.int64, 51, 2**12 + 1),   # packed word: 51 + 13 index bits = 64
+        (np.int64, 52, 2**12 + 1),   # one bit more: 16-bit digit loop
+        (np.uint64, 64, 5000),       # digit loop over all four digits
+    ],
+)
+def test_radix_sort_pairs_stable_on_both_sides_of_each_regime_edge(dtype, bits, n):
+    rng = np.random.default_rng(bits)
+    # Draw from n // 4 distinct keys so every key repeats.
+    pool = rng.integers(0, 1 << bits, size=max(n // 4, 1), dtype=np.uint64)
+    pool[0] = (1 << bits) - 1
+    keys = pool[rng.integers(0, len(pool), size=n)].astype(dtype)
+    keys[0] = pool[0]
+    values = rng.standard_normal((n, 2))
+    _assert_stable_sort(keys, values, None)
+    _assert_stable_sort(keys, values, bits)
+
+
+# -- what the sort costs is not what runs on the host ----------------------------
+
+@pytest.mark.parametrize("key_bits", [1, 5, 8, 9, 13, 16, 17, 22, 32, 33, 64])
+def test_radix_sort_cost_prices_8_bit_digit_passes(key_bits):
+    """The GPU's sort is priced as CUDPP runs it, whatever pass
+    structure the host path picks for the same ``key_bits``."""
+    assert len(radix_sort_cost(1 << 20, key_bits=key_bits)) == -(-key_bits // 8)
+
+
+def test_sim_sio_modeled_time_is_pinned_to_the_last_bit():
+    """Execution is decoupled from pricing: the host sort may change,
+    the modeled seconds of a sim run may not move one ulp.  The value
+    is the one this job had before the host path stopped sorting by
+    8-bit digits."""
+    ds = sio_dataset(120_000, chunk_elements=18_000, key_space=1 << 22, seed=3)
+    result = make_executor("sim", 4).run(sio_job(key_space=1 << 22), dataset=ds)
+    assert repr(result.stats.elapsed) == "0.008821147323248416"
 
 
 def test_radix_sort_cost_scales_with_key_bits():
