@@ -16,6 +16,13 @@ dynamic load balancing, for real), every grant lands in a recorded
 ``JobResult.schedule``, and a supplied ``schedule=`` makes the service
 replay a recorded trace grant-for-grant instead.
 
+No wait on the job path is paced by a timer.  The service thread blocks
+on the request queue and ends on the ``("stop", -1)`` request the driver
+enqueues once every rank is gone; the driver's collect loop sleeps on
+the result queue's read end and on each pending rank's process sentinel,
+so a result or a death wakes it at once.  ``timeout_seconds`` bounds the
+run; it paces nothing.
+
 The "network fabric" is a ``multiprocessing.Queue`` per rank used as a
 *control* channel: after its map phase a rank posts exactly one batch
 message — ``(source_rank, message, chunk_ids)`` — to every peer's
@@ -31,16 +38,17 @@ Failure handling: a worker that raises ships its traceback to the
 driver over the result queue and still posts (empty) batches to every
 peer it had not already posted to, so peers cannot deadlock and no peer
 ever receives two batches from the same source; the driver re-raises as
-:class:`WorkerFailure`.  A worker that dies hard (e.g. killed) is
-caught by the driver's liveness watch; a worker that exits *cleanly*
-without reporting a result is detected the same way instead of being
-waited out.  After any run the driver drains the shuffle queues and
+:class:`WorkerFailure`.  A worker that dies hard (e.g. killed) wakes
+the driver through its sentinel; a worker that exits *cleanly* without
+reporting a result is detected the same way instead of being waited
+out.  After any run the driver drains the shuffle queues and
 unlinks undelivered shared-memory segments.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 import queue as queue_mod
 import threading
 import time
@@ -71,6 +79,9 @@ from ..core.stats import WorkerStats
 from ..obs import BYTES_BUCKETS, NULL_OBS, Observability
 
 __all__ = ["LocalExecutor", "WorkerFailure", "dead_worker_failure"]
+
+#: seconds a rank that exited 0 may owe its result before the run fails
+_SILENT_EXIT_GRACE = 1.0
 
 
 class WorkerFailure(RuntimeError):
@@ -198,10 +209,15 @@ def _serve_chunks(
     service: ChunkService,
     request_queue,
     grant_queues,
-    stop: threading.Event,
     errors: List[BaseException],
 ) -> None:
-    """Driver-side service thread: answer pull requests until stopped.
+    """Driver-side service thread: answer pull requests until told to stop.
+
+    Blocks on ``request_queue`` with no timeout and returns on the one
+    ``("stop", -1)`` request the driver enqueues once every rank is
+    gone (:meth:`LocalExecutor._run_ranks`); the queue is FIFO, so
+    requests already queued are still answered first.  A closed or
+    broken queue also ends the thread — nothing can arrive on it again.
 
     Grant messages are ``(status, chunk, victim)`` — ``(GRANT_DONE,
     None, -1)`` tells the requesting rank it is done, ``GRANT_RETRY``
@@ -216,11 +232,13 @@ def _serve_chunks(
     already drained-by-replacement — no chunk is both re-queued and
     stranded on a dead rank's old queue.
     """
-    while not stop.is_set():
+    while True:
         try:
-            kind, rank = request_queue.get(timeout=0.1)
-        except (queue_mod.Empty, OSError, EOFError, ValueError):
-            continue
+            kind, rank = request_queue.get()
+        except (OSError, EOFError, ValueError):
+            return
+        if kind == "stop":
+            return
         try:
             with service.guard():
                 if kind == "posted":
@@ -293,6 +311,14 @@ class LocalExecutor(Executor):
         service: ChunkService,
         obs: Optional[Observability],
     ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats]]:
+        """Spawn the ranks, serve their pulls, collect one result each.
+
+        The collect loop waits, under the ``timeout_seconds`` deadline,
+        for a result or for the exit of a rank that still owes one; an
+        exit runs the liveness checks (recover, fail, or start the
+        silent-exit grace).  Once every rank is joined the chunk service
+        is sent its stop request and joined: nothing is left to time out.
+        """
         fault = self.fault_plan
         ctx = mp.get_context(self.start_method)
         # One tracker for the whole rank tree — see exchange docs.
@@ -305,12 +331,10 @@ class LocalExecutor(Executor):
         request_queue = ctx.Queue()
         grant_queues = [ctx.Queue() for _ in range(self.n_workers)]
 
-        stop_service = threading.Event()
         service_errors: List[BaseException] = []
         server = threading.Thread(
             target=_serve_chunks,
-            args=(service, request_queue, grant_queues, stop_service,
-                  service_errors),
+            args=(service, request_queue, grant_queues, service_errors),
             name="gpmr-chunk-service",
             daemon=True,
         )
@@ -358,21 +382,35 @@ class LocalExecutor(Executor):
         deadline = time.monotonic() + self.timeout_seconds
         pending = {rank for rank in range(self.n_workers)}
         silent_since: Optional[float] = None
+        #: ranks seen to exit 0 without a result: their sentinels stay
+        #: readable forever, so they leave the wait set
+        silent_seen: Set[int] = set()
         try:
             while pending:
                 if service_errors:
                     raise service_errors[0]
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                now = time.monotonic()
+                if now >= deadline:
                     raise TimeoutError(
                         f"local backend timed out after {self.timeout_seconds}s "
                         f"with {len(pending)} worker(s) outstanding"
                     )
-                try:
-                    rank, error, output, stats, obs_payload = result_queue.get(
-                        timeout=min(remaining, 0.5)
-                    )
-                except queue_mod.Empty:
+                wake_at = deadline
+                if silent_since is not None:
+                    wake_at = min(deadline, silent_since + _SILENT_EXIT_GRACE)
+                # As the stdlib's process pool does: sleep on the result
+                # pipe and on the sentinel of every rank still owing one.
+                sentinels = {
+                    procs[r].sentinel: r for r in pending - silent_seen
+                }
+                ready = mp_connection.wait(
+                    [result_queue._reader, *sentinels], max(0.0, wake_at - now)
+                )
+                if result_queue._reader not in ready:
+                    for sentinel in ready:
+                        # the sentinel closes a moment before waitpid
+                        # can report the exit: reap before classifying
+                        procs[sentinels[sentinel]].join()
                     if fault is not None:
                         self._recover_dead_workers(
                             procs, pending, service, grant_queues,
@@ -384,27 +422,28 @@ class LocalExecutor(Executor):
                     # A worker that exited *cleanly* (code 0) without
                     # posting a result will never satisfy the loop:
                     # surface it as a failure instead of running out
-                    # the full job timeout.  One extra empty poll cycle
-                    # of grace covers a result still in flight through
-                    # the queue's feeder pipe.
+                    # the full job timeout, after a grace that covers a
+                    # result still in flight through the queue's pipe
+                    # (a timed wait: see ``silent_seen``).
                     silent = sorted(
                         r for r in pending
                         if not procs[r].is_alive() and procs[r].exitcode == 0
                     )
-                    if silent and result_queue.empty():
+                    if not silent:
+                        silent_since = None
+                    elif result_queue.empty():
+                        silent_seen.update(silent)
                         if silent_since is None:
                             silent_since = time.monotonic()
-                        elif time.monotonic() - silent_since > 1.0:
+                        elif time.monotonic() - silent_since >= _SILENT_EXIT_GRACE:
                             raise WorkerFailure(
                                 silent[0],
                                 f"worker rank(s) {silent} exited cleanly "
                                 "without posting a result",
                             )
-                    else:
-                        silent_since = None
                     continue
+                rank, error, output, stats, obs_payload = result_queue.get()
                 pending.discard(rank)
-                silent_since = None
                 if obs is not None:
                     obs.absorb(obs_payload)
                 if error is not None:
@@ -413,12 +452,13 @@ class LocalExecutor(Executor):
                     outputs[rank] = output
                     worker_stats[rank] = stats
         finally:
-            stop_service.set()
             for p in procs:
                 if p.is_alive():
                     p.terminate()
             for p in procs:
                 p.join(timeout=5.0)
+            # Every rank is gone, so nothing can queue behind the stop.
+            request_queue.put(("stop", -1))
             server.join(timeout=5.0)
             self._drain_undelivered(shuffle_queues)
             for q in shuffle_queues + grant_queues + [result_queue, request_queue]:

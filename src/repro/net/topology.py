@@ -15,14 +15,17 @@ Provided topologies:
   IB cluster like Accelerator.
 * :class:`FatTreeTopology` — two-level fat tree with configurable
   oversubscription, for experiments about constrained bisection.
+
+``networkx`` is imported inside the three methods that use it:
+``import repro`` reaches this module, but only the ``sim`` backend builds
+a topology — a real-backend rank or the job service should not pay
+~0.1 s and ~14 MiB for a graph library it never calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
-
-import networkx as nx
 
 from ..hw.specs import NICSpec
 from ..util.validation import check_positive
@@ -46,6 +49,8 @@ class Topology:
     """
 
     def __init__(self, n_nodes: int) -> None:
+        import networkx as nx
+
         check_positive(n_nodes, "n_nodes")
         self.n_nodes = n_nodes
         self.graph = nx.Graph()
@@ -63,6 +68,8 @@ class Topology:
             return []
         key = (src, dst)
         if key not in self._route_cache:
+            import networkx as nx
+
             path = nx.shortest_path(self.graph, src, dst)
             self._route_cache[key] = list(zip(path, path[1:]))
         return self._route_cache[key]
@@ -79,6 +86,8 @@ class Topology:
 
     def validate(self) -> None:
         """All cluster nodes must be mutually reachable."""
+        import networkx as nx
+
         for n in range(self.n_nodes):
             if n not in self.graph:
                 raise ValueError(f"cluster node {n} missing from topology graph")

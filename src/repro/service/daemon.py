@@ -64,7 +64,8 @@ from .pool import ExecutorPool
 
 __all__ = ["JobService", "main"]
 
-#: Accept-loop wake interval while checking for shutdown.
+#: Upper bound on how long the accept loop can outlive ``close()`` on a
+#: platform where shutting the listener down does not wake ``accept``.
 _POLL_SECONDS = 0.2
 
 
@@ -154,11 +155,17 @@ class JobService:
         return self
 
     def close(self) -> None:
+        """Stop accepting, finish the admitted jobs, release the pool.
+        The accept loop is woken by the listener's shutdown, each runner
+        by one sentinel ticket that sorts after every real one."""
         self._shutdown.set()
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
         except OSError:
             pass
+        self._listener.close()
+        for _ in range(self.max_concurrent_jobs):
+            self._admission.put((float("inf"), next(self._arrivals), None))
         for t in self._threads:
             t.join(timeout=5.0)
         self.pool.close()
@@ -173,8 +180,7 @@ class JobService:
         """Block until interrupted (the CLI's main loop)."""
         self.start()
         try:
-            while not self._shutdown.is_set():
-                time.sleep(_POLL_SECONDS)
+            self._shutdown.wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -195,7 +201,9 @@ class JobService:
                 name="gpmr-svc-conn", daemon=True,
             )
             t.start()
-            self._conn_threads.append(t)
+            self._conn_threads = [
+                c for c in self._conn_threads if c.is_alive()
+            ] + [t]
 
     def _handshake(self, conn: socket.socket) -> bool:
         """Authenticate (when keyed) and greet; False drops the peer."""
@@ -327,13 +335,10 @@ class JobService:
     # -- job runners -------------------------------------------------------
 
     def _runner_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                _priority, _arrival, ticket = self._admission.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue.Empty:
-                continue
+        while True:
+            _priority, _arrival, ticket = self._admission.get()
+            if ticket is None:  # close()'s sentinel, one per runner
+                return
             self.obs.metrics.gauge("admission_depth").set(
                 self._admission.qsize()
             )

@@ -19,6 +19,8 @@ stalls): the default ``pytest -m "not slow"`` run skips it, and CI
 executes it in its own ``fault-tolerance`` job.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,19 @@ def test_kill_rank_mid_map_bit_identical(backend, kwargs):
     recovered run is bit-identical to the failure-free one."""
     ref = _run(backend, **kwargs)
     assert ref.stats.chunks_reclaimed == 0
+    # Rank 1 dies only if it is granted two chunks.  Its peers cannot
+    # rob it before they drained their own four chunks each, and a
+    # stalled rank sleeps before every pull: their first steal is at
+    # least 4 x 0.1 s after they start, however late rank 1 is forked
+    # or scheduled (unstalled, the race was lost about once in 15 runs
+    # under load).
     got = _run(
-        backend, fault_plan=FaultPlan(kill_rank_at_chunk={1: 2}), **kwargs
+        backend,
+        fault_plan=FaultPlan(
+            kill_rank_at_chunk={1: 2},
+            stall_seconds={0: 0.1, 2: 0.1, 3: 0.1},
+        ),
+        **kwargs,
     )
     assert got.stats.chunks_reclaimed > 0
     # Reclaimed chunks are re-granted as flagged retries — to the
@@ -103,6 +116,35 @@ def test_sim_recovery_schedule_replays_clean():
     replayed = _run("sim", schedule=faulted.schedule)
     assert replayed.stats.chunks_reclaimed == 0
     _assert_bit_identical(faulted, replayed, "sim recovery replay")
+
+
+def test_local_kill_recovery_is_not_paced_by_a_tick():
+    """The driver sleeps on each rank's process sentinel, so a SIGKILL
+    wakes it at once: the recovered run (detect, reclaim, fork a
+    replacement, re-map) ends within 0.25 s of a clean one.  Noticing
+    the death on a 0.5 s result-queue tick would put it ~0.5 s behind.
+    Stealing is off so that rank 1 is certain to be granted its second
+    chunk, whatever the start-up order."""
+    ds = _dataset()
+    job = sio_job(ds.key_space).with_config(enable_stealing=False)
+
+    def timed_run(fault_plan):
+        t0 = time.perf_counter()
+        result = make_executor(
+            "local", N_WORKERS, fault_plan=fault_plan, timeout_seconds=30.0
+        ).run(job, dataset=ds)
+        return time.perf_counter() - t0, result
+
+    clean = [timed_run(None) for _ in range(3)]
+    killed = [
+        timed_run(FaultPlan(kill_rank_at_chunk={1: 2})) for _ in range(3)
+    ]
+    for _, result in killed:
+        assert result.stats.chunks_reclaimed > 0
+        _assert_bit_identical(clean[0][1], result, "local kill latency")
+    best_clean = min(wall for wall, _ in clean)
+    best_killed = min(wall for wall, _ in killed)
+    assert best_killed - best_clean < 0.25, (best_clean, best_killed)
 
 
 def test_respawn_budget_exhaustion_fails_the_run():

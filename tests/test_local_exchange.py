@@ -9,10 +9,17 @@ rank loop in ``tests/test_rank_loop.py``):
   prompt :class:`WorkerFailure`, not a full-timeout hang;
 * network byte accounting excludes self-destined parts (they never
   leave the process), reported separately as ``bytes_kept_local``.
+
+And the rule that no wait on the local job path is paced by a timer:
+the chunk service blocks until it is told to stop, an empty job costs
+its forks and not a poll tick, and a process that never runs the sim
+never imports ``networkx``.
 """
 
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 import threading
 import time
 from multiprocessing import shared_memory
@@ -24,6 +31,7 @@ from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
 from repro.core import Mapper, MapReduceJob, make_executor
 from repro.core.kvset import KeyValueSet
 from repro.core.runtime import resolve_chunks
+from repro.core.scheduler import GRANT_CHUNK, ChunkService
 from repro.exec import WorkerFailure, map_worker
 from repro.exec.exchange import (
     SHM_MIN_BYTES,
@@ -33,6 +41,7 @@ from repro.exec.exchange import (
     release_message,
     release_segment,
 )
+from repro.exec.local import _serve_chunks
 
 
 def _big_batch():
@@ -124,10 +133,13 @@ def test_clean_exit_without_result_is_prompt_failure():
     job = MapReduceJob(name="ghost", mapper=_ExitZeroMapper()).with_config(
         enable_stealing=False
     )
-    t0 = time.monotonic()
+    t0, cpu0 = time.monotonic(), time.process_time()
     with pytest.raises(WorkerFailure, match="exited cleanly without posting"):
         make_executor("local", 3, timeout_seconds=60.0).run(job, dataset=ds)
     assert time.monotonic() - t0 < 30.0
+    # The 1 s grace is slept, not spun: a dead rank's sentinel stays
+    # readable forever and must have left the driver's wait set.
+    assert time.process_time() - cpu0 < 0.5
 
 
 def _shm_roundtrip_child() -> None:
@@ -226,3 +238,121 @@ def test_network_bytes_exclude_self_destined_parts():
     sim = make_executor("sim", 4).run(job, dataset=ds).stats
     assert sim.total_network_bytes == serial.total_network_bytes
     assert sim.total_local_exchange_bytes == serial.total_local_exchange_bytes
+
+
+# -- no wait on the job path is paced by a tick ------------------------------
+
+class _RaisingMapper(Mapper):
+    def map_chunk(self, chunk):
+        raise RuntimeError("scripted map failure")
+
+    def map_cost(self, chunk):  # pragma: no cover - never priced
+        return []
+
+
+def _chunk_service_threads():
+    return [t for t in threading.enumerate() if t.name == "gpmr-chunk-service"]
+
+
+def test_no_chunk_service_thread_outlives_a_run():
+    """`run()` returns — or raises — only after the service thread got
+    its stop request and ended; nothing is left to time out on its own."""
+    ds = sio_dataset(4_000, chunk_elements=1_000, key_space=1 << 10, seed=4)
+    make_executor("local", 2).run(sio_job(key_space=1 << 10), dataset=ds)
+    assert _chunk_service_threads() == []
+    failing = MapReduceJob(name="boom", mapper=_RaisingMapper())
+    with pytest.raises(WorkerFailure, match="scripted map failure"):
+        make_executor("local", 2).run(failing, dataset=ds)
+    assert _chunk_service_threads() == []
+
+
+def _serve_in_thread(service, request_queue, grant_queues, errors):
+    t = threading.Thread(
+        target=_serve_chunks,
+        args=(service, request_queue, grant_queues, errors),
+        daemon=True,
+    )
+    t.start()
+    return t
+
+
+def test_serve_chunks_answers_queued_requests_then_stops_on_the_sentinel():
+    ds = sio_dataset(4_000, chunk_elements=1_000, key_space=1 << 10, seed=4)
+    service = ChunkService(resolve_chunks(ds, None), 2)
+    ctx = mp.get_context()
+    request_queue, grant_queues = ctx.Queue(), [ctx.Queue(), ctx.Queue()]
+    errors = []
+    try:
+        for request in (("req", 0), ("posted", 0), ("stop", -1)):
+            request_queue.put(request)
+        server = _serve_in_thread(service, request_queue, grant_queues, errors)
+        server.join(timeout=5.0)
+        assert not server.is_alive()
+        status, chunk, victim = grant_queues[0].get(timeout=5.0)
+        assert (status, chunk.index, victim) == (GRANT_CHUNK, 0, 0)
+        assert not service.can_recover(0)  # "posted" was applied
+        assert service.can_recover(1)
+        assert errors == []
+    finally:
+        for q in [request_queue, *grant_queues]:
+            q.cancel_join_thread()
+
+
+def test_serve_chunks_returns_when_its_queue_is_closed():
+    """A closed queue can never deliver the stop request: the thread
+    must end, not retry the failing ``get`` in a loop."""
+    ds = sio_dataset(2_000, chunk_elements=1_000, key_space=1 << 10, seed=4)
+    request_queue = mp.get_context().Queue()
+    request_queue.close()
+    server = _serve_in_thread(ChunkService(resolve_chunks(ds, None), 2),
+                              request_queue, [], [])
+    server.join(timeout=5.0)
+    assert not server.is_alive()
+
+
+def test_empty_local_job_costs_no_poll_tick():
+    """One 1 Ki chunk on a fresh executor: two forks and a handful of
+    queue round-trips (~20 ms).  Waiting out the chunk service's old
+    100 ms `get` tick made this >= 100 ms by construction."""
+    ds = sio_dataset(1 << 10, chunk_elements=1 << 10, key_space=1 << 10, seed=5)
+    job = sio_job(ds.key_space)
+    walls = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        ex = make_executor("local", 2)
+        try:
+            ex.run(job, dataset=ds)
+        finally:
+            ex.close()
+        walls.append(time.perf_counter() - t0)
+    assert min(walls) < 0.060, walls
+
+
+_IMPORT_DIET_SCRIPT = """
+import sys
+import repro.exec.rank, repro.service
+from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
+from repro.core import make_executor
+
+ds = sio_dataset(120_000, chunk_elements=18_000, key_space=1 << 22, seed=3)
+job = sio_job(key_space=1 << 22)
+make_executor("serial", 4).run(job, dataset=ds)
+assert "networkx" not in sys.modules, "a real backend imported networkx"
+result = make_executor("sim", 4).run(job, dataset=ds)
+assert "networkx" in sys.modules
+print(repr(result.stats.elapsed))
+"""
+
+
+def test_only_the_sim_imports_networkx():
+    """A rank, the service and a real-backend job never pay for the
+    graph library; the sim imports it inside its first job, and models
+    the same seconds as before (the value pinned in
+    ``test_sim_sio_modeled_time_is_pinned_to_the_last_bit``)."""
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_DIET_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0.008821147323248416"
