@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.apps import sio_dataset, sio_job
+from repro.apps import kmc_dataset, kmc_job, sio_dataset, sio_job
 from repro.core import make_executor
 from repro.hw import GT200, kernel_duration
 from repro.primitives import (
@@ -200,6 +200,17 @@ def test_sim_sio_modeled_time_is_pinned_to_the_last_bit():
     ds = sio_dataset(120_000, chunk_elements=18_000, key_space=1 << 22, seed=3)
     result = make_executor("sim", 4).run(sio_job(key_space=1 << 22), dataset=ds)
     assert repr(result.stats.elapsed) == "0.008821147323248416"
+
+
+def test_sim_kmc_modeled_time_is_pinned_to_the_last_bit():
+    """KMC is priced as the paper's persistent-thread GPU kernel and run
+    as NumPy: a host-kernel edit that leaks into ``map_cost`` moves these
+    (the values the job had with the ``n x k x dims`` host kernel)."""
+    ds = kmc_dataset(120_000, n_centers=32, dims=2, chunk_points=18_000, seed=3)
+    sim = make_executor("sim", 4)
+    assert repr(sim.run(kmc_job(ds), dataset=ds).stats.elapsed) == "0.011405602274638571"
+    naive = sim.run(kmc_job(ds, use_accumulation=False), dataset=ds)
+    assert repr(naive.stats.elapsed) == "0.010233424383067815"
 
 
 def test_radix_sort_cost_scales_with_key_bits():
