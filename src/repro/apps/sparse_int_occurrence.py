@@ -41,7 +41,7 @@ from ..core.combine import combine_by_key_sum
 from ..core.chunk import Chunk
 from ..core.runtime import JobResult
 from ..hw.kernel import KernelLaunch
-from ..primitives import launch_1d, segmented_reduce
+from ..primitives import launch_1d, segmented_reduce, uniform_element
 from ..workloads import IntegerDataset
 
 __all__ = [
@@ -65,6 +65,12 @@ class SIOMapper(Mapper):
     hook: an artificial per-chunk delay that widens the window in which
     idle peers can steal from a loaded rank.  It slows the *functional*
     map only — the modeled kernel cost is unchanged.
+
+    The emission costs no pass over the chunk: the keys *are* the
+    chunk's ``uint32`` payload (no copy — nothing downstream writes
+    into emitted keys) and the ``1``s are a uniform column (see
+    :mod:`repro.core.kvset`), which is read-only and stays one element
+    through partition, wire, sort and reduce.
     """
 
     def __init__(self, sleep_per_chunk: float = 0.0) -> None:
@@ -75,8 +81,8 @@ class SIOMapper(Mapper):
             time.sleep(self.sleep_per_chunk)
         data = chunk.data
         return KeyValueSet(
-            keys=data.astype(np.uint32),
-            values=np.ones(len(data), dtype=np.int32),
+            keys=data.astype(np.uint32, copy=False),
+            values=np.broadcast_to(np.int32(1), (len(data),)),
             scale=chunk.scale,
         )
 
@@ -136,7 +142,12 @@ class SIOReducer(Reducer):
     """One key per thread; the thread sums all its values."""
 
     def reduce_segments(self, keys, values, offsets, counts, scale) -> KeyValueSet:
-        sums = segmented_reduce(values.astype(np.int64), offsets)
+        element = uniform_element(values)
+        if element is None:
+            sums = segmented_reduce(values.astype(np.int64), offsets)
+        else:
+            # Every value is ``element``: ``counts`` already is the sum.
+            sums = counts.astype(np.int64, copy=False) * element.astype(np.int64)
         return KeyValueSet(keys=keys, values=sums, scale=scale)
 
     def reduce_cost(self, n_values: int, n_keys: int) -> List[KernelLaunch]:

@@ -19,6 +19,23 @@ backend's exchange hot path (shared-memory local shuffle, streamed
 cluster fabric frames) rides this codec; pickle never touches payload
 bytes.
 
+A host value column may be **uniform** — one element repeated, held
+as the zero-stride read-only view ``np.broadcast_to(element, (n,))``
+(SIO's ``<key, 1>``; recognised by
+:func:`~repro.primitives.common.uniform_element`).  It *is* an ndarray:
+``len``, ``dtype``, ``nbytes`` — hence ``pair_bytes``,
+``nbytes_logical`` and every byte the stats and the cost model report —
+describe the logical ``<key, value>`` layout, and any consumer that
+knows nothing about it reads ``n`` equal values.  What it saves is
+physical: :meth:`KeyValueSet.select` / :meth:`KeyValueSet.split_by`
+gather keys only and re-broadcast, :meth:`KeyValueSet.concat` of
+like-uniform parts stays uniform, the codec ships the single element
+(header flag ``_FLAG_UNIFORM``; *wire* bytes halve, *logical* bytes do
+not), and the sort and the integer segmented sum never touch the
+column.  Mappers emit one with ``np.broadcast_to``; it is read-only, so
+anything that must write into values copies first (as ``astype`` and
+``np.concatenate`` do).
+
 The arrays need not be NumPy: a KVSet may hold any acceleration-tier
 array (CuPy, Torch — see :mod:`repro.accel`) as long as keys are
 integer-typed.  The binary codec is deliberately **host-only**: shuffle
@@ -32,9 +49,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
+
+from ..primitives.common import uniform_element
 
 __all__ = [
     "KeyValueSet",
@@ -45,12 +64,16 @@ __all__ = [
 ]
 
 #: Version byte of the binary KVSet codec; bump on any layout change.
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
-#: magic(2s) version(B) ndim(B) key_dtype_len(H) value_dtype_len(H)
-#: n_pairs(Q) value_width(Q) scale(d) — dtype strings follow.
-_KV_HEADER = struct.Struct("!2sBBHHQQd")
+#: magic(2s) version(B) ndim(B) flags(B) key_dtype_len(H)
+#: value_dtype_len(H) n_pairs(Q) value_width(Q) scale(d) — dtype
+#: strings follow.
+_KV_HEADER = struct.Struct("!2sBBBHHQQd")
 _KV_MAGIC = b"KV"
+#: header flag: the value buffer holds **one** element standing for all
+#: ``n_pairs`` (a uniform column; rank-1 values only, ``n_pairs >= 1``)
+_FLAG_UNIFORM = 1
 
 #: manifest: magic(4s) version(B) reserved(3x) n_parts(I) — then one
 #: ``u32 header_len + header`` record per part.
@@ -145,7 +168,11 @@ class KeyValueSet:
 
     @classmethod
     def concat(cls, parts: Sequence["KeyValueSet"]) -> "KeyValueSet":
-        """Concatenate KVSets (must agree on value rank and scale)."""
+        """Concatenate KVSets (must agree on value rank and scale).
+
+        The result's value column is uniform only when every non-empty
+        part's is, with one dtype and one element.
+        """
         parts = [p for p in parts if p is not None]
         if not parts:
             raise ValueError("cannot concat zero KeyValueSets")
@@ -160,11 +187,17 @@ class KeyValueSet:
                 values=ns.concatenate([p.values for p in nonempty]),
                 scale=nonempty[0].scale,
             )
-        return cls(
-            keys=np.concatenate([p.keys for p in nonempty]),
-            values=np.concatenate([p.values for p in nonempty]),
-            scale=nonempty[0].scale,
-        )
+        keys = np.concatenate([p.keys for p in nonempty])
+        elements = [uniform_element(p.values) for p in nonempty]
+        if all(e is not None for e in elements) and 1 == len(
+            {(e.dtype, e.tobytes()) for e in elements}
+        ):
+            # Like-uniform parts (same dtype, same element bytes) stay
+            # uniform; anything else materialises below.
+            values = np.broadcast_to(elements[0], keys.shape)
+        else:
+            values = np.concatenate([p.values for p in nonempty])
+        return cls(keys=keys, values=values, scale=nonempty[0].scale)
 
     # -- inspection --------------------------------------------------------
     def __len__(self) -> int:
@@ -233,12 +266,18 @@ class KeyValueSet:
 
     # -- transforms --------------------------------------------------------
     def select(self, mask_or_index: np.ndarray) -> "KeyValueSet":
-        """Sub-set by boolean mask or index array (scale preserved)."""
-        return KeyValueSet(
-            keys=self.keys[mask_or_index],
-            values=self.values[mask_or_index],
-            scale=self.scale,
-        )
+        """Sub-set by boolean mask or index array (scale preserved).
+
+        A uniform value column is re-broadcast to the selection's
+        length instead of gathered.
+        """
+        keys = self.keys[mask_or_index]
+        element = uniform_element(self.values)
+        if element is None:
+            values = self.values[mask_or_index]
+        else:
+            values = np.broadcast_to(element, keys.shape)
+        return KeyValueSet(keys=keys, values=values, scale=self.scale)
 
     def with_scale(self, scale: float) -> "KeyValueSet":
         return KeyValueSet(keys=self.keys, values=self.values, scale=scale)
@@ -252,7 +291,8 @@ class KeyValueSet:
         dtype; an id outside ``[0, n_parts)`` raises ``ValueError``.
         On the host the parts are consecutive slices of one gathered
         copy — a counting sort on the ids, then one pass over the
-        payload, however many parts there are.
+        payload (keys only when the values are uniform), however many
+        parts there are.
         """
         if not self.is_host:
             # Same routing, expressed in the owning namespace's ops;
@@ -300,7 +340,8 @@ class KeyValueSet:
         the buffers are the raw C-contiguous array bytes, exposed as
         ``uint8`` memoryviews so senders can splice them into shared
         memory or a wire stream without copying.  The exchange hot path
-        of every real backend rides this codec.
+        of every real backend rides this codec.  A uniform value column
+        is encoded as its single element under ``_FLAG_UNIFORM``.
         """
         if not self.is_host:
             raise TypeError(
@@ -308,13 +349,18 @@ class KeyValueSet:
                 "KeyValueSet.to_host() exactly once, at post time"
             )
         keys = np.ascontiguousarray(self.keys)
-        values = np.ascontiguousarray(self.values)
+        element = uniform_element(self.values)
+        if element is None:
+            values = np.ascontiguousarray(self.values)
+        else:
+            values = element.reshape(1)
         key_dtype = keys.dtype.str.encode("ascii")
         value_dtype = values.dtype.str.encode("ascii")
         header = _KV_HEADER.pack(
             _KV_MAGIC,
             CODEC_VERSION,
             values.ndim,
+            0 if element is None else _FLAG_UNIFORM,
             len(key_dtype),
             len(value_dtype),
             len(self),
@@ -337,27 +383,9 @@ class KeyValueSet:
         segment must outlive the views, or the data must be copied out
         before the segment is released).
         """
-        key_dtype, value_dtype, ndim, n, width, scale = _parse_kv_header(header)
         if len(buffers) != 2:
             raise CodecError(f"expected 2 buffers, got {len(buffers)}")
-        key_buf, value_buf = buffers
-        key_nbytes = n * key_dtype.itemsize
-        value_nbytes = n * width * value_dtype.itemsize
-        if memoryview(key_buf).nbytes != key_nbytes:
-            raise CodecError(
-                f"key buffer holds {memoryview(key_buf).nbytes} B, "
-                f"header declares {key_nbytes}"
-            )
-        if memoryview(value_buf).nbytes != value_nbytes:
-            raise CodecError(
-                f"value buffer holds {memoryview(value_buf).nbytes} B, "
-                f"header declares {value_nbytes}"
-            )
-        keys = np.frombuffer(key_buf, dtype=key_dtype, count=n)
-        values = np.frombuffer(value_buf, dtype=value_dtype, count=n * width)
-        if ndim != 1:
-            values = values.reshape(n, width)
-        return cls(keys=keys, values=values, scale=scale)
+        return _decode(_parse_kv_header(header), *buffers)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -366,13 +394,34 @@ class KeyValueSet:
         )
 
 
-def _parse_kv_header(header: bytes):
-    """Decode one codec header -> (key_dtype, value_dtype, ndim, n, width, scale)."""
+class _KVHeader(NamedTuple):
+    """One decoded part header, and the payload sizes it promises."""
+
+    key_dtype: np.dtype
+    value_dtype: np.dtype
+    ndim: int
+    n: int
+    width: int
+    scale: float
+    uniform: bool
+
+    @property
+    def key_nbytes(self) -> int:
+        return self.n * self.key_dtype.itemsize
+
+    @property
+    def value_nbytes(self) -> int:
+        count = 1 if self.uniform else self.n * self.width
+        return count * self.value_dtype.itemsize
+
+
+def _parse_kv_header(header: bytes) -> _KVHeader:
+    """Decode and validate one codec header."""
     header = bytes(header)
     if len(header) < _KV_HEADER.size:
         raise CodecError(f"KVSet header truncated at {len(header)} B")
-    magic, version, ndim, kd_len, vd_len, n, width, scale = _KV_HEADER.unpack_from(
-        header
+    magic, version, ndim, flags, kd_len, vd_len, n, width, scale = (
+        _KV_HEADER.unpack_from(header)
     )
     if magic != _KV_MAGIC:
         raise CodecError(f"bad KVSet header magic {magic!r}")
@@ -383,6 +432,14 @@ def _parse_kv_header(header: bytes):
         )
     if ndim not in (1, 2):
         raise CodecError(f"unsupported value rank {ndim}")
+    if flags & ~_FLAG_UNIFORM:
+        raise CodecError(f"unknown KVSet header flags {flags:#x}")
+    uniform = bool(flags & _FLAG_UNIFORM)
+    if uniform and (ndim != 1 or width != 1 or n == 0):
+        raise CodecError(
+            "a uniform value column is rank-1 and non-empty; header "
+            f"declares rank {ndim}, width {width}, {n} pair(s)"
+        )
     offset = _KV_HEADER.size
     if len(header) != offset + kd_len + vd_len:
         raise CodecError("KVSet header length disagrees with dtype fields")
@@ -390,7 +447,33 @@ def _parse_kv_header(header: bytes):
     value_dtype = np.dtype(
         header[offset + kd_len : offset + kd_len + vd_len].decode("ascii")
     )
-    return key_dtype, value_dtype, ndim, n, width, scale
+    return _KVHeader(key_dtype, value_dtype, ndim, n, width, scale, uniform)
+
+
+def _decode(h: _KVHeader, key_buf, value_buf) -> KeyValueSet:
+    """Views over one part's two buffers, sized by its parsed header."""
+    if memoryview(key_buf).nbytes != h.key_nbytes:
+        raise CodecError(
+            f"key buffer holds {memoryview(key_buf).nbytes} B, "
+            f"header declares {h.key_nbytes}"
+        )
+    if memoryview(value_buf).nbytes != h.value_nbytes:
+        raise CodecError(
+            f"value buffer holds {memoryview(value_buf).nbytes} B, "
+            f"header declares {h.value_nbytes}"
+        )
+    keys = np.frombuffer(key_buf, dtype=h.key_dtype, count=h.n)
+    if h.uniform:
+        # The key-buffer check above is what bounds ``n``: the
+        # broadcast allocates nothing however large it is declared.
+        values = np.broadcast_to(
+            np.frombuffer(value_buf, dtype=h.value_dtype, count=1)[0], (h.n,)
+        )
+    else:
+        values = np.frombuffer(value_buf, dtype=h.value_dtype, count=h.n * h.width)
+        if h.ndim != 1:
+            values = values.reshape(h.n, h.width)
+    return KeyValueSet(keys=keys, values=values, scale=h.scale)
 
 
 def pack_parts(
@@ -443,19 +526,15 @@ def unpack_parts(manifest: bytes, data) -> List[KeyValueSet]:
         read += _U32.size
         header = manifest[read : read + header_len]
         read += header_len
-        key_dtype, value_dtype, _ndim, n, width, _scale = _parse_kv_header(header)
-        key_nbytes = n * key_dtype.itemsize
-        value_nbytes = n * width * value_dtype.itemsize
-        if offset + key_nbytes + value_nbytes > view.nbytes:
+        h = _parse_kv_header(header)
+        end = offset + h.key_nbytes + h.value_nbytes
+        if end > view.nbytes:
             raise CodecError(
                 f"batch data holds {view.nbytes} B, manifest promises more"
             )
-        buffers = [
-            view[offset : offset + key_nbytes],
-            view[offset + key_nbytes : offset + key_nbytes + value_nbytes],
-        ]
-        offset += key_nbytes + value_nbytes
-        parts.append(KeyValueSet.from_buffers(header, buffers))
+        values_at = offset + h.key_nbytes
+        parts.append(_decode(h, view[offset:values_at], view[values_at:end]))
+        offset = end
     if read != len(manifest):
         raise CodecError("trailing bytes after the last manifest record")
     return parts

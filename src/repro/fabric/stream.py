@@ -233,6 +233,10 @@ def recv_batch(
     # total_nbytes: the declared size is an unauthenticated 64-bit wire
     # field, and the wire layer's contract is that nothing is allocated
     # beyond what actually arrives (each frame is <= max_frame_bytes).
+    # The codec keeps that promise for the manifest's pair counts too:
+    # a part's declared n is checked against the key bytes delivered,
+    # and a uniform value column decodes as a zero-stride view of its
+    # one shipped element, whatever n says.
     received = []
     offset = 0
     while offset < total_nbytes:

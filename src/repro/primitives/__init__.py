@@ -12,7 +12,7 @@ sort (keys / key-value pairs), stream compaction, histogram, and
 duplicate-key elimination over sorted keys.
 """
 
-from .common import DEFAULT_BLOCK, grid_for, launch_1d
+from .common import DEFAULT_BLOCK, grid_for, launch_1d, uniform_element
 from .compact import compact, compact_cost
 from .histogram import histogram, histogram_cost
 from .reduce import reduce_array, reduce_cost, segmented_reduce, segmented_reduce_cost
@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_BLOCK",
     "grid_for",
     "launch_1d",
+    "uniform_element",
     "exclusive_scan",
     "inclusive_scan",
     "segmented_scan",

@@ -12,6 +12,7 @@ __all__ = [
     "launch_1d",
     "as_1d_array",
     "accel_namespace_for",
+    "uniform_element",
 ]
 
 #: Default CUDA block size used by the primitive cost models.
@@ -64,6 +65,26 @@ def as_1d_array(a, dtype=None) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
     return arr
+
+
+def uniform_element(values):
+    """The repeated element of a **uniform column**, else ``None``.
+
+    A uniform column is a non-empty 1-D host ndarray with stride 0 —
+    what ``np.broadcast_to(element, (n,))`` returns: ``n`` logical
+    entries (``len``, ``nbytes``, indexing all say so) backed by one
+    read-only element.  Every stride-0 array holds one element
+    repeated, so the test cannot misfire; code that does not ask just
+    sees an ordinary ndarray and materialises where it must.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and values.ndim == 1
+        and values.strides[0] == 0
+        and len(values)
+    ):
+        return values[0]
+    return None
 
 
 def accel_namespace_for(arr):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import accel_namespace_for, as_1d_array, launch_1d
+from .common import accel_namespace_for, as_1d_array, launch_1d, uniform_element
 from ..hw.kernel import KernelLaunch
 
 __all__ = ["reduce_array", "segmented_reduce", "reduce_cost", "segmented_reduce_cost"]
@@ -35,6 +35,17 @@ def reduce_array(values: np.ndarray, op: str = "sum"):
     return _UFUNCS[op].reduce(v)
 
 
+def _reduceat(op, v, offsets, lengths, element):
+    """``ufunc.reduceat`` over non-empty segments — or, for a uniform
+    integer column under sum, ``lengths * element`` in reduceat's
+    output dtype (add.reduce widens sub-word integers to the
+    platform's)."""
+    if element is None:
+        return _UFUNCS[op].reduceat(v, offsets)
+    wide = np.result_type(v.dtype, np.int_ if v.dtype.kind == "i" else np.uint)
+    return lengths.astype(wide, copy=False) * wide.type(element)
+
+
 def segmented_reduce(
     values: np.ndarray,
     segment_offsets: np.ndarray,
@@ -46,11 +57,22 @@ def segmented_reduce(
     non-decreasing, first element 0); segment ``i`` spans
     ``values[offsets[i]:offsets[i+1]]`` (last runs to the end).
     Zero-length segments reduce to the operator's identity (0 for sum).
+
+    Summing a uniform *integer* column
+    (:func:`~repro.primitives.common.uniform_element`) never touches
+    it: each segment's sum is its length times the element, in the
+    dtype ``np.add.reduceat`` would return (modular integer arithmetic,
+    so the bytes are the same).  Floats keep the ``reduceat`` pass —
+    ``c * v`` and ``v + ... + v`` round differently.
     """
     ns = accel_namespace_for(values)
     if ns is not None:
         return ns.segmented_reduce(values, segment_offsets, op=op)
-    v = as_1d_array(values)
+    element = uniform_element(values) if op == "sum" else None
+    if element is not None and element.dtype.kind not in "iu":
+        element = None
+    # With an element in hand only the column's length and dtype are read.
+    v = as_1d_array(values) if element is None else values
     offsets = as_1d_array(segment_offsets, dtype=np.int64)
     if op not in _UFUNCS:
         raise ValueError(f"unknown reduction op {op!r}")
@@ -67,7 +89,7 @@ def segmented_reduce(
         # reduceat sums *within* each segment — a cumsum-difference
         # formulation would leak floating-point error across segment
         # boundaries.
-        return _UFUNCS[op].reduceat(v, offsets)
+        return _reduceat(op, v, offsets, lengths, element)
     if lengths[:-1].min(initial=0) < 0:
         raise ValueError("segment_offsets must be non-decreasing")
     if lengths[-1] < 0:
@@ -81,7 +103,9 @@ def segmented_reduce(
     out = np.zeros(len(offsets), dtype=v.dtype)
     nonempty = lengths > 0
     if nonempty.any():
-        out[nonempty] = np.add.reduceat(v, offsets[nonempty])
+        out[nonempty] = _reduceat(
+            op, v, offsets[nonempty], lengths[nonempty], element
+        )
     return out
 
 

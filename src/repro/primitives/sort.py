@@ -26,7 +26,11 @@ Two things live here and are deliberately decoupled:
 ``radix_sort_pairs`` carries a value payload through the permutation,
 which is how GPMR sorts its key-value sets.  Values may be any ndarray
 whose first dimension matches the keys (e.g. ``(n, dims)`` float
-blocks).
+blocks).  A uniform column
+(:func:`~repro.primitives.common.uniform_element`) leaves nothing to
+permute — every permutation of it is itself — so the keys are
+validated the same way and then sorted directly, with no order array
+and no gather.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .common import accel_namespace_for, as_1d_array, launch_1d
+from .common import accel_namespace_for, as_1d_array, launch_1d, uniform_element
 from ..hw.kernel import KernelLaunch
 
 __all__ = [
@@ -92,6 +96,9 @@ def radix_sort_pairs(
     widest key's).  It is a promise about the keys, checked in the same
     min/max pass that finds the default: a key that needs more bits, or
     a negative one, raises ``ValueError`` instead of mis-sorting.
+
+    A uniform value column comes back as the same read-only view
+    (sorting cannot change it), not as a copy.
     """
     ns = accel_namespace_for(keys)
     if ns is not None:
@@ -109,6 +116,9 @@ def radix_sort_pairs(
             )
         # Bits beyond the dtype's width are zero for every key.
         bits = min(int(key_bits), 8 * k.dtype.itemsize)
+
+    if uniform_element(values) is not None:
+        return np.sort(k), values
 
     n = len(k)
     index_bits = max(n - 1, 0).bit_length()

@@ -7,10 +7,17 @@ bit-exact across dtypes, shapes, and scales, zero-copy on decode, and
 loud about malformed bytes.
 """
 
+import socket
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.kvset import (
+    _FLAG_UNIFORM,
+    _KV_HEADER,
+    CODEC_VERSION,
     CodecError,
     KeyValueSet,
     pack_parts,
@@ -171,3 +178,143 @@ def test_manifest_corruption_is_detected():
         unpack_parts(manifest, data[:-4])
     with pytest.raises(CodecError, match="trailing"):
         unpack_parts(manifest + b"\x00\x00", data)
+
+
+# -- codec v2: the uniform-column layout -----------------------------------------
+
+def _uniform_kv(n=1000, element=np.int32(1)) -> KeyValueSet:
+    return KeyValueSet(
+        keys=np.arange(n, dtype=np.uint32), values=np.broadcast_to(element, (n,))
+    )
+
+
+def _kv_header(n, flags, ndim=1, width=1, version=CODEC_VERSION) -> bytes:
+    """A hand-built ``<u4`` / ``<i4`` part header."""
+    return _KV_HEADER.pack(b"KV", version, ndim, flags, 3, 3, n, width, 1.0) + b"<u4<i4"
+
+
+def _manifest(*headers) -> bytes:
+    records = b"".join(struct.pack("!I", len(h)) + h for h in headers)
+    return struct.pack("!4sB3xI", b"KVPK", CODEC_VERSION, len(headers)) + records
+
+
+def test_uniform_column_ships_one_element_and_decodes_uniform():
+    kv = _uniform_kv()
+    header, buffers = kv.to_buffers()
+    assert header == _kv_header(1000, _FLAG_UNIFORM)
+    assert [b.nbytes for b in buffers] == [4000, 4]
+    got = KeyValueSet.from_buffers(header, buffers)
+    _assert_bit_identical(
+        KeyValueSet(keys=kv.keys, values=np.ones(1000, dtype=np.int32)), got
+    )
+    assert got.values.strides == (0,) and not got.values.flags.writeable
+    # the logical layout is what byte accounting keeps reporting
+    assert got.nbytes_logical == 8000 and got.pair_bytes == 8
+
+
+def test_uniform_layout_violations_are_codec_errors():
+    uni_header, (keys, element) = _uniform_kv(4).to_buffers()
+    plain_header, (_, column) = KeyValueSet(
+        keys=np.arange(4, dtype=np.uint32), values=np.ones(4, dtype=np.int32)
+    ).to_buffers()
+    cases = [
+        (uni_header, [keys, element[:-1]], "value buffer"),      # truncated element
+        (uni_header, [keys, column], "value buffer"),             # flag over n elements
+        (plain_header, [keys, element], "value buffer"),          # no flag over 1
+        (_kv_header(0, _FLAG_UNIFORM), [keys[:0], element], "non-empty"),
+        (_kv_header(1 << 60, _FLAG_UNIFORM), [keys, element], "key buffer"),
+        (_kv_header(1 << 60, 0), [keys, column], "key buffer"),
+        (_kv_header(4, _FLAG_UNIFORM, ndim=2), [keys, element], "rank-1"),
+        (_kv_header(4, _FLAG_UNIFORM, width=3), [keys, element], "rank-1"),
+        (_kv_header(4, 0x82), [keys, element], "flags"),
+        # a v1 header (no flags byte) is refused by version, not misparsed
+        (struct.pack("!2sBBHHQQd", b"KV", 1, 1, 3, 3, 4, 1, 1.0) + b"<u4<i4",
+         [keys, column], "v1 not supported"),
+    ]
+    for header, buffers, match in cases:
+        with pytest.raises(CodecError, match=match):
+            KeyValueSet.from_buffers(header, buffers)
+    # n = 0 without the flag is an ordinary empty part
+    (empty,) = unpack_parts(_manifest(_kv_header(0, 0)), b"")
+    assert len(empty) == 0 and empty.values.dtype == np.int32
+
+
+def test_decoding_allocates_nothing_proportional_to_declared_n():
+    """The key buffer is what bounds ``n``: a uniform part decodes as
+    views (any n), and a header that lies about n dies on the length
+    check before anything is sized from it."""
+    n = 1 << 22
+    manifest, chunks, nbytes = pack_parts([_uniform_kv(n)])
+    assert nbytes == 4 * n + 4
+    data = b"".join(bytes(c) for c in chunks)
+    liar = _manifest(_kv_header(1 << 60, _FLAG_UNIFORM))
+    tracemalloc.start()
+    try:
+        (got,) = unpack_parts(manifest, data)
+        with pytest.raises(CodecError, match="promises more"):
+            unpack_parts(liar, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == n and got.values.nbytes == 4 * n
+    assert peak < 64 * 1024
+
+
+def test_uniform_layout_violations_are_protocol_errors_on_the_wire():
+    """Through ``recv_batch`` the same streams surface as
+    ``ProtocolError`` — the exchange loop's "corrupt peer" class."""
+    from repro.fabric import recv_batch, send_batch, send_raw_frame
+    from repro.fabric.stream import _BATCH_HEADER, _DATA_HEADER
+    from repro.fabric.wire import MSG_BATCH, MSG_BATCH_DATA, ProtocolError
+
+    def deliver(manifest, data):
+        a, b = socket.socketpair()
+        a.settimeout(5.0)
+        b.settimeout(5.0)
+        try:
+            send_raw_frame(
+                a, MSG_BATCH,
+                _BATCH_HEADER.pack(0, 0, len(data), len(manifest)) + manifest,
+            )
+            if data:
+                send_raw_frame(
+                    a, MSG_BATCH_DATA, _DATA_HEADER.pack(len(data), 0) + data
+                )
+            return recv_batch(b)
+        finally:
+            a.close()
+            b.close()
+
+    keys = np.arange(4, dtype=np.uint32).tobytes()
+    one = np.int32(1).tobytes()
+    # the honest stream decodes...
+    _, (got,), _ = deliver(_manifest(_kv_header(4, _FLAG_UNIFORM)), keys + one)
+    assert got.values.tolist() == [1, 1, 1, 1]
+    # ...and each dishonest one is a ProtocolError, nothing else
+    for manifest, data in [
+        (_manifest(_kv_header(4, _FLAG_UNIFORM)), keys + one[:-1]),
+        (_manifest(_kv_header(1 << 60, _FLAG_UNIFORM)), keys + one),
+        (_manifest(_kv_header(0, _FLAG_UNIFORM)), one),
+        (_manifest(_kv_header(4, 0x40)), keys + one),
+        (_manifest(
+            struct.pack("!2sBBHHQQd", b"KV", 1, 1, 3, 3, 4, 1, 1.0) + b"<u4<i4"
+        ), keys + keys),
+    ]:
+        with pytest.raises(ProtocolError, match="undecodable batch payload"):
+            deliver(manifest, data)
+
+    # and the real sender puts half the bytes on the wire
+    def wire_bytes(kv):
+        a, b = socket.socketpair()
+        try:
+            counters = {}
+            send_batch(a, 0, [kv], counters=counters)
+            recv_batch(b)
+            return counters["bytes"]
+        finally:
+            a.close()
+            b.close()
+
+    uniform, plain = _uniform_kv(2000), _uniform_kv(2000)
+    plain = KeyValueSet(plain.keys, np.ones(2000, dtype=np.int32))
+    assert wire_bytes(plain) - wire_bytes(uniform) == 2000 * 4 - 4

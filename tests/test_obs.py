@@ -12,13 +12,15 @@ cluster run records: kill -9 -> rank_dead -> reclaim -> respawn ->
 rejoin, attributed to the right rank.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
+from repro.apps.sparse_int_occurrence import SIOMapper, sio_dataset, sio_job
 from repro.core import FaultPlan, make_executor
+from repro.core.kvset import KeyValueSet
 from repro.core.stats import JobStats, WorkerStats
 from repro.obs import (
     BYTES_BUCKETS,
@@ -338,6 +340,53 @@ def test_traced_run_is_bit_identical_process_backends(backend, kwargs):
     for rec in obs.tracer.records:
         if rec["name"] == "chunk_map":
             assert rec["rank"] in (0, 1, 2) and 0 <= rec["chunk"] < 12
+
+
+class _OnesMapper(SIOMapper):
+    """SIO's pre-uniform emission: a materialised ``1`` per key."""
+
+    def map_chunk(self, chunk):
+        return KeyValueSet(
+            keys=chunk.data.astype(np.uint32),
+            values=np.ones(len(chunk.data), dtype=np.int32),
+            scale=chunk.scale,
+        )
+
+
+def test_wire_bytes_halve_for_uniform_columns_logical_bytes_do_not():
+    """Two byte counts, two meanings.  ``shuffle_batch_bytes`` observes
+    ``send_batch``'s ``counters["bytes"]`` — packed bytes on the wire,
+    where SIO's uniform ``1`` column is one element per part;
+    ``bytes_sent_network`` (``exec.shuffle_mb``) is the logical
+    ``<key, value>`` layout the sim prices, which does not move."""
+    ds = _dataset()
+    # placement pinned: which rank maps a chunk decides what is remote
+    job = sio_job(ds.key_space).with_config(enable_stealing=False)
+    runs = {}
+    for name, j in (
+        ("uniform", job),
+        ("ones", dataclasses.replace(job, mapper=_OnesMapper())),
+    ):
+        obs = Observability()
+        ex = make_executor("cluster", 3, obs=obs, timeout_seconds=60.0)
+        try:
+            result = ex.run(j, dataset=ds)
+        finally:
+            ex.close()
+        wire = obs.metrics.snapshot()["histograms"]["shuffle_batch_bytes"]
+        assert wire["count"] == 6
+        runs[name] = (result, wire["total"])
+    (uni, uni_wire), (ones, ones_wire) = runs["uniform"], runs["ones"]
+    _assert_bit_identical(ones, uni, "uniform vs np.ones")
+    logical = uni.stats.total_network_bytes
+    assert logical == ones.stats.total_network_bytes
+    assert [w.bytes_sent_network for w in uni.stats.workers] == [
+        w.bytes_sent_network for w in ones.stats.workers
+    ]
+    # plain columns cost their logical bytes (plus headers) on the wire;
+    # uniform ones cost the keys: half of a <u4, i4> pair
+    assert logical <= ones_wire < 1.05 * logical
+    assert 0.5 * logical <= uni_wire < 0.55 * logical
 
 
 @pytest.mark.slow
