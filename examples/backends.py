@@ -18,7 +18,6 @@ whether the shuffle rides in-node pipes or a real wire.
     python examples/backends.py
     python examples/backends.py --backend sim --backend cluster
     python examples/backends.py --fused            # fused map+combine kernel
-    python examples/backends.py --accel torch      # device tier (if installed)
 """
 
 import argparse
@@ -44,15 +43,9 @@ def parse_args() -> argparse.Namespace:
         help="backend to run (repeatable; default: all four)",
     )
     parser.add_argument(
-        "--accel",
-        choices=("numpy", "cupy", "torch"),
-        default="numpy",
-        help="array namespace for the map phase (numpy = parity tier)",
-    )
-    parser.add_argument(
         "--fused",
         action="store_true",
-        help="collapse map + per-chunk combine into one namespace call",
+        help="collapse map + per-chunk combine into one kernel call",
     )
     args = parser.parse_args()
     if args.backend is None:
@@ -74,9 +67,9 @@ def main() -> None:
 
     results = {}
     for backend in args.backend:
-        result = make_executor(
-            backend, N_WORKERS, accel=args.accel, fused=args.fused
-        ).run(job, dataset)
+        result = make_executor(backend, N_WORKERS, fused=args.fused).run(
+            job, dataset
+        )
         results[backend] = result
         kind = "modeled" if backend == "sim" else "wall-clock"
         pairs = sum(len(kv) for kv in result.outputs if kv is not None)

@@ -24,10 +24,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..accel import ArrayNamespace, FusedMapper
 from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
+    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -88,7 +88,7 @@ def _chunk_table(pts: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.n
     """One chunk's block-accumulated ``<key, partial>`` table: per centre,
     ``dims`` coordinate sums then the member count.
 
-    Shared by the staged mapper and the fused kernel's host path, so fused
+    Shared by the staged mapper and the fused kernel, so fused
     and unfused runs perform the *same* float operations in the same order —
     the bit-parity contract rests on this sharing.  That order *is* the
     definition: distances as :func:`_nearest_center` associates them, each
@@ -202,46 +202,31 @@ class FusedKMCMapper(FusedMapper):
     the accumulator's scatter-add collapse into one call per chunk.
 
     The per-rank state is the accumulator table's value vector
-    (``k * (dims + 1)`` float64), kept namespace-resident across
-    chunks; nothing is emitted until :meth:`finish_state`, which posts
-    the same ``<arange key, total>`` table the staged
-    ``KMCMapper + SumAccumulator`` pipeline posts.  On the host tier
-    the per-chunk table comes from the same :func:`_chunk_table` the
-    staged mapper uses and folds in with the same ``np.add.at``, so
-    fused output is bit-identical to unfused.
+    (``k * (dims + 1)`` float64), kept resident across chunks; nothing
+    is emitted until :meth:`finish_state`, which posts the same
+    ``<arange key, total>`` table the staged ``KMCMapper +
+    SumAccumulator`` pipeline posts.  The per-chunk table comes from
+    the same :func:`_chunk_table` the staged mapper uses and folds in
+    with the same ``np.add.at``, so fused output is bit-identical to
+    unfused.
     """
 
     def __init__(self, centers: np.ndarray) -> None:
         self.centers = np.asarray(centers, dtype=np.float64)
         self.k, self.dims = self.centers.shape
         self.n_keys = self.k * (self.dims + 1)
-        self._device_centers = None
 
-    def initial_state(self, ns: ArrayNamespace):
-        return ns.zeros(self.n_keys, dtype=np.float64)
+    def initial_state(self):
+        return np.zeros(self.n_keys, dtype=np.float64)
 
-    def map_reduce_chunk(self, chunk: Chunk, state, ns: ArrayNamespace):
-        if ns.is_host:
-            keys, values = _chunk_table(chunk.data, self.centers)
-            ns.add_at(state, keys, values)  # exactly SumAccumulator.accumulate's fold
-            return state, None
-        if self._device_centers is None:
-            self._device_centers = ns.from_host(self.centers)
-        pts = ns.from_host(np.asarray(chunk.data, dtype=np.float64))
-        centers = self._device_centers
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        nearest = ns.argmin(d2, axis=1)
-        sums = ns.zeros((self.k, self.dims), dtype=np.float64)
-        ns.add_at(sums, nearest, pts)
-        counts = ns.astype(
-            ns.bincount(nearest, minlength=self.k), np.float64
-        )
-        table = ns.concatenate([sums, counts.reshape(self.k, 1)], axis=1)
-        return state + table.reshape(-1), None
+    def map_reduce_chunk(self, chunk: Chunk, state):
+        keys, values = _chunk_table(chunk.data, self.centers)
+        np.add.at(state, keys, values)  # exactly SumAccumulator.accumulate's fold
+        return state, None
 
-    def finish_state(self, state, ns: ArrayNamespace):
+    def finish_state(self, state):
         return KeyValueSet(
-            keys=ns.arange(self.n_keys, dtype=np.uint32),
+            keys=np.arange(self.n_keys, dtype=np.uint32),
             values=state,
             scale=1.0,
         )

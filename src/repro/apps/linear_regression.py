@@ -18,10 +18,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..accel import ArrayNamespace, FusedMapper
 from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
+    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -58,7 +58,7 @@ LR_KEYS = ("n", "sx", "sy", "sxx", "syy", "sxy")
 def _chunk_stats(data: np.ndarray) -> np.ndarray:
     """The six per-chunk sufficient statistics, in key order.
 
-    Shared by the staged mapper and the fused host path so both fold
+    Shared by the staged mapper and the fused kernel so both fold
     the exact same float64 values — the bit-parity contract.
     """
     x = data[:, 0].astype(np.float64)
@@ -111,38 +111,22 @@ class FusedLRMapper(FusedMapper):
     """Map + accumulate in one call: the six-sum table never leaves
     the rank until finish.
 
-    The host path folds :func:`_chunk_stats` into the resident table
-    with the same element-wise add the accumulator performs
-    (``np.add.at`` over the distinct keys 0..5), so it is bit-identical
-    to the staged ``LRMapper + SumAccumulator`` pipeline.  The device
-    path keeps the (x, y) reductions namespace-resident.
+    It folds :func:`_chunk_stats` into the resident table with the
+    same element-wise add the accumulator performs (``np.add.at`` over
+    the distinct keys 0..5), so it is bit-identical to the staged
+    ``LRMapper + SumAccumulator`` pipeline.
     """
 
-    def initial_state(self, ns: ArrayNamespace):
-        return ns.zeros(6, dtype=np.float64)
+    def initial_state(self):
+        return np.zeros(6, dtype=np.float64)
 
-    def map_reduce_chunk(self, chunk: Chunk, state, ns: ArrayNamespace):
-        if ns.is_host:
-            state += _chunk_stats(chunk.data)
-            return state, None
-        data = ns.from_host(chunk.data)
-        x = ns.astype(data[:, 0], np.float64)
-        y = ns.astype(data[:, 1], np.float64)
-        stats = ns.concatenate(
-            [
-                ns.ones(1, dtype=np.float64) * float(len(chunk.data)),
-                x.sum().reshape(1),
-                y.sum().reshape(1),
-                (x * x).sum().reshape(1),
-                (y * y).sum().reshape(1),
-                (x * y).sum().reshape(1),
-            ]
-        )
-        return state + stats, None
+    def map_reduce_chunk(self, chunk: Chunk, state):
+        state += _chunk_stats(chunk.data)
+        return state, None
 
-    def finish_state(self, state, ns: ArrayNamespace):
+    def finish_state(self, state):
         return KeyValueSet(
-            keys=ns.arange(6, dtype=np.uint32), values=state, scale=1.0
+            keys=np.arange(6, dtype=np.uint32), values=state, scale=1.0
         )
 
 

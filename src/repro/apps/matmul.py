@@ -26,7 +26,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..accel import ArrayNamespace, FusedMapper
 from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
@@ -48,8 +47,6 @@ from ..workloads import MatrixDataset
 __all__ = [
     "MMPhase1Mapper",
     "MMPhase2Mapper",
-    "FusedMMPhase1Mapper",
-    "FusedMMPhase2Mapper",
     "mm_phase1_job",
     "mm_phase2_job",
     "mm_dataset",
@@ -143,51 +140,6 @@ class MMPhase2Mapper(Mapper):
         return self.dataset.tile_bytes
 
 
-class FusedMMPhase1Mapper(FusedMapper):
-    """Panel product fused into the namespace: on a device tier the A/B
-    panels upload once and the f64-accumulated product stays resident
-    until the rank's parts export.  The host path delegates to the
-    staged mapper verbatim — identical arithmetic, bit-identical tiles.
-    """
-
-    def __init__(self, mapper: MMPhase1Mapper) -> None:
-        self.mapper = mapper
-
-    def map_reduce_chunk(self, chunk: Chunk, state, ns: ArrayNamespace):
-        if ns.is_host:
-            return state, self.mapper.map_chunk(chunk)
-        ds = self.mapper.dataset
-        task = ds.task(chunk.index)
-        a_panel, b_panel = chunk.data
-        a = ns.astype(ns.from_host(a_panel), np.float64)
-        b = ns.astype(ns.from_host(b_panel), np.float64)
-        partial = ns.astype(ns.matmul(a, b), np.float32)
-        return state, KeyValueSet(
-            keys=ns.from_host(np.array([ds.out_key(task)], dtype=np.uint32)),
-            values=partial.reshape(1, -1),
-            scale=float(ds.sample_factor) ** 2,
-        )
-
-
-class FusedMMPhase2Mapper(FusedMapper):
-    """Partial-tile accumulation fused into the namespace; host path
-    delegates to the staged mapper (bit-identical sums)."""
-
-    def __init__(self, mapper: MMPhase2Mapper) -> None:
-        self.mapper = mapper
-
-    def map_reduce_chunk(self, chunk: Chunk, state, ns: ArrayNamespace):
-        if ns.is_host:
-            return state, self.mapper.map_chunk(chunk)
-        partials = ns.astype(ns.from_host(chunk.data), np.float64)
-        total = ns.astype(partials.sum(axis=0), np.float32)
-        return state, KeyValueSet(
-            keys=ns.from_host(np.array([chunk.meta], dtype=np.uint32)),
-            values=total.reshape(1, -1),
-            scale=float(self.mapper.dataset.sample_factor) ** 2,
-        )
-
-
 def mm_dataset(
     m: int,
     tile: int = 1024,
@@ -205,7 +157,6 @@ def mm_phase1_job(dataset: MatrixDataset) -> MapReduceJob:
         mapper=mapper,
         reducer=None,
         partitioner=RoundRobinPartitioner(),
-        fused=FusedMMPhase1Mapper(mapper),
         config=PipelineConfig(skip_sort_reduce=True),
         key_bytes=4,
         value_bytes=dataset.tile_bytes,
@@ -220,7 +171,6 @@ def mm_phase2_job(dataset: MatrixDataset) -> MapReduceJob:
         mapper=mapper,
         reducer=None,
         partitioner=RoundRobinPartitioner(),  # keys are already owner-local
-        fused=FusedMMPhase2Mapper(mapper),
         config=PipelineConfig(skip_sort_reduce=True),
         key_bytes=4,
         value_bytes=dataset.tile_bytes,

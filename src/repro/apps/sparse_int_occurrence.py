@@ -26,10 +26,10 @@ from typing import List
 
 import numpy as np
 
-from ..accel import ArrayNamespace, FusedMapper
 from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
+    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -112,30 +112,20 @@ class FusedSIOMapper(FusedMapper):
     across chunks — the paper's reason for skipping Accumulation), so
     the fusion win is *emission volume*: like keys inside a chunk merge
     before partitioning, shrinking shuffle bytes while the reducer's
-    integer sums stay exact.  The host path delegates to the staged
-    mapper (honouring its ``sleep_per_chunk`` hook) and the vectorised
-    combine oracle; the device path runs the same sort → segment →
-    sum through the namespace.
+    integer sums stay exact.  It delegates to the staged mapper
+    (honouring its ``sleep_per_chunk`` hook) and the vectorised combine
+    oracle.  ``key_bits`` records the job's key width.
     """
 
     def __init__(self, mapper: SIOMapper, key_bits: int) -> None:
         self.mapper = mapper
         self.key_bits = int(key_bits)
 
-    def map_reduce_chunk(self, chunk: Chunk, state, ns: ArrayNamespace):
+    def map_reduce_chunk(self, chunk: Chunk, state):
         kv = self.mapper.map_chunk(chunk)
         if len(kv) == 0:
             return state, None
-        if ns.is_host:
-            return state, combine_by_key_sum(kv)
-        keys, values = ns.sort_pairs(
-            ns.from_host(kv.keys), ns.from_host(kv.values), key_bits=self.key_bits
-        )
-        runs = ns.unique_segments(keys)
-        summed = ns.segmented_reduce(values, runs.offsets, op="sum")
-        return state, KeyValueSet(
-            keys=runs.unique_keys, values=summed, scale=kv.scale
-        )
+        return state, combine_by_key_sum(kv)
 
 
 class SIOReducer(Reducer):

@@ -26,10 +26,10 @@ from typing import List
 
 import numpy as np
 
-from ..accel import ArrayNamespace, FusedMapper
 from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
+    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -136,34 +136,29 @@ class FusedWOMapper(FusedMapper):
     resident table), updated with one ``bincount`` per chunk — integer
     arithmetic, so bit-identical to the staged
     ``WOMapper + SumAccumulator`` path that scatter-adds a 1 per
-    emission.  Tokenising and the MPH lookup stay host-side on every
-    tier (text never ships to the device); only the count table is
-    namespace-resident.
+    emission.
     """
 
     def __init__(self, mph: MinimalPerfectHash, n_words: int) -> None:
         self.mph = mph
         self.n_words = n_words
 
-    def initial_state(self, ns: ArrayNamespace):
-        return ns.zeros(self.n_words, dtype=np.int64)
+    def initial_state(self):
+        return np.zeros(self.n_words, dtype=np.int64)
 
-    def map_reduce_chunk(self, chunk: Chunk, state, ns: ArrayNamespace):
+    def map_reduce_chunk(self, chunk: Chunk, state):
         text = chunk.data
         starts, lengths = tokenize(text)
         if len(starts) == 0:
             return state, None
         hashes = segmented_poly_hashes(text, starts, lengths)
         slots = self.mph.lookup_hashes(hashes).astype(np.uint32)
-        if ns.is_host:
-            state += np.bincount(slots, minlength=self.n_words).astype(np.int64)
-            return state, None
-        counts = ns.bincount(ns.from_host(slots), minlength=self.n_words)
-        return state + ns.astype(counts, np.int64), None
+        state += np.bincount(slots, minlength=self.n_words).astype(np.int64)
+        return state, None
 
-    def finish_state(self, state, ns: ArrayNamespace):
+    def finish_state(self, state):
         return KeyValueSet(
-            keys=ns.arange(self.n_words, dtype=np.uint32),
+            keys=np.arange(self.n_words, dtype=np.uint32),
             values=state,
             scale=1.0,
         )

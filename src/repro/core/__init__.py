@@ -4,7 +4,7 @@ Public API surface::
 
     from repro.core import (
         MapReduceJob, GPMRRuntime, PipelineConfig,
-        Mapper, Reducer, Partitioner, RoundRobinPartitioner,
+        Mapper, FusedMapper, Reducer, Partitioner, RoundRobinPartitioner,
         Combiner, PartialReducer, Accumulator,
         SumCombiner, SumPartialReducer, SumAccumulator,
         KeyValueSet, Chunk,
@@ -42,7 +42,7 @@ from .executor import (
 )
 from .job import MapReduceJob
 from .kvset import KeyValueSet
-from .mapper import Mapper
+from .mapper import FusedMapper, Mapper
 from .partitioner import (
     BlockPartitioner,
     HashPartitioner,
@@ -78,6 +78,7 @@ __all__ = [
     "resolve_chunks",
     "distribute_chunks",
     "Mapper",
+    "FusedMapper",
     "Reducer",
     "Partitioner",
     "RoundRobinPartitioner",

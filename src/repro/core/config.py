@@ -43,15 +43,9 @@ class PipelineConfig:
     #: Figure 2 shows growing with GPU count as per-GPU work shrinks.
     job_setup_seconds: float = 0.008
 
-    #: Array namespace the per-rank dataflow runs on: "numpy" (always
-    #: available, bit-identical to seed), "cupy", or "torch" (optional
-    #: imports).  Travels with the job pickle, so remote ranks resolve
-    #: their own namespace instance locally.
-    accel: str = "numpy"
-
     #: Run the job's fused map+partial-reduce kernel (``job.fused``)
     #: instead of the staged map_chunk → accumulate/partial-reduce →
-    #: partition path.  Ignored for jobs without a fused kernel.
+    #: partition path; a job that sets this must attach one.
     fused: bool = False
 
     def __post_init__(self) -> None:
@@ -59,9 +53,3 @@ class PipelineConfig:
             raise ValueError("sort_in_core_fraction must be in [0.05, 0.95]")
         if self.job_setup_seconds < 0:
             raise ValueError("job_setup_seconds must be non-negative")
-        from ..accel.namespace import ACCEL_TIERS  # noqa: PLC0415 - cycle guard
-
-        if self.accel not in ACCEL_TIERS:
-            raise ValueError(
-                f"accel must be one of {ACCEL_TIERS}, got {self.accel!r}"
-            )

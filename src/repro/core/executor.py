@@ -39,6 +39,7 @@ from .chunk import Chunk
 from .faults import FaultPlan
 from .job import MapReduceJob
 from .kvset import KeyValueSet
+from .mapper import FusedMapper
 from .runtime import (
     DISTRIBUTIONS,
     GPMRRuntime,
@@ -49,7 +50,6 @@ from .runtime import (
 )
 from .scheduler import ChunkService, ScheduleTrace
 from .stats import WorkerStats
-from ..accel.fused import FusedMapper
 from ..obs import Observability
 from ..workloads.base import Dataset
 
@@ -80,23 +80,16 @@ class Executor:
         n_workers: int,
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
-        accel: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
-        #: acceleration-tier overrides for every run: ``accel`` names
-        #: the array namespace ("numpy" | "cupy" | "torch"), ``fused``
-        #: turns the fused map+partial-reduce path on/off.  ``None``
-        #: (default) respects whatever the job's own PipelineConfig
-        #: says; a non-None value is stamped into each run's job config
-        #: (which travels in the job pickle, so remote ranks see it).
-        if accel is not None:
-            from ..accel.namespace import resolve_namespace  # noqa: PLC0415
-
-            resolve_namespace(accel)  # fail fast on unknown/missing tiers
-        self.accel = accel
+        #: override for every run: ``fused`` turns the fused
+        #: map+partial-reduce path on/off.  ``None`` (default) respects
+        #: whatever the job's own PipelineConfig says; a non-None value
+        #: is stamped into each run's job config (which travels in the
+        #: job pickle, so remote ranks see it).
         self.fused = fused
         #: where to write the run's JSONL trace (tracing implied when set)
         self.trace_path = trace_path
@@ -168,7 +161,7 @@ class Executor:
         :class:`~repro.core.runtime.GPMRRuntime`.)
         """
         self._check_open()
-        # Stamp accel/fused into the job config before the job is
+        # Stamp ``fused`` into the job config before the job is
         # pickled to any rank — their MapRunners read it off the config.
         job = self._configure_job(job)
         all_chunks = resolve_chunks(dataset, chunks)
@@ -307,20 +300,17 @@ class Executor:
             self.obs.reset()
 
     def _configure_job(self, job: MapReduceJob) -> MapReduceJob:
-        """Apply the executor's accel/fused overrides to one run's job.
+        """Apply the executor's ``fused`` override to one run's job.
 
         Called by every backend at the top of :meth:`run`; the
         configured copy is what gets pickled to workers, so the choice
         rides the existing job plumbing with no wire changes.
-        Validation (unknown tier, ``fused=True`` on a job without a
-        fused kernel) happens here, driver-side, not on a remote rank.
+        Validation (``fused=True`` on a job without a fused kernel)
+        happens here, before any rank starts, not on a remote rank.
         """
-        changes = {}
-        if self.accel is not None and job.config.accel != self.accel:
-            changes["accel"] = self.accel
-        if self.fused is not None and job.config.fused != bool(self.fused):
-            changes["fused"] = bool(self.fused)
-        return job.with_config(**changes) if changes else job
+        if self.fused is None or job.config.fused == bool(self.fused):
+            return job
+        return job.with_config(fused=bool(self.fused))
 
     def _check_open(self, action: str = "run") -> None:
         """Raise clearly when a closed executor is asked to work again."""
@@ -395,13 +385,10 @@ class SimExecutor(Executor):
         n_workers: int,
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
-        accel: Optional[str] = None,
         fused: Optional[bool] = None,
         **runtime_kwargs,
     ) -> None:
-        super().__init__(
-            n_workers, obs=obs, trace_path=trace_path, accel=accel, fused=fused
-        )
+        super().__init__(n_workers, obs=obs, trace_path=trace_path, fused=fused)
         self.runtime = GPMRRuntime(n_gpus=n_workers, **runtime_kwargs)
         #: mirrored from the runtime so :meth:`_make_chunk_service`
         #: sees the same initial-placement policy the sim models
@@ -477,11 +464,10 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
     ``obs=`` (an :class:`~repro.obs.Observability` bundle) and
     ``trace_path=`` (write the run's JSONL span/event trace there;
     implies tracing) — both off by default, and passive when on, so
-    traced runs stay bit-identical to untraced runs — plus the
-    acceleration knobs ``accel=`` ("numpy" | "cupy" | "torch"; numpy is
-    the always-available bit-parity tier) and ``fused=`` (run the job's
-    fused map+partial-reduce kernel when it has one).  Both default to
-    ``None`` = respect the job's own :class:`~repro.core.config.PipelineConfig`.
+    traced runs stay bit-identical to untraced runs — plus ``fused=``
+    (run the job's fused map+partial-reduce kernel; ``None``, the
+    default, respects the job's own
+    :class:`~repro.core.config.PipelineConfig`).
 
     ``executor=`` short-circuits construction with a pre-built
     instance — the job service's warm-pool path: every app's ``run_*``

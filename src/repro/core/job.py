@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from ..accel.fused import FusedMapper
 from .combine import Accumulator, Combiner, PartialReducer
 from .config import PipelineConfig
 from .kvset import KeyValueSet
-from .mapper import Mapper
+from .mapper import FusedMapper, Mapper
 from .partitioner import Partitioner
 from .reducer import Reducer
 from .sorter import RadixSorter, Sorter

@@ -36,13 +36,11 @@ column.  Mappers emit one with ``np.broadcast_to``; it is read-only, so
 anything that must write into values copies first (as ``astype`` and
 ``np.concatenate`` do).
 
-The arrays need not be NumPy: a KVSet may hold any acceleration-tier
-array (CuPy, Torch — see :mod:`repro.accel`) as long as keys are
-integer-typed.  The binary codec is deliberately **host-only**: shuffle
-parts cross the device→host boundary exactly once, via
-:meth:`KeyValueSet.to_host` when the map phase posts its parts, and the
-codec refuses device arrays so an accidental second crossing is an
-error, not a silent sync.
+Both arrays are host NumPy arrays (anything array-like is coerced with
+``np.asarray``); keys must be integer-typed.  A kernel that computes
+on a device copies its results back inside
+:meth:`~repro.core.mapper.FusedMapper.map_reduce_chunk` and emits host
+KVSets, so nothing downstream of the map call sees a device array.
 """
 
 from __future__ import annotations
@@ -86,48 +84,6 @@ class CodecError(ValueError):
     """A byte stream violated the binary KVSet codec."""
 
 
-def _is_foreign(arr) -> bool:
-    """An acceleration-tier array (CuPy/Torch): has dtype+shape but
-    is not an ndarray.  Lists/scalars are not foreign — they coerce."""
-    return (
-        not isinstance(arr, np.ndarray)
-        and hasattr(arr, "dtype")
-        and hasattr(arr, "shape")
-    )
-
-
-def _coerce_array(arr):
-    return arr if _is_foreign(arr) else np.asarray(arr)
-
-
-def _is_integer_dtype(dtype) -> bool:
-    kind = getattr(dtype, "kind", None)
-    if kind is not None:
-        return kind in "iu"
-    # torch dtypes have no .kind; their str() spells the kind out
-    # ("torch.int64", "torch.uint8").
-    return "int" in str(dtype)
-
-
-def _foreign_namespace(arr):
-    from ..accel.namespace import namespace_of  # noqa: PLC0415 - cycle guard
-
-    ns = namespace_of(arr)
-    if ns is None:
-        raise TypeError(
-            f"no acceleration namespace owns arrays of type {type(arr)!r}"
-        )
-    return ns
-
-
-def _nbytes(arr) -> int:
-    n = getattr(arr, "nbytes", None)
-    if n is not None:
-        return int(n)
-    # torch tensors before .nbytes: numel * element_size
-    return int(arr.numel() * arr.element_size())
-
-
 @dataclass
 class KeyValueSet:
     """SoA key-value pairs with logical-scale byte accounting."""
@@ -137,11 +93,11 @@ class KeyValueSet:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        self.keys = _coerce_array(self.keys)
-        self.values = _coerce_array(self.values)
+        self.keys = np.asarray(self.keys)
+        self.values = np.asarray(self.values)
         if self.keys.ndim != 1:
             raise ValueError(f"keys must be 1-D, got shape {self.keys.shape}")
-        if not _is_integer_dtype(self.keys.dtype):
+        if self.keys.dtype.kind not in "iu":
             raise TypeError(f"keys must be integers, got {self.keys.dtype}")
         if len(self.values) != len(self.keys):
             raise ValueError(
@@ -180,13 +136,6 @@ class KeyValueSet:
         scales = {p.scale for p in nonempty}
         if len(scales) > 1:
             raise ValueError(f"cannot concat KVSets with mixed scales {scales}")
-        if not all(p.is_host for p in nonempty):
-            ns = _foreign_namespace(nonempty[0].keys)
-            return cls(
-                keys=ns.concatenate([p.keys for p in nonempty]),
-                values=ns.concatenate([p.values for p in nonempty]),
-                scale=nonempty[0].scale,
-            )
         keys = np.concatenate([p.keys for p in nonempty])
         elements = [uniform_element(p.values) for p in nonempty]
         if all(e is not None for e in elements) and 1 == len(
@@ -216,7 +165,7 @@ class KeyValueSet:
     @property
     def nbytes_actual(self) -> int:
         """Bytes physically held in the sample."""
-        return int(_nbytes(self.keys) + _nbytes(self.values))
+        return int(self.keys.nbytes + self.values.nbytes)
 
     @property
     def nbytes_logical(self) -> int:
@@ -226,43 +175,6 @@ class KeyValueSet:
     @property
     def logical_pairs(self) -> int:
         return int(round(len(self) * self.scale))
-
-    # -- device residency --------------------------------------------------
-    @property
-    def is_host(self) -> bool:
-        """Whether both arrays are plain host ndarrays."""
-        return isinstance(self.keys, np.ndarray) and isinstance(
-            self.values, np.ndarray
-        )
-
-    def to_host(self, ns=None) -> "KeyValueSet":
-        """This set with host ndarrays (identity when already host).
-
-        This is *the* device→host crossing of the pipeline: the map
-        runner calls it once per shuffle part at post time, right
-        before the binary codec takes over.
-        """
-        if self.is_host:
-            return self
-        if ns is None:
-            ns = _foreign_namespace(self.keys)
-        return KeyValueSet(
-            keys=ns.to_host(self.keys),
-            values=ns.to_host(self.values),
-            scale=self.scale,
-        )
-
-    def to_device(self, ns) -> "KeyValueSet":
-        """This set with ``ns``-native arrays (identity on host tiers)."""
-        if ns.is_host:
-            return self.to_host(ns)
-        return KeyValueSet(
-            keys=self.keys if ns.owns(self.keys) else ns.from_host(self.keys),
-            values=(
-                self.values if ns.owns(self.values) else ns.from_host(self.values)
-            ),
-            scale=self.scale,
-        )
 
     # -- transforms --------------------------------------------------------
     def select(self, mask_or_index: np.ndarray) -> "KeyValueSet":
@@ -289,29 +201,11 @@ class KeyValueSet:
         partitioner "arranges all key-value pairs for a specific
         Reducer consecutively").  ``part_ids`` may be any integer
         dtype; an id outside ``[0, n_parts)`` raises ``ValueError``.
-        On the host the parts are consecutive slices of one gathered
-        copy — a counting sort on the ids, then one pass over the
-        payload (keys only when the values are uniform), however many
-        parts there are.
+        The parts are consecutive slices of one gathered copy — a
+        counting sort on the ids, then one pass over the payload (keys
+        only when the values are uniform), however many parts there
+        are.
         """
-        if not self.is_host:
-            # Same routing, expressed in the owning namespace's ops;
-            # only the per-part counts come back to host (they size the
-            # slices — a few ints, not payload).
-            ns = _foreign_namespace(self.keys)
-            if not ns.owns(part_ids):
-                part_ids = ns.asarray(part_ids, dtype=np.int64)
-            if len(part_ids) != len(self):
-                raise ValueError("need one part id per pair")
-            order = ns.stable_argsort(part_ids)
-            counts = ns.to_host(ns.bincount(part_ids, minlength=n_parts))
-            if counts.sum() != len(self) or len(counts) > n_parts:
-                raise ValueError("part id out of range")
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            return [
-                self.select(order[bounds[p] : bounds[p + 1]])
-                for p in range(n_parts)
-            ]
         part_ids = np.asarray(part_ids)
         if len(part_ids) != len(self):
             raise ValueError("need one part id per pair")
@@ -343,11 +237,6 @@ class KeyValueSet:
         of every real backend rides this codec.  A uniform value column
         is encoded as its single element under ``_FLAG_UNIFORM``.
         """
-        if not self.is_host:
-            raise TypeError(
-                "the binary codec is host-only; export device parts with "
-                "KeyValueSet.to_host() exactly once, at post time"
-            )
         keys = np.ascontiguousarray(self.keys)
         element = uniform_element(self.values)
         if element is None:

@@ -56,7 +56,7 @@ class RoundRobinPartitioner(Partitioner):
 
     def partition(self, kv: KeyValueSet, n_parts: int) -> np.ndarray:
         keys = kv.keys
-        if kv.is_host and n_parts <= np.iinfo(keys.dtype).max:
+        if n_parts <= np.iinfo(keys.dtype).max:
             # Modulus in the keys' own dtype: no 8-byte temporaries per
             # 4-byte key (split_by takes any integer id dtype).
             return keys % keys.dtype.type(n_parts)

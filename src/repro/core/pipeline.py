@@ -20,7 +20,6 @@ import numpy as np
 
 from .binner import Binner
 from .chunk import Chunk
-from ..accel.namespace import resolve_namespace
 from .job import MapReduceJob
 from .kvset import KeyValueSet
 from .scheduler import Assignment, ChunkService
@@ -61,10 +60,8 @@ class Worker:
         self.node = node
         self.comm = comm
         self.job = job
-        #: the map phase's array namespace (job-config driven, like the
-        #: real backends) and whether the fused kernel replaces the
-        #: staged map substages this run
-        self.ns = resolve_namespace(job.config.accel)
+        #: whether the fused kernel replaces the staged map substages
+        #: this run (job-config driven, like the real backends)
         self._use_fused = job.config.fused and job.fused is not None
         self.scheduler = scheduler
         self.stats = WorkerStats(rank=rank)
@@ -122,15 +119,12 @@ class Worker:
             # model is a ROADMAP follow-up — today's sim prices fused
             # runs as map-cost only, which is the fusion's upper bound).
             if accum_state is None:
-                accum_state = job.fused.initial_state(self.ns)
-            accum_state, emission = job.fused.map_reduce_chunk(
-                chunk, accum_state, self.ns
-            )
+                accum_state = job.fused.initial_state()
+            accum_state, emission = job.fused.map_reduce_chunk(chunk, accum_state)
             for launch in job.mapper.map_cost(chunk):
                 yield from self.gpu.run_kernel(launch)
             self.stats.chunks_mapped += 1
             if emission is not None and len(emission):
-                emission = emission.to_host(self.ns)
                 self.stats.pairs_emitted_logical += emission.logical_pairs
             else:
                 emission = None
@@ -335,10 +329,9 @@ class Worker:
             t0 = self.env.now
             state = accum_state
             if state is None:
-                state = job.fused.initial_state(self.ns)
-            emission = job.fused.finish_state(state, self.ns)
+                state = job.fused.initial_state()
+            emission = job.fused.finish_state(state)
             if emission is not None and len(emission):
-                emission = emission.to_host(self.ns)
                 self.stats.pairs_emitted_logical += emission.logical_pairs
                 yield from self._transfer_and_bin(emission, defer_bin=False)
             self.stats.add("map", self.env.now - t0)

@@ -109,12 +109,9 @@ class ClusterExecutor(Executor):
         trace_path: Optional[str] = None,
         auth_key: Optional[bytes] = None,
         prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
-        accel: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
-        super().__init__(
-            n_workers, obs=obs, trace_path=trace_path, accel=accel, fused=fused
-        )
+        super().__init__(n_workers, obs=obs, trace_path=trace_path, fused=fused)
         #: grant pipelining depth shipped to ranks via ASSIGN: each
         #: rank keeps up to ``1 + prefetch_window`` CHUNK_REQ frames in
         #: flight so the next grant's wire time hides under the current

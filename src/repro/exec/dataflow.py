@@ -23,14 +23,10 @@ Canonical semantics (the parity contract):
   emission-order** order, then sorts with the job's sorter and reduces
   per key segment.
 
-The map phase runs on a pluggable :class:`~repro.accel.ArrayNamespace`
-(``accel="numpy" | "cupy" | "torch"``; numpy is the bit-parity
-reference) and, when the job carries a
-:class:`~repro.accel.FusedMapper` and ``fused=True`` is requested,
-collapses map + partial reduce (+ partition) into one namespace-level
-call per chunk.  Device-resident shuffle parts cross to host exactly
-once, when :meth:`MapRunner.finish` posts them; the crossing is counted
-in :attr:`MapPhaseOutput.bytes_device_to_host`.
+When the job carries a :class:`~repro.core.mapper.FusedMapper` and
+``fused=True`` is requested, the map phase collapses map + partial
+reduce into one kernel call per chunk; its output is bit-identical to
+the staged path's.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..accel.namespace import resolve_namespace
 from ..core.chunk import Chunk
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
@@ -74,9 +69,6 @@ class MapPhaseOutput:
     #: emissions — the provenance tag speculative-duplicate dedup keys
     #: on at the receivers
     part_chunk_ids: List[List[int]] = field(default_factory=list)
-    #: physical bytes exported device→host at post time (0 on the
-    #: numpy tier, where parts are born on host)
-    bytes_device_to_host: int = 0
 
     def batch_for(self, dest: int) -> List[KeyValueSet]:
         return self.parts[dest]
@@ -146,16 +138,12 @@ class MapRunner:
         self,
         job: MapReduceJob,
         n_workers: int,
-        accel: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
         self.job = job
         self.n_workers = n_workers
-        #: resolved array namespace; defaults come from the job config
-        #: (which travels in the job pickle to remote ranks)
-        self.ns = resolve_namespace(
-            job.config.accel if accel is None else accel
-        )
+        # Defaults come from the job config, which travels in the job
+        # pickle to remote ranks.
         fused_flag = job.config.fused if fused is None else bool(fused)
         self._use_fused = fused_flag and job.fused is not None
         self.out = MapPhaseOutput(
@@ -166,7 +154,7 @@ class MapRunner:
         self._accum_state: Optional[KeyValueSet] = None
         self._combine_buffer: List[KeyValueSet] = []
         self._fused_state = (
-            job.fused.initial_state(self.ns) if self._use_fused else None
+            job.fused.initial_state() if self._use_fused else None
         )
         self._finished = False
 
@@ -176,18 +164,15 @@ class MapRunner:
             raise RuntimeError("feed() after finish()")
         job = self.job
         if self._use_fused:
-            # One namespace-level call covers map + partial reduce;
-            # the synchronize fences queued device kernels so callers'
-            # span timing covers the work, not just its launch.
+            # One kernel call covers map + partial reduce.
             self._fused_state, emission = job.fused.map_reduce_chunk(
-                chunk, self._fused_state, self.ns
+                chunk, self._fused_state
             )
             self.out.chunks_mapped += 1
             if emission is not None and len(emission):
                 self.out.pairs_emitted_logical += emission.logical_pairs
                 _emit(job, emission, self.out, self.n_workers,
                       chunk_id=chunk.index)
-            self.ns.synchronize()
             return
         kv = job.mapper.map_chunk(chunk)
         self.out.chunks_mapped += 1
@@ -222,7 +207,7 @@ class MapRunner:
         if self._use_fused:
             # Flush runs for every rank — zero-chunk ranks included —
             # mirroring the accumulator's initial-state contract.
-            emission = job.fused.finish_state(self._fused_state, self.ns)
+            emission = job.fused.finish_state(self._fused_state)
             if emission is not None and len(emission):
                 self.out.pairs_emitted_logical += emission.logical_pairs
                 _emit(job, emission, self.out, self.n_workers)
@@ -237,23 +222,7 @@ class MapRunner:
             merged = KeyValueSet.concat(self._combine_buffer)
             _emit(job, job.combiner.combine(merged), self.out, self.n_workers)
             self._combine_buffer = []
-        self._export_parts_to_host()
-        self.ns.synchronize()
         return self.out
-
-    def _export_parts_to_host(self) -> None:
-        """The single device→host crossing: convert every posted part.
-
-        On the numpy tier this is a no-op scan (parts are born host);
-        on device tiers each part is copied out exactly once and the
-        physical bytes are tallied in ``bytes_device_to_host``.
-        """
-        for dest_parts in self.out.parts:
-            for i, part in enumerate(dest_parts):
-                if not part.is_host:
-                    host = part.to_host(self.ns)
-                    self.out.bytes_device_to_host += host.nbytes_actual
-                    dest_parts[i] = host
 
 
 def map_worker(

@@ -289,12 +289,9 @@ class LocalExecutor(Executor):
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
         prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
-        accel: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
-        super().__init__(
-            n_workers, obs=obs, trace_path=trace_path, accel=accel, fused=fused
-        )
+        super().__init__(n_workers, obs=obs, trace_path=trace_path, fused=fused)
         self.initial_distribution = initial_distribution
         self.start_method = start_method or _default_start_method()
         self.timeout_seconds = float(timeout_seconds)

@@ -46,12 +46,9 @@ class SerialExecutor(Executor):
         fault_plan: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
-        accel: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
-        super().__init__(
-            n_workers, obs=obs, trace_path=trace_path, accel=accel, fused=fused
-        )
+        super().__init__(n_workers, obs=obs, trace_path=trace_path, fused=fused)
         self.initial_distribution = initial_distribution
         #: kill injection mirrors the process backends in-process: at
         #: its scripted grant ordinal a rank's un-posted map state is

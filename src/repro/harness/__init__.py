@@ -39,7 +39,7 @@ from .figures import (
 from .loc import app_loc_counts, count_loc
 from .report import banner, render_series, render_table
 from .runners import AppRun, run_app
-from .accel_bench import accel_kernels
+from .fused_bench import fused_kernels
 from .weak_scaling import WEAK_PER_GPU, WeakScalingResult, weak_scaling
 from .tables import (
     PAPER_TABLE2,
@@ -67,7 +67,7 @@ __all__ = [
     "ablation_sio_pipeline",
     "ablation_chunk_size",
     "ablation_wo_reduce",
-    "accel_kernels",
+    "fused_kernels",
     "run_app",
     "AppRun",
     "weak_scaling",

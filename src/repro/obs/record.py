@@ -60,10 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="problem size (elements/chars/points; app-specific default)",
     )
     parser.add_argument(
-        "--accel", choices=("numpy", "cupy", "torch"), default=None,
-        help="array namespace for map/partial-reduce (default: numpy)",
-    )
-    parser.add_argument(
         "--fused", action="store_true",
         help="run the fused map+partial-reduce kernel where the app has one",
     )
@@ -78,11 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     size = ns.size or _DEFAULT_SIZES[ns.app]
     dataset = _make_dataset(ns.app, size)
-    extra = {}
-    if ns.accel is not None:
-        extra["accel"] = ns.accel
-    if ns.fused:
-        extra["fused"] = True
+    extra = {"fused": True} if ns.fused else {}
     run = run_app(
         ns.app, dataset, ns.n_workers, backend=ns.backend,
         trace_path=ns.out, **extra,

@@ -11,7 +11,6 @@ __all__ = [
     "grid_for",
     "launch_1d",
     "as_1d_array",
-    "accel_namespace_for",
     "uniform_element",
 ]
 
@@ -85,22 +84,3 @@ def uniform_element(values):
     ):
         return values[0]
     return None
-
-
-def accel_namespace_for(arr):
-    """The *device* namespace owning ``arr``, or None for host inputs.
-
-    The functional primitives call this first so a CuPy/Torch array
-    flows to its library's implementation while ndarrays (and anything
-    coercible — lists, scalars) keep taking the exact NumPy path the
-    seed shipped with.  The import is lazy: accel sits above primitives
-    in the layer order.
-    """
-    if isinstance(arr, np.ndarray) or not hasattr(arr, "dtype"):
-        return None
-    from ..accel.namespace import namespace_of  # noqa: PLC0415 - layer order
-
-    ns = namespace_of(arr)
-    if ns is None or ns.is_host:
-        return None
-    return ns

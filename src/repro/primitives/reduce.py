@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import accel_namespace_for, as_1d_array, launch_1d, uniform_element
+from .common import as_1d_array, launch_1d, uniform_element
 from ..hw.kernel import KernelLaunch
 
 __all__ = ["reduce_array", "segmented_reduce", "reduce_cost", "segmented_reduce_cost"]
@@ -65,9 +65,6 @@ def segmented_reduce(
     so the bytes are the same).  Floats keep the ``reduceat`` pass —
     ``c * v`` and ``v + ... + v`` round differently.
     """
-    ns = accel_namespace_for(values)
-    if ns is not None:
-        return ns.segmented_reduce(values, segment_offsets, op=op)
     element = uniform_element(values) if op == "sum" else None
     if element is not None and element.dtype.kind not in "iu":
         element = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import accel_namespace_for, as_1d_array, launch_1d
+from .common import as_1d_array, launch_1d
 from ..hw.kernel import KernelLaunch
 
 __all__ = [
@@ -25,9 +25,6 @@ __all__ = [
 
 def exclusive_scan(values: np.ndarray) -> np.ndarray:
     """Exclusive prefix sum: ``out[i] = sum(values[:i])``."""
-    ns = accel_namespace_for(values)
-    if ns is not None:
-        return ns.exclusive_scan(values)
     v = as_1d_array(values)
     out = np.empty_like(v)
     if len(v):
@@ -38,9 +35,6 @@ def exclusive_scan(values: np.ndarray) -> np.ndarray:
 
 def inclusive_scan(values: np.ndarray) -> np.ndarray:
     """Inclusive prefix sum: ``out[i] = sum(values[:i + 1])``."""
-    ns = accel_namespace_for(values)
-    if ns is not None:
-        return ns.inclusive_scan(values)
     return np.cumsum(as_1d_array(values))
 
 

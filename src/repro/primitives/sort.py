@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .common import accel_namespace_for, as_1d_array, launch_1d, uniform_element
+from .common import as_1d_array, launch_1d, uniform_element
 from ..hw.kernel import KernelLaunch
 
 __all__ = [
@@ -100,9 +100,6 @@ def radix_sort_pairs(
     A uniform value column comes back as the same read-only view
     (sorting cannot change it), not as a copy.
     """
-    ns = accel_namespace_for(keys)
-    if ns is not None:
-        return ns.sort_pairs(keys, values, key_bits=key_bits)
     k = as_1d_array(keys)
     if k.dtype.kind not in "iu":
         raise TypeError(f"radix sort requires integer keys, got {k.dtype}")

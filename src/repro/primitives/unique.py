@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .common import accel_namespace_for, as_1d_array, launch_1d
+from .common import as_1d_array, launch_1d
 from .compact import compact_cost
 from .scan import scan_cost
 
@@ -42,9 +42,6 @@ def unique_segments(sorted_keys: np.ndarray) -> KeyRuns:
     Raises if the keys are not in non-decreasing order (the GPU code
     would silently produce garbage; we check because we can).
     """
-    ns = accel_namespace_for(sorted_keys)
-    if ns is not None:
-        return ns.unique_segments(sorted_keys)
     k = as_1d_array(sorted_keys)
     if len(k) == 0:
         empty_off = np.empty(0, dtype=np.int64)
