@@ -35,10 +35,8 @@ from .executor import (
     Executor,
     SimExecutor,
     available_backends,
-    distribute_chunks,
     make_executor,
     register_backend,
-    resolve_chunks,
 )
 from .job import MapReduceJob
 from .kvset import KeyValueSet
@@ -55,11 +53,11 @@ from .runtime import GPMRRuntime, JobResult
 from .scheduler import (
     RETRY,
     Assignment,
-    ChunkScheduler,
     ChunkService,
-    ReplayScheduler,
     ScheduleGrant,
     ScheduleTrace,
+    distribute_chunks,
+    resolve_chunks,
 )
 from .sorter import ComparisonSorter, RadixSorter, Sorter
 from .stats import STAGES, JobStats, WorkerStats
@@ -96,10 +94,8 @@ __all__ = [
     "ComparisonSorter",
     "KeyValueSet",
     "Chunk",
-    "ChunkScheduler",
     "ChunkService",
     "RETRY",
-    "ReplayScheduler",
     "ScheduleGrant",
     "ScheduleTrace",
     "Assignment",

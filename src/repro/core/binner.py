@@ -21,7 +21,7 @@ backends (see :mod:`repro.exec`).
 
 from __future__ import annotations
 
-from typing import Generator, List, Tuple
+from typing import Generator, List, Sequence, Tuple
 
 from .kvset import KeyValueSet
 from ..hw.cpu import HostCPU
@@ -70,15 +70,17 @@ class Binner:
         if sends:
             yield self.env.all_of(sends)
 
-    def submit(self, parts: List[KeyValueSet]) -> Event:
-        """Launch an asynchronous bin of one chunk's partitioned pairs.
+    def submit(self, parts: Sequence[Tuple[int, KeyValueSet]]) -> Event:
+        """Launch an asynchronous bin of one emission's ``(dest, part)``
+        pieces (:attr:`~repro.core.dataflow.MapStep.parts`); empty parts
+        are not sent.
 
         Sequence numbers are assigned here, in submission order, so the
         canonical shuffle order matches the order chunks were mapped
         regardless of how the asynchronous bins interleave.
         """
         planned: List[Tuple[int, int, KeyValueSet]] = []
-        for dest, part in enumerate(parts):
+        for dest, part in parts:
             if len(part) == 0:
                 continue
             planned.append((dest, self.sent_counts[dest], part))

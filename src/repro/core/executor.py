@@ -40,15 +40,8 @@ from .faults import FaultPlan
 from .job import MapReduceJob
 from .kvset import KeyValueSet
 from .mapper import FusedMapper
-from .runtime import (
-    DISTRIBUTIONS,
-    GPMRRuntime,
-    JobResult,
-    close_job,
-    distribute_chunks,
-    resolve_chunks,
-)
-from .scheduler import ChunkService, ScheduleTrace
+from .runtime import GPMRRuntime, JobResult, close_job
+from .scheduler import ChunkService, ScheduleTrace, resolve_chunks
 from .stats import WorkerStats
 from ..obs import Observability
 from ..workloads.base import Dataset
@@ -56,12 +49,9 @@ from ..workloads.base import Dataset
 __all__ = [
     "Executor",
     "SimExecutor",
-    "DISTRIBUTIONS",
     "available_backends",
     "make_executor",
     "register_backend",
-    "resolve_chunks",
-    "distribute_chunks",
 ]
 
 
@@ -349,7 +339,7 @@ class Executor:
             speculate_after=speculate_after,
             # Prefetching backends (local, cluster) pipeline requests;
             # the window sets which request proves which grants mapped
-            # — see ChunkScheduler.request.
+            # — see ChunkService.request.
             prefetch=getattr(self, "prefetch_window", 0),
             obs=obs,
             job_id=self.job_id,

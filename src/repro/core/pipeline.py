@@ -1,4 +1,4 @@
-"""The GPMR worker pipeline: one process per GPU.
+"""The GPMR worker pipeline: one process per GPU, priced in modeled time.
 
 Executes the paper's Figure-1 work flow:
 
@@ -8,18 +8,30 @@ d2h -> Bin (async, CPU thread) -> ... -> Sort -> Reduce``
 with the documented overlap structure: chunk h2d double-buffers against
 the previous map; binning runs on a host core concurrently with
 subsequent maps; Combine/Accumulate defer binning until all maps are
-done.  Every step charges simulated time (kernel costs, PCI-e, network)
-and records it into the Figure-2 stage buckets.
+done.
+
+The worker computes nothing itself: each granted chunk goes through the
+same :class:`~repro.core.dataflow.MapRunner` the real backends run, and
+the shuffled pairs through the same :func:`~repro.core.dataflow.sort_pairs`
+/ :func:`~repro.core.dataflow.reduce_runs` halves of
+:func:`~repro.core.dataflow.reduce_worker`.  What the worker adds is the
+price: fetch and steal charges, kernel launches, PCI-e copies, GPU
+allocations and binner submits, charged from the sizes each
+:class:`~repro.core.dataflow.MapStep` records and booked into the
+Figure-2 stage buckets.  Functional work takes no modeled time, so
+running it first and charging after keeps every modeled second
+unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
 from .binner import Binner
 from .chunk import Chunk
+from .dataflow import MapRunner, MapStep, reduce_runs, sort_pairs
 from .job import MapReduceJob
 from .kvset import KeyValueSet
 from .scheduler import Assignment, ChunkService
@@ -28,7 +40,7 @@ from ..obs import NULL_TRACER
 from ..hw.gpu import GPU
 from ..hw.node import Node
 from ..net.mpi import Communicator
-from ..primitives import unique_segments, unique_segments_cost
+from ..primitives import KeyRuns, unique_segments_cost
 from ..sim import Environment
 
 __all__ = ["Worker"]
@@ -60,11 +72,10 @@ class Worker:
         self.node = node
         self.comm = comm
         self.job = job
-        #: whether the fused kernel replaces the staged map substages
-        #: this run (job-config driven, like the real backends)
-        self._use_fused = job.config.fused and job.fused is not None
         self.scheduler = scheduler
         self.stats = WorkerStats(rank=rank)
+        #: the functional map phase this worker prices
+        self.runner = MapRunner(job, comm.size)
         self.binner = Binner(env, comm, node.cpu, rank)
         self.result: Optional[KeyValueSet] = None
         #: scripted fault injection, mirroring the real backends: die
@@ -75,10 +86,10 @@ class Worker:
         self.stall_seconds = float(stall_seconds)
         self.respawns_left = int(respawns_left)
         self._killed = False
-        #: when set, partitioned parts buffer here instead of reaching
-        #: the binner mid-map — a faulted rank must be able to discard
+        #: when set, emissions buffer here instead of reaching the
+        #: binner mid-map — a faulted rank must be able to discard
         #: everything it has not posted, so nothing leaves early
-        self._deferred_parts: Optional[List[List[KeyValueSet]]] = None
+        self._deferred_parts: Optional[List[List[Tuple[int, KeyValueSet]]]] = None
 
     # ------------------------------------------------------------------
     # Fetch: steal pricing + h2d copy (double-buffered by the caller)
@@ -103,110 +114,77 @@ class Worker:
     # ------------------------------------------------------------------
     # Map phase
     # ------------------------------------------------------------------
-    def _map_one(self, chunk: Chunk, accum_state: Optional[KeyValueSet]) -> Generator:
-        """Map + on-GPU substages for one resident chunk.
-
-        Returns ``(kv_for_transfer, accum_state)``; ``kv_for_transfer``
-        is None on the accumulate path (nothing leaves the GPU yet).
-        """
+    def _map_one(self, chunk: Chunk, in_alloc, t_chunk: float) -> Generator:
+        """Map one resident chunk, then charge its on-GPU substages and
+        the transfer of whatever it emitted."""
         job = self.job
+        step = self.runner.feed(chunk)
         out_bytes = job.mapper.output_bytes_estimate(chunk) + job.mapper.scratch_bytes
         out_alloc = self.gpu.alloc(out_bytes, tag="map-out") if out_bytes else None
-
-        if self._use_fused:
-            # One fused call covers map + partial reduce; the cost model
-            # still charges the mapper's kernels (a dedicated fused cost
-            # model is a ROADMAP follow-up — today's sim prices fused
-            # runs as map-cost only, which is the fusion's upper bound).
-            if accum_state is None:
-                accum_state = job.fused.initial_state()
-            accum_state, emission = job.fused.map_reduce_chunk(chunk, accum_state)
-            for launch in job.mapper.map_cost(chunk):
-                yield from self.gpu.run_kernel(launch)
-            self.stats.chunks_mapped += 1
-            if emission is not None and len(emission):
-                self.stats.pairs_emitted_logical += emission.logical_pairs
-            else:
-                emission = None
-            if out_alloc:
-                self.gpu.free(out_alloc)
-            return emission, accum_state
-
-        kv = job.mapper.map_chunk(chunk)
+        # The fused kernel is priced as the mapper's kernels alone (a
+        # dedicated fused cost model is a ROADMAP follow-up — map-cost
+        # only is the fusion's upper bound).
         for launch in job.mapper.map_cost(chunk):
             yield from self.gpu.run_kernel(launch)
-        self.stats.pairs_emitted_logical += kv.logical_pairs
-        self.stats.chunks_mapped += 1
-
-        if job.accumulator is not None:
-            if accum_state is None:
-                accum_state = job.accumulator.initial_state(kv.scale)
+        if step.state_pairs is not None:
+            if self.runner.out.chunks_mapped == 1:
+                # The first fold of this incarnation makes the state resident.
                 self.gpu.alloc(
                     job.accumulator.state_bytes(job.pair_bytes), tag="accum-state"
                 )
-            n_state = int(round(len(accum_state) * accum_state.scale))
             for launch in job.accumulator.accumulate_cost(
-                kv.logical_pairs, n_state, job.pair_bytes
+                step.map_pairs, step.state_pairs, job.pair_bytes
             ):
                 yield from self.gpu.run_kernel(launch)
-            accum_state = job.accumulator.accumulate(accum_state, kv)
-            if out_alloc:
-                self.gpu.free(out_alloc)
-            return None, accum_state
-
-        if job.partial_reducer is not None:
-            reduced = job.partial_reducer.partial_reduce(kv)
+        if step.reduced_pairs is not None:
             for launch in job.partial_reducer.partial_reduce_cost(
-                kv.logical_pairs, reduced.logical_pairs, job.pair_bytes
+                step.map_pairs, step.reduced_pairs, job.pair_bytes
             ):
                 yield from self.gpu.run_kernel(launch)
-            kv = reduced
-
         if out_alloc:
             self.gpu.free(out_alloc)
-        return kv, accum_state
+        yield from self._transfer(step)
+        self.gpu.free(in_alloc)
+        # Streamed (descriptor-backed) chunks drop their payload once
+        # mapped (re-materialising if granted again), so a whole-dataset
+        # sim run stays bounded by the in-flight window, not the logical
+        # dataset size.
+        chunk.release()
+        self.tracer.add_span(
+            "chunk_map", t_chunk, self.env.now, rank=self.rank, chunk=chunk.index
+        )
 
-    def _transfer_and_bin(self, kv: KeyValueSet, defer_bin: bool) -> Generator:
-        """Partition on GPU, copy pairs to host, hand to the binner.
-
-        When ``defer_bin`` (combiner path) the pairs stay in host memory
-        and the caller bins later; we only pay the d2h here.
-        Returns the partitioned parts (or the raw kv when deferring).
-        """
-        job = self.job
-        if len(kv) == 0:
-            return [] if not defer_bin else kv
-
-        parts: List[KeyValueSet]
-        if not defer_bin:
-            if job.partitioner is not None:
-                for launch in job.partitioner.partition_cost(
-                    kv.logical_pairs, kv.nbytes_logical
-                ):
-                    yield from self.gpu.run_kernel(launch)
-            parts = job.partition_parts(kv, self.comm.size)
-        else:
-            parts = [kv]
-
-        nbytes = kv.nbytes_logical
+    def _copy_d2h(self, nbytes: int) -> Generator:
         yield from self.gpu.copy_d2h(nbytes)
         self.stats.bytes_d2h += nbytes
 
-        if defer_bin:
-            return kv
+    def _transfer(self, step: MapStep) -> Generator:
+        """Charge moving a step's output off the GPU.
+
+        Pairs parked in the combine buffer only pay their d2h copy; an
+        emission pays the partition kernel and its d2h copy, and its
+        per-destination parts go to the binner.
+        """
+        job = self.job
+        if step.buffered is not None:
+            yield from self._copy_d2h(step.buffered.nbytes_logical)
+        kv = step.emission
+        if kv is None:
+            return
+        if job.partitioner is not None:
+            for launch in job.partitioner.partition_cost(
+                kv.logical_pairs, kv.nbytes_logical
+            ):
+                yield from self.gpu.run_kernel(launch)
+        yield from self._copy_d2h(kv.nbytes_logical)
         if self._deferred_parts is not None:
-            self._deferred_parts.append(parts)
+            self._deferred_parts.append(step.parts)
         else:
-            self.binner.submit(parts)
-        return parts
+            self.binner.submit(step.parts)
 
     def _map_loop(self) -> Generator:
-        """The normal double-buffered pull loop; returns
-        ``(accum_state, combine_buffer)``."""
+        """The normal double-buffered pull loop."""
         job = self.job
-        accum_state: Optional[KeyValueSet] = None
-        combine_buffer: List[KeyValueSet] = []
-
         t_phase = self.env.now
         assignment = self.scheduler.request(self.rank)
         fetch = (
@@ -222,30 +200,12 @@ class Worker:
             if next_assignment is not None and job.config.double_buffer:
                 next_fetch = self.env.process(self._fetch_proc(next_assignment))
 
-            kv, accum_state = yield from self._map_one(assignment.chunk, accum_state)
-            if kv is not None:
-                if job.combiner is not None:
-                    buffered = yield from self._transfer_and_bin(kv, defer_bin=True)
-                    if isinstance(buffered, KeyValueSet) and len(buffered):
-                        combine_buffer.append(buffered)
-                else:
-                    yield from self._transfer_and_bin(kv, defer_bin=False)
-
-            self.gpu.free(in_alloc)
-            # Streamed (descriptor-backed) chunks drop their payload
-            # once mapped, so a whole-dataset sim run stays bounded by
-            # the in-flight window, not the logical dataset size.
-            assignment.chunk.release()
-            self.tracer.add_span(
-                "chunk_map", t_chunk, self.env.now,
-                rank=self.rank, chunk=assignment.chunk.index,
-            )
+            yield from self._map_one(assignment.chunk, in_alloc, t_chunk)
             assignment = next_assignment
             if assignment is not None and next_fetch is None:
                 next_fetch = self.env.process(self._fetch_proc(assignment))
             fetch = next_fetch
         self.stats.add("map", self.env.now - t_phase)
-        return accum_state, combine_buffer
 
     def _map_loop_faulted(self) -> Generator:
         """Sequential pull loop for a fault-injected rank.
@@ -257,11 +217,7 @@ class Worker:
         respawned replacement.  Modeled time keeps flowing; only the
         replacement's life lands in this worker's stats.
         """
-        job = self.job
-        accum_state: Optional[KeyValueSet] = None
-        combine_buffer: List[KeyValueSet] = []
         grants = 0
-
         t_phase = self.env.now
         while True:
             if self.stall_seconds:
@@ -288,73 +244,42 @@ class Worker:
                 # The replacement starts clean: un-posted map output,
                 # accumulated state, buffered bins, and the dead
                 # incarnation's stats all die with the process.
-                accum_state = None
-                combine_buffer = []
+                self.runner = MapRunner(self.job, self.comm.size)
                 self._deferred_parts = []
                 self.stats = WorkerStats(rank=self.rank)
                 t_phase = self.env.now
                 continue
             t_chunk = self.env.now
             in_alloc = yield self.env.process(self._fetch_proc(assignment))
-            kv, accum_state = yield from self._map_one(assignment.chunk, accum_state)
-            if kv is not None:
-                if job.combiner is not None:
-                    buffered = yield from self._transfer_and_bin(kv, defer_bin=True)
-                    if isinstance(buffered, KeyValueSet) and len(buffered):
-                        combine_buffer.append(buffered)
-                else:
-                    yield from self._transfer_and_bin(kv, defer_bin=False)
-            self.gpu.free(in_alloc)
-            assignment.chunk.release()  # streamed payloads re-materialise
-            self.tracer.add_span(
-                "chunk_map", t_chunk, self.env.now,
-                rank=self.rank, chunk=assignment.chunk.index,
-            )
+            yield from self._map_one(assignment.chunk, in_alloc, t_chunk)
         self.stats.add("map", self.env.now - t_phase)
-        return accum_state, combine_buffer
 
     def map_phase(self) -> Generator:
         """Process the worker's entire map workload."""
         job = self.job
         if self.kill_at_chunk is not None or self.stall_seconds:
             self._deferred_parts = []
-            accum_state, combine_buffer = yield from self._map_loop_faulted()
+            yield from self._map_loop_faulted()
         else:
-            accum_state, combine_buffer = yield from self._map_loop()
+            yield from self._map_loop()
 
-        # -- post-map paths ------------------------------------------------
-        if self._use_fused:
-            # Flush the fused per-rank state; zero-chunk ranks flush the
-            # initial state, mirroring the accumulator contract.
-            t0 = self.env.now
-            state = accum_state
-            if state is None:
-                state = job.fused.initial_state()
-            emission = job.fused.finish_state(state)
-            if emission is not None and len(emission):
-                self.stats.pairs_emitted_logical += emission.logical_pairs
-                yield from self._transfer_and_bin(emission, defer_bin=False)
-            self.stats.add("map", self.env.now - t0)
-        elif job.accumulator is not None:
-            t0 = self.env.now
-            state = accum_state if accum_state is not None else (
-                job.accumulator.initial_state(1.0)
-            )
-            yield from self._transfer_and_bin(state, defer_bin=False)
-            self.stats.add("map", self.env.now - t0)
-
-        if job.combiner is not None and combine_buffer:
-            t0 = self.env.now
-            merged = KeyValueSet.concat(combine_buffer)
-            # Stream the buffered pairs back through the GPU to combine.
+        # -- post-map paths: the fused / accumulator flush, or the
+        # combine pass that streams the buffered pairs back through
+        # the GPU.  A rank with neither charges nothing here.
+        t0 = self.env.now
+        step = self.runner.finish()
+        if step.combine_in is not None:
+            merged = step.combine_in
             yield from self.gpu.copy_h2d(merged.nbytes_logical)
-            combined = job.combiner.combine(merged)
             for launch in job.combiner.combine_cost(
-                merged.logical_pairs, combined.logical_pairs, job.pair_bytes
+                merged.logical_pairs, step.combine_out_pairs, job.pair_bytes
             ):
                 yield from self.gpu.run_kernel(launch)
-            yield from self._transfer_and_bin(combined, defer_bin=False)
-            self.stats.add("map", self.env.now - t0)
+        yield from self._transfer(step)
+        self.stats.add("map", self.env.now - t0)
+        mapped = self.runner.out
+        self.stats.chunks_mapped = mapped.chunks_mapped
+        self.stats.pairs_emitted_logical = mapped.pairs_emitted_logical
 
         # A faulted rank's buffered submissions post together, here —
         # the first moment its output leaves the process.  From this
@@ -379,15 +304,12 @@ class Worker:
     # ------------------------------------------------------------------
     def _sort_phase(self, incoming: List[KeyValueSet]) -> Generator:
         job = self.job
-        nonempty = [kv for kv in incoming if len(kv)]
-        if not nonempty:
-            return None
-        kv_all = KeyValueSet.concat(nonempty)
+        sorted_kv, runs = sort_pairs(job, incoming)
 
         t0 = self.env.now
         budget = int(self.gpu.spec.mem_capacity * job.config.sort_in_core_fraction)
-        total_bytes = kv_all.nbytes_logical
-        n_pairs_logical = kv_all.logical_pairs
+        total_bytes = sorted_kv.nbytes_logical
+        n_pairs_logical = sorted_kv.logical_pairs
         passes = max(1, -(-total_bytes // budget))  # ceil division
 
         per_pass_pairs = -(-n_pairs_logical // passes)
@@ -411,8 +333,6 @@ class Worker:
             # The merged set streams back for the reduce.
             yield from self.gpu.copy_h2d(min(total_bytes, budget))
 
-        sorted_kv = job.sorter.sort(kv_all)
-        runs = unique_segments(sorted_kv.keys)
         for launch in unique_segments_cost(
             n_pairs_logical, int(round(runs.n_keys * sorted_kv.scale)), job.key_bytes
         ):
@@ -421,13 +341,14 @@ class Worker:
         self.tracer.add_span("sort", t0, self.env.now, rank=self.rank)
         return sorted_kv, runs
 
-    def _reduce_phase(self, sorted_kv: KeyValueSet, runs) -> Generator:
+    def _reduce_phase(self, sorted_kv: KeyValueSet, runs: KeyRuns) -> Generator:
         job = self.job
         t0 = self.env.now
         n_keys = runs.n_keys
         if n_keys == 0 or job.reducer is None:
-            self.stats.add("reduce", self.env.now - t0)
+            self.stats.add("reduce", 0.0)
             return sorted_kv
+        output = reduce_runs(job, sorted_kv, runs)
 
         # GPMR's reduce-chunking callback: how many value sets per chunk?
         avg_set_bytes = max(
@@ -448,11 +369,7 @@ class Worker:
             ):
                 yield from self.gpu.run_kernel(launch)
 
-        output = job.reducer.reduce_segments(
-            runs.unique_keys, sorted_kv.values, runs.offsets, runs.counts, scale
-        )
-        yield from self.gpu.copy_d2h(output.nbytes_logical)
-        self.stats.bytes_d2h += output.nbytes_logical
+        yield from self._copy_d2h(output.nbytes_logical)
         self.stats.add("reduce", self.env.now - t0)
         self.tracer.add_span("reduce", t0, self.env.now, rank=self.rank)
         return output
@@ -477,15 +394,10 @@ class Worker:
         self.stats.add("scheduler", self.env.now - t0)
         self.tracer.add_span("shuffle_recv", t0, self.env.now, rank=self.rank)
 
-        if self.job.config.skip_sort_reduce:
-            nonempty = [kv for kv in incoming if len(kv)]
+        nonempty = [kv for kv in incoming if len(kv)]
+        if self.job.config.skip_sort_reduce or not nonempty:
             self.result = KeyValueSet.concat(nonempty) if nonempty else None
             return self.result
-
-        sorted_and_runs = yield from self._sort_phase(incoming)
-        if sorted_and_runs is None:
-            self.result = None
-            return None
-        sorted_kv, runs = sorted_and_runs
+        sorted_kv, runs = yield from self._sort_phase(nonempty)
         self.result = yield from self._reduce_phase(sorted_kv, runs)
         return self.result

@@ -3,10 +3,12 @@
 "Each GPU is controlled by a separate process and each process executes
 the MapReduce pipeline."  :class:`GPMRRuntime` instantiates the nodes,
 the network fabric, the MPI communicator (one rank per GPU, packed onto
-nodes fill-first like the paper's launcher), distributes the dataset's
-chunks round-robin, runs every :class:`~repro.core.pipeline.Worker` to
-completion on the discrete-event engine, and returns a
-:class:`JobResult` holding per-rank outputs and the Figure-2 stats.
+nodes fill-first like the paper's launcher), hands the dataset's chunks
+to the same :class:`~repro.core.scheduler.ChunkService` every real
+backend pulls from, runs every :class:`~repro.core.pipeline.Worker` —
+the real backends' dataflow, priced in modeled time — to completion on
+the discrete-event engine, and returns a :class:`JobResult` holding
+per-rank outputs and the Figure-2 stats.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from .faults import FaultPlan
 from .job import MapReduceJob
 from .kvset import KeyValueSet
 from .pipeline import Worker
-from .scheduler import (
-    DISTRIBUTIONS,
-    ChunkService,
-    ScheduleTrace,
-    distribute_chunks,
-    resolve_chunks,
-)
+from .scheduler import DISTRIBUTIONS, ChunkService, ScheduleTrace, resolve_chunks
 from .stats import JobStats, WorkerStats
 from ..hw.node import build_nodes
 from ..obs import Observability
@@ -36,14 +32,7 @@ from ..net.topology import FatTreeTopology, StarTopology
 from ..sim import Environment
 from ..workloads.base import Dataset
 
-__all__ = [
-    "JobResult",
-    "GPMRRuntime",
-    "close_job",
-    "DISTRIBUTIONS",
-    "resolve_chunks",
-    "distribute_chunks",
-]
+__all__ = ["JobResult", "GPMRRuntime", "close_job"]
 
 
 @dataclass

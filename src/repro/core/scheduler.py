@@ -1,20 +1,21 @@
-"""Dynamic chunk scheduler with work stealing.
+"""The grant ledger: dynamic chunk queues with work stealing.
 
 "GPMR tracks the per-GPU work in a dynamic queue.  If one GPU finishes
 its work in its local queue and other GPUs have much more work to do,
-we shift chunks between the local queues."  The scheduler keeps one
-deque per worker, hands out local work first, and otherwise steals from
-the *longest* queue.  The sim's caller (pipeline) prices the steal:
-chunk serialisation on the victim's CPU plus the wire transfer when
-victim and thief live on different nodes.
+we shift chunks between the local queues."  :class:`ChunkService`
+keeps one deque per worker, hands out local work first, and otherwise
+steals from the *longest* queue.  The sim's caller (pipeline) prices
+the steal: chunk serialisation on the victim's CPU plus the wire
+transfer when victim and thief live on different nodes.
 
-:class:`ChunkService` is the backend-agnostic face of all of this: one
-thread-safe driver-side pull authority wrapping either the dynamic
-:class:`ChunkScheduler` or a trace-replaying :class:`ReplayScheduler`,
-serving the sim's event loop, the serial backend's interleaved rank
-loop, the local backend's service thread, and the cluster
-coordinator's ``CHUNK_REQ`` frames alike — with every grant recorded
-into a replayable :class:`ScheduleTrace`.
+The service is the one thread-safe, driver-side pull authority of
+every backend — the sim's event loop, the serial backend's interleaved
+rank loop, the local backend's service thread and the cluster
+coordinator's ``CHUNK_REQ`` frames alike.  Replaying a recorded
+:class:`ScheduleTrace` is not a second scheduler: the same service
+fills its per-worker queues with the trace's grants and serves them
+through the same ledger-writing grant path.  :class:`JobChunkAuthority`
+keys many jobs' services by job id.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from ..workloads.base import Dataset
 
 __all__ = [
     "Assignment",
-    "ChunkScheduler",
     "ChunkService",
     "JobChunkAuthority",
     "DISTRIBUTIONS",
@@ -40,7 +40,6 @@ __all__ = [
     "GRANT_DONE",
     "GRANT_RETRY",
     "RETRY",
-    "ReplayScheduler",
     "ScheduleGrant",
     "ScheduleTrace",
     "resolve_chunks",
@@ -95,7 +94,7 @@ def distribute_chunks(
     everything on worker 0 (as when one node ingested the data).
 
     This is the single definition of placement the bit-parity contract
-    rests on; the sim scheduler's ``assign_*`` helpers delegate here.
+    rests on.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
@@ -167,9 +166,8 @@ class ScheduleTrace:
     """An ordered log of chunk grants — a replayable schedule.
 
     Every backend's :class:`ChunkService` grows one of these as it
-    hands out work — live :class:`ChunkScheduler` grants on a native
-    run, re-issued :class:`ReplayScheduler` grants on a replay — so a
-    load-balanced run on *any* backend reproduces
+    hands out work — live grants on a native run, re-issued grants on
+    a replay — so a load-balanced run on *any* backend reproduces
     decision-for-decision on any other.  The trace is small (three
     ints and a bool per chunk), picklable, and wire-friendly via
     :meth:`to_records`/:meth:`from_records`.
@@ -292,31 +290,48 @@ class ScheduleTrace:
             )
         return by_id
 
-class ChunkScheduler:
-    """Per-worker chunk queues with longest-queue-first stealing.
 
-    Every grant is recorded into :attr:`trace`, so any run — load
-    balanced or not — leaves behind a schedule the other backends can
-    replay bit-for-bit.
+class ChunkService:
+    """Driver-side authority over a job's chunks: the one grant ledger.
 
-    The scheduler also tracks chunk *ownership*: a granted chunk stays
-    **outstanding** against its worker until the worker posts its
-    shuffle batches (:meth:`mark_posted`), because until that moment
-    nothing of the worker's map phase has left its process — the unit
+    Every backend's chunk distribution goes through one of these.  The
+    service keeps one queue per worker and answers each worker's "next
+    chunk?" at runtime: local work first, then a steal from the tail of
+    the *longest* queue, then — with ``speculate_after`` set — a
+    duplicate of an aged in-flight grant.  With a recorded ``schedule``
+    the queues hold that trace's grants instead, and each worker is
+    served its own in trace order, recorded victims included, so steal
+    pricing replays identically.  Either way every grant goes through
+    :meth:`_grant`, which writes every ledger — the live
+    :class:`ScheduleTrace`, the per-worker granted / steal / retry
+    counts, and chunk ownership — so any run (sim, serial, local or
+    cluster) leaves behind a schedule the other backends can replay
+    bit-for-bit.
+
+    Ownership: a granted chunk stays charged to its worker until the
+    worker posts its shuffle batches (:meth:`mark_posted`), because
+    until then nothing of its map phase has left its process — the unit
     of loss under a worker death is every un-posted grant.
-    :meth:`reclaim` returns a dead worker's outstanding grants to the
-    pool (and erases that incarnation from the trace and ledgers), so
-    survivors or a respawned replacement re-pull them.
+    :meth:`reclaim` returns a dead worker's grants to the pool and
+    erases that incarnation from the trace and ledgers, so survivors or
+    a respawned replacement re-pull them.  A replay re-issues a
+    schedule that already survived its run, and recovery would diverge
+    from it: under replay no death is recoverable and :meth:`reclaim`
+    refuses.
 
-    ``speculate_after`` (seconds) additionally enables straggler
-    speculation: an idle worker's request may be answered with a
-    *duplicate* grant of a chunk another un-posted worker has held for
-    longer than the threshold (and the steal threshold drops to one
-    queued chunk, so a straggler's queue drains completely).  At most
-    two copies of a chunk are ever granted; receivers keep exactly one
-    (see :func:`repro.exec.dataflow.merge_incoming`), and the recorded
-    trace keeps only the kept copy's grant, so it still grants every
-    chunk exactly once.
+    Speculation: an idle worker's request may be answered with a
+    *duplicate* of a chunk another un-posted worker has held in flight
+    for longer than ``speculate_after`` seconds (and one queued chunk is
+    then enough to steal, so a straggler's queue drains completely).
+    At most two copies of a chunk are live; receivers keep exactly one
+    (see :func:`repro.core.dataflow.merge_incoming`), and :attr:`trace`
+    keeps only the kept copy's grant, so it still grants every chunk
+    exactly once.
+
+    Requests are serialised under a lock: the sim calls :meth:`request`
+    from its event loop, the serial backend from its interleaved rank
+    loop, the local backend from a driver-side service thread, and the
+    cluster coordinator for each ``CHUNK_REQ`` control frame.
     """
 
     #: a victim must have at least this many chunks queued to be robbed
@@ -325,136 +340,133 @@ class ChunkScheduler:
 
     def __init__(
         self,
+        chunks: Sequence[Chunk],
         n_workers: int,
+        initial_distribution: str = "round_robin",
         enable_stealing: bool = True,
+        schedule: Optional[ScheduleTrace] = None,
+        context: Optional[str] = None,
         speculate_after: Optional[float] = None,
         prefetch: int = 0,
+        obs=None,
+        job_id: Optional[str] = None,
     ) -> None:
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
-        self.n_workers = n_workers
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        n = self.n_workers = int(n_workers)
+        self.context = context
+        #: namespace this service serves under a multi-job authority;
+        #: None for standalone one-shot runs.  When set, every traced
+        #: grant/steal/reclaim event carries ``job=<job_id>`` so
+        #: interleaved multi-job traces stay attributable.
+        self.job_id = job_id
+        self._job_kw = {"job": job_id} if job_id is not None else {}
+        #: the run's observability bundle; grants/steals/reclaims are
+        #: recorded as point events and counters (no-ops when untraced)
+        self.obs = obs or NULL_OBS
+        self.obs.metrics.gauge("chunks_total").set(len(chunks))
+        #: True when grants come from a recorded trace, not live stealing
+        self.replaying = schedule is not None
+        if self.replaying and speculate_after is not None:
+            raise ValueError(
+                "speculation cannot run under a replayed schedule; "
+                "the trace already fixes every grant"
+            )
         self.enable_stealing = enable_stealing
         self.speculate_after = speculate_after
         #: requests a worker keeps pipelined beyond the one being
         #: answered (its pull window is ``1 + prefetch``); sets which
         #: request proves which grants mapped — see :meth:`request`.
         self.prefetch = max(0, int(prefetch))
-        #: worker -> its answers not yet proven consumed, oldest first:
-        #: the granted chunk id, or None for a RETRY/done answer
-        self._unproven: List[Deque[Optional[int]]] = [
-            deque() for _ in range(n_workers)
-        ]
-        self._queues: List[Deque[Chunk]] = [deque() for _ in range(n_workers)]
+        #: worker -> what it is served next, in order: queued chunks on
+        #: a live run; under replay, its traced grants as Assignments
+        self._queues: List[Deque] = [deque() for _ in range(n)]
+        if schedule is None:
+            for q, assigned in zip(
+                self._queues, distribute_chunks(chunks, n, initial_distribution)
+            ):
+                q.extend(assigned)
+        else:
+            by_id = schedule._index_chunks(chunks, n, context)
+            for g in schedule:
+                self._queues[g.worker].append(Assignment(by_id[g.chunk_id], g.victim))
+
+        #: every grant as issued, speculation duplicates included
+        self.raw_trace = ScheduleTrace()
         self.steals = 0
-        self.steals_by_worker: List[int] = [0] * n_workers
-        self.trace = ScheduleTrace()
+        self.steals_by_worker: List[int] = [0] * n
         #: grants per worker including speculative losers (what each
         #: worker really mapped — the ledger-validation ground truth)
-        self.granted_by_worker: List[int] = [0] * n_workers
+        self.granted_by_worker: List[int] = [0] * n
         #: re-granted chunks per worker: reclaimed re-grants + duplicates
-        self.retries_by_worker: List[int] = [0] * n_workers
+        self.retries_by_worker: List[int] = [0] * n
         #: chunks returned to the pool by :meth:`reclaim`, total
         self.chunks_reclaimed = 0
+        #: worker -> its answers not yet proven consumed, oldest first:
+        #: the granted chunk id, or None for a RETRY/done answer
+        self._unproven: List[Deque[Optional[int]]] = [deque() for _ in range(n)]
         #: worker -> {chunk_id: (chunk, grant_monotonic)} granted and
-        #: *in flight*: the worker has not requested again since, so it
-        #: may still be mid-map on these — the speculation candidates
-        self._outstanding: List[Dict[int, Tuple[Chunk, float]]] = [
-            {} for _ in range(n_workers)
-        ]
-        #: worker -> {chunk_id: chunk} mapped (the worker requested
-        #: again, and its pull loop is sequential) but not yet posted —
+        #: *in flight*: not proven mapped yet — the speculation candidates
+        self._outstanding: List[Dict[int, Tuple[Chunk, float]]] = [{} for _ in range(n)]
+        #: worker -> {chunk_id: chunk} proven mapped but not yet posted —
         #: still reclaimable on death, no longer speculation bait
-        self._mapped: List[Dict[int, Chunk]] = [{} for _ in range(n_workers)]
+        self._mapped: List[Dict[int, Chunk]] = [{} for _ in range(n)]
         #: worker -> chunk ids it posted shuffle output for
-        self._completed: List[Set[int]] = [set() for _ in range(n_workers)]
-        self._posted: List[bool] = [False] * n_workers
+        self._completed: List[Set[int]] = [set() for _ in range(n)]
+        self._posted: List[bool] = [False] * n
         #: chunk_id -> grantee workers, in grant order (len 2 == speculated)
         self._grantees: Dict[int, List[int]] = {}
         #: chunk ids that went back to the pool at least once
         self._reclaimed_ids: Set[int] = set()
+        # Re-entrant: recovery needs to drain a dead worker's pending
+        # grants and reclaim atomically w.r.t. the serving thread, so
+        # guard() must be holdable around (and by) request().
+        self._lock = threading.RLock()
 
-    # -- loading ---------------------------------------------------------
-    def assign_round_robin(self, chunks: Sequence[Chunk]) -> None:
-        """Initial distribution: chunk i goes to worker i mod n."""
-        self.assign(chunks, "round_robin")
-
-    def assign_blocks(self, chunks: Sequence[Chunk]) -> None:
-        """Initial distribution: contiguous blocks of chunks per worker."""
-        self.assign(chunks, "blocks")
-
-    def assign(self, chunks: Sequence[Chunk], how: str = "round_robin") -> None:
-        """Load queues via the canonical placement policy."""
-        for worker, assigned in enumerate(
-            distribute_chunks(chunks, self.n_workers, how)
-        ):
-            self._queues[worker].extend(assigned)
-
-    def push(self, worker: int, chunk: Chunk) -> None:
-        self._queues[worker].append(chunk)
-
-    # -- inspection ------------------------------------------------------
-    def queue_len(self, worker: int) -> int:
-        return len(self._queues[worker])
-
-    @property
-    def remaining(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    # -- dispatch -----------------------------------------------------------
-    def _grant(self, worker: int, chunk: Chunk, victim: int) -> Assignment:
-        """Record one grant in every ledger and hand the chunk out."""
-        if victim != worker:
-            self.steals += 1
-            self.steals_by_worker[worker] += 1
-        self.trace.record(worker, chunk.index, victim)
-        self.granted_by_worker[worker] += 1
-        grantees = self._grantees.setdefault(chunk.index, [])
-        if grantees or chunk.index in self._reclaimed_ids:
-            # A duplicate (speculative) copy or a reclaimed re-grant:
-            # either way this worker is re-executing lost/late work.
-            self.retries_by_worker[worker] += 1
-        grantees.append(worker)
-        self._outstanding[worker][chunk.index] = (chunk, time.monotonic())
-        return Assignment(chunk=chunk, victim=victim)
-
+    # -- dispatch ----------------------------------------------------------
     def request(self, worker: int):
-        """Next chunk for ``worker``: local first, else steal, else a
-        speculative duplicate of an aged in-flight grant (when
-        ``speculate_after`` is set — possibly :data:`RETRY`), else None.
-        """
-        if not (0 <= worker < self.n_workers):
+        """The worker's next chunk (with its victim rank), None when
+        the worker is done, or :data:`RETRY` when a speculation-enabled
+        run wants the idle worker to ask again shortly.  Thread-safe;
+        grant order is total."""
+        if not 0 <= worker < self.n_workers:
             raise ValueError(f"worker {worker} out of range")
-        # A worker's pull loop keeps ``W = 1 + prefetch`` requests in
-        # flight and tops the window up only after it has mapped what
-        # its last answer granted, so its request number ``W + i``
-        # proves every grant among its first ``i`` answers mapped —
-        # RETRY/done answers count as answers.  The proven-mapped
-        # grants stop being speculation candidates (duplicating
-        # finished work is pure waste) but stay reclaimable until the
-        # worker posts; answers still unproven may sit unread in the
-        # worker's pipeline — a stalled prefetcher's buffered chunk is
-        # exactly what speculation must be allowed to duplicate.
-        unproven = self._unproven[worker]
-        while len(unproven) > self.prefetch:
-            cid = unproven.popleft()
-            if cid in self._outstanding[worker]:
-                chunk, _granted_at = self._outstanding[worker].pop(cid)
-                self._mapped[worker][cid] = chunk
-        answer = self._next_for(worker)
-        unproven.append(
-            answer.chunk.index if isinstance(answer, Assignment) else None
-        )
-        return answer
+        with self._lock:
+            # A worker's pull loop keeps ``W = 1 + prefetch`` requests in
+            # flight and tops the window up only after it has mapped
+            # what its last answer granted, so its request number
+            # ``W + i`` proves every grant among its first ``i`` answers
+            # mapped — RETRY/done answers count as answers.  The
+            # proven-mapped grants stop being speculation candidates
+            # (duplicating finished work is pure waste) but stay
+            # reclaimable until the worker posts; answers still unproven
+            # may sit unread in the worker's pipeline — a stalled
+            # prefetcher's buffered chunk is exactly what speculation
+            # must be allowed to duplicate.
+            unproven = self._unproven[worker]
+            while len(unproven) > self.prefetch:
+                cid = unproven.popleft()
+                if cid in self._outstanding[worker]:
+                    chunk, _granted_at = self._outstanding[worker].pop(cid)
+                    self._mapped[worker][cid] = chunk
+            answer = self._next_for(worker)
+            if isinstance(answer, Assignment):
+                unproven.append(answer.chunk.index)
+                if self.obs.enabled:
+                    self._record_grant(worker, answer)
+            else:
+                unproven.append(None)
+            return answer
 
     def _next_for(self, worker: int):
         q = self._queues[worker]
+        if self.replaying:
+            return self._grant(worker, *q.popleft()) if q else None
         if q:
             return self._grant(worker, q.popleft(), worker)
         if not self.enable_stealing:
             return None
-        victim = max(
-            range(self.n_workers), key=lambda w: len(self._queues[w])
-        )
+        victim = max(range(self.n_workers), key=lambda w: len(self._queues[w]))
         # With speculation armed a single queued chunk is stealable
         # too: a straggler's queue must drain, not just shrink.
         min_queue = 1 if self.speculate_after is not None else self.MIN_VICTIM_QUEUE
@@ -464,6 +476,22 @@ class ChunkScheduler:
         if self.speculate_after is None:
             return None
         return self._speculate(worker)
+
+    def _grant(self, worker: int, chunk: Chunk, victim: int) -> Assignment:
+        """Record one grant in every ledger and hand the chunk out."""
+        if victim != worker:
+            self.steals += 1
+            self.steals_by_worker[worker] += 1
+        self.raw_trace.record(worker, chunk.index, victim)
+        self.granted_by_worker[worker] += 1
+        grantees = self._grantees.setdefault(chunk.index, [])
+        if grantees or chunk.index in self._reclaimed_ids:
+            # A duplicate (speculative) copy or a reclaimed re-grant:
+            # either way this worker is re-executing lost/late work.
+            self.retries_by_worker[worker] += 1
+        grantees.append(worker)
+        self._outstanding[worker][chunk.index] = (chunk, time.monotonic())
+        return Assignment(chunk=chunk, victim=victim)
 
     def _speculate(self, worker: int):
         """Duplicate the oldest over-age in-flight grant, or RETRY/None.
@@ -496,292 +524,6 @@ class ChunkScheduler:
             return self._grant(worker, chunk, holder)
         return RETRY if more_later else None
 
-    # -- ownership / completion ---------------------------------------------
-    def outstanding(self, worker: int) -> List[int]:
-        """Chunk ids granted to ``worker`` and not yet posted (both
-        in-flight and mapped-but-unposted), in grant order."""
-        return list(self._mapped[worker]) + list(self._outstanding[worker])
-
-    def can_recover(self, worker: int) -> bool:
-        """Whether a death of ``worker`` right now is recoverable.
-
-        True until the worker posts its shuffle batches: up to that
-        point nothing has left its process, so its entire map phase can
-        be re-executed.  After posting, peers may already have consumed
-        its batches and a silent re-execution could double-count.
-        """
-        return not self._posted[worker]
-
-    def mark_posted(self, worker: int) -> None:
-        """The worker's shuffle batches are on their way: its grants
-        move from outstanding to completed and it leaves the pool of
-        recoverable / speculation-eligible workers."""
-        self._posted[worker] = True
-        self._completed[worker].update(self._mapped[worker])
-        self._completed[worker].update(self._outstanding[worker])
-        self._mapped[worker].clear()
-        self._outstanding[worker].clear()
-
-    def reclaim(self, worker: int) -> int:
-        """Return a dead worker's outstanding grants to the pool.
-
-        Re-queues the lost chunks (in grant order) on the worker's own
-        queue — its replacement pulls them back, or survivors steal
-        them — and erases the dead incarnation from the trace and
-        per-worker ledgers, since none of its map output survived.
-        Chunks that also have a live speculative copy elsewhere are
-        *not* re-queued (the surviving copy covers them).  Returns the
-        number of chunks re-queued.
-        """
-        if self._posted[worker]:
-            raise RuntimeError(
-                f"cannot reclaim worker {worker}: it already posted its "
-                "shuffle batches"
-            )
-        lost = list(self._mapped[worker].values()) + [
-            chunk for chunk, _t in self._outstanding[worker].values()
-        ]
-        self._mapped[worker].clear()
-        self._outstanding[worker].clear()
-        # The replacement incarnation opens a fresh pull window.
-        self._unproven[worker].clear()
-        requeued = 0
-        for chunk in lost:
-            grantees = self._grantees.get(chunk.index, [])
-            if worker in grantees:
-                grantees.remove(worker)
-            self._reclaimed_ids.add(chunk.index)
-            if grantees:
-                continue  # a speculative copy is still in flight
-            self._queues[worker].append(chunk)
-            requeued += 1
-        # The dead incarnation mapped nothing durable; drop its grants
-        # so the trace stays a grants-every-chunk-once schedule.
-        self.trace.grants = [g for g in self.trace.grants if g.worker != worker]
-        self.steals -= self.steals_by_worker[worker]
-        self.steals_by_worker[worker] = 0
-        self.granted_by_worker[worker] = 0
-        self.retries_by_worker[worker] = 0
-        self.chunks_reclaimed += requeued
-        return requeued
-
-    # -- speculation outcome -------------------------------------------------
-    def _winners(self) -> Dict[int, int]:
-        """chunk_id -> kept worker, for every double-granted chunk.
-
-        The kept copy is the first in canonical source-major order
-        among grantees that completed — exactly the copy
-        :func:`repro.exec.dataflow.merge_incoming` keeps at the
-        reducers, so the effective trace and the data agree.
-        """
-        winners: Dict[int, int] = {}
-        for cid, grantees in self._grantees.items():
-            if len(grantees) < 2:
-                continue
-            completers = [w for w in grantees if cid in self._completed[w]]
-            winners[cid] = min(completers if completers else grantees)
-        return winners
-
-    @property
-    def speculative_wins(self) -> int:
-        """Speculated chunks whose *duplicate* copy is the kept one."""
-        wins = 0
-        for cid, winner in self._winners().items():
-            if winner != self._grantees[cid][0]:
-                wins += 1
-        return wins
-
-    @property
-    def effective_trace(self) -> ScheduleTrace:
-        """The trace with speculation losers filtered out — grants
-        every chunk exactly once, so it replays on any backend."""
-        winners = self._winners()
-        if not winners:
-            return self.trace
-        return ScheduleTrace(
-            g for g in self.trace.grants
-            if g.chunk_id not in winners or g.worker == winners[g.chunk_id]
-        )
-
-
-class ReplayScheduler:
-    """Hand out chunks in exactly the order a recorded trace dictates.
-
-    Drop-in for :class:`ChunkScheduler` in the sim runtime: the same
-    ``assign``/``request`` surface and the same ``steals`` ledgers, but
-    every decision comes from the trace instead of queue state.  Each
-    ``request(worker)`` returns that worker's next traced grant — with
-    the recorded victim, so steal pricing replays identically — and
-    ``None`` once its traced grants are exhausted.  All chunks are
-    resident from ``assign`` time on, so a worker's next grant is
-    always ready and a request never has to block.
-    """
-
-    def __init__(
-        self,
-        n_workers: int,
-        schedule: ScheduleTrace,
-        context: Optional[str] = None,
-    ) -> None:
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
-        self.n_workers = n_workers
-        self.schedule = schedule
-        #: label (app name / phase) prefixed onto validation errors
-        self.context = context
-        #: the grants actually re-issued (== ``schedule`` after a full run)
-        self.trace = ScheduleTrace()
-        self.steals = 0
-        self.steals_by_worker: List[int] = [0] * n_workers
-        self.granted_by_worker: List[int] = [0] * n_workers
-        self.retries_by_worker: List[int] = [0] * n_workers
-        self.chunks_reclaimed = 0
-        self.speculative_wins = 0
-        self._pending: List[Deque[ScheduleGrant]] = [
-            deque() for _ in range(n_workers)
-        ]
-        self._chunks: Dict[int, Chunk] = {}
-        self._assigned = False
-
-    # -- loading ---------------------------------------------------------
-    def assign(self, chunks: Sequence[Chunk], how: str = "round_robin") -> None:
-        """Validate and index the chunk set; ``how`` is ignored — the
-        trace, not a placement policy, decides who maps what."""
-        self._chunks = self.schedule._index_chunks(
-            chunks, self.n_workers, self.context
-        )
-        for w in range(self.n_workers):
-            self._pending[w].clear()
-        for grant in self.schedule:
-            self._pending[grant.worker].append(grant)
-        self._assigned = True
-
-    # -- inspection ------------------------------------------------------
-    def queue_len(self, worker: int) -> int:
-        return len(self._pending[worker])
-
-    @property
-    def remaining(self) -> int:
-        return sum(len(q) for q in self._pending)
-
-    # -- dispatch --------------------------------------------------------
-    def request(self, worker: int) -> Optional[Assignment]:
-        """The worker's next traced grant, or None when it is done."""
-        if not (0 <= worker < self.n_workers):
-            raise ValueError(f"worker {worker} out of range")
-        if not self._assigned:
-            raise RuntimeError("request() before assign()")
-        if not self._pending[worker]:
-            return None
-        grant = self._pending[worker].popleft()
-        if grant.was_steal:
-            self.steals += 1
-            self.steals_by_worker[worker] += 1
-        self.trace.record(worker, grant.chunk_id, grant.victim)
-        self.granted_by_worker[worker] += 1
-        return Assignment(chunk=self._chunks[grant.chunk_id], victim=grant.victim)
-
-    # -- ownership / completion ---------------------------------------------
-    # A replay re-issues a schedule that already survived its run;
-    # fault recovery (which would *change* the schedule) is undefined
-    # under replay, so recovery is never offered and reclaim refuses.
-    def can_recover(self, worker: int) -> bool:
-        return False
-
-    def mark_posted(self, worker: int) -> None:
-        pass
-
-    def reclaim(self, worker: int) -> int:
-        raise RuntimeError(
-            "cannot reclaim chunks while replaying a recorded schedule; "
-            "recovery would diverge from the trace"
-        )
-
-    @property
-    def effective_trace(self) -> ScheduleTrace:
-        return self.trace
-
-
-class ChunkService:
-    """Driver-side authority over a job's chunks: the pull server.
-
-    Every backend's chunk distribution goes through one of these.  The
-    service owns the pending/owned chunk queues and answers each
-    worker's "next chunk?" request at runtime — local work first, then
-    a steal from the longest queue (:class:`ChunkScheduler`), or, when
-    a recorded ``schedule`` is supplied, exactly the traced grants
-    (:class:`ReplayScheduler`).  Either way every grant lands in a live
-    :class:`ScheduleTrace`, so any run — sim, serial, local, or cluster
-    — leaves behind a schedule the other backends can replay
-    bit-for-bit.
-
-    Requests are serialised under a lock: the sim calls :meth:`request`
-    from its single-threaded event loop, the serial backend from its
-    interleaved rank loop, the local backend from a driver-side service
-    thread answering worker queues, and the cluster backend from the
-    coordinator answering ``CHUNK_REQ`` control frames — all against
-    the same instance semantics.
-    """
-
-    def __init__(
-        self,
-        chunks: Sequence[Chunk],
-        n_workers: int,
-        initial_distribution: str = "round_robin",
-        enable_stealing: bool = True,
-        schedule: Optional[ScheduleTrace] = None,
-        context: Optional[str] = None,
-        speculate_after: Optional[float] = None,
-        prefetch: int = 0,
-        obs=None,
-        job_id: Optional[str] = None,
-    ) -> None:
-        self.n_workers = int(n_workers)
-        self.context = context
-        #: namespace this service serves under a multi-job authority;
-        #: None for standalone one-shot runs.  When set, every traced
-        #: grant/steal/reclaim event carries ``job=<job_id>`` so
-        #: interleaved multi-job traces stay attributable.
-        self.job_id = job_id
-        self._job_kw = {"job": job_id} if job_id is not None else {}
-        #: the run's observability bundle; grants/steals/reclaims are
-        #: recorded as point events and counters (no-ops when untraced)
-        self.obs = obs or NULL_OBS
-        self.obs.metrics.gauge("chunks_total").set(len(chunks))
-        #: True when grants come from a recorded trace, not live stealing
-        self.replaying = schedule is not None
-        if schedule is not None:
-            if speculate_after is not None:
-                raise ValueError(
-                    "speculation cannot run under a replayed schedule; "
-                    "the trace already fixes every grant"
-                )
-            self._scheduler = ReplayScheduler(n_workers, schedule, context=context)
-        else:
-            self._scheduler = ChunkScheduler(
-                n_workers,
-                enable_stealing=enable_stealing,
-                speculate_after=speculate_after,
-                prefetch=prefetch,
-            )
-        self._scheduler.assign(chunks, initial_distribution)
-        # Re-entrant: recovery needs to drain a dead worker's pending
-        # grants and reclaim atomically w.r.t. the serving thread, so
-        # guard() must be holdable around (and by) request().
-        self._lock = threading.RLock()
-
-    # -- dispatch ----------------------------------------------------------
-    def request(self, worker: int):
-        """The worker's next chunk (with its victim rank), None when
-        the worker is done, or :data:`RETRY` when a speculation-enabled
-        run wants the idle worker to ask again shortly.  Thread-safe;
-        grant order is total."""
-        with self._lock:
-            a = self._scheduler.request(worker)
-            if isinstance(a, Assignment) and self.obs.enabled:
-                self._record_grant(worker, a)
-            return a
-
     def _record_grant(self, worker: int, a: Assignment) -> None:
         """Trace one grant (caller holds the lock and checked enabled)."""
         tracer = self.obs.tracer
@@ -789,9 +531,7 @@ class ChunkService:
         cid = a.chunk.index
         # More than one live grantee means this grant is a speculative
         # duplicate of an aged in-flight chunk, not a queue steal.
-        grantees = getattr(self._scheduler, "_grantees", {})
-        speculative = len(grantees.get(cid, ())) > 1
-        if speculative:
+        if len(self._grantees[cid]) > 1:
             tracer.event("grant", rank=worker, chunk=cid,
                          victim=a.victim, speculative=True, **self._job_kw)
             tracer.event("speculate", rank=worker, chunk=cid,
@@ -820,27 +560,106 @@ class ChunkService:
 
     # -- ownership / recovery ----------------------------------------------
     def can_recover(self, worker: int) -> bool:
-        """Whether ``worker`` dying now is survivable (never during
-        replay, and never after the worker posted its batches)."""
+        """Whether a death of ``worker`` right now is recoverable.
+
+        True until the worker posts its shuffle batches: up to that
+        point nothing has left its process, so its entire map phase can
+        be re-executed.  After posting, peers may already have consumed
+        its batches and a silent re-execution could double-count.
+        Never true under replay.
+        """
         with self._lock:
-            return self._scheduler.can_recover(worker)
+            return not self.replaying and not self._posted[worker]
 
     def mark_posted(self, worker: int) -> None:
-        """Record that ``worker`` shipped its shuffle batches: its
-        grants complete and it stops being recoverable/speculable."""
+        """The worker's shuffle batches are on their way: its grants
+        move from outstanding to completed and it leaves the pool of
+        recoverable / speculation-eligible workers."""
         with self._lock:
-            self._scheduler.mark_posted(worker)
+            self._posted[worker] = True
+            self._completed[worker].update(self._mapped[worker])
+            self._completed[worker].update(self._outstanding[worker])
+            self._mapped[worker].clear()
+            self._outstanding[worker].clear()
 
     def reclaim(self, worker: int) -> int:
-        """Return a dead worker's un-posted grants to the pool; returns
-        the number of chunks re-queued (see
-        :meth:`ChunkScheduler.reclaim`)."""
+        """Return a dead worker's un-posted grants to the pool.
+
+        Re-queues the lost chunks (in grant order) on the worker's own
+        queue — its replacement pulls them back, or survivors steal
+        them — and erases the dead incarnation from the trace and
+        per-worker ledgers, since none of its map output survived.
+        Chunks that also have a live speculative copy elsewhere are
+        *not* re-queued (the surviving copy covers them).  Returns the
+        number of chunks re-queued.
+        """
         with self._lock:
-            requeued = self._scheduler.reclaim(worker)
+            if self.replaying:
+                raise RuntimeError(
+                    "cannot reclaim chunks while replaying a recorded "
+                    "schedule; recovery would diverge from the trace"
+                )
+            if self._posted[worker]:
+                raise RuntimeError(
+                    f"cannot reclaim worker {worker}: it already posted its "
+                    "shuffle batches"
+                )
+            lost = list(self._mapped[worker].values()) + [
+                chunk for chunk, _t in self._outstanding[worker].values()
+            ]
+            self._mapped[worker].clear()
+            self._outstanding[worker].clear()
+            # The replacement incarnation opens a fresh pull window.
+            self._unproven[worker].clear()
+            requeued = 0
+            for chunk in lost:
+                grantees = self._grantees.get(chunk.index, [])
+                if worker in grantees:
+                    grantees.remove(worker)
+                self._reclaimed_ids.add(chunk.index)
+                if grantees:
+                    continue  # a speculative copy is still in flight
+                self._queues[worker].append(chunk)
+                requeued += 1
+            # The dead incarnation mapped nothing durable; drop its
+            # grants so the trace stays a grants-every-chunk-once schedule.
+            self.raw_trace.grants = [
+                g for g in self.raw_trace.grants if g.worker != worker
+            ]
+            self.steals -= self.steals_by_worker[worker]
+            self.steals_by_worker[worker] = 0
+            self.granted_by_worker[worker] = 0
+            self.retries_by_worker[worker] = 0
+            self.chunks_reclaimed += requeued
             self.obs.tracer.event("reclaim", rank=worker,
                                   requeued=requeued, **self._job_kw)
             self.obs.metrics.counter("chunks_reclaimed").inc(requeued)
             return requeued
+
+    # -- speculation outcome -------------------------------------------------
+    def _winners(self) -> Dict[int, int]:
+        """chunk_id -> kept worker, for every double-granted chunk.
+
+        The kept copy is the first in canonical source-major order
+        among grantees that completed — exactly the copy
+        :func:`repro.core.dataflow.merge_incoming` keeps at the
+        reducers, so the effective trace and the data agree.
+        """
+        winners: Dict[int, int] = {}
+        for cid, grantees in self._grantees.items():
+            if len(grantees) < 2:
+                continue
+            completers = [w for w in grantees if cid in self._completed[w]]
+            winners[cid] = min(completers if completers else grantees)
+        return winners
+
+    @property
+    def speculative_wins(self) -> int:
+        """Speculated chunks whose *duplicate* copy is the kept one."""
+        return sum(
+            winner != self._grantees[cid][0]
+            for cid, winner in self._winners().items()
+        )
 
     def record_outcomes(self) -> None:
         """Trace end-of-run speculation outcomes (no-op when untraced).
@@ -854,13 +673,8 @@ class ChunkService:
         if not self.obs.enabled:
             return
         with self._lock:
-            winners = getattr(self._scheduler, "_winners", None)
-            grantees = getattr(self._scheduler, "_grantees", None)
-            if winners is None or grantees is None:
-                return
-            for cid, winner in winners().items():
-                first = grantees[cid][0] if grantees.get(cid) else winner
-                name = ("speculation_win" if winner != first
+            for cid, winner in self._winners().items():
+                name = ("speculation_win" if winner != self._grantees[cid][0]
                         else "speculation_loss")
                 self.obs.tracer.event(name, rank=winner, chunk=cid,
                                       **self._job_kw)
@@ -871,37 +685,19 @@ class ChunkService:
         """The run's recorded schedule: every chunk granted exactly
         once (speculation losers filtered, reclaimed incarnations
         erased) — the replayable effective schedule."""
-        return self._scheduler.effective_trace
-
-    @property
-    def raw_trace(self) -> ScheduleTrace:
-        """Every grant as issued, speculation duplicates included."""
-        return self._scheduler.trace
-
-    @property
-    def chunks_reclaimed(self) -> int:
-        return getattr(self._scheduler, "chunks_reclaimed", 0)
-
-    @property
-    def speculative_wins(self) -> int:
-        return self._scheduler.speculative_wins
-
-    @property
-    def retries_by_worker(self) -> List[int]:
-        return list(self._scheduler.retries_by_worker)
-
-    @property
-    def steals(self) -> int:
-        return self._scheduler.steals
-
-    @property
-    def steals_by_worker(self) -> List[int]:
-        return list(self._scheduler.steals_by_worker)
+        winners = self._winners()
+        if not winners:
+            return self.raw_trace
+        return ScheduleTrace(
+            g for g in self.raw_trace.grants
+            if g.chunk_id not in winners or g.worker == winners[g.chunk_id]
+        )
 
     @property
     def remaining(self) -> int:
+        """Chunks (or, under replay, traced grants) not yet handed out."""
         with self._lock:
-            return self._scheduler.remaining
+            return sum(len(q) for q in self._queues)
 
     def chunk_counts(self) -> List[int]:
         """Chunks granted per worker so far."""
@@ -920,7 +716,7 @@ class ChunkService:
         # The granted ledger, not the effective trace: a speculation
         # loser really mapped its duplicate chunk even though the
         # effective schedule drops that grant.
-        counts = list(self._scheduler.granted_by_worker)
+        counts = self.granted_by_worker
         steals = self.steals_by_worker
         for w in worker_stats:
             if w.chunks_mapped != counts[w.rank]:

@@ -11,7 +11,7 @@ backend is registered by :mod:`repro.core` itself.
 """
 
 from .cluster import ClusterExecutor
-from .dataflow import (
+from ..core.dataflow import (
     MapPhaseOutput,
     MapRunner,
     map_worker,

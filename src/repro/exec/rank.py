@@ -5,7 +5,7 @@ partial-reduce/accumulate → partition → bin → sort → reduce — and this
 module is the only place it is written down for the real backends:
 
 * :class:`RankRun` is one rank's compute: it owns the
-  :class:`~repro.exec.dataflow.MapRunner`, the
+  :class:`~repro.core.dataflow.MapRunner`, the
   :class:`~repro.core.stats.WorkerStats` and the spans, and steps
   ``map_chunk(chunk, victim)`` → ``finish_map()`` → ``reduce(batches)``.
 * :func:`drive_rank` moves one :class:`RankRun` through a *link* — the
@@ -38,7 +38,7 @@ included, so a rank starved of grants shows it — and ``bin`` is the
 exposed exchange: from the end of the map phase to the last incoming
 batch merged (the ``shuffle_recv`` span covers the same interval).
 ``sort`` and ``reduce`` are recorded inside
-:func:`~repro.exec.dataflow.reduce_worker`.
+:func:`~repro.core.dataflow.reduce_worker`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import time
 import traceback
 from typing import Callable, List, Optional, Set, Tuple
 
-from .dataflow import MapPhaseOutput, MapRunner, merge_incoming, reduce_worker
+from ..core.dataflow import MapPhaseOutput, MapRunner, merge_incoming, reduce_worker
 from ..core.chunk import Chunk
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
@@ -84,7 +84,7 @@ class GrantPuller:
     exposed wait.  The same window is what lets the scheduler prove
     grants mapped (request number ``1 + prefetch + i`` is only ever
     sent after everything in the first ``i`` answers was mapped — see
-    :meth:`~repro.core.scheduler.ChunkScheduler.request`).
+    :meth:`~repro.core.scheduler.ChunkService.request`).
 
     A DONE answer stops the top-up but not the drain: a pipelined
     answer behind a DONE may still be a chunk (reclaim or speculation
@@ -215,7 +215,8 @@ class RankRun:
     def finish_map(self) -> MapPhaseOutput:
         """Flush the deferred accumulate/combine paths; ends ``map``."""
         w0 = time.time()
-        mapped = self.mapped = self.runner.finish()
+        self.runner.finish()
+        mapped = self.mapped = self.runner.out
         self.obs.tracer.add_span("map_finish", w0, time.time(), rank=self.rank)
         stats = self.stats
         stats.chunks_mapped = mapped.chunks_mapped
@@ -229,8 +230,8 @@ class RankRun:
         """This rank's ``(source, parts, chunk_ids)`` batch for ``dest``."""
         return (
             self.rank,
-            self.mapped.batch_for(dest),
-            self.mapped.chunk_ids_for(dest),
+            self.mapped.parts[dest],
+            self.mapped.part_chunk_ids[dest],
         )
 
     def reduce(self, remote_batches: List[Batch]) -> Optional[KeyValueSet]:

@@ -142,7 +142,7 @@ def send_batch(
     exchange-stats hook.  ``chunk_ids`` (optional, one per part) ships
     provenance tags in the header frame so receivers can drop
     speculative-duplicate map output (see
-    :func:`repro.exec.dataflow.merge_incoming`).
+    :func:`repro.core.dataflow.merge_incoming`).
     """
     manifest, buffers, total_nbytes = pack_parts(parts)
     chunk_bytes = _chunk_bytes(max_frame_bytes)

@@ -1,6 +1,6 @@
 """Fused-kernel microbench: map-phase throughput and emission volume.
 
-Times one rank's map phase (:class:`~repro.exec.dataflow.MapRunner`,
+Times one rank's map phase (:class:`~repro.core.dataflow.MapRunner`,
 fed chunk by chunk exactly as the pull loop does) for each app, in up
 to three variants:
 
@@ -39,7 +39,7 @@ from ..apps import (
 )
 from ..core.chunk import Chunk
 from ..core.job import MapReduceJob
-from ..exec.dataflow import MapRunner
+from ..core.dataflow import MapRunner
 
 __all__ = ["fused_kernels"]
 
@@ -53,7 +53,8 @@ def _run_map(job: MapReduceJob, chunks: Sequence[Chunk], fused: bool):
     runner = MapRunner(job, N_WORKERS, fused=fused)
     for chunk in chunks:
         runner.feed(chunk)
-    return runner.finish()
+    runner.finish()
+    return runner.out
 
 
 def _time_map(job: MapReduceJob, chunks: Sequence[Chunk], fused: bool):

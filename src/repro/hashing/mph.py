@@ -5,14 +5,15 @@ in a single instruction"), so the paper assigns each dictionary word a
 unique four-byte integer via a minimal perfect hash [Cichelli 1980].
 We implement a displacement-based MPH in the CHD family:
 
-1. three vectorisable polynomial byte hashes ``h1, h2, h3`` over the
-   word bytes;
+1. two vectorisable polynomial byte hashes ``h1, h2`` over the word
+   bytes;
 2. words are grouped into ``m ~ n / LAMBDA`` buckets by ``h1 % m``;
 3. buckets are placed largest-first: for each bucket we search a
    displacement ``d`` such that ``mix(h2, d) % n`` is a fresh,
    collision-free slot for every word in the bucket, where ``mix`` is a
-   splitmix-style non-linear combiner (an affine ``h2 + d*h3`` form
-   would leave mod-n-congruent pairs colliding for *every* d).
+   splitmix-style non-linear combiner (an affine ``h2 + d*h3`` form over
+   a third hash would leave mod-n-congruent pairs colliding for *every*
+   d, so no third hash is needed).
 
 Lookup is branch-free and fully vectorised over arrays of word hashes —
 which is exactly what the simulated WO map kernel needs to hash
@@ -31,18 +32,18 @@ __all__ = ["PolyHashes", "poly_hashes_bytes", "MinimalPerfectHash", "MPHBuildErr
 #: Average bucket load of the displacement search.
 LAMBDA = 4
 
-#: Polynomial bases for the three hash streams (odd, well-mixed).
-_BASES = (31, 131, 65599)
+#: Polynomial bases for the two hash streams (odd, well-mixed).
+_BASES = (31, 131)
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)
 class PolyHashes:
-    """The three base hashes of a batch of words (uint64 arrays)."""
+    """The two base hashes of a batch of words (uint64 arrays): ``h1``
+    picks the bucket, ``h2`` the slot under its displacement."""
 
     h1: np.ndarray
     h2: np.ndarray
-    h3: np.ndarray
 
     def __len__(self) -> int:
         return len(self.h1)
@@ -80,7 +81,7 @@ def segmented_poly_hashes(
     lengths = np.asarray(lengths, dtype=np.int64)
     if len(starts) == 0:
         e = np.empty(0, dtype=np.uint64)
-        return PolyHashes(e, e.copy(), e.copy())
+        return PolyHashes(e, e.copy())
     max_len = int(lengths.max())
     total = int(lengths.sum())
 

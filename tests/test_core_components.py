@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import (
     BlockPartitioner,
     Chunk,
-    ChunkScheduler,
+    ChunkService,
     HashPartitioner,
     KeyValueSet,
     RoundRobinPartitioner,
@@ -210,46 +210,40 @@ def make_chunks(n):
 
 
 def test_scheduler_round_robin_assignment():
-    s = ChunkScheduler(3)
-    s.assign_round_robin(make_chunks(7))
-    assert [s.queue_len(w) for w in range(3)] == [3, 2, 2]
+    s = ChunkService(make_chunks(7), 3)
+    assert [len(q) for q in s._queues] == [3, 2, 2]
 
 
 def test_scheduler_local_first():
-    s = ChunkScheduler(2)
-    s.assign_round_robin(make_chunks(4))
+    s = ChunkService(make_chunks(4), 2)
     a = s.request(0)
     assert a.victim == 0 and not a.stolen_by(0)
     assert a.chunk.index == 0
 
 
 def test_scheduler_steals_from_longest_queue():
-    s = ChunkScheduler(3)
-    for c in make_chunks(6):
-        s.push(1, c)
-    a = s.request(0)
-    assert a is not None and a.victim == 1 and a.stolen_by(0)
+    s = ChunkService(make_chunks(6), 3, initial_distribution="single")
+    a = s.request(1)
+    assert a is not None and a.victim == 0 and a.stolen_by(1)
     # Steal takes from the tail.
     assert a.chunk.index == 5
     assert s.steals == 1
 
 
 def test_scheduler_no_steal_below_threshold():
-    s = ChunkScheduler(2)
-    s.push(1, make_chunks(1)[0])  # victim has only 1 chunk
-    assert s.request(0) is None
+    s = ChunkService(make_chunks(1), 2, initial_distribution="single")
+    assert s.request(1) is None  # victim has only 1 chunk
 
 
 def test_scheduler_stealing_disabled():
-    s = ChunkScheduler(2, enable_stealing=False)
-    for c in make_chunks(6):
-        s.push(1, c)
-    assert s.request(0) is None
+    s = ChunkService(
+        make_chunks(6), 2, initial_distribution="single", enable_stealing=False
+    )
+    assert s.request(1) is None
 
 
 def test_scheduler_drains_completely():
-    s = ChunkScheduler(4)
-    s.assign_round_robin(make_chunks(10))
+    s = ChunkService(make_chunks(10), 4)
     served = 0
     while any(s.request(w) for w in range(4)):
         served += 1
@@ -258,8 +252,8 @@ def test_scheduler_drains_completely():
 
 def test_scheduler_validation():
     with pytest.raises(ValueError):
-        ChunkScheduler(0)
-    s = ChunkScheduler(1)
+        ChunkService(make_chunks(1), 0)
+    s = ChunkService(make_chunks(1), 1)
     with pytest.raises(ValueError):
         s.request(5)
 

@@ -1,11 +1,11 @@
-"""Property-style tests of the chunk scheduler and schedule replay.
+"""Property-style tests of the grant ledger and schedule replay.
 
-The dynamic scheduler's invariants (longest-queue-first victims, the
+:class:`ChunkService`'s invariants (longest-queue-first victims, the
 steal threshold, ledger accuracy, exhaustion) are checked over many
 randomized queue shapes, and the record/replay contract is pinned:
-a recorded :class:`ScheduleTrace` replayed through a
-:class:`ReplayScheduler` must reproduce the grant sequence exactly —
-same workers, same chunks, same victims, same steal ledgers.
+a recorded :class:`ScheduleTrace` replayed through
+``ChunkService(schedule=...)`` must reproduce the grant sequence
+exactly — same workers, same chunks, same victims, same steal ledgers.
 """
 
 import random
@@ -16,9 +16,7 @@ import pytest
 from repro.core import (
     RETRY,
     Chunk,
-    ChunkScheduler,
     ChunkService,
-    ReplayScheduler,
     ScheduleGrant,
     ScheduleTrace,
     WorkerStats,
@@ -30,6 +28,23 @@ def make_chunks(n, start=0):
         Chunk(index=start + i, data=None, logical_items=1, logical_bytes=8)
         for i in range(n)
     ]
+
+
+def loaded(queues, **kw):
+    """A live service whose worker ``w`` starts with ``queues[w]`` queued."""
+    svc = ChunkService([], len(queues), **kw)
+    for q, chunks in zip(svc._queues, queues):
+        q.extend(chunks)
+    return svc
+
+
+def queue_len(svc, worker):
+    return len(svc._queues[worker])
+
+
+def outstanding(svc, worker):
+    """Chunk ids granted to ``worker`` and not yet posted, in grant order."""
+    return list(svc._mapped[worker]) + list(svc._outstanding[worker])
 
 
 def drain(scheduler, n_workers, order=None):
@@ -61,26 +76,24 @@ def test_steal_always_takes_the_longest_queue(seed):
     longest queues at that moment, and was at/above the threshold."""
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    s = ChunkScheduler(n)
-    next_id = 0
+    queues, next_id = [], 0
     for w in range(n):
-        chunks = make_chunks(rng.randint(0, 8), start=next_id)
-        next_id += len(chunks)
-        for c in chunks:
-            s.push(w, c)
+        queues.append(make_chunks(rng.randint(0, 8), start=next_id))
+        next_id += len(queues[-1])
+    s = loaded(queues)
 
     thief = rng.randrange(n)
-    while s.queue_len(thief):  # make the thief idle first
+    while queue_len(s, thief):  # make the thief idle first
         s.request(thief)
-    lengths_before = [s.queue_len(w) for w in range(n)]
+    lengths_before = [queue_len(s, w) for w in range(n)]
     a = s.request(thief)
     if a is None:
         # No steal possible: every queue was under the threshold.
-        assert max(lengths_before) < ChunkScheduler.MIN_VICTIM_QUEUE
+        assert max(lengths_before) < ChunkService.MIN_VICTIM_QUEUE
     else:
         assert a.stolen_by(thief)
         assert lengths_before[a.victim] == max(lengths_before)
-        assert lengths_before[a.victim] >= ChunkScheduler.MIN_VICTIM_QUEUE
+        assert lengths_before[a.victim] >= ChunkService.MIN_VICTIM_QUEUE
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -91,8 +104,9 @@ def test_steals_ledger_accuracy_and_exhaustion_with_stealing(seed):
     rng = random.Random(100 + seed)
     n = rng.randint(2, 5)
     chunks = make_chunks(rng.randint(1, 24))
-    s = ChunkScheduler(n)
-    s.assign(chunks, rng.choice(("round_robin", "blocks", "single")))
+    s = ChunkService(
+        chunks, n, initial_distribution=rng.choice(("round_robin", "blocks", "single"))
+    )
 
     order = list(range(n))
     rng.shuffle(order)
@@ -121,10 +135,10 @@ def test_steals_ledger_accuracy_and_exhaustion_with_stealing(seed):
 def test_exhaustion_without_stealing_strands_remote_queues():
     """With stealing off, a worker drains only its own queue: an idle
     worker gets None even while peers still hold work."""
-    s = ChunkScheduler(2, enable_stealing=False)
-    s.assign(make_chunks(6), "single")  # everything on worker 0
+    # everything on worker 0
+    s = ChunkService(make_chunks(6), 2, initial_distribution="single", enable_stealing=False)
     assert s.request(1) is None
-    assert s.queue_len(0) == 6
+    assert queue_len(s, 0) == 6
     for _ in range(6):
         assert s.request(0) is not None
     assert s.request(0) is None
@@ -136,8 +150,7 @@ def test_exhaustion_without_stealing_strands_remote_queues():
 def test_threshold_leaves_last_chunks_unstolen():
     """A victim holding fewer than MIN_VICTIM_QUEUE chunks is not
     robbed, so its final chunk is always its own."""
-    s = ChunkScheduler(2)
-    s.push(0, make_chunks(1)[0])
+    s = loaded([make_chunks(1), []])
     assert s.request(1) is None  # below threshold: no steal
     a = s.request(0)
     assert a is not None and not a.stolen_by(0)
@@ -147,20 +160,20 @@ def test_threshold_leaves_last_chunks_unstolen():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_trace_round_trip_replays_identical_grant_order(seed):
-    """record -> replay: the ReplayScheduler re-issues the exact grant
+    """record -> replay: the replaying service re-issues the exact grant
     sequence per worker (chunks, victims, steal flags) and ends with
     the same ledgers."""
     rng = random.Random(200 + seed)
     n = rng.randint(2, 5)
     chunks = make_chunks(rng.randint(2, 20))
-    recorder = ChunkScheduler(n)
-    recorder.assign(chunks, rng.choice(("round_robin", "blocks", "single")))
+    recorder = ChunkService(
+        chunks, n, initial_distribution=rng.choice(("round_robin", "blocks", "single"))
+    )
     order = list(range(n))
     rng.shuffle(order)
     drain(recorder, n, order)
 
-    replayer = ReplayScheduler(n, recorder.trace)
-    replayer.assign(chunks)
+    replayer = ChunkService(chunks, n, schedule=recorder.trace)
     # A different request interleaving must not change per-worker order.
     rng.shuffle(order)
     drain(replayer, n, order)
@@ -186,36 +199,35 @@ def test_trace_wire_round_trip():
 
 def test_replay_rejects_wrong_chunk_sets():
     chunks = make_chunks(3)
-    recorder = ChunkScheduler(2)
-    recorder.assign(chunks)
+    recorder = ChunkService(chunks, 2)
     drain(recorder, 2)
     trace = recorder.trace
 
     with pytest.raises(ValueError, match="does not cover"):
-        ReplayScheduler(2, trace).assign(make_chunks(4))
+        ChunkService(make_chunks(4), 2, schedule=trace)
     with pytest.raises(ValueError, match="not in the job"):
-        ReplayScheduler(2, trace).assign(make_chunks(3, start=100))
+        ChunkService(make_chunks(3, start=100), 2, schedule=trace)
     with pytest.raises(ValueError, match="unique"):
-        ReplayScheduler(2, trace).assign(make_chunks(3) + [make_chunks(1)[0]])
+        ChunkService(make_chunks(3) + [make_chunks(1)[0]], 2, schedule=trace)
 
     bad_rank = ScheduleTrace.from_records([(5, 0, False, 5)])
     with pytest.raises(ValueError, match="outside"):
-        ReplayScheduler(2, bad_rank).assign(make_chunks(1))
+        ChunkService(make_chunks(1), 2, schedule=bad_rank)
     bad_flag = ScheduleTrace.from_records([(0, 0, True, 0)])
     with pytest.raises(ValueError, match="inconsistent steal flag"):
-        ReplayScheduler(2, bad_flag).assign(make_chunks(1))
+        ChunkService(make_chunks(1), 2, schedule=bad_flag)
     twice = ScheduleTrace.from_records([(0, 0, False, 0), (1, 0, True, 0)])
     with pytest.raises(ValueError, match="twice"):
-        ReplayScheduler(2, twice).assign(make_chunks(1))
+        ChunkService(make_chunks(1), 2, schedule=twice)
 
 
-def test_replay_requires_assign_first():
+def test_replay_rejects_out_of_range_workers():
     trace = ScheduleTrace.from_records([(0, 0, False, 0)])
-    r = ReplayScheduler(1, trace)
-    with pytest.raises(RuntimeError, match="before assign"):
-        r.request(0)
+    r = ChunkService(make_chunks(1), 1, schedule=trace)
     with pytest.raises(ValueError, match="out of range"):
         r.request(9)
+    with pytest.raises(ValueError, match=">= 1"):
+        ChunkService(make_chunks(1), 0, schedule=trace)
 
 
 def test_replay_errors_name_context_and_grant_index():
@@ -223,13 +235,9 @@ def test_replay_errors_name_context_and_grant_index():
     message alone — app/phase context plus the offending grant index."""
     bad_rank = ScheduleTrace.from_records([(0, 0, False, 0), (5, 1, False, 5)])
     with pytest.raises(ValueError, match="matmul-phase1"):
-        ReplayScheduler(2, bad_rank, context="matmul-phase1").assign(
-            make_chunks(2)
-        )
+        ChunkService(make_chunks(2), 2, schedule=bad_rank, context="matmul-phase1")
     with pytest.raises(ValueError, match=r"grant #1 .* outside 0\.\.1"):
-        ReplayScheduler(2, bad_rank, context="matmul-phase1").assign(
-            make_chunks(2)
-        )
+        ChunkService(make_chunks(2), 2, schedule=bad_rank, context="matmul-phase1")
 
     twice = ScheduleTrace.from_records(
         [(0, 0, False, 0), (1, 1, True, 0), (1, 0, True, 0)]
@@ -239,12 +247,11 @@ def test_replay_errors_name_context_and_grant_index():
         match=r"replaying schedule for wo: trace grant #2 grants chunk 0 "
         r"twice \(first granted by grant #0\)",
     ):
-        ReplayScheduler(2, twice, context="wo").assign(make_chunks(2))
+        ChunkService(make_chunks(2), 2, schedule=twice, context="wo")
 
     missing = ScheduleTrace.from_records([(0, 0, False, 0)])
     with pytest.raises(ValueError, match=r"sio.*does not cover chunk\(s\) \[1\]"):
-        twice_chunks = make_chunks(2)
-        ReplayScheduler(2, missing, context="sio").assign(twice_chunks)
+        ChunkService(make_chunks(2), 2, schedule=missing, context="sio")
 
 
 # -- chunk service (the pull server every backend shares) ---------------------
@@ -364,8 +371,7 @@ def test_replay_service_distribution_matches_trace():
     sequence splits the chunk set exactly as the trace dictates, steal
     ledger included."""
     chunks = make_chunks(8)
-    recorder = ChunkScheduler(3)
-    recorder.assign(chunks, "single")
+    recorder = ChunkService(chunks, 3, initial_distribution="single")
     drain(recorder, 3)
     svc = ChunkService(chunks, 3, schedule=recorder.trace)
     per_worker = [[] for _ in range(3)]
@@ -390,19 +396,18 @@ def test_reclaim_regrants_lost_chunks_exactly_once():
     re-granted exactly once: the effective trace still grants every
     chunk exactly once, and ``chunks_reclaimed`` counts the loss."""
     chunks = make_chunks(8)
-    sched = ChunkScheduler(2)
-    sched.assign(chunks, "round_robin")
+    sched = ChunkService(chunks, 2, initial_distribution="round_robin")
     # Worker 0 pulls twice: first grant moves to mapped on the second
     # request, second stays in-flight — both are un-posted, both lost.
     a1 = sched.request(0)
     a2 = sched.request(0)
     lost_ids = {a1.chunk.index, a2.chunk.index}
-    assert sched.outstanding(0) == sorted(lost_ids)
+    assert outstanding(sched, 0) == sorted(lost_ids)
     assert sched.can_recover(0)
 
     assert sched.reclaim(0) == 2
     assert sched.chunks_reclaimed == 2
-    assert sched.outstanding(0) == []
+    assert outstanding(sched, 0) == []
     # The dead incarnation's grants are erased from the trace.
     assert all(g.worker != 0 or g.chunk_id not in lost_ids
                for g in sched.trace.grants)
@@ -414,7 +419,7 @@ def test_reclaim_regrants_lost_chunks_exactly_once():
     assert sum(sched.retries_by_worker) >= 2
     for w in range(2):
         sched.mark_posted(w)
-    effective = [g.chunk_id for g in sched.effective_trace.grants]
+    effective = [g.chunk_id for g in sched.trace.grants]
     assert sorted(effective) == list(range(8))
 
 
@@ -443,8 +448,7 @@ def test_reclaim_resets_dead_worker_ledgers_for_replacement():
 
 def test_reclaim_after_mark_posted_raises():
     chunks = make_chunks(2)
-    sched = ChunkScheduler(1)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 1, initial_distribution="single")
     drain(sched, 1)
     sched.mark_posted(0)
     assert not sched.can_recover(0)
@@ -456,8 +460,7 @@ def test_reclaim_skips_chunks_with_live_speculative_copy():
     """A lost chunk whose speculative duplicate is still in flight on a
     survivor is covered — it must not be re-queued a third time."""
     chunks = make_chunks(3)
-    sched = ChunkScheduler(2, speculate_after=0.05)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=0.05)
     a = sched.request(0)           # worker 0 holds chunk a in flight
     sched.request(0)
     sched.request(0)
@@ -472,7 +475,7 @@ def test_reclaim_skips_chunks_with_live_speculative_copy():
     assert sched.reclaim(1) == 0
     assert sched.chunks_reclaimed == 0
     sched.mark_posted(0)
-    effective = [g.chunk_id for g in sched.effective_trace.grants]
+    effective = [g.chunk_id for g in sched.trace.grants]
     assert sorted(effective) == list(range(3))
     assert a.chunk.index in effective and dup_id in effective
 
@@ -482,8 +485,7 @@ def test_speculation_duplicates_only_aged_inflight_grants():
     the oldest over-age in-flight chunk at most twice, and the kept
     copy is the canonical (lowest-rank) completer."""
     chunks = make_chunks(2)
-    sched = ChunkScheduler(3, speculate_after=30.0)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 3, initial_distribution="single", speculate_after=30.0)
     g0 = sched.request(0)
     g1 = sched.request(0)          # g0 -> mapped, g1 stays in flight
     # Under-age in-flight work elsewhere: ask-again, not done.
@@ -502,18 +504,17 @@ def test_speculation_duplicates_only_aged_inflight_grants():
     sched.mark_posted(0)
     sched.mark_posted(1)
     assert sched.speculative_wins == 0  # original (rank 0) won
-    kept = [g for g in sched.effective_trace.grants
+    kept = [g for g in sched.trace.grants
             if g.chunk_id == g1.chunk.index]
     assert len(kept) == 1 and kept[0].worker == 0
-    assert g0.chunk.index in [g.chunk_id for g in sched.effective_trace.grants]
+    assert g0.chunk.index in [g.chunk_id for g in sched.trace.grants]
 
 
 def test_speculation_win_counts_when_duplicate_posts_first():
     """If only the duplicate's holder posts, the duplicate is the kept
     copy and counts as a speculative win."""
     chunks = make_chunks(1)
-    sched = ChunkScheduler(2, speculate_after=0.01)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=0.01)
     g = sched.request(0)
     chunk, t = sched._outstanding[0][g.chunk.index]
     sched._outstanding[0][g.chunk.index] = (chunk, t - 1.0)
@@ -521,7 +522,7 @@ def test_speculation_win_counts_when_duplicate_posts_first():
     assert dup.chunk.index == g.chunk.index
     sched.mark_posted(1)           # duplicate completes; original never posts
     assert sched.speculative_wins == 1
-    kept = sched.effective_trace.grants
+    kept = sched.trace.grants
     assert [(x.worker, x.chunk_id) for x in kept if x.chunk_id == g.chunk.index] \
         == [(1, g.chunk.index)]
 
@@ -531,8 +532,7 @@ def test_mapped_but_unposted_chunks_are_not_speculation_candidates():
     mapped-but-unposted; those stay reclaimable but stop being
     speculation candidates (their output exists locally)."""
     chunks = make_chunks(2)
-    sched = ChunkScheduler(2, speculate_after=0.0)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=0.0)
     g0 = sched.request(0)
     g1 = sched.request(0)          # g0 -> mapped, g1 in flight
     for cid, (chunk, t) in list(sched._outstanding[0].items()):
@@ -549,8 +549,7 @@ def test_prefetch_window_request_proves_exactly_the_consumed_answers():
     (non-grant answers advance the proof too, so an idle worker's
     prefetch tail does not stay "in flight" forever)."""
     chunks = make_chunks(3)
-    sched = ChunkScheduler(2, speculate_after=30.0, prefetch=1)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=30.0, prefetch=1)
     a = sched.request(0)           # request 1
     b = sched.request(0)           # request 2 = W: proves nothing yet
     assert set(sched._outstanding[0]) == {a.chunk.index, b.chunk.index}
@@ -575,8 +574,7 @@ def test_stalled_prefetchers_buffered_grant_is_still_speculated():
     proven mapped by the requests already in flight, so once it ages an
     idle peer duplicates it."""
     chunks = make_chunks(2)
-    sched = ChunkScheduler(2, speculate_after=5.0, prefetch=1)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=5.0, prefetch=1)
     a = sched.request(0)           # being mapped by the stalled worker
     b = sched.request(0)           # buffered behind it
     for cid, (chunk, t) in list(sched._outstanding[0].items()):
@@ -594,8 +592,7 @@ def test_reclaim_reopens_the_pull_window_for_the_replacement():
     """A respawned rank starts a fresh window: its first W requests
     prove nothing about the grants its new incarnation receives."""
     chunks = make_chunks(3)
-    sched = ChunkScheduler(1, prefetch=1)
-    sched.assign(chunks, "single")
+    sched = ChunkService(chunks, 1, initial_distribution="single", prefetch=1)
     for _ in range(3):
         sched.request(0)
     sched.reclaim(0)
@@ -607,8 +604,7 @@ def test_reclaim_reopens_the_pull_window_for_the_replacement():
 
 def test_chunk_service_rejects_speculation_under_replay():
     chunks = make_chunks(4)
-    rec = ChunkScheduler(2)
-    rec.assign(chunks, "round_robin")
+    rec = ChunkService(chunks, 2, initial_distribution="round_robin")
     drain(rec, 2)
     with pytest.raises(ValueError, match="replayed schedule"):
         ChunkService(chunks, 2, schedule=rec.trace, speculate_after=0.1)

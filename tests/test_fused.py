@@ -81,7 +81,8 @@ def test_mm_jobs_carry_no_fused_kernel():
     # A runner asked for fused on a fused-less job maps the staged path.
     runner = MapRunner(mm_phase1_job(ds), 2, fused=True)
     runner.feed(next(iter(ds.chunks())))
-    assert runner.finish().chunks_mapped == 1
+    runner.finish()
+    assert runner.out.chunks_mapped == 1
 
 
 def test_fused_flag_on_fusedless_job_fails_at_run_time():
@@ -168,7 +169,8 @@ def test_emit_fast_path_no_partitioner_routes_whole_to_rank0():
     chunk = _one_chunk()
     runner = MapRunner(_raw_job(None), 3)
     runner.feed(chunk)
-    out = runner.finish()
+    runner.finish()
+    out = runner.out
     assert len(out.parts[0]) == 1 and not out.parts[1] and not out.parts[2]
     assert out.part_chunk_ids[0] == [0]
     kv = out.parts[0][0]
@@ -182,7 +184,8 @@ def test_emit_fast_path_single_worker_matches_partition_parts():
     job = _raw_job(RoundRobinPartitioner())
     runner = MapRunner(job, 1)
     runner.feed(chunk)
-    out = runner.finish()
+    runner.finish()
+    out = runner.out
     kv = _PassthroughMapper().map_chunk(chunk)
     (slow_part,) = job.partition_parts(kv, 1)
     fast = out.parts[0][0]

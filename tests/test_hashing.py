@@ -28,7 +28,6 @@ def test_poly_hashes_deterministic():
     b = poly_hashes_bytes([b"alpha", b"beta"])
     np.testing.assert_array_equal(a.h1, b.h1)
     np.testing.assert_array_equal(a.h2, b.h2)
-    np.testing.assert_array_equal(a.h3, b.h3)
 
 
 def test_poly_hashes_distinguish_words():
@@ -43,7 +42,6 @@ def test_segmented_hashes_match_scalar_path():
     ref = poly_hashes_bytes(words)
     np.testing.assert_array_equal(seg.h1, ref.h1)
     np.testing.assert_array_equal(seg.h2, ref.h2)
-    np.testing.assert_array_equal(seg.h3, ref.h3)
 
 
 def test_segmented_hashes_empty_batch():
@@ -63,7 +61,6 @@ def test_property_segmented_matches_scalar(words):
     ref = poly_hashes_bytes(words)
     np.testing.assert_array_equal(seg.h1, ref.h1)
     np.testing.assert_array_equal(seg.h2, ref.h2)
-    np.testing.assert_array_equal(seg.h3, ref.h3)
 
 
 # -- MPH -------------------------------------------------------------------

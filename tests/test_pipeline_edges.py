@@ -212,8 +212,8 @@ def test_binner_flush_protocol_counts_messages():
     received = {}
 
     def sender(env):
-        b0.submit([kv([0], [1.0]), kv([1], [2.0])])   # one part per rank
-        b0.submit([kv([2], [3.0]), KeyValueSet.empty()])  # only rank 0
+        b0.submit([(0, kv([0], [1.0])), (1, kv([1], [2.0]))])  # one part per rank
+        b0.submit([(0, kv([2], [3.0])), (1, KeyValueSet.empty())])  # only rank 0
         yield b0.drain()
         yield env.all_of(b0.flush())
 
@@ -239,7 +239,7 @@ def test_binner_empty_parts_not_sent():
     env, comm, (b0, b1) = make_binner_env()
 
     def sender(env):
-        b0.submit([KeyValueSet.empty(), KeyValueSet.empty()])
+        b0.submit([(0, KeyValueSet.empty()), (1, KeyValueSet.empty())])
         yield b0.drain()
         yield env.all_of(b0.flush())
 

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.apps import kmc_dataset, kmc_job, sio_dataset, sio_job
-from repro.core import make_executor
 from repro.hw import GT200, kernel_duration
 from repro.primitives import (
     compact,
@@ -190,27 +188,6 @@ def test_radix_sort_cost_prices_8_bit_digit_passes(key_bits):
     """The GPU's sort is priced as CUDPP runs it, whatever pass
     structure the host path picks for the same ``key_bits``."""
     assert len(radix_sort_cost(1 << 20, key_bits=key_bits)) == -(-key_bits // 8)
-
-
-def test_sim_sio_modeled_time_is_pinned_to_the_last_bit():
-    """Execution is decoupled from pricing: the host sort may change,
-    the modeled seconds of a sim run may not move one ulp.  The value
-    is the one this job had before the host path stopped sorting by
-    8-bit digits."""
-    ds = sio_dataset(120_000, chunk_elements=18_000, key_space=1 << 22, seed=3)
-    result = make_executor("sim", 4).run(sio_job(key_space=1 << 22), dataset=ds)
-    assert repr(result.stats.elapsed) == "0.008821147323248416"
-
-
-def test_sim_kmc_modeled_time_is_pinned_to_the_last_bit():
-    """KMC is priced as the paper's persistent-thread GPU kernel and run
-    as NumPy: a host-kernel edit that leaks into ``map_cost`` moves these
-    (the values the job had with the ``n x k x dims`` host kernel)."""
-    ds = kmc_dataset(120_000, n_centers=32, dims=2, chunk_points=18_000, seed=3)
-    sim = make_executor("sim", 4)
-    assert repr(sim.run(kmc_job(ds), dataset=ds).stats.elapsed) == "0.011405602274638571"
-    naive = sim.run(kmc_job(ds, use_accumulation=False), dataset=ds)
-    assert repr(naive.stats.elapsed) == "0.010233424383067815"
 
 
 def test_radix_sort_cost_scales_with_key_bits():
