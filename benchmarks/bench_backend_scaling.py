@@ -1,25 +1,24 @@
 """Wall-clock backend scaling: serial -> local -> cluster vs the sim.
 
 PR 1 made the speed axis *measurable*; the cluster fabric made the
-communication axis *real*; the zero-copy exchange makes it *fast*.
-This bench runs one shuffle-heavy job (SIO, the paper's all-to-all
+communication axis *real*.  This bench runs one shuffle-heavy job (SIO, the paper's all-to-all
 stress case) on every real backend across a worker sweep and lines the
 measured speedups up against the sim's predicted strong-scaling curve
 for the same job:
 
 * ``serial``  is the 1-process floor (all ranks in one interpreter —
   its "scaling" is flat by construction and anchors the comparison);
-* ``local``   scales over ``multiprocessing`` on the shared-memory
-  zero-copy exchange (binary KVSet codec, segments instead of pipes);
 * ``cluster`` scales over OS processes joined by the TCP socket
-  fabric with streamed raw-codec batch frames, so the difference
-  local - cluster is the real wire cost of the exchange;
+  fabric with streamed raw-codec batch frames;
+* ``local``   is the same fabric on loopback with the multi-host knobs
+  fixed, so its rows and the cluster rows should agree to within
+  noise;
 * ``sim``     contributes the modeled speedup the paper's cost model
   predicts for this worker count.
 
 Besides wall-clock speedups the bench reports **exchange throughput**
 (network-destined shuffle bytes per second of exposed bin time) per
-backend — shared memory next to the streamed TCP wire — plus the
+backend — both over the streamed TCP wire — plus the
 cluster backend's **frames-per-batch** (how few wire frames the
 coalescing data plane needs per (src, dst) shuffle batch) and a
 **load-balanced** section: the sim runs the same job with stealing
@@ -317,13 +316,13 @@ def test_backend_scaling(benchmark, save_result, check):
     local_x = wall[("local", 1)] / wall[("local", 4)]
     cluster_x = wall[("cluster", 1)] / wall[("cluster", 4)]
     sim_x = modeled[1] / modeled[4]
-    shm_bps = _throughput(exchange, "local", 4)
+    local_bps = _throughput(exchange, "local", 4)
     benchmark.extra_info.update(
         {
             "local_speedup_4": round(local_x, 3),
             "cluster_speedup_4": round(cluster_x, 3),
             "sim_predicted_speedup_4": round(sim_x, 3),
-            "local_shm_exchange_MBps_4": round(shm_bps / 1e6, 1),
+            "local_exchange_MBps_4": round(local_bps / 1e6, 1),
             "cluster_frames_per_batch_4": round(
                 frames[("cluster", 4)] / 12, 1
             ),
@@ -346,10 +345,11 @@ def test_backend_scaling(benchmark, save_result, check):
         check(
             cluster_x > 1.05, "cluster backend shows measurable 4-worker speedup"
         )
-    # The wire costs something, but not an order of magnitude vs pipes.
+    # One transport: the cluster configuration is not an order of
+    # magnitude off its own loopback twin.
     check(
         wall[("cluster", 4)] < 10 * wall[("local", 4)],
-        "socket shuffle stays within 10x of pipe shuffle",
+        "cluster shuffle stays within 10x of local shuffle",
     )
     # Serial has no parallelism to find: its sweep stays roughly flat.
     check(

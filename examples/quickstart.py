@@ -21,7 +21,7 @@ from repro.workloads import build_dictionary
 
 BACKEND_LABELS = {
     "serial": "the real dataflow, rank by rank, in-process",
-    "local": "4 real multiprocessing workers",
+    "local": "4 real rank processes over loopback TCP",
     "cluster": "4 rank processes over the TCP socket fabric",
 }
 

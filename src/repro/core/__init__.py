@@ -14,8 +14,9 @@ A job is a :class:`MapReduceJob` (mapper + optional substages); an
 :class:`Executor` runs it and returns a :class:`JobResult` with
 per-rank outputs and per-stage timing (`JobStats`).  Backends are
 pluggable via :func:`make_executor`: ``"sim"`` (the simulated cluster,
-:class:`GPMRRuntime` underneath), ``"local"`` (real ``multiprocessing``
-workers), and ``"serial"`` (in-process real execution).
+:class:`GPMRRuntime` underneath), ``"cluster"`` (real rank processes
+joined by the TCP fabric, on any host), ``"local"`` (the cluster
+backend on loopback), and ``"serial"`` (in-process real execution).
 """
 
 from .binner import TAG_DATA, TAG_FLUSH, Binner

@@ -124,7 +124,7 @@ class Chunk:
     # -- pickling ----------------------------------------------------------
     # Descriptor-backed chunks ship *only* the descriptor (readers
     # themselves pickle to a tiny key and rebuild once per process, see
-    # repro.workloads.readers), so a CHUNK_GRANT or mp.Queue grant stays
+    # repro.workloads.readers), so a CHUNK_GRANT stays
     # bytes-sized no matter the payload; the receiver re-materialises.
     def __getstate__(self):
         return {

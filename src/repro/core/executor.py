@@ -8,17 +8,16 @@ that dataflow executes:
 * :class:`SimExecutor` (``"sim"``) — the discrete-event simulation.
   Every stage charges modeled time (kernels, PCI-e, network) and the
   result carries the paper's Figure-2 stage accounting.
-* ``LocalExecutor`` (``"local"``, in :mod:`repro.exec.local`) — real
-  execution on ``multiprocessing`` workers with NumPy-vectorized
-  kernels; the network fabric becomes a zero-copy shared-memory
-  exchange (binary KVSet codec, :mod:`repro.exec.exchange`).
+* ``ClusterExecutor`` (``"cluster"``, in :mod:`repro.exec.cluster`) —
+  real execution with NumPy-vectorized kernels on rank processes
+  joined by the :mod:`repro.fabric` TCP socket shuffle (host-agnostic
+  wire; spawns local ranks by default, or accepts remote ranks started
+  with ``python -m repro.fabric.launch``).
+* ``LocalExecutor`` (``"local"``, same module) — the cluster backend on
+  loopback: spawned ranks on this host over ``127.0.0.1``, without the
+  multi-host knobs.  One transport serves both.
 * ``SerialExecutor`` (``"serial"``, in :mod:`repro.exec.serial`) — the
   same real dataflow, run rank-by-rank in the current process.
-* ``ClusterExecutor`` (``"cluster"``, in :mod:`repro.exec.cluster`) —
-  the same real dataflow on rank processes joined by the
-  :mod:`repro.fabric` TCP socket shuffle (host-agnostic wire; spawns
-  local ranks by default, or accepts remote ranks started with
-  ``python -m repro.fabric.launch``).
 
 Every backend implements the same canonical semantics (pull-based
 chunk distribution through one shared

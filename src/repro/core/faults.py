@@ -27,7 +27,7 @@ how to recover (respawn budget, straggler speculation):
 * ``max_respawns`` — per-rank replacement budget; a rank that dies
   more often, or dies after posting its shuffle batches (nothing left
   to reclaim — the unit of loss is the whole un-posted map phase), is
-  a terminal :class:`~repro.exec.local.WorkerFailure` as before.
+  a terminal :class:`~repro.exec.cluster.WorkerFailure` as before.
 
 Merely *constructing* a plan changes nothing: recovery machinery
 activates only on runs whose executor received a ``fault_plan``.

@@ -14,10 +14,9 @@ Because the layout is already two flat arrays, a KVSet also has a
 **versioned binary codec** — :meth:`KeyValueSet.to_buffers` /
 :meth:`KeyValueSet.from_buffers` plus the batch-level
 :func:`pack_parts` / :func:`unpack_parts` — a small struct header
-(dtypes, shape, scale) followed by the raw array bytes.  Every real
-backend's exchange hot path (shared-memory local shuffle, streamed
-cluster fabric frames) rides this codec; pickle never touches payload
-bytes.
+(dtypes, shape, scale) followed by the raw array bytes.  The process
+backends' exchange hot path (streamed fabric frames) rides this codec;
+pickle never touches payload bytes.
 
 A host value column may be **uniform** — one element repeated, held
 as the zero-stride read-only view ``np.broadcast_to(element, (n,))``

@@ -1,20 +1,21 @@
-"""Real distributed execution over the TCP cluster fabric.
+"""Real execution on rank processes joined by the TCP cluster fabric.
 
-``ClusterExecutor`` runs the same rank loop
-(:func:`repro.exec.rank.drive_rank`) as the ``local`` backend, but
-every byte between ranks rides the
-:mod:`repro.fabric` wire instead of ``multiprocessing`` queues: ranks
-register with a driver-side :class:`~repro.fabric.Coordinator`, receive
-the job as a framed message, *pull* their chunks one at a time from the
-coordinator-hosted :class:`~repro.core.scheduler.ChunkService`
-(``CHUNK_REQ``/``CHUNK_GRANT`` control frames — an idle rank steals
-from the longest queue at runtime, and every run records the resulting
+Both process backends live here, and they share one transport.
+``ClusterExecutor`` (``"cluster"``) runs the shared rank loop
+(:func:`repro.exec.rank.drive_rank`) over the :mod:`repro.fabric`
+wire: ranks register with a driver-side
+:class:`~repro.fabric.Coordinator`, receive the job as a framed
+message, *pull* their chunks one at a time from the coordinator-hosted
+:class:`~repro.core.scheduler.ChunkService` (``CHUNK_REQ``/
+``CHUNK_GRANT`` control frames — an idle rank steals from the longest
+queue at runtime, and every run records the resulting
 :class:`~repro.core.scheduler.ScheduleTrace` as ``JobResult.schedule``),
 shuffle peer-to-peer over TCP sockets, and report results (or remote
 tracebacks) back over their control connection.
+``LocalExecutor`` (``"local"``) is that executor with its multi-host
+knobs fixed: ranks spawned on this host, everything over ``127.0.0.1``.
 
-By default the executor spawns one rank process per worker on this
-host, all over ``127.0.0.1`` — the test and single-node configuration.
+By default the cluster executor also spawns its ranks on this host.
 The wire protocol is host-agnostic, so the same driver serves a real
 multi-host run: construct with ``spawn_ranks=False`` (and typically
 ``host="0.0.0.0"``), read the port from
@@ -24,9 +25,9 @@ no code changes.  (With a wildcard bind, ``--coordinator`` takes the
 driver's *real* interface address; ``0.0.0.0`` is bindable, not
 dialable.)
 
-Failure handling matches the local backend's contract: a rank that
-raises ships its traceback upstream and the driver re-raises
-:class:`WorkerFailure`; a rank that dies hard is caught either by the
+Failure handling: a rank that raises ships its traceback upstream and
+the driver re-raises :class:`WorkerFailure`; a rank that dies hard —
+or exits cleanly without a result — is caught either by the
 coordinator (its control socket hits EOF) or by the driver's process
 liveness probe, never waited out.
 """
@@ -38,7 +39,6 @@ import sys
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-from .local import WorkerFailure, _default_start_method, dead_worker_failure
 from ..core.executor import Executor, register_backend
 from ..core.faults import FaultPlan
 from ..core.job import MapReduceJob
@@ -54,7 +54,38 @@ from ..fabric import (
     run_rank,
 )
 
-__all__ = ["ClusterExecutor"]
+__all__ = [
+    "ClusterExecutor",
+    "LocalExecutor",
+    "WorkerFailure",
+    "dead_worker_failure",
+]
+
+
+class WorkerFailure(RuntimeError):
+    """A worker process failed; carries the rank and remote traceback."""
+
+    def __init__(self, rank: int, detail: str) -> None:
+        super().__init__(f"worker rank {rank} failed:\n{detail}")
+        self.rank = rank
+        self.detail = detail
+
+
+def _default_start_method() -> str:
+    # fork is dramatically cheaper and keeps the job object shared
+    # copy-on-write; fall back to spawn where fork is unavailable.
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def dead_worker_failure(procs) -> Optional["WorkerFailure"]:
+    """The driver's liveness predicate: a :class:`WorkerFailure` naming
+    every worker process that died with a nonzero exit code, or None
+    while all are healthy."""
+    dead = [p for p in procs if not p.is_alive() and p.exitcode not in (0, None)]
+    if not dead:
+        return None
+    codes = {p.name: p.exitcode for p in dead}
+    return WorkerFailure(-1, f"worker process(es) died without reporting: {codes}")
 
 
 def _rank_main(
@@ -89,7 +120,20 @@ def _rank_main(
 
 
 class ClusterExecutor(Executor):
-    """Execute jobs on ``n_workers`` ranks joined by the TCP fabric."""
+    """Execute jobs on ``n_workers`` ranks joined by the TCP fabric.
+
+    ``fault_plan`` (a :class:`~repro.core.faults.FaultPlan`) arms the
+    recovery machinery: a spawned rank it kills mid-map is noticed by
+    the coordinator, its un-posted grants are reclaimed into the pool,
+    and a replacement process rejoins under the same rank id — the run
+    completes with output bit-identical to a failure-free run.  Its
+    ``stall_seconds`` make a rank sleep before each chunk request (a
+    deliberate straggler whose queue gets stolen), and
+    ``speculate_after`` additionally re-executes straggling in-flight
+    grants on idle ranks; receivers drop the duplicate map output by
+    chunk-id provenance tags.  Without a plan, any rank death is a
+    :class:`WorkerFailure`.
+    """
 
     name = "cluster"
 
@@ -210,7 +254,7 @@ class ClusterExecutor(Executor):
                             incarnation > 0,
                             self.auth_key,
                         ),
-                        name=f"gpmr-cluster-r{rank}.{incarnation}",
+                        name=f"gpmr-{self.name}-r{rank}.{incarnation}",
                         daemon=True,
                     )
 
@@ -266,4 +310,38 @@ class ClusterExecutor(Executor):
         return outputs, worker_stats
 
 
+class LocalExecutor(ClusterExecutor):
+    """Execute jobs on ``n_workers`` rank processes on this host: the
+    cluster fabric on loopback, without its multi-host knobs."""
+
+    name = "local"
+
+    def __init__(
+        self,
+        n_workers: int,
+        initial_distribution: str = "round_robin",
+        start_method: Optional[str] = None,
+        timeout_seconds: float = 300.0,
+        fault_plan: Optional[FaultPlan] = None,
+        obs: Optional[Observability] = None,
+        trace_path: Optional[str] = None,
+        prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
+        fused: Optional[bool] = None,
+    ) -> None:
+        super().__init__(
+            n_workers,
+            initial_distribution=initial_distribution,
+            start_method=start_method,
+            timeout_seconds=timeout_seconds,
+            host="127.0.0.1",
+            spawn_ranks=True,
+            fault_plan=fault_plan,
+            obs=obs,
+            trace_path=trace_path,
+            prefetch_window=prefetch_window,
+            fused=fused,
+        )
+
+
 register_backend(ClusterExecutor.name, ClusterExecutor)
+register_backend(LocalExecutor.name, LocalExecutor)

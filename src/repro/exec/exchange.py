@@ -1,38 +1,22 @@
-"""Zero-copy batch transport for the local backend's shuffle.
+"""Shared-memory batch encoding, kept for one ledger probe only.
 
-Shuffle batches cross the ``multiprocessing`` queues in the binary
-KVSet codec (:mod:`repro.core.kvset`): the queue message is just a tiny
-routing tuple — a tag, a batch manifest, and either the raw bytes
-inline (small batches) or the *name* of a
-``multiprocessing.shared_memory`` segment holding them (large batches).
-Receivers map the arrays in place; the reduce path's concatenation is
-the single copy the data ever takes on the receiving side.
+No backend uses this module: ``local`` and ``cluster`` both shuffle
+over the :mod:`repro.fabric` wire.  It survives because the perf
+ledger's ``exchange.shm_roundtrip_mb_s`` probe still imports
+:func:`encode_batch`, :func:`decode_batch` and :func:`release_segment`;
+it goes once a benchmark change retargets that probe at a
+transport-neutral round-trip (ROADMAP item 5(b)).
 
-Queue message shapes (the first element is the tag):
+A batch is packed with the binary KVSet codec (:mod:`repro.core.kvset`)
+into one of two message shapes (the first element is the tag):
 
 ``("inline", manifest, data)``
-    Payload bytes riding inside the message.  Used for batches under
-    :data:`SHM_MIN_BYTES` (a segment per tiny batch costs more in
-    syscalls than it saves in copies) and as the fallback when segment
-    creation fails.
+    Payload bytes riding inside the message, for batches under
+    :data:`SHM_MIN_BYTES` or when segment creation fails.
 ``("shm", name, nbytes, manifest)``
-    Payload in a named shared-memory segment.
-
-Segment lifecycle — explicit, no leaks on failure paths:
-
-* the **sender** creates the segment, fills it, closes its own mapping
-  and posts the name; if the post itself fails it unlinks immediately
-  (:func:`release_message`);
-* the **receiver** attaches, builds zero-copy views
-  (:func:`decode_batch` returns the segment handle), and after the
-  reduce has copied the data out it closes + unlinks
-  (:func:`release_segment`);
-* the **driver** drains every shuffle queue after a failed run and
-  unlinks any segments whose messages were never consumed
-  (:func:`release_message` again).
-
-All processes report to one ``multiprocessing`` resource tracker, which
-is the backstop of last resort for hard-killed runs.
+    Payload in a named ``multiprocessing.shared_memory`` segment; the
+    decoder maps the arrays in place and the caller unlinks the
+    segment with :func:`release_segment` once the data is copied out.
 """
 
 from __future__ import annotations
@@ -46,90 +30,18 @@ __all__ = [
     "SHM_MIN_BYTES",
     "encode_batch",
     "decode_batch",
-    "ensure_shared_tracker",
     "release_segment",
-    "release_message",
 ]
 
-
-_tracker_fork_hooks_installed = False
-
-
-def _install_tracker_fork_hooks(tracker: Any) -> None:
-    """Make forking safe against the tracker's process-local RLock.
-
-    The tracker guards its state with a ``threading.RLock`` that every
-    ``register``/``unregister``/``Process.start`` acquires briefly.  A
-    multi-threaded driver (the job-service daemon runs concurrent jobs)
-    can fork a rank at the exact moment another thread holds that lock;
-    the child then inherits it in the locked state forever, and its
-    first shm registration deadlocks inside ``ensure_running``.  The
-    standard remedy (what ``logging`` does for its own locks): hold the
-    lock across the fork in the parent, and hand the child a fresh one.
-    """
-    global _tracker_fork_hooks_installed
-    if _tracker_fork_hooks_installed:
-        return
-    import os
-    import threading
-
-    if not hasattr(os, "register_at_fork"):  # pragma: no cover
-        return  # no fork on this platform, nothing to guard
-    if not isinstance(
-        getattr(tracker, "_lock", None), type(threading.RLock())
-    ):  # pragma: no cover
-        return  # tracker internals changed; skip rather than guess
-
-    def _reset_in_child() -> None:
-        tracker._lock = threading.RLock()
-
-    os.register_at_fork(
-        before=lambda: tracker._lock.acquire(),
-        after_in_parent=lambda: tracker._lock.release(),
-        after_in_child=_reset_in_child,
-    )
-    _tracker_fork_hooks_installed = True
-
-
-def ensure_shared_tracker() -> None:
-    """Start the ``multiprocessing`` resource tracker in *this* process.
-
-    The driver calls this before forking/spawning ranks so every rank
-    inherits one shared tracker.  Otherwise each rank lazily spawns its
-    own on first segment use, and a segment created in rank A but
-    unlinked in rank B leaves A's private ledger unbalanced — the
-    shutdown backstop then warns about (already unlinked) "leaks".
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        _install_tracker_fork_hooks(resource_tracker._resource_tracker)
-    except (ImportError, AttributeError, OSError):  # pragma: no cover
-        pass  # platform without a tracker; the backstop just isn't shared
-
-#: Batches smaller than this ride inline in the queue message: below
+#: Batches smaller than this ride inline in the message: below
 #: ~32 KiB the shm_open/mmap/unlink round-trip costs more than the copy.
 SHM_MIN_BYTES = 32 * 1024
 
 
-def encode_batch(
-    parts: Sequence[KeyValueSet],
-    min_shm_bytes: int = SHM_MIN_BYTES,
-    counters: Optional[dict] = None,
-) -> Tuple[Any, ...]:
-    """Encode one shuffle batch as a queue message (see module docs).
-
-    ``counters``, when given, is incremented in place with the batch's
-    transport accounting — ``"batches" += 1``, ``"bytes" += payload``
-    (packed codec bytes).  The observability layer meters shuffle
-    batches through this hook.
-    """
+def encode_batch(parts: Sequence[KeyValueSet]) -> Tuple[Any, ...]:
+    """Encode one shuffle batch as a message (see module docs)."""
     manifest, chunks, nbytes = pack_parts(parts)
-    if counters is not None:
-        counters["batches"] = counters.get("batches", 0) + 1
-        counters["bytes"] = counters.get("bytes", 0) + nbytes
-    if nbytes >= min_shm_bytes:
+    if nbytes >= SHM_MIN_BYTES:
         try:
             segment = shared_memory.SharedMemory(create=True, size=nbytes)
         except OSError:
@@ -148,7 +60,7 @@ def encode_batch(
 def decode_batch(
     message: Tuple[Any, ...],
 ) -> Tuple[List[KeyValueSet], Optional[shared_memory.SharedMemory]]:
-    """Decode a queue message into ``(parts, segment_or_None)``.
+    """Decode a message into ``(parts, segment_or_None)``.
 
     For ``"shm"`` messages the parts are zero-copy views into the
     returned segment; the caller must keep it alive until the data is
@@ -180,7 +92,7 @@ def release_segment(
 
     ``close`` raises :class:`BufferError` while zero-copy views are
     still alive; the mapping then lives until process exit, but the
-    *name* is still unlinked so the segment cannot leak past the run.
+    *name* is still unlinked so the segment cannot leak.
     """
     try:
         segment.close()
@@ -191,19 +103,3 @@ def release_segment(
             segment.unlink()
         except FileNotFoundError:
             pass  # already unlinked by a cleanup race; nothing to leak
-
-
-def release_message(message: Tuple[Any, ...]) -> None:
-    """Unlink the segment behind an undelivered/undecoded queue message.
-
-    Used by a sender whose queue put failed and by the driver when it
-    drains the shuffle queues after a failed run.  Non-segment messages
-    are no-ops.
-    """
-    if not message or message[0] != "shm":
-        return
-    try:
-        segment = shared_memory.SharedMemory(name=message[1])
-    except FileNotFoundError:
-        return  # receiver (or a previous drain) already cleaned it up
-    release_segment(segment)

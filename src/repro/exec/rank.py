@@ -11,8 +11,8 @@ module is the only place it is written down for the real backends:
 * :func:`drive_rank` moves one :class:`RankRun` through a *link* — the
   backend's transport — doing pull → map → mark-posted → exchange →
   merge → reduce → report, plus the failure courtesy.
-  ``exec/local.py`` supplies a queue + shared-memory link,
-  ``fabric/endpoint.py`` a framed-TCP one; the serial backend has no
+  ``fabric/endpoint.py`` supplies the one link, framed TCP, which the
+  ``local`` and ``cluster`` backends share; the serial backend has no
   link at all and steps *n* :class:`RankRun`\\ s round-robin itself.
 * :class:`GrantPuller` is the rank-side half of the pull protocol
   (prefetch window, drain-after-DONE, RETRY back-off, stall and kill
@@ -29,8 +29,7 @@ A link is a plain object with::
     send(dest, parts, chunk_ids)    # one batch to one peer (may be async)
     unblock(dest)                   # best-effort empty batch to one peer
     recv_all() -> [(src, parts, chunk_ids)]   # one batch per peer
-    report(output, stats, error)    # result, or the failure traceback;
-                                    # also frees receive buffers
+    report(output, stats, error)    # result, or the failure traceback
 
 Timing semantics (the Figure-2 buckets, identical on every backend):
 ``map`` is the wall of the rank's pull+map phase — grant waits

@@ -1,7 +1,7 @@
 """In-process real execution: the same rank loop, one rank at a time.
 
 ``SerialExecutor`` runs the identical functional semantics as the
-``multiprocessing`` backend with zero IPC — useful for debugging app
+process backends with zero IPC — useful for debugging app
 kernels, for environments where spawning processes is off-limits, and
 as a fast third witness in the backend-parity tests.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Tuple
 
-from .local import WorkerFailure
+from .cluster import WorkerFailure
 from .rank import RankRun
 from ..core.executor import Executor, register_backend
 from ..core.faults import FaultPlan

@@ -1,7 +1,8 @@
 """The cluster fabric: a real TCP shuffle + control plane for GPMR.
 
-Where the sim *models* the paper's MPI interconnect and the ``local``
-backend fakes it with in-node queues, this package is an actual wire:
+Where the sim *models* the paper's MPI interconnect, this package is an
+actual wire, the one both process backends (``local`` on loopback,
+``cluster`` on any host) run over:
 
 * :mod:`repro.fabric.wire` — length-prefixed, version-checked framed
   messaging (the protocol both planes speak): pickled frames for the

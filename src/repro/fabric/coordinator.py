@@ -59,6 +59,7 @@ from .wire import (
     recv_frame,
     send_frame,
     send_versioned_error,
+    set_nodelay,
 )
 from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, RETRY
 from ..obs import NULL_OBS
@@ -235,6 +236,7 @@ class Coordinator:
                 conn, _addr = self._listener.accept()
             except socket.timeout:
                 continue
+            set_nodelay(conn)
             conn.settimeout(min(5.0, self.timeout_seconds))
             if not self._authenticate(conn):
                 continue
@@ -532,6 +534,7 @@ class Coordinator:
             conn, _addr = self._listener.accept()
         except (socket.timeout, OSError):
             return
+        set_nodelay(conn)
         conn.settimeout(min(5.0, self.timeout_seconds))
         if not self._authenticate(conn):
             return

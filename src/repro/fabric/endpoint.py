@@ -5,7 +5,8 @@ part in a fabric run: a control connection to the coordinator and its
 own shuffle listener for the data plane.  It is the cluster backend's
 *link* — the framed-TCP transport the shared rank loop
 (:func:`repro.exec.rank.drive_rank`) runs over, see the link contract
-there — where the local backend uses queues and shared memory:
+there.  It is the only link the process backends have: ``local`` is
+the cluster backend on loopback.
 
 * **chunks are pulled, not pushed**: after the start barrier the rank
   requests work over its control connection (``CHUNK_REQ`` ->
@@ -21,16 +22,18 @@ there — where the local backend uses queues and shared memory:
   exactly ``n-1`` inbound batches.  Self-destined parts never touch
   the wire, and batches larger than ``max_frame_bytes`` stream through
   it instead of dying.  Outbound sends run on one thread per
-  destination (the TCP analogue of ``mp.Queue``'s feeder thread) so a
-  rank is always able to drain inbound batches while its own sends are
-  still in flight — no send/recv interleaving deadlock at any batch
-  size.
+  destination so a rank is always able to drain inbound batches while
+  its own sends are still in flight — no send/recv interleaving
+  deadlock at any batch size.
 
 The endpoint is transport-complete for multi-host runs: the rank
 itself states where its shuffle listener is reachable (``listen_host``
 / ``advertise_host``) rather than anyone inferring it, and everything
 else is plain TCP — the same code joins a fabric from another host via
-``python -m repro.fabric.launch``.
+``python -m repro.fabric.launch``.  Every control and shuffle
+connection sets ``TCP_NODELAY`` (:func:`~repro.fabric.wire.set_nodelay`):
+frames are small and written whole, and must not wait out the peer's
+delayed ACK.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .wire import (
     recv_raw_frame,
     send_frame,
     send_raw_frame,
+    set_nodelay,
 )
 from ..core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY
 from ..obs import BYTES_BUCKETS, NULL_OBS, Observability
@@ -171,9 +175,9 @@ class RankEndpoint:
     # -- control plane -----------------------------------------------------
     def connect(self) -> None:
         """Dial the coordinator, register, and learn the cluster size."""
-        self._control = socket.create_connection(
+        self._control = set_nodelay(socket.create_connection(
             self.coordinator_address, timeout=self.timeout_seconds
-        )
+        ))
         if self.auth_key is not None:
             # The coordinator challenges first thing on accept; answer
             # before any other frame goes out.
@@ -356,9 +360,9 @@ class RankEndpoint:
             counters: Dict[str, int] = {}
             s0 = time.time()
             try:
-                with socket.create_connection(
+                with set_nodelay(socket.create_connection(
                     self.peers[dest], timeout=self.timeout_seconds
-                ) as sock:
+                )) as sock:
                     if sock.getsockname() == sock.getpeername():
                         # Loopback self-connect: retrying into a dead
                         # peer's freed port can TCP-simultaneous-open
@@ -477,6 +481,7 @@ class RankEndpoint:
                 except OSError:
                     break  # listener closed; shutdown path
                 try:
+                    set_nodelay(conn)
                     conn.settimeout(self.timeout_seconds)
                     src, parts, tags = recv_batch(
                         conn, max_frame_bytes=self.max_frame_bytes

@@ -5,11 +5,9 @@ pool inverts that for the job service: executors are built once per
 *configuration* — ``(backend, n_workers, kwargs)`` — leased to a job,
 and returned warm for the next job with the same shape.  Warmth here
 is honest about what the built-in backends keep between runs: the
-instance (no re-validation or registry dispatch), the process-wide
-shared-memory resource tracker (pre-started once for the local
-backend, not per run), and the daemon-resident imports; per-run worker
-processes and fabric sockets are still acquired inside ``run()``
-today, which is the elastic follow-up noted in ROADMAP item 2.
+instance (no re-validation or registry dispatch) and the
+daemon-resident imports; per-run worker processes and fabric sockets
+are still acquired inside ``run()``.
 
 Every lease is stamped with the daemon's shared
 :class:`~repro.core.scheduler.JobChunkAuthority` (when the pool has
@@ -65,8 +63,6 @@ class ExecutorPool:
         self._idle: Dict[PoolKey, List[Executor]] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self._tracker_started = False
-        self._tracker_lock = threading.Lock()
 
     # -- leasing -----------------------------------------------------------
 
@@ -82,8 +78,6 @@ class ExecutorPool:
             self.obs.metrics.counter("pool_warm_hits").inc()
         else:
             self.obs.metrics.counter("pool_cold_builds").inc()
-            if backend == "local":
-                self._ensure_tracker()
             ex = make_executor(backend, n_workers, **kwargs)
             ex._pool_key = key
         # The daemon's shared multi-job chunk front; runs on this lease
@@ -115,22 +109,6 @@ class ExecutorPool:
                 stack.append(executor)
         if retire:
             executor.close()
-
-    def _ensure_tracker(self) -> None:
-        """Pre-start the shm resource tracker once, daemon-side.
-
-        One-shot local runs pay this fork on their first run; pooled
-        runs pay it once per daemon lifetime.  The dedicated lock
-        closes the check-then-act race: two concurrent cold local
-        leases would otherwise both fork a tracker.
-        """
-        with self._tracker_lock:
-            if self._tracker_started:
-                return
-            from ..exec.exchange import ensure_shared_tracker
-
-            ensure_shared_tracker()
-            self._tracker_started = True
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -618,6 +618,64 @@ def test_stray_connection_does_not_abort_shuffle():
         b.close()
 
 
+# -- every fabric connection sends small frames at once -----------------------
+
+def _nodelay(sock):
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def test_every_connection_of_a_live_run_disables_nagle(monkeypatch):
+    """With Nagle on, a small frame written behind one the peer has not
+    yet acknowledged waits out the peer's delayed ACK (~40 ms).  A
+    two-rank run in this process checks both ends of every control
+    connection and of every shuffle connection it opened."""
+    from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
+    from repro.core.runtime import resolve_chunks
+    from repro.core.scheduler import ChunkService
+    from repro.fabric import endpoint as endpoint_mod
+
+    seen = {"shuffle connect": [], "shuffle accept": []}
+
+    def watch(kind, real):
+        def wrapped(sock, *args, **kwargs):
+            seen[kind].append(_nodelay(sock))
+            return real(sock, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(endpoint_mod, "send_batch",
+                        watch("shuffle connect", send_batch))
+    monkeypatch.setattr(endpoint_mod, "recv_batch",
+                        watch("shuffle accept", recv_batch))
+    ds = sio_dataset(8_000, chunk_elements=2_000, key_space=1 << 10, seed=3)
+    service = ChunkService(resolve_chunks(ds, None), 2)
+
+    def rank_main(ep):
+        ep.connect()
+        ep.run_job()
+
+    with Coordinator(2, timeout_seconds=10.0) as coord:
+        eps = [RankEndpoint(r, coord.address, timeout_seconds=10.0)
+               for r in range(2)]
+        threads = [threading.Thread(target=rank_main, args=(ep,), daemon=True)
+                   for ep in eps]
+        try:
+            for t in threads:
+                t.start()
+            coord.wait_for_ranks()
+            coord.broadcast_assignments(sio_job(ds.key_space))
+            coord.barrier("start")
+            assert len(coord.collect_results(chunk_service=service)) == 2
+            for t in threads:
+                t.join(timeout=10.0)
+            assert [_nodelay(c) for c in coord._conns.values()] == [True, True]
+            assert [_nodelay(ep._control) for ep in eps] == [True, True]
+            for kind, flags in seen.items():
+                assert flags and all(flags), (kind, flags)
+        finally:
+            for ep in eps:
+                ep.close()
+
+
 # -- the exchange hands over, it does not poll --------------------------------
 
 #: what "promptly" means below; the poll ticks these tests keep out of

@@ -4,10 +4,12 @@ The contract under test is the tentpole one: kill a rank mid-map on
 any backend and the job still completes with output **bit-identical**
 to a failure-free run, with ``chunks_reclaimed > 0`` proving the
 recovery path actually ran.  The real backends take a genuine SIGKILL
-(local: one process per worker; cluster: one endpoint process per
-rank, killed mid-protocol and replaced by a rejoining incarnation);
-the serial and sim mirrors model the same death deterministically so
-recovery schedules stay record/replay-able.
+(local and cluster alike: one endpoint process per rank, killed
+mid-protocol and replaced by a rejoining incarnation); the serial and
+sim mirrors model the same death deterministically so recovery
+schedules stay record/replay-able.  A loop of the kill scenario, each
+run under a hard deadline, guards against a recovery that hangs once
+in a hundred runs.
 
 Speculative re-execution is checked the same way: a scripted straggler
 forces a duplicate grant, both copies ship, and the canonical-winner
@@ -19,6 +21,7 @@ stalls): the default ``pytest -m "not slow"`` run skips it, and CI
 executes it in its own ``fault-tolerance`` job.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -98,6 +101,59 @@ def test_kill_rank_mid_map_bit_identical(backend, kwargs):
     _assert_bit_identical(ref, got, f"{backend} kill mid-map")
 
 
+#: runs per backend of the kill loop below, and each run's hard deadline
+KILL_LOOP_RUNS = 20
+KILL_LOOP_DEADLINE_SECONDS = 30.0
+
+
+def _within_deadline(fn, seconds, tag):
+    """``fn()`` on a daemon thread: its result, its exception, or a test
+    failure once ``seconds`` pass — a hung run fails, it cannot hang
+    pytest."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, name=tag, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"{tag}: no result within the {seconds} s deadline")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+@pytest.mark.parametrize("backend", ["local", "cluster"])
+def test_kill_loop_never_hangs(backend):
+    """The mid-map kill scenario above, run back to back: a rank dying
+    at any point of its protocol (a SIGKILL can land while a frame is
+    half written) must be recovered every time.  Each run is checked
+    bit-identical against serial under a hard deadline."""
+    ds = _dataset()
+    job = sio_job(ds.key_space)
+    ref = make_executor("serial", N_WORKERS).run(job, dataset=ds)
+    plan = FaultPlan(
+        kill_rank_at_chunk={1: 2}, stall_seconds={0: 0.1, 2: 0.1, 3: 0.1}
+    )
+    for i in range(KILL_LOOP_RUNS):
+        tag = f"{backend} kill loop run {i}"
+        got = _within_deadline(
+            lambda: make_executor(
+                backend, N_WORKERS, fault_plan=plan,
+                timeout_seconds=KILL_LOOP_DEADLINE_SECONDS,
+            ).run(job, dataset=ds),
+            KILL_LOOP_DEADLINE_SECONDS,
+            tag,
+        )
+        assert got.stats.chunks_reclaimed > 0, tag
+        _assert_bit_identical(ref, got, tag)
+
+
 @pytest.mark.parametrize("backend", ["serial", "sim"])
 def test_kill_mirror_backends_bit_identical(backend):
     """The serial/sim mirrors model the same death deterministically."""
@@ -149,7 +205,7 @@ def test_local_kill_recovery_is_not_paced_by_a_tick():
 
 def test_respawn_budget_exhaustion_fails_the_run():
     """With max_respawns=0 a death is terminal, as before the redesign."""
-    from repro.exec.local import WorkerFailure
+    from repro.exec import WorkerFailure
 
     with pytest.raises(WorkerFailure):
         _run(

@@ -92,7 +92,7 @@ def test_warm_submit_beats_cold_oneshot(daemon):
 
     Cold start means what a user without the daemon actually does:
     launch a fresh driver process that imports the stack, builds the
-    dataset and executor, forks the shm tracker, and runs the job
+    dataset and executor, forks the ranks, and runs the job
     once.  The warm path is one submit over an open connection to the
     already-resident daemon.  Medians over several runs keep scheduler
     noise out.

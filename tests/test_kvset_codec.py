@@ -1,7 +1,7 @@
 """The binary KVSet codec, tested in isolation.
 
-Every exchange hot path (shared-memory local shuffle, streamed fabric
-frames) rides ``KeyValueSet.to_buffers``/``from_buffers`` and the
+The exchange hot path (streamed fabric frames, on local and cluster
+alike) rides ``KeyValueSet.to_buffers``/``from_buffers`` and the
 batch-level ``pack_parts``/``unpack_parts``, so the codec must be
 bit-exact across dtypes, shapes, and scales, zero-copy on decode, and
 loud about malformed bytes.

@@ -1,26 +1,23 @@
-"""The local backend's zero-copy exchange and its failure paths.
+"""The probe-only shared-memory codec, and process-backend regressions.
 
-Covers the shared-memory queue transport in isolation (encode/decode,
-segment lifecycle, undelivered-message cleanup) and two exchange-path
-regressions (the mid-posting backfill regression lives with the shared
-rank loop in ``tests/test_rank_loop.py``):
+Covers :mod:`repro.exec.exchange` in isolation (encode/decode and the
+segment lifecycle; no backend uses it, the perf ledger's
+``exchange.shm_roundtrip_mb_s`` probe does) and regressions on the
+process backends' job path:
 
 * a worker that exits cleanly (code 0) without reporting a result is a
   prompt :class:`WorkerFailure`, not a full-timeout hang;
 * network byte accounting excludes self-destined parts (they never
   leave the process), reported separately as ``bytes_kept_local``.
 
-And the rule that no wait on the local job path is paced by a timer:
-the chunk service blocks until it is told to stop, an empty job costs
-its forks and not a poll tick, and a process that never runs the sim
-never imports ``networkx``.
+And the rule that no wait on the job path is paced by a timer: an
+empty ``local`` job costs its forks and not a poll tick, and a process
+that never runs the sim never imports ``networkx``.
 """
 
-import multiprocessing as mp
 import os
 import subprocess
 import sys
-import threading
 import time
 from multiprocessing import shared_memory
 
@@ -31,17 +28,13 @@ from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
 from repro.core import Mapper, MapReduceJob, make_executor
 from repro.core.kvset import KeyValueSet
 from repro.core.runtime import resolve_chunks
-from repro.core.scheduler import GRANT_CHUNK, ChunkService
 from repro.exec import WorkerFailure, map_worker
 from repro.exec.exchange import (
     SHM_MIN_BYTES,
     decode_batch,
     encode_batch,
-    ensure_shared_tracker,
-    release_message,
     release_segment,
 )
-from repro.exec.local import _serve_chunks
 
 
 def _big_batch():
@@ -100,14 +93,6 @@ def test_release_segment_with_live_views_still_unlinks():
     assert parts[0].keys[3] == 3  # mapping stays valid for live views
 
 
-def test_release_message_cleans_undelivered_segment():
-    message = encode_batch(_big_batch())
-    release_message(message)
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=message[1])
-    release_message(message)  # second release is a no-op, not an error
-
-
 # -- regression: clean exit without a result --------------------------------
 
 class _ExitZeroMapper(Mapper):
@@ -125,73 +110,21 @@ class _ExitZeroMapper(Mapper):
         return []
 
 
-def test_clean_exit_without_result_is_prompt_failure():
+@pytest.mark.parametrize("backend", ("local", "cluster"))
+def test_clean_exit_without_result_is_prompt_failure(backend):
     """`dead_worker_failure` only flags nonzero exit codes; a rank that
-    exits 0 without posting must still fail the run promptly instead of
-    hanging for the full timeout_seconds."""
+    exits 0 without posting must still fail the run promptly, named,
+    instead of hanging for the full timeout_seconds."""
     ds = sio_dataset(9_000, chunk_elements=1_500, key_space=1 << 10, seed=2)
     job = MapReduceJob(name="ghost", mapper=_ExitZeroMapper()).with_config(
         enable_stealing=False
     )
     t0, cpu0 = time.monotonic(), time.process_time()
-    with pytest.raises(WorkerFailure, match="exited cleanly without posting"):
-        make_executor("local", 3, timeout_seconds=60.0).run(job, dataset=ds)
+    with pytest.raises(WorkerFailure, match="worker rank 0 failed"):
+        make_executor(backend, 3, timeout_seconds=60.0).run(job, dataset=ds)
     assert time.monotonic() - t0 < 30.0
-    # The 1 s grace is slept, not spun: a dead rank's sentinel stays
-    # readable forever and must have left the driver's wait set.
+    # The driver sleeps on the ranks' sockets; it does not spin.
     assert time.process_time() - cpu0 < 0.5
-
-
-def _shm_roundtrip_child() -> None:
-    seg = shared_memory.SharedMemory(create=True, size=4096)
-    try:
-        seg.buf[:4] = b"ok!!"
-    finally:
-        seg.close()
-        seg.unlink()
-
-
-def test_fork_while_tracker_lock_held_does_not_deadlock_child():
-    """A multi-threaded driver (the job-service daemon runs concurrent
-    jobs) can fork a rank at the exact moment another thread holds the
-    resource tracker's process-local RLock; the child used to inherit
-    it locked forever and deadlock on its first shm registration.
-    ``ensure_shared_tracker`` installs at-fork hooks that serialise the
-    fork against the lock and hand the child a fresh one."""
-    if "fork" not in mp.get_all_start_methods():
-        pytest.skip("platform without fork")
-    from multiprocessing import resource_tracker
-
-    ensure_shared_tracker()
-    tracker = resource_tracker._resource_tracker
-
-    release = threading.Event()
-    entered = threading.Event()
-
-    def _hold() -> None:
-        with tracker._lock:
-            entered.set()
-            release.wait(10.0)
-
-    holder = threading.Thread(target=_hold, daemon=True)
-    holder.start()
-    assert entered.wait(5.0)
-    # Let the fork through after a beat: the before-fork hook must wait
-    # for the holder rather than snapshotting the lock mid-hold.
-    threading.Timer(0.3, release.set).start()
-
-    proc = mp.get_context("fork").Process(target=_shm_roundtrip_child)
-    try:
-        proc.start()
-        proc.join(20.0)
-        # Without the at-fork hooks the child hangs in ensure_running.
-        assert proc.exitcode == 0
-    finally:
-        release.set()
-        if proc.is_alive():  # pragma: no cover - only on regression
-            proc.kill()
-            proc.join(5.0)
-        holder.join(5.0)
 
 
 # -- regression: self vs remote byte split ----------------------------------
@@ -242,78 +175,10 @@ def test_network_bytes_exclude_self_destined_parts():
 
 # -- no wait on the job path is paced by a tick ------------------------------
 
-class _RaisingMapper(Mapper):
-    def map_chunk(self, chunk):
-        raise RuntimeError("scripted map failure")
-
-    def map_cost(self, chunk):  # pragma: no cover - never priced
-        return []
-
-
-def _chunk_service_threads():
-    return [t for t in threading.enumerate() if t.name == "gpmr-chunk-service"]
-
-
-def test_no_chunk_service_thread_outlives_a_run():
-    """`run()` returns — or raises — only after the service thread got
-    its stop request and ended; nothing is left to time out on its own."""
-    ds = sio_dataset(4_000, chunk_elements=1_000, key_space=1 << 10, seed=4)
-    make_executor("local", 2).run(sio_job(key_space=1 << 10), dataset=ds)
-    assert _chunk_service_threads() == []
-    failing = MapReduceJob(name="boom", mapper=_RaisingMapper())
-    with pytest.raises(WorkerFailure, match="scripted map failure"):
-        make_executor("local", 2).run(failing, dataset=ds)
-    assert _chunk_service_threads() == []
-
-
-def _serve_in_thread(service, request_queue, grant_queues, errors):
-    t = threading.Thread(
-        target=_serve_chunks,
-        args=(service, request_queue, grant_queues, errors),
-        daemon=True,
-    )
-    t.start()
-    return t
-
-
-def test_serve_chunks_answers_queued_requests_then_stops_on_the_sentinel():
-    ds = sio_dataset(4_000, chunk_elements=1_000, key_space=1 << 10, seed=4)
-    service = ChunkService(resolve_chunks(ds, None), 2)
-    ctx = mp.get_context()
-    request_queue, grant_queues = ctx.Queue(), [ctx.Queue(), ctx.Queue()]
-    errors = []
-    try:
-        for request in (("req", 0), ("posted", 0), ("stop", -1)):
-            request_queue.put(request)
-        server = _serve_in_thread(service, request_queue, grant_queues, errors)
-        server.join(timeout=5.0)
-        assert not server.is_alive()
-        status, chunk, victim = grant_queues[0].get(timeout=5.0)
-        assert (status, chunk.index, victim) == (GRANT_CHUNK, 0, 0)
-        assert not service.can_recover(0)  # "posted" was applied
-        assert service.can_recover(1)
-        assert errors == []
-    finally:
-        for q in [request_queue, *grant_queues]:
-            q.cancel_join_thread()
-
-
-def test_serve_chunks_returns_when_its_queue_is_closed():
-    """A closed queue can never deliver the stop request: the thread
-    must end, not retry the failing ``get`` in a loop."""
-    ds = sio_dataset(2_000, chunk_elements=1_000, key_space=1 << 10, seed=4)
-    request_queue = mp.get_context().Queue()
-    request_queue.close()
-    server = _serve_in_thread(ChunkService(resolve_chunks(ds, None), 2),
-                              request_queue, [], [])
-    server.join(timeout=5.0)
-    assert not server.is_alive()
-
-
 def test_empty_local_job_costs_no_poll_tick():
-    """One 1 Ki chunk on a fresh executor: two forks and a handful of
-    queue round-trips (~20 ms).  Waiting out the chunk service's old
-    100 ms `get` tick made this >= 100 ms by construction."""
+    """One 1 Ki chunk on a fresh executor: two forks, registration and a
+    handful of frame round-trips (~20 ms).  Waiting out a 100 ms poll
+    tick anywhere on the path would make this >= 100 ms by construction."""
     ds = sio_dataset(1 << 10, chunk_elements=1 << 10, key_space=1 << 10, seed=5)
     job = sio_job(ds.key_space)
     walls = []

@@ -6,9 +6,8 @@ they are tested once, here, against scripted transports:
 * :class:`GrantPuller` against a scripted answer list — the pipelined
   pull state machine (window, drain-after-DONE, RETRY, kill ordinal,
   one ``grant_wait`` record per answer);
-* :func:`drive_rank` against an in-memory fake link *and* the real
-  local link over in-process queues — the failure courtesy and the
-  receive-buffer lifecycle;
+* :func:`drive_rank` against an in-memory fake link — the failure
+  courtesy;
 * the three real backends report the same stage buckets and span names
   for the same job;
 * the two end-to-end regressions the loop's consolidation fixed: a
@@ -18,7 +17,6 @@ they are tested once, here, against scripted transports:
 
 import dataclasses
 from collections import deque
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -29,15 +27,12 @@ from repro.core import (
     FaultPlan,
     Mapper,
     MapReduceJob,
-    Reducer,
     make_executor,
 )
 from repro.core.kvset import KeyValueSet
 from repro.core.runtime import resolve_chunks
 from repro.core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY
 from repro.exec import rank as rank_mod
-from repro.exec.exchange import SHM_MIN_BYTES, decode_batch, encode_batch
-from repro.exec.local import _LocalLink
 from repro.exec.rank import GrantPuller, drive_rank
 from repro.obs import NULL_OBS, Observability
 
@@ -201,38 +196,6 @@ class _FakeLink:
         self.reports.append((output, stats, error))
 
 
-class _ListQueue:
-    def __init__(self, items=()):
-        self.items = list(items)
-
-    def put(self, item):
-        self.items.append(item)
-
-    def get(self, *a, **k):
-        return self.items.pop(0)
-
-
-class _BoomQueue:
-    """A queue whose put always fails (a torn-down pipe)."""
-
-    def put(self, item):
-        raise RuntimeError("pipe burst")
-
-
-def _local_link(job, grants, shuffle_queues):
-    """The real local link over in-process queues: grants pre-answered
-    on its grant queue (prefetch 0, so one DONE ends the pull)."""
-    return _LocalLink(
-        0, N_RANKS, job, trace=False,
-        request_queue=_ListQueue(),
-        grant_queue=_ListQueue(
-            [(GRANT_CHUNK, c, v) for c, v in grants] + [DONE]
-        ),
-        shuffle_queues=shuffle_queues,
-        result_queue=_ListQueue(),
-    )
-
-
 def test_happy_path_order_and_report():
     job, chunks = _job_and_chunks()
     peer_part = KeyValueSet(keys=np.arange(4, dtype=np.uint32), values=np.ones(4))
@@ -294,70 +257,6 @@ def test_mid_posting_failure_backfills_only_unserved_peers_fake_link():
     assert "pipe burst" in error
 
 
-def test_mid_posting_failure_backfills_only_unserved_peers_local_link():
-    """Rank 0 posts to rank 1, then fails posting to rank 2.  Rank 1
-    must end with exactly ONE batch from rank 0 — re-posting an empty
-    backfill to it would make its n-1 receive loop miscount and merge
-    another source's batch nondeterministically."""
-    job, chunks = _job_and_chunks()
-    own, served = _ListQueue(), _ListQueue()
-    link = _local_link(job, [(chunks[0], 0)], [own, served, _BoomQueue()])
-    drive_rank(link)
-
-    # Exactly one message for the served peer: the real batch.
-    assert len(served.items) == 1
-    src, message, tags = served.items[0]
-    assert src == 0
-    parts, segment = decode_batch(message)
-    assert segment is None  # small batch rode inline
-    assert sum(len(p) for p in parts) > 0
-    assert len(tags) == len(parts)
-    # The failure itself was reported, with the posting traceback.
-    (rank, error, output, _stats, _obs), = link.result_queue.items
-    assert rank == 0 and output is None
-    assert "pipe burst" in error
-
-
-class _ExplodingReducer(Reducer):
-    def reduce_segments(self, keys, values, offsets, counts, scale):
-        raise ValueError("bad reduce")
-
-    def reduce_cost(self, *args):  # pragma: no cover - never priced
-        return []
-
-
-# On the failure path the traceback's frames still hold zero-copy views
-# when the segment is released, so SharedMemory.__del__ re-raises the
-# BufferError close() already tolerated; in a worker that is stderr
-# noise at exit, here pytest would report it against the test.
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
-@pytest.mark.parametrize("fail_in_reduce", (False, True))
-def test_received_segments_are_released_on_success_and_failure(fail_in_reduce):
-    """A shared-memory batch received from a peer is unlinked once the
-    rank is through with it — whether the reduce finished or raised."""
-    job, chunks = _job_and_chunks()
-    if fail_in_reduce:
-        job = dataclasses.replace(job, reducer=_ExplodingReducer())
-    n = SHM_MIN_BYTES  # 12 B/pair -> comfortably above the threshold
-    big = KeyValueSet(
-        keys=np.arange(n, dtype=np.uint32) % 4096, values=np.ones(n)
-    )
-    messages = [encode_batch([big]), encode_batch([big])]
-    assert all(m[0] == "shm" for m in messages)
-    own = _ListQueue([(1, messages[0], [7]), (2, messages[1], [8])])
-    link = _local_link(job, [(chunks[0], 0)], [own, _ListQueue(), _ListQueue()])
-    drive_rank(link)
-
-    (_rank, error, output, _stats, _obs), = link.result_queue.items
-    if fail_in_reduce:
-        assert output is None and "bad reduce" in error
-    else:
-        assert error is None and len(output) > 0
-    for message in messages:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=message[1])
-
-
 # -- one loop: the backends agree on what they record -------------------------
 
 #: spans the rank loop itself records, on every backend
@@ -367,7 +266,7 @@ RANK_SPANS = {
 #: spans a transport adds on top
 LINK_SPANS = {
     "serial": set(),
-    "local": {"shuffle_send"},
+    "local": {"shuffle_send", "barrier_wait"},
     "cluster": {"shuffle_send", "barrier_wait"},
 }
 
