@@ -2,15 +2,16 @@
 
 Two claims, one bench:
 
-* **Bounded driver memory.**  A streamed dataset (``repro.workloads.
-  streamed``) hands the chunk service *descriptors* — ``(reader key,
-  chunk index)`` pairs — instead of materialised payloads; workers
-  re-materialise each chunk at grant time and drop it once mapped.  The
-  bench runs an SIO dataset whose logical payload is at least **4x** a
+* **Bounded driver memory.**  A dataset rebuildable from scalars (every
+  registered one) hands the chunk service *descriptors* — ``(reader
+  key, chunk index)`` pairs — instead of materialised payloads; workers
+  build each chunk at grant time and drop it once mapped.  The bench
+  runs an SIO dataset whose logical payload is at least **4x** a
   configured driver memory budget on the local and cluster backends and
   asserts the driver's RSS high-water growth stays under that budget,
-  while the same job over the conventionally materialised dataset grows
-  by the full payload.  Both runs must be bit-identical per rank.
+  while the same job over the same payloads handed in as resident
+  ``chunks=`` grows by the full payload.  Both runs must be
+  bit-identical per rank.
 
 * **Grant prefetch.**  Ranks pipeline CHUNK_REQ frames (up to
   ``1 + prefetch_window`` in flight), so the next grant's wire round
@@ -27,10 +28,9 @@ import resource
 import time
 
 from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
-from repro.core import make_executor
+from repro.core import Chunk, make_executor
 from repro.harness import bench_smoke_enabled
 from repro.obs import Observability
-from repro.workloads import streamed
 
 SMOKE = bench_smoke_enabled()
 
@@ -95,7 +95,7 @@ def _measure():
     wall = {}     # label -> seconds
     streamed_out = {}
     for backend in ("local", "cluster"):
-        ds = streamed(sio_dataset, **_spec())
+        ds = sio_dataset(**_spec())
         t0 = time.perf_counter()
         result = make_executor(backend, N_WORKERS).run(job, dataset=ds)
         wall[f"{backend}/streamed"] = time.perf_counter() - t0
@@ -105,7 +105,9 @@ def _measure():
     for backend in ("local", "cluster"):
         ds = sio_dataset(**_spec())
         t0 = time.perf_counter()
-        result = make_executor(backend, N_WORKERS).run(job, dataset=ds)
+        resident = [Chunk.from_work_item(item) for item in ds.chunks()]
+        result = make_executor(backend, N_WORKERS).run(job, chunks=resident)
+        del resident
         wall[f"{backend}/materialised"] = time.perf_counter() - t0
         growth[f"{backend}/materialised"] = _rss_mib() - rss0
         assert _outputs_bytes(result) == streamed_out[backend], (

@@ -9,24 +9,26 @@ scheduler prices a steal as serialise + wire transfer + deserialise.
 
 Chunks come in two flavours:
 
-* **materialised** — the payload arrays are resident (``data=`` at
-  construction), as every chunk was before streaming ingest;
-* **descriptor-backed** — built from a
+* **descriptor-backed** — what every dataset rebuildable from scalars
+  resolves to: built from a
   :class:`~repro.workloads.readers.ChunkReader` source via
-  :meth:`from_descriptor`: the payload is materialised lazily on first
+  :meth:`from_descriptor`, the payload is materialised lazily on first
   :attr:`data` access and can be dropped again with :meth:`release`.
-  Pickling a descriptor-backed chunk ships only the tiny
-  ``(reader, index)`` descriptor — grants stay small on the wire, the
-  receiving worker re-materialises locally, and a reclaimed chunk
-  re-granted to a respawned rank rebuilds from the same descriptor.
+  Pickling one ships only the tiny ``(reader, index)`` descriptor —
+  grants stay small on the wire, each receiving rank builds its own
+  payloads, and a reclaimed chunk re-granted to a respawned rank
+  rebuilds from the same descriptor;
+* **resident** — the payload arrays are held from construction
+  (``data=``): explicit ``chunks=``, chunks rebuilt by
+  :meth:`from_bytes`, and datasets no other process can rebuild.
 
 Everything the scheduler touches while routing work — ``index``,
 ``logical_items``, ``logical_bytes``, ``wire_bytes``, ``meta`` — is
 carried on the descriptor and never materialises the payload.
 Payload-dependent properties (``data``, ``actual_items``, ``scale``,
 ``to_bytes``) materialise on demand, so the bit-parity contract is
-unchanged: a streamed chunk maps to exactly the arrays its
-materialised twin holds.
+unchanged: a descriptor chunk maps to exactly the arrays its resident
+twin holds.
 """
 
 from __future__ import annotations

@@ -145,7 +145,7 @@ class Worker:
             self.gpu.free(out_alloc)
         yield from self._transfer(step)
         self.gpu.free(in_alloc)
-        # Streamed (descriptor-backed) chunks drop their payload once
+        # Descriptor-backed chunks drop their payload once
         # mapped (re-materialising if granted again), so a whole-dataset
         # sim run stays bounded by the in-flight window, not the logical
         # dataset size.

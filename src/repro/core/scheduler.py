@@ -64,12 +64,14 @@ def resolve_chunks(
 ) -> List[Chunk]:
     """The job's input chunks from exactly one source.
 
-    A dataset exposing a ``chunk_reader``
-    (:class:`~repro.workloads.readers.StreamedDataset`) resolves to
+    A dataset with a ``chunk_reader`` — every registered dataset, and
+    any other rebuildable from scalars (see
+    :attr:`~repro.workloads.base.Dataset.chunk_reader`) — resolves to
     *descriptor-backed* chunks: the scheduler routes and prices them on
-    ``chunk_meta`` sizes alone, and payload arrays materialise lazily —
-    on worker ranks, at grant time — instead of here in the driver.
-    Any other dataset materialises every chunk up front, as always.
+    ``chunk_meta`` sizes alone, and each rank builds its granted
+    chunks' payloads itself, instead of the driver building and
+    shipping them.  Explicit ``chunks=``, and a dataset that cannot be
+    rebuilt elsewhere, give resident chunks.
     """
     if (dataset is None) == (chunks is None):
         raise ValueError("provide exactly one of dataset or chunks")

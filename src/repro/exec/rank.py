@@ -206,7 +206,7 @@ class RankRun:
         self.obs.tracer.add_span(
             "chunk_map", w0, time.time(), rank=self.rank, chunk=chunk.index
         )
-        # A streamed chunk's payload is done with once mapped; dropping
+        # A descriptor chunk's payload is done with once mapped; dropping
         # it keeps an in-process run's footprint at one chunk per rank.
         chunk.release()
         self._charge("map")

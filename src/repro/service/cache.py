@@ -6,13 +6,10 @@ keyword arguments of the app's registered ``*_dataset`` factory
 (same spec, same data), so ``(app, spec)`` is a sound cache key: the
 first submission builds (ingests) the dataset, later identical
 submissions reuse the resident object with near-zero ingest time — the
-MapSQ-style amortization the service exists for.
-
-A spec may carry ``"stream": True``: the cache then builds (and holds)
-a :class:`~repro.workloads.readers.StreamedDataset` — a chunk *reader*
-over the factory, not materialised arrays — so cached entries stay
-descriptor-sized no matter the dataset, and jobs that hit the entry
-run out-of-core with grant-time materialisation on the workers.
+MapSQ-style amortization the service exists for.  A built dataset
+holds its scalars, not its chunks: jobs over an entry resolve to
+descriptor chunks whose payloads the ranks build at grant time, so an
+entry stays small no matter the dataset.
 
 LRU with a bounded entry count.  Entries are shared across concurrent
 jobs; datasets are treated as immutable after construction (the
@@ -32,7 +29,6 @@ from typing import Any, Dict, Tuple
 from ..apps import APPS
 from ..obs import NULL_OBS
 from ..util.freeze import freeze_kwargs
-from ..workloads.readers import streamed
 
 __all__ = ["DatasetCache"]
 
@@ -52,20 +48,19 @@ class DatasetCache:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
         self.obs = obs or NULL_OBS
-        self._entries: "OrderedDict[Tuple[str, bool, Tuple], Any]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, Tuple], Any]" = OrderedDict()
         #: guards ``_entries`` and ``_building`` only — never held
         #: across a dataset build
         self._lock = threading.Lock()
         #: one in-flight build lock per key, discarded after the build
-        self._building: Dict[Tuple[str, bool, Tuple], threading.Lock] = {}
+        self._building: Dict[Tuple[str, Tuple], threading.Lock] = {}
 
     def get(self, app: str, spec: Dict[str, Any]) -> Tuple[Any, bool]:
         """The dataset for ``(app, spec)`` and whether it was a hit.
 
         Misses build through the app's registered factory and record
         the build (ingest) time in the ``dataset_build_s`` histogram;
-        hits only bump the LRU order.  A ``"stream": True`` spec entry
-        builds the streaming wrapper instead of materialising.
+        hits only bump the LRU order.
         """
         try:
             factory = APPS[app].dataset
@@ -73,9 +68,7 @@ class DatasetCache:
             raise ValueError(
                 f"unknown app {app!r}; registered: {sorted(APPS)}"
             ) from None
-        spec = dict(spec)
-        stream = bool(spec.pop("stream", False))
-        key = (app, stream, _freeze_spec(spec))
+        key = (app, _freeze_spec(spec))
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -94,7 +87,7 @@ class DatasetCache:
                     self.obs.metrics.counter("dataset_cache_hits").inc()
                     return self._entries[key], True
             t0 = time.perf_counter()
-            dataset = streamed(factory, **spec) if stream else factory(**spec)
+            dataset = factory(**spec)
             self.obs.metrics.histogram("dataset_build_s").observe(
                 time.perf_counter() - t0
             )

@@ -1,20 +1,21 @@
 """Chunk readers: materialise map input lazily, at grant time.
 
-Before streaming ingest every dataset was materialised in driver
-memory before chunk 0 was granted, which caps job size at driver RAM.
-A :class:`ChunkReader` inverts that: it describes a chunked input —
-how many chunks, each chunk's logical size — and materialises any
-chunk's payload *on demand*.  :func:`repro.core.scheduler.resolve_chunks`
-turns a reader-backed dataset into descriptor-backed
+A :class:`ChunkReader` describes a chunked input — how many chunks,
+each chunk's logical size — and materialises any chunk's payload *on
+demand*.  :func:`repro.core.scheduler.resolve_chunks` turns a
+reader-backed dataset into descriptor-backed
 :class:`~repro.core.chunk.Chunk` objects, so the driver schedules on
 descriptors and only worker ranks ever hold payload arrays (one or
-two chunks at a time with grant prefetch).
+two chunks at a time with grant prefetch): each rank builds its own
+input, in parallel, and a run is not capped at driver RAM.
 
 Three reader kinds:
 
-* :class:`DatasetReader` — wraps any synthetic :class:`Dataset`: chunks
+* :class:`DatasetReader` — wraps a synthetic :class:`Dataset`: chunks
   re-materialise deterministically from ``(seed, chunk_index)``, the
-  property ``workloads.base`` has always guaranteed.
+  property ``workloads.base`` has always guaranteed.  Every dataset
+  rebuildable from scalars hands one out as
+  :attr:`Dataset.chunk_reader`, so this is the default path.
 * :class:`NpySpanReader` — row spans of an on-disk ``.npy`` array,
   opened ``mmap_mode="r"`` so only the touched span is ever resident.
 * :class:`TextSpanReader` — byte spans of a text file, split on line
@@ -28,12 +29,8 @@ boundary carries bytes, not gigabytes, and kill -9 recovery works for
 free (the respawned rank's fresh process rebuilds the reader from the
 descriptor it is re-granted).
 
-:func:`streamed` wraps a dataset factory into a
-:class:`StreamedDataset` — a drop-in :class:`Dataset` whose
-``chunk_reader`` attribute routes ``resolve_chunks`` down the
-streaming path while every app-facing attribute (``start_centers``,
-``key_space``, ``dictionary``, the MM task plan...) delegates to the
-wrapped instance, keeping runners oblivious.
+:class:`StreamedDataset` is the :class:`Dataset` facade over a
+file-backed reader; :func:`streamed` is an alias for ``factory(**spec)``.
 """
 
 from __future__ import annotations
@@ -126,9 +123,13 @@ class DatasetReader(ChunkReader):
     "file" this reader streams from is the RNG.  The key is the
     factory's import path plus the spec, which is why spec values must
     be scalars: the key must round-trip through pickle byte-identically.
+    ``dataset`` is the already-built ``factory(**spec)``, when the
+    caller has it (:attr:`Dataset.chunk_reader` passes itself).
     """
 
-    def __init__(self, factory: Any, spec: Dict[str, Any]) -> None:
+    def __init__(
+        self, factory: Any, spec: Dict[str, Any], dataset: Optional[Dataset] = None
+    ) -> None:
         for k, v in spec.items():
             if not isinstance(v, _SCALARS):
                 raise TypeError(
@@ -139,8 +140,8 @@ class DatasetReader(ChunkReader):
         self.factory = factory
         self.spec = dict(spec)
         #: the built dataset — resident in whichever process owns this
-        #: reader, built lazily so the driver-side copy can stay cheap
-        self._dataset: Optional[Dataset] = None
+        #: reader; built lazily where it was unpickled
+        self._dataset = dataset
         self._build_lock = threading.Lock()
 
     @property
@@ -306,53 +307,30 @@ class TextSpanReader(ChunkReader):
 
 
 class StreamedDataset(Dataset):
-    """A :class:`Dataset` facade over a :class:`ChunkReader`.
+    """A :class:`Dataset` facade over a file-backed :class:`ChunkReader`
+    (:class:`NpySpanReader`, :class:`TextSpanReader`), so a file runs
+    through ``resolve_chunks`` as descriptor chunks."""
 
-    ``resolve_chunks`` spots the :attr:`chunk_reader` attribute and
-    builds descriptor-backed chunks instead of materialising; every
-    other attribute access falls through to the wrapped base dataset
-    (when there is one), so app runners that read ``start_centers()``
-    or the MM task plan never know the difference.
-    """
+    def __init__(self, reader: ChunkReader) -> None:
+        super().__init__(seed=0)
+        self._reader = reader
 
-    def __init__(
-        self, reader: ChunkReader, base: Optional[Dataset] = None
-    ) -> None:
-        super().__init__(
-            getattr(base, "seed", 0), getattr(base, "sample_factor", 1)
-        )
-        self.chunk_reader = reader
-        self._base = base
+    @property
+    def chunk_reader(self) -> ChunkReader:
+        return self._reader
 
     @property
     def n_chunks(self) -> int:
-        return self.chunk_reader.n_chunks
+        return self._reader.n_chunks
 
     def chunk(self, index: int) -> WorkItem:
-        return self.chunk_reader.materialize(index)
+        return self._reader.materialize(index)
 
     def chunk_meta(self, index: int) -> Tuple[int, int]:
-        return self.chunk_reader.chunk_meta(index)
-
-    def __getattr__(self, name: str) -> Any:
-        # Only called when normal lookup fails; delegate app-facing
-        # attributes to the wrapped dataset.  Dunder/private lookups
-        # must fail normally (pickle, copy, hasattr probes).
-        if name.startswith("_"):
-            raise AttributeError(name)
-        base = self.__dict__.get("_base")
-        if base is None:
-            raise AttributeError(name)
-        return getattr(base, name)
+        return self._reader.chunk_meta(index)
 
 
-def streamed(factory: Any, **spec: Any) -> StreamedDataset:
-    """A streaming drop-in for ``factory(**spec)``.
-
-    The returned dataset runs the exact same job bit-identically, but
-    ``resolve_chunks`` schedules descriptors and payloads materialise
-    lazily — on workers, at grant time — instead of up front in the
-    driver.
-    """
-    reader = DatasetReader(factory, spec)
-    return StreamedDataset(reader, base=reader.dataset)
+def streamed(factory: Any, **spec: Any) -> Dataset:
+    """Alias for ``factory(**spec)``: every dataset rebuildable from
+    scalars already resolves to descriptor chunks."""
+    return factory(**spec)

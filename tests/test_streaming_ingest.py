@@ -1,27 +1,30 @@
 """Streaming ingest: parity, faults, readers, and the satellite fixes.
 
-The out-of-core contract: a ``streamed(factory, **spec)`` dataset runs
-every job **bit-identically** to the conventionally materialised
-``factory(**spec)`` on all four backends — the only difference is
-*where* payloads live (re-materialised on workers at grant time, never
-resident in the driver).  The fault-tolerance corollary: a rank killed
-mid-map on a streamed run recovers exactly like a materialised one,
-because reclaimed descriptor chunks rebuild their payloads from
-``(reader, index)`` on the respawned rank.
+The out-of-core contract: a plain ``factory(**spec)`` dataset resolves
+to descriptor chunks, and runs every job **bit-identically** to the
+same dataset handed over as resident ``chunks=`` on all four backends —
+the only difference is *where* payloads are built (on the ranks at
+grant time, never in the driver).  The fault-tolerance corollary: a
+rank killed mid-map on a descriptor run recovers exactly like a
+resident one, because reclaimed descriptor chunks rebuild their
+payloads from ``(reader, index)`` on the respawned rank.
 
-Also regression-tests the satellite fixes that rode along with the
+Also pins the resolution rule (which datasets stay resident), and
+regression-tests the satellite fixes that rode along with the
 streaming PR: the ``Chunk`` codec's numeric key sort past 10 arrays,
-the dataset cache's per-key build locks (and its ``stream`` flag), the
-executor pool's retire-on-failed-reset path, and the canonical
-content-based freeze keys.
+the dataset cache's per-key build locks, the executor pool's
+retire-on-failed-reset path, and the canonical content-based freeze
+keys.
 """
 
+import os
 import pickle
 import threading
 
 import numpy as np
 import pytest
 
+from repro.apps import APPS
 from repro.apps.kmeans import kmc_dataset, kmc_job
 from repro.apps.linear_regression import lr_dataset, lr_job
 from repro.apps.matmul import mm_dataset, mm_phase1_job
@@ -29,15 +32,18 @@ from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
 from repro.apps.word_occurrence import wo_dataset, wo_job
 from repro.core import FaultPlan, make_executor
 from repro.core.chunk import Chunk
+from repro.core.scheduler import resolve_chunks
 from repro.obs import Observability
 from repro.service.cache import DatasetCache
 from repro.service.pool import ExecutorPool
 from repro.util.freeze import freeze_kwargs, freeze_value
 from repro.workloads import (
+    Dataset,
     DatasetReader,
+    KMeansDataset,
     NpySpanReader,
-    StreamedDataset,
     TextSpanReader,
+    WorkItem,
     streamed,
 )
 
@@ -62,11 +68,11 @@ def _assert_outputs_identical(ref, other, tag):
         assert a.scale == b.scale, where
 
 
-# --- streamed vs materialised bit-parity, five apps x four backends ---
+# --- descriptor vs resident bit-parity, five apps x four backends -----
 
-#: app -> (dataset factory, scalar spec, job builder over the
-#: materialised dataset).  The job is built ONCE and shared by the
-#: streamed and materialised runs, so only the dataset flavour varies.
+#: app -> (dataset factory, scalar spec, job builder over the dataset).
+#: The job is built ONCE and shared by the descriptor and resident
+#: runs, so only the chunk flavour varies.
 APP_CASES = {
     "SIO": (
         sio_dataset,
@@ -100,37 +106,135 @@ APP_CASES = {
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_streamed_matches_materialised(app, backend):
     factory, spec, job_fn = APP_CASES[app]
-    materialised = factory(**spec)
-    stream = streamed(factory, **spec)
-    assert stream.n_chunks == materialised.n_chunks
-    job = job_fn(materialised).with_config(enable_stealing=False)
-    ref = make_executor(backend, N_WORKERS).run(job, dataset=materialised)
-    got = make_executor(backend, N_WORKERS).run(job, dataset=stream)
-    _assert_outputs_identical(ref, got, f"{app}/{backend}/streamed")
+    ds = factory(**spec)
+    # The resident reference: the same payloads, built up front here.
+    resident = [Chunk.from_work_item(item) for item in ds.chunks()]
+    job = job_fn(ds).with_config(enable_stealing=False)
+    ref = make_executor(backend, N_WORKERS).run(job, chunks=resident)
+    got = make_executor(backend, N_WORKERS).run(job, dataset=ds)
+    _assert_outputs_identical(ref, got, f"{app}/{backend}/descriptor")
 
 
-def test_streamed_dataset_delegates_app_attributes():
-    ds = kmc_dataset(**APP_CASES["KMC"][1])
-    stream = streamed(kmc_dataset, **APP_CASES["KMC"][1])
-    # kmc_job reads start_centers() off the dataset; the facade must
-    # forward it (and refuse private names so pickle probes stay sane).
-    assert np.array_equal(stream.start_centers(), ds.start_centers())
-    with pytest.raises(AttributeError):
-        stream._nonexistent_private
+def test_streamed_is_an_alias_for_the_factory():
+    spec = APP_CASES["KMC"][1]
+    stream = streamed(kmc_dataset, **spec)
+    assert type(stream) is KMeansDataset
+    assert np.array_equal(
+        stream.start_centers(), kmc_dataset(**spec).start_centers()
+    )
 
 
-# --- kill -9 mid-map on a streamed run --------------------------------
+# --- which datasets resolve to descriptors ----------------------------
+
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_registered_datasets_resolve_to_small_descriptors(app):
+    factory, spec, _job_fn = APP_CASES[app]
+    assert APPS[app].dataset is factory
+    chunks = resolve_chunks(factory(**spec), None)
+    assert chunks
+    for chunk in chunks:
+        assert not chunk.materialized
+        assert len(pickle.dumps(chunk)) < 1024
+
+
+class _ArrayArgDataset(Dataset):
+    """Importable and sized payload-free, but built from an array."""
+
+    def __init__(self, values, seed=0):
+        super().__init__(seed)
+        self.values = np.asarray(values)
+
+    @property
+    def n_chunks(self):
+        return 2
+
+    def chunk_meta(self, index):
+        return len(self.values), self.values.nbytes
+
+    def chunk(self, index):
+        self._check_index(index)
+        return WorkItem(index, self.values + index, *self.chunk_meta(index))
+
+
+class _NoMetaDataset(Dataset):
+    """Scalar arguments, importable, but sizes only by building."""
+
+    def __init__(self, n, seed=0):
+        super().__init__(seed)
+        self.n = n
+
+    @property
+    def n_chunks(self):
+        return 2
+
+    def chunk(self, index):
+        self._check_index(index)
+        return WorkItem(index, np.arange(self.n) + index, self.n, 8 * self.n)
+
+
+def test_unrebuildable_datasets_resolve_resident():
+    class LocalDataset(_NoMetaDataset):
+        def chunk_meta(self, index):
+            return self.n, 8 * self.n
+
+    for ds in (
+        _ArrayArgDataset(np.arange(4)),  # a non-scalar constructor argument
+        LocalDataset(4),                 # no import path (<locals>)
+        _NoMetaDataset(4),               # no payload-free chunk_meta
+    ):
+        assert ds.chunk_reader is None, type(ds).__name__
+        chunks = resolve_chunks(ds, None)
+        assert len(chunks) == 2
+        assert all(c.materialized for c in chunks), type(ds).__name__
+
+
+def test_local_run_never_builds_kmc_chunks_in_the_driver(monkeypatch):
+    driver = os.getpid()
+    driver_builds = []
+    build = KMeansDataset.chunk
+
+    def counted(self, index):
+        if os.getpid() == driver:
+            driver_builds.append(index)
+        return build(self, index)
+
+    monkeypatch.setattr(KMeansDataset, "chunk", counted)
+    spec = APP_CASES["KMC"][1]
+    ds = kmc_dataset(**spec)
+    job = kmc_job(ds).with_config(enable_stealing=False)
+    got = make_executor("local", N_WORKERS).run(job, dataset=ds)
+    assert driver_builds == []
+    # The counter does see driver-side builds: the serial reference
+    # maps in this process.
+    ref = make_executor("serial", N_WORKERS).run(job, dataset=ds)
+    assert sorted(driver_builds) == list(range(ds.n_chunks))
+    _assert_outputs_identical(ref, got, "KMC/local/driver-free")
+
+
+@pytest.mark.parametrize("app", ("SIO", "WO"))
+def test_spawned_ranks_rebuild_descriptor_chunks(app):
+    # Spawned ranks inherit nothing from the driver: every reader is
+    # rebuilt from the key its descriptors carry.
+    factory, spec, job_fn = APP_CASES[app]
+    ds = factory(**spec)
+    job = job_fn(ds).with_config(enable_stealing=False)
+    ref = make_executor("serial", N_WORKERS).run(job, dataset=ds)
+    got = make_executor("local", N_WORKERS, start_method="spawn").run(
+        job, dataset=ds
+    )
+    _assert_outputs_identical(ref, got, f"{app}/local-spawn/descriptor")
+
+
+# --- kill -9 mid-map on a descriptor run ------------------------------
 
 @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
 def test_streamed_run_survives_mid_map_kill(backend):
     spec = dict(n_elements=42_000, chunk_elements=6_000, key_space=1 << 12, seed=9)
     job = sio_job(key_space=1 << 12).with_config(enable_stealing=False)
-    clean = make_executor(backend, 3).run(
-        job, dataset=streamed(sio_dataset, **spec)
-    )
+    clean = make_executor(backend, 3).run(job, dataset=sio_dataset(**spec))
     faulted = make_executor(
         backend, 3, fault_plan=FaultPlan(kill_rank_at_chunk={1: 2})
-    ).run(job, dataset=streamed(sio_dataset, **spec))
+    ).run(job, dataset=sio_dataset(**spec))
     # The respawned rank re-granted reclaimed *descriptor* chunks and
     # re-materialised their payloads locally — same answer, bit for bit.
     assert faulted.stats.chunks_reclaimed > 0
@@ -268,18 +372,18 @@ def test_dataset_cache_builds_once_under_contention():
         assert len(objs) == 1, f"seed {seed} built more than once"
 
 
-def test_dataset_cache_stream_flag_builds_streamed_entry():
+def test_dataset_cache_entry_resolves_to_descriptors():
     cache = DatasetCache(max_entries=8)
     spec = {"n_elements": 4096, "chunk_elements": 1024, "seed": 3}
-    plain, hit = cache.get("SIO", dict(spec))
-    assert not hit and not isinstance(plain, StreamedDataset)
-    stream, hit = cache.get("SIO", {**spec, "stream": True})
-    assert not hit and isinstance(stream, StreamedDataset)
-    # Distinct entries: the flag is part of the key, not of the spec
-    # handed to the factory.
-    again, hit = cache.get("SIO", {**spec, "stream": True})
-    assert hit and again is stream
-    assert len(cache) == 2
+    ds, hit = cache.get("SIO", dict(spec))
+    assert not hit
+    again, hit = cache.get("SIO", dict(spec))
+    assert hit and again is ds
+    # The cached entry holds scalars, not chunks: jobs over it ship
+    # descriptors and the ranks build the payloads.
+    chunks = resolve_chunks(ds, None)
+    assert len(chunks) == 4
+    assert not any(c.materialized for c in chunks)
 
 
 # --- satellite 3: pool retires a lease whose reset fails --------------
