@@ -14,7 +14,7 @@ A job is a :class:`MapReduceJob` (mapper + optional substages); an
 :class:`Executor` runs it and returns a :class:`JobResult` with
 per-rank outputs and per-stage timing (`JobStats`).  Backends are
 pluggable via :func:`make_executor`: ``"sim"`` (the simulated cluster,
-:class:`GPMRRuntime` underneath), ``"cluster"`` (real rank processes
+the executor :class:`GPMRRuntime`), ``"cluster"`` (real rank processes
 joined by the TCP fabric, on any host), ``"local"`` (the cluster
 backend on loopback), and ``"serial"`` (in-process real execution).
 """
@@ -34,7 +34,7 @@ from .config import PipelineConfig
 from .faults import FaultPlan
 from .executor import (
     Executor,
-    SimExecutor,
+    JobResult,
     available_backends,
     make_executor,
     register_backend,
@@ -50,7 +50,7 @@ from .partitioner import (
 )
 from .pipeline import Worker
 from .reducer import Reducer
-from .runtime import GPMRRuntime, JobResult
+from .runtime import GPMRRuntime
 from .scheduler import (
     RETRY,
     Assignment,
@@ -70,7 +70,6 @@ __all__ = [
     "JobResult",
     "PipelineConfig",
     "Executor",
-    "SimExecutor",
     "make_executor",
     "register_backend",
     "available_backends",

@@ -34,9 +34,6 @@ class PipelineConfig:
     #: MapReduce).
     skip_sort_reduce: bool = False
 
-    #: Charge chunk (de)serialisation to the host CPU on steals.
-    price_steal_serialisation: bool = True
-
     #: Fixed per-worker job coordination cost (pinned-buffer setup, MPI
     #: wire-up, queue registration) charged to the Scheduler bucket.
     #: This is the paper's "GPMR Internal / Scheduler" share, which

@@ -5,9 +5,10 @@ Accumulate), Partition, Bin/exchange, Sort, Reduce — is described by a
 :class:`~repro.core.job.MapReduceJob`.  An :class:`Executor` decides how
 that dataflow executes:
 
-* :class:`SimExecutor` (``"sim"``) — the discrete-event simulation.
-  Every stage charges modeled time (kernels, PCI-e, network) and the
-  result carries the paper's Figure-2 stage accounting.
+* ``GPMRRuntime`` (``"sim"``, in :mod:`repro.core.runtime`) — the
+  discrete-event simulation.  Every stage charges modeled time
+  (kernels, PCI-e, network) and the result carries the paper's Figure-2
+  stage accounting.
 * ``ClusterExecutor`` (``"cluster"``, in :mod:`repro.exec.cluster`) —
   real execution with NumPy-vectorized kernels on rank processes
   joined by the :mod:`repro.fabric` TCP socket shuffle (host-agnostic
@@ -18,6 +19,13 @@ that dataflow executes:
   multi-host knobs.  One transport serves both.
 * ``SerialExecutor`` (``"serial"``, in :mod:`repro.exec.serial`) — the
   same real dataflow, run rank-by-rank in the current process.
+
+There is one driver, :meth:`Executor.run`: it resolves the chunks,
+pre-flights the (job, fault plan, schedule) triple, opens the pull
+authority, calls the one backend-specific step (:meth:`_run_ranks`),
+checks that every chunk was granted and closes the job.  The settings
+every backend shares (``initial_distribution``, ``fault_plan``) are
+read and validated once, in :meth:`Executor.__init__`.
 
 Every backend implements the same canonical semantics (pull-based
 chunk distribution through one shared
@@ -32,6 +40,7 @@ via record-on-real / replay-on-sim.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chunk import Chunk
@@ -39,19 +48,44 @@ from .faults import FaultPlan
 from .job import MapReduceJob
 from .kvset import KeyValueSet
 from .mapper import FusedMapper
-from .runtime import GPMRRuntime, JobResult, close_job
-from .scheduler import ChunkService, ScheduleTrace, resolve_chunks
-from .stats import WorkerStats
+from .scheduler import DISTRIBUTIONS, ChunkService, ScheduleTrace, resolve_chunks
+from .stats import JobStats, WorkerStats
 from ..obs import Observability
 from ..workloads.base import Dataset
 
 __all__ = [
     "Executor",
-    "SimExecutor",
+    "JobResult",
     "available_backends",
     "make_executor",
     "register_backend",
 ]
+
+
+@dataclass
+class JobResult:
+    """Outcome of one GPMR job execution."""
+
+    stats: JobStats
+    outputs: List[Optional[KeyValueSet]]   #: per-rank reduce output
+    #: the chunk schedule this run followed.  Every backend records one
+    #: — the sim from its modeled scheduler, the real backends from the
+    #: live pull service (steals included); a replayed run carries the
+    #: trace it was given.
+    schedule: Optional[ScheduleTrace] = None
+    #: the run's merged :class:`~repro.obs.Observability` bundle —
+    #: spans, events, and metrics from every rank — when the executor
+    #: was built with ``obs=`` / ``trace_path=``; None otherwise.
+    obs: Optional[Observability] = None
+
+    @property
+    def elapsed(self) -> float:
+        return self.stats.elapsed
+
+    def merged(self) -> Optional[KeyValueSet]:
+        """All ranks' outputs concatenated (None if nothing was produced)."""
+        parts = [kv for kv in self.outputs if kv is not None and len(kv)]
+        return KeyValueSet.concat(parts) if parts else None
 
 
 class Executor:
@@ -60,20 +94,47 @@ class Executor:
     #: registry name of the backend ("sim", "local", ...)
     name: str = "abstract"
 
-    #: scripted faults + recovery policy for every run; the real
-    #: backends set it from their ``fault_plan=`` argument
-    fault_plan: Optional[FaultPlan] = None
+    #: False on backends whose ranks can never straggle behind idle
+    #: ones (the sim's modeled clock, serial's one-rank-at-a-time
+    #: loop): a ``speculate_after`` plan has nothing to hedge there
+    can_speculate: bool = True
+
+    #: grant requests a rank keeps in flight beyond the one it waits
+    #: on; the prefetching process backends set their own
+    prefetch_window: int = 0
 
     def __init__(
         self,
         n_workers: int,
+        initial_distribution: str = "round_robin",
+        fault_plan: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if initial_distribution not in DISTRIBUTIONS:
+            raise ValueError(
+                f"initial_distribution {initial_distribution!r} must be "
+                "'round_robin', 'blocks', or 'single' (all chunks start on "
+                "rank 0, as when one node ingested the data)"
+            )
+        if fault_plan is not None:
+            fault_plan.validate_for(n_workers)
+            if fault_plan.speculate_after is not None and not self.can_speculate:
+                raise ValueError(
+                    f"speculate_after is not supported on the {self.name} "
+                    "backend: its ranks never straggle behind idle ones "
+                    "(the sim runs on modeled time, serial runs its ranks "
+                    "one at a time)"
+                )
         self.n_workers = int(n_workers)
+        #: where each run's chunks start before any stealing
+        self.initial_distribution = initial_distribution
+        #: scripted faults + recovery policy for every run (see
+        #: :class:`~repro.core.faults.FaultPlan`)
+        self.fault_plan = fault_plan
         #: override for every run: ``fused`` turns the fused
         #: map+partial-reduce path on/off.  ``None`` (default) respects
         #: whatever the job's own PipelineConfig says; a non-None value
@@ -102,27 +163,6 @@ class Executor:
         #: (set per lease by the job service; ``None`` for one-shot runs)
         self.job_id: Optional[str] = None
 
-    # -- observability hooks (shared by every backend) --------------------
-
-    def _begin_obs(self) -> Optional[Observability]:
-        """Fresh observation state for one run (None when tracing is
-        off).  One executor observes one run at a time: re-running
-        resets the bundle, after the previous run's trace was written."""
-        if self.obs is not None:
-            self.obs.reset()
-            # Namespace the fresh bundle under the lease's job (no-op
-            # outside a job service, where job_id is None).
-            self.obs.set_job(self.job_id)
-        return self.obs
-
-    def _finish_obs(self, obs: Optional[Observability], stats) -> None:
-        """Stamp run metadata and write the JSONL trace, if requested."""
-        if obs is None:
-            return
-        obs.finish(backend=self.name, stats=stats, clock=stats.clock)
-        if self.trace_path:
-            obs.write_jsonl(self.trace_path)
-
     def run(
         self,
         job: MapReduceJob,
@@ -143,31 +183,32 @@ class Executor:
         the bit-parity contract to load-balanced runs in both
         directions (record on sim / replay on real, and vice versa).
 
-        This is the driver every real backend shares — pre-flight,
-        pull authority, ledger cross-check, stats — around the one
-        backend-specific step, :meth:`_run_ranks`.  (The sim overrides
-        ``run`` whole: its ranks live on a modeled clock inside
-        :class:`~repro.core.runtime.GPMRRuntime`.)
+        This is the driver every backend shares — pre-flight, pull
+        authority, ledger cross-check, stats — around the one
+        backend-specific step, :meth:`_run_ranks`.
         """
         self._check_open()
-        # Stamp ``fused`` into the job config before the job is
-        # pickled to any rank — their MapRunners read it off the config.
-        job = self._configure_job(job)
+        # Stamp ``fused`` into the job config before the job is pickled
+        # to any rank — their MapRunners read it off the config, so the
+        # choice needs no wire change.  A job without a fused kernel is
+        # refused here, before any rank starts.
+        if self.fused is not None and job.config.fused != bool(self.fused):
+            job = job.with_config(fused=bool(self.fused))
         all_chunks = resolve_chunks(dataset, chunks)
         # Replay and plan validation happen here, in the driver, before
         # any process exists — a bad run fails fast with full context.
         self._preflight(job, schedule)
-        fault = self.fault_plan
-        obs = self._begin_obs()
-        service = self._make_chunk_service(
-            all_chunks,
-            job,
-            schedule=schedule,
-            speculate_after=None if fault is None else fault.speculate_after,
-            obs=obs,
-        )
+        obs = self.obs
+        if obs is not None:
+            # One executor observes one run at a time: the bundle starts
+            # fresh, namespaced under the lease's job (None outside a
+            # job service).
+            obs.reset()
+            obs.set_job(self.job_id)
+        service = self._make_chunk_service(all_chunks, job, schedule, obs)
         t_start = time.perf_counter()
-        outputs, worker_stats = self._run_ranks(job, service, obs)
+        outputs, worker_stats, modeled = self._run_ranks(job, service, obs)
+        elapsed = time.perf_counter() - t_start if modeled is None else modeled
         # Every chunk must have been granted: ranks that reported
         # results without draining the service would silently drop work.
         if service.remaining:
@@ -175,17 +216,33 @@ class Executor:
                 f"every rank reported a result but {service.remaining} "
                 "chunk(s) were never granted"
             )
-        result = close_job(
-            job,
-            service,
-            outputs,
-            worker_stats,
-            elapsed=time.perf_counter() - t_start,
-            clock="wall",
-            schedule=schedule,
+        # The service's grant ledger and the ranks' fetch ledgers are
+        # written independently; they must agree rank for rank, or the
+        # recorded trace would not describe the run it came from.
+        service.validate_ledgers(worker_stats)
+        service.record_outcomes()
+        stats = JobStats(
+            job_name=job.name,
+            n_gpus=self.n_workers,
+            elapsed=elapsed,
+            workers=worker_stats,
+            chunks_reclaimed=service.chunks_reclaimed,
+            speculative_wins=service.speculative_wins,
+            retries_by_worker=list(service.retries_by_worker),
+            clock="wall" if modeled is None else "simulated",
+        )
+        # A replayed run carries the trace it was given; any other
+        # carries the trace the service recorded.
+        result = JobResult(
+            stats=stats,
+            outputs=outputs,
+            schedule=schedule if schedule is not None else service.trace,
             obs=obs,
         )
-        self._finish_obs(obs, result.stats)
+        if obs is not None:
+            obs.finish(backend=self.name, stats=stats, clock=stats.clock)
+            if self.trace_path:
+                obs.write_jsonl(self.trace_path)
         return result
 
     def _run_ranks(
@@ -193,12 +250,14 @@ class Executor:
         job: MapReduceJob,
         service: ChunkService,
         obs: Optional[Observability],
-    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats]]:
+    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats], Optional[float]]:
         """Backend hook: run every rank of one job to completion.
 
         Spawn/serve/collect only — ranks pull their chunks from
-        ``service`` and the backend returns ``(outputs, worker_stats)``,
-        both indexed by rank.  ``obs`` is the run's bundle (None when
+        ``service`` and the backend returns ``(outputs, worker_stats,
+        modeled)``, the first two indexed by rank.  ``modeled`` is the
+        run's modeled duration on a simulated clock, or None to time the
+        call on the wall clock.  ``obs`` is the run's bundle (None when
         tracing is off); rank-side records are absorbed into it here.
         """
         raise NotImplementedError
@@ -288,19 +347,6 @@ class Executor:
         if self.obs is not None:
             self.obs.reset()
 
-    def _configure_job(self, job: MapReduceJob) -> MapReduceJob:
-        """Apply the executor's ``fused`` override to one run's job.
-
-        Called by every backend at the top of :meth:`run`; the
-        configured copy is what gets pickled to workers, so the choice
-        rides the existing job plumbing with no wire changes.
-        Validation (``fused=True`` on a job without a fused kernel)
-        happens here, before any rank starts, not on a remote rank.
-        """
-        if self.fused is None or job.config.fused == bool(self.fused):
-            return job
-        return job.with_config(fused=bool(self.fused))
-
     def _check_open(self, action: str = "run") -> None:
         """Raise clearly when a closed executor is asked to work again."""
         if self._closed:
@@ -314,10 +360,8 @@ class Executor:
         self,
         chunks: Sequence[Chunk],
         job: MapReduceJob,
-        *,
-        schedule: Optional[ScheduleTrace] = None,
-        speculate_after: Optional[float] = None,
-        obs: Optional[Observability] = None,
+        schedule: Optional[ScheduleTrace],
+        obs: Optional[Observability],
     ) -> ChunkService:
         """Build (or borrow) the run's pull authority.
 
@@ -328,18 +372,17 @@ class Executor:
         chunk queues coexist behind one front and the daemon can
         inspect/close them by :attr:`job_id`.
         """
+        fault = self.fault_plan
         settings = dict(
-            initial_distribution=getattr(
-                self, "initial_distribution", "round_robin"
-            ),
+            initial_distribution=self.initial_distribution,
             enable_stealing=job.config.enable_stealing,
             schedule=schedule,
             context=f"{job.name}@{self.job_id}" if self.job_id else job.name,
-            speculate_after=speculate_after,
+            speculate_after=None if fault is None else fault.speculate_after,
             # Prefetching backends (local, cluster) pipeline requests;
             # the window sets which request proves which grants mapped
             # — see ChunkService.request.
-            prefetch=getattr(self, "prefetch_window", 0),
+            prefetch=self.prefetch_window,
             obs=obs,
             job_id=self.job_id,
         )
@@ -357,60 +400,6 @@ class Executor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} n_workers={self.n_workers}>"
-
-
-class SimExecutor(Executor):
-    """The discrete-event simulation backend (the seed's engine).
-
-    Accepts every :class:`~repro.core.runtime.GPMRRuntime` knob
-    (cluster spec, network topology, initial distribution, ...) and
-    preserves all Figure-2 / Table-1 accounting.
-    """
-
-    name = "sim"
-
-    def __init__(
-        self,
-        n_workers: int,
-        obs: Optional[Observability] = None,
-        trace_path: Optional[str] = None,
-        fused: Optional[bool] = None,
-        **runtime_kwargs,
-    ) -> None:
-        super().__init__(n_workers, obs=obs, trace_path=trace_path, fused=fused)
-        self.runtime = GPMRRuntime(n_gpus=n_workers, **runtime_kwargs)
-        #: mirrored from the runtime so :meth:`_make_chunk_service`
-        #: sees the same initial-placement policy the sim models
-        self.initial_distribution = self.runtime.initial_distribution
-
-    def run(
-        self,
-        job: MapReduceJob,
-        dataset: Optional[Dataset] = None,
-        chunks: Optional[Sequence[Chunk]] = None,
-        schedule: Optional[ScheduleTrace] = None,
-    ) -> JobResult:
-        self._check_open()
-        job = self._configure_job(job)
-        obs = self._begin_obs()
-        all_chunks = resolve_chunks(dataset, chunks)
-        # Built here (not inside the runtime) so a pool-managed
-        # executor can route the run through a shared multi-job
-        # authority.  Safe before the runtime swaps the tracer onto
-        # the modeled clock: service construction stamps no
-        # timestamps, only gauges.
-        service = self._make_chunk_service(
-            all_chunks, job, schedule=schedule, obs=obs
-        )
-        result = self.runtime.run(
-            job,
-            chunks=all_chunks,
-            schedule=schedule,
-            obs=obs,
-            service=service,
-        )
-        self._finish_obs(obs, result.stats)
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +438,12 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
 
     ``kwargs`` go to the backend factory verbatim (e.g. ``cluster=`` /
     ``network=`` for ``"sim"``, ``start_method=`` for ``"local"``).
-    Every built-in backend also accepts the observability knobs
-    ``obs=`` (an :class:`~repro.obs.Observability` bundle) and
-    ``trace_path=`` (write the run's JSONL span/event trace there;
-    implies tracing) — both off by default, and passive when on, so
-    traced runs stay bit-identical to untraced runs — plus ``fused=``
+    Every built-in backend accepts ``initial_distribution=`` and
+    ``fault_plan=`` (both validated when the executor is built), the
+    observability knobs ``obs=`` (an :class:`~repro.obs.Observability`
+    bundle) and ``trace_path=`` (write the run's JSONL span/event trace
+    there; implies tracing) — both off by default, and passive when on,
+    so traced runs stay bit-identical to untraced runs — plus ``fused=``
     (run the job's fused map+partial-reduce kernel; ``None``, the
     default, respects the job's own
     :class:`~repro.core.config.PipelineConfig`).
@@ -489,5 +479,3 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
         )
     return _BACKENDS[backend](n_workers, **kwargs)
 
-
-register_backend(SimExecutor.name, SimExecutor)

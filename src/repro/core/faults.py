@@ -10,11 +10,12 @@ and stall injection, so tests and benchmarks can script a failure) and
 how to recover (respawn budget, straggler speculation):
 
 * ``kill_rank_at_chunk`` — ``{rank: n}``: the rank SIGKILLs itself (or,
-  on the sim/serial mirrors, models its death) upon receiving its
-  ``n``-th chunk grant, i.e. genuinely mid-map with ``n`` grants
-  outstanding.  The backend reclaims those grants and respawns a
-  replacement with the same rank id, so the job completes with output
-  bit-identical to a failure-free run.
+  on the sim/serial mirrors, models its death through
+  :class:`ScriptedDeath`) upon receiving its ``n``-th chunk grant, i.e.
+  genuinely mid-map with ``n`` grants outstanding.  The backend
+  reclaims those grants and respawns a replacement with the same rank
+  id, so the job completes with output bit-identical to a failure-free
+  run.
 * ``stall_seconds`` — ``{rank: seconds}``: sleep before each of that
   rank's chunk requests (modeled time on the sim), making it a
   straggler whose queued chunks get stolen — and, with speculation on,
@@ -27,10 +28,12 @@ how to recover (respawn budget, straggler speculation):
 * ``max_respawns`` — per-rank replacement budget; a rank that dies
   more often, or dies after posting its shuffle batches (nothing left
   to reclaim — the unit of loss is the whole un-posted map phase), is
-  a terminal :class:`~repro.exec.cluster.WorkerFailure` as before.
+  a terminal :class:`WorkerFailure` on every backend.
 
 Merely *constructing* a plan changes nothing: recovery machinery
-activates only on runs whose executor received a ``fault_plan``.
+activates only on runs whose executor received a ``fault_plan``, and
+:class:`~repro.core.executor.Executor` checks the plan against its rank
+count once, when it is built.
 """
 
 from __future__ import annotations
@@ -38,7 +41,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-__all__ = ["FaultPlan"]
+__all__ = ["FaultPlan", "ScriptedDeath", "WorkerFailure"]
+
+
+class WorkerFailure(RuntimeError):
+    """A worker failed for good; carries the rank and its traceback."""
+
+    def __init__(self, rank: int, detail: str) -> None:
+        super().__init__(f"worker rank {rank} failed:\n{detail}")
+        self.rank = rank
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -108,3 +120,44 @@ class FaultPlan:
                         f"{what} names rank {rank}, but the run has only "
                         f"{n_workers} worker(s)"
                     )
+
+
+class ScriptedDeath:
+    """One rank's scripted death on the in-process backends (sim, serial).
+
+    Counts the rank's grants.  The grant the plan names is never
+    mapped: the rank dies holding it, its un-posted grants go back to
+    the pool, and the caller builds the replacement incarnation (the
+    sim a fresh ``MapRunner``, serial a fresh ``RankRun``).  The
+    process backends die for real instead (``GrantPuller`` SIGKILLs
+    its own rank).
+    """
+
+    def __init__(self, plan: Optional[FaultPlan], rank: int) -> None:
+        self.rank = rank
+        #: the grant ordinal that kills the rank; None once it has died
+        #: (a replacement never re-runs its predecessor's death)
+        self.kill_at = None if plan is None else plan.kill_for(rank)
+        self.can_respawn = plan is not None and plan.max_respawns > 0
+        self.grants = 0
+
+    def strikes(self, service) -> bool:
+        """Count one grant; True when the rank dies on it.
+
+        The death has already been recovered when this returns True:
+        ``service`` reclaimed the rank's grants.  A death past the
+        respawn budget, or after the rank posted, raises
+        :class:`WorkerFailure`.
+        """
+        self.grants += 1
+        if self.kill_at is None or self.grants < self.kill_at:
+            return False
+        self.kill_at = None
+        if not self.can_respawn or not service.can_recover(self.rank):
+            raise WorkerFailure(
+                self.rank,
+                f"rank {self.rank} killed at grant {self.grants} with no "
+                "respawn budget left",
+            )
+        service.reclaim(self.rank)
+        return True

@@ -21,6 +21,14 @@ allocations and binner submits, charged from the sizes each
 Figure-2 stage buckets.  Functional work takes no modeled time, so
 running it first and charging after keeps every modeled second
 unchanged.
+
+The worker is one rank of the ``"sim"`` backend: the shared driver
+(:meth:`~repro.core.executor.Executor.run`) hands every worker the same
+:class:`~repro.core.scheduler.ChunkService`, and
+:class:`~repro.core.runtime.GPMRRuntime` runs the workers on the event
+engine.  A scripted death goes through
+:class:`~repro.core.faults.ScriptedDeath`, the rule the serial backend
+uses too.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import numpy as np
 from .binner import Binner
 from .chunk import Chunk
 from .dataflow import MapRunner, MapStep, reduce_runs, sort_pairs
+from .faults import FaultPlan, ScriptedDeath
 from .job import MapReduceJob
 from .kvset import KeyValueSet
 from .scheduler import Assignment, ChunkService
@@ -58,9 +67,7 @@ class Worker:
         comm: Communicator,
         job: MapReduceJob,
         scheduler: ChunkService,
-        kill_at_chunk: Optional[int] = None,
-        stall_seconds: float = 0.0,
-        respawns_left: int = 0,
+        fault: Optional[FaultPlan] = None,
         obs=None,
     ) -> None:
         self.env = env
@@ -79,13 +86,11 @@ class Worker:
         self.binner = Binner(env, comm, node.cpu, rank)
         self.result: Optional[KeyValueSet] = None
         #: scripted fault injection, mirroring the real backends: die
-        #: (lose all un-posted map state, chunks reclaimed, continue as
-        #: the respawned replacement) upon the Nth grant / stall this
-        #: long in modeled time before every chunk request
-        self.kill_at_chunk = kill_at_chunk
-        self.stall_seconds = float(stall_seconds)
-        self.respawns_left = int(respawns_left)
-        self._killed = False
+        #: upon the Nth grant (and continue as the respawned
+        #: replacement) / stall this long in modeled time before every
+        #: chunk request
+        self.death = ScriptedDeath(fault, rank)
+        self.stall_seconds = 0.0 if fault is None else fault.stall_for(rank)
         #: when set, emissions buffer here instead of reaching the
         #: binner mid-map — a faulted rank must be able to discard
         #: everything it has not posted, so nothing leaves early
@@ -98,9 +103,8 @@ class Worker:
         chunk = assignment.chunk
         if assignment.stolen_by(self.rank):
             self.stats.chunks_stolen += 1
-            if self.job.config.price_steal_serialisation:
-                # Victim serialises, wire moves it, thief deserialises.
-                yield from self.node.cpu.process_bytes(chunk.wire_bytes, tag="steal")
+            # Victim serialises, wire moves it, thief deserialises.
+            yield from self.node.cpu.process_bytes(chunk.wire_bytes, tag="steal")
             victim_node = self.comm.node_of(assignment.victim)
             my_node = self.comm.node_of(self.rank)
             if victim_node != my_node:
@@ -217,7 +221,6 @@ class Worker:
         respawned replacement.  Modeled time keeps flowing; only the
         replacement's life lands in this worker's stats.
         """
-        grants = 0
         t_phase = self.env.now
         while True:
             if self.stall_seconds:
@@ -225,22 +228,7 @@ class Worker:
             assignment = self.scheduler.request(self.rank)
             if assignment is None:
                 break
-            grants += 1
-            if (
-                self.kill_at_chunk is not None
-                and not self._killed
-                and grants >= self.kill_at_chunk
-            ):
-                self._killed = True
-                if self.respawns_left <= 0 or not self.scheduler.can_recover(
-                    self.rank
-                ):
-                    raise RuntimeError(
-                        f"rank {self.rank} killed at grant {grants} with no "
-                        "respawn budget left"
-                    )
-                self.respawns_left -= 1
-                self.scheduler.reclaim(self.rank)
+            if self.death.strikes(self.scheduler):
                 # The replacement starts clean: un-posted map output,
                 # accumulated state, buffered bins, and the dead
                 # incarnation's stats all die with the process.
@@ -257,7 +245,7 @@ class Worker:
     def map_phase(self) -> Generator:
         """Process the worker's entire map workload."""
         job = self.job
-        if self.kill_at_chunk is not None or self.stall_seconds:
+        if self.death.kill_at is not None or self.stall_seconds:
             self._deferred_parts = []
             yield from self._map_loop_faulted()
         else:

@@ -20,7 +20,6 @@ keys many jobs' services by job id.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from collections import deque
@@ -420,9 +419,8 @@ class ChunkService:
         self._grantees: Dict[int, List[int]] = {}
         #: chunk ids that went back to the pool at least once
         self._reclaimed_ids: Set[int] = set()
-        # Re-entrant: recovery needs to drain a dead worker's pending
-        # grants and reclaim atomically w.r.t. the serving thread, so
-        # guard() must be holdable around (and by) request().
+        # One lock over every ledger: a reclaim on the recovery path
+        # and grants served to other ranks' threads never interleave.
         self._lock = threading.RLock()
 
     # -- dispatch ----------------------------------------------------------
@@ -548,17 +546,6 @@ class ChunkService:
         else:
             tracer.event("grant", rank=worker, chunk=cid, **self._job_kw)
         metrics.counter("chunks_granted").inc()
-
-    @contextlib.contextmanager
-    def guard(self):
-        """Hold the service lock across several operations.
-
-        Recovery uses this to make "drain the dead rank's in-flight
-        grants, then reclaim" atomic against the backend's serving
-        thread — no grant can slip out between the two steps.
-        """
-        with self._lock:
-            yield self
 
     # -- ownership / recovery ----------------------------------------------
     def can_recover(self, worker: int) -> bool:

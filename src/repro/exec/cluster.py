@@ -40,7 +40,7 @@ import traceback
 from typing import Dict, List, Optional, Tuple
 
 from ..core.executor import Executor, register_backend
-from ..core.faults import FaultPlan
+from ..core.faults import FaultPlan, WorkerFailure
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
 from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, ChunkService
@@ -60,15 +60,6 @@ __all__ = [
     "WorkerFailure",
     "dead_worker_failure",
 ]
-
-
-class WorkerFailure(RuntimeError):
-    """A worker process failed; carries the rank and remote traceback."""
-
-    def __init__(self, rank: int, detail: str) -> None:
-        super().__init__(f"worker rank {rank} failed:\n{detail}")
-        self.rank = rank
-        self.detail = detail
 
 
 def _default_start_method() -> str:
@@ -155,7 +146,14 @@ class ClusterExecutor(Executor):
         prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
         fused: Optional[bool] = None,
     ) -> None:
-        super().__init__(n_workers, obs=obs, trace_path=trace_path, fused=fused)
+        super().__init__(
+            n_workers,
+            initial_distribution=initial_distribution,
+            fault_plan=fault_plan,
+            obs=obs,
+            trace_path=trace_path,
+            fused=fused,
+        )
         #: grant pipelining depth shipped to ranks via ASSIGN: each
         #: rank keeps up to ``1 + prefetch_window`` CHUNK_REQ frames in
         #: flight so the next grant's wire time hides under the current
@@ -166,21 +164,16 @@ class ClusterExecutor(Executor):
         #: (externally launched ranks pass it via
         #: ``repro.fabric.launch --auth-key-env/--auth-key-file``)
         self.auth_key = auth_key
-        self.initial_distribution = initial_distribution
         self.start_method = start_method or _default_start_method()
         self.timeout_seconds = float(timeout_seconds)
         self.host = host
         self.port = int(port)
         self.max_frame_bytes = int(max_frame_bytes)
+        #: respawning a rank the fault plan kills needs
+        #: ``spawn_ranks=True`` — externally launched ranks can still
+        #: *rejoin* via ``repro.fabric.launch --rejoin``, but nobody
+        #: restarts them automatically
         self.spawn_ranks = spawn_ranks
-        #: scripted fault injection + recovery policy (see
-        #: :class:`~repro.core.faults.FaultPlan`); requires
-        #: ``spawn_ranks=True`` for respawn — externally launched ranks
-        #: can still *rejoin* via ``repro.fabric.launch --rejoin``, but
-        #: nobody restarts them automatically
-        self.fault_plan = fault_plan
-        if fault_plan is not None:
-            fault_plan.validate_for(n_workers)
         #: zlib-deflate shuffle chunks on the wire (worth it only when
         #: a real NIC, not loopback, is the bottleneck)
         self.compress_exchange = bool(compress_exchange)
@@ -194,7 +187,7 @@ class ClusterExecutor(Executor):
         job: MapReduceJob,
         service: ChunkService,
         obs: Optional[Observability],
-    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats]]:
+    ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats], None]:
         # The driver hosts the pull authority; ranks reach it through
         # the coordinator's CHUNK_REQ/CHUNK_GRANT control frames.
         fault = self.fault_plan
@@ -307,7 +300,7 @@ class ClusterExecutor(Executor):
         if obs is not None:
             for payload in coordinator.obs_payloads.values():
                 obs.absorb(payload)
-        return outputs, worker_stats
+        return outputs, worker_stats, None
 
 
 class LocalExecutor(ClusterExecutor):

@@ -140,12 +140,6 @@ class Coordinator:
         self._conns: Dict[int, socket.socket] = {}
         #: rank -> advertised shuffle (host, port)
         self.shuffle_peers: Dict[int, Tuple[str, int]] = {}
-        #: membership epoch: bumped on every join/leave (registration
-        #: included), carried on WELCOME/ASSIGN/grant frames so ranks
-        #: can observe membership changes between grant rounds
-        self.epoch = 0
-        #: ``(epoch, "join"|"leave", rank)`` events, in epoch order
-        self.membership_log: List[Tuple[int, str, int]] = []
         #: the broadcast job blob, kept so a replacement rank can be
         #: re-assigned mid-run (set by :meth:`broadcast_assignments`)
         self._job_blob: Optional[bytes] = None
@@ -263,14 +257,11 @@ class Coordinator:
                 raise FabricError(f"duplicate registration for rank {rank}")
             self._conns[rank] = conn
             self.shuffle_peers[rank] = tuple(hello["shuffle_address"])
-            self.epoch += 1
-            self.membership_log.append((self.epoch, "join", rank))
             send_frame(
                 conn,
                 MSG_WELCOME,
                 {"n_workers": self.n_workers,
-                 "max_frame_bytes": self.max_frame_bytes,
-                 "epoch": self.epoch},
+                 "max_frame_bytes": self.max_frame_bytes},
                 max_frame_bytes=self.max_frame_bytes,
             )
 
@@ -328,7 +319,6 @@ class Coordinator:
             "peers": peers,
             "n_workers": self.n_workers,
             "compress_exchange": self.compress_exchange,
-            "epoch": self.epoch,
             "fault": fault,
             "rejoin": rejoin,
             "obs": self.obs.enabled,
@@ -406,10 +396,10 @@ class Coordinator:
         reporting normally raises :class:`RankFailure` too — but with a
         ``respawner`` attached, a rank that died *before posting its
         map output* is recovered instead: its connection is retired,
-        its un-posted grants are reclaimed into the pool, a membership
-        epoch is logged, and ``respawner(rank, shuffle_port)`` launches
-        a replacement which rejoins mid-run through the listener (its
-        HELLO carries ``rejoin``) and pulls the reclaimed work.
+        its un-posted grants are reclaimed into the pool, and
+        ``respawner(rank, shuffle_port)`` launches a replacement which
+        rejoins mid-run through the listener (its HELLO carries
+        ``rejoin``) and pulls the reclaimed work.
         """
         results: Dict[int, Tuple[int, Any, Any]] = {}
         deadline = self._deadline()
@@ -512,13 +502,11 @@ class Coordinator:
         except OSError:
             pass
         self._conns.pop(rank, None)
-        self.obs.tracer.event("rank_dead", rank=rank, epoch=self.epoch)
+        self.obs.tracer.event("rank_dead", rank=rank)
         if not respawner(rank, self.shuffle_peers[rank][1]):
             return False  # respawn budget exhausted
-        self.epoch += 1
-        self.membership_log.append((self.epoch, "leave", rank))
         chunk_service.reclaim(rank)
-        self.obs.tracer.event("respawn", rank=rank, epoch=self.epoch)
+        self.obs.tracer.event("respawn", rank=rank)
         self.obs.metrics.counter("respawns").inc()
         return True
 
@@ -564,15 +552,12 @@ class Coordinator:
         conn.settimeout(self.timeout_seconds)
         self._conns[rank] = conn
         self.shuffle_peers[rank] = tuple(hello["shuffle_address"])
-        self.epoch += 1
-        self.membership_log.append((self.epoch, "join", rank))
-        self.obs.tracer.event("rejoin", rank=rank, epoch=self.epoch)
+        self.obs.tracer.event("rejoin", rank=rank)
         send_frame(
             conn,
             MSG_WELCOME,
             {"n_workers": self.n_workers,
-             "max_frame_bytes": self.max_frame_bytes,
-             "epoch": self.epoch},
+             "max_frame_bytes": self.max_frame_bytes},
             max_frame_bytes=self.max_frame_bytes,
         )
         send_frame(
@@ -600,7 +585,6 @@ class Coordinator:
         else:
             msg_type = MSG_CHUNK_GRANT
             payload = {"chunk": assignment.chunk, "victim": assignment.victim}
-        payload["epoch"] = self.epoch
         try:
             send_frame(
                 self._conns[rank], msg_type, payload,

@@ -82,6 +82,11 @@ __all__ = ["RankEndpoint", "run_rank"]
 #: landed batch is handed over by notification, never on this tick.
 _POLL_SECONDS = 0.2
 
+#: First wait before resending an unconfirmed batch; each further
+#: failure doubles it, up to the cap.
+_RESEND_BACKOFF_SECONDS = 0.01
+_RESEND_BACKOFF_CAP_SECONDS = 0.25
+
 
 class RankEndpoint:
     """One rank's connections into the fabric (control + shuffle)."""
@@ -134,8 +139,6 @@ class RankEndpoint:
         self._control: Optional[socket.socket] = None
         self.n_workers: Optional[int] = None
         self.peers: Dict[int, Tuple[str, int]] = {}
-        #: membership epoch last observed on a coordinator frame
-        self.epoch = 0
         #: wire frames this rank's outbound shuffle used (BATCH +
         #: BATCH_DATA, summed over destinations) — the coalescing
         #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
@@ -210,7 +213,6 @@ class RankEndpoint:
         self.max_frame_bytes = int(
             welcome.get("max_frame_bytes", self.max_frame_bytes)
         )
-        self.epoch = int(welcome.get("epoch", 0))
 
     def receive_assignment(self) -> Any:
         """Block for ASSIGN; returns the job and stores the peer map.
@@ -231,7 +233,6 @@ class RankEndpoint:
         self.n_workers = int(assign["n_workers"])
         self.peers = {int(r): tuple(a) for r, a in assign["peers"].items()}
         self.compress_exchange = bool(assign.get("compress_exchange", False))
-        self.epoch = int(assign.get("epoch", self.epoch))
         if assign.get("obs"):
             self.obs = Observability()
         fault = assign.get("fault") or {}
@@ -264,8 +265,6 @@ class RankEndpoint:
         msg_type, payload = recv_frame(
             self._control, max_frame_bytes=self.max_frame_bytes
         )
-        if isinstance(payload, dict) and "epoch" in payload:
-            self.epoch = int(payload["epoch"])
         if msg_type == MSG_CHUNKS_DONE:
             # A ``retry``-flagged CHUNKS_DONE asks the idle rank to
             # re-poll: speculation may still free up work.
@@ -349,6 +348,7 @@ class RankEndpoint:
         deadline = time.monotonic() + self.timeout_seconds
         obs = self.obs
         attempt = 0
+        backoff = _RESEND_BACKOFF_SECONDS
         while True:
             attempt += 1
             if attempt > 1:
@@ -388,9 +388,13 @@ class RankEndpoint:
                         )
                 break
             except (OSError, FabricError):
-                if not confirm or time.monotonic() + 0.25 > deadline:
+                if not confirm or time.monotonic() + backoff > deadline:
                     raise
-                time.sleep(0.25)
+                # A replacement rank rebinds its predecessor's port
+                # within milliseconds of its spawn: retry soon, then
+                # back off towards the cap.
+                time.sleep(backoff)
+                backoff = min(2 * backoff, _RESEND_BACKOFF_CAP_SECONDS)
         if obs.enabled:
             s1 = time.time()
             obs.tracer.add_span("shuffle_send", s0, s1, rank=self.rank,

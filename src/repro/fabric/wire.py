@@ -104,10 +104,9 @@ __all__ = [
 #: distribution went pull-based — ASSIGN carries job/config metadata
 #: only, and ranks fetch their chunks at runtime via
 #: CHUNK_REQ/CHUNK_GRANT/CHUNKS_DONE control frames.  v4: fault
-#: tolerance — membership epochs ride WELCOME/ASSIGN/grant frames, a
-#: dead rank's replacement rejoins mid-run with a ``rejoin`` HELLO,
-#: BATCH header frames may carry chunk-id provenance tags and every
-#: received batch is confirmed with BATCH_ACK (senders retry
+#: tolerance — a dead rank's replacement rejoins mid-run with a
+#: ``rejoin`` HELLO, BATCH header frames may carry chunk-id provenance
+#: tags and every received batch is confirmed with BATCH_ACK (senders retry
 #: unconfirmed batches, so a batch lost in a dead peer's kernel
 #: buffers is re-routed to its replacement), and ranks announce the
 #: end of their map phase with MAPS_DONE before shuffling.  v5: the
@@ -122,7 +121,8 @@ __all__ = [
 #: request; a CHUNK_GRANT may carry a descriptor-only streamed chunk
 #: that the rank re-materialises locally, and BATCH frames may arrive
 #: at a peer that is still mapping (its ACK is simply withheld until
-#: it posts MAPS_DONE).
+#: it posts MAPS_DONE).  The ``epoch`` key v4 put on WELCOME, ASSIGN,
+#: CHUNK_GRANT and CHUNKS_DONE is gone; no receiver ever read it.
 PROTOCOL_VERSION = 5
 
 MAGIC = b"GPMR"

@@ -39,7 +39,6 @@ from .figures import (
 from .loc import app_loc_counts, count_loc
 from .report import banner, render_series, render_table
 from .runners import AppRun, run_app
-from .fused_bench import fused_kernels
 from .weak_scaling import WEAK_PER_GPU, WeakScalingResult, weak_scaling
 from .tables import (
     PAPER_TABLE2,
@@ -67,7 +66,6 @@ __all__ = [
     "ablation_sio_pipeline",
     "ablation_chunk_size",
     "ablation_wo_reduce",
-    "fused_kernels",
     "run_app",
     "AppRun",
     "weak_scaling",
