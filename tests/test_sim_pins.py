@@ -16,6 +16,10 @@ before the host sort stopped sorting by 8-bit digits and before the
 fixed-window Lloyd kernel: ``0.008821147323248416``,
 ``0.011405602274638571`` and ``0.010233424383067815``.
 
+The four 16-GPU rows (:data:`MULTI_NODE_ROWS`) span four nodes, so they
+pin the network model too: a star, a 4:1 fat tree whose core links
+contend, cross-node steal fetches and a kill on node 1.
+
 Re-record (only when a change is *meant* to move modeled time) with
 ``PYTHONPATH=src python tests/test_sim_pins.py --record``.
 """
@@ -70,8 +74,8 @@ def _lr():
     return lr_dataset(12_000, chunk_points=2_500, seed=5)
 
 
-def _run(job, ds=None, chunks=None, **kw):
-    return [make_executor("sim", N, **kw).run(job, dataset=ds, chunks=chunks)]
+def _run(job, ds=None, chunks=None, n=N, **kw):
+    return [make_executor("sim", n, **kw).run(job, dataset=ds, chunks=chunks)]
 
 
 def _wo_run(use_accumulation=True, fused=None):
@@ -95,6 +99,31 @@ def _replayed_single():
 def _faulted(job, ds):
     plan = FaultPlan(kill_rank_at_chunk={1: 2}, stall_seconds={2: 1e-4})
     return _run(job, ds, fault_plan=plan)
+
+
+# The rows above run 4 GPUs, one Accelerator node, so no message of
+# theirs crosses a NIC.  These run 16 GPUs on 4 nodes: every shuffle
+# message and cross-node steal is priced on the network model.
+N_MULTI = 16
+MULTI_NODE_ROWS = (
+    "sio_16gpu_star",
+    "sio_16gpu_fat_tree_4to1",
+    "kmc_16gpu_single_steals",
+    "sio_16gpu_kill_and_stall",
+)
+
+
+def _sio_multi():
+    ds = sio_dataset(64_000, chunk_elements=2_000, key_space=1 << 20, seed=3)
+    return sio_job(key_space=1 << 20), ds
+
+
+def _kmc_multi():
+    return kmc_dataset(64_000, n_centers=32, dims=2, chunk_points=2_000, seed=3)
+
+
+def _multi(job, ds, **kw):
+    return _run(job, ds, n=N_MULTI, **kw)
 
 
 CASES = {
@@ -125,6 +154,18 @@ CASES = {
     "sio_kill_and_stall": lambda: _faulted(*_sio()),
     "kmc_kill_and_stall": lambda: _faulted(kmc_job(_kmc()), _kmc()),
     "sio_replayed_single_with_steals": _replayed_single,
+    "sio_16gpu_star": lambda: _multi(*_sio_multi()),
+    "sio_16gpu_fat_tree_4to1": lambda: _multi(
+        *_sio_multi(), network="fat-tree", fat_tree_radix=2, oversubscription=4.0
+    ),
+    "kmc_16gpu_single_steals": lambda: _multi(
+        kmc_job(_kmc_multi()), _kmc_multi(), initial_distribution="single"
+    ),
+    # rank 5 lives on node 1; rank 9 on node 2
+    "sio_16gpu_kill_and_stall": lambda: _multi(
+        *_sio_multi(),
+        fault_plan=FaultPlan(kill_rank_at_chunk={5: 2}, stall_seconds={9: 1e-4}),
+    ),
 }
 
 
@@ -169,6 +210,9 @@ def test_pin_table_keeps_the_historical_values():
     assert pins["sio_staged"][0]["elapsed"] == "0.008821147323248416"
     assert pins["kmc_accum"][0]["elapsed"] == "0.011405602274638571"
     assert pins["kmc_naive"][0]["elapsed"] == "0.010233424383067815"
+    assert pins["sio_16gpu_star"][0]["elapsed"] == "0.009269204045826818"
+    assert pins["sio_16gpu_fat_tree_4to1"][0]["elapsed"] == "0.0099240440458267"
+    assert set(MULTI_NODE_ROWS) <= set(pins)
     assert set(pins) == set(CASES)
 
 
