@@ -22,6 +22,9 @@ from ..sim import Environment, Resource
 
 __all__ = ["Fabric"]
 
+#: a node pair's channels along the route, latency and bottleneck bandwidth
+Path = Tuple[Tuple[Resource, ...], float, float]
+
 
 class Fabric:
     """Contention-aware byte mover over a :class:`Topology`."""
@@ -40,13 +43,13 @@ class Fabric:
         #: shared-memory copy bandwidth for same-node messages
         self.loopback_bandwidth = cpu.mem_bandwidth / 2  # read + write
         self._channels: Dict[Tuple[Hashable, Hashable], Resource] = {}
+        self._paths: Dict[Tuple[int, int], Path] = {}
         # Fat links (fat-tree uplinks) carry several concurrent
         # NIC-rate transfers: channel capacity scales with the ratio of
         # the link's bandwidth to the thinnest edge's.
-        edge_bws = [
-            topology.link_attrs(u, v).bandwidth for u, v in topology.graph.edges
-        ]
-        self._base_bw = min(edge_bws) if edge_bws else 1.0
+        self._base_bw = min(
+            (attrs.bandwidth for attrs in topology.links.values()), default=1.0
+        )
         self.bytes_sent = 0
         self.messages_sent = 0
 
@@ -60,13 +63,28 @@ class Fabric:
             )
         return self._channels[key]
 
+    def path(self, src: int, dst: int) -> Path:
+        """The channels a message from node ``src`` to node ``dst``
+        holds (none for a same-node copy), its latency and its
+        bottleneck bandwidth; derived once per node pair."""
+        key = (src, dst)
+        path = self._paths.get(key)
+        if path is None:
+            if src == dst:
+                path = ((), self.loopback_latency, self.loopback_bandwidth)
+            else:
+                path = (
+                    tuple(self._channel(u, v) for u, v in self.topology.route(src, dst)),
+                    self.topology.path_latency(src, dst),
+                    self.topology.path_bandwidth(src, dst),
+                )
+            self._paths[key] = path
+        return path
+
     def duration(self, src: int, dst: int, nbytes: int) -> float:
         """Unloaded transfer time for ``nbytes`` from ``src`` to ``dst``."""
-        if src == dst:
-            return self.loopback_latency + nbytes / self.loopback_bandwidth
-        lat = self.topology.path_latency(src, dst)
-        bw = self.topology.path_bandwidth(src, dst)
-        return lat + nbytes / bw
+        _, latency, bandwidth = self.path(src, dst)
+        return latency + nbytes / bandwidth
 
     def send(self, src: int, dst: int, nbytes: int) -> Generator:
         """Process: move ``nbytes`` from node ``src`` to node ``dst``.
@@ -76,24 +94,15 @@ class Fabric:
         if nbytes < 0:
             raise ValueError("message size must be non-negative")
         start = self.env.now
-
-        if src == dst:
-            yield self.env.timeout(self.duration(src, dst, nbytes))
-        else:
-            route = self.topology.route(src, dst)
-            requests = [self._channel(u, v).request() for u, v in route]
-            for req in requests:
-                yield req
-            try:
-                yield self.env.timeout(self.duration(src, dst, nbytes))
-            finally:
-                for (u, v), req in zip(route, requests):
-                    self._channel(u, v).release(req)
-
+        channels, latency, bandwidth = self.path(src, dst)
+        requests = [channel.request() for channel in channels]
+        for req in requests:
+            yield req
+        try:
+            yield self.env.timeout(latency + nbytes / bandwidth)
+        finally:
+            for channel, req in zip(channels, requests):
+                channel.release(req)
         self.bytes_sent += int(nbytes)
         self.messages_sent += 1
         return self.env.now - start
-
-    def channel_queue_len(self, u: Hashable, v: Hashable) -> int:
-        chan = self._channels.get((u, v))
-        return chan.queue_len if chan else 0

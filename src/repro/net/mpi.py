@@ -4,8 +4,8 @@ GPMR's Bin substage and shuffle use MPI point-to-point plus a barrier;
 the harness additionally uses collectives for iterative jobs (KMC).
 This module provides an mpi4py-flavoured API on the DES:
 
-* :meth:`Communicator.isend` — non-blocking send, returns a process
-  event that fires on delivery
+* :meth:`Communicator.isend` — non-blocking send, returns an event
+  that fires on delivery
 * :meth:`Communicator.recv` — blocking receive with ``(source, tag)``
   matching (``ANY`` wildcards)
 * :meth:`Communicator.barrier` — generation-counted barrier
@@ -25,6 +25,7 @@ from typing import Any, Callable, Generator, List, Sequence
 
 from .fabric import Fabric
 from ..sim import Environment, Event, FilterStore
+from ..sim.events import PROCESSED, TRIGGERED
 
 __all__ = ["ANY", "Message", "Communicator"]
 
@@ -41,6 +42,85 @@ class Message:
     tag: int
     payload: Any
     nbytes: int
+
+
+class _Send:
+    """One message on its way, stepped by callbacks on the events that
+    price it, in this order:
+
+    1. a kick-off event at the send's instant;
+    2. the host's ``message_overhead`` timeout;
+    3. one request per channel of the route, waited in route order;
+    4. the wire timeout, after which the channels are released;
+    5. the put into the destination's mailbox;
+    6. :attr:`done`, which fires with the :class:`Message`.
+
+    Only the events hold a ``_Send`` (through the bound methods in
+    their callbacks), never the reverse, so a delivered send is freed by
+    reference counting and leaves no cycle for the collector.
+    """
+
+    __slots__ = (
+        "comm", "source", "dest", "payload", "nbytes", "tag", "done",
+        "channels", "requests", "granted", "wire_time",
+    )
+
+    def __init__(
+        self, comm: "Communicator", source: int, dest: int, payload: Any,
+        nbytes: int, tag: int,
+    ) -> None:
+        self.comm = comm
+        self.source = source
+        self.dest = dest
+        self.payload = payload
+        self.nbytes = nbytes
+        self.tag = tag
+        self.done = Event(comm.env)
+        kick = Event(comm.env)
+        kick._state = TRIGGERED
+        kick.callbacks.append(self._start)
+        comm.env.schedule(kick)
+
+    def _start(self, _event: Event) -> None:
+        overhead = self.comm.message_overhead
+        if overhead:
+            self.comm.env.timeout(overhead).callbacks.append(self._request)
+        else:
+            self._request(None)
+
+    def _request(self, _event: Event) -> None:
+        comm = self.comm
+        channels, latency, bandwidth = comm.fabric.path(
+            comm.rank_to_node[self.source], comm.rank_to_node[self.dest]
+        )
+        self.channels = channels
+        self.wire_time = latency + self.nbytes / bandwidth
+        self.requests = [channel.request() for channel in channels]
+        self.granted = 0
+        self._acquire(None)
+
+    def _acquire(self, _event: Event) -> None:
+        requests = self.requests
+        while self.granted < len(requests):
+            req = requests[self.granted]
+            self.granted += 1
+            if req._state != PROCESSED:
+                req.callbacks.append(self._acquire)
+                return
+        self.comm.env.timeout(self.wire_time).callbacks.append(self._transmitted)
+
+    def _transmitted(self, _event: Event) -> None:
+        for channel, req in zip(self.channels, self.requests):
+            channel.release(req)
+        comm = self.comm
+        comm.fabric.bytes_sent += int(self.nbytes)
+        comm.fabric.messages_sent += 1
+        msg = Message(self.source, self.dest, self.tag, self.payload, self.nbytes)
+        comm._mailboxes[self.dest].put(msg).callbacks.append(self._delivered)
+
+    def _delivered(self, put: Event) -> None:
+        self.comm.bytes_by_rank[self.source] += int(self.nbytes)
+        self.done.succeed(put.item)
 
 
 class Communicator:
@@ -79,30 +159,16 @@ class Communicator:
         if not (0 <= rank < self.size):
             raise ValueError(f"{what} rank {rank} out of range [0, {self.size})")
 
-    def _send_proc(
-        self, source: int, dest: int, payload: Any, nbytes: int, tag: int
-    ) -> Generator:
-        # Host-side software overhead, then the wire.
-        if self.message_overhead:
-            yield self.env.timeout(self.message_overhead)
-        yield from self.fabric.send(self.node_of(source), self.node_of(dest), nbytes)
-        msg = Message(source=source, dest=dest, tag=tag, payload=payload, nbytes=nbytes)
-        yield self._mailboxes[dest].put(msg)
-        self.bytes_by_rank[source] += int(nbytes)
-        return msg
-
     def isend(
         self, source: int, dest: int, payload: Any, nbytes: int, tag: int = 0
     ) -> Event:
-        """Non-blocking send; the returned event fires on delivery."""
+        """Non-blocking send; the returned event fires with the
+        :class:`Message` on delivery."""
         self._check_rank(source, "source")
         self._check_rank(dest, "dest")
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        return self.env.process(
-            self._send_proc(source, dest, payload, nbytes, tag),
-            name=f"isend {source}->{dest} tag={tag}",
-        )
+        return _Send(self, source, dest, payload, nbytes, tag).done
 
     def send(
         self, source: int, dest: int, payload: Any, nbytes: int, tag: int = 0

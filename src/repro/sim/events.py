@@ -169,11 +169,14 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(env, name=f"timeout({delay})")
+        super().__init__(env)
         self.delay = float(delay)
         self._value = value
         self._state = TRIGGERED
         env.schedule(self, delay=self.delay)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Timeout({self.delay}) state={self._state}>"
 
 
 class Condition(Event):

@@ -41,7 +41,7 @@ class Process(Event):
         self._target: Optional[Event] = None
 
         # Kick-start the process at the current simulation time.
-        init = Event(env, name=f"init:{self.name}")
+        init = Event(env)
         init._state = 1  # TRIGGERED with value None
         init.callbacks.append(self._resume)
         env.schedule(init, delay=0.0)

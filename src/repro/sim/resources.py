@@ -45,10 +45,13 @@ class Request(Event):
     __slots__ = ("resource", "priority", "_key")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        super().__init__(resource.env, name=f"request:{resource.name}")
+        super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
         self._key: Tuple[int, int] = (priority, next(resource._seq))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Request {self.resource.name!r} state={self._state}>"
 
     def __enter__(self) -> "Request":
         return self

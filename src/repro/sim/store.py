@@ -73,14 +73,14 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         """Event that fires once ``item`` has been accepted."""
-        evt = StorePut(self.env, item, name=f"put:{self.name}")
+        evt = StorePut(self.env, item)
         self._putters.append(evt)
         self._settle()
         return evt
 
     def get(self) -> StoreGet:
         """Event that fires with the oldest item once one is available."""
-        evt = StoreGet(self.env, name=f"get:{self.name}")
+        evt = StoreGet(self.env)
         self._getters.append(evt)
         self._settle()
         return evt
@@ -119,7 +119,7 @@ class FilterStore(Store):
     """A :class:`Store` whose consumers may wait for matching items only."""
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # noqa: A002
-        evt = StoreGet(self.env, filter=filter, name=f"get:{self.name}")
+        evt = StoreGet(self.env, filter=filter)
         self._getters.append(evt)
         self._settle()
         return evt

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.apps import sio_dataset, sio_job
+from repro.core import make_executor
 from repro.hw.specs import OPTERON_2216_2P, QDR_INFINIBAND
 from repro.net import ANY, Communicator, Fabric, StarTopology
-from repro.sim import Environment
+from repro.sim import Environment, Process
 
 
 def make_comm(env, ranks=4, gpus_per_node=2):
@@ -221,6 +223,79 @@ def test_alltoallv_exchanges_payloads():
     env.run()
     assert results[0] == ["0->0", "1->0", "2->0"]
     assert results[2] == ["0->2", "1->2", "2->2"]
+
+
+def test_alltoallv_spawns_no_process_per_message(monkeypatch):
+    """A message is a chain of callbacks on its events, not a process:
+    a 16-rank all-to-all (256 messages) constructs only the 16 ranks."""
+    constructed = []
+    real_init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    env = Environment()
+    comm = make_comm(env, ranks=16, gpus_per_node=4)
+    results = {}
+
+    def worker(env, rank):
+        got = yield from comm.alltoallv(rank, [(rank, d) for d in range(16)], [64] * 16)
+        results[rank] = got
+
+    for r in range(16):
+        env.process(worker(env, r))
+    env.run()
+    assert len(constructed) == 16
+    assert results[5] == [(s, 5) for s in range(16)]
+
+
+@pytest.mark.parametrize("senders, receivers", [((0, 0), (1, 2)), ((1, 2), (0, 0))])
+def test_zero_byte_messages_hold_the_nic_for_one_latency(senders, receivers):
+    """An empty message (a FLUSH) is priced: it holds its route's NIC
+    channels for one latency, so two of them through one node's tx (or
+    rx) channel serialise."""
+    env = Environment()
+    comm = make_comm(env, ranks=3, gpus_per_node=1)
+    arrivals = []
+
+    def receiver(env, rank):
+        yield comm.recv(rank)
+        arrivals.append(env.now)
+
+    for src, dst in zip(senders, receivers):
+        comm.isend(src, dst, None, nbytes=0)
+    for rank in set(receivers):
+        for _ in range(receivers.count(rank)):
+            env.process(receiver(env, rank))
+    env.run()
+    latency = QDR_INFINIBAND.latency
+    assert sorted(arrivals) == pytest.approx(
+        [comm.message_overhead + latency, comm.message_overhead + 2 * latency]
+    )
+
+
+#: engine steps of one 16-GPU SIO sim job when every message was a
+#: generator process (5 events of its own: start, overhead, wire,
+#: mailbox put, end, plus its channel requests)
+STEPS_WITH_A_PROCESS_PER_MESSAGE = 6609
+
+
+def test_sim_job_steps_do_not_grow(monkeypatch):
+    """Deterministic, timing-free guard on the message path's cost."""
+    steps = []
+    real_step = Environment.step
+
+    def counting_step(self):
+        steps.append(None)
+        real_step(self)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    ds = sio_dataset(64_000, chunk_elements=2_000, key_space=1 << 20, seed=3)
+    result = make_executor("sim", 16).run(sio_job(key_space=1 << 20), ds)
+    assert repr(result.stats.elapsed) == "0.009269204045826818"
+    assert len(steps) <= STEPS_WITH_A_PROCESS_PER_MESSAGE
 
 
 def test_allgather():

@@ -55,6 +55,27 @@ def test_fat_tree_cross_leaf_goes_through_core():
     assert ("leaf0", "core") in route or ("core", "leaf1") in route
 
 
+def test_fat_tree_cross_leaf_route_is_leaf_core_leaf():
+    topo = FatTreeTopology(16, QDR_INFINIBAND, radix=8)
+    assert topo.route(15, 0) == [
+        (15, "leaf1"), ("leaf1", "core"), ("core", "leaf0"), ("leaf0", 0)
+    ]
+    assert topo.path_latency(15, 0) == pytest.approx(2 * QDR_INFINIBAND.latency)
+
+
+def test_route_rejects_a_node_outside_the_cluster():
+    topo = StarTopology(4, QDR_INFINIBAND)
+    with pytest.raises(ValueError):
+        topo.route(0, 4)
+
+
+def test_validate_rejects_a_route_over_a_missing_cable():
+    topo = StarTopology(3, QDR_INFINIBAND)
+    del topo.links[(2, StarTopology.SWITCH)]
+    with pytest.raises(ValueError, match="no cable"):
+        topo.validate()
+
+
 def test_fat_tree_full_bisection_keeps_nic_bottleneck():
     topo = FatTreeTopology(16, QDR_INFINIBAND, radix=8, oversubscription=1.0)
     assert topo.path_bandwidth(0, 15) == QDR_INFINIBAND.bandwidth
@@ -68,4 +89,4 @@ def test_fat_tree_oversubscription_reduces_uplink():
 
 def test_fat_tree_single_leaf_has_no_core():
     topo = FatTreeTopology(8, QDR_INFINIBAND, radix=8)
-    assert "core" not in topo.graph
+    assert all("core" not in cable for cable in topo.links)
