@@ -25,7 +25,7 @@ from typing import Any, Callable, Generator, List, Sequence
 
 from .fabric import Fabric
 from ..sim import Environment, Event, FilterStore
-from ..sim.events import PROCESSED, TRIGGERED
+from ..sim.events import PROCESSED
 
 __all__ = ["ANY", "Message", "Communicator"]
 
@@ -48,12 +48,12 @@ class _Send:
     """One message on its way, stepped by callbacks on the events that
     price it, in this order:
 
-    1. a kick-off event at the send's instant;
-    2. the host's ``message_overhead`` timeout;
-    3. one request per channel of the route, waited in route order;
-    4. the wire timeout, after which the channels are released;
-    5. the put into the destination's mailbox;
-    6. :attr:`done`, which fires with the :class:`Message`.
+    1. the host's ``message_overhead`` timeout, started by the send;
+    2. one request per channel of the route, waited in route order;
+    3. the wire timeout, after which the channels are released;
+    4. the put into the destination's mailbox, and :attr:`done`, which
+       fires with the :class:`Message`.  The mailbox is unbounded, so
+       the put is accepted at once and nothing waits on it.
 
     Only the events hold a ``_Send`` (through the bound methods in
     their callbacks), never the reverse, so a delivered send is freed by
@@ -76,15 +76,8 @@ class _Send:
         self.nbytes = nbytes
         self.tag = tag
         self.done = Event(comm.env)
-        kick = Event(comm.env)
-        kick._state = TRIGGERED
-        kick.callbacks.append(self._start)
-        comm.env.schedule(kick)
-
-    def _start(self, _event: Event) -> None:
-        overhead = self.comm.message_overhead
-        if overhead:
-            self.comm.env.timeout(overhead).callbacks.append(self._request)
+        if comm.message_overhead:
+            comm.env.timeout(comm.message_overhead).callbacks.append(self._request)
         else:
             self._request(None)
 
@@ -116,11 +109,9 @@ class _Send:
         comm.fabric.bytes_sent += int(self.nbytes)
         comm.fabric.messages_sent += 1
         msg = Message(self.source, self.dest, self.tag, self.payload, self.nbytes)
-        comm._mailboxes[self.dest].put(msg).callbacks.append(self._delivered)
-
-    def _delivered(self, put: Event) -> None:
-        self.comm.bytes_by_rank[self.source] += int(self.nbytes)
-        self.done.succeed(put.item)
+        comm._mailboxes[self.dest].put(msg)
+        comm.bytes_by_rank[self.source] += int(self.nbytes)
+        self.done.succeed(msg)
 
 
 class Communicator:
