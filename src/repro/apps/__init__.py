@@ -3,7 +3,8 @@
 Each app module provides: the Mapper/Reducer implementations with their
 kernel cost descriptors, a ``*_job`` factory, a ``*_dataset`` factory,
 a ``*_validate`` oracle check, ``run_*`` conveniences, and the Phoenix
-and Mars workload descriptors used by Tables 2 and 3.
+workload descriptor used by Table 2.  MM, KMC and WO, the three apps
+Table 3 compares, also provide a Mars workload descriptor.
 
 Every ``run_*`` convenience shares one uniform signature —
 ``run_x(n_gpus, dataset, *, backend="sim", schedule=None,
@@ -37,7 +38,6 @@ from .linear_regression import (
     lr_extract_sums,
     lr_fit,
     lr_job,
-    lr_mars_workload,
     lr_phoenix_workload,
     lr_validate,
     run_lr,
@@ -60,7 +60,6 @@ from .sparse_int_occurrence import (
     run_sio,
     sio_dataset,
     sio_job,
-    sio_mars_workload,
     sio_phoenix_workload,
     sio_validate,
 )
@@ -110,7 +109,7 @@ __all__ = [
     "APPS", "AppSpec",
     # SIO
     "SIOMapper", "SIOReducer", "sio_job", "sio_dataset", "sio_validate",
-    "sio_phoenix_workload", "sio_mars_workload", "run_sio",
+    "sio_phoenix_workload", "run_sio",
     # WO
     "WOMapper", "WOWarpReducer", "WOThreadReducer", "wo_job", "wo_dataset",
     "wo_validate", "wo_mph", "wo_phoenix_workload", "wo_mars_workload",
@@ -122,7 +121,7 @@ __all__ = [
     # LR
     "LRMapper", "NaiveLRMapper", "LRReducer", "LR_KEYS", "lr_job", "lr_dataset",
     "lr_extract_sums", "lr_fit", "lr_validate", "lr_phoenix_workload",
-    "lr_mars_workload", "run_lr",
+    "run_lr",
     # MM
     "MMPhase1Mapper", "MMPhase2Mapper", "MMResult", "mm_dataset",
     "mm_phase1_job", "mm_phase2_job", "run_matmul", "mm_validate",

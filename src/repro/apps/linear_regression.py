@@ -18,7 +18,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
     FusedMapper,
@@ -48,7 +47,6 @@ __all__ = [
     "lr_fit",
     "lr_validate",
     "lr_phoenix_workload",
-    "lr_mars_workload",
 ]
 
 #: The six emitted keys, in key order.
@@ -285,41 +283,6 @@ def lr_phoenix_workload(dataset: RegressionDataset) -> PhoenixWorkload:
         reduce_flops_per_pair=1.0,
         flops_efficiency=0.22,   # scalar doubles, loop-carried sums
         group_cost_per_pair=5e-8,
-    )
-
-
-def lr_mars_workload(dataset: RegressionDataset) -> MarsWorkload:
-    """Mars LR: per-point emit of the five products + count, bitonic
-    sort over all of them (no accumulation)."""
-    n = dataset.n_points
-    pair = 12 + 8  # key + double + directory
-    return MarsWorkload(
-        name="lr",
-        input_bytes=n * 8,
-        n_items=n,
-        map_launches=[
-            launch_1d(
-                "mars_lr_map",
-                n,
-                flops_per_item=9.0,
-                read_bytes_per_item=8.0,
-                write_bytes_per_item=float(pair),
-                coalescing=0.3,
-            )
-        ],
-        n_pairs=n,
-        pair_bytes=pair,
-        key_bits=8,
-        reduce_launches=[
-            launch_1d(
-                "mars_lr_reduce",
-                n,
-                flops_per_item=1.0,
-                read_bytes_per_item=12.0,
-                coalescing=0.5,
-            )
-        ],
-        output_bytes=6 * 12,
     )
 
 

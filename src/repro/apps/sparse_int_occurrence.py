@@ -26,7 +26,6 @@ from typing import List
 
 import numpy as np
 
-from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
     FusedMapper,
@@ -52,7 +51,6 @@ __all__ = [
     "sio_dataset",
     "sio_validate",
     "sio_phoenix_workload",
-    "sio_mars_workload",
 ]
 
 PAIR_BYTES = 8  # 4-byte key + 4-byte count
@@ -220,43 +218,6 @@ def sio_phoenix_workload(dataset: IntegerDataset) -> PhoenixWorkload:
         reduce_flops_per_pair=1.0,
         flops_efficiency=0.5,
         group_cost_per_pair=6e-8,
-    )
-
-
-def sio_mars_workload(dataset: IntegerDataset) -> MarsWorkload:
-    """Mars SIO: two-pass map, then a bitonic sort of every pair.
-
-    Mars's record directory adds 8 bytes of (offset, size) metadata
-    per pair on top of the payload.
-    """
-    n = dataset.n_elements
-    return MarsWorkload(
-        name="sio",
-        input_bytes=n * 4,
-        n_items=n,
-        map_launches=[
-            launch_1d(
-                "mars_sio_map",
-                n,
-                flops_per_item=1.0,
-                read_bytes_per_item=4.0,
-                write_bytes_per_item=float(PAIR_BYTES + 8),
-                coalescing=0.8,
-            )
-        ],
-        n_pairs=n,
-        pair_bytes=PAIR_BYTES + 8,
-        key_bits=32,
-        reduce_launches=[
-            launch_1d(
-                "mars_sio_reduce",
-                n,
-                flops_per_item=1.0,
-                read_bytes_per_item=float(PAIR_BYTES),
-                coalescing=0.25,
-            )
-        ],
-        output_bytes=min(n, dataset.key_space) * PAIR_BYTES,
     )
 
 

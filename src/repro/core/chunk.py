@@ -108,11 +108,6 @@ class Chunk:
             self._data = reader.materialize(index).data
         return self._data
 
-    @property
-    def materialized(self) -> bool:
-        """True when the payload is resident right now."""
-        return self._data is not None
-
     def release(self) -> None:
         """Drop a descriptor-backed chunk's resident payload.
 

@@ -99,14 +99,3 @@ class MapReduceJob:
     def with_config(self, **changes) -> "MapReduceJob":
         """A copy of this job with ``PipelineConfig`` fields replaced."""
         return replace(self, config=replace(self.config, **changes))
-
-    @property
-    def bins_during_map(self) -> bool:
-        """Whether Bin overlaps the map loop.
-
-        "Not using Accumulation or Combination allows for Binning to
-        take place concurrently with Maps.  Conversely, using
-        Accumulation or Combination mandates that Binning only happens
-        once all Maps finish."
-        """
-        return self.accumulator is None and self.combiner is None

@@ -190,9 +190,6 @@ class KeyValueSet:
             values = np.broadcast_to(element, keys.shape)
         return KeyValueSet(keys=keys, values=values, scale=self.scale)
 
-    def with_scale(self, scale: float) -> "KeyValueSet":
-        return KeyValueSet(keys=self.keys, values=self.values, scale=scale)
-
     def split_by(self, part_ids: np.ndarray, n_parts: int) -> List["KeyValueSet"]:
         """Partition into ``n_parts`` KVSets by per-pair part id.
 

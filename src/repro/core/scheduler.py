@@ -208,10 +208,6 @@ class ScheduleTrace:
     def total_steals(self) -> int:
         return sum(1 for g in self.grants if g.was_steal)
 
-    def for_worker(self, worker: int) -> List[ScheduleGrant]:
-        """This worker's grants, in its map order."""
-        return [g for g in self.grants if g.worker == worker]
-
     def chunk_counts(self, n_workers: int) -> List[int]:
         """Chunks mapped per worker under this schedule."""
         counts = [0] * n_workers

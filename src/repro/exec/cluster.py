@@ -138,7 +138,6 @@ class ClusterExecutor(Executor):
         port: int = 0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         spawn_ranks: bool = True,
-        compress_exchange: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
@@ -174,9 +173,6 @@ class ClusterExecutor(Executor):
         #: *rejoin* via ``repro.fabric.launch --rejoin``, but nobody
         #: restarts them automatically
         self.spawn_ranks = spawn_ranks
-        #: zlib-deflate shuffle chunks on the wire (worth it only when
-        #: a real NIC, not loopback, is the bottleneck)
-        self.compress_exchange = bool(compress_exchange)
         #: (host, port) of the live coordinator; set for the duration of
         #: :meth:`run` — the address external ranks dial when
         #: ``spawn_ranks=False``.
@@ -217,7 +213,6 @@ class ClusterExecutor(Executor):
             timeout_seconds=self.timeout_seconds,
             max_frame_bytes=self.max_frame_bytes,
             liveness_probe=_probe if self.spawn_ranks else None,
-            compress_exchange=self.compress_exchange,
             obs=obs,
             auth_key=self.auth_key,
             prefetch_window=self.prefetch_window,

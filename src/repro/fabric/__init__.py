@@ -9,8 +9,7 @@ actual wire, the one both process backends (``local`` on loopback,
   control plane, raw-bytes frames for the data plane;
 * :mod:`repro.fabric.stream` — the data plane's batch encoding: binary
   KVSet codec manifests plus chunked ``BATCH_DATA`` streaming (batches
-  larger than ``max_frame_bytes`` stream instead of failing) with an
-  optional zlib gate;
+  larger than ``max_frame_bytes`` stream instead of failing);
 * :mod:`repro.fabric.coordinator` — the driver side: rank registration,
   job broadcast, barrier, runtime chunk service
   (``CHUNK_REQ``/``CHUNK_GRANT`` — pull-based dynamic work stealing),

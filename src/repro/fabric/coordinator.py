@@ -104,7 +104,6 @@ class Coordinator:
         timeout_seconds: float = 120.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         liveness_probe: Optional[Callable[[], None]] = None,
-        compress_exchange: bool = False,
         obs: Optional[Any] = None,
         auth_key: Optional[bytes] = None,
         prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
@@ -123,8 +122,6 @@ class Coordinator:
         #: mid-run rejoin alike) must pass the HMAC challenge-response
         #: handshake before its first pickled frame is read
         self.auth_key = auth_key
-        #: ranks zlib-deflate their shuffle chunks (shipped via ASSIGN)
-        self.compress_exchange = bool(compress_exchange)
         #: driver-side observability bundle; when set, ASSIGN frames
         #: arm rank-side tracing and RESULT-frame export payloads are
         #: stashed in :attr:`obs_payloads` for the executor to absorb
@@ -318,7 +315,6 @@ class Coordinator:
             "job_pickle": self._job_blob,
             "peers": peers,
             "n_workers": self.n_workers,
-            "compress_exchange": self.compress_exchange,
             "fault": fault,
             "rejoin": rejoin,
             "obs": self.obs.enabled,

@@ -144,9 +144,6 @@ class RankEndpoint:
         #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
         self.frames_sent = 0
         self._frames_lock = threading.Lock()
-        #: zlib-deflate outbound shuffle chunks (the driver's choice,
-        #: learned from ASSIGN; receivers accept either form always)
-        self.compress_exchange = False
         #: rank-side observability bundle, armed by the ``obs`` flag on
         #: ASSIGN; the export payload rides home on the RESULT frame
         self.obs = NULL_OBS
@@ -232,7 +229,6 @@ class RankEndpoint:
         )
         self.n_workers = int(assign["n_workers"])
         self.peers = {int(r): tuple(a) for r, a in assign["peers"].items()}
-        self.compress_exchange = bool(assign.get("compress_exchange", False))
         if assign.get("obs"):
             self.obs = Observability()
         fault = assign.get("fault") or {}
@@ -376,7 +372,6 @@ class RankEndpoint:
                         self.rank,
                         parts,
                         max_frame_bytes=self.max_frame_bytes,
-                        compress=self.compress_exchange,
                         counters=counters,
                         chunk_ids=chunk_ids,
                     )

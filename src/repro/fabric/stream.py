@@ -14,11 +14,9 @@ This module re-encodes the data plane on the binary KVSet codec
   ``max_frame_bytes``, so a batch of any size streams through a small
   frame bound instead of raising :class:`FrameTooLarge`.
 
-Compression is a per-chunk gate: with ``compress=True`` each chunk is
-zlib-deflated and sent compressed *only when that actually shrinks it*
-(each DATA frame says which form it carries), so incompressible data
-never pays the inflation. The receiver honours whatever arrives —
-the flag tunes the sender, not the protocol.
+Every DATA frame carries its chunk raw, and its flags byte must be
+zero; the header's only flag is the tag bit below.  Any other flag is
+a :class:`ProtocolError`, raised before the frame's body is read.
 
 Chunks **coalesce across part boundaries**: a batch of many small
 parts (tiny per-key emission lists are common) packs into as few
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import zlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .wire import (
@@ -62,11 +59,10 @@ DEFAULT_CHUNK_BYTES = 1 << 20
 #: follows the manifest.
 _BATCH_HEADER = struct.Struct("!IB3xQI")
 
-#: BATCH_DATA frame payload: raw_len(Q) flags(B) — body follows.
-#: flags bit 0: body is zlib-compressed.
+#: BATCH_DATA frame payload: raw_len(Q) flags(B) — body follows; no
+#: flag is defined, so flags must be 0.
 _DATA_HEADER = struct.Struct("!QB3x")
 
-_FLAG_ZLIB = 1
 #: batch header flag: a chunk-id provenance tag block trails the
 #: manifest (one id per part; -1 = finish-time emission), letting
 #: receivers deduplicate speculative re-execution output
@@ -76,11 +72,7 @@ _TAG_COUNT = struct.Struct("!I")
 
 
 def _chunk_bytes(max_frame_bytes: int) -> int:
-    """Largest raw chunk a DATA frame can carry under the bound.
-
-    Compressed bodies replace raw ones only when smaller, so the raw
-    chunk size is the worst case and must fit with the chunk header.
-    """
+    """Largest raw chunk a DATA frame can carry under the bound."""
     room = max_frame_bytes - _DATA_HEADER.size
     if room < 1:
         raise FrameTooLarge(
@@ -131,7 +123,6 @@ def send_batch(
     parts: Sequence[KeyValueSet],
     *,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    compress: bool = False,
     counters: Optional[Dict[str, int]] = None,
     chunk_ids: Optional[Sequence[int]] = None,
 ) -> int:
@@ -146,7 +137,7 @@ def send_batch(
     """
     manifest, buffers, total_nbytes = pack_parts(parts)
     chunk_bytes = _chunk_bytes(max_frame_bytes)
-    flags = _FLAG_ZLIB if compress else 0
+    flags = 0
     tag_block = b""
     if chunk_ids is not None:
         if len(chunk_ids) != len(parts):
@@ -154,7 +145,7 @@ def send_batch(
                 f"chunk_ids carries {len(chunk_ids)} tag(s) for "
                 f"{len(parts)} part(s)"
             )
-        flags |= _FLAG_TAGS
+        flags = _FLAG_TAGS
         tag_block = _TAG_COUNT.pack(len(chunk_ids)) + struct.pack(
             f"!{len(chunk_ids)}q", *chunk_ids
         )
@@ -165,16 +156,10 @@ def send_batch(
     )
     frames = 1
     for chunk in _iter_chunks(buffers, chunk_bytes):
-        body = chunk
-        flags = 0
-        if compress:
-            deflated = zlib.compress(chunk)  # takes the view; no copy
-            if len(deflated) < chunk.nbytes:
-                body, flags = deflated, _FLAG_ZLIB
         sent += send_raw_frame(
             sock,
             MSG_BATCH_DATA,
-            _DATA_HEADER.pack(chunk.nbytes, flags) + bytes(body),
+            _DATA_HEADER.pack(chunk.nbytes, 0) + bytes(chunk),
             max_frame_bytes=max_frame_bytes,
         )
         frames += 1
@@ -203,6 +188,8 @@ def recv_batch(
     if len(payload) < _BATCH_HEADER.size:
         raise ProtocolError(f"BATCH header truncated at {len(payload)} B")
     src, hdr_flags, total_nbytes, manifest_len = _BATCH_HEADER.unpack_from(payload)
+    if hdr_flags & ~_FLAG_TAGS:
+        raise ProtocolError(f"BATCH header sets unknown flags {hdr_flags:#x}")
     rest = payload[_BATCH_HEADER.size :]
     if len(rest) < manifest_len:
         raise ProtocolError(
@@ -246,16 +233,13 @@ def recv_batch(
         if len(frame) < _DATA_HEADER.size:
             raise ProtocolError(f"BATCH_DATA header truncated at {len(frame)} B")
         raw_len, flags = _DATA_HEADER.unpack_from(frame)
+        if flags:
+            raise ProtocolError(f"BATCH_DATA frame sets unknown flags {flags:#x}")
         if raw_len == 0:
             # The sender never emits empty chunks; accepting them would
             # let a broken peer spin this loop without progress.
             raise ProtocolError("zero-length batch chunk")
         body = frame[_DATA_HEADER.size :]
-        if flags & _FLAG_ZLIB:
-            try:
-                body = zlib.decompress(body)
-            except zlib.error as exc:
-                raise ProtocolError(f"corrupt compressed batch chunk: {exc}") from exc
         if len(body) != raw_len:
             raise ProtocolError(
                 f"batch chunk carries {len(body)} B, declares {raw_len}"

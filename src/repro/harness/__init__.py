@@ -37,7 +37,7 @@ from .figures import (
     figure3,
 )
 from .loc import app_loc_counts, count_loc
-from .report import banner, render_series, render_table
+from .report import render_series, render_table
 from .runners import AppRun, run_app
 from .weak_scaling import WEAK_PER_GPU, WeakScalingResult, weak_scaling
 from .tables import (
@@ -95,5 +95,4 @@ __all__ = [
     "count_loc",
     "render_table",
     "render_series",
-    "banner",
 ]

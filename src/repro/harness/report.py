@@ -8,12 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["render_table", "render_series", "banner"]
-
-
-def banner(title: str, width: int = 78) -> str:
-    bar = "=" * width
-    return f"{bar}\n{title}\n{bar}"
+__all__ = ["render_table", "render_series"]
 
 
 def render_table(

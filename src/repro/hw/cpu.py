@@ -50,11 +50,6 @@ class HostCPU:
         self.meter.add(tag, seconds)
         return seconds
 
-    def compute(self, flops: float, tag: str = "compute") -> Generator:
-        """Process: single-core computation of ``flops``."""
-        result = yield from self.run(self.flops_time(flops), tag=tag)
-        return result
-
     def process_bytes(self, nbytes: float, tag: str = "memcpy") -> Generator:
         """Process: single-core byte handling of ``nbytes``."""
         result = yield from self.run(self.bytes_time(nbytes), tag=tag)

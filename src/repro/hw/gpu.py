@@ -91,9 +91,5 @@ class GPU:
         self.meter.add(tag, elapsed)
         return elapsed
 
-    @property
-    def compute_queue_len(self) -> int:
-        return self._compute.queue_len
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<GPU {self.name} spec={self.spec.name!r}>"

@@ -98,22 +98,6 @@ class KernelLaunch:
     def bytes_moved(self) -> float:
         return self.gmem_read + self.gmem_write
 
-    def scaled(self, factor: float) -> "KernelLaunch":
-        """The same kernel over ``factor`` times the work (geometry too)."""
-        return KernelLaunch(
-            name=self.name,
-            grid_blocks=max(1, int(round(self.grid_blocks * factor))),
-            block_threads=self.block_threads,
-            flops=self.flops * factor,
-            gmem_read=self.gmem_read * factor,
-            gmem_write=self.gmem_write * factor,
-            coalescing=self.coalescing,
-            atomics=self.atomics * factor,
-            atomic_conflict=self.atomic_conflict,
-            divergence=self.divergence,
-            syncs=self.syncs,
-        )
-
 
 def occupancy(spec: GPUSpec, launch: KernelLaunch) -> float:
     """Fraction of the device the launch can keep busy (0..1].

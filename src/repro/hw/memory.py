@@ -79,10 +79,6 @@ class DeviceAllocator:
         """High-water mark of bytes in use."""
         return self._peak
 
-    @property
-    def live_allocations(self) -> int:
-        return len(self._live)
-
     def largest_free_block(self) -> int:
         return max((size for _, size in self._free), default=0)
 

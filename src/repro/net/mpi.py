@@ -1,7 +1,6 @@
 """MPI-like message passing over the simulated fabric (substrate S4).
 
-GPMR's Bin substage and shuffle use MPI point-to-point plus a barrier;
-the harness additionally uses collectives for iterative jobs (KMC).
+GPMR's Bin substage and shuffle use MPI point-to-point plus a barrier.
 This module provides an mpi4py-flavoured API on the DES:
 
 * :meth:`Communicator.isend` — non-blocking send, returns an event
@@ -9,8 +8,6 @@ This module provides an mpi4py-flavoured API on the DES:
 * :meth:`Communicator.recv` — blocking receive with ``(source, tag)``
   matching (``ANY`` wildcards)
 * :meth:`Communicator.barrier` — generation-counted barrier
-* :meth:`Communicator.alltoallv`, :meth:`allgather`, :meth:`allreduce`,
-  :meth:`bcast` — collectives built from point-to-point
 
 Because workers are plain generator processes (not OS processes), the
 caller passes its rank explicitly.  Payloads are real Python/NumPy
@@ -21,7 +18,7 @@ the message's ``nbytes`` through the fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Sequence
+from typing import Any, Generator, Sequence
 
 from .fabric import Fabric
 from ..sim import Environment, Event, FilterStore
@@ -195,66 +192,3 @@ class Communicator:
             self._barrier_event = self.env.event(name=f"barrier{self._barrier_gen}")
             evt.succeed(self._barrier_gen)
         return evt
-
-    # -- collectives -----------------------------------------------------
-    def alltoallv(
-        self,
-        rank: int,
-        payloads: Sequence[Any],
-        sizes: Sequence[int],
-        tag: int = 0,
-    ) -> Generator:
-        """Process: exchange one payload with every rank (incl. self).
-
-        ``payloads[d]``/``sizes[d]`` go to rank ``d``; returns a list
-        indexed by source rank of the payloads received.
-        """
-        if len(payloads) != self.size or len(sizes) != self.size:
-            raise ValueError("alltoallv needs one payload and size per rank")
-        sends = [
-            self.isend(rank, dest, payloads[dest], sizes[dest], tag=tag)
-            for dest in range(self.size)
-        ]
-        received: List[Any] = [None] * self.size
-        for _ in range(self.size):
-            msg = yield self.recv(rank, tag=tag)
-            received[msg.source] = msg.payload
-        yield self.env.all_of(sends)
-        return received
-
-    def allgather(self, rank: int, payload: Any, nbytes: int, tag: int = 1) -> Generator:
-        """Process: every rank contributes one payload, all get the list."""
-        result = yield from self.alltoallv(
-            rank, [payload] * self.size, [nbytes] * self.size, tag=tag
-        )
-        return result
-
-    def allreduce(
-        self,
-        rank: int,
-        payload: Any,
-        nbytes: int,
-        op: Callable[[Any, Any], Any],
-        tag: int = 2,
-    ) -> Generator:
-        """Process: reduce payloads over ``op``; every rank gets the result.
-
-        Implemented as allgather + local fold (deterministic rank order),
-        which is what small-communicator MPI implementations do anyway.
-        """
-        values = yield from self.allgather(rank, payload, nbytes, tag=tag)
-        acc = values[0]
-        for v in values[1:]:
-            acc = op(acc, v)
-        return acc
-
-    def bcast(self, rank: int, root: int, payload: Any, nbytes: int, tag: int = 3) -> Generator:
-        """Process: root's payload is delivered to every rank."""
-        self._check_rank(root, "root")
-        if rank == root:
-            for dest in range(self.size):
-                if dest != root:
-                    self.isend(rank, dest, payload, nbytes, tag=tag)
-            return payload
-        msg = yield self.recv(rank, source=root, tag=tag)
-        return msg.payload

@@ -1,27 +1,16 @@
-"""Stream compaction: keep the flagged elements, preserving order.
+"""Stream compaction cost: keep the flagged elements, preserving order.
 
 On the GPU this is scan + scatter (the canonical CUDPP compact); the
-cost model reflects both passes.
+cost model reflects both passes.  :func:`unique_segments_cost` is its
+one user; the host never compacts on its own.
 """
 
 from __future__ import annotations
 
-
-import numpy as np
-
-from .common import as_1d_array, launch_1d
+from .common import launch_1d
 from ..hw.kernel import KernelLaunch
 
-__all__ = ["compact", "compact_cost"]
-
-
-def compact(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Return ``values[mask]`` (order-preserving compaction)."""
-    v = np.asarray(values)
-    m = as_1d_array(mask, dtype=bool)
-    if len(v) != len(m):
-        raise ValueError("values and mask must have equal length")
-    return v[m]
+__all__ = ["compact_cost"]
 
 
 def compact_cost(n: int, itemsize: int = 4, keep_fraction: float = 1.0) -> KernelLaunch:

@@ -1,4 +1,4 @@
-"""Reduction primitives: full and segmented reduces.
+"""Segmented reduction: the Reduce stage's primitive and its cost.
 
 Segmented reduce is the workhorse of the GPMR Reduce stage: after the
 sort, each key's values are contiguous, and a segmented reduction
@@ -15,7 +15,7 @@ import numpy as np
 from .common import as_1d_array, launch_1d, uniform_element
 from ..hw.kernel import KernelLaunch
 
-__all__ = ["reduce_array", "segmented_reduce", "reduce_cost", "segmented_reduce_cost"]
+__all__ = ["segmented_reduce", "segmented_reduce_cost"]
 
 _UFUNCS = {
     "sum": np.add,
@@ -23,16 +23,6 @@ _UFUNCS = {
     "max": np.maximum,
     "prod": np.multiply,
 }
-
-
-def reduce_array(values: np.ndarray, op: str = "sum"):
-    """Full reduction of ``values`` with a named associative operator."""
-    v = as_1d_array(values)
-    if op not in _UFUNCS:
-        raise ValueError(f"unknown reduction op {op!r}; choose from {sorted(_UFUNCS)}")
-    if len(v) == 0:
-        raise ValueError("cannot reduce an empty array")
-    return _UFUNCS[op].reduce(v)
 
 
 def _reduceat(op, v, offsets, lengths, element):
@@ -104,19 +94,6 @@ def segmented_reduce(
             op, v, offsets[nonempty], lengths[nonempty], element
         )
     return out
-
-
-def reduce_cost(n: int, itemsize: int = 4) -> KernelLaunch:
-    """Cost of one full reduction pass over ``n`` items."""
-    return launch_1d(
-        "reduce",
-        n,
-        flops_per_item=1.0,
-        read_bytes_per_item=float(itemsize),
-        write_bytes_per_item=0.01 * itemsize,  # per-block partials
-        items_per_thread=4,
-        syncs=1,
-    )
 
 
 def segmented_reduce_cost(

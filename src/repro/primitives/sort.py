@@ -43,7 +43,6 @@ from .common import as_1d_array, launch_1d, uniform_element
 from ..hw.kernel import KernelLaunch
 
 __all__ = [
-    "radix_sort",
     "radix_sort_pairs",
     "radix_sort_cost",
     "bitonic_sort_cost",
@@ -77,12 +76,6 @@ def _counting_order(digits: np.ndarray, bits: int) -> np.ndarray:
     pass (the narrowing cast keeps exactly the low 8 or 16 bits)."""
     narrow = np.uint8 if bits <= 8 else np.uint16
     return np.argsort(digits.astype(narrow), kind="stable")
-
-
-def radix_sort(keys: np.ndarray, key_bits: Optional[int] = None) -> np.ndarray:
-    """Return ``keys`` sorted ascending (stable)."""
-    sorted_keys, _ = radix_sort_pairs(keys, None, key_bits=key_bits)
-    return sorted_keys
 
 
 def radix_sort_pairs(

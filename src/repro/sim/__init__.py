@@ -1,11 +1,12 @@
 """Discrete-event simulation engine (substrate S1).
 
-A compact, deterministic, generator-based DES in the style of SimPy:
+A compact, deterministic, generator-based DES in the style of SimPy,
+cut to what the GPU, PCI-e and network models use:
 
 * :class:`Environment` — virtual clock + event calendar
-* :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`
+* :class:`Event`, :class:`Timeout`, :class:`AllOf`
 * :class:`Process` — generators that yield events
-* :class:`Resource`, :class:`Container` — contention primitives
+* :class:`Resource` — FIFO contention for links, engines and channels
 * :class:`Store`, :class:`FilterStore` — message queues
 
 Everything temporal in the reproduction (GPU kernels, PCI-e copies,
@@ -15,9 +16,9 @@ modelled end to end.
 """
 
 from .engine import EmptySchedule, Environment
-from .events import AllOf, AnyOf, Condition, Event, Interrupt, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process
-from .resources import Container, PriorityResource, Request, Resource
+from .resources import Request, Resource
 from .store import FilterStore, Store
 
 __all__ = [
@@ -25,15 +26,10 @@ __all__ = [
     "EmptySchedule",
     "Event",
     "Timeout",
-    "Condition",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "Process",
     "Resource",
-    "PriorityResource",
     "Request",
-    "Container",
     "Store",
     "FilterStore",
 ]

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Generator, Iterable, List, Tuple
 
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Environment", "EmptySchedule"]
@@ -57,18 +57,12 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped (None between steps)."""
-        return self._active_process
 
     # -- event factories -------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -87,20 +81,12 @@ class Environment:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- scheduling ------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Insert ``event`` into the calendar ``delay`` units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event (advancing the clock to it)."""

@@ -12,8 +12,8 @@ Event lifecycle::
 
 An event may *succeed* with a value or *fail* with an exception.  A
 failed event re-raises its exception inside every process waiting on
-it, unless the failure was *defused* (consumed by a condition that
-already fired).
+it, unless the failure was *defused* (consumed by an :class:`AllOf`
+or a process that already handled it).
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Event",
     "Timeout",
-    "Condition",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "PENDING",
     "TRIGGERED",
     "PROCESSED",
@@ -42,17 +39,6 @@ PENDING = 0
 TRIGGERED = 1
 #: Event callbacks have been executed.
 PROCESSED = 2
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    ``cause`` carries the value passed to :meth:`Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -108,10 +94,6 @@ class Event:
         """Mark a failed event as handled so the engine will not crash."""
         self._defused = True
 
-    @property
-    def defused(self) -> bool:
-        return self._defused
-
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None, priority: int = 1) -> "Event":
         """Schedule this event to fire *now* with ``value``."""
@@ -133,13 +115,6 @@ class Event:
         self.env.schedule(self, delay=0.0, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy another event's outcome into this one (used by conditions)."""
-        if event._exception is not None:
-            self.fail(event._exception)
-        else:
-            self.succeed(event._value)
-
     # -- engine hook ---------------------------------------------------
     def _run_callbacks(self) -> None:
         self._state = PROCESSED
@@ -152,9 +127,6 @@ class Event:
     # -- composition -----------------------------------------------------
     def __and__(self, other: "Event") -> "AllOf":
         return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name!r}" if self.name else ""
@@ -179,24 +151,18 @@ class Timeout(Event):
         return f"<Timeout({self.delay}) state={self._state}>"
 
 
-class Condition(Event):
-    """Fires when ``evaluate`` says enough of ``events`` have fired.
+class AllOf(Event):
+    """Fires once *all* sub-events have fired (fails fast on error).
 
-    The condition's value is a dict mapping each fired sub-event to its
-    value, in firing order.
+    Its value is a dict mapping each fired sub-event to its value, in
+    firing order.
     """
 
-    __slots__ = ("_events", "_evaluate", "_count")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env, name=type(self).__name__)
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
+        super().__init__(env, name="AllOf")
         self._events = list(events)
-        self._evaluate = evaluate
         self._count = 0
 
         for event in self._events:
@@ -228,31 +194,5 @@ class Condition(Event):
         if event._exception is not None:
             event.defuse()
             self.fail(event._exception)
-        elif self._evaluate(self._events, self._count):
+        elif self._count == len(self._events):
             self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Fires once *all* sub-events have fired (fails fast on error)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires once *any* sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

@@ -18,9 +18,9 @@ with the generator's return value, so processes can wait on each other::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from .events import Event, Interrupt, PENDING
+from .events import Event, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -31,14 +31,13 @@ __all__ = ["Process"]
 class Process(Event):
     """Wraps a generator and steps it as the events it yields fire."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any], name: str = "") -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._target: Optional[Event] = None
 
         # Kick-start the process at the current simulation time.
         init = Event(env)
@@ -47,74 +46,38 @@ class Process(Event):
         env.schedule(init, delay=0.0)
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         return self._state == PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a dead process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self._target is self:
-            raise RuntimeError("a process cannot interrupt itself")
-
-        interrupt_event = Event(self.env, name=f"interrupt:{self.name}")
-        interrupt_event._exception = Interrupt(cause)
-        interrupt_event._state = 1  # TRIGGERED
-        interrupt_event.defuse()
-
-        # Detach from the event we were waiting on so its eventual firing
-        # does not resume us a second time.
-        if self._target is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
-        self._target = None
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, delay=0.0, priority=0)
-
     # -- engine stepping ---------------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        self.env._active_process = self
-        try:
-            while True:
-                try:
-                    if trigger._exception is not None:
-                        trigger.defuse()
-                        next_target = self._generator.throw(trigger._exception)
-                    else:
-                        next_target = self._generator.send(trigger._value)
-                except StopIteration as stop:
-                    self._target = None
-                    self.succeed(stop.value)
-                    break
-                except BaseException as exc:
-                    self._target = None
-                    self.fail(exc)
-                    break
-
-                if not isinstance(next_target, Event):
-                    raise RuntimeError(
-                        f"process {self.name!r} yielded a non-event: {next_target!r}"
-                    )
-                if next_target.env is not self.env:
-                    raise RuntimeError("cannot wait on an event from another environment")
-
-                if next_target.processed:
-                    # Already fired: continue stepping synchronously.
-                    trigger = next_target
-                    continue
-                self._target = next_target
-                next_target.callbacks.append(self._resume)
+        while True:
+            try:
+                if trigger._exception is not None:
+                    trigger.defuse()
+                    next_target = self._generator.throw(trigger._exception)
+                else:
+                    next_target = self._generator.send(trigger._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
                 break
-        finally:
-            self.env._active_process = None
+            except BaseException as exc:
+                self.fail(exc)
+                break
+
+            if not isinstance(next_target, Event):
+                raise RuntimeError(
+                    f"process {self.name!r} yielded a non-event: {next_target!r}"
+                )
+            if next_target.env is not self.env:
+                raise RuntimeError("cannot wait on an event from another environment")
+
+            if next_target.processed:
+                # Already fired: continue stepping synchronously.
+                trigger = next_target
+                continue
+            next_target.callbacks.append(self._resume)
+            break
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} alive={self.is_alive}>"

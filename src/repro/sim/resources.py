@@ -1,9 +1,8 @@
-"""Shared-resource primitives: :class:`Resource`, :class:`Container`.
+"""The shared-resource primitive: :class:`Resource`.
 
-These model contention: a PCI-e link is a ``Resource(capacity=1)``, a
-GPU's copy engines a ``Resource(capacity=2)``, a memory pool a
-``Container``.  Requests are events, so processes wait in deterministic
-FIFO (or priority) order.
+It models contention: a PCI-e link is a ``Resource(capacity=1)``, a
+GPU's copy engines a ``Resource(capacity=2)``, a NIC channel one more.
+Requests are events, so processes wait in deterministic FIFO order.
 
 Usage::
 
@@ -20,16 +19,15 @@ Usage::
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
-from typing import TYPE_CHECKING, List, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Deque, List
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Request", "Resource", "PriorityResource", "Container"]
+__all__ = ["Request", "Resource"]
 
 
 class Request(Event):
@@ -42,13 +40,11 @@ class Request(Event):
             ...
     """
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
-        self._key: Tuple[int, int] = (priority, next(resource._seq))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Request {self.resource.name!r} state={self._state}>"
@@ -73,8 +69,7 @@ class Resource:
         self.env = env
         self.name = name
         self._capacity = capacity
-        self._seq = count()
-        self._waiting: List[Tuple[Tuple[int, int], Request]] = []
+        self._waiting: Deque[Request] = deque()
         self._users: List[Request] = []
 
     # -- inspection ------------------------------------------------------
@@ -93,10 +88,10 @@ class Resource:
         return len(self._waiting)
 
     # -- operations ------------------------------------------------------
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a unit of capacity; the returned event fires when granted."""
-        req = Request(self, priority=priority)
-        heapq.heappush(self._waiting, (req._key, req))
+        req = Request(self)
+        self._waiting.append(req)
         self._grant()
         return req
 
@@ -104,101 +99,12 @@ class Resource:
         """Return a granted unit (or withdraw an ungranted request)."""
         if request in self._users:
             self._users.remove(request)
-        else:
-            # Lazy removal from the wait heap.
-            for i, (_, queued) in enumerate(self._waiting):
-                if queued is request:
-                    self._waiting.pop(i)
-                    heapq.heapify(self._waiting)
-                    break
+        elif request in self._waiting:
+            self._waiting.remove(request)
         self._grant()
 
     def _grant(self) -> None:
         while self._waiting and len(self._users) < self._capacity:
-            _, req = heapq.heappop(self._waiting)
-            if req.triggered:
-                continue  # cancelled before being granted
+            req = self._waiting.popleft()
             self._users.append(req)
             req.succeed(req, priority=0)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose ``request(priority=...)`` jumps the queue.
-
-    Lower priority values are served first; ties break FIFO.
-    """
-
-
-class Container:
-    """A continuous stock of substance with blocking get/put.
-
-    Used for modelling bounded memory pools: ``get`` blocks until the
-    requested amount is available, ``put`` blocks while it would exceed
-    ``capacity``.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "container",
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.name = name
-        self._capacity = float(capacity)
-        self._level = float(init)
-        self._seq = count()
-        self._getters: List[Tuple[int, float, Event]] = []
-        self._putters: List[Tuple[int, float, Event]] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def get(self, amount: float) -> Event:
-        """Event that fires once ``amount`` has been withdrawn."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        evt = Event(self.env, name=f"get:{self.name}")
-        heapq.heappush(self._getters, (next(self._seq), amount, evt))
-        self._settle()
-        return evt
-
-    def put(self, amount: float) -> Event:
-        """Event that fires once ``amount`` has been deposited."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if amount > self._capacity:
-            raise ValueError(f"put of {amount} exceeds total capacity {self._capacity}")
-        evt = Event(self.env, name=f"put:{self.name}")
-        heapq.heappush(self._putters, (next(self._seq), amount, evt))
-        self._settle()
-        return evt
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                seq, amount, evt = self._putters[0]
-                if self._level + amount <= self._capacity:
-                    heapq.heappop(self._putters)
-                    self._level += amount
-                    evt.succeed(priority=0)
-                    progressed = True
-            if self._getters:
-                seq, amount, evt = self._getters[0]
-                if amount <= self._level:
-                    heapq.heappop(self._getters)
-                    self._level -= amount
-                    evt.succeed(priority=0)
-                    progressed = True

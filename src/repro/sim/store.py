@@ -85,14 +85,6 @@ class Store:
         self._settle()
         return evt
 
-    def try_get(self) -> Any:
-        """Non-blocking pop; returns None when empty (items must not be None)."""
-        if self._items:
-            item = self._items.pop(0)
-            self._settle()
-            return item
-        return None
-
     def _settle(self) -> None:
         progressed = True
         while progressed:

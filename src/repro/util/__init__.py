@@ -1,8 +1,8 @@
 """Shared utilities: units, deterministic RNG, validation."""
 
 from .rng import DEFAULT_SEED, child_generators, generator
-from .units import GB, GIB, KB, KIB, MB, MIB, fmt_bytes, fmt_rate, fmt_time
-from .validation import check_in_range, check_non_negative, check_positive, require
+from .units import GB, GIB, KB, KIB, MB, MIB
+from .validation import check_in_range, check_non_negative, check_positive
 
 __all__ = [
     "DEFAULT_SEED",
@@ -14,10 +14,6 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "fmt_bytes",
-    "fmt_time",
-    "fmt_rate",
-    "require",
     "check_positive",
     "check_non_negative",
     "check_in_range",

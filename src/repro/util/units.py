@@ -1,4 +1,4 @@
-"""Unit helpers: byte sizes, rates, and human-readable formatting."""
+"""Unit constants: byte sizes, clock rates and time scales."""
 
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ __all__ = [
     "MHZ",
     "US",
     "MS",
-    "fmt_bytes",
-    "fmt_time",
-    "fmt_rate",
 ]
 
 KB = 10**3
@@ -29,36 +26,3 @@ MHZ = 10**6
 US = 1e-6
 MS = 1e-3
 
-
-def fmt_bytes(n: float) -> str:
-    """Render a byte count with a binary suffix (e.g. ``512.0 MiB``)."""
-    n = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024.0 or unit == "TiB":
-            return f"{n:.1f} {unit}"
-        n /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def fmt_time(seconds: float) -> str:
-    """Render a duration with an adaptive unit (ns/us/ms/s)."""
-    s = float(seconds)
-    if s == 0:
-        return "0 s"
-    if abs(s) < 1e-6:
-        return f"{s * 1e9:.1f} ns"
-    if abs(s) < 1e-3:
-        return f"{s * 1e6:.1f} us"
-    if abs(s) < 1.0:
-        return f"{s * 1e3:.2f} ms"
-    return f"{s:.3f} s"
-
-
-def fmt_rate(bytes_per_second: float) -> str:
-    """Render a bandwidth (e.g. ``3.2 GB/s``)."""
-    r = float(bytes_per_second)
-    for unit in ("B/s", "KB/s", "MB/s", "GB/s"):
-        if abs(r) < 1000.0 or unit == "GB/s":
-            return f"{r:.1f} {unit}"
-        r /= 1000.0
-    raise AssertionError("unreachable")

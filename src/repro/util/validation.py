@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 
-__all__ = ["require", "check_positive", "check_non_negative", "check_in_range"]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise ``ValueError(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
+__all__ = ["check_positive", "check_non_negative", "check_in_range"]
 
 
 def check_positive(value: float, name: str) -> float:

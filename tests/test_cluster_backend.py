@@ -202,20 +202,6 @@ def test_cluster_batch_larger_than_frame_bound_streams():
             assert a.values.tobytes() == b.values.tobytes()
 
 
-def test_cluster_compressed_exchange_parity():
-    """The zlib gate changes the wire encoding, never the results."""
-    job, ds = _job_and_dataset(seed=9)
-    got = ClusterExecutor(
-        3, compress_exchange=True, timeout_seconds=60.0
-    ).run(job, dataset=ds)
-    ref = make_executor("serial", 3).run(job, dataset=ds)
-    for a, b in zip(ref.outputs, got.outputs):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert np.array_equal(a.keys, b.keys)
-            assert a.values.tobytes() == b.values.tobytes()
-
-
 def test_cluster_backend_with_auth_key_bit_identical():
     """A keyed cluster run: spawned ranks answer the coordinator's
     HMAC challenge and the outputs stay bit-identical to keyless."""

@@ -11,6 +11,8 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -31,7 +33,14 @@ from repro.fabric import (
     send_frame,
 )
 from repro.fabric import recv_batch, recv_raw_frame, send_batch, send_raw_frame
-from repro.fabric.wire import HEADER, MAGIC, MSG_BATCH, MSG_HELLO, PROTOCOL_VERSION
+from repro.fabric.wire import (
+    HEADER,
+    MAGIC,
+    MSG_BATCH,
+    MSG_BATCH_DATA,
+    MSG_HELLO,
+    PROTOCOL_VERSION,
+)
 
 
 @pytest.fixture
@@ -178,22 +187,14 @@ def test_batch_larger_than_frame_bound_streams(pair):
     assert result["sent"] >= payload_nbytes
 
 
-@pytest.mark.parametrize("compressible", [True, False])
-def test_batch_compression_round_trips(pair, compressible):
+def test_batch_round_trips(pair):
     a, b = pair
     n = 50_000
-    values = (
-        np.zeros(n)  # deflates massively
-        if compressible
-        else np.random.default_rng(2).standard_normal(n)  # barely at all
-    )
+    values = np.random.default_rng(2).standard_normal(n)
     parts = [KeyValueSet(keys=np.arange(n, dtype=np.uint32), values=values)]
-    raw_nbytes = parts[0].keys.nbytes + parts[0].values.nbytes
     result = {}
     sender = threading.Thread(
-        target=lambda: result.update(
-            sent=send_batch(a, 2, parts, compress=True)
-        ),
+        target=lambda: result.update(sent=send_batch(a, 2, parts)),
         daemon=True,
     )
     sender.start()
@@ -201,9 +202,6 @@ def test_batch_compression_round_trips(pair, compressible):
     sender.join(timeout=10.0)
     assert src == 2
     _assert_parts_identical(got, parts)
-    if compressible:
-        # The zlib gate actually shrank the wire traffic.
-        assert result["sent"] < raw_nbytes / 2
 
 
 def test_zero_key_batch_streams(pair):
@@ -291,10 +289,11 @@ def test_many_small_parts_coalesce_into_few_data_frames(pair):
     assert counters["bytes"] == result["sent"]
 
 
-def test_incompressible_chunk_ships_raw_through_compression_gate(pair):
-    """zlib inflates tiny high-entropy chunks; with ``compress=True``
-    the per-chunk gate must fall back to the raw form — and the wire
-    byte count proves it did."""
+def test_batch_ships_every_chunk_raw(pair):
+    """The wire byte count is the raw payload plus headers: one header
+    frame (struct + manifest) and DATA frames carrying the chunks as
+    they are.  The tiny key and value buffers coalesce into one DATA
+    frame."""
     from repro.fabric.stream import _BATCH_HEADER, _DATA_HEADER
     from repro.core.kvset import pack_parts
 
@@ -306,23 +305,73 @@ def test_incompressible_chunk_ships_raw_through_compression_gate(pair):
         )
     ]
     manifest, _buffers, payload_nbytes = pack_parts(parts)
-    import zlib
-    whole = parts[0].keys.tobytes() + parts[0].values.tobytes()
-    assert len(zlib.compress(whole)) > len(whole), "payload must be incompressible"
 
     a, b = pair
-    sent = send_batch(a, 3, parts, compress=True)
+    sent = send_batch(a, 3, parts)
     src, got, _tags = recv_batch(b)
     assert src == 3
     _assert_parts_identical(got, parts)
-    # Exactly the raw bytes rode the wire: one header frame (struct +
-    # manifest) plus DATA frames carrying the *uncompressed* chunks.
-    # The tiny key and value buffers coalesce into a single DATA frame.
     expected = (
         _BATCH_HEADER.size + len(manifest)
         + _DATA_HEADER.size + payload_nbytes
     )
     assert sent == expected
+
+
+def _deflate_bomb(inflated_nbytes):
+    """A zlib stream that inflates to ``inflated_nbytes`` zero bytes,
+    built a MiB at a time (about 1/1000 of its inflated size)."""
+    z = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    return b"".join(z.compress(zeros) for _ in range(inflated_nbytes >> 20)) + z.flush()
+
+
+def test_flagged_data_frame_is_refused_before_its_body_is_read(pair):
+    """A DATA frame with a nonzero flags byte is a protocol error, and
+    its body is never inflated: a 64 KiB deflate bomb from a peer
+    allocates nothing near its 64 MiB."""
+    from repro.fabric.stream import _BATCH_HEADER, _DATA_HEADER
+    from repro.core.kvset import pack_parts
+
+    inflated = 64 << 20
+    bound = 1 << 20
+    bomb = _deflate_bomb(inflated)
+    assert len(bomb) < bound
+    manifest, _buffers, _nbytes = pack_parts([KeyValueSet.empty()])
+    a, b = pair
+    send_raw_frame(
+        a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, inflated, len(manifest)) + manifest,
+        max_frame_bytes=bound,
+    )
+    sender = threading.Thread(
+        target=send_raw_frame,
+        args=(a, MSG_BATCH_DATA, _DATA_HEADER.pack(inflated, 1) + bomb),
+        kwargs={"max_frame_bytes": bound},
+        daemon=True,
+    )
+    sender.start()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="flags"):
+            recv_batch(b, max_frame_bytes=bound)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sender.join(timeout=10.0)
+    assert peak < bound
+
+
+def test_unknown_batch_header_flag_is_refused(pair):
+    """The tag bit is the header's only flag; any other is refused
+    before a DATA frame is read."""
+    from repro.fabric.stream import _BATCH_HEADER
+    from repro.core.kvset import pack_parts
+
+    manifest, _buffers, nbytes = pack_parts([KeyValueSet.empty()])
+    a, b = pair
+    send_raw_frame(a, MSG_BATCH, _BATCH_HEADER.pack(0, 1, nbytes, len(manifest)) + manifest)
+    with pytest.raises(ProtocolError, match="unknown flags"):
+        recv_batch(b)
 
 
 def test_unusably_small_frame_bound_is_loud(pair):

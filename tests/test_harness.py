@@ -8,7 +8,6 @@ from repro.harness import (
     TABLE2_SIZES,
     TABLE3_SIZES,
     app_loc_counts,
-    banner,
     dataset_for,
     efficiency_curve,
     render_series,
@@ -43,10 +42,6 @@ def test_render_table_float_formatting():
 def test_render_series_pads_missing():
     text = render_series("x", [1, 2, 3], [("s", [10, 20])])
     assert "3" in text  # row exists even without a y value
-
-
-def test_banner_has_title():
-    assert "hello" in banner("hello")
 
 
 # -- loc -------------------------------------------------------------------

@@ -110,15 +110,6 @@ def test_block_size_limit_enforced():
         kernel_duration(GT200, launch)
 
 
-def test_scaled_multiplies_work():
-    launch = full_grid(flops=1e9, gmem_read=1e8, atomics=10)
-    scaled = launch.scaled(3.0)
-    assert scaled.flops == pytest.approx(3e9)
-    assert scaled.gmem_read == pytest.approx(3e8)
-    assert scaled.atomics == pytest.approx(30)
-    assert scaled.grid_blocks == 720
-
-
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -45,6 +45,11 @@ def _chunks(n):
     return [Chunk(index=i, data=None, logical_items=1, logical_bytes=8) for i in range(n)]
 
 
+def _grants_of(trace, worker):
+    """``worker``'s grants in ``trace``, in its map order."""
+    return [g for g in trace.grants if g.worker == worker]
+
+
 def _record(chunks, n_workers):
     """A trace with steals: everything starts on rank 0, pulls alternate."""
     svc = ChunkService(chunks, n_workers, initial_distribution="single")
@@ -63,7 +68,7 @@ def replay_matches(chunks, n_workers, trace):
         issued = []
         while (a := svc.request(w)) is not None:
             issued.append((w, a.chunk.index, a.stolen_by(w), a.victim))
-        assert issued == [tuple(g) for g in trace.for_worker(w)]
+        assert issued == [tuple(g) for g in _grants_of(trace, w)]
     assert svc.remaining == 0
     assert svc.steals_by_worker == trace.steals_by_worker(n_workers)
     assert sorted(g.chunk_id for g in svc.trace) == sorted(c.index for c in chunks)
@@ -86,7 +91,7 @@ class LedgerMachine(RuleBasedStateMachine):
         self.replayed = _record(self.chunks, n) if replay else None
         if replay:
             self.svc = ChunkService(self.chunks, n, schedule=self.replayed)
-            self.expected = [deque(self.replayed.for_worker(w)) for w in range(n)]
+            self.expected = [deque(_grants_of(self.replayed, w)) for w in range(n)]
         else:
             self.svc = ChunkService(
                 self.chunks, n, initial_distribution=how,

@@ -1,6 +1,5 @@
 """Tests for the MPI-like communicator."""
 
-import numpy as np
 import pytest
 
 from repro.apps import sio_dataset, sio_job
@@ -208,15 +207,25 @@ def test_barrier_multiple_rounds():
     assert times == [2, 4, 6]
 
 
+def _alltoallv(comm, rank, payloads, nbytes):
+    """Process: the Bin stage's all-to-all — one isend to every rank,
+    then one receive per rank; returns the payloads by source rank."""
+    sends = [comm.isend(rank, dest, payloads[dest], nbytes) for dest in range(comm.size)]
+    received = [None] * comm.size
+    for _ in range(comm.size):
+        msg = yield comm.recv(rank)
+        received[msg.source] = msg.payload
+    yield comm.env.all_of(sends)
+    return received
+
+
 def test_alltoallv_exchanges_payloads():
     env = Environment()
     comm = make_comm(env, ranks=3, gpus_per_node=1)
     results = {}
 
     def worker(env, rank):
-        payloads = [f"{rank}->{d}" for d in range(3)]
-        got = yield from comm.alltoallv(rank, payloads, [100] * 3)
-        results[rank] = got
+        results[rank] = yield from _alltoallv(comm, rank, [f"{rank}->{d}" for d in range(3)], 100)
 
     for r in range(3):
         env.process(worker(env, r))
@@ -241,8 +250,7 @@ def test_alltoallv_spawns_no_process_per_message(monkeypatch):
     results = {}
 
     def worker(env, rank):
-        got = yield from comm.alltoallv(rank, [(rank, d) for d in range(16)], [64] * 16)
-        results[rank] = got
+        results[rank] = yield from _alltoallv(comm, rank, [(rank, d) for d in range(16)], 64)
 
     for r in range(16):
         env.process(worker(env, r))
@@ -299,54 +307,6 @@ def test_sim_job_takes_one_step_less_per_message(monkeypatch):
     result = make_executor("sim", 16).run(sio_job(key_space=1 << 20), ds)
     assert repr(result.stats.elapsed) == "0.009269204045826818"
     assert len(steps) <= STEPS_WITH_A_PROCESS_PER_MESSAGE - MESSAGES
-
-
-def test_allgather():
-    env = Environment()
-    comm = make_comm(env, ranks=4, gpus_per_node=2)
-    results = {}
-
-    def worker(env, rank):
-        got = yield from comm.allgather(rank, rank * 10, nbytes=8)
-        results[rank] = got
-
-    for r in range(4):
-        env.process(worker(env, r))
-    env.run()
-    for r in range(4):
-        assert results[r] == [0, 10, 20, 30]
-
-
-def test_allreduce_numpy_sum():
-    env = Environment()
-    comm = make_comm(env, ranks=4, gpus_per_node=2)
-    results = {}
-
-    def worker(env, rank):
-        vec = np.full(3, rank, dtype=np.float64)
-        out = yield from comm.allreduce(rank, vec, nbytes=24, op=np.add)
-        results[rank] = out
-
-    for r in range(4):
-        env.process(worker(env, r))
-    env.run()
-    for r in range(4):
-        np.testing.assert_allclose(results[r], [6.0, 6.0, 6.0])
-
-
-def test_bcast():
-    env = Environment()
-    comm = make_comm(env, ranks=3, gpus_per_node=1)
-    results = {}
-
-    def worker(env, rank):
-        value = yield from comm.bcast(rank, root=1, payload="gold" if rank == 1 else None, nbytes=100)
-        results[rank] = value
-
-    for r in range(3):
-        env.process(worker(env, r))
-    env.run()
-    assert results == {0: "gold", 1: "gold", 2: "gold"}
 
 
 def test_rank_validation():

