@@ -1,7 +1,7 @@
 """An allow-list of definitions in ``src/repro`` that no entry point reaches.
 
-The standing rule (ROADMAP item 8): code that nothing runs is deleted,
-not kept "just in case".  This test lists every top-level function and
+The standing rule: code that nothing runs is deleted, not kept "just
+in case".  This test lists every top-level function and
 class in ``src/repro`` and every public method or property of a
 top-level class, and looks for a reference to each name from
 ``src/``, ``benchmarks/`` (the perf ledger in ``benchmarks/perf/``
