@@ -86,7 +86,6 @@ def _rank_main(
     timeout_seconds: float,
     max_frame_bytes: int,
     listen_port: int = 0,
-    rejoin: bool = False,
     auth_key: Optional[bytes] = None,
 ) -> None:
     """Process target for one locally spawned rank."""
@@ -98,7 +97,6 @@ def _rank_main(
             timeout_seconds=timeout_seconds,
             max_frame_bytes=max_frame_bytes,
             listen_port=listen_port,
-            rejoin=rejoin,
             auth_key=auth_key,
         )
     except Exception:
@@ -169,9 +167,8 @@ class ClusterExecutor(Executor):
         self.port = int(port)
         self.max_frame_bytes = int(max_frame_bytes)
         #: respawning a rank the fault plan kills needs
-        #: ``spawn_ranks=True`` — externally launched ranks can still
-        #: *rejoin* via ``repro.fabric.launch --rejoin``, but nobody
-        #: restarts them automatically
+        #: ``spawn_ranks=True``: nobody restarts an externally launched
+        #: rank, so its death is always a WorkerFailure
         self.spawn_ranks = spawn_ranks
         #: (host, port) of the live coordinator; set for the duration of
         #: :meth:`run` — the address external ranks dial when
@@ -239,7 +236,6 @@ class ClusterExecutor(Executor):
                             self.timeout_seconds,
                             self.max_frame_bytes,
                             listen_port,
-                            incarnation > 0,
                             self.auth_key,
                         ),
                         name=f"gpmr-{self.name}-r{rank}.{incarnation}",
@@ -253,8 +249,8 @@ class ClusterExecutor(Executor):
 
                 def respawner(rank: int, listen_port: int) -> bool:
                     """Coordinator callback: restart a dead rank's
-                    process as a rejoining replacement on the same
-                    shuffle port.  False once the budget is spent."""
+                    process as a replacement on the same shuffle port.
+                    False once the budget is spent."""
                     if respawns_left.get(rank, 0) <= 0 or fault is None:
                         return False
                     respawns_left[rank] -= 1
@@ -266,7 +262,6 @@ class ClusterExecutor(Executor):
             try:
                 coordinator.wait_for_ranks()
                 coordinator.broadcast_assignments(job, fault_plan=fault)
-                coordinator.barrier("start")
                 collected = coordinator.collect_results(
                     chunk_service=service,
                     respawner=respawner if fault is not None else None,

@@ -10,12 +10,14 @@ actual wire, the one both process backends (``local`` on loopback,
 * :mod:`repro.fabric.stream` — the data plane's batch encoding: binary
   KVSet codec manifests plus chunked ``BATCH_DATA`` streaming (batches
   larger than ``max_frame_bytes`` stream instead of failing);
-* :mod:`repro.fabric.coordinator` — the driver side: rank registration,
-  job broadcast, barrier, runtime chunk service
-  (``CHUNK_REQ``/``CHUNK_GRANT`` — pull-based dynamic work stealing),
-  result collection, failure detection;
-* :mod:`repro.fabric.endpoint` — the rank side, including the
-  one-batch-per-(src, dst) all-to-all shuffle over peer TCP sockets;
+* :mod:`repro.fabric.coordinator` — the driver side: one admission
+  routine for rank registration and mid-run replacement, the ASSIGN
+  reply, runtime chunk service (``CHUNK_REQ``/``CHUNK_GRANT`` —
+  pull-based dynamic work stealing), result collection, failure
+  detection;
+* :mod:`repro.fabric.endpoint` — the rank side (``HELLO`` -> ``ASSIGN``
+  -> pull), including the one-batch-per-(src, dst) all-to-all shuffle
+  over peer TCP sockets;
 * :mod:`repro.fabric.launch` — ``python -m repro.fabric.launch`` for
   joining a fabric from another host.
 

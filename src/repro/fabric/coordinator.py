@@ -1,27 +1,33 @@
 """Driver-side control plane of the cluster fabric.
 
 The :class:`Coordinator` owns one TCP listening socket.  Rank processes
-(local or on other hosts) dial in and the run proceeds through four
-control-plane phases, all over the framed wire protocol in
-:mod:`repro.fabric.wire`:
+(local or on other hosts) dial in, and each rank's whole control
+conversation is ``HELLO`` -> ``ASSIGN`` -> (``CHUNK_REQ`` /
+``CHUNK_GRANT``)* -> ``MAPS_DONE`` -> ``RESULT`` or ``ERROR``, over the
+framed wire protocol in :mod:`repro.fabric.wire`, in three phases:
 
 1. **Registration** — each rank sends ``HELLO`` carrying its rank id
-   and the address of its own shuffle listener; the coordinator answers
-   ``WELCOME``.  Registration tolerates stragglers: ranks may dial in
-   in any order, any time before the deadline.
-2. **Assignment broadcast** — ``ASSIGN`` ships the pickled job and the
-   full peer directory (rank -> shuffle address).  Chunks are *not* in
-   the frame: distribution is pull-based (phase 4).
-3. **Barrier** — every rank reports ``BARRIER``; once all have arrived
-   the coordinator broadcasts ``RESUME``.  This pins a common start
-   line so per-rank wall-clock stage timings are comparable.
-4. **Chunk service + result collection** — the coordinator multiplexes
+   and the address of its own shuffle listener.  Nothing answers it
+   yet.  Registration tolerates stragglers: ranks may dial in in any
+   order, any time before the deadline.
+2. **Assignment** — once every rank is in, ``ASSIGN`` ships the
+   pickled job, the frame bound and the full peer directory (rank ->
+   shuffle address).  It is the rank's reply to its HELLO.  Chunks are
+   *not* in the frame: distribution is pull-based (phase 3).
+3. **Chunk service + result collection** — the coordinator multiplexes
    over all rank connections, answering each ``CHUNK_REQ`` from the
    driver's :class:`~repro.core.scheduler.ChunkService` with a
    ``CHUNK_GRANT`` (chunk + victim rank) or ``CHUNKS_DONE``; an idle
    rank — spawned or externally launched — thereby steals chunks from
    the longest queue at runtime.  Each rank ends with exactly one
    ``RESULT`` (output + stats) or ``ERROR`` (remote traceback) frame.
+   A HELLO here is admitted only for a rank whose predecessor died and
+   was retired by recovery; it gets its ASSIGN at once.
+
+Nothing lines the ranks up before work: a rank assigned early just
+starts pulling, and its shuffle batch to a peer still unpacking its
+ASSIGN waits in that peer's listen backlog (and the sender resends
+until a BATCH_ACK confirms it).
 
 Peer failure is detected, never waited out: a rank connection that hits
 EOF before its result arrived raises :class:`RankFailure` immediately
@@ -39,7 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .wire import (
     MSG_ASSIGN,
-    MSG_BARRIER,
     MSG_CHUNK_GRANT,
     MSG_CHUNK_REQ,
     MSG_CHUNKS_DONE,
@@ -47,8 +52,6 @@ from .wire import (
     MSG_HELLO,
     MSG_MAPS_DONE,
     MSG_RESULT,
-    MSG_RESUME,
-    MSG_WELCOME,
     DEFAULT_MAX_FRAME_BYTES,
     AuthenticationError,
     FabricError,
@@ -87,8 +90,20 @@ class RankFailure(FabricError):
         self.detail = detail
 
 
+def _parse_hello(hello: Any) -> Optional[Tuple[int, Tuple[str, int]]]:
+    """``(rank, shuffle_address)`` from a HELLO payload, or None when
+    it is not ``{"rank": int, "shuffle_address": (host, port)}``."""
+    if not isinstance(hello, dict):
+        return None
+    rank, address = hello.get("rank"), hello.get("shuffle_address")
+    if (type(rank) is not int or not isinstance(address, (tuple, list))
+            or len(address) != 2):
+        return None
+    return rank, tuple(address)
+
+
 class Coordinator:
-    """Rank registry, broadcaster, barrier, and result sink for one job.
+    """Rank registry, broadcaster, chunk server and result sink for one job.
 
     ``liveness_probe`` (optional) is called on every poll tick of every
     blocking phase; it should raise if it knows a rank already died
@@ -119,7 +134,7 @@ class Coordinator:
         #: flight so the next grant overlaps the current chunk's map
         self.prefetch_window = max(0, int(prefetch_window))
         #: when set, every accepted connection (registration and
-        #: mid-run rejoin alike) must pass the HMAC challenge-response
+        #: mid-run replacement alike) must pass the HMAC challenge-response
         #: handshake before its first pickled frame is read
         self.auth_key = auth_key
         #: driver-side observability bundle; when set, ASSIGN frames
@@ -208,167 +223,130 @@ class Coordinator:
             conn.close()
             return False
 
+    # -- admission ----------------------------------------------------------
+    def _admit(self, sel: Optional[selectors.BaseSelector] = None) -> None:
+        """Accept one connection and admit it as a rank, or drop it.
+
+        Registration and mid-run replacement share the whole handshake:
+        accept, ``TCP_NODELAY``, HMAC, then parse and check the HELLO.
+        A connection that is not a well-formed HELLO — a port scanner,
+        a health check, a half-open socket, a payload that is not
+        ``{"rank": int, "shuffle_address": (host, port)}`` — is dropped
+        and listening continues; only protocol version skew aborts.
+        The handshake gets a short per-connection timeout so one silent
+        client cannot serially consume the whole deadline.
+
+        Only the policy depends on the phase.  During registration
+        (``sel`` is None) a duplicate or out-of-range rank is a
+        misconfiguration and raises :class:`FabricError`.  Mid-run
+        (``sel`` is the result loop's selector) only a rank holding no
+        connection — one :meth:`_recover_rank` retired — is admitted:
+        it gets its ASSIGN at once and joins the selector; any other
+        HELLO is refused.
+        """
+        try:
+            conn, _addr = self._listener.accept()
+        except OSError:  # includes the poll tick's socket.timeout
+            return
+        set_nodelay(conn)
+        conn.settimeout(min(5.0, self.timeout_seconds))
+        if not self._authenticate(conn):
+            return
+        try:
+            _, hello = recv_frame(
+                conn, max_frame_bytes=self.max_frame_bytes, expect=MSG_HELLO
+            )
+        except ProtocolVersionError:
+            conn.close()
+            raise
+        except (ProtocolError, PeerDisconnected, socket.timeout):
+            hello = None
+        parsed = _parse_hello(hello)
+        if parsed is None:
+            conn.close()  # not a rank; keep listening
+            return
+        rank, address = parsed
+        if not 0 <= rank < self.n_workers or rank in self._conns:
+            conn.close()
+            if sel is not None:
+                return  # mid-run, only a retired rank is admitted
+            raise FabricError(
+                f"duplicate registration for rank {rank}"
+                if rank in self._conns else
+                f"HELLO from out-of-range rank {rank} "
+                f"(cluster has {self.n_workers} ranks)"
+            )
+        conn.settimeout(self.timeout_seconds)
+        self._conns[rank] = conn
+        self.shuffle_peers[rank] = address
+        if sel is None:
+            return
+        self.obs.tracer.event("rejoin", rank=rank)
+        self._send_assignment(rank, replacement=True)
+        sel.register(conn, selectors.EVENT_READ, rank)
+
     # -- 1. registration ---------------------------------------------------
     def wait_for_ranks(self) -> None:
-        """Accept HELLOs until every rank 0..n-1 has registered.
-
-        A connection that is not a well-formed HELLO — a port scanner,
-        a health check, a half-open socket — is dropped and accepting
-        continues; only real misconfigurations (protocol version skew,
-        duplicate or out-of-range ranks) abort the run.  The handshake
-        itself gets a short per-connection timeout so one silent client
-        cannot serially consume the whole registration deadline.
-        """
+        """Admit HELLOs until every rank 0..n-1 has registered."""
         deadline = self._deadline()
         while len(self._conns) < self.n_workers:
             missing = [r for r in range(self.n_workers) if r not in self._conns]
             self._tick(deadline, "rank registration", missing)
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            set_nodelay(conn)
-            conn.settimeout(min(5.0, self.timeout_seconds))
-            if not self._authenticate(conn):
-                continue
-            try:
-                _, hello = recv_frame(
-                    conn, max_frame_bytes=self.max_frame_bytes, expect=MSG_HELLO
-                )
-            except ProtocolVersionError:
-                conn.close()
-                raise
-            except (ProtocolError, PeerDisconnected, socket.timeout):
-                conn.close()  # not a rank; keep listening
-                continue
-            conn.settimeout(self.timeout_seconds)
-            rank = int(hello["rank"])
-            if not 0 <= rank < self.n_workers:
-                conn.close()
-                raise FabricError(
-                    f"HELLO from out-of-range rank {rank} "
-                    f"(cluster has {self.n_workers} ranks)"
-                )
-            if rank in self._conns:
-                conn.close()
-                raise FabricError(f"duplicate registration for rank {rank}")
-            self._conns[rank] = conn
-            self.shuffle_peers[rank] = tuple(hello["shuffle_address"])
-            send_frame(
-                conn,
-                MSG_WELCOME,
-                {"n_workers": self.n_workers,
-                 "max_frame_bytes": self.max_frame_bytes},
-                max_frame_bytes=self.max_frame_bytes,
-            )
+            self._admit()
 
-    # -- 2. assignment broadcast -------------------------------------------
+    # -- 2. assignment -----------------------------------------------------
     def broadcast_assignments(
         self, job: Any, fault_plan: Optional[Any] = None
     ) -> None:
-        """Ship the job and the peer directory — metadata only.
+        """Answer every HELLO with ASSIGN: the job and the peer
+        directory — metadata only.
 
         The job (potentially megabytes of mapper state) is pickled
         *once* and embedded as a blob in every rank's ASSIGN frame (and
-        kept, so a replacement rank rejoining mid-run can be
-        re-assigned without the driver's involvement).  Chunks do
-        **not** travel here: ranks pull them one at a time through
-        CHUNK_REQ/CHUNK_GRANT during phase 4.  With a ``fault_plan``,
+        kept, so a replacement rank admitted mid-run can be assigned
+        without the driver's involvement).  Chunks do **not** travel
+        here: ranks pull them one at a time through
+        CHUNK_REQ/CHUNK_GRANT during phase 3.  With a ``fault_plan``,
         each rank's ASSIGN carries its scripted kill/stall injection.
         """
         self._job_blob = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
         self._fault_plan = fault_plan
-        peers = dict(self.shuffle_peers)
         for rank in range(self.n_workers):
             try:
-                send_frame(
-                    self._conns[rank],
-                    MSG_ASSIGN,
-                    self._assignment_payload(rank, peers, fault_plan),
-                    max_frame_bytes=self.max_frame_bytes,
-                )
+                self._send_assignment(rank)
             except PeerDisconnected as exc:
                 raise RankFailure(
                     rank, f"disconnected before receiving its assignment: {exc}"
                 ) from exc
 
-    def _assignment_payload(
-        self,
-        rank: int,
-        peers: Dict[int, Tuple[str, int]],
-        fault_plan: Optional[Any],
-        rejoin: bool = False,
-    ) -> Dict[str, Any]:
+    def _send_assignment(self, rank: int, replacement: bool = False) -> None:
+        """ASSIGN ``rank``: the job blob, the current peer directory and
+        the rank's scripted faults."""
         fault: Dict[str, Any] = {}
-        if fault_plan is not None:
+        if self._fault_plan is not None:
             # A replacement incarnation never re-runs its predecessor's
             # scripted kill — it exists to finish the reclaimed work.
             # A stall is a rank property (a slow host stays slow) and
             # survives respawn.
-            kill_at = fault_plan.kill_for(rank)
-            stall = fault_plan.stall_for(rank)
-            if kill_at is not None and not rejoin:
+            kill_at = self._fault_plan.kill_for(rank)
+            stall = self._fault_plan.stall_for(rank)
+            if kill_at is not None and not replacement:
                 fault["kill_at_chunk"] = kill_at
             if stall:
                 fault["stall_seconds"] = stall
-        return {
+        payload = {
             "job_pickle": self._job_blob,
-            "peers": peers,
+            "peers": dict(self.shuffle_peers),
             "n_workers": self.n_workers,
+            "max_frame_bytes": self.max_frame_bytes,
             "fault": fault,
-            "rejoin": rejoin,
             "obs": self.obs.enabled,
             "prefetch": self.prefetch_window,
         }
+        send_frame(self._conns[rank], MSG_ASSIGN, payload,
+                   max_frame_bytes=self.max_frame_bytes)
 
-    # -- 3. barrier ---------------------------------------------------------
-    def barrier(self, name: str = "start") -> None:
-        """Wait for every rank's BARRIER frame, then broadcast RESUME."""
-        arrived: set = set()
-        deadline = self._deadline()
-        with selectors.DefaultSelector() as sel:
-            for rank, conn in self._conns.items():
-                sel.register(conn, selectors.EVENT_READ, rank)
-            while len(arrived) < self.n_workers:
-                waiting = [r for r in self._conns if r not in arrived]
-                self._tick(deadline, f"barrier {name!r}", waiting)
-                for key, _ in sel.select(timeout=_POLL_SECONDS):
-                    rank = key.data
-                    try:
-                        msg_type, payload = recv_frame(
-                            key.fileobj, max_frame_bytes=self.max_frame_bytes
-                        )
-                    except PeerDisconnected as exc:
-                        raise RankFailure(
-                            rank, f"disconnected at barrier {name!r}: {exc}"
-                        ) from exc
-                    if msg_type == MSG_ERROR:
-                        # A rank can fail before reaching the barrier
-                        # (bad assignment unpickle, version skew on a
-                        # remote host); surface its traceback, not a
-                        # framing complaint.
-                        raise RankFailure(rank, payload["traceback"])
-                    if msg_type != MSG_BARRIER:
-                        raise FabricError(
-                            f"rank {rank} sent frame type {msg_type} "
-                            f"while barrier {name!r} was pending"
-                        )
-                    if payload.get("name") != name:
-                        raise FabricError(
-                            f"rank {rank} reached barrier "
-                            f"{payload.get('name')!r}, expected {name!r}"
-                        )
-                    arrived.add(rank)
-        for rank, conn in self._conns.items():
-            try:
-                send_frame(conn, MSG_RESUME, {"name": name},
-                           max_frame_bytes=self.max_frame_bytes)
-            except PeerDisconnected as exc:
-                raise RankFailure(
-                    rank, f"disconnected at barrier {name!r} release: {exc}"
-                ) from exc
-
-    # -- 4. chunk service + result collection --------------------------------
+    # -- 3. chunk service + result collection --------------------------------
     def collect_results(
         self,
         chunk_service: Optional[Any] = None,
@@ -393,9 +371,9 @@ class Coordinator:
         ``respawner`` attached, a rank that died *before posting its
         map output* is recovered instead: its connection is retired,
         its un-posted grants are reclaimed into the pool, and
-        ``respawner(rank, shuffle_port)`` launches a replacement which
-        rejoins mid-run through the listener (its HELLO carries
-        ``rejoin``) and pulls the reclaimed work.
+        ``respawner(rank, shuffle_port)`` launches a replacement whose
+        HELLO the listener admits mid-run (see :meth:`_admit`); it
+        pulls the reclaimed work.
         """
         results: Dict[int, Tuple[int, Any, Any]] = {}
         deadline = self._deadline()
@@ -412,7 +390,7 @@ class Coordinator:
                 self._tick(deadline, "result collection", waiting)
                 for key, _ in sel.select(timeout=_POLL_SECONDS):
                     if key.data is None:
-                        self._accept_rejoin(sel)
+                        self._admit(sel)
                         continue
                     rank = key.data
                     if rank in results:
@@ -505,66 +483,6 @@ class Coordinator:
         self.obs.tracer.event("respawn", rank=rank)
         self.obs.metrics.counter("respawns").inc()
         return True
-
-    def _accept_rejoin(self, sel: selectors.BaseSelector) -> None:
-        """Admit a replacement rank's mid-run HELLO (or drop a stray).
-
-        The handshake mirrors registration: WELCOME, then an ASSIGN
-        rebuilt from the stored job blob and the *current* peer
-        directory, flagged ``rejoin`` so the endpoint skips the start
-        barrier and goes straight to pulling chunks.
-        """
-        try:
-            conn, _addr = self._listener.accept()
-        except (socket.timeout, OSError):
-            return
-        set_nodelay(conn)
-        conn.settimeout(min(5.0, self.timeout_seconds))
-        if not self._authenticate(conn):
-            return
-        try:
-            _, hello = recv_frame(
-                conn, max_frame_bytes=self.max_frame_bytes, expect=MSG_HELLO
-            )
-        except ProtocolVersionError:
-            conn.close()
-            raise
-        except (ProtocolError, PeerDisconnected, socket.timeout):
-            conn.close()  # not a rank; ignore
-            return
-        rank = int(hello.get("rank", -1))
-        if (
-            not hello.get("rejoin")
-            or not 0 <= rank < self.n_workers
-            or rank in self._conns
-        ):
-            conn.close()  # not a legitimate mid-run rejoin
-            return
-        if self._job_blob is None:
-            conn.close()
-            raise FabricError(
-                f"rank {rank} tried to rejoin before any assignment broadcast"
-            )
-        conn.settimeout(self.timeout_seconds)
-        self._conns[rank] = conn
-        self.shuffle_peers[rank] = tuple(hello["shuffle_address"])
-        self.obs.tracer.event("rejoin", rank=rank)
-        send_frame(
-            conn,
-            MSG_WELCOME,
-            {"n_workers": self.n_workers,
-             "max_frame_bytes": self.max_frame_bytes},
-            max_frame_bytes=self.max_frame_bytes,
-        )
-        send_frame(
-            conn,
-            MSG_ASSIGN,
-            self._assignment_payload(
-                rank, dict(self.shuffle_peers), self._fault_plan, rejoin=True
-            ),
-            max_frame_bytes=self.max_frame_bytes,
-        )
-        sel.register(conn, selectors.EVENT_READ, rank)
 
     def _answer_chunk_request(self, rank: int, chunk_service: Optional[Any]) -> None:
         """Reply to one rank's CHUNK_REQ with a grant, retry, or done."""

@@ -8,8 +8,11 @@ own shuffle listener for the data plane.  It is the cluster backend's
 there.  It is the only link the process backends have: ``local`` is
 the cluster backend on loopback.
 
-* **chunks are pulled, not pushed**: after the start barrier the rank
-  requests work over its control connection (``CHUNK_REQ`` ->
+* **one round trip before work**: the rank sends ``HELLO`` and waits
+  for ``ASSIGN`` (:meth:`RankEndpoint.connect`); nothing else precedes
+  its first chunk request.
+* **chunks are pulled, not pushed**: once assigned, the rank requests
+  work over its control connection (``CHUNK_REQ`` ->
   ``CHUNK_GRANT``/``CHUNKS_DONE``), pipelined by the shared
   :class:`~repro.exec.rank.GrantPuller`.  A grant whose victim is
   another rank is a *steal* the coordinator's chunk service decided at
@@ -47,7 +50,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .stream import recv_batch, send_batch
 from .wire import (
     MSG_ASSIGN,
-    MSG_BARRIER,
     MSG_BATCH_ACK,
     MSG_CHUNK_GRANT,
     MSG_CHUNK_REQ,
@@ -57,8 +59,6 @@ from .wire import (
     MSG_MAPS_DONE,
     MSG_NAMES,
     MSG_RESULT,
-    MSG_RESUME,
-    MSG_WELCOME,
     DEFAULT_MAX_FRAME_BYTES,
     AuthenticationError,
     FabricError,
@@ -100,7 +100,6 @@ class RankEndpoint:
         timeout_seconds: float = 120.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         listen_port: int = 0,
-        rejoin: bool = False,
         auth_key: Optional[bytes] = None,
     ) -> None:
         self.rank = int(rank)
@@ -110,10 +109,6 @@ class RankEndpoint:
         #: shared secret for the coordinator's HMAC handshake; must
         #: match the coordinator's key (or be None when it has none)
         self.auth_key = auth_key
-        #: True when this endpoint is a replacement incarnation joining
-        #: a run already past its start barrier (its HELLO says so, and
-        #: :meth:`open` skips the barrier)
-        self.rejoin = bool(rejoin)
         # Data plane first: the listener must exist before HELLO
         # advertises it, so no peer can ever dial a closed port.  A
         # replacement binds its predecessor's exact port
@@ -139,6 +134,9 @@ class RankEndpoint:
         self._control: Optional[socket.socket] = None
         self.n_workers: Optional[int] = None
         self.peers: Dict[int, Tuple[str, int]] = {}
+        #: the ASSIGN payload :meth:`connect` received, unpacked by
+        #: :meth:`open`
+        self._assignment: Dict[str, Any] = {}
         #: wire frames this rank's outbound shuffle used (BATCH +
         #: BATCH_DATA, summed over destinations) — the coalescing
         #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
@@ -156,7 +154,7 @@ class RankEndpoint:
         self._send_errors: List[BaseException] = []
         # Early-exchange inbox: a background thread accepts inbound
         # shuffle batches while this rank is still mapping, so the
-        # exchange barrier only waits for genuinely late data.
+        # exchange only waits for genuinely late data.
         #: guards the inbox state below and ``_withheld``; notified per
         #: landed batch and on inbox failure (:meth:`recv_all` waits on it)
         self._inbox_cond = threading.Condition()
@@ -174,7 +172,10 @@ class RankEndpoint:
 
     # -- control plane -----------------------------------------------------
     def connect(self) -> None:
-        """Dial the coordinator, register, and learn the cluster size."""
+        """Dial the coordinator, send HELLO and wait for ASSIGN — the
+        rank's one round trip before work.  Learns the cluster size,
+        the frame bound and the peer directory; :meth:`open` unpacks
+        the rest."""
         self._control = set_nodelay(socket.create_connection(
             self.coordinator_address, timeout=self.timeout_seconds
         ))
@@ -188,14 +189,13 @@ class RankEndpoint:
         send_frame(
             self._control,
             MSG_HELLO,
-            {"rank": self.rank, "shuffle_address": self.shuffle_address,
-             "rejoin": self.rejoin},
+            {"rank": self.rank, "shuffle_address": self.shuffle_address},
             max_frame_bytes=self.max_frame_bytes,
         )
         try:
-            _, welcome = recv_frame(
+            _, assign = recv_frame(
                 self._control, max_frame_bytes=self.max_frame_bytes,
-                expect=MSG_WELCOME,
+                expect=MSG_ASSIGN,
             )
         except ProtocolError as exc:
             if "AUTH_CHALLENGE" in str(exc):
@@ -206,43 +206,10 @@ class RankEndpoint:
                     "none configured (pass auth_key= / --auth-key-env)"
                 ) from exc
             raise
-        self.n_workers = int(welcome["n_workers"])
-        self.max_frame_bytes = int(
-            welcome.get("max_frame_bytes", self.max_frame_bytes)
-        )
-
-    def receive_assignment(self) -> Any:
-        """Block for ASSIGN; returns the job and stores the peer map.
-
-        Chunks are not in the frame — the rank pulls them via
-        :meth:`request_chunk` after the start barrier, through the
-        puller built here: ASSIGN carries the grant pipelining depth
-        (up to ``1 + prefetch`` CHUNK_REQ frames ride ahead of their
-        answers) and the rank's scripted fault injection.
-        """
-        # Imported here: repro.exec imports repro.fabric (the cluster
-        # backend), so a module-level import would be circular.
-        from ..exec.rank import GrantPuller
-
-        _, assign = recv_frame(
-            self._control, max_frame_bytes=self.max_frame_bytes, expect=MSG_ASSIGN
-        )
         self.n_workers = int(assign["n_workers"])
+        self.max_frame_bytes = int(assign["max_frame_bytes"])
         self.peers = {int(r): tuple(a) for r, a in assign["peers"].items()}
-        if assign.get("obs"):
-            self.obs = Observability()
-        fault = assign.get("fault") or {}
-        self._puller = GrantPuller(
-            self.rank,
-            self._send_chunk_request,
-            self._recv_chunk_answer,
-            prefetch=int(assign.get("prefetch", 0)),
-            stall_seconds=float(fault.get("stall_seconds", 0.0)),
-            kill_at_chunk=fault.get("kill_at_chunk"),
-            obs=self.obs,
-        )
-        # The job travels as a nested blob, pickled once for all ranks.
-        return pickle.loads(assign["job_pickle"])
+        self._assignment = assign
 
     def request_chunk(self) -> Optional[Tuple[Any, int]]:
         """Pull the rank's next ``(chunk, victim_rank)`` from the
@@ -284,22 +251,6 @@ class RankEndpoint:
         )
         self._posted_event.set()
         self._release_withheld()
-
-    def barrier(self, name: str = "start") -> None:
-        """Report arrival at ``name`` and block until RESUME."""
-        w0 = time.time()
-        send_frame(self._control, MSG_BARRIER, {"name": name},
-                   max_frame_bytes=self.max_frame_bytes)
-        _, resume = recv_frame(
-            self._control, max_frame_bytes=self.max_frame_bytes, expect=MSG_RESUME
-        )
-        self.obs.tracer.add_span(
-            "barrier_wait", w0, time.time(), rank=self.rank, barrier=name
-        )
-        if resume.get("name") != name:
-            raise FabricError(
-                f"resumed from barrier {resume.get('name')!r}, expected {name!r}"
-            )
 
     def report(self, output: Any, stats: Any, error: Optional[str]) -> None:
         """Ship the rank's RESULT — or, with ``error`` (a traceback),
@@ -406,8 +357,8 @@ class RankEndpoint:
 
         :meth:`open` starts the inbox *before* the map loop: a peer
         that finishes mapping early streams its batch into this rank
-        while it is still mapping, so the exchange barrier afterwards
-        only waits for genuinely late data — the early-reduce overlap.
+        while it is still mapping, so the exchange afterwards only
+        waits for genuinely late data — the early-reduce overlap.
         Idempotent; :meth:`recv_all` starts it lazily for direct
         callers.
 
@@ -582,13 +533,34 @@ class RankEndpoint:
 
     # -- full worker flow --------------------------------------------------
     def open(self) -> Any:
-        """The link's handshake: ASSIGN, start barrier, inbox.  Returns
-        the job."""
-        job = self.receive_assignment()
-        if not self.rejoin:
-            # A replacement rank joins mid-run: the start barrier
-            # already released while its predecessor was alive.
-            self.barrier("start")
+        """The link's handshake: unpack the ASSIGN :meth:`connect`
+        received and start the inbox.  Returns the job.
+
+        Chunks are not in the frame — the rank pulls them via
+        :meth:`request_chunk`, through the puller built here: ASSIGN
+        carries the grant pipelining depth (up to ``1 + prefetch``
+        CHUNK_REQ frames ride ahead of their answers) and the rank's
+        scripted fault injection.
+        """
+        # Imported here: repro.exec imports repro.fabric (the cluster
+        # backend), so a module-level import would be circular.
+        from ..exec.rank import GrantPuller
+
+        assign = self._assignment
+        if assign.get("obs"):
+            self.obs = Observability()
+        fault = assign.get("fault") or {}
+        self._puller = GrantPuller(
+            self.rank,
+            self._send_chunk_request,
+            self._recv_chunk_answer,
+            prefetch=int(assign.get("prefetch", 0)),
+            stall_seconds=float(fault.get("stall_seconds", 0.0)),
+            kill_at_chunk=fault.get("kill_at_chunk"),
+            obs=self.obs,
+        )
+        # The job travels as a nested blob, pickled once for all ranks.
+        job = pickle.loads(assign["job_pickle"])
         # Accept peers' batches concurrently with our own map phase
         # (early-exchange overlap; ACKs withheld until we post).
         self.start_inbox()
@@ -631,16 +603,15 @@ def run_rank(
     timeout_seconds: float = 120.0,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     listen_port: int = 0,
-    rejoin: bool = False,
     auth_key: Optional[bytes] = None,
 ) -> None:
     """Join the fabric as ``rank`` and run one job end to end.
 
     The in-process entry point behind ``python -m repro.fabric.launch``
     and the process target :class:`repro.exec.cluster.ClusterExecutor`
-    spawns for local ranks.  A replacement for a dead rank passes
-    ``rejoin=True`` and the predecessor's exact shuffle ``listen_port``
-    (so the peer directory every live rank already holds stays valid).
+    spawns for local ranks.  A replacement for a dead rank passes the
+    predecessor's exact shuffle ``listen_port`` (so the peer directory
+    every live rank already holds stays valid).
     """
     with RankEndpoint(
         rank,
@@ -650,7 +621,6 @@ def run_rank(
         timeout_seconds=timeout_seconds,
         max_frame_bytes=max_frame_bytes,
         listen_port=listen_port,
-        rejoin=rejoin,
         auth_key=auth_key,
     ) as endpoint:
         endpoint.connect()

@@ -10,11 +10,12 @@ then on each host::
     python -m repro.fabric.launch --coordinator driver-host:5555 --rank 0
     python -m repro.fabric.launch --coordinator driver-host:5555 --rank 1 ...
 
-Each invocation registers with the coordinator, receives its job over
-the wire, pulls chunks one at a time from the coordinator's chunk
-service (stealing from loaded peers at runtime like any other rank),
-shuffles directly with its peers, and reports its result — no code or
-data staging on the worker hosts.
+Each invocation sends HELLO to the coordinator, receives its job in
+the ASSIGN reply, pulls chunks one at a time from the coordinator's
+chunk service (stealing from loaded peers at runtime like any other
+rank), shuffles directly with its peers, and reports its result — no
+code or data staging on the worker hosts.  Nobody respawns a launched
+rank: if one dies, the run fails with a ``WorkerFailure`` naming it.
 
 ``--listen-host`` binds the rank's shuffle listener (default
 ``0.0.0.0`` here, so peers on other hosts can reach it) and
@@ -81,16 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen-port",
         type=int,
         default=0,
-        help="shuffle listener port (default: ephemeral; a rejoining "
-        "replacement passes its predecessor's port)",
-    )
-    parser.add_argument(
-        "--rejoin",
-        action="store_true",
-        help="join as a replacement for a rank that died mid-run: skip "
-        "the start barrier and take over the dead rank's un-posted "
-        "chunks (requires --listen-port set to the dead rank's "
-        "shuffle port)",
+        help="shuffle listener port (default: ephemeral)",
     )
     parser.add_argument(
         "--auth-key-env",
@@ -137,7 +129,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             timeout_seconds=args.timeout,
             max_frame_bytes=args.max_frame_bytes,
             listen_port=args.listen_port,
-            rejoin=args.rejoin,
             auth_key=auth_key,
         )
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -62,7 +62,6 @@ __all__ = [
     "MSG_WELCOME",
     "MSG_ASSIGN",
     "MSG_BARRIER",
-    "MSG_RESUME",
     "MSG_RESULT",
     "MSG_ERROR",
     "MSG_BATCH",
@@ -122,8 +121,14 @@ __all__ = [
 #: that the rank re-materialises locally, and BATCH frames may arrive
 #: at a peer that is still mapping (its ACK is simply withheld until
 #: it posts MAPS_DONE).  The ``epoch`` key v4 put on WELCOME, ASSIGN,
-#: CHUNK_GRANT and CHUNKS_DONE is gone; no receiver ever read it.
-PROTOCOL_VERSION = 5
+#: CHUNK_GRANT and CHUNKS_DONE is gone; no receiver ever read it.  v6:
+#: a rank's control conversation is HELLO -> ASSIGN -> pull.  The
+#: coordinator no longer answers HELLO with WELCOME (ASSIGN carries
+#: ``max_frame_bytes``), the start barrier and RESUME are gone, and
+#: HELLO and ASSIGN lose their ``rejoin`` keys: a HELLO mid-run for a
+#: rank whose predecessor died is the replacement.  WELCOME stays for
+#: the job service's client handshake; type 4 stays reserved.
+PROTOCOL_VERSION = 6
 
 MAGIC = b"GPMR"
 
@@ -136,10 +141,9 @@ DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
 # -- message types ----------------------------------------------------------
 MSG_HELLO = 1    #: rank -> coordinator: register {rank, shuffle address}
-MSG_WELCOME = 2  #: coordinator -> rank: registration accepted {n_workers}
-MSG_ASSIGN = 3   #: coordinator -> rank: {job, chunks, peers, n_workers}
-MSG_BARRIER = 4  #: rank -> coordinator: reached the named barrier
-MSG_RESUME = 5   #: coordinator -> rank: all ranks arrived, proceed
+MSG_WELCOME = 2  #: daemon -> client: connection accepted {protocol}
+MSG_ASSIGN = 3   #: coordinator -> rank: {job, peers, n_workers, max_frame_bytes}
+MSG_BARRIER = 4  #: reserved (v5's start barrier); only the frame-RTT probe sends it
 MSG_RESULT = 6   #: rank -> coordinator: {rank, output, stats}
 MSG_ERROR = 7    #: rank -> coordinator: {rank, traceback}
 MSG_BATCH = 8    #: rank -> rank: shuffle batch header (raw codec manifest)
@@ -161,7 +165,6 @@ MSG_NAMES = {
     MSG_WELCOME: "WELCOME",
     MSG_ASSIGN: "ASSIGN",
     MSG_BARRIER: "BARRIER",
-    MSG_RESUME: "RESUME",
     MSG_RESULT: "RESULT",
     MSG_ERROR: "ERROR",
     MSG_BATCH: "BATCH",

@@ -1,13 +1,12 @@
 """MPI-like message passing over the simulated fabric (substrate S4).
 
-GPMR's Bin substage and shuffle use MPI point-to-point plus a barrier.
+GPMR's Bin substage and shuffle use MPI point-to-point messages.
 This module provides an mpi4py-flavoured API on the DES:
 
 * :meth:`Communicator.isend` — non-blocking send, returns an event
   that fires on delivery
 * :meth:`Communicator.recv` — blocking receive with ``(source, tag)``
   matching (``ANY`` wildcards)
-* :meth:`Communicator.barrier` — generation-counted barrier
 
 Because workers are plain generator processes (not OS processes), the
 caller passes its rank explicitly.  Payloads are real Python/NumPy
@@ -130,9 +129,6 @@ class Communicator:
         self._mailboxes = [
             FilterStore(env, name=f"mbox{r}") for r in range(self.size)
         ]
-        self._barrier_gen = 0
-        self._barrier_count = 0
-        self._barrier_event = env.event(name="barrier0")
         self.bytes_by_rank = [0] * self.size
 
     @property
@@ -179,16 +175,3 @@ class Communicator:
     def pending(self, rank: int) -> int:
         """Messages waiting in ``rank``'s mailbox."""
         return len(self._mailboxes[rank])
-
-    # -- barrier ---------------------------------------------------------
-    def barrier(self, rank: int) -> Event:
-        """Event that fires once every rank has entered this barrier round."""
-        self._check_rank(rank, "barrier")
-        evt = self._barrier_event
-        self._barrier_count += 1
-        if self._barrier_count == self.size:
-            self._barrier_count = 0
-            self._barrier_gen += 1
-            self._barrier_event = self.env.event(name=f"barrier{self._barrier_gen}")
-            evt.succeed(self._barrier_gen)
-        return evt

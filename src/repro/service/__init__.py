@@ -9,7 +9,7 @@ package amortizes all three across jobs: a persistent daemon
 registry, and one shared
 :class:`~repro.core.scheduler.JobChunkAuthority` giving every
 concurrent job its own chunk namespace.  Clients
-(:mod:`repro.service.client`) submit over the v5 wire protocol —
+(:mod:`repro.service.client`) submit over the fabric wire protocol —
 HMAC-authenticated when the daemon holds a key — and get back the same
 ``AppRun`` records one-shot runs produce, bit-identical outputs
 included.

@@ -4,7 +4,7 @@ One long-lived process owns what every one-shot ``run_app`` call used
 to rebuild: the warm :class:`~repro.service.pool.ExecutorPool`, the
 :class:`~repro.service.cache.DatasetCache`, and the shared multi-job
 :class:`~repro.core.scheduler.JobChunkAuthority`.  Clients connect
-over the v5 wire protocol (:mod:`repro.fabric.wire`), pass the HMAC
+over the fabric wire protocol (:mod:`repro.fabric.wire`), pass the HMAC
 challenge-response handshake when the daemon holds a key, and submit
 jobs as ``SUBMIT`` frames; results return as ``JOB_RESULT`` /
 ``JOB_ERROR`` frames tagged with the client's sequence number, so one

@@ -36,10 +36,13 @@ from repro.fabric import recv_batch, recv_raw_frame, send_batch, send_raw_frame
 from repro.fabric.wire import (
     HEADER,
     MAGIC,
+    MSG_ASSIGN,
     MSG_BATCH,
     MSG_BATCH_DATA,
     MSG_HELLO,
+    MSG_RESULT,
     PROTOCOL_VERSION,
+    AuthenticationError,
 )
 
 
@@ -511,6 +514,7 @@ def test_parse_address():
 # -- coordinator handshake --------------------------------------------------
 
 def _register(rank, address, delay=0.0, timeout=10.0):
+    """A rank's whole handshake: HELLO, then wait for ASSIGN."""
     if delay:
         time.sleep(delay)
     ep = RankEndpoint(rank, address, timeout_seconds=timeout)
@@ -519,16 +523,33 @@ def _register(rank, address, delay=0.0, timeout=10.0):
 
 
 def _register_expecting_rejection(sink, rank, address):
-    """Thread target for ranks the coordinator will turn away."""
+    """Thread target for ranks the coordinator will hang up on before
+    their ASSIGN."""
     try:
         sink.append(_register(rank, address))
     except PeerDisconnected:
         pass  # the coordinator hung up on us, as the test expects
 
 
+def _hello(address, payload):
+    """Dial ``address`` and send one HELLO frame carrying ``payload``."""
+    sock = socket.create_connection(address, timeout=5.0)
+    send_frame(sock, MSG_HELLO, payload)
+    return sock
+
+
+def _hung_up(sock):
+    """True once the coordinator has closed ``sock`` without a word."""
+    try:
+        return sock.recv(1) == b""
+    finally:
+        sock.close()
+
+
 def test_handshake_with_straggler_rank():
     """Registration order is free: a late rank still completes the
-    handshake, and every rank learns the same cluster size."""
+    handshake, and every rank's ASSIGN carries the same cluster size
+    and peer directory."""
     with Coordinator(3, timeout_seconds=10.0) as coord:
         endpoints = []
         threads = [
@@ -544,11 +565,13 @@ def test_handshake_with_straggler_rank():
         for t in threads:
             t.start()
         coord.wait_for_ranks()
+        coord.broadcast_assignments("job")
         for t in threads:
             t.join(timeout=10.0)
         try:
             assert len(endpoints) == 3
             assert all(ep.n_workers == 3 for ep in endpoints)
+            assert all(ep.peers == coord.shuffle_peers for ep in endpoints)
             assert set(coord.shuffle_peers) == {0, 1, 2}
             # Each advertised shuffle listener is really dialable.
             for host, port in coord.shuffle_peers.values():
@@ -559,19 +582,19 @@ def test_handshake_with_straggler_rank():
 
 
 def test_registration_timeout_names_missing_ranks():
+    eps = []
     with Coordinator(2, timeout_seconds=0.5) as coord:
-        eps = []
         t = threading.Thread(
-            target=lambda: eps.append(_register(0, coord.address)), daemon=True
+            target=_register_expecting_rejection,
+            args=(eps, 0, coord.address),
+            daemon=True,
         )
         t.start()
-        try:
-            with pytest.raises(ClusterTimeout, match=r"rank\(s\) \[1\]"):
-                coord.wait_for_ranks()
-        finally:
-            t.join(timeout=5.0)
-            for ep in eps:
-                ep.close()
+        with pytest.raises(ClusterTimeout, match=r"rank\(s\) \[1\]"):
+            coord.wait_for_ranks()
+    # Closing the coordinator hangs up on rank 0's ASSIGN wait.
+    t.join(timeout=5.0)
+    assert not t.is_alive() and eps == []
 
 
 def test_out_of_range_rank_is_rejected():
@@ -612,10 +635,45 @@ def test_stray_connection_does_not_abort_registration():
         for t in threads:
             t.start()
         coord.wait_for_ranks()
+        coord.broadcast_assignments("job")
         for t in threads:
             t.join(timeout=10.0)
         try:
             assert set(coord.shuffle_peers) == {0, 1}
+        finally:
+            for ep in eps:
+                ep.close()
+
+
+MALFORMED_HELLOS = [
+    {"not_rank": 1},
+    ["junk"],
+    {"rank": "0", "shuffle_address": ("127.0.0.1", 1)},
+    {"rank": 0, "shuffle_address": ("127.0.0.1",)},
+    {"rank": 0},
+]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_HELLOS)
+def test_malformed_hello_is_dropped_during_registration(payload):
+    """A HELLO frame whose payload is not ``{"rank": int,
+    "shuffle_address": (host, port)}`` is dropped like any stray; the
+    real rank still registers."""
+    with Coordinator(1, timeout_seconds=10.0) as coord:
+        stray = _hello(coord.address, payload)
+        eps = []
+        t = threading.Thread(
+            target=lambda: eps.append(_register(0, coord.address, delay=0.1)),
+            daemon=True,
+        )
+        t.start()
+        coord.wait_for_ranks()
+        assert _hung_up(stray)
+        coord.broadcast_assignments("job")
+        t.join(timeout=10.0)
+        try:
+            assert set(coord.shuffle_peers) == {0}
+            assert [ep.n_workers for ep in eps] == [1]
         finally:
             for ep in eps:
                 ep.close()
@@ -712,7 +770,6 @@ def test_every_connection_of_a_live_run_disables_nagle(monkeypatch):
                 t.start()
             coord.wait_for_ranks()
             coord.broadcast_assignments(sio_job(ds.key_space))
-            coord.barrier("start")
             assert len(coord.collect_results(chunk_service=service)) == 2
             for t in threads:
                 t.join(timeout=10.0)
@@ -845,9 +902,10 @@ def test_recv_all_deadline_names_the_sources_it_has(exchange_ranks):
     assert 0.5 <= time.monotonic() - t0 < 0.5 + 10 * PROMPT_SECONDS
 
 
-def test_error_frame_at_barrier_surfaces_rank_traceback():
-    """A rank that fails before the barrier reports its traceback as
-    RankFailure, not as a framing ProtocolError."""
+def test_error_frame_before_first_pull_surfaces_rank_traceback():
+    """A rank that fails after its ASSIGN but before its first
+    CHUNK_REQ (a bad job unpickle, a remote import error) reports its
+    traceback, and result collection raises it as RankFailure."""
     from repro.fabric import RankFailure
 
     with Coordinator(1, timeout_seconds=10.0) as coord:
@@ -857,11 +915,12 @@ def test_error_frame_at_barrier_surfaces_rank_traceback():
         )
         t.start()
         coord.wait_for_ranks()
+        coord.broadcast_assignments("job")
         t.join(timeout=10.0)
         try:
-            eps[0].report(None, None, "Traceback: boom before barrier")
-            with pytest.raises(RankFailure, match="boom before barrier"):
-                coord.barrier("start")
+            eps[0].report(None, None, "Traceback: boom before first pull")
+            with pytest.raises(RankFailure, match="boom before first pull"):
+                coord.collect_results()
         finally:
             for ep in eps:
                 ep.close()
@@ -873,14 +932,10 @@ def test_broadcast_to_dead_rank_names_the_rank():
     from repro.fabric import RankFailure
 
     with Coordinator(1, timeout_seconds=10.0) as coord:
-        eps = []
-        t = threading.Thread(
-            target=lambda: eps.append(_register(0, coord.address)), daemon=True
-        )
-        t.start()
+        rank0 = _hello(coord.address, {"rank": 0,
+                                       "shuffle_address": ("127.0.0.1", 1)})
         coord.wait_for_ranks()
-        t.join(timeout=10.0)
-        eps[0].close()  # rank dies right after registering
+        rank0.close()  # rank dies right after registering
         with pytest.raises(RankFailure, match="rank 0"):
             # One ASSIGN payload cannot overrun the socket buffers, so
             # grow it until the dead peer's RST is felt mid-send.
@@ -890,8 +945,9 @@ def test_broadcast_to_dead_rank_names_the_rank():
 
 
 def test_duplicate_rank_is_rejected():
+    eps = []
+    threads = []
     with Coordinator(2, timeout_seconds=5.0) as coord:
-        eps = []
         threads = [
             threading.Thread(
                 target=_register_expecting_rejection,
@@ -902,14 +958,109 @@ def test_duplicate_rank_is_rejected():
         ]
         for t in threads:
             t.start()
+        with pytest.raises(FabricError, match="duplicate registration"):
+            coord.wait_for_ranks()
+    # Closing the coordinator hangs up on the admitted copy's ASSIGN
+    # wait too: neither copy ever gets one.
+    for t in threads:
+        t.join(timeout=5.0)
+    assert eps == []
+
+
+# -- the first frame a rank hears is ASSIGN, and mid-run admission -----------
+
+def _rank_hello(rank):
+    return {"rank": rank, "shuffle_address": ("127.0.0.1", 1)}
+
+
+def _result(sock, rank):
+    send_frame(sock, MSG_RESULT, {"rank": rank, "output": None, "stats": None})
+
+
+def test_first_frame_to_a_rank_is_assign_then_a_retired_rank_is_readmitted():
+    """No WELCOME and no barrier: the coordinator's first frame to a
+    first incarnation is its ASSIGN.  Mid-run, a plain HELLO for a
+    live rank is refused, and one for the rank recovery just retired
+    is admitted as its replacement and answered at once with an ASSIGN
+    that does not re-arm the predecessor's scripted kill."""
+    from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
+    from repro.core.faults import FaultPlan
+    from repro.core.runtime import resolve_chunks
+    from repro.core.scheduler import ChunkService
+
+    ds = sio_dataset(4_000, chunk_elements=2_000, key_space=1 << 8, seed=3)
+    service = ChunkService(resolve_chunks(ds, None), 2)
+    plan = FaultPlan(kill_rank_at_chunk={0: 1})
+    seen = {}
+
+    with Coordinator(2, timeout_seconds=10.0) as coord:
+        ranks = [_hello(coord.address, _rank_hello(r)) for r in range(2)]
+        coord.wait_for_ranks()
+        coord.broadcast_assignments(sio_job(ds.key_space), fault_plan=plan)
+        for r, sock in enumerate(ranks):
+            msg_type, assign = recv_frame(sock)
+            assert msg_type == MSG_ASSIGN
+            assert assign["max_frame_bytes"] == coord.max_frame_bytes
+            assert "rejoin" not in assign
+            seen[r] = assign["fault"]
+        assert seen == {0: {"kill_at_chunk": 1}, 1: {}}
+
+        def _replace():
+            seen["live refused"] = _hung_up(
+                _hello(coord.address, _rank_hello(1))
+            )
+            replacement = _hello(coord.address, _rank_hello(0))
+            seen["replacement"] = recv_frame(replacement)
+            _result(replacement, 0)
+            _result(ranks[1], 1)
+            ranks.append(replacement)
+
+        helper = threading.Thread(target=_replace, daemon=True)
+        respawned = []
+
+        def respawner(rank, port):
+            respawned.append((rank, port))
+            helper.start()
+            return True
+
+        ranks[0].close()  # rank 0 dies before posting: recoverable
+        collected = coord.collect_results(
+            chunk_service=service, respawner=respawner
+        )
+        helper.join(timeout=10.0)
+        for sock in ranks[1:]:
+            sock.close()
+
+    assert respawned == [(0, 1)]
+    assert seen["live refused"]
+    msg_type, assign = seen["replacement"]
+    assert msg_type == MSG_ASSIGN
+    assert assign["fault"] == {} and "rejoin" not in assign
+    assert [rank for rank, _out, _stats in collected] == [0, 1]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_HELLOS)
+def test_malformed_hello_is_dropped_during_result_collection(payload):
+    """Mid-run, a malformed HELLO is dropped and the run goes on — it
+    no longer raises out of collect_results."""
+    with Coordinator(1, timeout_seconds=10.0) as coord:
+        rank0 = _hello(coord.address, _rank_hello(0))
+        coord.wait_for_ranks()
+        coord.broadcast_assignments("job")
+        assert recv_frame(rank0)[0] == MSG_ASSIGN
+
+        def _stray_then_result():
+            # The result goes out only once the stray was dealt with.
+            if _hung_up(_hello(coord.address, payload)):
+                _result(rank0, 0)
+
+        t = threading.Thread(target=_stray_then_result, daemon=True)
+        t.start()
         try:
-            with pytest.raises(FabricError, match="duplicate registration"):
-                coord.wait_for_ranks()
+            assert [r for r, _o, _s in coord.collect_results()] == [0]
         finally:
-            for t in threads:
-                t.join(timeout=5.0)
-            for ep in eps:
-                ep.close()
+            t.join(timeout=10.0)
+            rank0.close()
 
 
 # -- authenticated registration (protocol v5) --------------------------------
@@ -935,6 +1086,7 @@ def test_authenticated_registration_round_trip():
             t.start()
         try:
             coord.wait_for_ranks()
+            coord.broadcast_assignments("job")
             for t in threads:
                 t.join(timeout=10.0)
             assert len(eps) == 2
@@ -982,3 +1134,37 @@ def test_keyless_rank_against_keyed_coordinator_names_the_problem():
             coord.wait_for_ranks()
         t.join(timeout=5.0)
         assert errors and "auth key" in errors[0]
+
+
+def test_keyless_rank_gets_authentication_error_at_its_assign_wait():
+    """A keyed coordinator's AUTH_CHALLENGE lands where an unkeyed
+    rank waits for ASSIGN; ``run_rank`` raises AuthenticationError
+    naming the fix instead of a framing complaint."""
+    from repro.fabric import run_rank
+
+    errors = []
+    with Coordinator(1, timeout_seconds=0.8, auth_key=FABRIC_KEY) as coord:
+        def _keyless():
+            try:
+                run_rank(0, coord.address, timeout_seconds=5.0)
+            except BaseException as exc:  # checked below
+                errors.append(exc)
+
+        t = threading.Thread(target=_keyless, daemon=True)
+        t.start()
+        with pytest.raises(ClusterTimeout):
+            coord.wait_for_ranks()
+        t.join(timeout=5.0)
+    assert len(errors) == 1 and isinstance(errors[0], AuthenticationError)
+    assert "--auth-key-env" in str(errors[0])
+
+
+def test_launch_has_no_rejoin_flag(capsys):
+    """A replacement is recognised by the coordinator, not announced:
+    ``--rejoin`` is gone and argparse refuses it."""
+    from repro.fabric.launch import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--coordinator", "127.0.0.1:1", "--rank", "0", "--rejoin"])
+    assert exc.value.code == 2
+    assert "--rejoin" in capsys.readouterr().err

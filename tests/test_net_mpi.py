@@ -171,42 +171,6 @@ def test_same_node_ranks_use_loopback():
     assert t["intra"] < t["inter"]
 
 
-def test_barrier_releases_all_at_once():
-    env = Environment()
-    comm = make_comm(env, ranks=3, gpus_per_node=1)
-    release_times = {}
-
-    def worker(env, rank, delay):
-        yield env.timeout(delay)
-        yield comm.barrier(rank)
-        release_times[rank] = env.now
-
-    env.process(worker(env, 0, 1))
-    env.process(worker(env, 1, 5))
-    env.process(worker(env, 2, 3))
-    env.run()
-    assert release_times == {0: 5, 1: 5, 2: 5}
-
-
-def test_barrier_multiple_rounds():
-    env = Environment()
-    comm = make_comm(env, ranks=2, gpus_per_node=1)
-    log = []
-
-    def worker(env, rank):
-        for round_no in range(3):
-            yield env.timeout(rank + 1)
-            yield comm.barrier(rank)
-            log.append((round_no, rank, env.now))
-
-    env.process(worker(env, 0))
-    env.process(worker(env, 1))
-    env.run()
-    # Each round releases both ranks at the slower rank's arrival time.
-    times = sorted({t for _, _, t in log})
-    assert times == [2, 4, 6]
-
-
 def _alltoallv(comm, rank, payloads, nbytes):
     """Process: the Bin stage's all-to-all — one isend to every rank,
     then one receive per rank; returns the payloads by source rank."""
@@ -316,8 +280,6 @@ def test_rank_validation():
         comm.isend(0, 99, None, 1)
     with pytest.raises(ValueError):
         comm.recv(99)
-    with pytest.raises(ValueError):
-        comm.barrier(-2)
 
 
 def test_bytes_accounting_per_rank():

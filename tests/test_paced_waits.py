@@ -30,11 +30,11 @@ ALLOWED = {
         2, "fault injection: FaultPlan.stall_seconds makes a straggler; "
            "back-off: RETRY_BACKOFF_SECONDS between re-asks, speculation only"),
     ("fabric/coordinator.py", "settimeout(_POLL_SECONDS)"): (
-        1, "liveness bound: registration and rejoin accepts re-check the "
-           "deadline and the ranks' processes between connections"),
+        1, "liveness bound: the admission accept re-checks the deadline "
+           "and the ranks' processes between connections"),
     ("fabric/coordinator.py", "select(timeout=)"): (
-        2, "liveness bound: readiness wakes the loops; the timeout only "
-           "bounds how late a dead rank or the deadline is noticed"),
+        1, "liveness bound: readiness wakes the result loop; the timeout "
+           "only bounds how late a dead rank or the deadline is noticed"),
     ("fabric/endpoint.py", "sleep"): (
         2, "back-off: bind retry on EADDRINUSE and batch resend after a "
            "refused connection"),

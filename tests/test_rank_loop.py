@@ -237,8 +237,8 @@ def test_failure_before_posting_unblocks_every_peer_exactly_once():
 
 
 def test_handshake_failure_takes_the_same_courtesy_path():
-    """A link whose ``open()`` raises (a bad ASSIGN, a missed barrier)
-    is reported and its peers unblocked exactly like a failed map."""
+    """A link whose ``open()`` raises (a bad ASSIGN, a job that does
+    not unpickle) is reported and its peers unblocked exactly like a failed map."""
     link = _FakeLink(None, [])
     link.open = lambda: (_ for _ in ()).throw(RuntimeError("no assignment"))
     drive_rank(link)
@@ -266,8 +266,8 @@ RANK_SPANS = {
 #: spans a transport adds on top
 LINK_SPANS = {
     "serial": set(),
-    "local": {"shuffle_send", "barrier_wait"},
-    "cluster": {"shuffle_send", "barrier_wait"},
+    "local": {"shuffle_send"},
+    "cluster": {"shuffle_send"},
 }
 
 
