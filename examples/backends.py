@@ -17,7 +17,7 @@ whether the shuffle rides in-node pipes or a real wire.
 
     python examples/backends.py
     python examples/backends.py --backend sim --backend cluster
-    python examples/backends.py --fused            # fused map+combine kernel
+    python examples/backends.py --fused            # map + per-chunk sum, one kernel
 """
 
 import argparse
@@ -45,7 +45,8 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--fused",
         action="store_true",
-        help="collapse map + per-chunk combine into one kernel call",
+        help="sum like keys within each chunk right after its map "
+        "(the job's fused fold, priced as part of the map kernel)",
     )
     args = parser.parse_args()
     if args.backend is None:

@@ -27,7 +27,6 @@ import numpy as np
 from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
-    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -46,7 +45,6 @@ from ..workloads import KMeansDataset
 __all__ = [
     "KMCMapper",
     "NaiveKMCMapper",
-    "FusedKMCMapper",
     "KMCReducer",
     "CenterPartitioner",
     "kmc_job",
@@ -88,11 +86,9 @@ def _chunk_table(pts: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.n
     """One chunk's block-accumulated ``<key, partial>`` table: per centre,
     ``dims`` coordinate sums then the member count.
 
-    Shared by the staged mapper and the fused kernel, so fused
-    and unfused runs perform the *same* float operations in the same order —
-    the bit-parity contract rests on this sharing.  That order *is* the
-    definition: distances as :func:`_nearest_center` associates them, each
-    centre's sums in point order (what ``np.add.at`` would do).
+    The order of its float operations *is* the definition: distances as
+    :func:`_nearest_center` associates them, each centre's sums in point
+    order (what ``np.add.at`` would do).
     """
     k, dims = centers.shape
     nearest = _nearest_center(pts, centers)
@@ -197,41 +193,6 @@ class NaiveKMCMapper(Mapper):
         return chunk.logical_items * 12 * (self.dims + 1)
 
 
-class FusedKMCMapper(FusedMapper):
-    """Fused Lloyd step: distances, argmin, per-centre partial sums and
-    the accumulator's scatter-add collapse into one call per chunk.
-
-    The per-rank state is the accumulator table's value vector
-    (``k * (dims + 1)`` float64), kept resident across chunks; nothing
-    is emitted until :meth:`finish_state`, which posts the same
-    ``<arange key, total>`` table the staged ``KMCMapper +
-    SumAccumulator`` pipeline posts.  The per-chunk table comes from
-    the same :func:`_chunk_table` the staged mapper uses and folds in
-    with the same ``np.add.at``, so fused output is bit-identical to
-    unfused.
-    """
-
-    def __init__(self, centers: np.ndarray) -> None:
-        self.centers = np.asarray(centers, dtype=np.float64)
-        self.k, self.dims = self.centers.shape
-        self.n_keys = self.k * (self.dims + 1)
-
-    def initial_state(self):
-        return np.zeros(self.n_keys, dtype=np.float64)
-
-    def map_reduce_chunk(self, chunk: Chunk, state):
-        keys, values = _chunk_table(chunk.data, self.centers)
-        np.add.at(state, keys, values)  # exactly SumAccumulator.accumulate's fold
-        return state, None
-
-    def finish_state(self, state):
-        return KeyValueSet(
-            keys=np.arange(self.n_keys, dtype=np.uint32),
-            values=state,
-            scale=1.0,
-        )
-
-
 class KMCReducer(Reducer):
     """Thread-per-key sum of the per-GPU partial values."""
 
@@ -305,20 +266,16 @@ def kmc_job(
         accumulator = SumAccumulator(
             n_keys, value_dtype=np.float64, use_atomics=False  # no FP atomics
         )
-        fused = FusedKMCMapper(centers)
     else:
+        # The naive per-point port has no accumulator, so nothing to fuse.
         mapper = NaiveKMCMapper(centers)
         accumulator = None
-        # The fused kernel is the accumulation pipeline collapsed into
-        # one call; the naive per-point port has no fused analogue.
-        fused = None
     return MapReduceJob(
         name="k-means" if use_accumulation else "k-means-naive",
         mapper=mapper,
         reducer=KMCReducer(),
         partitioner=CenterPartitioner(dims),
         accumulator=accumulator,
-        fused=fused,
         sorter=RadixSorter(key_bits=key_bits),
         key_bytes=4,
         value_bytes=8,

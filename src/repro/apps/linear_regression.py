@@ -20,7 +20,6 @@ import numpy as np
 
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
-    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -37,7 +36,6 @@ from ..workloads import RegressionDataset
 
 __all__ = [
     "LRMapper",
-    "FusedLRMapper",
     "NaiveLRMapper",
     "LRReducer",
     "LR_KEYS",
@@ -53,36 +51,18 @@ __all__ = [
 LR_KEYS = ("n", "sx", "sy", "sxx", "syy", "sxy")
 
 
-def _chunk_stats(data: np.ndarray) -> np.ndarray:
-    """The six per-chunk sufficient statistics, in key order.
-
-    Shared by the staged mapper and the fused kernel so both fold
-    the exact same float64 values — the bit-parity contract.
-    """
-    x = data[:, 0].astype(np.float64)
-    y = data[:, 1].astype(np.float64)
-    return np.array(
-        [
-            float(len(x)),
-            float(x.sum()),
-            float(y.sum()),
-            float((x * x).sum()),
-            float((y * y).sum()),
-            float((x * y).sum()),
-        ],
-        dtype=np.float64,
-    )
-
-
 class LRMapper(Mapper):
     """Persistent-thread sums of the six regression statistics."""
 
     scratch_bytes = 1 << 20  # per-block pools
 
     def map_chunk(self, chunk: Chunk) -> KeyValueSet:
+        x = chunk.data[:, 0].astype(np.float64)
+        y = chunk.data[:, 1].astype(np.float64)
+        stats = [len(x), x.sum(), y.sum(), (x * x).sum(), (y * y).sum(), (x * y).sum()]
         return KeyValueSet(
             keys=np.arange(6, dtype=np.uint32),
-            values=_chunk_stats(chunk.data),
+            values=np.array(stats, dtype=np.float64),
             scale=1.0,
         )
 
@@ -103,29 +83,6 @@ class LRMapper(Mapper):
 
     def output_bytes_estimate(self, chunk: Chunk) -> int:
         return 6 * 12
-
-
-class FusedLRMapper(FusedMapper):
-    """Map + accumulate in one call: the six-sum table never leaves
-    the rank until finish.
-
-    It folds :func:`_chunk_stats` into the resident table with the
-    same element-wise add the accumulator performs (``np.add.at`` over
-    the distinct keys 0..5), so it is bit-identical to the staged
-    ``LRMapper + SumAccumulator`` pipeline.
-    """
-
-    def initial_state(self):
-        return np.zeros(6, dtype=np.float64)
-
-    def map_reduce_chunk(self, chunk: Chunk, state):
-        state += _chunk_stats(chunk.data)
-        return state, None
-
-    def finish_state(self, state):
-        return KeyValueSet(
-            keys=np.arange(6, dtype=np.uint32), values=state, scale=1.0
-        )
 
 
 class NaiveLRMapper(Mapper):
@@ -230,9 +187,6 @@ def lr_job(use_accumulation: bool = True) -> MapReduceJob:
             if use_accumulation
             else None
         ),
-        # Fused analogue of the accumulation pipeline only; the naive
-        # per-warp port has none.
-        fused=FusedLRMapper() if use_accumulation else None,
         sorter=RadixSorter(key_bits=4),
         key_bytes=4,
         value_bytes=8,

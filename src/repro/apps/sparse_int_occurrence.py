@@ -28,15 +28,14 @@ import numpy as np
 
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
-    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
     Reducer,
     RoundRobinPartitioner,
+    SumPartialReducer,
     make_executor,
 )
-from ..core.combine import combine_by_key_sum
 from ..core.chunk import Chunk
 from ..core.runtime import JobResult
 from ..hw.kernel import KernelLaunch
@@ -45,7 +44,6 @@ from ..workloads import IntegerDataset
 
 __all__ = [
     "SIOMapper",
-    "FusedSIOMapper",
     "SIOReducer",
     "sio_job",
     "sio_dataset",
@@ -102,30 +100,6 @@ class SIOMapper(Mapper):
         return chunk.logical_items * PAIR_BYTES
 
 
-class FusedSIOMapper(FusedMapper):
-    """Map + per-chunk combine in one call: sort/compact each chunk's
-    pairs before they leave the map kernel.
-
-    SIO carries no rank-resident state (sparse keys do not compact
-    across chunks — the paper's reason for skipping Accumulation), so
-    the fusion win is *emission volume*: like keys inside a chunk merge
-    before partitioning, shrinking shuffle bytes while the reducer's
-    integer sums stay exact.  It delegates to the staged mapper
-    (honouring its ``sleep_per_chunk`` hook) and the vectorised combine
-    oracle.  ``key_bits`` records the job's key width.
-    """
-
-    def __init__(self, mapper: SIOMapper, key_bits: int) -> None:
-        self.mapper = mapper
-        self.key_bits = int(key_bits)
-
-    def map_reduce_chunk(self, chunk: Chunk, state):
-        kv = self.mapper.map_chunk(chunk)
-        if len(kv) == 0:
-            return state, None
-        return state, combine_by_key_sum(kv)
-
-
 class SIOReducer(Reducer):
     """One key per thread; the thread sums all its values."""
 
@@ -176,15 +150,15 @@ def sio_job(key_space: int = 1 << 28, map_sleep_seconds: float = 0.0) -> MapRedu
     ``map_sleep_seconds`` feeds :class:`SIOMapper`'s per-chunk delay
     hook (load-balancing tests only; 0 for real runs).
     """
-    mapper = SIOMapper(sleep_per_chunk=map_sleep_seconds)
     key_bits = max(int(np.ceil(np.log2(key_space))), 1)
     return MapReduceJob(
         name="sparse-integer-occurrence",
-        mapper=mapper,
+        mapper=SIOMapper(sleep_per_chunk=map_sleep_seconds),
         reducer=SIOReducer(),
         partitioner=RoundRobinPartitioner(),
-        # Per-chunk combine fusion: like keys merge before the shuffle.
-        fused=FusedSIOMapper(mapper, key_bits),
+        # A fused run merges like keys within each chunk before the
+        # shuffle; the staged run does not (the paper's choice).
+        fused=SumPartialReducer(),
         key_bytes=4,
         value_bytes=4,
         key_bits=key_bits,

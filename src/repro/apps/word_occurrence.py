@@ -29,7 +29,6 @@ import numpy as np
 from ..baselines.mars import MarsWorkload
 from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
-    FusedMapper,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -48,7 +47,6 @@ from ..workloads import DICTIONARY_WORDS, TextDataset, build_dictionary, tokeniz
 
 __all__ = [
     "WOMapper",
-    "FusedWOMapper",
     "WOWarpReducer",
     "WOThreadReducer",
     "wo_mph",
@@ -127,41 +125,6 @@ class WOMapper(Mapper):
         # Emissions go straight into the accumulator table; transient
         # buffers only hold per-block staging.
         return 1 << 20
-
-
-class FusedWOMapper(FusedMapper):
-    """Scan + hash + count fused into one call per chunk.
-
-    The per-rank state is the 43k-slot count table (the accumulator's
-    resident table), updated with one ``bincount`` per chunk — integer
-    arithmetic, so bit-identical to the staged
-    ``WOMapper + SumAccumulator`` path that scatter-adds a 1 per
-    emission.
-    """
-
-    def __init__(self, mph: MinimalPerfectHash, n_words: int) -> None:
-        self.mph = mph
-        self.n_words = n_words
-
-    def initial_state(self):
-        return np.zeros(self.n_words, dtype=np.int64)
-
-    def map_reduce_chunk(self, chunk: Chunk, state):
-        text = chunk.data
-        starts, lengths = tokenize(text)
-        if len(starts) == 0:
-            return state, None
-        hashes = segmented_poly_hashes(text, starts, lengths)
-        slots = self.mph.lookup_hashes(hashes).astype(np.uint32)
-        state += np.bincount(slots, minlength=self.n_words).astype(np.int64)
-        return state, None
-
-    def finish_state(self, state):
-        return KeyValueSet(
-            keys=np.arange(self.n_words, dtype=np.uint32),
-            values=state,
-            scale=1.0,
-        )
 
 
 class WOWarpReducer(Reducer):
@@ -256,9 +219,6 @@ def wo_job(
             if use_accumulation
             else None
         ),
-        # Fused analogue of the accumulation pipeline only; the raw
-        # emit-per-word variant has none.
-        fused=FusedWOMapper(mph, n_words) if use_accumulation else None,
         sorter=RadixSorter(key_bits=key_bits),
         key_bytes=4,
         value_bytes=4,

@@ -4,7 +4,7 @@ Public API surface::
 
     from repro.core import (
         MapReduceJob, GPMRRuntime, PipelineConfig,
-        Mapper, FusedMapper, Reducer, Partitioner, RoundRobinPartitioner,
+        Mapper, Reducer, Partitioner, RoundRobinPartitioner,
         Combiner, PartialReducer, Accumulator,
         SumCombiner, SumPartialReducer, SumAccumulator,
         KeyValueSet, Chunk,
@@ -41,7 +41,7 @@ from .executor import (
 )
 from .job import MapReduceJob
 from .kvset import KeyValueSet
-from .mapper import FusedMapper, Mapper
+from .mapper import Mapper
 from .partitioner import (
     BlockPartitioner,
     HashPartitioner,
@@ -76,7 +76,6 @@ __all__ = [
     "resolve_chunks",
     "distribute_chunks",
     "Mapper",
-    "FusedMapper",
     "Reducer",
     "Partitioner",
     "RoundRobinPartitioner",

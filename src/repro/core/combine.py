@@ -115,20 +115,12 @@ class Combiner(ABC):
 
 
 class SumCombiner(Combiner):
-    """Combine with addition (the classic word-count combiner)."""
+    """Combine with addition (the classic word-count combiner): the same
+    sort + segmented sum as :class:`SumPartialReducer`, run once over the
+    rank's buffered pairs instead of once per chunk."""
 
-    def combine(self, kv: KeyValueSet) -> KeyValueSet:
-        return combine_by_key_sum(kv)
-
-    def combine_cost(self, n_pairs: int, n_unique: int, pair_bytes: int) -> List[KernelLaunch]:
-        key_bits = max(int(np.ceil(np.log2(max(n_unique, 2)))) + 1, 8)
-        launches = radix_sort_cost(
-            n_pairs, key_bits=key_bits, key_bytes=4, value_bytes=max(pair_bytes - 4, 0)
-        )
-        launches.append(
-            segmented_reduce_cost(n_pairs, max(n_unique, 1), itemsize=max(pair_bytes - 4, 4))
-        )
-        return launches
+    combine = SumPartialReducer.partial_reduce
+    combine_cost = SumPartialReducer.partial_reduce_cost
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ class PipelineConfig:
     #: Figure 2 shows growing with GPU count as per-GPU work shrinks.
     job_setup_seconds: float = 0.008
 
-    #: Run the job's fused map+partial-reduce kernel (``job.fused``)
-    #: instead of the staged map_chunk → accumulate/partial-reduce →
-    #: partition path; a job that sets this must attach one.
+    #: Fold each chunk's map output at once, into the accumulator or
+    #: through ``job.fused``, as one map kernel instead of the staged
+    #: map_chunk → accumulate/partial-reduce → partition path; a job
+    #: that sets this must have an accumulator or a ``fused`` fold.
     fused: bool = False
 
     def __post_init__(self) -> None:

@@ -23,10 +23,11 @@ Canonical semantics (the parity contract):
   emission-order** order, then sorts with the job's sorter and reduces
   per key segment.
 
-When the job carries a :class:`~repro.core.mapper.FusedMapper` and
-``fused=True`` is requested, the map phase collapses map + partial
-reduce into one kernel call per chunk; its output is bit-identical to
-the staged path's.
+When ``fused=True`` is requested and the job has an accumulator or a
+per-chunk fold (``MapReduceJob.fused``), each chunk's map is followed
+at once by that fold and the pair is one map kernel: the cost model
+sees no accumulate or partial-reduce step.  The output is
+bit-identical to the staged path's.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ class MapRunner:
         # Defaults come from the job config, which travels in the job
         # pickle to remote ranks.
         fused_flag = job.config.fused if fused is None else bool(fused)
-        self._use_fused = fused_flag and job.fused is not None
+        self._use_fused = fused_flag and (
+            job.accumulator is not None or job.fused is not None
+        )
         self.out = MapPhaseOutput(
             parts=[[] for _ in range(n_workers)],
             bytes_binned_by_dest=[0] * n_workers,
@@ -142,9 +145,6 @@ class MapRunner:
         )
         self._accum_state: Optional[KeyValueSet] = None
         self._combine_buffer: List[KeyValueSet] = []
-        self._fused_state = (
-            job.fused.initial_state() if self._use_fused else None
-        )
         self._finished = False
 
     def _emit(self, kv: KeyValueSet, step: MapStep, chunk_id: int = -1) -> None:
@@ -183,24 +183,25 @@ class MapRunner:
         job = self.job
         step = MapStep()
         self.out.chunks_mapped += 1
-        if self._use_fused:
-            # One kernel call covers map + partial reduce.
-            self._fused_state, emission = job.fused.map_reduce_chunk(
-                chunk, self._fused_state
-            )
-            if emission is not None and len(emission):
-                self.out.pairs_emitted_logical += emission.logical_pairs
-                self._emit(emission, step, chunk_id=chunk.index)
-            return step
         kv = job.mapper.map_chunk(chunk)
-        step.map_pairs = kv.logical_pairs
-        self.out.pairs_emitted_logical += kv.logical_pairs
+        if not self._use_fused:
+            step.map_pairs = kv.logical_pairs
+            self.out.pairs_emitted_logical += kv.logical_pairs
 
         if job.accumulator is not None:
             if self._accum_state is None:
                 self._accum_state = job.accumulator.initial_state(kv.scale)
-            step.state_pairs = self._accum_state.logical_pairs
+            if not self._use_fused:
+                step.state_pairs = self._accum_state.logical_pairs
             self._accum_state = job.accumulator.accumulate(self._accum_state, kv)
+            return step
+
+        if self._use_fused:
+            # The fold is part of the map kernel: only what it keeps
+            # counts as emitted, and no partial-reduce step is priced.
+            kv = job.fused.partial_reduce(kv)
+            self.out.pairs_emitted_logical += kv.logical_pairs
+            self._emit(kv, step, chunk_id=chunk.index)
             return step
 
         if job.partial_reducer is not None:
@@ -228,19 +229,15 @@ class MapRunner:
             return step
         self._finished = True
         job = self.job
-        if self._use_fused:
-            # Flush runs for every rank — zero-chunk ranks included —
-            # mirroring the accumulator's initial-state contract.
-            emission = job.fused.finish_state(self._fused_state)
-            if emission is not None and len(emission):
-                self.out.pairs_emitted_logical += emission.logical_pairs
-                self._emit(emission, step)
-        elif job.accumulator is not None:
+        if job.accumulator is not None:
             state = (
                 self._accum_state
                 if self._accum_state is not None
                 else job.accumulator.initial_state(1.0)
             )
+            if self._use_fused:
+                # A fused run counts the flushed state, not the folded pairs.
+                self.out.pairs_emitted_logical += state.logical_pairs
             self._emit(state, step)
         if job.combiner is not None and self._combine_buffer:
             merged = KeyValueSet.concat(self._combine_buffer)

@@ -47,7 +47,6 @@ from .chunk import Chunk
 from .faults import FaultPlan
 from .job import MapReduceJob
 from .kvset import KeyValueSet
-from .mapper import FusedMapper
 from .scheduler import DISTRIBUTIONS, ChunkService, ScheduleTrace, resolve_chunks
 from .stats import JobStats, WorkerStats
 from ..obs import Observability
@@ -190,8 +189,8 @@ class Executor:
         self._check_open()
         # Stamp ``fused`` into the job config before the job is pickled
         # to any rank — their MapRunners read it off the config, so the
-        # choice needs no wire change.  A job without a fused kernel is
-        # refused here, before any rank starts.
+        # choice needs no wire change.  A job with nothing to fold per
+        # chunk is refused here, before any rank starts.
         if self.fused is not None and job.config.fused != bool(self.fused):
             job = job.with_config(fused=bool(self.fused))
         all_chunks = resolve_chunks(dataset, chunks)
@@ -282,20 +281,12 @@ class Executor:
         # on each emitted part.  Emissions made at finish time fold
         # many chunks into one untagged part, so a duplicated chunk
         # inside them cannot be told apart.
-        fused = job.fused if job.config.fused else None
-        if (
-            job.accumulator is not None
-            or job.combiner is not None
-            or (
-                fused is not None
-                and type(fused).finish_state is not FusedMapper.finish_state
-            )
-        ):
+        if job.accumulator is not None or job.combiner is not None:
             raise ValueError(
                 "speculate_after requires chunk-tagged map emissions; job "
-                f"{job.name!r} emits at finish time (an accumulator, a "
-                "combiner, or a fused kernel with a finish_state), and "
-                "finish-time output cannot be de-duplicated per chunk"
+                f"{job.name!r} emits at finish time (an accumulator or a "
+                "combiner), and finish-time output cannot be de-duplicated "
+                "per chunk"
             )
 
     # -- reusable lifecycle ------------------------------------------------
@@ -444,8 +435,9 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
     bundle) and ``trace_path=`` (write the run's JSONL span/event trace
     there; implies tracing) — both off by default, and passive when on,
     so traced runs stay bit-identical to untraced runs — plus ``fused=``
-    (run the job's fused map+partial-reduce kernel; ``None``, the
-    default, respects the job's own
+    (fold each chunk's map output at once, into the job's accumulator
+    or through its ``fused`` partial reducer, priced as the map kernel
+    alone; ``None``, the default, respects the job's own
     :class:`~repro.core.config.PipelineConfig`).
 
     ``executor=`` short-circuits construction with a pre-built

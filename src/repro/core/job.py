@@ -17,7 +17,7 @@ from typing import List, Optional
 from .combine import Accumulator, Combiner, PartialReducer
 from .config import PipelineConfig
 from .kvset import KeyValueSet
-from .mapper import FusedMapper, Mapper
+from .mapper import Mapper
 from .partitioner import Partitioner
 from .reducer import Reducer
 from .sorter import RadixSorter, Sorter
@@ -37,10 +37,10 @@ class MapReduceJob:
     partial_reducer: Optional[PartialReducer] = None
     accumulator: Optional[Accumulator] = None
     sorter: Sorter = field(default_factory=RadixSorter)
-    #: optional fused map+partial-reduce kernel; the staged stages above
-    #: remain attached and stay the bit-parity reference.  Runs only
-    #: when the executor (or config) asks for ``fused=True``.
-    fused: Optional[FusedMapper] = None
+    #: the per-chunk fold a fused run applies right after the map when
+    #: the job has no accumulator (a job with one folds into it).  Used
+    #: only when the executor (or config) asks for ``fused=True``.
+    fused: Optional[PartialReducer] = None
     config: PipelineConfig = field(default_factory=PipelineConfig)
     #: key width on the wire (GPMR keys are 4-byte integers by default)
     key_bytes: int = 4
@@ -68,12 +68,18 @@ class MapReduceJob:
             raise ValueError("skip_sort_reduce jobs must not declare a reducer")
         if self.fused is not None and self.combiner is not None:
             raise ValueError(
-                "a fused kernel subsumes Combine (it already reduces before "
-                "partitioning); attach one or the other"
+                "a fused kernel subsumes Combine (its fold already reduces "
+                "before partitioning); attach one or the other"
             )
-        if self.config.fused and self.fused is None:
+        if self.fused is not None and self.accumulator is not None:
             raise ValueError(
-                "config.fused=True but the job has no fused kernel attached"
+                "a fused run of an accumulating job folds into its "
+                "accumulator; attach a fused fold or an accumulator, not both"
+            )
+        if self.config.fused and self.accumulator is None and self.fused is None:
+            raise ValueError(
+                "config.fused=True but the job has no fused kernel attached "
+                "(it needs an accumulator or a per-chunk fold to fuse)"
             )
 
     @property

@@ -38,8 +38,8 @@ anything that must write into values copies first (as ``astype`` and
 Both arrays are host NumPy arrays (anything array-like is coerced with
 ``np.asarray``); keys must be integer-typed.  A kernel that computes
 on a device copies its results back inside
-:meth:`~repro.core.mapper.FusedMapper.map_reduce_chunk` and emits host
-KVSets, so nothing downstream of the map call sees a device array.
+:meth:`~repro.core.mapper.Mapper.map_chunk` and emits host KVSets, so
+nothing downstream of the map call sees a device array.
 """
 
 from __future__ import annotations

@@ -7,33 +7,26 @@ item-to-thread mapping; here a mapper supplies the *functional* result
 priced at the chunk's logical size).  The pair is the Python analogue
 of "the user writes the kernels, the library streams the chunks".
 
-:class:`FusedMapper` is the optional one-pass form of the same work:
-GPMR's speed case is that map and partial reduce are *one* kernel per
-chunk, so only the reduced result crosses PCI-e.  The staged pipeline
-(``map_chunk`` → accumulate/partial-reduce → partition) materialises a
-full :class:`~repro.core.kvset.KeyValueSet` at each stage; a fused
-kernel folds each chunk into a small per-rank state (or a combined
-per-chunk emission) in one call.  Attaching one to a job
-(``MapReduceJob(fused=...)``) is purely additive: the staged stages
-stay on the job and remain the bit-parity reference, and executors run
-the fused path only when asked (``fused=True`` /
-``PipelineConfig.fused``).  A fused run's per-rank outputs are
-**bit-identical** to the staged run of the same job — same key/value
-dtypes, same bytes — which is easiest to honour by sharing the per-chunk
-arithmetic with the app's mapper (``apps/kmeans._chunk_table`` is the
-pattern).
+Fusion needs no second kernel.  A fused run (``fused=True`` /
+``PipelineConfig.fused``) calls the same :meth:`Mapper.map_chunk` and
+folds each chunk's pairs at once: into the job's accumulator, or
+through the job's per-chunk fold (``MapReduceJob.fused``, a
+:class:`~repro.core.combine.PartialReducer`).  GPMR's speed case is
+that map and partial reduce are *one* kernel per chunk, so a fused run
+is priced as the map kernels alone.  Its per-rank outputs are
+bit-identical to the staged run of the same job.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Tuple
+from typing import List
 
 from .chunk import Chunk
 from .kvset import KeyValueSet
 from ..hw.kernel import KernelLaunch
 
-__all__ = ["FusedMapper", "Mapper"]
+__all__ = ["Mapper"]
 
 
 class Mapper(ABC):
@@ -64,35 +57,3 @@ class Mapper(ABC):
         """
         return chunk.logical_bytes
 
-
-class FusedMapper:
-    """One call per chunk covering map + partial reduce (+ combine).
-
-    A fused kernel threads an opaque per-rank ``state`` (running
-    totals, or ``None`` for stateless apps) through every chunk the
-    rank maps, and may emit a per-chunk :class:`KeyValueSet` (already
-    partially reduced) for jobs whose results can't fold into bounded
-    state.  Emissions are host KVSets: a kernel that computes on a
-    device does its own transfers inside :meth:`map_reduce_chunk`.
-    """
-
-    def initial_state(self) -> Any:
-        """Per-rank state before the first chunk (None for stateless)."""
-        return None
-
-    def map_reduce_chunk(
-        self, chunk: Chunk, state: Any
-    ) -> Tuple[Any, Optional[KeyValueSet]]:
-        """Fold one chunk: return ``(new_state, emission_or_None)``."""
-        raise NotImplementedError
-
-    def finish_state(self, state: Any) -> Optional[KeyValueSet]:
-        """Flush the per-rank state after the last chunk.
-
-        Called exactly once per rank, *including* ranks that mapped
-        zero chunks (``state`` is then the ``initial_state`` result) —
-        mirroring the accumulator contract so every rank contributes
-        its identity element to the reduce phase.  Return None for
-        stateless kernels whose work is all in per-chunk emissions.
-        """
-        return None

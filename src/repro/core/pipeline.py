@@ -125,9 +125,9 @@ class Worker:
         step = self.runner.feed(chunk)
         out_bytes = job.mapper.output_bytes_estimate(chunk) + job.mapper.scratch_bytes
         out_alloc = self.gpu.alloc(out_bytes, tag="map-out") if out_bytes else None
-        # The fused kernel is priced as the mapper's kernels alone (a
-        # dedicated fused cost model is a ROADMAP follow-up — map-cost
-        # only is the fusion's upper bound).
+        # A fused run's fold is part of the map kernel: the runner leaves
+        # ``state_pairs``/``reduced_pairs`` unset, so only ``map_cost`` is
+        # charged (map cost alone is the fusion's upper bound).
         for launch in job.mapper.map_cost(chunk):
             yield from self.gpu.run_kernel(launch)
         if step.state_pairs is not None:
@@ -251,7 +251,7 @@ class Worker:
         else:
             yield from self._map_loop()
 
-        # -- post-map paths: the fused / accumulator flush, or the
+        # -- post-map paths: the accumulator flush, or the
         # combine pass that streams the buffered pairs back through
         # the GPU.  A rank with neither charges nothing here.
         t0 = self.env.now

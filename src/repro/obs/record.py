@@ -61,7 +61,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--fused", action="store_true",
-        help="run the fused map+partial-reduce kernel where the app has one",
+        help="fold each chunk's map output at once (apps with an "
+        "accumulator or a per-chunk fold)",
     )
     parser.add_argument("--out", required=True, help="JSONL trace path")
     parser.add_argument(

@@ -33,13 +33,6 @@ from ..util.freeze import freeze_kwargs
 __all__ = ["DatasetCache"]
 
 
-def _freeze_spec(spec: Dict[str, Any]) -> Tuple:
-    # Canonical content-based freeze (shared with the executor pool):
-    # address-bearing reprs would never hit, truncated array reprs
-    # would collide — see repro.util.freeze.
-    return freeze_kwargs(spec)
-
-
 class DatasetCache:
     """LRU of built datasets keyed by ``(app, frozen spec)``."""
 
@@ -68,7 +61,9 @@ class DatasetCache:
             raise ValueError(
                 f"unknown app {app!r}; registered: {sorted(APPS)}"
             ) from None
-        key = (app, _freeze_spec(spec))
+        # A content-based key, shared with the executor pool: see
+        # repro.util.freeze for why reprs would miss or collide.
+        key = (app, freeze_kwargs(spec))
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)

@@ -31,16 +31,6 @@ __all__ = ["ExecutorPool"]
 PoolKey = Tuple[str, int, Tuple]
 
 
-def _freeze_kwargs(kwargs: Dict) -> Tuple:
-    # Canonical content-based freeze: kwargs may be unhashable
-    # (FaultPlan) and only equality-of-configuration matters for
-    # pooling, but repr-keys would never match for address-bearing
-    # reprs and would collide for truncated array reprs — see
-    # repro.util.freeze for the rules (and the rejection of live
-    # objects that cannot be keyed soundly).
-    return freeze_kwargs(kwargs)
-
-
 class ExecutorPool:
     """Reusable executors keyed by configuration; thread-safe.
 
@@ -68,7 +58,9 @@ class ExecutorPool:
 
     def lease(self, backend: str, n_workers: int, **kwargs) -> Executor:
         """A runnable executor for this configuration, warm if possible."""
-        key: PoolKey = (backend, int(n_workers), _freeze_kwargs(kwargs))
+        # kwargs may be unhashable (FaultPlan), so key on their content;
+        # repro.util.freeze refuses live objects it cannot key soundly.
+        key: PoolKey = (backend, int(n_workers), freeze_kwargs(kwargs))
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot lease from a closed ExecutorPool")

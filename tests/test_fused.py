@@ -1,15 +1,19 @@
-"""Fused map + partial-reduce kernels: validation, bit parity, volume.
+"""Fused runs: validation, bit parity, volume.
 
+A fused run (``fused=True``) is the job's own mapper followed at once by
+its per-chunk fold: into the accumulator (WO, KMC, LR, any accumulating
+job) or through ``MapReduceJob.fused`` (SIO's ``SumPartialReducer``).
 Three claims are enforced here:
 
-* a **fused** run (``fused=True``) of every app that carries a fused
-  kernel (SIO, WO, KMC, LR) is bit-identical to the staged map →
-  partial-reduce → partition pipeline on every backend — the fused
-  kernels share their arithmetic with the unfused path, so fusion is a
-  data-movement optimisation, not a numerics change;
-* the fused knob is validated before any rank starts: a job without a
-  fused kernel (MM, the naive LR port) rejects ``fused=True``, and
-  there is no other per-run array-library knob;
+* a fused run of every job with a fold is bit-identical to the staged
+  map → partial-reduce → partition pipeline on every backend — it calls
+  the same mapper and folds with the staged accumulator, or pre-sums
+  integer counts the reducer sums anyway, so fusion is a data-movement
+  optimisation, not a numerics change;
+* the fused knob is validated before any rank starts: a job with
+  nothing to fold (MM, the naive LR port) rejects ``fused=True``, a job
+  may not carry both an accumulator and a ``fused`` fold, and there is
+  no other per-run array-library knob;
 * fusion buys emission volume: fused KMC and WO hand the exchange
   under a quarter of their raw ports' bytes, and fused SIO combines
   duplicate keys before the shuffle.  (Map throughput, fused and
@@ -36,10 +40,11 @@ from repro.core import (
     make_executor,
 )
 from repro.core.chunk import Chunk
-from repro.core.combine import SumCombiner
+from repro.core.combine import SumAccumulator, SumCombiner, SumPartialReducer
 from repro.core.stats import WorkerStats
 from repro.exec.dataflow import MapRunner, reduce_worker
 from repro.obs import Observability
+from test_core_pipeline import KEY_SPACE, count_job, make_dataset
 
 
 def _rng():
@@ -74,6 +79,16 @@ def test_fused_config_requires_fused_kernel():
     assert job.fused is None
     with pytest.raises(ValueError, match="fused"):
         job.with_config(fused=True)
+
+
+def test_fused_fold_and_accumulator_are_exclusive():
+    """An accumulating job's fused run folds into its accumulator; a
+    second, per-chunk fold beside it has no meaning."""
+    with pytest.raises(ValueError, match="not both"):
+        count_job(
+            accumulator=SumAccumulator(KEY_SPACE, value_dtype=np.int64),
+            fused=SumPartialReducer(),
+        )
 
 
 def test_mm_jobs_carry_no_fused_kernel():
@@ -134,6 +149,19 @@ def test_fused_matches_unfused_every_backend(app, job, ds, backend):
     ref = make_executor("serial", 3).run(job, ds)
     got = make_executor(backend, 3, fused=True).run(job, ds)
     _assert_outputs_identical(ref, got, f"{app}/{backend}/fused")
+
+
+@pytest.mark.parametrize("backend", ("serial", "sim"))
+def test_any_accumulating_job_runs_fused_without_a_kernel_of_its_own(backend):
+    """Fusion needs no per-app kernel: a user job with an accumulator
+    runs ``fused=True`` as its own mapper plus the accumulator fold."""
+    ds = make_dataset(n=12_000, chunk=2_000)
+    job = count_job(
+        accumulator=SumAccumulator(KEY_SPACE, value_dtype=np.int64)
+    ).with_config(enable_stealing=False)
+    staged = make_executor(backend, 3).run(job, ds)
+    fused = make_executor(backend, 3, fused=True).run(job, ds)
+    _assert_outputs_identical(staged, fused, f"count/{backend}/fused")
 
 
 # -- the _emit fast path -----------------------------------------------------

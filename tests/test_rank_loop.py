@@ -15,7 +15,6 @@ they are tested once, here, against scripted transports:
   and the speculation pre-flight is one rule on every backend.
 """
 
-import dataclasses
 from collections import deque
 
 import numpy as np
@@ -320,11 +319,9 @@ def _fused_sio():
     return sio_job(1 << 12).with_config(fused=True)
 
 
-def _fused_lr_without_accumulator():
-    """Only the fused kernel's finish_state stands between this job
-    and per-chunk emissions."""
-    job = dataclasses.replace(lr_job(use_accumulation=True), accumulator=None)
-    return job.with_config(fused=True)
+def _fused_lr():
+    """A fused run folds into the accumulator: still a finish-time emitter."""
+    return lr_job(use_accumulation=True).with_config(fused=True)
 
 
 _SPECULATE = FaultPlan(speculate_after=0.5)
@@ -334,8 +331,7 @@ _PREFLIGHT_CASES = [
     (_fused_sio, _SPECULATE, False, None),
     (lambda: lr_job(use_accumulation=True), _SPECULATE, False,
      "finish-time output cannot be de-duplicated"),
-    (_fused_lr_without_accumulator, _SPECULATE, False,
-     "finish-time output cannot be de-duplicated"),
+    (_fused_lr, _SPECULATE, False, "finish-time output cannot be de-duplicated"),
     (lambda: lr_job(use_accumulation=True), FaultPlan(), False, None),
     (lambda: sio_job(1 << 12), FaultPlan(kill_rank_at_chunk={0: 1}), True,
      "mutually exclusive"),
@@ -348,9 +344,9 @@ def test_preflight_is_one_rule_on_every_backend(
     backend, make_job, plan, replay, rejects
 ):
     """Every real backend accepts and rejects the same (job, plan)
-    pairs with the same message: chunk-tagged emissions (a fused kernel
-    without a finish_state included) can be speculated, finish-time
-    emissions cannot, and a plan never rides a replayed schedule."""
+    pairs with the same message: chunk-tagged emissions (a fused
+    per-chunk fold included) can be speculated, finish-time emissions
+    cannot, and a plan never rides a replayed schedule."""
     ex = make_executor(backend, 2)
     # Attached after construction so the rule itself is what is under
     # test (the serial backend refuses speculative plans up front).

@@ -372,11 +372,8 @@ class _OnesSIOMapper(SIOMapper):
 
 def _reference_job(fused=False):
     job = sio_job(key_space=1 << 16)
-    mapper = _OnesSIOMapper()
     return dataclasses.replace(
-        job,
-        mapper=mapper,
-        fused=type(job.fused)(mapper, job.key_bits) if fused else None,
+        job, mapper=_OnesSIOMapper(), fused=job.fused if fused else None
     )
 
 
