@@ -14,9 +14,14 @@ Because the layout is already two flat arrays, a KVSet also has a
 **versioned binary codec** — :meth:`KeyValueSet.to_buffers` /
 :meth:`KeyValueSet.from_buffers` plus the batch-level
 :func:`pack_parts` / :func:`unpack_parts` — a small struct header
-(dtypes, shape, scale) followed by the raw array bytes.  The process
-backends' exchange hot path (streamed fabric frames) rides this codec;
-pickle never touches payload bytes.
+(dtypes, shape, scale) followed by the raw array bytes.  Everything
+the process backends move rides this codec over streamed fabric
+frames: the exchange's shuffle batches and each rank's reduced output
+on its way home to the driver.  Pickle never touches payload bytes.
+The decoder trusts nothing it reads: dtypes come from an allow-list
+(bool, integer and float codes), a scale must be positive and finite,
+and every size is checked against the bytes delivered, so a corrupt
+stream raises :class:`CodecError` and nothing else.
 
 A host value column may be **uniform** — one element repeated, held
 as the zero-stride read-only view ``np.broadcast_to(element, (n,))``
@@ -44,6 +49,8 @@ nothing downstream of the map call sees a device array.
 
 from __future__ import annotations
 
+import math
+import re
 import struct
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
@@ -71,6 +78,11 @@ _KV_MAGIC = b"KV"
 #: header flag: the value buffer holds **one** element standing for all
 #: ``n_pairs`` (a uniform column; rank-1 values only, ``n_pairs >= 1``)
 _FLAG_UNIFORM = 1
+
+#: the dtype strings the codec carries: keys are integers, values
+#: bools, integers or floats (``dtype.str`` form, any byte order)
+_KEY_DTYPE = re.compile(rb"[<>|=][iu][1248]")
+_VALUE_DTYPE = re.compile(rb"[<>|=](?:b1|[iu][1248]|f[248])")
 
 #: manifest: magic(4s) version(B) reserved(3x) n_parts(I) — then one
 #: ``u32 header_len + header`` record per part.
@@ -102,8 +114,8 @@ class KeyValueSet:
             raise ValueError(
                 f"values length {len(self.values)} != keys length {len(self.keys)}"
             )
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -229,9 +241,11 @@ class KeyValueSet:
         The header is a small versioned struct (dtypes, shape, scale);
         the buffers are the raw C-contiguous array bytes, exposed as
         ``uint8`` memoryviews so senders can splice them into shared
-        memory or a wire stream without copying.  The exchange hot path
-        of every real backend rides this codec.  A uniform value column
-        is encoded as its single element under ``_FLAG_UNIFORM``.
+        memory or a wire stream without copying.  The exchange and the
+        result path of every real backend ride this codec.  A uniform
+        value column is encoded as its single element under
+        ``_FLAG_UNIFORM``.  Values of any dtype but bool, integer or
+        float are a :class:`CodecError`.
         """
         keys = np.ascontiguousarray(self.keys)
         element = uniform_element(self.values)
@@ -241,6 +255,11 @@ class KeyValueSet:
             values = element.reshape(1)
         key_dtype = keys.dtype.str.encode("ascii")
         value_dtype = values.dtype.str.encode("ascii")
+        if _VALUE_DTYPE.fullmatch(value_dtype) is None:
+            raise CodecError(
+                f"the KVSet codec carries bool, integer and float values, "
+                f"not {values.dtype}"
+            )
         header = _KV_HEADER.pack(
             _KV_MAGIC,
             CODEC_VERSION,
@@ -325,14 +344,29 @@ def _parse_kv_header(header: bytes) -> _KVHeader:
             "a uniform value column is rank-1 and non-empty; header "
             f"declares rank {ndim}, width {width}, {n} pair(s)"
         )
+    if ndim == 1 and width != 1:
+        raise CodecError(f"a rank-1 value column has width 1, not {width}")
+    if not 0.0 < scale < math.inf:
+        raise CodecError(f"scale must be positive and finite, got {scale!r}")
     offset = _KV_HEADER.size
     if len(header) != offset + kd_len + vd_len:
         raise CodecError("KVSet header length disagrees with dtype fields")
-    key_dtype = np.dtype(header[offset : offset + kd_len].decode("ascii"))
-    value_dtype = np.dtype(
-        header[offset + kd_len : offset + kd_len + vd_len].decode("ascii")
+    key_dtype = _wire_dtype(header[offset : offset + kd_len], _KEY_DTYPE)
+    value_dtype = _wire_dtype(
+        header[offset + kd_len : offset + kd_len + vd_len], _VALUE_DTYPE
     )
     return _KVHeader(key_dtype, value_dtype, ndim, n, width, scale, uniform)
+
+
+def _wire_dtype(raw: bytes, allowed: "re.Pattern[bytes]") -> np.dtype:
+    """The dtype a header names, if it is one the codec emits.
+
+    Wire bytes never reach ``np.dtype()`` unchecked: anything but a
+    byte-order mark plus a bool, integer or float code is refused.
+    """
+    if allowed.fullmatch(raw) is None:
+        raise CodecError(f"KVSet header names unsupported dtype {raw!r}")
+    return np.dtype(raw.decode("ascii"))
 
 
 def _decode(h: _KVHeader, key_buf, value_buf) -> KeyValueSet:

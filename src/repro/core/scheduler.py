@@ -570,10 +570,11 @@ class ChunkService:
     def reclaim(self, worker: int) -> int:
         """Return a dead worker's un-posted grants to the pool.
 
-        Re-queues the lost chunks (in grant order) on the worker's own
-        queue — its replacement pulls them back, or survivors steal
-        them — and erases the dead incarnation from the trace and
-        per-worker ledgers, since none of its map output survived.
+        Re-queues the lost chunks at the head of the worker's own
+        queue, in grant order — its replacement pulls them back first,
+        or survivors steal them — and erases the dead incarnation from
+        the trace and per-worker ledgers, since none of its map output
+        survived.
         Chunks that also have a live speculative copy elsewhere are
         *not* re-queued (the surviving copy covers them).  Returns the
         number of chunks re-queued.
@@ -596,16 +597,19 @@ class ChunkService:
             self._outstanding[worker].clear()
             # The replacement incarnation opens a fresh pull window.
             self._unproven[worker].clear()
-            requeued = 0
+            requeue = []
             for chunk in lost:
                 grantees = self._grantees.get(chunk.index, [])
                 if worker in grantees:
                     grantees.remove(worker)
                 self._reclaimed_ids.add(chunk.index)
-                if grantees:
-                    continue  # a speculative copy is still in flight
-                self._queues[worker].append(chunk)
-                requeued += 1
+                if not grantees:  # else a speculative copy is in flight
+                    requeue.append(chunk)
+            # Back at the head, in grant order: the replacement pulls
+            # the sequence the dead incarnation pulled, so an
+            # order-sensitive fold sees the clean run's chunk order.
+            self._queues[worker].extendleft(reversed(requeue))
+            requeued = len(requeue)
             # The dead incarnation mapped nothing durable; drop its
             # grants so the trace stays a grants-every-chunk-once schedule.
             self.raw_trace.grants = [

@@ -3,8 +3,9 @@
 The :class:`Coordinator` owns one TCP listening socket.  Rank processes
 (local or on other hosts) dial in, and each rank's whole control
 conversation is ``HELLO`` -> ``ASSIGN`` -> (``CHUNK_REQ`` /
-``CHUNK_GRANT``)* -> ``MAPS_DONE`` -> ``RESULT`` or ``ERROR``, over the
-framed wire protocol in :mod:`repro.fabric.wire`, in three phases:
+``CHUNK_GRANT``)* -> ``MAPS_DONE`` -> ``RESULT`` + output batch or
+``ERROR``, over the framed wire protocol in :mod:`repro.fabric.wire`,
+in three phases:
 
 1. **Registration** — each rank sends ``HELLO`` carrying its rank id
    and the address of its own shuffle listener.  Nothing answers it
@@ -20,7 +21,9 @@ framed wire protocol in :mod:`repro.fabric.wire`, in three phases:
    ``CHUNK_GRANT`` (chunk + victim rank) or ``CHUNKS_DONE``; an idle
    rank — spawned or externally launched — thereby steals chunks from
    the longest queue at runtime.  Each rank ends with exactly one
-   ``RESULT`` (output + stats) or ``ERROR`` (remote traceback) frame.
+   ``RESULT`` frame (stats and obs, pickled) followed by its output as
+   one codec batch of 0 or 1 parts (:mod:`repro.fabric.stream`), or
+   with one ``ERROR`` frame (remote traceback).
    A HELLO here is admitted only for a rank whose predecessor died and
    was retired by recovery; it gets its ASSIGN at once.
 
@@ -43,6 +46,7 @@ import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .stream import recv_batch
 from .wire import (
     MSG_ASSIGN,
     MSG_CHUNK_GRANT,
@@ -352,7 +356,8 @@ class Coordinator:
         chunk_service: Optional[Any] = None,
         respawner: Optional[Callable[[int, int], bool]] = None,
     ) -> List[Tuple[int, Any, Any]]:
-        """Serve chunk pulls and gather one RESULT frame per rank.
+        """Serve chunk pulls and gather one result per rank: its RESULT
+        frame, then the output batch read at once behind it.
 
         While results are outstanding the coordinator answers every
         ``CHUNK_REQ`` from ``chunk_service`` (the driver's
@@ -366,7 +371,8 @@ class Coordinator:
         tuples in rank order.
 
         The first ERROR frame raises :class:`RankFailure` carrying the
-        remote traceback *immediately*.  A connection that drops before
+        remote traceback *immediately*, and so does an output batch cut
+        short or garbled.  A connection that drops before
         reporting normally raises :class:`RankFailure` too — but with a
         ``respawner`` attached, a rank that died *before posting its
         map output* is recovered instead: its connection is retired,
@@ -428,7 +434,8 @@ class Coordinator:
                         continue
                     if msg_type == MSG_RESULT:
                         results[rank] = (
-                            rank, payload["output"], payload["stats"]
+                            rank, self._recv_output(rank, key.fileobj),
+                            payload["stats"],
                         )
                         # Kept out of the triples so existing callers'
                         # unpacking stays valid; executors absorb this.
@@ -442,6 +449,25 @@ class Coordinator:
                         )
                     sel.unregister(key.fileobj)
         return [results[r] for r in sorted(results)]
+
+    def _recv_output(self, rank: int, conn: socket.socket) -> Any:
+        """Read the codec batch of 0 or 1 parts that follows ``rank``'s
+        RESULT frame: its output, or None.  A rank that dies or
+        garbles the stream partway through is a :class:`RankFailure`
+        (it has posted, so there is nothing to recover)."""
+        try:
+            _src, parts, _tags = recv_batch(
+                conn, max_frame_bytes=self.max_frame_bytes
+            )
+        except (FabricError, OSError) as exc:
+            raise RankFailure(
+                rank, f"result output did not arrive intact: {exc}"
+            ) from exc
+        if len(parts) > 1:
+            raise RankFailure(
+                rank, f"result output carries {len(parts)} parts, not 0 or 1"
+            )
+        return parts[0] if parts else None
 
     # -- fault tolerance ------------------------------------------------------
     def _recover_rank(

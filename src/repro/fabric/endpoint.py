@@ -254,7 +254,11 @@ class RankEndpoint:
 
     def report(self, output: Any, stats: Any, error: Optional[str]) -> None:
         """Ship the rank's RESULT — or, with ``error`` (a traceback),
-        its ERROR — frame to the coordinator."""
+        its ERROR — frame to the coordinator.
+
+        The RESULT frame pickles stats and obs only; the output follows
+        it on the control socket as one codec batch of 0 or 1 parts, so
+        it streams through the frame bound at any size."""
         if error is not None:
             send_frame(
                 self._control,
@@ -267,8 +271,11 @@ class RankEndpoint:
         send_frame(
             self._control,
             MSG_RESULT,
-            {"rank": self.rank, "output": output, "stats": stats,
-             "obs": self.obs.export()},
+            {"rank": self.rank, "stats": stats, "obs": self.obs.export()},
+            max_frame_bytes=self.max_frame_bytes,
+        )
+        send_batch(
+            self._control, self.rank, [] if output is None else [output],
             max_frame_bytes=self.max_frame_bytes,
         )
 

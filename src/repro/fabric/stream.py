@@ -1,10 +1,10 @@
-"""Streamed raw-buffer shuffle batches: the fabric's data plane.
+"""Streamed raw-buffer batches: the fabric's data plane.
 
-Under protocol v1 a shuffle batch was one pickled ``MSG_BATCH`` frame,
-which meant (a) every byte was pickled and copied on both ends and
-(b) a batch bigger than ``max_frame_bytes`` simply could not be sent.
-This module re-encodes the data plane on the binary KVSet codec
-(:mod:`repro.core.kvset`) with *chunked streaming*:
+Two kinds of payload ride here on the binary KVSet codec
+(:mod:`repro.core.kvset`), never pickle: each shuffle batch a rank
+sends a peer, and each rank's reduced output, which follows its
+``RESULT`` frame on the control socket as a batch of 0 or 1 parts.  A
+batch is *streamed*:
 
 * one ``MSG_BATCH`` header frame — a small raw struct carrying the
   source rank, flags, the total payload size, and the batch manifest
@@ -13,6 +13,15 @@ This module re-encodes the data plane on the binary KVSet codec
   chunk of the raw key/value bytes.  Chunks are sized to fit inside
   ``max_frame_bytes``, so a batch of any size streams through a small
   frame bound instead of raising :class:`FrameTooLarge`.
+
+Every payload byte is copied once per hop.  The sender hands the
+part arrays' own memory to gathered ``sendmsg`` writes, one DATA
+frame's head plus a list of array views at a time; the receiver reads
+every DATA body with ``recv_into`` straight into one NumPy buffer and
+decodes the parts as writable views into it.  That buffer grows one
+frame at a time, after the frame's headers passed their checks, so a
+peer that lies about the total size gets nothing allocated beyond
+what it sent plus one bounded frame.
 
 Every DATA frame carries its chunk raw, and its flags byte must be
 zero; the header's only flag is the tag bit below.  Any other flag is
@@ -36,12 +45,17 @@ import socket
 import struct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .wire import (
     DEFAULT_MAX_FRAME_BYTES,
     MSG_BATCH,
     MSG_BATCH_DATA,
     FrameTooLarge,
     ProtocolError,
+    check_frame_type,
+    recv_frame_header,
+    recv_into_exact,
     recv_raw_frame,
     send_raw_frame,
 )
@@ -84,15 +98,14 @@ def _chunk_bytes(max_frame_bytes: int) -> int:
 
 def _iter_chunks(
     buffers: Sequence[memoryview], chunk_bytes: int
-) -> Iterator[memoryview]:
-    """Yield bounded-size pieces of the batch payload, in order.
+) -> Iterator[List[memoryview]]:
+    """Yield the batch payload as bounded-size lists of views, in order.
 
     Small buffers *coalesce*: consecutive buffers pack into one chunk
     until it reaches ``chunk_bytes``, so a batch of many tiny parts
     costs a handful of DATA frames instead of one-plus per buffer.  A
-    chunk that happens to be a single contiguous span is yielded as a
-    zero-copy view; only genuinely coalesced chunks pay a join copy
-    (they are small by construction).
+    chunk is a list of slices of the part arrays — the frame's gathered
+    write sends them as they are, so nothing is joined or copied.
     """
     pending: List[memoryview] = []
     pending_nbytes = 0
@@ -104,17 +117,10 @@ def _iter_chunks(
             pending_nbytes += take
             offset += take
             if pending_nbytes == chunk_bytes:
-                yield _join_views(pending)
+                yield pending
                 pending, pending_nbytes = [], 0
     if pending:
-        yield _join_views(pending)
-
-
-def _join_views(views: List[memoryview]) -> memoryview:
-    if len(views) == 1:
-        return views[0]
-    # bytes.join consumes buffer objects directly: one copy, not two.
-    return memoryview(b"".join(views))
+        yield pending
 
 
 def send_batch(
@@ -126,7 +132,7 @@ def send_batch(
     counters: Optional[Dict[str, int]] = None,
     chunk_ids: Optional[Sequence[int]] = None,
 ) -> int:
-    """Stream one shuffle batch; returns payload bytes put on the wire.
+    """Stream one batch; returns payload bytes put on the wire.
 
     ``counters`` (optional dict) accumulates ``"frames"`` (BATCH +
     BATCH_DATA frames sent) and ``"bytes"`` for this call — the
@@ -151,15 +157,14 @@ def send_batch(
         )
     header = _BATCH_HEADER.pack(src, flags, total_nbytes, len(manifest))
     sent = send_raw_frame(
-        sock, MSG_BATCH, header + manifest + tag_block,
+        sock, MSG_BATCH, [header, manifest, tag_block],
         max_frame_bytes=max_frame_bytes,
     )
     frames = 1
-    for chunk in _iter_chunks(buffers, chunk_bytes):
+    for views in _iter_chunks(buffers, chunk_bytes):
+        raw_len = sum(v.nbytes for v in views)
         sent += send_raw_frame(
-            sock,
-            MSG_BATCH_DATA,
-            _DATA_HEADER.pack(chunk.nbytes, 0) + bytes(chunk),
+            sock, MSG_BATCH_DATA, [_DATA_HEADER.pack(raw_len, 0), *views],
             max_frame_bytes=max_frame_bytes,
         )
         frames += 1
@@ -178,9 +183,10 @@ def recv_batch(
     chunk_ids)`` — ``chunk_ids`` is ``None`` when the sender shipped no
     provenance tags.
 
-    Reassembles the DATA chunks into one buffer and decodes the parts
-    as zero-copy views into it (the reduce path's concatenation is the
-    only copy the payload takes after the socket).
+    Every DATA body is read with ``recv_into`` straight into one NumPy
+    buffer, and the parts decode as writable views into it: the
+    payload's only copy between the socket and the reduce path's
+    concatenation is the kernel's.
     """
     _, payload = recv_raw_frame(
         sock, max_frame_bytes=max_frame_bytes, expect=MSG_BATCH
@@ -216,40 +222,50 @@ def recv_batch(
             f"BATCH frame carries {len(trailer)} trailing byte(s) with no "
             "tag flag set"
         )
-    # Accumulate arriving chunks instead of pre-allocating
-    # total_nbytes: the declared size is an unauthenticated 64-bit wire
-    # field, and the wire layer's contract is that nothing is allocated
-    # beyond what actually arrives (each frame is <= max_frame_bytes).
-    # The codec keeps that promise for the manifest's pair counts too:
-    # a part's declared n is checked against the key bytes delivered,
-    # and a uniform value column decodes as a zero-stride view of its
-    # one shipped element, whatever n says.
-    received = []
+    # The buffer grows one frame at a time, and only once that frame's
+    # headers passed every check: the declared total is an
+    # unauthenticated 64-bit wire field, and the wire layer's contract
+    # is that nothing is allocated beyond what actually arrives plus
+    # one bounded frame.  The codec keeps that promise for the
+    # manifest's pair counts too: a part's declared n is checked
+    # against the key bytes delivered, and a uniform value column
+    # decodes as a zero-stride view of its one shipped element,
+    # whatever n says.
+    data = np.empty(0, dtype=np.uint8)
+    data_header = bytearray(_DATA_HEADER.size)
     offset = 0
     while offset < total_nbytes:
-        _, frame = recv_raw_frame(
-            sock, max_frame_bytes=max_frame_bytes, expect=MSG_BATCH_DATA
+        msg_type, length = recv_frame_header(
+            sock, max_frame_bytes=max_frame_bytes, at_boundary=False
         )
-        if len(frame) < _DATA_HEADER.size:
-            raise ProtocolError(f"BATCH_DATA header truncated at {len(frame)} B")
-        raw_len, flags = _DATA_HEADER.unpack_from(frame)
+        check_frame_type(msg_type, MSG_BATCH_DATA)
+        if length < _DATA_HEADER.size:
+            raise ProtocolError(f"BATCH_DATA header truncated at {length} B")
+        recv_into_exact(sock, data_header, at_boundary=False)
+        raw_len, flags = _DATA_HEADER.unpack(data_header)
         if flags:
             raise ProtocolError(f"BATCH_DATA frame sets unknown flags {flags:#x}")
         if raw_len == 0:
             # The sender never emits empty chunks; accepting them would
             # let a broken peer spin this loop without progress.
             raise ProtocolError("zero-length batch chunk")
-        body = frame[_DATA_HEADER.size :]
-        if len(body) != raw_len:
+        if length - _DATA_HEADER.size != raw_len:
             raise ProtocolError(
-                f"batch chunk carries {len(body)} B, declares {raw_len}"
+                f"batch chunk carries {length - _DATA_HEADER.size} B, "
+                f"declares {raw_len}"
             )
         if offset + raw_len > total_nbytes:
             raise ProtocolError("batch chunks overrun the declared payload size")
-        received.append(body)
+        # No view of ``data`` outlives a loop iteration, so the in-place
+        # resize needs no reference check; read-only across it, NumPy
+        # skips zero-filling the new tail that recv_into fills next.
+        data.flags.writeable = False
+        data.resize(offset + raw_len, refcheck=False)
+        data.flags.writeable = True
+        recv_into_exact(sock, data[offset:], at_boundary=False)
         offset += raw_len
     try:
-        parts = unpack_parts(manifest, b"".join(received))
+        parts = unpack_parts(manifest, data)
         if chunk_ids is not None and len(chunk_ids) != len(parts):
             raise ProtocolError(
                 f"BATCH carries {len(chunk_ids)} tag(s) for "

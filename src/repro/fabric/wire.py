@@ -10,14 +10,17 @@ Every message on a fabric socket is one *frame*::
 The header is fixed (16 bytes, network byte order) and versioned, so a
 rank launched from a different repo revision fails fast with
 :class:`ProtocolVersionError` instead of desynchronising mid-shuffle.
-Control-plane payloads (jobs, chunk lists, results) are pickled Python
-objects (:func:`send_frame` / :func:`recv_frame`); data-plane payloads
-are *raw bytes* (:func:`send_raw_frame` / :func:`recv_raw_frame`) —
-the shuffle's ``BATCH`` traffic rides the binary KVSet codec via
-:mod:`repro.fabric.stream`, never pickle.  The length prefix makes
-message boundaries explicit on the byte stream, and an enforced
-``max_frame_bytes`` bound rejects corrupted or hostile lengths before
-any allocation happens.
+Control-plane payloads (jobs, chunk lists, result stats) are pickled
+Python objects (:func:`send_frame` / :func:`recv_frame`); data-plane
+payloads are *raw bytes* (:func:`send_raw_frame` /
+:func:`recv_raw_frame`) — the shuffle's ``BATCH`` traffic and each
+rank's output behind its ``RESULT`` frame ride the binary KVSet codec
+via :mod:`repro.fabric.stream`, never pickle.  A raw frame leaves as a
+gathered ``sendmsg`` of its head and the caller's buffers and is read
+with ``recv_into``, so each payload byte is copied once per hop.  The
+length prefix makes message boundaries explicit on the byte stream,
+and an enforced ``max_frame_bytes`` bound rejects corrupted or hostile
+lengths before any allocation happens.
 
 EOF handling distinguishes two cases the coordinator cares about:
 
@@ -52,7 +55,7 @@ import pickle
 import secrets
 import socket
 import struct
-from typing import Any, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -127,8 +130,13 @@ __all__ = [
 #: ``max_frame_bytes``), the start barrier and RESUME are gone, and
 #: HELLO and ASSIGN lose their ``rejoin`` keys: a HELLO mid-run for a
 #: rank whose predecessor died is the replacement.  WELCOME stays for
-#: the job service's client handshake; type 4 stays reserved.
-PROTOCOL_VERSION = 6
+#: the job service's client handshake; type 4 stays reserved.  v7: a
+#: RESULT frame carries ``{rank, stats, obs}`` only, and the rank's
+#: output follows it on the control socket as one codec batch of 0 or
+#: 1 parts (:func:`repro.fabric.stream.send_batch`), so results stream
+#: through the frame bound like shuffle batches and pickle never
+#: carries payload bytes.
+PROTOCOL_VERSION = 7
 
 MAGIC = b"GPMR"
 
@@ -139,12 +147,15 @@ HEADER = struct.Struct("!4sBB2xQ")
 #: caller raises the bound explicitly.
 DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
+#: Most buffers one ``sendmsg`` call gathers (Linux's ``IOV_MAX``).
+_IOV_MAX = 1024
+
 # -- message types ----------------------------------------------------------
 MSG_HELLO = 1    #: rank -> coordinator: register {rank, shuffle address}
 MSG_WELCOME = 2  #: daemon -> client: connection accepted {protocol}
 MSG_ASSIGN = 3   #: coordinator -> rank: {job, peers, n_workers, max_frame_bytes}
 MSG_BARRIER = 4  #: reserved (v5's start barrier); only the frame-RTT probe sends it
-MSG_RESULT = 6   #: rank -> coordinator: {rank, output, stats}
+MSG_RESULT = 6   #: rank -> coordinator: {rank, stats, obs}; output batch follows
 MSG_ERROR = 7    #: rank -> coordinator: {rank, traceback}
 MSG_BATCH = 8    #: rank -> rank: shuffle batch header (raw codec manifest)
 MSG_BATCH_DATA = 9  #: rank -> rank: one streamed chunk of batch payload
@@ -233,22 +244,49 @@ def set_nodelay(sock: socket.socket) -> socket.socket:
     return sock
 
 
-def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> bytes:
-    """Read exactly ``n`` bytes, mapping EOF to the right fabric error."""
-    buf = bytearray()
-    while len(buf) < n:
+def recv_into_exact(sock: socket.socket, view, *, at_boundary: bool) -> None:
+    """Fill the writable buffer ``view`` from the socket with
+    ``recv_into`` — one copy, kernel to destination — mapping EOF to
+    the right fabric error."""
+    view = memoryview(view).cast("B")
+    got = 0
+    while got < view.nbytes:
         try:
-            piece = sock.recv(n - len(buf))
+            k = sock.recv_into(view[got:])
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise PeerDisconnected(f"connection reset: {exc}") from exc
-        if not piece:
-            if at_boundary and not buf:
+        if not k:
+            if at_boundary and not got:
                 raise PeerDisconnected("peer closed the connection")
             raise TruncatedFrame(
-                f"stream ended after {len(buf)} of {n} expected bytes"
+                f"stream ended after {got} of {view.nbytes} expected bytes"
             )
-        buf.extend(piece)
-    return bytes(buf)
+        got += k
+
+
+def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> bytearray:
+    buf = bytearray(n)
+    recv_into_exact(sock, buf, at_boundary=at_boundary)
+    return buf
+
+
+def _send_buffers(sock: socket.socket, buffers: List[memoryview]) -> None:
+    """Write ``buffers`` end to end with gathered ``sendmsg`` calls.
+
+    A partial write resumes inside the buffer it stopped in; one call
+    gathers at most ``_IOV_MAX`` buffers, the kernel's iovec limit.
+    """
+    first = 0
+    while first < len(buffers):
+        try:
+            sent = sock.sendmsg(buffers[first : first + _IOV_MAX])
+        except (ConnectionResetError, BrokenPipeError) as exc:
+            raise PeerDisconnected(f"send failed: {exc}") from exc
+        while first < len(buffers) and sent >= buffers[first].nbytes:
+            sent -= buffers[first].nbytes
+            first += 1
+        if sent:
+            buffers[first] = buffers[first][sent:]
 
 
 def send_raw_frame(
@@ -260,37 +298,38 @@ def send_raw_frame(
 ) -> int:
     """Send one framed message whose payload is raw bytes, as-is.
 
-    The data plane's primitive: no pickling.  Returns the number of
-    payload bytes put on the wire (the fabric's real network-traffic
-    accounting).
+    The data plane's primitive: no pickling and no copy.  ``payload``
+    is one bytes-like object or a list of them, laid end to end on the
+    wire; the frame head and every buffer leave in gathered
+    ``sendmsg`` writes.  Returns the number of payload bytes put on
+    the wire (the fabric's real network-traffic accounting).
     """
-    payload = payload if isinstance(payload, (bytes, bytearray)) else bytes(payload)
-    if len(payload) > max_frame_bytes:
+    pieces = payload if isinstance(payload, list) else [payload]
+    views = [memoryview(p).cast("B") for p in pieces]
+    length = sum(v.nbytes for v in views)
+    if length > max_frame_bytes:
         raise FrameTooLarge(
-            f"refusing to send {len(payload)} B "
+            f"refusing to send {length} B "
             f"{MSG_NAMES.get(msg_type, msg_type)} frame "
             f"(max_frame_bytes={max_frame_bytes})"
         )
-    header = HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, len(payload))
-    try:
-        sock.sendall(header + payload)
-    except (ConnectionResetError, BrokenPipeError) as exc:
-        raise PeerDisconnected(f"send failed: {exc}") from exc
-    return len(payload)
+    head = memoryview(HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, length))
+    _send_buffers(sock, [head, *(v for v in views if v.nbytes)])
+    return length
 
 
-def recv_raw_frame(
+def recv_frame_header(
     sock: socket.socket,
     *,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    expect: Optional[int] = None,
-) -> Tuple[int, bytes]:
-    """Receive one frame; returns ``(msg_type, payload_bytes)``.
-
-    With ``expect``, a frame of any other type is a
-    :class:`ProtocolError` (fail fast on desynchronised peers).
-    """
-    raw = _recv_exact(sock, HEADER.size, at_boundary=True)
+    at_boundary: bool = True,
+) -> Tuple[int, int]:
+    """Receive one frame header and run every check that needs no
+    payload byte (magic, version, the ``max_frame_bytes`` bound);
+    returns ``(msg_type, payload_length)``, the payload still on the
+    socket.  ``at_boundary=False`` makes EOF here a
+    :class:`TruncatedFrame` (the frame is part of a larger message)."""
+    raw = _recv_exact(sock, HEADER.size, at_boundary=at_boundary)
     magic, version, msg_type, length = HEADER.unpack(raw)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
@@ -305,12 +344,35 @@ def recv_raw_frame(
             f"declared payload of {length} B exceeds "
             f"max_frame_bytes={max_frame_bytes}"
         )
-    payload = _recv_exact(sock, length, at_boundary=False)
-    if expect is not None and msg_type != expect:
+    return msg_type, length
+
+
+def check_frame_type(msg_type: int, expect: int) -> None:
+    """A frame of any type but ``expect`` is a :class:`ProtocolError`
+    (fail fast on desynchronised peers)."""
+    if msg_type != expect:
         raise ProtocolError(
             f"expected {MSG_NAMES.get(expect, expect)} frame, "
             f"got {MSG_NAMES.get(msg_type, msg_type)}"
         )
+
+
+def recv_raw_frame(
+    sock: socket.socket,
+    *,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    expect: Optional[int] = None,
+) -> Tuple[int, bytearray]:
+    """Receive one frame; returns ``(msg_type, payload_bytes)``.
+
+    The payload is read straight into its buffer, sized from the
+    checked header.  With ``expect``, a frame of any other type is a
+    :class:`ProtocolError`.
+    """
+    msg_type, length = recv_frame_header(sock, max_frame_bytes=max_frame_bytes)
+    payload = _recv_exact(sock, length, at_boundary=False)
+    if expect is not None:
+        check_frame_type(msg_type, expect)
     return msg_type, payload
 
 

@@ -158,7 +158,7 @@ def test_cluster_frame_bound_is_enforced_end_to_end():
 class _FanoutMapper(Mapper):
     """Emits 32 pairs per input element: shuffle volume >> input volume,
     so the exchange batches blow past a frame bound the (small) control
-    frames — ASSIGN in, reduced RESULT out — fit comfortably within."""
+    frames — ASSIGN in, RESULT stats out — fit comfortably within."""
 
     def map_chunk(self, chunk):
         data = np.asarray(chunk.data).astype(np.uint32)
@@ -175,8 +175,10 @@ class _FanoutMapper(Mapper):
 
 def test_cluster_batch_larger_than_frame_bound_streams():
     """Protocol v1 died with FrameTooLarge when one shuffle batch beat
-    max_frame_bytes; the streamed data plane must complete the run —
-    bit-identically — through a bound the batches exceed many times."""
+    max_frame_bytes, and up to v6 a reduced output past the bound died
+    in its pickled RESULT frame; the streamed data plane must complete
+    the run — bit-identically — through a bound the batches exceed many
+    times and every rank's output exceeds too."""
     from repro.apps.sparse_int_occurrence import SIOReducer
 
     ds = sio_dataset(16_000, chunk_elements=4_000, key_space=1 << 14, seed=21)
@@ -187,14 +189,15 @@ def test_cluster_batch_larger_than_frame_bound_streams():
         partitioner=RoundRobinPartitioner(),
     ).with_config(enable_stealing=False)
     # 16000 * 32 pairs * 8 B over a 2x2 exchange: each (src, dst) batch
-    # carries ~1 MiB against a 128 KiB frame bound, while the reduced
-    # outputs (<= 8192 keys per rank) stay inside it.
-    bound = 1 << 17
+    # carries ~1 MiB against a 32 KiB frame bound, and each rank's
+    # reduced output (~8000 keys) is bigger than the bound too.
+    bound = 1 << 15
     got = ClusterExecutor(
         2, max_frame_bytes=bound, timeout_seconds=60.0
     ).run(job, dataset=ds)
     assert got.stats.total_network_bytes > 4 * bound  # batches really big
     ref = make_executor("serial", 2).run(job, dataset=ds)
+    assert all(out.nbytes_actual > bound for out in ref.outputs)
     for a, b in zip(ref.outputs, got.outputs):
         assert (a is None) == (b is None)
         if a is not None:

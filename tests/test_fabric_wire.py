@@ -436,6 +436,207 @@ def test_manifest_payload_mismatch_is_protocol_error(pair):
         d.close()
 
 
+# -- the byte path: gathered sends, receive in place --------------------------
+
+class _TrickleSocket:
+    """A send side whose ``sendmsg`` takes at most 1,000 B per call,
+    recording what it took: every partial write must resume exactly
+    where the last one stopped."""
+
+    def __init__(self):
+        self.wire = bytearray()
+        self.calls = 0
+
+    def sendmsg(self, buffers):
+        self.calls += 1
+        room = 1000
+        for buf in buffers:
+            piece = memoryview(buf).cast("B")[:room]
+            self.wire += piece
+            room -= piece.nbytes
+            if not room:
+                break
+        return 1000 - room
+
+
+class _StreamSocket:
+    """A receive side that plays back ``data`` through ``recv_into``,
+    then EOF."""
+
+    def __init__(self, data):
+        self._data = memoryview(bytes(data))
+        self._at = 0
+
+    def recv_into(self, view):
+        view = memoryview(view).cast("B")
+        n = min(view.nbytes, len(self._data) - self._at)
+        view[:n] = self._data[self._at : self._at + n]
+        self._at += n
+        return n
+
+
+def _frame(msg_type, body):
+    return HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, len(body)) + body
+
+
+def _reference_batch_stream(src, parts, chunk_ids, bound):
+    """The documented BATCH layout, built by hand from ``pack_parts``:
+    one header frame (struct, manifest, tag block), then the payload
+    cut into DATA frames of at most the bound's chunk room."""
+    from repro.core.kvset import pack_parts
+    from repro.fabric.stream import _BATCH_HEADER, _DATA_HEADER, _chunk_bytes
+
+    manifest, buffers, nbytes = pack_parts(parts)
+    payload = b"".join(bytes(b) for b in buffers)
+    tags = struct.pack(f"!I{len(chunk_ids)}q", len(chunk_ids), *chunk_ids)
+    stream = _frame(
+        MSG_BATCH, _BATCH_HEADER.pack(src, 2, nbytes, len(manifest)) + manifest + tags
+    )
+    step = _chunk_bytes(bound)
+    for at in range(0, nbytes, step):
+        piece = payload[at : at + step]
+        stream += _frame(MSG_BATCH_DATA, _DATA_HEADER.pack(len(piece), 0) + piece)
+    return stream, 1 + -(-nbytes // step)
+
+
+def test_partial_sendmsg_writes_keep_the_batch_wire_format():
+    """Gathered sends change no byte on the wire: through a socket
+    that takes 1,000 B per sendmsg, a tagged multi-frame batch is the
+    stream pack_parts plus the documented headers describe, and it
+    decodes back to its parts."""
+    bound = 4096
+    parts = _batch_parts(n_pairs=2000, seed=4) + [
+        KeyValueSet(keys=np.arange(i + 1, dtype=np.uint32), values=np.ones(i + 1))
+        for i in range(40)  # many small parts: one DATA frame gathers many views
+    ]
+    chunk_ids = list(range(len(parts)))
+    trickle = _TrickleSocket()
+    sent = send_batch(trickle, 6, parts, max_frame_bytes=bound, chunk_ids=chunk_ids)
+    reference, frames = _reference_batch_stream(6, parts, chunk_ids, bound)
+    assert frames > 10
+    assert bytes(trickle.wire) == reference
+    assert trickle.calls >= len(reference) // 1000
+    assert sent == len(reference) - HEADER.size * frames
+    src, got, tags = recv_batch(_StreamSocket(trickle.wire), max_frame_bytes=bound)
+    assert (src, tags) == (6, chunk_ids)
+    _assert_parts_identical(got, parts)
+
+
+def test_lying_total_allocates_only_what_arrived():
+    """A BATCH header declaring 2**40 payload bytes, one 64 KiB DATA
+    frame, then EOF: the receive buffer grew by that one frame and no
+    more, and the cut is a TruncatedFrame."""
+    from repro.core.kvset import pack_parts
+    from repro.fabric.stream import _BATCH_HEADER, _DATA_HEADER
+
+    manifest, _buffers, _nbytes = pack_parts([KeyValueSet.empty()])
+    body = bytes(64 << 10)
+    stream = _frame(
+        MSG_BATCH, _BATCH_HEADER.pack(0, 0, 1 << 40, len(manifest)) + manifest
+    ) + _frame(MSG_BATCH_DATA, _DATA_HEADER.pack(len(body), 0) + body)
+    a, b = socket.socketpair()
+    b.settimeout(5.0)
+    sender = threading.Thread(
+        target=lambda: (a.sendall(stream), a.close()), daemon=True
+    )
+    sender.start()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFrame):
+            recv_batch(b)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sender.join(timeout=10.0)
+        b.close()
+    assert peak < 1 << 20
+
+
+def _owner(array):
+    """The object whose memory ``array`` views."""
+    base = array
+    while isinstance(base, np.ndarray) and base.base is not None:
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+def test_received_parts_are_writable_views_into_one_buffer(pair):
+    """recv_batch decodes in place: every part's keys and values view
+    the one NumPy buffer the DATA bodies were received into, and they
+    are writable, like the arrays a pickle used to hand back."""
+    a, b = pair
+    parts = _batch_parts(n_pairs=4000, seed=5)
+    sender = threading.Thread(
+        target=send_batch, args=(a, 1, parts), kwargs={"max_frame_bytes": 8192},
+        daemon=True,
+    )
+    sender.start()
+    _src, got, _tags = recv_batch(b, max_frame_bytes=8192)
+    sender.join(timeout=10.0)
+    _assert_parts_identical(got, parts)
+    arrays = [arr for part in got for arr in (part.keys, part.values)]
+    owners = {id(_owner(arr)) for arr in arrays}
+    assert len(owners) == 1
+    buffer = _owner(arrays[0])
+    assert isinstance(buffer, np.ndarray)
+    assert buffer.nbytes == sum(arr.nbytes for arr in arrays)
+    assert all(arr.flags.writeable for arr in arrays)
+
+
+#: mutated BATCH streams the fuzz below feeds to recv_batch
+FUZZ_CASES = 2000
+
+
+def _fuzz_streams():
+    """Valid BATCH streams of every shape the codec emits: tagged and
+    untagged, empty, zero-pair, uniform, wide, multi-frame."""
+    rng = np.random.default_rng(11)
+    shapes = [
+        ([], None),
+        ([KeyValueSet.empty(scale=2.0)], None),
+        (_batch_parts(n_pairs=64, seed=1), [3, -1]),
+        ([KeyValueSet(keys=np.arange(50, dtype=np.uint64),
+                      values=np.broadcast_to(np.int32(1), (50,)))], [7]),
+        ([KeyValueSet(keys=rng.integers(0, 99, 30).astype(np.int16),
+                      values=rng.random((30, 3)) > 0.5)], None),
+        (_batch_parts(n_pairs=300, seed=2), None),
+    ]
+    streams = []
+    for parts, tags in shapes:
+        trickle = _TrickleSocket()
+        send_batch(trickle, 2, parts, max_frame_bytes=1024, chunk_ids=tags)
+        streams.append(bytes(trickle.wire))
+    return streams
+
+
+def test_mutated_batch_streams_raise_only_protocol_errors():
+    """2,000 seeded mutations of valid BATCH streams (bit flips,
+    truncations, 4-byte overwrites) through recv_batch: each decodes
+    or raises ProtocolError — never TypeError, UnicodeDecodeError, a
+    bare ValueError or anything else untyped."""
+    rng = np.random.default_rng(2024)
+    streams = _fuzz_streams()
+    escaped = []
+    for case in range(FUZZ_CASES):
+        stream = bytearray(streams[case % len(streams)])
+        kind = case % 3
+        if kind == 0:
+            for bit in rng.integers(0, 8 * len(stream), rng.integers(1, 4)):
+                stream[bit // 8] ^= 1 << (bit % 8)
+        elif kind == 1:
+            del stream[rng.integers(1, len(stream)) :]
+        else:
+            at = int(rng.integers(0, len(stream) - 3))
+            stream[at : at + 4] = rng.bytes(4)
+        try:
+            recv_batch(_StreamSocket(stream), max_frame_bytes=1024)
+        except ProtocolError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escapes under test
+            escaped.append((case, kind, repr(exc)))
+    assert escaped == [], escaped[:5]
+
+
 # -- bound enforcement ------------------------------------------------------
 
 def test_oversized_send_is_refused(pair):
@@ -974,7 +1175,10 @@ def _rank_hello(rank):
 
 
 def _result(sock, rank):
-    send_frame(sock, MSG_RESULT, {"rank": rank, "output": None, "stats": None})
+    """A rank's whole report: the RESULT frame, then its output batch
+    (empty: this fake rank produced nothing)."""
+    send_frame(sock, MSG_RESULT, {"rank": rank, "stats": None})
+    send_batch(sock, rank, [])
 
 
 def test_first_frame_to_a_rank_is_assign_then_a_retired_rank_is_readmitted():
@@ -1061,6 +1265,51 @@ def test_malformed_hello_is_dropped_during_result_collection(payload):
         finally:
             t.join(timeout=10.0)
             rank0.close()
+
+
+@pytest.mark.parametrize(
+    "cut", ["before the batch", "inside a DATA frame", "two parts"]
+)
+def test_rank_dying_partway_through_its_result_is_a_rank_failure(cut):
+    """A rank whose control socket closes after its RESULT frame but
+    before its output batch is whole — or whose batch holds more than
+    one part — surfaces from collect_results as RankFailure naming that
+    rank (the executor's WorkerFailure), never as a raw TruncatedFrame
+    or ProtocolError."""
+    from repro.core.kvset import pack_parts
+    from repro.fabric import RankFailure
+    from repro.fabric.stream import _BATCH_HEADER, _DATA_HEADER
+
+    output = KeyValueSet(keys=np.arange(1000, dtype=np.uint32), values=np.ones(1000))
+    with Coordinator(2, timeout_seconds=10.0) as coord:
+        ranks = [_hello(coord.address, _rank_hello(r)) for r in range(2)]
+        coord.wait_for_ranks()
+        coord.broadcast_assignments("job")
+        for sock in ranks:
+            assert recv_frame(sock)[0] == MSG_ASSIGN
+        _result(ranks[0], 0)
+        send_frame(ranks[1], MSG_RESULT, {"rank": 1, "stats": None})
+        if cut == "inside a DATA frame":
+            manifest, _buffers, nbytes = pack_parts([output])
+            send_raw_frame(
+                ranks[1], MSG_BATCH,
+                _BATCH_HEADER.pack(1, 0, nbytes, len(manifest)) + manifest,
+            )
+            ranks[1].sendall(
+                HEADER.pack(MAGIC, PROTOCOL_VERSION, MSG_BATCH_DATA,
+                            _DATA_HEADER.size + nbytes)
+                + _DATA_HEADER.pack(nbytes, 0) + bytes(100)
+            )
+        elif cut == "two parts":
+            send_batch(ranks[1], 1, [output, output])
+        ranks[1].close()
+        try:
+            with pytest.raises(RankFailure) as failure:
+                coord.collect_results()
+        finally:
+            ranks[0].close()
+    assert failure.value.rank == 1
+    assert "output" in failure.value.detail
 
 
 # -- authenticated registration (protocol v5) --------------------------------

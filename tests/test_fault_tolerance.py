@@ -101,6 +101,50 @@ def test_kill_rank_mid_map_bit_identical(backend, kwargs):
     _assert_bit_identical(ref, got, f"{backend} kill mid-map")
 
 
+def _kmc_jobs():
+    """KMC as the paper runs it (float sums in the accumulator) and its
+    per-point port with ``skip_sort_reduce``, whose output is the
+    shuffled pairs themselves: one pins the fold order, the other the
+    pair order.  Stealing off, so the clean run's grant order is fixed."""
+    from dataclasses import replace
+
+    from repro.apps.kmeans import kmc_dataset, kmc_job
+
+    ds = kmc_dataset(n_points=64_000, chunk_points=4_000, seed=3)
+    folded = kmc_job(ds)
+    pairs = replace(kmc_job(ds, use_accumulation=False), reducer=None)
+    return ds, {
+        "accumulate": folded.with_config(enable_stealing=False),
+        "skip_sort_reduce": pairs.with_config(
+            enable_stealing=False, skip_sort_reduce=True
+        ),
+    }
+
+
+@pytest.mark.parametrize("shape", ["accumulate", "skip_sort_reduce"])
+@pytest.mark.parametrize("backend", ["sim", "serial", "local", "cluster"])
+def test_kill_keeps_an_order_sensitive_job_bit_identical(backend, shape):
+    """A rank killed at its 2nd grant must not change a float sum or a
+    pair order: its lost chunks go back to the head of its queue in
+    grant order, so the replacement maps them in the clean run's order
+    (appended at the tail, they changed KMC's last bits on every
+    backend)."""
+    ds, jobs = _kmc_jobs()
+    job = jobs[shape]
+
+    kwargs = {"timeout_seconds": 60.0} if backend in ("local", "cluster") else {}
+
+    def run(fault_plan):
+        return make_executor(
+            backend, N_WORKERS, fault_plan=fault_plan, **kwargs
+        ).run(job, dataset=ds)
+
+    clean = run(None)
+    killed = run(FaultPlan(kill_rank_at_chunk={1: 2}))
+    assert killed.stats.chunks_reclaimed > 0
+    _assert_bit_identical(clean, killed, f"{backend} KMC {shape} kill")
+
+
 #: runs per backend of the kill loop below, and each run's hard deadline
 KILL_LOOP_RUNS = 20
 KILL_LOOP_DEADLINE_SECONDS = 30.0
