@@ -162,7 +162,7 @@ def send_batch(
     )
     frames = 1
     for views in _iter_chunks(buffers, chunk_bytes):
-        raw_len = sum(v.nbytes for v in views)
+        raw_len = sum(map(len, views))
         sent += send_raw_frame(
             sock, MSG_BATCH_DATA, [_DATA_HEADER.pack(raw_len, 0), *views],
             max_frame_bytes=max_frame_bytes,

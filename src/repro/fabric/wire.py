@@ -55,7 +55,7 @@ import pickle
 import secrets
 import socket
 import struct
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -245,14 +245,14 @@ def set_nodelay(sock: socket.socket) -> socket.socket:
 
 
 def recv_into_exact(sock: socket.socket, view, *, at_boundary: bool) -> None:
-    """Fill the writable buffer ``view`` from the socket with
+    """Fill the writable byte buffer ``view`` from the socket with
     ``recv_into`` — one copy, kernel to destination — mapping EOF to
     the right fabric error."""
-    view = memoryview(view).cast("B")
+    view = memoryview(view)
     got = 0
     while got < view.nbytes:
         try:
-            k = sock.recv_into(view[got:])
+            k = sock.recv_into(view[got:] if got else view)
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise PeerDisconnected(f"connection reset: {exc}") from exc
         if not k:
@@ -270,23 +270,26 @@ def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> bytearray:
     return buf
 
 
-def _send_buffers(sock: socket.socket, buffers: List[memoryview]) -> None:
-    """Write ``buffers`` end to end with gathered ``sendmsg`` calls.
+def _send_buffers(sock: socket.socket, buffers: list, nbytes: int) -> None:
+    """Write ``buffers`` (``nbytes`` in all) end to end with gathered
+    ``sendmsg`` calls.
 
     A partial write resumes inside the buffer it stopped in; one call
     gathers at most ``_IOV_MAX`` buffers, the kernel's iovec limit.
     """
-    first = 0
-    while first < len(buffers):
+    while True:
         try:
-            sent = sock.sendmsg(buffers[first : first + _IOV_MAX])
+            sent = sock.sendmsg(buffers[:_IOV_MAX])
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise PeerDisconnected(f"send failed: {exc}") from exc
-        while first < len(buffers) and sent >= buffers[first].nbytes:
-            sent -= buffers[first].nbytes
+        nbytes -= sent
+        if not nbytes:
+            return
+        first = 0
+        while sent >= len(buffers[first]):
+            sent -= len(buffers[first])
             first += 1
-        if sent:
-            buffers[first] = buffers[first][sent:]
+        buffers = [memoryview(buffers[first])[sent:], *buffers[first + 1 :]]
 
 
 def send_raw_frame(
@@ -299,22 +302,22 @@ def send_raw_frame(
     """Send one framed message whose payload is raw bytes, as-is.
 
     The data plane's primitive: no pickling and no copy.  ``payload``
-    is one bytes-like object or a list of them, laid end to end on the
-    wire; the frame head and every buffer leave in gathered
-    ``sendmsg`` writes.  Returns the number of payload bytes put on
-    the wire (the fabric's real network-traffic accounting).
+    is one byte buffer (``bytes``, ``bytearray``, a ``"B"``
+    memoryview) or a list of them, laid end to end on the wire; the
+    frame head and every buffer leave in gathered ``sendmsg`` writes.
+    Returns the number of payload bytes put on the wire (the fabric's
+    real network-traffic accounting).
     """
-    pieces = payload if isinstance(payload, list) else [payload]
-    views = [memoryview(p).cast("B") for p in pieces]
-    length = sum(v.nbytes for v in views)
+    buffers = payload if isinstance(payload, list) else [payload]
+    length = sum(map(len, buffers))
     if length > max_frame_bytes:
         raise FrameTooLarge(
             f"refusing to send {length} B "
             f"{MSG_NAMES.get(msg_type, msg_type)} frame "
             f"(max_frame_bytes={max_frame_bytes})"
         )
-    head = memoryview(HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, length))
-    _send_buffers(sock, [head, *(v for v in views if v.nbytes)])
+    head = HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, length)
+    _send_buffers(sock, [head, *buffers], HEADER.size + length)
     return length
 
 

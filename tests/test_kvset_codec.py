@@ -1,10 +1,10 @@
 """The binary KVSet codec, tested in isolation.
 
-The exchange hot path (streamed fabric frames, on local and cluster
-alike) rides ``KeyValueSet.to_buffers``/``from_buffers`` and the
-batch-level ``pack_parts``/``unpack_parts``, so the codec must be
-bit-exact across dtypes, shapes, and scales, zero-copy on decode, and
-loud about malformed bytes.
+The exchange and the result path (streamed fabric frames, on local
+and cluster alike) ride ``KeyValueSet.to_buffers``/``from_buffers``
+and the batch-level ``pack_parts``/``unpack_parts``, so the codec must
+be bit-exact across dtypes, shapes, and scales, zero-copy on decode,
+and loud about malformed bytes — with typed errors only.
 """
 
 import socket
@@ -157,6 +157,68 @@ def test_header_corruption_is_detected():
     bad_version = header[:2] + bytes([99]) + header[3:]
     with pytest.raises(CodecError, match="v99"):
         KeyValueSet.from_buffers(bad_version, buffers)
+
+
+def _header(key_dtype=b"<u4", value_dtype=b"<f8", n=4, ndim=1, width=1, scale=1.0):
+    return _KV_HEADER.pack(
+        b"KV", CODEC_VERSION, ndim, 0, len(key_dtype), len(value_dtype),
+        n, width, scale,
+    ) + key_dtype + value_dtype
+
+
+def test_header_dtypes_come_from_an_allow_list():
+    """Wire bytes never reach ``np.dtype()`` unchecked: a header naming
+    anything but an integer key and a bool/integer/float value — or
+    bytes that are no dtype at all — is a CodecError, never a
+    TypeError, UnicodeDecodeError or SyntaxError."""
+    keys = np.arange(4, dtype=np.uint32)
+    buffers = [keys, np.ones(4)]
+    for key_dtype, value_dtype in [
+        (b"<f8", b"<f8"),
+        (b"|b1", b"<f8"),
+        (b"<u4", b"<c16"),
+        (b"<u4", b"|O"),
+        (b"<u4", b"<U2"),
+        (b"<u4", b"<f16"),
+        (b"<u4", b"<i3"),
+        (b"<u4", b"\xff\xfe\xfd"),
+        (b"<u4", b"(4,"),
+        (b"u4", b"<f8"),
+    ]:
+        with pytest.raises(CodecError, match="unsupported dtype"):
+            KeyValueSet.from_buffers(_header(key_dtype, value_dtype), buffers)
+    # every code the codec emits decodes, in either byte order
+    for order in "<>":
+        for code in ["i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f2", "f4", "f8"]:
+            dtype = np.dtype(order + code)
+            kv = KeyValueSet(keys=keys, values=np.arange(4).astype(dtype))
+            _assert_bit_identical(kv, _round_trip(kv))
+    flags = KeyValueSet(keys=keys, values=np.array([True, False, True, True]))
+    _assert_bit_identical(flags, _round_trip(flags))
+
+
+def test_values_the_codec_cannot_carry_fail_at_the_sender():
+    """The encoder refuses what the decoder would: a complex or object
+    value column is a CodecError before any byte is sent."""
+    keys = np.arange(4, dtype=np.uint32)
+    for values in (np.ones(4, dtype=np.complex128), np.array(list("abcd"), dtype=object)):
+        with pytest.raises(CodecError, match="bool, integer and float"):
+            KeyValueSet(keys=keys, values=values).to_buffers()
+
+
+def test_scale_and_width_are_checked():
+    """A scale that is not positive and finite, or a rank-1 value
+    column declaring a width, is a CodecError on decode; a NaN or
+    infinite scale no longer passes the constructor either."""
+    keys = np.arange(4, dtype=np.uint32)
+    buffers = [keys, np.ones(4)]
+    for scale in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(CodecError, match="scale"):
+            KeyValueSet.from_buffers(_header(scale=scale), buffers)
+        with pytest.raises(ValueError, match="scale"):
+            KeyValueSet(keys=keys, values=np.ones(4), scale=scale)
+    with pytest.raises(CodecError, match="width"):
+        KeyValueSet.from_buffers(_header(n=2, width=2), [keys[:2], np.ones(4)])
 
 
 def test_buffer_length_mismatch_is_detected():
