@@ -15,13 +15,13 @@ import numpy as np
 
 from repro.core import (
     Chunk,
-    GPMRRuntime,
     KeyValueSet,
     MapReduceJob,
     Mapper,
     BlockPartitioner,
     Reducer,
     SumPartialReducer,
+    make_executor,
 )
 from repro.primitives import launch_1d, segmented_reduce
 from repro.workloads.base import Dataset, WorkItem
@@ -114,7 +114,7 @@ def main() -> None:
         key_bits=8,
     )
 
-    result = GPMRRuntime(n_gpus=4).run(job, dataset)
+    result = make_executor("sim", 4).run(job, dataset)
     merged = result.merged()
     hist = np.zeros(N_BUCKETS, dtype=np.int64)
     np.add.at(hist, merged.keys.astype(np.int64), merged.values.astype(np.int64))

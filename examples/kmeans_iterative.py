@@ -14,7 +14,7 @@ ground-truth generating centres.
 import numpy as np
 
 from repro.apps import kmc_dataset, kmc_extract_centers, kmc_job
-from repro.core import GPMRRuntime
+from repro.core import make_executor
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
     dataset = kmc_dataset(
         n_points=2 << 20, n_centers=k, dims=dims, chunk_points=256 << 10, seed=3
     )
-    rt = GPMRRuntime(n_gpus=n_gpus)
+    rt = make_executor("sim", n_gpus)
 
     centers = dataset.start_centers()
     total_sim_time = 0.0

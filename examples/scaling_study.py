@@ -11,7 +11,8 @@ the crossover where extra GPUs stop paying is visible.
     python examples/scaling_study.py
 """
 
-from repro.harness import dataset_for, run_app
+from repro.apps import run_app
+from repro.harness import dataset_for
 from repro.harness.report import render_table
 
 

@@ -1,7 +1,8 @@
 """repro — a full reproduction of GPMR (Stuart & Owens, IPDPS 2011).
 
 "Multi-GPU MapReduce on GPU Clusters" on a simulated GPU-cluster
-substrate: a discrete-event engine (:mod:`repro.sim`), calibrated
+substrate: a discrete-event engine with the ``"sim"`` backend's worker,
+binner and runtime on top (:mod:`repro.sim`), calibrated
 GPU/PCI-e/network hardware models (:mod:`repro.hw`, :mod:`repro.net`),
 CUDPP-style primitives (:mod:`repro.primitives`), the GPMR pipeline
 itself (:mod:`repro.core`), the paper's five benchmarks
@@ -27,7 +28,6 @@ Quickstart::
 """
 
 from .core import (
-    GPMRRuntime,
     JobResult,
     KeyValueSet,
     MapReduceJob,
@@ -40,7 +40,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "__version__",
-    "GPMRRuntime",
     "JobResult",
     "KeyValueSet",
     "MapReduceJob",

@@ -10,11 +10,12 @@ Every ``run_*`` convenience shares one uniform signature —
 ``run_x(n_gpus, dataset, *, backend="sim", schedule=None,
 <app-specific keywords>, **executor_kwargs)`` — and :data:`APPS` maps
 the paper's app names to those runners so harness code dispatches by
-registry instead of if/elif chains.
+registry instead of if/elif chains; :func:`run_app` is that dispatch,
+returning one :class:`AppRun` record per run.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .kmeans import (
     CenterPartitioner,
@@ -76,7 +77,8 @@ from .word_occurrence import (
     wo_phoenix_workload,
     wo_validate,
 )
-
+from ..core.executor import JobResult
+from ..core.stats import JobStats
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,80 @@ APPS = {
     "MM": AppSpec(run_matmul, lambda ds: ds.m, mm_dataset),
 }
 
+
+@dataclass
+class AppRun:
+    """One measured execution of an app on some execution backend."""
+
+    app: str
+    size: int
+    n_gpus: int
+    elapsed: float
+    stats: JobStats
+    backend: str = "sim"
+    #: the full result the backend returned — per-rank outputs, the
+    #: recorded :class:`~repro.core.scheduler.ScheduleTrace`, and the
+    #: fault counters; everything beyond the timing summary above.
+    #: (For the two-phase MM app this is its ``MMResult``.)
+    result: Optional[JobResult] = None
+
+
+def run_app(
+    app: str,
+    dataset,
+    n_gpus: int,
+    backend: str = "sim",
+    schedule=None,
+    **executor_kwargs,
+) -> AppRun:
+    """Run ``app`` over ``dataset`` on ``n_gpus`` workers of ``backend``.
+
+    Dispatches through the :data:`APPS` registry — every
+    registered runner shares the uniform signature ``runner(n_gpus,
+    dataset, *, backend, schedule, **executor_kwargs)``.
+
+    With the default ``"sim"`` backend ``elapsed`` is modeled cluster
+    time; with a real backend (``"local"`` / ``"serial"`` /
+    ``"cluster"``) it is measured wall-clock time.
+
+    ``schedule`` replays a recorded chunk schedule
+    (:class:`~repro.core.scheduler.ScheduleTrace`; for the two-phase MM
+    app, a ``(phase1, phase2)`` pair of traces) so a load-balanced run
+    can be re-executed chunk-for-chunk on any backend.  Without it,
+    every backend *generates* a schedule — the real ones steal natively
+    at runtime — and records it on the result.
+
+    ``executor_kwargs`` go to the backend factory verbatim (e.g.
+    ``initial_distribution="single"`` to force an imbalanced start,
+    ``fault_plan=FaultPlan(...)`` to arm kill/stall injection and
+    recovery, or the local backend's ``stall_seconds`` straggler
+    injection).  That includes the observability knobs: pass
+    ``obs=Observability()`` and/or ``trace_path="run.trace.jsonl"``
+    to record spans, events, and metrics for the run (see
+    :mod:`repro.obs`); the bundle comes back on ``result.obs``.
+    """
+    try:
+        spec = APPS[app]
+    except KeyError:
+        raise ValueError(
+            f"unknown app {app!r}; registered: {sorted(APPS)}"
+        ) from None
+    result = spec.runner(
+        n_gpus, dataset, backend=backend, schedule=schedule, **executor_kwargs
+    )
+    return AppRun(
+        app=app,
+        size=spec.size_of(dataset),
+        n_gpus=n_gpus,
+        elapsed=result.elapsed,
+        stats=result.stats,
+        backend=backend,
+        result=result,
+    )
+
+
 __all__ = [
-    "APPS", "AppSpec",
+    "APPS", "AppSpec", "AppRun", "run_app",
     # SIO
     "SIOMapper", "SIOReducer", "sio_job", "sio_dataset", "sio_validate",
     "sio_phoenix_workload", "run_sio",

@@ -24,8 +24,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..baselines.mars import MarsWorkload
-from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
     KeyValueSet,
     MapReduceJob,
@@ -36,7 +34,7 @@ from ..core import (
     make_executor,
 )
 from ..core.chunk import Chunk
-from ..core.runtime import JobResult
+from ..core.executor import JobResult
 from ..core.sorter import RadixSorter
 from ..hw.kernel import KernelLaunch
 from ..primitives import launch_1d, segmented_reduce
@@ -313,9 +311,11 @@ def kmc_validate(result: JobResult, dataset: KMeansDataset) -> None:
 
 # -- baseline descriptors ---------------------------------------------------
 
-def kmc_phoenix_workload(dataset: KMeansDataset) -> PhoenixWorkload:
+def kmc_phoenix_workload(dataset: KMeansDataset):
     """Phoenix KMC: distance loop per point (SSE-friendly), per-point
     emit of <centre, point> through the runtime."""
+    from ..baselines.phoenix import PhoenixWorkload
+
     k, dims = dataset.n_centers, dataset.dims
     return PhoenixWorkload(
         name="kmc",
@@ -333,10 +333,12 @@ def kmc_phoenix_workload(dataset: KMeansDataset) -> PhoenixWorkload:
     )
 
 
-def kmc_mars_workload(dataset: KMeansDataset) -> MarsWorkload:
+def kmc_mars_workload(dataset: KMeansDataset):
     """Mars KMC: thread-per-point map emitting <centre, point>, then a
     bitonic sort of every point-sized pair — the design GPMR's
     accumulation makes unnecessary (hence the ~37x in Table 3)."""
+    from ..baselines.mars import MarsWorkload
+
     n = dataset.n_points
     k, dims = dataset.n_centers, dataset.dims
     pair = 4 + 8 * dims + 8  # key + point + Mars directory entry

@@ -18,7 +18,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
     KeyValueSet,
     MapReduceJob,
@@ -28,7 +27,7 @@ from ..core import (
     make_executor,
 )
 from ..core.chunk import Chunk
-from ..core.runtime import JobResult
+from ..core.executor import JobResult
 from ..core.sorter import RadixSorter
 from ..hw.kernel import KernelLaunch
 from ..primitives import launch_1d, segmented_reduce
@@ -221,11 +220,13 @@ def lr_validate(result: JobResult, dataset: RegressionDataset) -> None:
 
 # -- baseline descriptors ---------------------------------------------------
 
-def lr_phoenix_workload(dataset: RegressionDataset) -> PhoenixWorkload:
+def lr_phoenix_workload(dataset: RegressionDataset):
     """Phoenix LR: per-point statistics with per-split local combine —
     emitted pair volume is tiny, the map loop dominates.  The paper
     measures GPMR at only ~1.3x: LR has so little math per byte that
     the CPU is nearly bandwidth-competitive."""
+    from ..baselines.phoenix import PhoenixWorkload
+
     return PhoenixWorkload(
         name="lr",
         n_items=dataset.n_points,

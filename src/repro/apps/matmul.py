@@ -26,8 +26,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..baselines.mars import MarsWorkload
-from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
     Chunk,
     KeyValueSet,
@@ -38,7 +36,7 @@ from ..core import (
     ScheduleTrace,
     make_executor,
 )
-from ..core.runtime import JobResult
+from ..core.executor import JobResult
 from ..core.stats import JobStats, WorkerStats
 from ..hw.kernel import KernelLaunch
 from ..primitives import launch_1d
@@ -306,10 +304,12 @@ def mm_validate(result: MMResult, dataset: MatrixDataset) -> None:
 
 # -- baseline descriptors ---------------------------------------------------
 
-def mm_phoenix_workload(dataset: MatrixDataset) -> PhoenixWorkload:
+def mm_phoenix_workload(dataset: MatrixDataset):
     """Phoenix MM: one vector-vector map per output element with a naive
     triple loop — the paper observes "almost twenty seconds to multiply
     two 1024x1024 matrices" (~0.1 GFLOP/s, ~1% of node peak)."""
+    from ..baselines.phoenix import PhoenixWorkload
+
     m = dataset.m
     return PhoenixWorkload(
         name="mm",
@@ -326,12 +326,14 @@ def mm_phoenix_workload(dataset: MatrixDataset) -> PhoenixWorkload:
     )
 
 
-def mm_mars_workload(dataset: MatrixDataset) -> MarsWorkload:
+def mm_mars_workload(dataset: MatrixDataset):
     """Mars MM: library-scheduled thread-per-element map — no
     shared-memory tiling is expressible under Mars's one-thread-per-item
     model, so each thread walks a row and a column from global memory
     (texture cache gives partial reuse).  MM results are written in
     place: no pair sort ("there is no Sort or Reduce")."""
+    from ..baselines.mars import MarsWorkload
+
     m = dataset.m
     return MarsWorkload(
         name="mm",

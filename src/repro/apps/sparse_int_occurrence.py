@@ -26,7 +26,6 @@ from typing import List
 
 import numpy as np
 
-from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
     KeyValueSet,
     MapReduceJob,
@@ -37,7 +36,7 @@ from ..core import (
     make_executor,
 )
 from ..core.chunk import Chunk
-from ..core.runtime import JobResult
+from ..core.executor import JobResult
 from ..hw.kernel import KernelLaunch
 from ..primitives import launch_1d, segmented_reduce, uniform_element
 from ..workloads import IntegerDataset
@@ -178,9 +177,11 @@ def sio_validate(result: JobResult, dataset: IntegerDataset) -> None:
 
 # -- baseline descriptors -----------------------------------------------------
 
-def sio_phoenix_workload(dataset: IntegerDataset) -> PhoenixWorkload:
+def sio_phoenix_workload(dataset: IntegerDataset):
     """Phoenix SIO: per-item emit through the runtime's function-pointer
     API, hash-table grouping per pair — grouping dominates."""
+    from ..baselines.phoenix import PhoenixWorkload
+
     return PhoenixWorkload(
         name="sio",
         n_items=dataset.n_elements,

@@ -26,8 +26,6 @@ from typing import List
 
 import numpy as np
 
-from ..baselines.mars import MarsWorkload
-from ..baselines.phoenix import PhoenixWorkload
 from ..core import (
     KeyValueSet,
     MapReduceJob,
@@ -38,7 +36,7 @@ from ..core import (
     make_executor,
 )
 from ..core.chunk import Chunk
-from ..core.runtime import JobResult
+from ..core.executor import JobResult
 from ..core.sorter import RadixSorter
 from ..hashing import MinimalPerfectHash, segmented_poly_hashes
 from ..hw.kernel import KernelLaunch
@@ -240,9 +238,11 @@ def wo_validate(result: JobResult, dataset: TextDataset) -> None:
 
 # -- baseline descriptors ---------------------------------------------------
 
-def wo_phoenix_workload(dataset: TextDataset) -> PhoenixWorkload:
+def wo_phoenix_workload(dataset: TextDataset):
     """Phoenix WO: per-word emit + hash grouping; string handling on the
     CPU is byte-at-a-time, so the map is latency-heavy."""
+    from ..baselines.phoenix import PhoenixWorkload
+
     return PhoenixWorkload(
         name="wo",
         n_items=dataset.n_chars,
@@ -257,9 +257,11 @@ def wo_phoenix_workload(dataset: TextDataset) -> PhoenixWorkload:
     )
 
 
-def wo_mars_workload(dataset: TextDataset) -> MarsWorkload:
+def wo_mars_workload(dataset: TextDataset):
     """Mars WO: two-pass map over the text, then a bitonic sort of one
     pair per word (no accumulation support)."""
+    from ..baselines.mars import MarsWorkload
+
     n_chars = dataset.n_chars
     n_words = dataset.words_in_logical_chars(n_chars)
     return MarsWorkload(

@@ -3,7 +3,7 @@
 Public API surface::
 
     from repro.core import (
-        MapReduceJob, GPMRRuntime, PipelineConfig,
+        MapReduceJob, PipelineConfig, make_executor,
         Mapper, Reducer, Partitioner, RoundRobinPartitioner,
         Combiner, PartialReducer, Accumulator,
         SumCombiner, SumPartialReducer, SumAccumulator,
@@ -14,12 +14,13 @@ A job is a :class:`MapReduceJob` (mapper + optional substages); an
 :class:`Executor` runs it and returns a :class:`JobResult` with
 per-rank outputs and per-stage timing (`JobStats`).  Backends are
 pluggable via :func:`make_executor`: ``"sim"`` (the simulated cluster,
-the executor :class:`GPMRRuntime`), ``"cluster"`` (real rank processes
-joined by the TCP fabric, on any host), ``"local"`` (the cluster
-backend on loopback), and ``"serial"`` (in-process real execution).
+:class:`repro.sim.runtime.GPMRRuntime`), ``"cluster"`` (real rank
+processes joined by the TCP fabric, on any host), ``"local"`` (the
+cluster backend on loopback), and ``"serial"`` (in-process real
+execution).  Nothing here imports the modeled cluster: the sim backend
+is loaded the first time it is asked for.
 """
 
-from .binner import TAG_DATA, TAG_FLUSH, Binner
 from .chunk import Chunk
 from .combine import (
     Accumulator,
@@ -48,9 +49,7 @@ from .partitioner import (
     Partitioner,
     RoundRobinPartitioner,
 )
-from .pipeline import Worker
 from .reducer import Reducer
-from .runtime import GPMRRuntime
 from .scheduler import (
     RETRY,
     Assignment,
@@ -66,7 +65,6 @@ from .stats import STAGES, JobStats, WorkerStats
 __all__ = [
     "MapReduceJob",
     "FaultPlan",
-    "GPMRRuntime",
     "JobResult",
     "PipelineConfig",
     "Executor",
@@ -98,10 +96,6 @@ __all__ = [
     "ScheduleGrant",
     "ScheduleTrace",
     "Assignment",
-    "Worker",
-    "Binner",
-    "TAG_DATA",
-    "TAG_FLUSH",
     "STAGES",
     "JobStats",
     "WorkerStats",

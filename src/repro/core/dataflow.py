@@ -3,7 +3,7 @@
 These are the *real* (NumPy-vectorized) map/combine/partition/sort/
 reduce semantics a worker rank executes: the Figure-1 work flow minus
 the cost model.  Every backend runs exactly this code — the real ones
-(:mod:`repro.exec`) directly, the sim's :class:`~repro.core.pipeline.Worker`
+(:mod:`repro.exec`) directly, the sim's :class:`~repro.sim.worker.Worker`
 step by step, pricing each :class:`MapStep` record :meth:`MapRunner.feed`
 and :meth:`MapRunner.finish` return and the :func:`sort_pairs` /
 :func:`reduce_runs` halves of :func:`reduce_worker` — so all backends

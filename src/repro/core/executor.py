@@ -5,7 +5,7 @@ Accumulate), Partition, Bin/exchange, Sort, Reduce — is described by a
 :class:`~repro.core.job.MapReduceJob`.  An :class:`Executor` decides how
 that dataflow executes:
 
-* ``GPMRRuntime`` (``"sim"``, in :mod:`repro.core.runtime`) — the
+* ``GPMRRuntime`` (``"sim"``, in :mod:`repro.sim.runtime`) — the
   discrete-event simulation.  Every stage charges modeled time
   (kernels, PCI-e, network) and the result carries the paper's Figure-2
   stage accounting.
@@ -27,6 +27,10 @@ checks that every chunk was granted and closes the job.  The settings
 every backend shares (``initial_distribution``, ``fault_plan``) are
 read and validated once, in :meth:`Executor.__init__`.
 
+Each backend's module is imported the first time the backend is asked
+for (:func:`make_executor`, :func:`available_backends`), so a process
+that runs only real backends never loads the modeled cluster.
+
 Every backend implements the same canonical semantics (pull-based
 chunk distribution through one shared
 :class:`~repro.core.scheduler.ChunkService`, source-major shuffle
@@ -39,6 +43,7 @@ via record-on-real / replay-on-sim.
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -399,8 +404,16 @@ class Executor:
 
 _BACKENDS: Dict[str, Callable[..., Executor]] = {}
 
-#: Backends that live outside core and register on first import.
-_LAZY_BACKENDS: Tuple[str, ...] = ("local", "serial", "cluster")
+#: The built-in backends, by the module that registers each when it is
+#: imported.  None is imported at core's load: the real backends import
+#: core (a cycle), and the sim is the modeled cluster, which the real
+#: backends never load.
+_BACKEND_MODULES: Dict[str, str] = {
+    "sim": "repro.sim.runtime",
+    "serial": "repro.exec.serial",
+    "local": "repro.exec.cluster",
+    "cluster": "repro.exec.cluster",
+}
 
 
 def register_backend(name: str, factory: Callable[..., Executor]) -> None:
@@ -411,17 +424,16 @@ def register_backend(name: str, factory: Callable[..., Executor]) -> None:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names (triggers registration of lazy ones)."""
-    for name in _LAZY_BACKENDS:
-        if name not in _BACKENDS:
-            _import_lazy(name)
+    """Registered backend names (imports every built-in one)."""
+    for name in _BACKEND_MODULES:
+        _load_backend(name)
     return tuple(sorted(_BACKENDS))
 
 
-def _import_lazy(name: str) -> None:
-    # Imported for the registration side effect; core cannot import
-    # repro.exec at module load without creating a cycle.
-    import repro.exec  # noqa: F401
+def _load_backend(name: str) -> None:
+    """Import the module of a built-in backend not registered yet."""
+    if name not in _BACKENDS and name in _BACKEND_MODULES:
+        importlib.import_module(_BACKEND_MODULES[name])
 
 
 def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
@@ -462,8 +474,7 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
                 f"{backend!r}×{n_workers}"
             )
         return pre_built
-    if backend not in _BACKENDS and backend in _LAZY_BACKENDS:
-        _import_lazy(backend)
+    _load_backend(backend)
     if backend not in _BACKENDS:
         raise ValueError(
             f"unknown execution backend {backend!r}; "

@@ -3,7 +3,7 @@
 Importing this package registers the ``"local"`` (rank processes on
 this host), ``"serial"`` (in-process), and ``"cluster"`` (ranks on any
 host) backends with :func:`repro.core.executor.make_executor`; the
-``"sim"`` backend is registered by :mod:`repro.core` itself.  ``local``
+``"sim"`` backend lives in :mod:`repro.sim.runtime`.  ``local``
 and ``cluster`` share one transport, the :mod:`repro.fabric` TCP wire
 (``local`` is the cluster backend on loopback).
 
@@ -13,13 +13,6 @@ and ``cluster`` share one transport, the :mod:`repro.fabric` TCP wire
 """
 
 from .cluster import ClusterExecutor, LocalExecutor, WorkerFailure
-from ..core.dataflow import (
-    MapPhaseOutput,
-    MapRunner,
-    map_worker,
-    merge_incoming,
-    reduce_worker,
-)
 from .serial import SerialExecutor
 
 __all__ = [
@@ -27,9 +20,4 @@ __all__ = [
     "LocalExecutor",
     "SerialExecutor",
     "WorkerFailure",
-    "MapPhaseOutput",
-    "MapRunner",
-    "map_worker",
-    "merge_incoming",
-    "reduce_worker",
 ]

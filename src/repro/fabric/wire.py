@@ -401,11 +401,20 @@ def recv_frame(
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     expect: Optional[int] = None,
 ) -> Tuple[int, Any]:
-    """Receive one pickled-payload frame; returns ``(msg_type, payload)``."""
+    """Receive one pickled-payload frame; returns ``(msg_type, payload)``.
+
+    A payload that does not unpickle (a length lie cut it short, or the
+    bytes are not a pickle) is a :class:`ProtocolError`, like any other
+    frame the stream could not have carried."""
     msg_type, payload = recv_raw_frame(
         sock, max_frame_bytes=max_frame_bytes, expect=expect
     )
-    return msg_type, pickle.loads(payload)
+    try:
+        return msg_type, pickle.loads(payload)
+    except Exception as exc:  # noqa: BLE001 - whatever a garbled pickle raises
+        raise ProtocolError(
+            f"undecodable {MSG_NAMES.get(msg_type, msg_type)} payload: {exc!r}"
+        ) from exc
 
 
 # -- authentication ---------------------------------------------------------

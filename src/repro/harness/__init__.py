@@ -38,7 +38,6 @@ from .figures import (
 )
 from .loc import app_loc_counts, count_loc
 from .report import render_series, render_table
-from .runners import AppRun, run_app
 from .weak_scaling import WEAK_PER_GPU, WeakScalingResult, weak_scaling
 from .tables import (
     PAPER_TABLE2,
@@ -66,8 +65,6 @@ __all__ = [
     "ablation_sio_pipeline",
     "ablation_chunk_size",
     "ablation_wo_reduce",
-    "run_app",
-    "AppRun",
     "weak_scaling",
     "WeakScalingResult",
     "WEAK_PER_GPU",

@@ -28,10 +28,12 @@ from ..apps import (
     sio_job,
     wo_dataset,
 )
-from ..core import GPMRRuntime, SumCombiner, SumPartialReducer
+from ..core import SumCombiner, SumPartialReducer
 from ..core.job import MapReduceJob
-from ..hw import GT200, kernel_duration
+from ..hw.kernel import kernel_duration
+from ..hw.specs import GT200
 from ..apps.word_occurrence import WOThreadReducer, WOWarpReducer
+from ..sim.runtime import GPMRRuntime
 
 __all__ = [
     "AblationResult",

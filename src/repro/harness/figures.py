@@ -21,7 +21,7 @@ from .experiments import (
     strong_scaling_sizes,
 )
 from .report import render_series, render_table
-from .runners import run_app
+from ..apps import run_app
 from ..core.stats import STAGES
 
 __all__ = [

@@ -13,13 +13,13 @@ from typing import Dict, List, Tuple
 from .experiments import TABLE2_SIZES, TABLE3_SIZES, dataset_for
 from .loc import app_loc_counts
 from .report import render_table
-from .runners import run_app
 from ..apps import (
     kmc_mars_workload,
     kmc_phoenix_workload,
     lr_phoenix_workload,
     mm_mars_workload,
     mm_phoenix_workload,
+    run_app,
     sio_phoenix_workload,
     wo_mars_workload,
     wo_phoenix_workload,

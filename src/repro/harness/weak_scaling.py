@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 
 from .experiments import dataset_for
 from .report import render_series
-from .runners import run_app
+from ..apps import run_app
 
 __all__ = ["WeakScalingResult", "weak_scaling", "WEAK_PER_GPU"]
 

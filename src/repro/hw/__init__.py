@@ -9,58 +9,9 @@ calibrated performance model (see DESIGN.md section 2).  Components:
 * :mod:`~repro.hw.gpu` / :mod:`~repro.hw.pcie` / :mod:`~repro.hw.cpu`
   — contention-aware device models on the DES
 * :mod:`~repro.hw.node` — node assembly
+
+The package imports none of them: callers import the module they need.
+:mod:`~repro.hw.kernel` is the one module the real backends load (the
+kernel descriptors every job carries); the rest build on the
+discrete-event engine and belong to the ``"sim"`` backend.
 """
-
-from .cpu import HostCPU
-from .gpu import GPU
-from .kernel import COMPUTE_EFFICIENCY, MEMORY_EFFICIENCY, KernelLaunch, kernel_duration
-from .memory import Allocation, DeviceAllocator, OutOfDeviceMemory
-from .meter import Meter
-from .node import Node, build_nodes
-from .pcie import D2H, H2D, PCIeLink
-from .specs import (
-    ACCELERATOR,
-    ACCELERATOR_NODE,
-    GT200,
-    OPTERON_2216_2P,
-    PCIE_GEN1_X16,
-    PCIE_GEN2_X16,
-    QDR_INFINIBAND,
-    ClusterSpec,
-    CPUSpec,
-    GPUSpec,
-    NICSpec,
-    NodeSpec,
-    PCIeSpec,
-)
-
-__all__ = [
-    "GPU",
-    "HostCPU",
-    "KernelLaunch",
-    "kernel_duration",
-    "COMPUTE_EFFICIENCY",
-    "MEMORY_EFFICIENCY",
-    "Allocation",
-    "DeviceAllocator",
-    "OutOfDeviceMemory",
-    "Meter",
-    "Node",
-    "build_nodes",
-    "PCIeLink",
-    "H2D",
-    "D2H",
-    "GPUSpec",
-    "CPUSpec",
-    "PCIeSpec",
-    "NICSpec",
-    "NodeSpec",
-    "ClusterSpec",
-    "GT200",
-    "OPTERON_2216_2P",
-    "PCIE_GEN1_X16",
-    "PCIE_GEN2_X16",
-    "QDR_INFINIBAND",
-    "ACCELERATOR_NODE",
-    "ACCELERATOR",
-]

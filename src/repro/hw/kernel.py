@@ -21,9 +21,12 @@ constants here are the usual achievable fractions of peak.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .specs import GPUSpec
 from ..util.validation import check_in_range, check_non_negative
+
+if TYPE_CHECKING:
+    from .specs import GPUSpec
 
 __all__ = ["KernelLaunch", "kernel_duration", "COMPUTE_EFFICIENCY", "MEMORY_EFFICIENCY"]
 

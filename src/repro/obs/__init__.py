@@ -4,7 +4,7 @@ The public handle is :class:`Observability` — one per run, bundling a
 :class:`~repro.obs.trace.Tracer` and a
 :class:`~repro.obs.metrics.MetricsRegistry`.  Pass one (or just a
 ``trace_path=``) to :func:`repro.make_executor` /
-:func:`repro.harness.run_app`::
+:func:`repro.apps.run_app`::
 
     from repro import make_executor
     from repro.obs import Observability
@@ -78,7 +78,7 @@ class Observability:
     Worker processes build their own instance, record into it, and
     ship :meth:`export` payloads back over the result channel; the
     driver :meth:`absorb`\\ s them into the run-level instance that
-    executors expose on :attr:`repro.core.runtime.JobResult.obs`.
+    executors expose on :attr:`repro.core.executor.JobResult.obs`.
     """
 
     enabled = True

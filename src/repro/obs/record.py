@@ -1,6 +1,6 @@
 """Record a traced demo run: ``python -m repro.obs.record``.
 
-A thin wrapper over :func:`repro.harness.run_app` that runs one of
+A thin wrapper over :func:`repro.apps.run_app` that runs one of
 the single-phase benchmark apps with tracing on and writes the JSONL
 trace (and optionally the Chrome export) — what the CI bench-smoke
 job uses to publish a sample trace artifact::
@@ -71,7 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     ns = parser.parse_args(argv)
 
-    from ..harness import run_app
+    from ..apps import run_app
 
     size = ns.size or _DEFAULT_SIZES[ns.app]
     dataset = _make_dataset(ns.app, size)

@@ -9,7 +9,7 @@ thread resolves the corresponding :class:`concurrent.futures.Future`.
 convenience; the module-level :func:`submit` does
 connect-submit-disconnect for one-shot callers.
 
-Results come back as the same :class:`~repro.harness.runners.AppRun`
+Results come back as the same :class:`~repro.apps.AppRun`
 records one-shot ``run_app`` produces, so downstream tooling (tables,
 plots, validators) cannot tell service runs from local ones — which is
 the point: the service changes *where and how warm* jobs run, never
@@ -39,7 +39,7 @@ from ..fabric.wire import (
     recv_raw_frame,
     send_frame,
 )
-from ..harness.runners import AppRun
+from ..apps import AppRun
 
 __all__ = ["JobFailed", "ServiceClient", "submit"]
 

@@ -37,7 +37,7 @@ import traceback
 from typing import Any, Dict, Optional, Tuple
 
 from ..apps import APPS, MMResult
-from ..core.runtime import JobResult
+from ..core.executor import JobResult
 from ..core.scheduler import JobChunkAuthority
 from ..fabric.wire import (
     DEFAULT_MAX_FRAME_BYTES,

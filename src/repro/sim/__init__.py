@@ -13,6 +13,15 @@ Everything temporal in the reproduction (GPU kernels, PCI-e copies,
 network sends, CPU binning threads) executes on this engine, so
 communication/computation overlap — the paper's central concern — is
 modelled end to end.
+
+The ``"sim"`` backend sits on top of the engine and the
+:mod:`repro.hw` / :mod:`repro.net` models: :mod:`~repro.sim.worker`
+(one GPMR rank pricing the shared dataflow), :mod:`~repro.sim.binner`
+(the threaded Bin substage) and :mod:`~repro.sim.runtime`
+(:class:`~repro.sim.runtime.GPMRRuntime`, the executor).  This package
+imports only the engine: those three import the device models, which
+import the engine, and :func:`repro.core.executor.make_executor` loads
+the runtime on the first ``"sim"`` run.
 """
 
 from .engine import EmptySchedule, Environment

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from typing import Generator, List, Sequence, Tuple
 
-from .kvset import KeyValueSet
+from .engine import Environment
+from .events import Event
+from ..core.kvset import KeyValueSet
 from ..hw.cpu import HostCPU
 from ..net.mpi import Communicator
-from ..sim import Environment, Event
 
 __all__ = ["TAG_DATA", "TAG_FLUSH", "Binner"]
 

@@ -9,35 +9,35 @@ backend pulls from and closes the job; the sim's one step,
 :meth:`GPMRRuntime._run_ranks`, instantiates the nodes, the network
 fabric and the MPI communicator (one rank per GPU, packed onto nodes
 fill-first like the paper's launcher), runs every
-:class:`~repro.core.pipeline.Worker` — the real backends' dataflow,
+:class:`~repro.sim.worker.Worker` — the real backends' dataflow,
 priced in modeled time — to completion on the discrete-event engine,
 and reports the modeled clock as the run's elapsed time.
 
-:class:`~repro.core.executor.JobResult` and
-:func:`~repro.core.scheduler.resolve_chunks` are importable from here
-too.
+:func:`~repro.core.executor.make_executor` imports this module the
+first time a ``"sim"`` executor is asked for, so the real backends never
+load the modeled cluster.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .executor import Executor, JobResult, register_backend
-from .faults import FaultPlan
-from .job import MapReduceJob
-from .kvset import KeyValueSet
-from .pipeline import Worker
-from .scheduler import ChunkService, resolve_chunks
-from .stats import WorkerStats
+from .engine import Environment
+from .worker import Worker
+from ..core.executor import Executor, register_backend
+from ..core.faults import FaultPlan
+from ..core.job import MapReduceJob
+from ..core.kvset import KeyValueSet
+from ..core.scheduler import ChunkService
+from ..core.stats import WorkerStats
 from ..hw.node import build_nodes
-from ..obs import Observability
 from ..hw.specs import ACCELERATOR, ClusterSpec
 from ..net.fabric import Fabric
 from ..net.mpi import Communicator
 from ..net.topology import FatTreeTopology, StarTopology
-from ..sim import Environment
+from ..obs import Observability
 
-__all__ = ["JobResult", "GPMRRuntime", "resolve_chunks"]
+__all__ = ["GPMRRuntime"]
 
 
 class GPMRRuntime(Executor):
@@ -118,7 +118,7 @@ class GPMRRuntime(Executor):
         service: ChunkService,
         obs: Optional[Observability],
     ) -> Tuple[List[Optional[KeyValueSet]], List[WorkerStats], float]:
-        """Run every rank's :class:`~repro.core.pipeline.Worker` on a
+        """Run every rank's :class:`~repro.sim.worker.Worker` on a
         freshly built modeled cluster; the engine's clock at the end is
         the run's elapsed time.  A traced run's spans and events are
         stamped with that modeled clock, not this process's wall clock."""

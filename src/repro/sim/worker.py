@@ -25,7 +25,7 @@ unchanged.
 The worker is one rank of the ``"sim"`` backend: the shared driver
 (:meth:`~repro.core.executor.Executor.run`) hands every worker the same
 :class:`~repro.core.scheduler.ChunkService`, and
-:class:`~repro.core.runtime.GPMRRuntime` runs the workers on the event
+:class:`~repro.sim.runtime.GPMRRuntime` runs the workers on the event
 engine.  A scripted death goes through
 :class:`~repro.core.faults.ScriptedDeath`, the rule the serial backend
 uses too.
@@ -38,19 +38,19 @@ from typing import Generator, List, Optional, Tuple
 import numpy as np
 
 from .binner import Binner
-from .chunk import Chunk
-from .dataflow import MapRunner, MapStep, reduce_runs, sort_pairs
-from .faults import FaultPlan, ScriptedDeath
-from .job import MapReduceJob
-from .kvset import KeyValueSet
-from .scheduler import Assignment, ChunkService
-from .stats import WorkerStats
+from .engine import Environment
+from ..core.chunk import Chunk
+from ..core.dataflow import MapRunner, MapStep, reduce_runs, sort_pairs
+from ..core.faults import FaultPlan, ScriptedDeath
+from ..core.job import MapReduceJob
+from ..core.kvset import KeyValueSet
+from ..core.scheduler import Assignment, ChunkService
+from ..core.stats import WorkerStats
 from ..obs import NULL_TRACER
 from ..hw.gpu import GPU
 from ..hw.node import Node
 from ..net.mpi import Communicator
 from ..primitives import KeyRuns, unique_segments_cost
-from ..sim import Environment
 
 __all__ = ["Worker"]
 

@@ -13,7 +13,8 @@ from repro.core import (
     SumCombiner,
     SumPartialReducer,
 )
-from repro.hw import GT200, kernel_duration
+from repro.hw.kernel import kernel_duration
+from repro.hw.specs import GT200
 from repro.util.rng import generator
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import (
     Chunk,
-    GPMRRuntime,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -23,6 +22,7 @@ from repro.core import (
     SumPartialReducer,
 )
 from repro.primitives import launch_1d, segmented_reduce
+from repro.sim.runtime import GPMRRuntime
 from repro.workloads import IntegerDataset
 
 KEY_SPACE = 64

@@ -14,8 +14,9 @@ and ``fault_plan`` — once, when it is built.
 import pytest
 
 from repro.apps import sio_dataset, sio_job
-from repro.core import FaultPlan, GPMRRuntime
+from repro.core import FaultPlan
 from repro.core.executor import Executor, make_executor
+from repro.sim.runtime import GPMRRuntime
 
 BACKENDS = ("sim", "serial", "local", "cluster")
 

@@ -7,6 +7,7 @@ coordinator handshake against hand-rolled rank endpoints, including a
 straggler that registers late and a rank that never shows up.
 """
 
+import pickle
 import socket
 import struct
 import threading
@@ -587,11 +588,11 @@ def test_received_parts_are_writable_views_into_one_buffer(pair):
 FUZZ_CASES = 2000
 
 
-def _fuzz_streams():
-    """Valid BATCH streams of every shape the codec emits: tagged and
-    untagged, empty, zero-pair, uniform, wide, multi-frame."""
+def _fuzz_shapes():
+    """``(parts, chunk tags)`` of every shape the codec emits: tagged
+    and untagged, empty, zero-pair, uniform, wide, multi-frame."""
     rng = np.random.default_rng(11)
-    shapes = [
+    return [
         ([], None),
         ([KeyValueSet.empty(scale=2.0)], None),
         (_batch_parts(n_pairs=64, seed=1), [3, -1]),
@@ -601,8 +602,12 @@ def _fuzz_streams():
                       values=rng.random((30, 3)) > 0.5)], None),
         (_batch_parts(n_pairs=300, seed=2), None),
     ]
+
+
+def _fuzz_streams():
+    """Valid BATCH streams of every shape in :func:`_fuzz_shapes`."""
     streams = []
-    for parts, tags in shapes:
+    for parts, tags in _fuzz_shapes():
         trickle = _TrickleSocket()
         send_batch(trickle, 2, parts, max_frame_bytes=1024, chunk_ids=tags)
         streams.append(bytes(trickle.wire))
@@ -634,6 +639,122 @@ def test_mutated_batch_streams_raise_only_protocol_errors():
             pass
         except Exception as exc:  # noqa: BLE001 - the escapes under test
             escaped.append((case, kind, repr(exc)))
+    assert escaped == [], escaped[:5]
+
+
+class _LoggedStreamSocket(_StreamSocket):
+    """A :class:`_StreamSocket` that records the largest buffer a read
+    asked it to fill: what the receiver allocated for one frame."""
+
+    largest = 0
+
+    def recv_into(self, view):
+        self.largest = max(self.largest, memoryview(view).nbytes)
+        return super().recv_into(view)
+
+
+def _length_lie(rng, width):
+    """A length field's lie: an edge value or a random one, fitting in
+    ``width`` bytes."""
+    top = (1 << (8 * width)) - 1
+    lies = [0, 1, 2, 255, top >> 1, top, int(rng.integers(0, top >> 1))]
+    return lies[int(rng.integers(0, len(lies)))]
+
+
+def _manifest_length_fields(manifest):
+    """``(offset, struct)`` of every length field a manifest holds: each
+    part record's header length, and each codec header's dtype lengths,
+    pair count and width."""
+    from repro.core.kvset import _KV_HEADER, _MANIFEST_HEADER, _U32
+
+    fields = []
+    read = _MANIFEST_HEADER.size
+    while read + _U32.size <= len(manifest):
+        fields.append((read, _U32))
+        (header_len,) = _U32.unpack_from(manifest, read)
+        head = read + _U32.size
+        # magic(2) version ndim flags | kd_len vd_len | n width | scale
+        fields += [(head + 5, struct.Struct("!H")), (head + 7, struct.Struct("!H")),
+                   (head + 9, struct.Struct("!Q")), (head + 17, struct.Struct("!Q"))]
+        assert header_len >= _KV_HEADER.size
+        read = head + header_len
+    return fields
+
+
+def test_mutated_manifests_raise_only_codec_errors():
+    """1,200 seeded mutations of valid ``pack_parts`` output, fed to
+    ``unpack_parts`` directly: bit flips, truncations and length lies,
+    in the manifest and in the data.  Each decodes or raises
+    CodecError — never an untyped error."""
+    from repro.core.kvset import CodecError, pack_parts, unpack_parts
+
+    rng = np.random.default_rng(7)
+    valid = []
+    for parts, _tags in _fuzz_shapes():
+        manifest, chunks, _nbytes = pack_parts(parts)
+        valid.append((manifest, b"".join(bytes(c) for c in chunks)))
+    escaped = []
+    for case in range(1200):
+        manifest, data = (bytearray(b) for b in valid[case % len(valid)])
+        kind = case % 4
+        target = manifest if (case // 4) % 2 == 0 else data
+        if kind == 0 and target:
+            for bit in rng.integers(0, 8 * len(target), rng.integers(1, 4)):
+                target[bit // 8] ^= 1 << (bit % 8)
+        elif kind == 1 and target:
+            del target[rng.integers(0, len(target)) :]
+        elif kind == 2:
+            fields = _manifest_length_fields(manifest)
+            if fields:
+                at, field = fields[int(rng.integers(0, len(fields)))]
+                field.pack_into(manifest, at, _length_lie(rng, field.size))
+        else:  # the data is longer than the manifest declares
+            data += rng.bytes(int(rng.integers(1, 64)))
+        try:
+            unpack_parts(bytes(manifest), bytes(data))
+        except CodecError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escapes under test
+            escaped.append((case, kind, repr(exc)))
+    assert escaped == [], escaped[:5]
+
+
+def test_mutated_frame_headers_raise_only_fabric_errors():
+    """1,200 seeded header mutations of valid control frames through
+    ``recv_frame``: magic, version and type bytes, and the declared
+    length (past the bound, inside it, and short of the payload).
+    Each decodes or raises FabricError, and no read is sized past
+    ``max_frame_bytes``."""
+    bound = 4096
+    payloads = [{"rank": 3, "pid": 41}, [1.5, None, "x" * 200], b"\0" * 900, ()]
+    frames = [_frame(MSG_HELLO, pickle.dumps(p)) for p in payloads]
+    rng = np.random.default_rng(5)
+    escaped = []
+    for case in range(1200):
+        frame = bytearray(frames[case % len(frames)])
+        kind = case % 4
+        if kind == 0:  # magic
+            frame[int(rng.integers(0, 4))] ^= int(rng.integers(1, 256))
+        elif kind == 1:  # version
+            frame[4] = int(rng.choice([v for v in range(256) if v != PROTOCOL_VERSION]))
+        elif kind == 2:  # type, read with and without an expected type
+            frame[5] = int(rng.integers(0, 256))
+        else:  # length
+            length = len(frame) - HEADER.size
+            lies = [
+                bound + 1, (1 << 64) - 1, int(rng.integers(bound + 1, 1 << 62)),
+                int(rng.integers(0, length)), int(rng.integers(length + 1, bound + 1)),
+            ]
+            struct.pack_into("!Q", frame, 8, lies[int(rng.integers(0, len(lies)))])
+        sock = _LoggedStreamSocket(frame)
+        try:
+            recv_frame(sock, max_frame_bytes=bound,
+                       expect=MSG_HELLO if case % 8 < 4 else None)
+        except FabricError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escapes under test
+            escaped.append((case, kind, repr(exc)))
+        assert sock.largest <= bound, (case, kind, sock.largest)
     assert escaped == [], escaped[:5]
 
 
@@ -938,7 +1059,7 @@ def test_every_connection_of_a_live_run_disables_nagle(monkeypatch):
     two-rank run in this process checks both ends of every control
     connection and of every shuffle connection it opened."""
     from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
-    from repro.core.runtime import resolve_chunks
+    from repro.core.scheduler import resolve_chunks
     from repro.core.scheduler import ChunkService
     from repro.fabric import endpoint as endpoint_mod
 
@@ -1189,7 +1310,7 @@ def test_first_frame_to_a_rank_is_assign_then_a_retired_rank_is_readmitted():
     that does not re-arm the predecessor's scripted kill."""
     from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
     from repro.core.faults import FaultPlan
-    from repro.core.runtime import resolve_chunks
+    from repro.core.scheduler import resolve_chunks
     from repro.core.scheduler import ChunkService
 
     ds = sio_dataset(4_000, chunk_elements=2_000, key_space=1 << 8, seed=3)

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.apps.sparse_int_occurrence import sio_dataset, sio_job, sio_validate
-from repro.core import FaultPlan, make_executor
+from repro.core import FaultPlan, KeyValueSet, Mapper, make_executor
 
 pytestmark = pytest.mark.slow
 
@@ -101,27 +101,53 @@ def test_kill_rank_mid_map_bit_identical(backend, kwargs):
     _assert_bit_identical(ref, got, f"{backend} kill mid-map")
 
 
-def _kmc_jobs():
-    """KMC as the paper runs it (float sums in the accumulator) and its
-    per-point port with ``skip_sort_reduce``, whose output is the
-    shuffled pairs themselves: one pins the fold order, the other the
-    pair order.  Stealing off, so the clean run's grant order is fixed."""
+class _FloatCountMapper(Mapper):
+    """Emit <key, float> per input integer, the float depending on the
+    item's place in the dataset: a key's sum then depends on the order
+    its values reach the reducer."""
+
+    def map_chunk(self, chunk):
+        data = chunk.data
+        place = np.arange(len(data), dtype=np.float64) + 4096.0 * chunk.index
+        return KeyValueSet(
+            keys=data.astype(np.uint32), values=np.sqrt(place + 1.0), scale=chunk.scale
+        )
+
+    def map_cost(self, chunk):
+        return []
+
+
+def _order_sensitive_jobs():
+    """``{shape: (job, dataset)}``: KMC as the paper runs it (float sums
+    in the accumulator); its per-point port with ``skip_sort_reduce``,
+    whose output is the shuffled pairs themselves; and a float-valued
+    count job whose reducer sums each key's values as sorted.  The
+    first pins the fold order, the other two the pair order.  Stealing
+    off, so the clean run's grant order is fixed."""
     from dataclasses import replace
 
     from repro.apps.kmeans import kmc_dataset, kmc_job
+    from test_core_pipeline import count_job, make_dataset
 
-    ds = kmc_dataset(n_points=64_000, chunk_points=4_000, seed=3)
-    folded = kmc_job(ds)
-    pairs = replace(kmc_job(ds, use_accumulation=False), reducer=None)
-    return ds, {
-        "accumulate": folded.with_config(enable_stealing=False),
-        "skip_sort_reduce": pairs.with_config(
-            enable_stealing=False, skip_sort_reduce=True
+    kmc = kmc_dataset(n_points=64_000, chunk_points=4_000, seed=3)
+    folded = kmc_job(kmc)
+    pairs = replace(kmc_job(kmc, use_accumulation=False), reducer=None)
+    counts = make_dataset(n=64_000, chunk=4_000)
+    return {
+        "accumulate": (folded.with_config(enable_stealing=False), kmc),
+        "skip_sort_reduce": (
+            pairs.with_config(enable_stealing=False, skip_sort_reduce=True), kmc
+        ),
+        "float_count": (
+            count_job(name="float-count", mapper=_FloatCountMapper()).with_config(
+                enable_stealing=False
+            ),
+            counts,
         ),
     }
 
 
-@pytest.mark.parametrize("shape", ["accumulate", "skip_sort_reduce"])
+@pytest.mark.parametrize("shape", ["accumulate", "skip_sort_reduce", "float_count"])
 @pytest.mark.parametrize("backend", ["sim", "serial", "local", "cluster"])
 def test_kill_keeps_an_order_sensitive_job_bit_identical(backend, shape):
     """A rank killed at its 2nd grant must not change a float sum or a
@@ -129,8 +155,7 @@ def test_kill_keeps_an_order_sensitive_job_bit_identical(backend, shape):
     grant order, so the replacement maps them in the clean run's order
     (appended at the tail, they changed KMC's last bits on every
     backend)."""
-    ds, jobs = _kmc_jobs()
-    job = jobs[shape]
+    job, ds = _order_sensitive_jobs()[shape]
 
     kwargs = {"timeout_seconds": 60.0} if backend in ("local", "cluster") else {}
 
@@ -142,7 +167,7 @@ def test_kill_keeps_an_order_sensitive_job_bit_identical(backend, shape):
     clean = run(None)
     killed = run(FaultPlan(kill_rank_at_chunk={1: 2}))
     assert killed.stats.chunks_reclaimed > 0
-    _assert_bit_identical(clean, killed, f"{backend} KMC {shape} kill")
+    _assert_bit_identical(clean, killed, f"{backend} {shape} kill")
 
 
 #: runs per backend of the kill loop below, and each run's hard deadline

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import run_app
 from repro.harness import (
     APP_NAMES,
     GPU_COUNTS,
@@ -12,7 +13,6 @@ from repro.harness import (
     efficiency_curve,
     render_series,
     render_table,
-    run_app,
     sample_factor_for,
     strong_scaling_sizes,
     table1,

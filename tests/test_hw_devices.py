@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.hw import GT200, KernelLaunch, Node, OutOfDeviceMemory, build_nodes
+from repro.hw.kernel import KernelLaunch
+from repro.hw.memory import OutOfDeviceMemory
+from repro.hw.node import Node, build_nodes
 from repro.hw.pcie import D2H, H2D, PCIeLink
-from repro.hw.specs import ACCELERATOR, ACCELERATOR_NODE, PCIE_GEN1_X16
+from repro.hw.specs import ACCELERATOR, ACCELERATOR_NODE, GT200, PCIE_GEN1_X16
 from repro.sim import Environment
 
 

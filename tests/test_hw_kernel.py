@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.hw import GT200, KernelLaunch, kernel_duration
-from repro.hw.kernel import COMPUTE_EFFICIENCY, MEMORY_EFFICIENCY, occupancy
+from repro.hw.kernel import (
+    COMPUTE_EFFICIENCY,
+    MEMORY_EFFICIENCY,
+    KernelLaunch,
+    kernel_duration,
+    occupancy,
+)
+from repro.hw.specs import GT200
 
 
 def full_grid(**kwargs):

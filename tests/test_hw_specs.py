@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw import (
+from repro.hw.specs import (
     ACCELERATOR,
     ACCELERATOR_NODE,
     GT200,

@@ -12,7 +12,8 @@ process backends' job path:
 
 And the rule that no wait on the job path is paced by a timer: an
 empty ``local`` job costs its forks and not a poll tick.  And no job,
-real or simulated, imports a third-party package besides NumPy.
+real or simulated, imports a third-party package besides NumPy, and
+no real-backend job loads the modeled cluster.
 """
 
 import os
@@ -26,9 +27,10 @@ import pytest
 
 from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
 from repro.core import Mapper, MapReduceJob, make_executor
+from repro.core.dataflow import map_worker
 from repro.core.kvset import KeyValueSet
-from repro.core.runtime import resolve_chunks
-from repro.exec import WorkerFailure, map_worker
+from repro.core.scheduler import resolve_chunks
+from repro.exec import WorkerFailure
 from repro.exec.exchange import (
     SHM_MIN_BYTES,
     decode_batch,
@@ -197,14 +199,22 @@ _IMPORT_DIET_SCRIPT = """
 import sys, sysconfig
 before = set(sys.modules)
 site = (sysconfig.get_paths()["purelib"], sysconfig.get_paths()["platlib"])
-import repro.exec.rank, repro.service
+import repro.fabric.launch, repro.exec.cluster, repro.exec.rank, repro.apps, repro.service
 from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
-from repro.core import make_executor
+from repro.core import available_backends, make_executor
 
 ds = sio_dataset(120_000, chunk_elements=18_000, key_space=1 << 22, seed=3)
 job = sio_job(key_space=1 << 22)
 make_executor("serial", 4).run(job, dataset=ds)
+model = sorted(
+    name for name in sys.modules
+    if name.split(".")[:2] in (["repro", "sim"], ["repro", "net"],
+                               ["repro", "baselines"], ["repro", "harness"])
+    or (name.startswith("repro.hw.") and name != "repro.hw.kernel")
+)
+assert not model, f"the loop loaded the modeled cluster: {model}"
 result = make_executor("sim", 4).run(job, dataset=ds)
+assert available_backends() == ("cluster", "local", "serial", "sim"), available_backends()
 installed = {
     name.partition(".")[0]
     for name in set(sys.modules) - before
@@ -218,8 +228,12 @@ print(repr(result.stats.elapsed))
 def test_jobs_import_nothing_but_numpy_and_the_stdlib():
     """A rank, the service, a real-backend job and a sim job import no
     third-party package but NumPy: the sim's network model routes in
-    closed form, with no graph library.  The sim still models the seconds
-    pinned for ``sio_staged`` in ``tests/sim_pins.json``."""
+    closed form, with no graph library.  Until the sim job, the process
+    holds no module of the modeled cluster (``repro.sim``, ``repro.net``,
+    any ``repro.hw`` module but ``hw.kernel``), the baselines or the
+    harness; the sim backend then loads by name on first use and still
+    models the seconds pinned for ``sio_staged`` in
+    ``tests/sim_pins.json``."""
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_DIET_SCRIPT],
         capture_output=True, text=True, timeout=120,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     Chunk,
-    GPMRRuntime,
     KeyValueSet,
     MapReduceJob,
     Mapper,
@@ -13,12 +12,13 @@ from repro.core import (
     Reducer,
     RoundRobinPartitioner,
 )
-from repro.core.binner import Binner
-from repro.hw import OutOfDeviceMemory
+from repro.hw.memory import OutOfDeviceMemory
 from repro.hw.specs import ACCELERATOR_NODE, ClusterSpec, GT200, NodeSpec
 from repro.net import Communicator, Fabric, StarTopology
 from repro.primitives import launch_1d, segmented_reduce
 from repro.sim import Environment
+from repro.sim.binner import Binner
+from repro.sim.runtime import GPMRRuntime
 from repro.hw.cpu import HostCPU
 from repro.util.rng import generator
 from repro.util.units import MIB

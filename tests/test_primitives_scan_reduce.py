@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import GT200, kernel_duration
+from repro.hw.kernel import kernel_duration
+from repro.hw.specs import GT200
 from repro.primitives import scan_cost, segmented_reduce, segmented_reduce_cost
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.hw import GT200, kernel_duration
+from repro.hw.kernel import kernel_duration
+from repro.hw.specs import GT200
 from repro.primitives import (
     compact_cost,
     radix_sort_cost,

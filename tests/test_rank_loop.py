@@ -29,7 +29,7 @@ from repro.core import (
     make_executor,
 )
 from repro.core.kvset import KeyValueSet
-from repro.core.runtime import resolve_chunks
+from repro.core.scheduler import resolve_chunks
 from repro.core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY
 from repro.exec import rank as rank_mod
 from repro.exec.rank import GrantPuller, drive_rank

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.apps import run_sio  # noqa: F401 - imported for parity with shapes tests
-from repro.core import GPMRRuntime
+from repro.sim.runtime import GPMRRuntime
 from repro.apps import sio_dataset, sio_job, sio_validate
 from repro.apps import kmc_dataset, kmc_job, kmc_validate
 
