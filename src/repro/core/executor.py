@@ -298,9 +298,11 @@ class Executor:
     #
     # Executors are pool-managed by the job service (repro.service): one
     # instance runs many jobs back to back, so the lifecycle is part of
-    # the backend contract — close() is idempotent on every backend,
-    # run() after close() raises RuntimeError, and reset() returns a
-    # used executor to a runnable state between leases.
+    # the backend contract — close() is idempotent on every backend and
+    # releases what the executor keeps between runs (local/cluster: the
+    # rank processes), run() after close() raises RuntimeError, and
+    # reset() returns a used executor to a runnable state between
+    # leases.
 
     @property
     def closed(self) -> bool:
@@ -324,9 +326,9 @@ class Executor:
     def _release(self) -> None:
         """Subclass hook, called exactly once by the first :meth:`close`.
 
-        Today's backends acquire everything per :meth:`run` and release
-        it there, so the default is a no-op; persistent-resource
-        backends override this.
+        The default is a no-op: sim and serial acquire everything per
+        :meth:`run`.  ``local``/``cluster`` keep their coordinator and
+        rank processes from the first run on, and release them here.
         """
 
     def reset(self) -> None:
@@ -334,9 +336,11 @@ class Executor:
 
         The pool calls this between leases so one instance serves many
         jobs.  Per-run state on the built-in backends is already scoped
-        to :meth:`run`; reset clears the cross-run knobs a job service
-        sets per lease (``job_id``) and recorded observability, and
-        refuses on a closed executor.
+        to :meth:`run`, and the ranks ``local``/``cluster`` keep between
+        runs hold nothing of a finished job, so they stay up: reset
+        clears the cross-run knobs a job service sets per lease
+        (``job_id``) and recorded observability, and refuses on a
+        closed executor.
         """
         self._check_open("reset")
         self.job_id = None

@@ -15,13 +15,21 @@ tracebacks) back over their control connection.
 ``LocalExecutor`` (``"local"``) is that executor with its multi-host
 knobs fixed: ranks spawned on this host, everything over ``127.0.0.1``.
 
+Ranks outlive a run: the coordinator and the rank processes belong to
+the executor from its first :meth:`~ClusterExecutor.run` to
+:meth:`~ClusterExecutor.close`, and each later run is one more ASSIGN
+on the same connections (no fork, no registration).  A run that raises
+tears them all down; the next run starts afresh.
+
 By default the cluster executor also spawns its ranks on this host.
 The wire protocol is host-agnostic, so the same driver serves a real
 multi-host run: construct with ``spawn_ranks=False`` (and typically
 ``host="0.0.0.0"``), read the port from
-:attr:`ClusterExecutor.coordinator_address`, and start each rank with
+:attr:`ClusterExecutor.coordinator_address` once the first run has
+started, and start each rank with
 ``python -m repro.fabric.launch --coordinator host:port --rank N`` —
-no code changes.  (With a wildcard bind, ``--coordinator`` takes the
+no code changes; the launched ranks serve every run until the
+executor closes.  (With a wildcard bind, ``--coordinator`` takes the
 driver's *real* interface address; ``0.0.0.0`` is bindable, not
 dialable.)
 
@@ -36,7 +44,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import sys
+import time
 import traceback
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..core.executor import Executor, register_backend
@@ -45,7 +55,7 @@ from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
 from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, ChunkService
 from ..core.stats import WorkerStats
-from ..obs import Observability
+from ..obs import NULL_OBS, Observability
 from ..fabric import (
     DEFAULT_MAX_FRAME_BYTES,
     Coordinator,
@@ -60,6 +70,12 @@ __all__ = [
     "WorkerFailure",
     "dead_worker_failure",
 ]
+
+
+#: Bound on each wait for rank processes to exit: the grace
+#: :meth:`ClusterExecutor.close` gives idle ranks to leave on the EOF it
+#: sends before it terminates them, and the join of an ended one.
+_EXIT_SECONDS = 5.0
 
 
 def _default_start_method() -> str:
@@ -108,20 +124,106 @@ def _rank_main(
         sys.exit(1)
 
 
+class _Ranks:
+    """What a :class:`ClusterExecutor` keeps from its first run to
+    :meth:`~ClusterExecutor.close`: the coordinator, and the rank
+    processes it spawned (none when ranks are launched externally).
+
+    Built from the executor's settings but holding no reference to it,
+    so the executor's finalizer can call :meth:`stop`.
+    """
+
+    def __init__(self, ex: "ClusterExecutor") -> None:
+        self.coordinator = Coordinator(
+            ex.n_workers,
+            host=ex.host,
+            port=ex.port,
+            timeout_seconds=ex.timeout_seconds,
+            max_frame_bytes=ex.max_frame_bytes,
+            auth_key=ex.auth_key,
+            prefetch_window=ex.prefetch_window,
+        )
+        self.procs: Dict[int, mp.process.BaseProcess] = {}
+        self._incarnations: Dict[int, int] = {}
+        self._ctx = mp.get_context(ex.start_method)
+        self._backend = ex.name
+        # A wildcard bind is not dialable; local ranks always reach a
+        # wildcard-bound coordinator over loopback.
+        host, port = self.coordinator.address
+        dial_host = "127.0.0.1" if host in ("0.0.0.0", "::", "") else host
+        self._rank_args = (dial_host, port, ex.timeout_seconds, ex.max_frame_bytes)
+        self._auth_key = ex.auth_key
+
+    def spawn(self, rank: int, listen_port: int = 0) -> None:
+        """Start a process for ``rank``, replacing (and reaping) a dead
+        predecessor; a replacement mid-run binds its predecessor's
+        shuffle ``listen_port``."""
+        incarnation = self._incarnations[rank] = self._incarnations.get(rank, -1) + 1
+        proc = self._ctx.Process(
+            target=_rank_main,
+            args=(rank, *self._rank_args, listen_port, self._auth_key),
+            name=f"gpmr-{self._backend}-r{rank}.{incarnation}",
+            daemon=True,
+        )
+        dead = self.procs.get(rank)
+        if dead is not None:
+            _reap(dead)
+        self.procs[rank] = proc
+        proc.start()
+
+    def respawn_idle_deaths(self) -> None:
+        """Replace every rank whose process died since the last run;
+        the replacement registers like a first-run rank."""
+        for rank, proc in list(self.procs.items()):
+            if not proc.is_alive():
+                self.coordinator.retire(rank)
+                self.spawn(rank)
+
+    def stop(self, grace_seconds: float) -> None:
+        """Hang up on every rank, give the processes ``grace_seconds``
+        to exit on that EOF, then terminate the stragglers."""
+        self.coordinator.close()
+        deadline = time.monotonic() + grace_seconds
+        for proc in self.procs.values():
+            proc.join(max(0.0, deadline - time.monotonic()))
+        for proc in self.procs.values():
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self.procs.values():
+            _reap(proc)
+        self.procs.clear()
+
+
+def _reap(proc: mp.process.BaseProcess) -> None:
+    """Join an ended (or terminated) rank process and free its handle."""
+    proc.join(_EXIT_SECONDS)
+    if proc.exitcode is not None:
+        proc.close()
+
+
 class ClusterExecutor(Executor):
     """Execute jobs on ``n_workers`` ranks joined by the TCP fabric.
 
+    Ranks belong to the executor, not to a run.  The first :meth:`run`
+    builds the coordinator and spawns (or, with ``spawn_ranks=False``,
+    admits) the ranks; every later run is a fresh ASSIGN on the same
+    connections, so it pays no fork and no registration.
+    :meth:`close` — or the garbage collector, for an executor nobody
+    closed — hangs up on the ranks, which then exit.  A run that raises
+    tears every rank down, and the next run starts afresh; a spawned
+    rank found dead when a run starts is replaced before its ASSIGN.
+
     ``fault_plan`` (a :class:`~repro.core.faults.FaultPlan`) arms the
-    recovery machinery: a spawned rank it kills mid-map is noticed by
-    the coordinator, its un-posted grants are reclaimed into the pool,
-    and a replacement process rejoins under the same rank id — the run
-    completes with output bit-identical to a failure-free run.  Its
-    ``stall_seconds`` make a rank sleep before each chunk request (a
-    deliberate straggler whose queue gets stolen), and
+    recovery machinery, per run: a spawned rank it kills mid-map is
+    noticed by the coordinator, its un-posted grants are reclaimed into
+    the pool, and a replacement process rejoins under the same rank id
+    — the run completes with output bit-identical to a failure-free
+    run.  Its ``stall_seconds`` make a rank sleep before each chunk
+    request (a deliberate straggler whose queue gets stolen), and
     ``speculate_after`` additionally re-executes straggling in-flight
     grants on idle ranks; receivers drop the duplicate map output by
-    chunk-id provenance tags.  Without a plan, any rank death is a
-    :class:`WorkerFailure`.
+    chunk-id provenance tags.  Without a plan, any rank death during a
+    run is a :class:`WorkerFailure`.
     """
 
     name = "cluster"
@@ -170,10 +272,35 @@ class ClusterExecutor(Executor):
         #: ``spawn_ranks=True``: nobody restarts an externally launched
         #: rank, so its death is always a WorkerFailure
         self.spawn_ranks = spawn_ranks
-        #: (host, port) of the live coordinator; set for the duration of
-        #: :meth:`run` — the address external ranks dial when
-        #: ``spawn_ranks=False``.
+        #: (host, port) of the live coordinator — the address external
+        #: ranks dial when ``spawn_ranks=False``; set from the first
+        #: :meth:`run` until :meth:`close` (or a failed run).
         self.coordinator_address: Optional[tuple] = None
+        self._ranks: Optional[_Ranks] = None
+        self._finalizer: Optional[weakref.finalize] = None
+
+    def _start_ranks(self) -> _Ranks:
+        """Build the coordinator and spawn the ranks: the first run's
+        cost, kept until :meth:`close`."""
+        ranks = self._ranks = _Ranks(self)
+        # An executor nobody closes (``make_executor(...).run(...)``)
+        # still leaves no process behind once it is collected.
+        self._finalizer = weakref.finalize(self, ranks.stop, _EXIT_SECONDS)
+        self.coordinator_address = ranks.coordinator.address
+        if self.spawn_ranks:
+            for rank in range(self.n_workers):
+                ranks.spawn(rank)
+        return ranks
+
+    def _stop_ranks(self, grace_seconds: float) -> None:
+        ranks, self._ranks = self._ranks, None
+        self.coordinator_address = None
+        if ranks is not None:
+            self._finalizer.detach()
+            ranks.stop(grace_seconds)
+
+    def _release(self) -> None:
+        self._stop_ranks(_EXIT_SECONDS)
 
     def _run_ranks(
         self,
@@ -184,87 +311,50 @@ class ClusterExecutor(Executor):
         # The driver hosts the pull authority; ranks reach it through
         # the coordinator's CHUNK_REQ/CHUNK_GRANT control frames.
         fault = self.fault_plan
-        procs: Dict[int, mp.process.BaseProcess] = {}
         respawns_left = {
             rank: (0 if fault is None else fault.max_respawns)
             for rank in range(self.n_workers)
         }
+        try:
+            ranks = self._ranks or self._start_ranks()
+            coordinator = ranks.coordinator
+            coordinator.obs = obs if obs is not None else NULL_OBS
+            procs = ranks.procs
 
-        def _probe() -> None:
-            # Under a fault plan a dead rank is not (yet) a failure:
-            # the coordinator notices the broken control socket and
-            # decides — reclaim + respawn, or raise RankFailure once
-            # the budget/recoverability runs out.
-            candidates = [
-                p for rank, p in procs.items()
-                if not (fault is not None and respawns_left[rank] > 0)
-            ]
-            failure = dead_worker_failure(candidates)
-            if failure is not None:
-                raise failure
+            def _probe() -> None:
+                # Under a fault plan a dead rank is not (yet) a failure:
+                # the coordinator notices the broken control socket and
+                # decides — reclaim + respawn, or raise RankFailure once
+                # the budget/recoverability runs out.
+                candidates = [
+                    p for rank, p in procs.items() if respawns_left[rank] <= 0
+                ]
+                failure = dead_worker_failure(candidates)
+                if failure is not None:
+                    raise failure
 
-        with Coordinator(
-            self.n_workers,
-            host=self.host,
-            port=self.port,
-            timeout_seconds=self.timeout_seconds,
-            max_frame_bytes=self.max_frame_bytes,
-            liveness_probe=_probe if self.spawn_ranks else None,
-            obs=obs,
-            auth_key=self.auth_key,
-            prefetch_window=self.prefetch_window,
-        ) as coordinator:
-            self.coordinator_address = coordinator.address
-            respawner = None
+            def respawner(rank: int, listen_port: int) -> bool:
+                """Coordinator callback: restart a dead rank's process
+                as a replacement on the same shuffle port.  False once
+                the run's budget is spent."""
+                if respawns_left[rank] <= 0:
+                    return False
+                respawns_left[rank] -= 1
+                ranks.spawn(rank, listen_port)
+                return True
+
+            coordinator.liveness_probe = _probe if self.spawn_ranks else None
             if self.spawn_ranks:
-                # A wildcard bind is not dialable; local ranks always
-                # reach a wildcard-bound coordinator over loopback.
-                dial_host = (
-                    "127.0.0.1"
-                    if coordinator.host in ("0.0.0.0", "::", "")
-                    else coordinator.host
-                )
-                ctx = mp.get_context(self.start_method)
-
-                def spawn(rank: int, incarnation: int, listen_port: int = 0):
-                    return ctx.Process(
-                        target=_rank_main,
-                        args=(
-                            rank,
-                            dial_host,
-                            coordinator.port,
-                            self.timeout_seconds,
-                            self.max_frame_bytes,
-                            listen_port,
-                            self.auth_key,
-                        ),
-                        name=f"gpmr-{self.name}-r{rank}.{incarnation}",
-                        daemon=True,
-                    )
-
-                for rank in range(self.n_workers):
-                    procs[rank] = spawn(rank, 0)
-                for p in procs.values():
-                    p.start()
-
-                def respawner(rank: int, listen_port: int) -> bool:
-                    """Coordinator callback: restart a dead rank's
-                    process as a replacement on the same shuffle port.
-                    False once the budget is spent."""
-                    if respawns_left.get(rank, 0) <= 0 or fault is None:
-                        return False
-                    respawns_left[rank] -= 1
-                    incarnation = fault.max_respawns - respawns_left[rank]
-                    procs[rank] = spawn(rank, incarnation, listen_port)
-                    procs[rank].start()
-                    return True
-
+                ranks.respawn_idle_deaths()
             try:
                 coordinator.wait_for_ranks()
                 coordinator.broadcast_assignments(job, fault_plan=fault)
                 collected = coordinator.collect_results(
                     chunk_service=service,
-                    respawner=respawner if fault is not None else None,
+                    respawner=(
+                        respawner if fault is not None and self.spawn_ranks
+                        else None
+                    ),
                 )
             except RankFailure as exc:
                 raise WorkerFailure(exc.rank, exc.detail) from exc
@@ -274,13 +364,11 @@ class ClusterExecutor(Executor):
                 # the documented contract (WorkerFailure or
                 # TimeoutError) holds for every rank-death path.
                 raise WorkerFailure(-1, f"a rank disconnected: {exc}") from exc
-            finally:
-                self.coordinator_address = None
-                for p in procs.values():
-                    if p.is_alive():
-                        p.terminate()
-                for p in procs.values():
-                    p.join(timeout=5.0)
+        except BaseException:
+            # A failed run may leave ranks mid-job: none is reused, and
+            # the next run starts with a fresh coordinator and ranks.
+            self._stop_ranks(0.0)
+            raise
 
         outputs: List[Optional[KeyValueSet]] = [None] * self.n_workers
         worker_stats: List[WorkerStats] = []

@@ -16,9 +16,10 @@ actual wire, the one both process backends (``local`` on loopback,
   reply, runtime chunk service (``CHUNK_REQ``/``CHUNK_GRANT`` —
   pull-based dynamic work stealing), result collection, failure
   detection;
-* :mod:`repro.fabric.endpoint` — the rank side (``HELLO`` -> ``ASSIGN``
-  -> pull), including the one-batch-per-(src, dst) all-to-all shuffle
-  over peer TCP sockets;
+* :mod:`repro.fabric.endpoint` — the rank side (``HELLO`` once, then
+  ``ASSIGN`` -> pull -> ``RESULT`` per run until the coordinator hangs
+  up), including the one-batch-per-(src, dst) all-to-all shuffle over
+  peer TCP sockets;
 * :mod:`repro.fabric.launch` — ``python -m repro.fabric.launch`` for
   joining a fabric from another host.
 

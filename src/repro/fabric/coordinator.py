@@ -1,20 +1,25 @@
 """Driver-side control plane of the cluster fabric.
 
-The :class:`Coordinator` owns one TCP listening socket.  Rank processes
-(local or on other hosts) dial in, and each rank's whole control
-conversation is ``HELLO`` -> ``ASSIGN`` -> (``CHUNK_REQ`` /
-``CHUNK_GRANT``)* -> ``MAPS_DONE`` -> ``RESULT`` + output batch or
-``ERROR``, over the framed wire protocol in :mod:`repro.fabric.wire`,
-in three phases:
+The :class:`Coordinator` owns one TCP listening socket and serves every
+run of one executor, from its first ``run()`` to ``close()``.  Rank
+processes (local or on other hosts) dial in once, and each rank's
+control conversation is ``HELLO``, then per run ``ASSIGN`` ->
+(``CHUNK_REQ`` / ``CHUNK_GRANT``)* -> ``MAPS_DONE`` -> ``RESULT`` +
+output batch or ``ERROR``, over the framed wire protocol in
+:mod:`repro.fabric.wire`.  A run has three phases:
 
 1. **Registration** — each rank sends ``HELLO`` carrying its rank id
    and the address of its own shuffle listener.  Nothing answers it
    yet.  Registration tolerates stragglers: ranks may dial in in any
-   order, any time before the deadline.
+   order, any time before the deadline.  A later run registers only
+   ranks that are missing (a dead idle rank's replacement); with every
+   rank connected it is a no-op.
 2. **Assignment** — once every rank is in, ``ASSIGN`` ships the
-   pickled job, the frame bound and the full peer directory (rank ->
-   shuffle address).  It is the rank's reply to its HELLO.  Chunks are
-   *not* in the frame: distribution is pull-based (phase 3).
+   pickled job, the run's epoch, the frame bound and the full peer
+   directory (rank -> shuffle address).  The first one is the rank's
+   reply to its HELLO; a later one is the next run on the same
+   connection.  Chunks are *not* in the frame: distribution is
+   pull-based (phase 3).
 3. **Chunk service + result collection** — the coordinator multiplexes
    over all rank connections, answering each ``CHUNK_REQ`` from the
    driver's :class:`~repro.core.scheduler.ChunkService` with a
@@ -30,7 +35,9 @@ in three phases:
 Nothing lines the ranks up before work: a rank assigned early just
 starts pulling, and its shuffle batch to a peer still unpacking its
 ASSIGN waits in that peer's listen backlog (and the sender resends
-until a BATCH_ACK confirms it).
+until a BATCH_ACK confirms it).  Between runs the connections idle;
+:meth:`Coordinator.close` shuts them down, and a rank waiting for its
+next ASSIGN reads that EOF as the end of its life.
 
 Peer failure is detected, never waited out: a rank connection that hits
 EOF before its result arrived raises :class:`RankFailure` immediately
@@ -107,12 +114,14 @@ def _parse_hello(hello: Any) -> Optional[Tuple[int, Tuple[str, int]]]:
 
 
 class Coordinator:
-    """Rank registry, broadcaster, chunk server and result sink for one job.
+    """Rank registry, broadcaster, chunk server and result sink for the
+    runs of one executor.
 
     ``liveness_probe`` (optional) is called on every poll tick of every
     blocking phase; it should raise if it knows a rank already died
     (e.g. the launching executor watching its child processes), turning
-    a would-be timeout into an immediate, attributed failure.
+    a would-be timeout into an immediate, attributed failure.  The
+    executor may swap it, and :attr:`obs`, between runs.
     """
 
     def __init__(
@@ -160,6 +169,9 @@ class Coordinator:
         #: re-assigned mid-run (set by :meth:`broadcast_assignments`)
         self._job_blob: Optional[bytes] = None
         self._fault_plan: Optional[Any] = None
+        #: the current run's number, 1 for the first; ASSIGN carries it
+        #: and ranks stamp it on every shuffle batch
+        self.epoch = 0
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -167,16 +179,30 @@ class Coordinator:
         return (self.host, self.port)
 
     def close(self) -> None:
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conns.clear()
+        """Hang up on every rank, then stop listening."""
+        for rank in list(self._conns):
+            self.retire(rank)
         try:
             self._listener.close()
         except OSError:
             pass
+
+    def retire(self, rank: int) -> None:
+        """Hang up on ``rank`` and forget it, so its next HELLO (a
+        replacement's) is admitted at registration.
+
+        ``shutdown`` comes before ``close``: a rank process forked
+        while this connection was open holds a copy of it, and only
+        the shutdown sends the EOF a waiting rank exits on.
+        """
+        conn = self._conns.pop(rank, None)
+        if conn is None:
+            return
+        try:
+            conn.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer is already gone
+        conn.close()
 
     def __enter__(self) -> "Coordinator":
         return self
@@ -291,7 +317,8 @@ class Coordinator:
 
     # -- 1. registration ---------------------------------------------------
     def wait_for_ranks(self) -> None:
-        """Admit HELLOs until every rank 0..n-1 has registered."""
+        """Admit HELLOs until every rank 0..n-1 has registered (a no-op
+        once all are connected)."""
         deadline = self._deadline()
         while len(self._conns) < self.n_workers:
             missing = [r for r in range(self.n_workers) if r not in self._conns]
@@ -302,8 +329,8 @@ class Coordinator:
     def broadcast_assignments(
         self, job: Any, fault_plan: Optional[Any] = None
     ) -> None:
-        """Answer every HELLO with ASSIGN: the job and the peer
-        directory — metadata only.
+        """Start the next run: ASSIGN to every rank the job, the run's
+        epoch and the peer directory — metadata only.
 
         The job (potentially megabytes of mapper state) is pickled
         *once* and embedded as a blob in every rank's ASSIGN frame (and
@@ -315,6 +342,7 @@ class Coordinator:
         """
         self._job_blob = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
         self._fault_plan = fault_plan
+        self.epoch += 1
         for rank in range(self.n_workers):
             try:
                 self._send_assignment(rank)
@@ -340,6 +368,7 @@ class Coordinator:
                 fault["stall_seconds"] = stall
         payload = {
             "job_pickle": self._job_blob,
+            "epoch": self.epoch,
             "peers": dict(self.shuffle_peers),
             "n_workers": self.n_workers,
             "max_frame_bytes": self.max_frame_bytes,
@@ -382,6 +411,7 @@ class Coordinator:
         pulls the reclaimed work.
         """
         results: Dict[int, Tuple[int, Any, Any]] = {}
+        self.obs_payloads = {}
         deadline = self._deadline()
         with selectors.DefaultSelector() as sel:
             for rank, conn in self._conns.items():
@@ -448,6 +478,8 @@ class Coordinator:
                             "during result collection"
                         )
                     sel.unregister(key.fileobj)
+        # The run is over; only a replacement rank needed the job blob.
+        self._job_blob = None
         return [results[r] for r in sorted(results)]
 
     def _recv_output(self, rank: int, conn: socket.socket) -> Any:
@@ -497,11 +529,7 @@ class Coordinator:
             sel.unregister(conn)
         except (KeyError, ValueError):
             pass
-        try:
-            conn.close()
-        except OSError:
-            pass
-        self._conns.pop(rank, None)
+        self.retire(rank)
         self.obs.tracer.event("rank_dead", rank=rank)
         if not respawner(rank, self.shuffle_peers[rank][1]):
             return False  # respawn budget exhausted

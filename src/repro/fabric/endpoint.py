@@ -11,6 +11,12 @@ the cluster backend on loopback.
 * **one round trip before work**: the rank sends ``HELLO`` and waits
   for ``ASSIGN`` (:meth:`RankEndpoint.connect`); nothing else precedes
   its first chunk request.
+* **ranks outlive a run**: after its RESULT the rank drops the finished
+  run and waits on the same control connection for the next ASSIGN
+  (:meth:`RankEndpoint.serve`), with no timer: the wait ends
+  on an ASSIGN or on the EOF the coordinator's ``close()`` sends.  The
+  shuffle listener keeps its port across runs; each run's batches
+  carry its epoch, and the inbox drops a batch from any other run.
 * **chunks are pulled, not pushed**: once assigned, the rank requests
   work over its control connection (``CHUNK_REQ`` ->
   ``CHUNK_GRANT``/``CHUNKS_DONE``), pipelined by the shared
@@ -134,14 +140,30 @@ class RankEndpoint:
         self._control: Optional[socket.socket] = None
         self.n_workers: Optional[int] = None
         self.peers: Dict[int, Tuple[str, int]] = {}
-        #: the ASSIGN payload :meth:`connect` received, unpacked by
-        #: :meth:`open`
+        self._frames_lock = threading.Lock()
+        #: guards the inbox state and ``_withheld``; notified per landed
+        #: batch and on inbox failure (:meth:`recv_all` waits on it)
+        self._inbox_cond = threading.Condition()
+        #: set by :meth:`close`: the inbox thread stops accepting
+        self._inbox_stop = threading.Event()
+        self._clear_run()
+
+    def _clear_run(self) -> None:
+        """Drop every reference to the last run; the sockets stay.
+
+        Called before each wait for ASSIGN, so an idle rank holds no
+        job, chunk, batch or output of the run it finished.
+        """
+        #: the ASSIGN payload :meth:`connect` / :meth:`_next_assignment`
+        #: received, unpacked by :meth:`open`
         self._assignment: Dict[str, Any] = {}
+        #: the run this rank is serving (ASSIGN's ``epoch``); stamped on
+        #: every batch it sends and checked on every batch it receives
+        self.epoch = 0
         #: wire frames this rank's outbound shuffle used (BATCH +
         #: BATCH_DATA, summed over destinations) — the coalescing
         #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
         self.frames_sent = 0
-        self._frames_lock = threading.Lock()
         #: rank-side observability bundle, armed by the ``obs`` flag on
         #: ASSIGN; the export payload rides home on the RESULT frame
         self.obs = NULL_OBS
@@ -155,13 +177,9 @@ class RankEndpoint:
         # Early-exchange inbox: a background thread accepts inbound
         # shuffle batches while this rank is still mapping, so the
         # exchange only waits for genuinely late data.
-        #: guards the inbox state below and ``_withheld``; notified per
-        #: landed batch and on inbox failure (:meth:`recv_all` waits on it)
-        self._inbox_cond = threading.Condition()
         self._inbox_batches: List[Tuple[int, List[Any], Optional[List[int]]]] = []
         self._inbox_have: set = set()
         self._inbox_error: Optional[BaseException] = None
-        self._inbox_stop = threading.Event()
         self._inbox_thread: Optional[threading.Thread] = None
         #: set once MAPS_DONE is on the wire — inbound batches may not
         #: be ACKed before this (see :meth:`start_inbox`)
@@ -172,10 +190,10 @@ class RankEndpoint:
 
     # -- control plane -----------------------------------------------------
     def connect(self) -> None:
-        """Dial the coordinator, send HELLO and wait for ASSIGN — the
-        rank's one round trip before work.  Learns the cluster size,
-        the frame bound and the peer directory; :meth:`open` unpacks
-        the rest."""
+        """Dial the coordinator, send HELLO and wait for the first
+        ASSIGN — the rank's one round trip before work.  Learns the
+        cluster size, the frame bound and the peer directory;
+        :meth:`open` unpacks the rest."""
         self._control = set_nodelay(socket.create_connection(
             self.coordinator_address, timeout=self.timeout_seconds
         ))
@@ -192,6 +210,25 @@ class RankEndpoint:
             {"rank": self.rank, "shuffle_address": self.shuffle_address},
             max_frame_bytes=self.max_frame_bytes,
         )
+        self._recv_assignment()
+
+    def _next_assignment(self) -> bool:
+        """Forget the finished run and wait for the next ASSIGN; False
+        once the coordinator hangs up.
+
+        An idle rank waits as long as its executor lives, so this wait
+        has no deadline: it ends on the next ASSIGN or on EOF.
+        """
+        self._clear_run()
+        self._control.settimeout(None)
+        try:
+            self._recv_assignment()
+        except PeerDisconnected:
+            return False
+        self._control.settimeout(self.timeout_seconds)
+        return True
+
+    def _recv_assignment(self) -> None:
         try:
             _, assign = recv_frame(
                 self._control, max_frame_bytes=self.max_frame_bytes,
@@ -276,7 +313,7 @@ class RankEndpoint:
         )
         send_batch(
             self._control, self.rank, [] if output is None else [output],
-            max_frame_bytes=self.max_frame_bytes,
+            max_frame_bytes=self.max_frame_bytes, epoch=self.epoch,
         )
 
     # -- data plane: the all-to-all exchange -------------------------------
@@ -332,6 +369,7 @@ class RankEndpoint:
                         max_frame_bytes=self.max_frame_bytes,
                         counters=counters,
                         chunk_ids=chunk_ids,
+                        epoch=self.epoch,
                     )
                     if confirm:
                         recv_raw_frame(
@@ -441,14 +479,17 @@ class RankEndpoint:
                     set_nodelay(conn)
                     conn.settimeout(self.timeout_seconds)
                     src, parts, tags = recv_batch(
-                        conn, max_frame_bytes=self.max_frame_bytes
+                        conn, max_frame_bytes=self.max_frame_bytes,
+                        epoch=self.epoch,
                     )
                 except ProtocolVersionError:
                     conn.close()
                     raise  # a version-skewed peer is a real failure
                 except (ProtocolError, PeerDisconnected, socket.timeout,
                         OSError):
-                    conn.close()  # stray or abandoned connection; drop it
+                    # A stray or abandoned connection, or a batch of
+                    # another run: drop it uncounted.
+                    conn.close()
                     continue
                 with self._inbox_cond:
                     if int(src) not in self._inbox_have:
@@ -554,6 +595,7 @@ class RankEndpoint:
         from ..exec.rank import GrantPuller
 
         assign = self._assignment
+        self.epoch = int(assign["epoch"])
         if assign.get("obs"):
             self.obs = Observability()
         fault = assign.get("fault") or {}
@@ -573,11 +615,16 @@ class RankEndpoint:
         self.start_inbox()
         return job
 
-    def run_job(self) -> None:
-        """Run the shared rank loop over this link."""
+    def serve(self) -> None:
+        """Join the fabric and run the shared rank loop over this link
+        for every run the coordinator assigns, until it hangs up."""
         from ..exec.rank import drive_rank
 
-        drive_rank(self)
+        self.connect()
+        while True:
+            drive_rank(self)
+            if not self._next_assignment():
+                return
 
     def close(self) -> None:
         self._inbox_stop.set()
@@ -612,13 +659,14 @@ def run_rank(
     listen_port: int = 0,
     auth_key: Optional[bytes] = None,
 ) -> None:
-    """Join the fabric as ``rank`` and run one job end to end.
+    """Join the fabric as ``rank`` and serve jobs until the coordinator
+    hangs up (its executor closed).
 
     The in-process entry point behind ``python -m repro.fabric.launch``
     and the process target :class:`repro.exec.cluster.ClusterExecutor`
-    spawns for local ranks.  A replacement for a dead rank passes the
-    predecessor's exact shuffle ``listen_port`` (so the peer directory
-    every live rank already holds stays valid).
+    spawns for local ranks.  A replacement for a rank that died mid-run
+    passes the predecessor's exact shuffle ``listen_port`` (so the peer
+    directory every live rank already holds stays valid).
     """
     with RankEndpoint(
         rank,
@@ -630,5 +678,4 @@ def run_rank(
         listen_port=listen_port,
         auth_key=auth_key,
     ) as endpoint:
-        endpoint.connect()
-        endpoint.run_job()
+        endpoint.serve()

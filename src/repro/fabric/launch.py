@@ -10,12 +10,15 @@ then on each host::
     python -m repro.fabric.launch --coordinator driver-host:5555 --rank 0
     python -m repro.fabric.launch --coordinator driver-host:5555 --rank 1 ...
 
-Each invocation sends HELLO to the coordinator, receives its job in
-the ASSIGN reply, pulls chunks one at a time from the coordinator's
-chunk service (stealing from loaded peers at runtime like any other
-rank), shuffles directly with its peers, and reports its result — no
-code or data staging on the worker hosts.  Nobody respawns a launched
-rank: if one dies, the run fails with a ``WorkerFailure`` naming it.
+Each invocation sends HELLO to the coordinator once, then serves every
+run of the driver's executor: it receives each job in an ASSIGN, pulls
+chunks one at a time from the coordinator's chunk service (stealing
+from loaded peers at runtime like any other rank), shuffles directly
+with its peers, and reports its result — no code or data staging on
+the worker hosts.  It exits 0 when the executor closes (the
+coordinator hangs up).  Nobody respawns a launched rank: if one dies,
+the run fails with a ``WorkerFailure`` naming it, and the executor's
+next run waits for a fresh set of launched ranks.
 
 ``--listen-host`` binds the rank's shuffle listener (default
 ``0.0.0.0`` here, so peers on other hosts can reach it) and

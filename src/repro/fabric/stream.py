@@ -7,8 +7,8 @@ sends a peer, and each rank's reduced output, which follows its
 batch is *streamed*:
 
 * one ``MSG_BATCH`` header frame — a small raw struct carrying the
-  source rank, flags, the total payload size, and the batch manifest
-  (per-part codec headers, order-preserving, no pickle);
+  source rank, the run epoch, flags, the total payload size, and the
+  batch manifest (per-part codec headers, order-preserving, no pickle);
 * zero or more ``MSG_BATCH_DATA`` frames, each holding one bounded
   chunk of the raw key/value bytes.  Chunks are sized to fit inside
   ``max_frame_bytes``, so a batch of any size streams through a small
@@ -67,11 +67,13 @@ __all__ = ["DEFAULT_CHUNK_BYTES", "send_batch", "recv_batch"]
 #: smaller of this and what ``max_frame_bytes`` leaves room for.
 DEFAULT_CHUNK_BYTES = 1 << 20
 
-#: BATCH header frame payload: src(I) flags(B) total_nbytes(Q)
+#: BATCH header frame payload: src(I) epoch(I) flags(B) total_nbytes(Q)
 #: manifest_len(I) — manifest bytes follow; with flags bit 1 set, a
 #: chunk-id tag block (count ``!I`` + count ``!q`` ids, one per part)
-#: follows the manifest.
-_BATCH_HEADER = struct.Struct("!IB3xQI")
+#: follows the manifest.  ``epoch`` is the run the batch belongs to
+#: (ASSIGN's ``epoch``): a rank's shuffle listener outlives a run, so
+#: a receiver drops a batch stamped with any other run's epoch.
+_BATCH_HEADER = struct.Struct("!IIB3xQI")
 
 #: BATCH_DATA frame payload: raw_len(Q) flags(B) — body follows; no
 #: flag is defined, so flags must be 0.
@@ -131,8 +133,10 @@ def send_batch(
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     counters: Optional[Dict[str, int]] = None,
     chunk_ids: Optional[Sequence[int]] = None,
+    epoch: int = 0,
 ) -> int:
-    """Stream one batch; returns payload bytes put on the wire.
+    """Stream one batch of run ``epoch``; returns payload bytes put on
+    the wire.
 
     ``counters`` (optional dict) accumulates ``"frames"`` (BATCH +
     BATCH_DATA frames sent) and ``"bytes"`` for this call — the
@@ -155,7 +159,7 @@ def send_batch(
         tag_block = _TAG_COUNT.pack(len(chunk_ids)) + struct.pack(
             f"!{len(chunk_ids)}q", *chunk_ids
         )
-    header = _BATCH_HEADER.pack(src, flags, total_nbytes, len(manifest))
+    header = _BATCH_HEADER.pack(src, epoch, flags, total_nbytes, len(manifest))
     sent = send_raw_frame(
         sock, MSG_BATCH, [header, manifest, tag_block],
         max_frame_bytes=max_frame_bytes,
@@ -178,10 +182,14 @@ def recv_batch(
     sock: socket.socket,
     *,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    epoch: Optional[int] = None,
 ) -> Tuple[int, List[KeyValueSet], Optional[List[int]]]:
     """Receive one streamed batch; returns ``(source_rank, parts,
     chunk_ids)`` — ``chunk_ids`` is ``None`` when the sender shipped no
     provenance tags.
+
+    With ``epoch`` set, a batch stamped with another run's epoch is a
+    :class:`ProtocolError`, raised before its body is read.
 
     Every DATA body is read with ``recv_into`` straight into one NumPy
     buffer, and the parts decode as writable views into it: the
@@ -193,7 +201,14 @@ def recv_batch(
     )
     if len(payload) < _BATCH_HEADER.size:
         raise ProtocolError(f"BATCH header truncated at {len(payload)} B")
-    src, hdr_flags, total_nbytes, manifest_len = _BATCH_HEADER.unpack_from(payload)
+    src, batch_epoch, hdr_flags, total_nbytes, manifest_len = (
+        _BATCH_HEADER.unpack_from(payload)
+    )
+    if epoch is not None and batch_epoch != epoch:
+        raise ProtocolError(
+            f"BATCH from rank {src} belongs to run epoch {batch_epoch}, "
+            f"not {epoch}"
+        )
     if hdr_flags & ~_FLAG_TAGS:
         raise ProtocolError(f"BATCH header sets unknown flags {hdr_flags:#x}")
     rest = payload[_BATCH_HEADER.size :]

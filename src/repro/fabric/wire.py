@@ -135,8 +135,13 @@ __all__ = [
 #: output follows it on the control socket as one codec batch of 0 or
 #: 1 parts (:func:`repro.fabric.stream.send_batch`), so results stream
 #: through the frame bound like shuffle batches and pickle never
-#: carries payload bytes.
-PROTOCOL_VERSION = 7
+#: carries payload bytes.  v8: ranks outlive a run.  A rank sends HELLO
+#: once, then serves ASSIGN -> pull -> RESULT on the same control
+#: connection for every run of its executor, until that connection
+#: closes.  ASSIGN carries the run's ``epoch``, and so does every BATCH
+#: header (a ``!I`` after the source rank); a shuffle listener drops a
+#: batch from another run's epoch.
+PROTOCOL_VERSION = 8
 
 MAGIC = b"GPMR"
 
@@ -153,7 +158,7 @@ _IOV_MAX = 1024
 # -- message types ----------------------------------------------------------
 MSG_HELLO = 1    #: rank -> coordinator: register {rank, shuffle address}
 MSG_WELCOME = 2  #: daemon -> client: connection accepted {protocol}
-MSG_ASSIGN = 3   #: coordinator -> rank: {job, peers, n_workers, max_frame_bytes}
+MSG_ASSIGN = 3   #: coordinator -> rank: {job, epoch, peers, n_workers, max_frame_bytes}
 MSG_BARRIER = 4  #: reserved (v5's start barrier); only the frame-RTT probe sends it
 MSG_RESULT = 6   #: rank -> coordinator: {rank, stats, obs}; output batch follows
 MSG_ERROR = 7    #: rank -> coordinator: {rank, traceback}

@@ -3,11 +3,13 @@
 One-shot ``run_app`` pays full executor construction per call.  The
 pool inverts that for the job service: executors are built once per
 *configuration* — ``(backend, n_workers, kwargs)`` — leased to a job,
-and returned warm for the next job with the same shape.  Warmth here
-is honest about what the built-in backends keep between runs: the
-instance (no re-validation or registry dispatch) and the
-daemon-resident imports; per-run worker processes and fabric sockets
-are still acquired inside ``run()``.
+and returned warm for the next job with the same shape.  A warm
+``local``/``cluster`` lease carries its live coordinator and rank
+processes (they belong to the executor from its first ``run()`` to
+``close()``), so a warm job pays no fork and no registration; every
+lease also keeps the instance (no re-validation or registry dispatch)
+and the daemon-resident imports.  Retiring an executor closes it,
+which ends its ranks.
 
 Every lease is stamped with the daemon's shared
 :class:`~repro.core.scheduler.JobChunkAuthority` (when the pool has

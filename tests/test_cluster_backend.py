@@ -60,7 +60,7 @@ def test_cluster_executor_registry_kwargs():
     assert ex.n_workers == 3
     assert ex.timeout_seconds == 45.0
     assert ex.start_method == "spawn"
-    assert ex.coordinator_address is None  # only set while running
+    assert ex.coordinator_address is None  # set from the first run to close()
 
 
 def test_cluster_externally_launched_ranks():
@@ -108,10 +108,12 @@ def test_cluster_externally_launched_ranks():
         )
         for r in range(n)
     ]
-    for p in ranks:
-        assert p.wait(timeout=60.0) == 0
     driver.join(timeout=60.0)
     assert "error" not in holder, holder.get("error")
+    # Launched ranks serve the executor until it closes, then exit 0.
+    ex.close()
+    for p in ranks:
+        assert p.wait(timeout=60.0) == 0
 
     ref = make_executor("serial", n).run(job, dataset=ds)
     got = holder["result"]

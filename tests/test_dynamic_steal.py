@@ -273,10 +273,12 @@ def test_cluster_externally_launched_ranks_steal_natively():
         )
         for r in range(n)
     ]
-    for p in ranks:
-        assert p.wait(timeout=60.0) == 0
     driver.join(timeout=60.0)
     assert "error" not in holder, holder.get("error")
+    # Launched ranks serve the executor until it closes, then exit 0.
+    ex.close()
+    for p in ranks:
+        assert p.wait(timeout=60.0) == 0
 
     real = holder["result"]
     trace = real.schedule

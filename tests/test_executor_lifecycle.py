@@ -49,7 +49,7 @@ def test_context_manager_closes(backend):
     assert ex.closed
 
 
-@pytest.mark.parametrize("backend", ("sim", "serial"))
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_reset_enables_rerun(backend):
     ex = make_executor(backend, 2)
     first = ex.run(JOB, DATASET)

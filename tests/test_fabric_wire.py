@@ -344,7 +344,7 @@ def test_flagged_data_frame_is_refused_before_its_body_is_read(pair):
     manifest, _buffers, _nbytes = pack_parts([KeyValueSet.empty()])
     a, b = pair
     send_raw_frame(
-        a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, inflated, len(manifest)) + manifest,
+        a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, 0, inflated, len(manifest)) + manifest,
         max_frame_bytes=bound,
     )
     sender = threading.Thread(
@@ -373,7 +373,7 @@ def test_unknown_batch_header_flag_is_refused(pair):
 
     manifest, _buffers, nbytes = pack_parts([KeyValueSet.empty()])
     a, b = pair
-    send_raw_frame(a, MSG_BATCH, _BATCH_HEADER.pack(0, 1, nbytes, len(manifest)) + manifest)
+    send_raw_frame(a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, 1, nbytes, len(manifest)) + manifest)
     with pytest.raises(ProtocolError, match="unknown flags"):
         recv_batch(b)
 
@@ -391,7 +391,7 @@ def test_zero_length_batch_chunk_is_protocol_error(pair):
     from repro.fabric.wire import MSG_BATCH_DATA
 
     a, b = pair
-    send_raw_frame(a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, 64, 0))
+    send_raw_frame(a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, 0, 64, 0))
     send_raw_frame(a, MSG_BATCH_DATA, _DATA_HEADER.pack(0, 0))
     with pytest.raises(ProtocolError, match="zero-length"):
         recv_batch(b)
@@ -413,7 +413,7 @@ def test_manifest_payload_mismatch_is_protocol_error(pair):
     from repro.fabric.stream import _BATCH_HEADER
 
     msg_type, payload = recv_raw_frame(b)
-    src, flags, total, mlen = _BATCH_HEADER.unpack_from(payload)
+    src, epoch, flags, total, mlen = _BATCH_HEADER.unpack_from(payload)
     c, d = socket.socketpair()
     c.settimeout(5.0)
     d.settimeout(5.0)
@@ -421,7 +421,7 @@ def test_manifest_payload_mismatch_is_protocol_error(pair):
         send_raw_frame(
             c,
             msg_type,
-            _BATCH_HEADER.pack(src, flags, total // 2, mlen)
+            _BATCH_HEADER.pack(src, epoch, flags, total // 2, mlen)
             + payload[_BATCH_HEADER.size :],
         )
         moved = 0
@@ -491,7 +491,7 @@ def _reference_batch_stream(src, parts, chunk_ids, bound):
     payload = b"".join(bytes(b) for b in buffers)
     tags = struct.pack(f"!I{len(chunk_ids)}q", len(chunk_ids), *chunk_ids)
     stream = _frame(
-        MSG_BATCH, _BATCH_HEADER.pack(src, 2, nbytes, len(manifest)) + manifest + tags
+        MSG_BATCH, _BATCH_HEADER.pack(src, 0, 2, nbytes, len(manifest)) + manifest + tags
     )
     step = _chunk_bytes(bound)
     for at in range(0, nbytes, step):
@@ -533,7 +533,7 @@ def test_lying_total_allocates_only_what_arrived():
     manifest, _buffers, _nbytes = pack_parts([KeyValueSet.empty()])
     body = bytes(64 << 10)
     stream = _frame(
-        MSG_BATCH, _BATCH_HEADER.pack(0, 0, 1 << 40, len(manifest)) + manifest
+        MSG_BATCH, _BATCH_HEADER.pack(0, 0, 0, 1 << 40, len(manifest)) + manifest
     ) + _frame(MSG_BATCH_DATA, _DATA_HEADER.pack(len(body), 0) + body)
     a, b = socket.socketpair()
     b.settimeout(5.0)
@@ -587,6 +587,9 @@ def test_received_parts_are_writable_views_into_one_buffer(pair):
 #: mutated BATCH streams the fuzz below feeds to recv_batch
 FUZZ_CASES = 2000
 
+#: the run epoch the fuzzed streams are stamped with and checked against
+FUZZ_EPOCH = 5
+
 
 def _fuzz_shapes():
     """``(parts, chunk tags)`` of every shape the codec emits: tagged
@@ -609,36 +612,46 @@ def _fuzz_streams():
     streams = []
     for parts, tags in _fuzz_shapes():
         trickle = _TrickleSocket()
-        send_batch(trickle, 2, parts, max_frame_bytes=1024, chunk_ids=tags)
+        send_batch(trickle, 2, parts, max_frame_bytes=1024, chunk_ids=tags,
+                   epoch=FUZZ_EPOCH)
         streams.append(bytes(trickle.wire))
     return streams
 
 
 def test_mutated_batch_streams_raise_only_protocol_errors():
     """2,000 seeded mutations of valid BATCH streams (bit flips,
-    truncations, 4-byte overwrites) through recv_batch: each decodes
-    or raises ProtocolError — never TypeError, UnicodeDecodeError, a
-    bare ValueError or anything else untyped."""
+    truncations, 4-byte overwrites, the header's epoch field) through
+    recv_batch: each decodes or raises ProtocolError — never TypeError,
+    UnicodeDecodeError, a bare ValueError or anything else untyped."""
     rng = np.random.default_rng(2024)
     streams = _fuzz_streams()
+    epoch_at = HEADER.size + 4  # after the BATCH header's source rank
     escaped = []
     for case in range(FUZZ_CASES):
         stream = bytearray(streams[case % len(streams)])
-        kind = case % 3
+        kind = case % 4
         if kind == 0:
             for bit in rng.integers(0, 8 * len(stream), rng.integers(1, 4)):
                 stream[bit // 8] ^= 1 << (bit % 8)
         elif kind == 1:
             del stream[rng.integers(1, len(stream)) :]
-        else:
+        elif kind == 2:
             at = int(rng.integers(0, len(stream) - 3))
             stream[at : at + 4] = rng.bytes(4)
+        else:
+            lies = [0, FUZZ_EPOCH - 1, FUZZ_EPOCH + 1, 0xFFFFFFFF,
+                    int(rng.integers(0, 1 << 32))]
+            stale = lies[int(rng.integers(0, len(lies)))]
+            struct.pack_into("!I", stream, epoch_at, stale)
         try:
-            recv_batch(_StreamSocket(stream), max_frame_bytes=1024)
+            recv_batch(_StreamSocket(stream), max_frame_bytes=1024,
+                       epoch=FUZZ_EPOCH)
         except ProtocolError:
-            pass
+            continue
         except Exception as exc:  # noqa: BLE001 - the escapes under test
             escaped.append((case, kind, repr(exc)))
+        if kind == 3 and stale != FUZZ_EPOCH:
+            escaped.append((case, kind, f"epoch {stale} accepted"))
     assert escaped == [], escaped[:5]
 
 
@@ -1078,28 +1091,25 @@ def test_every_connection_of_a_live_run_disables_nagle(monkeypatch):
     ds = sio_dataset(8_000, chunk_elements=2_000, key_space=1 << 10, seed=3)
     service = ChunkService(resolve_chunks(ds, None), 2)
 
-    def rank_main(ep):
-        ep.connect()
-        ep.run_job()
-
     with Coordinator(2, timeout_seconds=10.0) as coord:
         eps = [RankEndpoint(r, coord.address, timeout_seconds=10.0)
                for r in range(2)]
-        threads = [threading.Thread(target=rank_main, args=(ep,), daemon=True)
-                   for ep in eps]
+        threads = [threading.Thread(target=ep.serve, daemon=True) for ep in eps]
         try:
             for t in threads:
                 t.start()
             coord.wait_for_ranks()
             coord.broadcast_assignments(sio_job(ds.key_space))
             assert len(coord.collect_results(chunk_service=service)) == 2
-            for t in threads:
-                t.join(timeout=10.0)
             assert [_nodelay(c) for c in coord._conns.values()] == [True, True]
             assert [_nodelay(ep._control) for ep in eps] == [True, True]
             for kind, flags in seen.items():
                 assert flags and all(flags), (kind, flags)
         finally:
+            # The ranks wait for their next ASSIGN until the hang-up.
+            coord.close()
+            for t in threads:
+                t.join(timeout=10.0)
             for ep in eps:
                 ep.close()
 
@@ -1210,6 +1220,35 @@ def test_recv_all_returns_only_once_every_ack_is_out(exchange_ranks):
     for sending in sends:
         sending.join(timeout=5.0)
         assert not sending.is_alive()
+
+
+def test_batch_from_another_run_is_dropped_uncounted(exchange_ranks):
+    """A shuffle listener outlives a run, so a late batch of the last
+    run could land in this one: a well-formed BATCH stamped with the
+    previous epoch is dropped unACKed and uncounted, and the real
+    batch from the same source still completes the exchange."""
+    receiver, first, last = exchange_ranks
+    for ep in exchange_ranks:
+        ep.epoch = 2
+    receiver._posted_event.set()
+    receiver.start_inbox()
+    stale = [KeyValueSet(keys=np.arange(3, dtype=np.uint32), values=np.full(3, 7.0))]
+    with socket.create_connection(receiver.shuffle_address, timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        send_batch(sock, first.rank, stale, epoch=1)
+        try:
+            reply = sock.recv(1)
+        except ConnectionResetError:  # closed with the body unread
+            reply = b""
+        assert reply == b"", "a batch of another run was ACKed"
+    with receiver._inbox_cond:
+        assert receiver._inbox_have == set() and not receiver._inbox_batches
+    first._send_batch(0, _small_batch())
+    last._send_batch(0, _small_batch())
+    batches = receiver.recv_all()
+    assert [src for src, _parts, _tags in batches] == [1, 2]
+    for _src, parts, _tags in batches:
+        _assert_parts_identical(parts, _small_batch())
 
 
 def test_recv_all_deadline_names_the_sources_it_has(exchange_ranks):
@@ -1414,7 +1453,7 @@ def test_rank_dying_partway_through_its_result_is_a_rank_failure(cut):
             manifest, _buffers, nbytes = pack_parts([output])
             send_raw_frame(
                 ranks[1], MSG_BATCH,
-                _BATCH_HEADER.pack(1, 0, nbytes, len(manifest)) + manifest,
+                _BATCH_HEADER.pack(1, 0, 0, nbytes, len(manifest)) + manifest,
             )
             ranks[1].sendall(
                 HEADER.pack(MAGIC, PROTOCOL_VERSION, MSG_BATCH_DATA,

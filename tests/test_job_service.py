@@ -1,6 +1,6 @@
 """The job-service acceptance tier (slow; CI's job-service job).
 
-One daemon on the local (real multiprocessing) backend serving 8
+A daemon on the local (real multiprocessing) backend serving 8
 concurrent clients × 5 jobs each over a mixed app set, with three
 acceptance gates from ROADMAP item 2:
 
@@ -41,7 +41,7 @@ MIX = (
 )
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def daemon():
     svc = JobService(port=0, default_backend="local",
                      max_concurrent_jobs=4).start()

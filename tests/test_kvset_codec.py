@@ -336,7 +336,7 @@ def test_uniform_layout_violations_are_protocol_errors_on_the_wire():
         try:
             send_raw_frame(
                 a, MSG_BATCH,
-                _BATCH_HEADER.pack(0, 0, len(data), len(manifest)) + manifest,
+                _BATCH_HEADER.pack(0, 0, 0, len(data), len(manifest)) + manifest,
             )
             if data:
                 send_raw_frame(

@@ -9,6 +9,7 @@ test_job_service.py run by CI's job-service tier.
 
 import hmac
 import json
+import os
 import pickle
 import socket
 import threading
@@ -123,6 +124,37 @@ def test_legacy_v4_hello_gets_versioned_error(keyed_daemon):
     assert body["protocol_version"] == PROTOCOL_VERSION
     assert body["peer_version"] == 4
     s.close()
+
+
+class _Tripwire:
+    """Unpickling this calls ``os.mkdir(path)``: a side effect that
+    shows whether the daemon unpickled an unauthenticated frame."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+@pytest.mark.parametrize(
+    "msg_type", [MSG_SUBMIT, MSG_AUTH_RESPONSE], ids=["SUBMIT", "AUTH_RESPONSE"]
+)
+def test_keyed_daemon_never_unpickles_before_auth(keyed_daemon, tmp_path, msg_type):
+    """Skip the challenge and send a pickled frame (as a SUBMIT, or in
+    the AUTH_RESPONSE slot): the daemon drops the connection and never
+    unpickles it."""
+    fired = tmp_path / "fired"
+    blob = pickle.dumps(_Tripwire(str(fired)))
+    with socket.create_connection(keyed_daemon.address, timeout=5) as s:
+        s.sendall(HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, len(blob)) + blob)
+        s.settimeout(10)
+        try:
+            while s.recv(4096):  # the raw challenge, maybe a refusal
+                pass
+        except ConnectionResetError:
+            pass
+    assert not fired.exists(), "a pre-auth frame was unpickled"
 
 
 def test_legacy_v4_submit_on_keyless_daemon_refused(daemon):
