@@ -9,7 +9,7 @@ for the same job:
 * ``serial``  is the 1-process floor (all ranks in one interpreter —
   its "scaling" is flat by construction and anchors the comparison);
 * ``cluster`` scales over OS processes joined by the TCP socket
-  fabric with streamed raw-codec batch frames;
+  fabric, one raw-codec batch frame plus its raw bytes per (src, dst);
 * ``local``   is the same fabric on loopback with the multi-host knobs
   fixed, so its rows and the cluster rows should agree to within
   noise;
@@ -18,9 +18,7 @@ for the same job:
 
 Besides wall-clock speedups the bench reports **exchange throughput**
 (network-destined shuffle bytes per second of exposed bin time) per
-backend — both over the streamed TCP wire — plus the
-cluster backend's **frames-per-batch** (how few wire frames the
-coalescing data plane needs per (src, dst) shuffle batch) and a
+backend — both over the TCP wire — plus a
 **load-balanced** section: the sim runs the same job with stealing
 enabled from an imbalanced ``single`` placement, each real backend
 replays the recorded steal schedule (``schedule=``), and — new with
@@ -81,7 +79,6 @@ def _measure():
     job = sio_job(key_space=1 << 16).with_config(enable_stealing=False)
     wall = {}       # (label, n) -> seconds
     exchange = {}   # (label, n) -> (network_bytes, bin_seconds)
-    frames = {}     # (label, n) -> total exchange wire frames (cluster)
     for label, backend, kwargs in VARIANTS:
         for n in WORKER_COUNTS:
             t0 = time.perf_counter()
@@ -92,7 +89,6 @@ def _measure():
                 result.stats.total_network_bytes,
                 result.stats.stage_totals["bin"],
             )
-            frames[(label, n)] = result.stats.total_shuffle_frames
     modeled = {
         n: make_executor("sim", n).run(job, dataset=ds).elapsed
         for n in WORKER_COUNTS
@@ -170,7 +166,7 @@ def _measure():
             "grant": obs.metrics.histogram("grant_latency_s").summary(),
             "batch": obs.metrics.histogram("shuffle_batch_s").summary(),
         }
-    return (ds, wall, exchange, frames, modeled, steal_wall, steal_counts,
+    return (ds, wall, exchange, modeled, steal_wall, steal_counts,
             native_wall, native_steals, recovery_wall, recovery_reclaims,
             obs_wall, obs_hists)
 
@@ -188,7 +184,7 @@ def _pct(summary, key):
     return f"{summary[key] * 1e3:.2f}"
 
 
-def _render(ds, wall, exchange, frames, modeled, steal_wall, steal_counts,
+def _render(ds, wall, exchange, modeled, steal_wall, steal_counts,
             native_wall, native_steals, recovery_wall, recovery_reclaims,
             obs_wall, obs_hists):
     def speedup(label, n):
@@ -213,18 +209,14 @@ def _render(ds, wall, exchange, frames, modeled, steal_wall, steal_counts,
     lines += [
         "",
         "exchange throughput — network-destined shuffle MB per second of "
-        "exposed bin time; frames/batch = coalesced wire frames per "
-        "(src, dst) cluster batch",
-        f"{'n':>3} {'local_MBps':>11} "
-        f"{'cluster_MBps':>13} {'frames/batch':>13}",
+        "exposed bin time",
+        f"{'n':>3} {'local_MBps':>11} {'cluster_MBps':>13}",
     ]
     for n in WORKER_COUNTS[1:]:  # n=1 shuffles nothing over the fabric
-        n_batches = n * (n - 1)
         lines.append(
             f"{n:>3} "
             f"{_throughput(exchange, 'local', n) / 1e6:>11.1f} "
-            f"{_throughput(exchange, 'cluster', n) / 1e6:>13.1f} "
-            f"{frames[('cluster', n)] / n_batches:>13.1f}"
+            f"{_throughput(exchange, 'cluster', n) / 1e6:>13.1f}"
         )
     lines += [
         "",
@@ -301,14 +293,14 @@ def _render(ds, wall, exchange, frames, modeled, steal_wall, steal_counts,
 
 
 def test_backend_scaling(benchmark, save_result, check):
-    (ds, wall, exchange, frames, modeled, steal_wall, steal_counts,
+    (ds, wall, exchange, modeled, steal_wall, steal_counts,
      native_wall, native_steals, recovery_wall, recovery_reclaims,
      obs_wall, obs_hists) = benchmark.pedantic(
         _measure, rounds=1, iterations=1
     )
     save_result(
         "backend_scaling",
-        _render(ds, wall, exchange, frames, modeled, steal_wall,
+        _render(ds, wall, exchange, modeled, steal_wall,
                 steal_counts, native_wall, native_steals, recovery_wall,
                 recovery_reclaims, obs_wall, obs_hists),
     )
@@ -323,9 +315,6 @@ def test_backend_scaling(benchmark, save_result, check):
             "cluster_speedup_4": round(cluster_x, 3),
             "sim_predicted_speedup_4": round(sim_x, 3),
             "local_exchange_MBps_4": round(local_bps / 1e6, 1),
-            "cluster_frames_per_batch_4": round(
-                frames[("cluster", 4)] / 12, 1
-            ),
             "local_native_steals_4": native_steals[("local", 4)],
             "local_recovery_ms_4": round(recovery_wall["local"] * 1e3, 1),
             "cluster_recovery_ms_4": round(
@@ -387,12 +376,6 @@ def test_backend_scaling(benchmark, save_result, check):
     check(
         recovery_wall["local"] < 20 * wall[("local", 4)],
         "local kill recovery stays within 20x of the failure-free run",
-    )
-    # Batch coalescing keeps the cluster exchange's frame count low:
-    # each (src, dst) batch of many small parts rides few DATA frames.
-    check(
-        frames[("cluster", 4)] / 12 < 64,
-        "coalescing keeps cluster frames-per-batch small",
     )
     # The traced runs actually metered their hot paths: every granted
     # chunk's round-trip landed in the latency histogram, and the

@@ -151,13 +151,13 @@ def run_app(
     at runtime — and records it on the result.
 
     ``executor_kwargs`` go to the backend factory verbatim (e.g.
-    ``initial_distribution="single"`` to force an imbalanced start,
-    ``fault_plan=FaultPlan(...)`` to arm kill/stall injection and
-    recovery, or the local backend's ``stall_seconds`` straggler
-    injection).  That includes the observability knobs: pass
-    ``obs=Observability()`` and/or ``trace_path="run.trace.jsonl"``
-    to record spans, events, and metrics for the run (see
-    :mod:`repro.obs`); the bundle comes back on ``result.obs``.
+    ``initial_distribution="single"`` to force an imbalanced start, or
+    ``fault_plan=FaultPlan(...)`` to arm kill injection and recovery;
+    straggler stalls are its ``stall_seconds`` field).  That includes
+    the observability knobs: pass ``obs=Observability()`` and/or
+    ``trace_path="run.trace.jsonl"`` to record spans, events, and
+    metrics for the run (see :mod:`repro.obs`); the bundle comes back
+    on ``result.obs``.
     """
     try:
         spec = APPS[app]

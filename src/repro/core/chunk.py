@@ -3,9 +3,10 @@
 "GPMR tracks the per-GPU work in a dynamic queue.  If one GPU finishes
 its work ... we shift chunks between the local queues.  Due to this
 requirement, chunks must implement a serialization method."  A
-:class:`Chunk` therefore provides ``to_bytes``/``from_bytes`` (NumPy
-``save``-based, not pickle, so the format is explicit), and the
-scheduler prices a steal as serialise + wire transfer + deserialise.
+:class:`Chunk`'s serialization method is its pickled state
+(``__getstate__``): a descriptor-backed chunk pickles to its
+``(reader, index)`` descriptor, a resident one to its arrays, and the
+sim prices a steal from :attr:`~Chunk.wire_bytes`.
 
 Chunks come in two flavours:
 
@@ -19,21 +20,19 @@ Chunks come in two flavours:
   payloads, and a reclaimed chunk re-granted to a respawned rank
   rebuilds from the same descriptor;
 * **resident** — the payload arrays are held from construction
-  (``data=``): explicit ``chunks=``, chunks rebuilt by
-  :meth:`from_bytes`, and datasets no other process can rebuild.
+  (``data=``): explicit ``chunks=`` and datasets no other process can
+  rebuild.
 
 Everything the scheduler touches while routing work — ``index``,
 ``logical_items``, ``logical_bytes``, ``wire_bytes``, ``meta`` — is
 carried on the descriptor and never materialises the payload.
-Payload-dependent properties (``data``, ``actual_items``, ``scale``,
-``to_bytes``) materialise on demand, so the bit-parity contract is
-unchanged: a descriptor chunk maps to exactly the arrays its resident
-twin holds.
+Payload-dependent properties (``data``, ``actual_items``, ``scale``)
+materialise on demand, so the bit-parity contract is unchanged: a
+descriptor chunk maps to exactly the arrays its resident twin holds.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -157,53 +156,6 @@ class Chunk:
         ):
             return len(data[0])
         return self.logical_items
-
-    # -- serialisation (the load-balancing requirement) --------------------
-    def _arrays(self) -> Tuple[np.ndarray, ...]:
-        data = self.data
-        if isinstance(data, np.ndarray):
-            return (data,)
-        if isinstance(data, (tuple, list)):
-            return tuple(a for a in data if isinstance(a, np.ndarray))
-        return ()
-
-    def to_bytes(self) -> bytes:
-        """Serialise the chunk payload (npz container, explicit format)."""
-        buf = io.BytesIO()
-        arrays = {f"arr{i}": a for i, a in enumerate(self._arrays())}
-        np.savez(
-            buf,
-            __index=np.int64(self.index),
-            __logical_items=np.int64(self.logical_items),
-            __logical_bytes=np.int64(self.logical_bytes),
-            **arrays,
-        )
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, meta: Any = None) -> "Chunk":
-        """Rebuild a chunk serialised by :meth:`to_bytes`.
-
-        Multi-array payloads come back as a tuple of arrays; non-array
-        metadata must be re-attached by the caller via ``meta``.
-        """
-        with np.load(io.BytesIO(blob)) as z:
-            # Keys sort on their numeric suffix: lexicographic order
-            # would interleave arr10 before arr2 and scramble any
-            # payload of 11+ arrays.
-            keys = sorted(
-                (k for k in z.files if k.startswith("arr")),
-                key=lambda k: int(k[3:]),
-            )
-            arrays = [z[k] for k in keys]
-            data: Any = arrays[0] if len(arrays) == 1 else tuple(arrays)
-            return cls(
-                index=int(z["__index"]),
-                data=data,
-                logical_items=int(z["__logical_items"]),
-                logical_bytes=int(z["__logical_bytes"]),
-                meta=meta,
-            )
 
     @property
     def wire_bytes(self) -> int:

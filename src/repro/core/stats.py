@@ -34,8 +34,8 @@ class WorkerStats:
     #: the network traffic (the real backends fill this in)
     bytes_kept_local: int = 0
     #: wire frames the worker's outbound shuffle used (cluster backend:
-    #: BATCH + coalesced BATCH_DATA frames summed over destinations);
-    #: 0 on backends whose exchange is not framed
+    #: one BATCH frame per destination); 0 on backends whose exchange
+    #: is not framed
     shuffle_frames_sent: int = 0
 
     def add(self, stage: str, seconds: float) -> None:
@@ -125,13 +125,6 @@ class JobStats:
     def total_local_exchange_bytes(self) -> int:
         """Shuffle bytes that stayed on their own rank (no wire cost)."""
         return sum(w.bytes_kept_local for w in self.workers)
-
-    @property
-    def total_shuffle_frames(self) -> int:
-        """Wire frames the exchange used across all workers (framed
-        backends only); with batch coalescing this stays small even
-        when batches hold many tiny parts."""
-        return sum(w.shuffle_frames_sent for w in self.workers)
 
     @property
     def total_chunks(self) -> int:

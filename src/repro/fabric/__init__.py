@@ -7,10 +7,10 @@ actual wire, the one both process backends (``local`` on loopback,
 * :mod:`repro.fabric.wire` — length-prefixed, version-checked framed
   messaging (the protocol both planes speak): pickled frames for the
   control plane, raw-bytes frames for the data plane;
-* :mod:`repro.fabric.stream` — the data plane's batch encoding: binary
-  KVSet codec manifests plus chunked ``BATCH_DATA`` streaming (batches
-  larger than ``max_frame_bytes`` stream instead of failing), for the
-  shuffle and for each rank's output behind its ``RESULT`` frame;
+* :mod:`repro.fabric.stream` — the data plane's batch encoding: one
+  ``BATCH`` frame (binary KVSet codec manifest) followed by the raw
+  key/value bytes, outside the frame bound, for the shuffle and for
+  each rank's output behind its ``RESULT`` frame;
 * :mod:`repro.fabric.coordinator` — the driver side: one admission
   routine for rank registration and mid-run replacement, the ASSIGN
   reply, runtime chunk service (``CHUNK_REQ``/``CHUNK_GRANT`` —

@@ -26,14 +26,14 @@ the cluster backend on loopback.
   launched ranks included.
 * **exchange** is one batch per (src, dst): after its map phase a rank
   opens one connection to every peer's shuffle listener, streams
-  exactly one batch — a raw-codec ``BATCH`` header frame plus chunked
-  ``BATCH_DATA`` frames, see :mod:`repro.fabric.stream` — and accepts
+  exactly one batch — a raw-codec ``BATCH`` frame followed by the
+  batch's raw bytes, see :mod:`repro.fabric.stream` — and accepts
   exactly ``n-1`` inbound batches.  Self-destined parts never touch
-  the wire, and batches larger than ``max_frame_bytes`` stream through
-  it instead of dying.  Outbound sends run on one thread per
-  destination so a rank is always able to drain inbound batches while
-  its own sends are still in flight — no send/recv interleaving
-  deadlock at any batch size.
+  the wire, and a batch larger than ``max_frame_bytes`` passes the
+  bound: it limits the frame, not the bytes behind it.  Outbound sends
+  run on one thread per destination so a rank is always able to drain
+  inbound batches while its own sends are still in flight — no
+  send/recv interleaving deadlock at any batch size.
 
 The endpoint is transport-complete for multi-host runs: the rank
 itself states where its shuffle listener is reachable (``listen_host``
@@ -140,7 +140,6 @@ class RankEndpoint:
         self._control: Optional[socket.socket] = None
         self.n_workers: Optional[int] = None
         self.peers: Dict[int, Tuple[str, int]] = {}
-        self._frames_lock = threading.Lock()
         #: guards the inbox state and ``_withheld``; notified per landed
         #: batch and on inbox failure (:meth:`recv_all` waits on it)
         self._inbox_cond = threading.Condition()
@@ -160,10 +159,6 @@ class RankEndpoint:
         #: the run this rank is serving (ASSIGN's ``epoch``); stamped on
         #: every batch it sends and checked on every batch it receives
         self.epoch = 0
-        #: wire frames this rank's outbound shuffle used (BATCH +
-        #: BATCH_DATA, summed over destinations) — the coalescing
-        #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
-        self.frames_sent = 0
         #: rank-side observability bundle, armed by the ``obs`` flag on
         #: ASSIGN; the export payload rides home on the RESULT frame
         self.obs = NULL_OBS
@@ -304,7 +299,8 @@ class RankEndpoint:
                 max_frame_bytes=self.max_frame_bytes,
             )
             return
-        stats.shuffle_frames_sent = self.frames_sent
+        # One frame per batch, and every sender delivered its batch.
+        stats.shuffle_frames_sent = len(self._senders)
         send_frame(
             self._control,
             MSG_RESULT,
@@ -348,7 +344,6 @@ class RankEndpoint:
                 obs.tracer.event("batch_resend", rank=self.rank, dest=dest,
                                  attempt=attempt)
                 obs.metrics.counter("batch_resends").inc()
-            counters: Dict[str, int] = {}
             s0 = time.time()
             try:
                 with set_nodelay(socket.create_connection(
@@ -362,12 +357,11 @@ class RankEndpoint:
                         # rebinding that port.  Abort and back off.
                         raise OSError("self-connected to own ephemeral port")
                     sock.settimeout(self.timeout_seconds)
-                    send_batch(
+                    sent = send_batch(
                         sock,
                         self.rank,
                         parts,
                         max_frame_bytes=self.max_frame_bytes,
-                        counters=counters,
                         chunk_ids=chunk_ids,
                         epoch=self.epoch,
                     )
@@ -393,9 +387,7 @@ class RankEndpoint:
             obs.metrics.histogram("shuffle_batch_s").observe(s1 - s0)
             obs.metrics.histogram(
                 "shuffle_batch_bytes", bounds=BYTES_BUCKETS
-            ).observe(counters.get("bytes", 0))
-        with self._frames_lock:
-            self.frames_sent += counters.get("frames", 0)
+            ).observe(sent)
 
     def start_inbox(self) -> None:
         """Begin accepting inbound shuffle batches in the background.

@@ -15,8 +15,9 @@ Python objects (:func:`send_frame` / :func:`recv_frame`); data-plane
 payloads are *raw bytes* (:func:`send_raw_frame` /
 :func:`recv_raw_frame`) — the shuffle's ``BATCH`` traffic and each
 rank's output behind its ``RESULT`` frame ride the binary KVSet codec
-via :mod:`repro.fabric.stream`, never pickle.  A raw frame leaves as a
-gathered ``sendmsg`` of its head and the caller's buffers and is read
+via :mod:`repro.fabric.stream`, never pickle; a ``BATCH`` frame is
+followed by its raw payload, outside any frame.  A raw frame leaves as
+a gathered ``sendmsg`` of its head and the caller's buffers and is read
 with ``recv_into``, so each payload byte is copied once per hop.  The
 length prefix makes message boundaries explicit on the byte stream,
 and an enforced ``max_frame_bytes`` bound rejects corrupted or hostile
@@ -68,7 +69,6 @@ __all__ = [
     "MSG_RESULT",
     "MSG_ERROR",
     "MSG_BATCH",
-    "MSG_BATCH_DATA",
     "MSG_CHUNK_REQ",
     "MSG_CHUNK_GRANT",
     "MSG_CHUNKS_DONE",
@@ -140,8 +140,10 @@ __all__ = [
 #: connection for every run of its executor, until that connection
 #: closes.  ASSIGN carries the run's ``epoch``, and so does every BATCH
 #: header (a ``!I`` after the source rank); a shuffle listener drops a
-#: batch from another run's epoch.
-PROTOCOL_VERSION = 8
+#: batch from another run's epoch.  v9: a batch is one BATCH frame
+#: followed by exactly its declared ``total_nbytes`` of raw payload, in
+#: no frame; BATCH_DATA is gone and type 9 stays reserved.
+PROTOCOL_VERSION = 9
 
 MAGIC = b"GPMR"
 
@@ -162,8 +164,8 @@ MSG_ASSIGN = 3   #: coordinator -> rank: {job, epoch, peers, n_workers, max_fram
 MSG_BARRIER = 4  #: reserved (v5's start barrier); only the frame-RTT probe sends it
 MSG_RESULT = 6   #: rank -> coordinator: {rank, stats, obs}; output batch follows
 MSG_ERROR = 7    #: rank -> coordinator: {rank, traceback}
-MSG_BATCH = 8    #: rank -> rank: shuffle batch header (raw codec manifest)
-MSG_BATCH_DATA = 9  #: rank -> rank: one streamed chunk of batch payload
+MSG_BATCH = 8    #: rank -> rank: shuffle batch header; its raw payload follows
+# type 9 is reserved (v2–v8's BATCH_DATA)
 MSG_CHUNK_REQ = 10    #: rank -> coordinator: give me my next chunk
 MSG_CHUNK_GRANT = 11  #: coordinator -> rank: {chunk, victim}
 MSG_CHUNKS_DONE = 12  #: coordinator -> rank: no more work for you
@@ -184,7 +186,6 @@ MSG_NAMES = {
     MSG_RESULT: "RESULT",
     MSG_ERROR: "ERROR",
     MSG_BATCH: "BATCH",
-    MSG_BATCH_DATA: "BATCH_DATA",
     MSG_CHUNK_REQ: "CHUNK_REQ",
     MSG_CHUNK_GRANT: "CHUNK_GRANT",
     MSG_CHUNKS_DONE: "CHUNKS_DONE",
@@ -297,6 +298,18 @@ def _send_buffers(sock: socket.socket, buffers: list, nbytes: int) -> None:
         buffers = [memoryview(buffers[first])[sent:], *buffers[first + 1 :]]
 
 
+def _frame_head(msg_type: int, length: int, max_frame_bytes: int) -> bytes:
+    """The 16-byte head of a ``length``-byte frame, refused with
+    :class:`FrameTooLarge` above the bound."""
+    if length > max_frame_bytes:
+        raise FrameTooLarge(
+            f"refusing to send {length} B "
+            f"{MSG_NAMES.get(msg_type, msg_type)} frame "
+            f"(max_frame_bytes={max_frame_bytes})"
+        )
+    return HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, length)
+
+
 def send_raw_frame(
     sock: socket.socket,
     msg_type: int,
@@ -315,29 +328,25 @@ def send_raw_frame(
     """
     buffers = payload if isinstance(payload, list) else [payload]
     length = sum(map(len, buffers))
-    if length > max_frame_bytes:
-        raise FrameTooLarge(
-            f"refusing to send {length} B "
-            f"{MSG_NAMES.get(msg_type, msg_type)} frame "
-            f"(max_frame_bytes={max_frame_bytes})"
-        )
-    head = HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, length)
+    head = _frame_head(msg_type, length, max_frame_bytes)
     _send_buffers(sock, [head, *buffers], HEADER.size + length)
     return length
 
 
-def recv_frame_header(
+def recv_raw_frame(
     sock: socket.socket,
     *,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    at_boundary: bool = True,
-) -> Tuple[int, int]:
-    """Receive one frame header and run every check that needs no
-    payload byte (magic, version, the ``max_frame_bytes`` bound);
-    returns ``(msg_type, payload_length)``, the payload still on the
-    socket.  ``at_boundary=False`` makes EOF here a
-    :class:`TruncatedFrame` (the frame is part of a larger message)."""
-    raw = _recv_exact(sock, HEADER.size, at_boundary=at_boundary)
+    expect: Optional[int] = None,
+) -> Tuple[int, bytearray]:
+    """Receive one frame; returns ``(msg_type, payload_bytes)``.
+
+    The header's magic, version and ``max_frame_bytes`` bound are
+    checked before the payload is read straight into its buffer.  With
+    ``expect``, a frame of any other type is a :class:`ProtocolError`
+    (fail fast on desynchronised peers).
+    """
+    raw = _recv_exact(sock, HEADER.size, at_boundary=True)
     magic, version, msg_type, length = HEADER.unpack(raw)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
@@ -352,35 +361,12 @@ def recv_frame_header(
             f"declared payload of {length} B exceeds "
             f"max_frame_bytes={max_frame_bytes}"
         )
-    return msg_type, length
-
-
-def check_frame_type(msg_type: int, expect: int) -> None:
-    """A frame of any type but ``expect`` is a :class:`ProtocolError`
-    (fail fast on desynchronised peers)."""
-    if msg_type != expect:
+    payload = _recv_exact(sock, length, at_boundary=False)
+    if expect is not None and msg_type != expect:
         raise ProtocolError(
             f"expected {MSG_NAMES.get(expect, expect)} frame, "
             f"got {MSG_NAMES.get(msg_type, msg_type)}"
         )
-
-
-def recv_raw_frame(
-    sock: socket.socket,
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    expect: Optional[int] = None,
-) -> Tuple[int, bytearray]:
-    """Receive one frame; returns ``(msg_type, payload_bytes)``.
-
-    The payload is read straight into its buffer, sized from the
-    checked header.  With ``expect``, a frame of any other type is a
-    :class:`ProtocolError`.
-    """
-    msg_type, length = recv_frame_header(sock, max_frame_bytes=max_frame_bytes)
-    payload = _recv_exact(sock, length, at_boundary=False)
-    if expect is not None:
-        check_frame_type(msg_type, expect)
     return msg_type, payload
 
 

@@ -72,6 +72,10 @@ class ServiceClient:
         self._pending: Dict[int, Future] = {}
         self._seq = 0
         self._closed = False
+        #: why the reader stopped, once the connection is gone: every
+        #: later request fails at once instead of waiting on a reply
+        #: that cannot come
+        self._lost: Optional[Exception] = None
         self.server_info = self._handshake(auth_key)
         self._sock.settimeout(None)
         self._reader = threading.Thread(
@@ -149,15 +153,7 @@ class ServiceClient:
         """
         if (spec is None) == (dataset is None):
             raise ValueError("pass exactly one of spec= or dataset=")
-        fut: "Future[AppRun]" = Future()
-        with self._pending_lock:
-            if self._closed:
-                raise RuntimeError("client is closed")
-            self._seq += 1
-            seq = self._seq
-            self._pending[seq] = fut
-        payload = {
-            "seq": seq,
+        return self._request({
             "app": app,
             "spec": spec,
             "dataset": dataset,
@@ -166,7 +162,31 @@ class ServiceClient:
             "schedule": schedule,
             "priority": priority,
             "executor_kwargs": executor_kwargs or {},
-        }
+        })
+
+    def submit(self, app: str, spec=None, *, timeout=None, **kwargs) -> AppRun:
+        """Blocking submit; returns the job's :class:`AppRun`."""
+        return self.submit_async(app, spec, **kwargs).result(timeout=timeout)
+
+    def metrics(self, timeout: Optional[float] = 30.0) -> Dict[str, Any]:
+        """The daemon's live metrics snapshot (answered out of band)."""
+        return self._request({"op": "metrics"}).result(timeout=timeout)
+
+    def _request(self, payload: Dict[str, Any]) -> Future:
+        """Send one SUBMIT under a fresh ``seq``; returns the Future its
+        reply resolves.  A closed client, or one whose connection is
+        lost, refuses at once."""
+        fut: Future = Future()
+        with self._pending_lock:
+            if self._closed:
+                raise RuntimeError("client is closed")
+            if self._lost is not None:
+                raise ConnectionError(
+                    f"connection to service lost: {self._lost}"
+                )
+            self._seq += 1
+            seq = payload["seq"] = self._seq
+            self._pending[seq] = fut
         try:
             with self._send_lock:
                 send_frame(
@@ -178,26 +198,6 @@ class ServiceClient:
                 self._pending.pop(seq, None)
             raise ConnectionError(f"submit failed: {exc}") from exc
         return fut
-
-    def submit(self, app: str, spec=None, *, timeout=None, **kwargs) -> AppRun:
-        """Blocking submit; returns the job's :class:`AppRun`."""
-        return self.submit_async(app, spec, **kwargs).result(timeout=timeout)
-
-    def metrics(self, timeout: Optional[float] = 30.0) -> Dict[str, Any]:
-        """The daemon's live metrics snapshot (answered out of band)."""
-        fut: Future = Future()
-        with self._pending_lock:
-            if self._closed:
-                raise RuntimeError("client is closed")
-            self._seq += 1
-            seq = self._seq
-            self._pending[seq] = fut
-        with self._send_lock:
-            send_frame(
-                self._sock, MSG_SUBMIT, {"seq": seq, "op": "metrics"},
-                max_frame_bytes=self.max_frame_bytes,
-            )
-        return fut.result(timeout=timeout)
 
     # -- reader ------------------------------------------------------------
 
@@ -254,6 +254,7 @@ class ServiceClient:
         with self._pending_lock:
             pending, self._pending = self._pending, {}
             was_closed = self._closed
+            self._lost = exc
         for fut in pending.values():
             if was_closed:
                 fut.set_exception(RuntimeError("client closed"))

@@ -126,7 +126,8 @@ class JobService:
         self._job_ids = itertools.count(1)
         self._shutdown = threading.Event()
         self._threads: list = []
-        self._conn_threads: list = []
+        #: (socket, thread) of every client connection accepted
+        self._conns: list = []
         self._started = False
         self.max_concurrent_jobs = int(max_concurrent_jobs)
 
@@ -155,9 +156,10 @@ class JobService:
         return self
 
     def close(self) -> None:
-        """Stop accepting, finish the admitted jobs, release the pool.
-        The accept loop is woken by the listener's shutdown, each runner
-        by one sentinel ticket that sorts after every real one."""
+        """Stop accepting, finish the admitted jobs, hang up on every
+        client, release the pool.  The accept loop is woken by the
+        listener's shutdown, each runner by one sentinel ticket that
+        sorts after every real one."""
         self._shutdown.set()
         try:
             self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
@@ -167,6 +169,16 @@ class JobService:
         for _ in range(self.max_concurrent_jobs):
             self._admission.put((float("inf"), next(self._arrivals), None))
         for t in self._threads:
+            t.join(timeout=5.0)
+        # Hang up on the clients still connected: their readers see EOF
+        # and fail at once, rather than submit into a queue no runner
+        # serves any more.
+        for conn, _t in self._conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for _conn, t in self._conns:
             t.join(timeout=5.0)
         self.pool.close()
 
@@ -201,9 +213,9 @@ class JobService:
                 name="gpmr-svc-conn", daemon=True,
             )
             t.start()
-            self._conn_threads = [
-                c for c in self._conn_threads if c.is_alive()
-            ] + [t]
+            self._conns = [
+                (c, ct) for c, ct in self._conns if ct.is_alive()
+            ] + [(conn, t)]
 
     def _handshake(self, conn: socket.socket) -> bool:
         """Authenticate (when keyed) and greet; False drops the peer."""
@@ -301,7 +313,16 @@ class JobService:
                 {"seq": seq, "error": f"unknown op {op!r}"},
             )
             return
-        priority = int(submit.get("priority", 0))
+        try:
+            priority = int(submit.get("priority", 0))
+        except (TypeError, ValueError):
+            # Answer this seq; the connection's other jobs keep going.
+            self._reply(
+                conn, send_lock, MSG_JOB_ERROR,
+                {"seq": seq,
+                 "error": f"priority {submit.get('priority')!r} is not an integer"},
+            )
+            return
         ticket = {
             "conn": conn,
             "send_lock": send_lock,

@@ -169,27 +169,8 @@ def test_combine_by_key_sum_empty_passthrough():
 
 
 # ---------------------------------------------------------------------------
-# Chunk serialisation
+# Chunk
 # ---------------------------------------------------------------------------
-
-def test_chunk_roundtrip_single_array():
-    data = np.arange(100, dtype=np.uint32)
-    c = Chunk(index=3, data=data, logical_items=800, logical_bytes=3200)
-    c2 = Chunk.from_bytes(c.to_bytes())
-    assert c2.index == 3
-    assert c2.logical_items == 800
-    assert c2.logical_bytes == 3200
-    np.testing.assert_array_equal(c2.data, data)
-
-
-def test_chunk_roundtrip_tuple_of_arrays():
-    a = np.ones((4, 4), dtype=np.float32)
-    b = np.zeros(7, dtype=np.int64)
-    c = Chunk(index=1, data=(a, b), logical_items=16, logical_bytes=64)
-    c2 = Chunk.from_bytes(c.to_bytes())
-    np.testing.assert_array_equal(c2.data[0], a)
-    np.testing.assert_array_equal(c2.data[1], b)
-
 
 def test_chunk_scale_and_wire_bytes():
     c = Chunk(index=0, data=np.zeros(10), logical_items=40, logical_bytes=160)

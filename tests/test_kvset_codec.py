@@ -326,8 +326,8 @@ def test_uniform_layout_violations_are_protocol_errors_on_the_wire():
     """Through ``recv_batch`` the same streams surface as
     ``ProtocolError`` — the exchange loop's "corrupt peer" class."""
     from repro.fabric import recv_batch, send_batch, send_raw_frame
-    from repro.fabric.stream import _BATCH_HEADER, _DATA_HEADER
-    from repro.fabric.wire import MSG_BATCH, MSG_BATCH_DATA, ProtocolError
+    from repro.fabric.stream import _BATCH_HEADER
+    from repro.fabric.wire import MSG_BATCH, ProtocolError
 
     def deliver(manifest, data):
         a, b = socket.socketpair()
@@ -338,10 +338,7 @@ def test_uniform_layout_violations_are_protocol_errors_on_the_wire():
                 a, MSG_BATCH,
                 _BATCH_HEADER.pack(0, 0, 0, len(data), len(manifest)) + manifest,
             )
-            if data:
-                send_raw_frame(
-                    a, MSG_BATCH_DATA, _DATA_HEADER.pack(len(data), 0) + data
-                )
+            a.sendall(data)
             return recv_batch(b)
         finally:
             a.close()
@@ -369,10 +366,9 @@ def test_uniform_layout_violations_are_protocol_errors_on_the_wire():
     def wire_bytes(kv):
         a, b = socket.socketpair()
         try:
-            counters = {}
-            send_batch(a, 0, [kv], counters=counters)
+            sent = send_batch(a, 0, [kv])
             recv_batch(b)
-            return counters["bytes"]
+            return sent
         finally:
             a.close()
             b.close()

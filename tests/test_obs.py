@@ -355,7 +355,7 @@ class _OnesMapper(SIOMapper):
 
 def test_wire_bytes_halve_for_uniform_columns_logical_bytes_do_not():
     """Two byte counts, two meanings.  ``shuffle_batch_bytes`` observes
-    ``send_batch``'s ``counters["bytes"]`` — packed bytes on the wire,
+    ``send_batch``'s returned byte count — packed bytes on the wire,
     where SIO's uniform ``1`` column is one element per part;
     ``bytes_sent_network`` (``exec.shuffle_mb``) is the logical
     ``<key, value>`` layout the sim prices, which does not move."""

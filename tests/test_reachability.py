@@ -52,7 +52,6 @@ ALLOWED = {
     "workloads/readers.py::StreamedDataset": (
         "public API: the Dataset facade over a span reader (README)"),
     # -- helpers the tests inspect the models and results with
-    "core/chunk.py::Chunk.from_bytes": "test surface: the chunk codec's round trip",
     "core/kvset.py::KeyValueSet.from_buffers": (
         "test surface: the per-part codec's round trip under pack_parts"),
     "core/stats.py::JobStats.total_pairs_logical": "test surface: pair-count invariants",

@@ -13,6 +13,7 @@ import os
 import pickle
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -348,6 +349,42 @@ def test_unknown_app_is_job_error(daemon):
         # The connection survives a failed job.
         run = client.submit("LR", LR_SPEC, n_gpus=2, timeout=60)
         assert run.app == "LR"
+
+
+def test_bad_priority_fails_only_its_own_submission(daemon):
+    """A SUBMIT whose priority is not an integer is answered with a
+    JOB_ERROR for its seq: the good job sent just before it on the same
+    connection still returns, and a later submit still works."""
+    with ServiceClient(*daemon.address) as client:
+        good = client.submit_async("SIO", SIO_SPEC, n_gpus=2)
+        bad = client.submit_async("LR", LR_SPEC, n_gpus=2, priority="high")
+        with pytest.raises(JobFailed, match="priority"):
+            bad.result(timeout=60)
+        assert good.result(timeout=60).app == "SIO"
+        assert client.submit("LR", LR_SPEC, n_gpus=2, timeout=60).app == "LR"
+
+
+def test_submit_after_the_daemon_closed_fails_at_once():
+    """Closing the daemon hangs up on a live client; once its reader has
+    seen the EOF, the next submit and metrics call raise ConnectionError
+    at once instead of waiting out their timeouts on a reply that
+    cannot come."""
+    svc = JobService(port=0, default_backend="serial").start()
+    client = ServiceClient(*svc.address)
+    try:
+        assert client.submit("LR", LR_SPEC, n_gpus=2, timeout=60).app == "LR"
+        svc.close()
+        client._reader.join(timeout=5.0)
+        assert not client._reader.is_alive()
+        started = time.monotonic()
+        with pytest.raises(ConnectionError, match="lost"):
+            client.submit("LR", LR_SPEC, n_gpus=2, timeout=30)
+        with pytest.raises(ConnectionError, match="lost"):
+            client.metrics(timeout=30)
+        assert time.monotonic() - started < 1.0
+    finally:
+        client.close()
+        svc.close()
 
 
 def test_pipelined_submissions_one_connection(daemon):

@@ -9,12 +9,12 @@ rank killed mid-map on a descriptor run recovers exactly like a
 resident one, because reclaimed descriptor chunks rebuild their
 payloads from ``(reader, index)`` on the respawned rank.
 
-Also pins the resolution rule (which datasets stay resident), and
+Also pins the resolution rule (which datasets stay resident), runs
+jobs over ``.npy`` and text files through ``StreamedDataset``, and
 regression-tests the satellite fixes that rode along with the
-streaming PR: the ``Chunk`` codec's numeric key sort past 10 arrays,
-the dataset cache's per-key build locks, the executor pool's
-retire-on-failed-reset path, and the canonical content-based freeze
-keys.
+streaming PR: the dataset cache's per-key build locks, the executor
+pool's retire-on-failed-reset path, and the canonical content-based
+freeze keys.
 """
 
 import os
@@ -42,6 +42,7 @@ from repro.workloads import (
     DatasetReader,
     KMeansDataset,
     NpySpanReader,
+    StreamedDataset,
     TextSpanReader,
     WorkItem,
     streamed,
@@ -308,24 +309,52 @@ def test_dataset_reader_rejects_live_object_specs():
         DatasetReader(sio_dataset, {"n_elements": 1024, "rng": object()})
 
 
-# --- satellite 1: chunk codec past ten arrays -------------------------
+# --- jobs over files: StreamedDataset ---------------------------------
 
-def test_chunk_codec_preserves_order_past_ten_arrays():
-    # 12 distinct arrays: the npz member names run arr0..arr11, and a
-    # lexicographic sort would interleave arr10/arr11 before arr2 —
-    # the regression the numeric-suffix sort fixes.
-    payload = tuple(
-        np.full(3, i, dtype=np.int32) + np.arange(3, dtype=np.int32)
-        for i in range(12)
+@pytest.mark.parametrize("backend", ["serial", "local"])
+def test_sio_over_a_npy_file_matches_the_in_memory_dataset(tmp_path, backend):
+    """The README's file path: SIO over a ``.npy`` read through
+    ``NpySpanReader`` (one chunk per ``chunk_elements`` rows) and
+    ``StreamedDataset`` gives bytewise the output of the same job over
+    the in-memory ``sio_dataset`` it was saved from."""
+    spec = {"n_elements": 6000, "chunk_elements": 1500, "key_space": 512,
+            "seed": 31}
+    ds = sio_dataset(**spec)
+    path = tmp_path / "sio.npy"
+    np.save(path, np.concatenate([c.data for c in ds.chunks()]))
+    on_file = StreamedDataset(
+        NpySpanReader(path, rows_per_chunk=spec["chunk_elements"])
     )
-    chunk = Chunk(index=4, data=payload, logical_items=36, logical_bytes=144)
-    rebuilt = Chunk.from_bytes(chunk.to_bytes())
-    assert isinstance(rebuilt.data, tuple) and len(rebuilt.data) == 12
-    for i, (a, b) in enumerate(zip(payload, rebuilt.data)):
-        assert np.array_equal(a, b), f"array {i} out of order"
-    assert rebuilt.index == 4
-    assert rebuilt.logical_items == 36
-    assert rebuilt.logical_bytes == 144
+    assert on_file.n_chunks == ds.n_chunks
+    job = sio_job(spec["key_space"]).with_config(enable_stealing=False)
+    ref = make_executor(backend, N_WORKERS).run(job, ds)
+    got = make_executor(backend, N_WORKERS).run(job, on_file)
+    _assert_outputs_identical(ref, got, f"npy {backend}")
+
+
+@pytest.mark.parametrize("backend", ["serial", "local"])
+def test_wo_over_a_text_file_matches_the_oracle(tmp_path, backend):
+    """WO over a text file read through ``TextSpanReader`` and
+    ``StreamedDataset`` counts every word the ``word_counts`` oracle
+    counts over the in-memory corpus the file was written from (and
+    the oracle reads the same counts off the file)."""
+    from repro.apps.word_occurrence import wo_mph
+    from repro.baselines.serial import word_counts
+
+    ds = wo_dataset(n_chars=60_000, chunk_chars=10_000, seed=22, n_words=500)
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"".join(c.data.tobytes() for c in ds.chunks()))
+    on_file = StreamedDataset(TextSpanReader(path, chunk_bytes=10_000))
+    assert on_file.n_chunks > 1
+    job = wo_job(N_WORKERS, n_words=500)
+    result = make_executor(backend, N_WORKERS).run(job, on_file)
+    mph = wo_mph(500)
+    expected = word_counts(ds, mph)
+    np.testing.assert_array_equal(word_counts(on_file, mph), expected)
+    got = np.zeros(mph.n, dtype=np.int64)
+    merged = result.merged()
+    np.add.at(got, merged.keys.astype(np.int64), merged.values.astype(np.int64))
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_descriptor_chunk_pickles_small_and_rematerialises(tmp_path):
