@@ -11,8 +11,8 @@ sim prices a steal from :attr:`~Chunk.wire_bytes`.
 Chunks come in two flavours:
 
 * **descriptor-backed** — what every dataset rebuildable from scalars
-  resolves to: built from a
-  :class:`~repro.workloads.readers.ChunkReader` source via
+  resolves to: built from its
+  :class:`~repro.workloads.readers.DatasetReader` via
   :meth:`from_descriptor`, the payload is materialised lazily on first
   :attr:`data` access and can be dropped again with :meth:`release`.
   Pickling one ships only the tiny ``(reader, index)`` descriptor —
@@ -118,8 +118,8 @@ class Chunk:
             self._data = None
 
     # -- pickling ----------------------------------------------------------
-    # Descriptor-backed chunks ship *only* the descriptor (readers
-    # themselves pickle to a tiny key and rebuild once per process, see
+    # Descriptor-backed chunks ship *only* the descriptor (the reader
+    # pickles to a tiny key and rebuilds once per process, see
     # repro.workloads.readers), so a CHUNK_GRANT stays
     # bytes-sized no matter the payload; the receiver re-materialises.
     def __getstate__(self):

@@ -63,14 +63,15 @@ def resolve_chunks(
 ) -> List[Chunk]:
     """The job's input chunks from exactly one source.
 
-    A dataset with a ``chunk_reader`` — every registered dataset, and
-    any other rebuildable from scalars (see
+    A dataset with a ``chunk_reader`` — every registered dataset, the
+    file datasets of :mod:`repro.workloads.readers`, and any other
+    rebuildable from scalars (see
     :attr:`~repro.workloads.base.Dataset.chunk_reader`) — resolves to
     *descriptor-backed* chunks: the scheduler routes and prices them on
-    ``chunk_meta`` sizes alone, and each rank builds its granted
-    chunks' payloads itself, instead of the driver building and
-    shipping them.  Explicit ``chunks=``, and a dataset that cannot be
-    rebuilt elsewhere, give resident chunks.
+    the dataset's ``chunk_meta`` sizes alone, and each rank builds its
+    granted chunks' payloads itself through the reader, instead of the
+    driver building and shipping them.  Explicit ``chunks=``, and a
+    dataset that cannot be rebuilt elsewhere, give resident chunks.
     """
     if (dataset is None) == (chunks is None):
         raise ValueError("provide exactly one of dataset or chunks")
@@ -78,8 +79,8 @@ def resolve_chunks(
         reader = getattr(dataset, "chunk_reader", None)
         if reader is not None:
             return [
-                Chunk.from_descriptor(reader, i, *reader.chunk_meta(i))
-                for i in range(reader.n_chunks)
+                Chunk.from_descriptor(reader, i, *dataset.chunk_meta(i))
+                for i in range(dataset.n_chunks)
             ]
         return [Chunk.from_work_item(item) for item in dataset.chunks()]
     return list(chunks)

@@ -26,7 +26,7 @@ A link is a plain object with::
     n_workers, obs                  # obs: Observability or NULL_OBS
     request_chunk() -> (chunk, victim) | None
     mark_posted()                   # map output is about to leave
-    send(dest, parts, chunk_ids)    # one batch to one peer (may be async)
+    send(dest, parts, chunk_ids)    # one batch to one peer
     unblock(dest)                   # best-effort empty batch to one peer
     recv_all() -> [(src, parts, chunk_ids)]   # one batch per peer
     report(output, stats, error)    # result, or the failure traceback

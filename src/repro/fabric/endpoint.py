@@ -30,10 +30,7 @@ the cluster backend on loopback.
   batch's raw bytes, see :mod:`repro.fabric.stream` — and accepts
   exactly ``n-1`` inbound batches.  Self-destined parts never touch
   the wire, and a batch larger than ``max_frame_bytes`` passes the
-  bound: it limits the frame, not the bytes behind it.  Outbound sends
-  run on one thread per destination so a rank is always able to drain
-  inbound batches while its own sends are still in flight — no
-  send/recv interleaving deadlock at any batch size.
+  bound: it limits the frame, not the bytes behind it.
 
 The endpoint is transport-complete for multi-host runs: the rank
 itself states where its shuffle listener is reachable (``listen_host``
@@ -165,10 +162,8 @@ class RankEndpoint:
         #: the pull state machine, built once ASSIGN has delivered the
         #: grant pipelining depth and the scripted fault injection
         self._puller = None
-        #: outbound batch threads started by :meth:`send`, and what
-        #: they raised
-        self._senders: List[threading.Thread] = []
-        self._send_errors: List[BaseException] = []
+        #: outbound batches :meth:`send` delivered
+        self._batches_sent = 0
         # Early-exchange inbox: a background thread accepts inbound
         # shuffle batches while this rank is still mapping, so the
         # exchange only waits for genuinely late data.
@@ -299,8 +294,8 @@ class RankEndpoint:
                 max_frame_bytes=self.max_frame_bytes,
             )
             return
-        # One frame per batch, and every sender delivered its batch.
-        stats.shuffle_frames_sent = len(self._senders)
+        # One frame per batch, each one delivered.
+        stats.shuffle_frames_sent = self._batches_sent
         send_frame(
             self._control,
             MSG_RESULT,
@@ -507,20 +502,14 @@ class RankEndpoint:
         parts: Sequence[Any],
         chunk_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        """Start streaming one batch to ``dest`` on its own thread;
-        :meth:`recv_all` joins it and surfaces what it raised."""
+        """Deliver one batch to ``dest`` from the rank's own thread.
 
-        def _sender() -> None:
-            try:
-                self._send_batch(dest, parts, chunk_ids)
-            except BaseException as exc:  # surfaced after the joins
-                self._send_errors.append(exc)
-
-        thread = threading.Thread(
-            target=_sender, name=f"gpmr-shuffle-to-{dest}", daemon=True
-        )
-        self._senders.append(thread)
-        thread.start()
+        The inbox thread, started before the map, drains inbound
+        batches meanwhile, so a send never waits on this rank's own
+        receives.
+        """
+        self._send_batch(dest, parts, chunk_ids)
+        self._batches_sent += 1
 
     def unblock(self, dest: int) -> None:
         """Best-effort empty batch so ``dest`` stops waiting on this
@@ -529,15 +518,14 @@ class RankEndpoint:
 
     def recv_all(self) -> List[Tuple[int, List[Any], Optional[List[int]]]]:
         """Wait out the exchange: every peer's ``(source_rank, parts,
-        chunk_ids)`` batch, in arrival order, once every outbound batch
-        is confirmed.
+        chunk_ids)`` batch, in arrival order.
 
         Inbound batches are collected by the background inbox (possibly
         running since before this rank's map phase ended — see
         :meth:`start_inbox`).  This method blocks on the inbox's
         condition — woken by each landed batch and by an inbox failure,
         bounded by the ``timeout_seconds`` deadline — so it returns as
-        the last batch lands, then joins the senders.
+        the last batch lands.
         """
         assert self.n_workers is not None, "exchange before connect()"
         self.start_inbox()
@@ -560,14 +548,6 @@ class RankEndpoint:
         # notify; see it out, or a fast reduce could exit the process
         # under it and strand the sender in resends.
         self._inbox_thread.join(timeout=self.timeout_seconds)
-
-        for t in self._senders:
-            t.join(timeout=self.timeout_seconds)
-        if self._send_errors:
-            raise FabricError(
-                f"rank {self.rank} failed sending shuffle batches: "
-                f"{self._send_errors[0]}"
-            ) from self._send_errors[0]
         with self._inbox_cond:
             return list(self._inbox_batches)
 

@@ -44,8 +44,8 @@ Record = Dict[str, Any]
 class Tracer:
     """A per-run (or per-rank) append-only buffer of spans and events.
 
-    Thread-safe: the exchange's per-destination sender threads and the
-    driver's service thread all append to one tracer.
+    Thread-safe: the job service's runner threads append to the one
+    tracer of the service's observability bundle.
     """
 
     enabled = True

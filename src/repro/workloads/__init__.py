@@ -4,14 +4,7 @@ from .base import Dataset, WorkItem
 from .integers import IntegerDataset
 from .matrices import MatrixDataset, PanelTask
 from .points import KMeansDataset, RegressionDataset
-from .readers import (
-    ChunkReader,
-    DatasetReader,
-    NpySpanReader,
-    StreamedDataset,
-    TextSpanReader,
-    streamed,
-)
+from .readers import DatasetReader, NpySpanReader, TextSpanReader, streamed
 from .text import DICTIONARY_WORDS, TextDataset, build_dictionary, tokenize
 
 __all__ = [
@@ -26,10 +19,8 @@ __all__ = [
     "build_dictionary",
     "tokenize",
     "DICTIONARY_WORDS",
-    "ChunkReader",
     "DatasetReader",
     "NpySpanReader",
     "TextSpanReader",
-    "StreamedDataset",
     "streamed",
 ]

@@ -13,7 +13,9 @@ Every dataset yields :class:`WorkItem` chunks deterministically from
 the property GPMR needs to move (serialise) chunks between workers.
 :attr:`Dataset.chunk_reader` turns that into the default: a dataset
 rebuildable from its scalar constructor arguments resolves to
-descriptor chunks, and each rank builds its own chunks' payloads.
+descriptor chunks, and each rank builds its own chunks' payloads.  A
+file is a dataset too (:mod:`repro.workloads.readers`): built from a
+path and a span size, it resolves the same way.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class Dataset:
 
         Rebuildable means: the class imports by module and qualified
         name (not defined inside a function), every constructor
-        argument is a scalar, and the class overrides
+        argument is a scalar or a path, and the class overrides
         :meth:`chunk_meta` (else every descriptor would build its chunk
         here anyway).  The reader holds ``self``, so the driver never
         rebuilds; a rank that unpickles it rebuilds once per process.

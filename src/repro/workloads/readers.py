@@ -1,36 +1,32 @@
-"""Chunk readers: materialise map input lazily, at grant time.
+"""Map input read lazily, at grant time: one reader, two file datasets.
 
-A :class:`ChunkReader` describes a chunked input — how many chunks,
-each chunk's logical size — and materialises any chunk's payload *on
-demand*.  :func:`repro.core.scheduler.resolve_chunks` turns a
-reader-backed dataset into descriptor-backed
-:class:`~repro.core.chunk.Chunk` objects, so the driver schedules on
-descriptors and only worker ranks ever hold payload arrays (one or
-two chunks at a time with grant prefetch): each rank builds its own
-input, in parallel, and a run is not capped at driver RAM.
+:func:`repro.core.scheduler.resolve_chunks` turns a dataset with a
+:attr:`~repro.workloads.base.Dataset.chunk_reader` into
+descriptor-backed :class:`~repro.core.chunk.Chunk` objects, so the
+driver schedules on descriptors and only worker ranks ever hold payload
+arrays (one or two chunks at a time with grant prefetch): each rank
+builds its own input, in parallel, and a run is not capped at driver
+RAM.
 
-Three reader kinds:
+:class:`DatasetReader` is the one reader.  It names a :class:`Dataset`
+by its class and scalar constructor arguments, and pickles by that
+*key*, not by state: a per-process cache rebuilds the dataset at most
+once per worker — so a grant that crosses a process or socket boundary
+carries bytes, not gigabytes, and kill -9 recovery works for free (the
+respawned rank's fresh process rebuilds the dataset from the descriptor
+it is re-granted).  Synthetic datasets re-materialise chunks from
+``(seed, chunk_index)``; the two file datasets here read them from
+disk:
 
-* :class:`DatasetReader` — wraps a synthetic :class:`Dataset`: chunks
-  re-materialise deterministically from ``(seed, chunk_index)``, the
-  property ``workloads.base`` has always guaranteed.  Every dataset
-  rebuildable from scalars hands one out as
-  :attr:`Dataset.chunk_reader`, so this is the default path.
 * :class:`NpySpanReader` — row spans of an on-disk ``.npy`` array,
   opened ``mmap_mode="r"`` so only the touched span is ever resident.
 * :class:`TextSpanReader` — byte spans of a text file, split on line
   boundaries (the paper's "separated at line boundaries"), scanned
   once at open without loading the body.
 
-Readers pickle by *key*, not by state: ``__reduce__`` ships the few
-scalars needed to rebuild the reader, and a per-process cache rebuilds
-at most once per worker — so a grant that crosses a process or socket
-boundary carries bytes, not gigabytes, and kill -9 recovery works for
-free (the respawned rank's fresh process rebuilds the reader from the
-descriptor it is re-granted).
-
-:class:`StreamedDataset` is the :class:`Dataset` facade over a
-file-backed reader; :func:`streamed` is an alias for ``factory(**spec)``.
+Both are built from a path and one integer, so a job over a file is
+``ex.run(job, NpySpanReader(path, rows_per_chunk))``.  :func:`streamed`
+is an alias for ``factory(**spec)``.
 """
 
 from __future__ import annotations
@@ -47,84 +43,44 @@ from .base import Dataset, WorkItem
 from ..util.validation import check_positive
 
 __all__ = [
-    "ChunkReader",
     "DatasetReader",
     "NpySpanReader",
     "TextSpanReader",
-    "StreamedDataset",
     "streamed",
 ]
 
-_SCALARS = (type(None), bool, int, float, str, bytes)
+_SCALARS = (type(None), bool, int, float, str, bytes, os.PathLike)
 
-#: One reader instance per (type, key) per process: unpickling a
-#: granted descriptor rebuilds the reader at most once per worker, and
-#: every later grant reuses it (mmap handle, boundary scan, built
-#: dataset and all).
-_CACHE: Dict[Tuple[type, Any], "ChunkReader"] = {}
+#: One reader per key per process: unpickling a granted descriptor
+#: rebuilds the dataset at most once per worker, and every later grant
+#: reuses it (mmap handle, boundary scan, built arrays and all).
+_CACHE: Dict[Tuple, "DatasetReader"] = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _cached(cls: type, key: Any) -> "ChunkReader":
-    """Pickle target: the process's one reader for ``(cls, key)``."""
-    cache_key = (cls, key)
+def _cached(key: Tuple) -> "DatasetReader":
+    """Pickle target: the process's one reader for ``key``."""
     with _CACHE_LOCK:
-        inst = _CACHE.get(cache_key)
-    if inst is not None:
-        return inst
-    inst = cls._from_key(key)
+        reader = _CACHE.get(key)
+    if reader is not None:
+        return reader
+    module, qualname, spec_items = key
+    factory = functools.reduce(
+        getattr, qualname.split("."), importlib.import_module(module)
+    )
+    reader = DatasetReader(factory, dict(spec_items))
     with _CACHE_LOCK:
-        return _CACHE.setdefault(cache_key, inst)
+        return _CACHE.setdefault(key, reader)
 
 
-class ChunkReader:
-    """A chunked input whose payloads materialise on demand.
+class DatasetReader:
+    """Reader over a dataset factory and its scalar spec.
 
-    Subclasses implement the descriptor half (:attr:`n_chunks`,
-    :meth:`chunk_meta`) without touching payload bytes, the
-    materialisation half (:meth:`materialize`), and a :meth:`_key` of
-    scalars sufficient to rebuild the reader in another process.
-    """
-
-    @property
-    def n_chunks(self) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def chunk_meta(self, index: int) -> Tuple[int, int]:
-        """``(logical_items, logical_bytes)`` of chunk ``index``,
-        computed without materialising the payload."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def materialize(self, index: int) -> WorkItem:  # pragma: no cover
-        raise NotImplementedError
-
-    def _key(self) -> Tuple:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @classmethod
-    def _from_key(cls, key: Tuple) -> "ChunkReader":  # pragma: no cover
-        raise NotImplementedError
-
-    def __reduce__(self):
-        return (_cached, (type(self), self._key()))
-
-    def _check_index(self, index: int) -> None:
-        if not (0 <= index < self.n_chunks):
-            raise IndexError(
-                f"chunk index {index} out of range [0, {self.n_chunks})"
-            )
-
-
-class DatasetReader(ChunkReader):
-    """Reader over a synthetic dataset factory and its scalar spec.
-
-    Chunks re-materialise from ``(seed, chunk_index)`` — the
-    determinism contract every :class:`Dataset` already keeps — so the
-    "file" this reader streams from is the RNG.  The key is the
-    factory's import path plus the spec, which is why spec values must
-    be scalars: the key must round-trip through pickle byte-identically.
-    ``dataset`` is the already-built ``factory(**spec)``, when the
-    caller has it (:attr:`Dataset.chunk_reader` passes itself).
+    The key is the factory's import path plus the spec, which is why
+    spec values must be scalars (or paths): the key must round-trip
+    through pickle byte-identically.  ``dataset`` is the already-built
+    ``factory(**spec)``, when the caller has it
+    (:attr:`Dataset.chunk_reader` passes itself).
     """
 
     def __init__(
@@ -133,7 +89,7 @@ class DatasetReader(ChunkReader):
         for k, v in spec.items():
             if not isinstance(v, _SCALARS):
                 raise TypeError(
-                    f"streamed spec value {k}={v!r} is not a scalar; "
+                    f"reader spec value {k}={v!r} is not a scalar; "
                     "reader keys must rebuild the dataset in another "
                     "process from scalars alone"
                 )
@@ -152,40 +108,28 @@ class DatasetReader(ChunkReader):
                     self._dataset = self.factory(**self.spec)
         return self._dataset
 
-    @property
-    def n_chunks(self) -> int:
-        return self.dataset.n_chunks
-
-    def chunk_meta(self, index: int) -> Tuple[int, int]:
-        return self.dataset.chunk_meta(index)
-
     def materialize(self, index: int) -> WorkItem:
         return self.dataset.chunk(index)
 
-    def _key(self) -> Tuple:
-        return (
+    def __reduce__(self):
+        key = (
             self.factory.__module__,
             self.factory.__qualname__,
             tuple(sorted(self.spec.items())),
         )
-
-    @classmethod
-    def _from_key(cls, key: Tuple) -> "DatasetReader":
-        module, qualname, spec_items = key
-        obj: Any = importlib.import_module(module)
-        obj = functools.reduce(getattr, qualname.split("."), obj)
-        return cls(obj, dict(spec_items))
+        return (_cached, (key,))
 
 
-class NpySpanReader(ChunkReader):
+class NpySpanReader(Dataset):
     """Row spans of an on-disk ``.npy`` array, mmap'd read-only.
 
-    Only the rows of a materialised span are ever faulted into memory;
-    :meth:`materialize` copies the span out of the map so the payload
-    owns its bytes (safe to release the map, ship the array, mutate).
+    Only the rows of a built span are ever faulted into memory;
+    :meth:`chunk` copies the span out of the map so the payload owns
+    its bytes (safe to release the map, ship the array, mutate).
     """
 
     def __init__(self, path: Any, rows_per_chunk: int) -> None:
+        super().__init__(seed=0)
         check_positive(rows_per_chunk, "rows_per_chunk")
         self.path = os.fspath(path)
         self.rows_per_chunk = int(rows_per_chunk)
@@ -196,6 +140,11 @@ class NpySpanReader(ChunkReader):
         self._row_bytes = int(self._mmap.dtype.itemsize)
         for dim in self._mmap.shape[1:]:
             self._row_bytes *= int(dim)
+
+    def __reduce__(self):
+        # Reopen the file where the pickle lands: the map itself would
+        # pickle as a full copy of the array.
+        return type(self), (self.path, self.rows_per_chunk)
 
     @property
     def n_chunks(self) -> int:
@@ -210,26 +159,13 @@ class NpySpanReader(ChunkReader):
         lo, hi = self._span(index)
         return hi - lo, (hi - lo) * self._row_bytes
 
-    def materialize(self, index: int) -> WorkItem:
+    def chunk(self, index: int) -> WorkItem:
         lo, hi = self._span(index)
         data = np.array(self._mmap[lo:hi])
-        return WorkItem(
-            index=index,
-            data=data,
-            logical_items=hi - lo,
-            logical_bytes=(hi - lo) * self._row_bytes,
-        )
-
-    def _key(self) -> Tuple:
-        return (self.path, self.rows_per_chunk)
-
-    @classmethod
-    def _from_key(cls, key: Tuple) -> "NpySpanReader":
-        path, rows_per_chunk = key
-        return cls(path, rows_per_chunk)
+        return WorkItem(index, data, hi - lo, (hi - lo) * self._row_bytes)
 
 
-class TextSpanReader(ChunkReader):
+class TextSpanReader(Dataset):
     """Byte spans of a text file, split at line boundaries.
 
     The boundary scan at open reads forward from each ``chunk_bytes``
@@ -240,6 +176,7 @@ class TextSpanReader(ChunkReader):
     """
 
     def __init__(self, path: Any, chunk_bytes: int) -> None:
+        super().__init__(seed=0)
         check_positive(chunk_bytes, "chunk_bytes")
         self.path = os.fspath(path)
         self.chunk_bytes = int(chunk_bytes)
@@ -284,50 +221,12 @@ class TextSpanReader(ChunkReader):
         lo, hi = self._span(index)
         return hi - lo, hi - lo  # 1-byte elements, as in Table 1
 
-    def materialize(self, index: int) -> WorkItem:
+    def chunk(self, index: int) -> WorkItem:
         lo, hi = self._span(index)
         with open(self.path, "rb") as fh:
             fh.seek(lo)
             blob = fh.read(hi - lo)
-        data = np.frombuffer(blob, dtype=np.uint8)
-        return WorkItem(
-            index=index,
-            data=data,
-            logical_items=hi - lo,
-            logical_bytes=hi - lo,
-        )
-
-    def _key(self) -> Tuple:
-        return (self.path, self.chunk_bytes)
-
-    @classmethod
-    def _from_key(cls, key: Tuple) -> "TextSpanReader":
-        path, chunk_bytes = key
-        return cls(path, chunk_bytes)
-
-
-class StreamedDataset(Dataset):
-    """A :class:`Dataset` facade over a file-backed :class:`ChunkReader`
-    (:class:`NpySpanReader`, :class:`TextSpanReader`), so a file runs
-    through ``resolve_chunks`` as descriptor chunks."""
-
-    def __init__(self, reader: ChunkReader) -> None:
-        super().__init__(seed=0)
-        self._reader = reader
-
-    @property
-    def chunk_reader(self) -> ChunkReader:
-        return self._reader
-
-    @property
-    def n_chunks(self) -> int:
-        return self._reader.n_chunks
-
-    def chunk(self, index: int) -> WorkItem:
-        return self._reader.materialize(index)
-
-    def chunk_meta(self, index: int) -> Tuple[int, int]:
-        return self._reader.chunk_meta(index)
+        return WorkItem(index, np.frombuffer(blob, dtype=np.uint8), hi - lo, hi - lo)
 
 
 def streamed(factory: Any, **spec: Any) -> Dataset:

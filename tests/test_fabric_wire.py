@@ -1014,8 +1014,11 @@ def test_stray_connection_does_not_abort_shuffle():
         socket.create_connection(a.shuffle_address, timeout=5.0).close()
 
         # Neither endpoint has a map phase to finish: ACKs may flow.
+        # A send returns once its batch is ACKed, so both inboxes run
+        # first, as open() starts them before the map.
         for ep in (a, b):
             ep._posted_event.set()
+            ep.start_inbox()
         a.send(1, parts_for[1])
         b.send(0, parts_for[0])
         results = {}
@@ -1032,6 +1035,26 @@ def test_stray_connection_does_not_abort_shuffle():
                 assert len(parts) == 1
                 # Rank r's inbox got the parts_for[r] payload.
                 assert parts[0].values.tobytes() == np.arange(8.0).tobytes()
+    finally:
+        a.close()
+        b.close()
+
+
+def test_unblock_ends_a_peers_exchange_with_one_empty_batch():
+    """The failure courtesy over a real socket: a failing rank's
+    unblock() lands one empty batch at its peer, whose recv_all returns
+    at once instead of running out its shuffle deadline."""
+    a = RankEndpoint(0, ("127.0.0.1", 1), timeout_seconds=10.0)
+    b = RankEndpoint(1, ("127.0.0.1", 1), timeout_seconds=10.0)
+    a.n_workers = b.n_workers = 2
+    a.peers = b.peers = {0: a.shuffle_address, 1: b.shuffle_address}
+    try:
+        a.start_inbox()
+        t0 = time.monotonic()
+        b.unblock(0)  # unconfirmed: rank 0 has not posted, no ACK comes
+        batches = a.recv_all()
+        assert time.monotonic() - t0 < 1.0  # the deadline is 10 s
+        assert [(src, parts) for src, parts, _tags in batches] == [(1, [])]
     finally:
         a.close()
         b.close()

@@ -49,8 +49,6 @@ ALLOWED = {
         "public API: a saved schedule loaded for replay"),
     "workloads/readers.py::NpySpanReader": "public API: run a job over a .npy file (README)",
     "workloads/readers.py::TextSpanReader": "public API: run a job over a text file (README)",
-    "workloads/readers.py::StreamedDataset": (
-        "public API: the Dataset facade over a span reader (README)"),
     # -- helpers the tests inspect the models and results with
     "core/kvset.py::KeyValueSet.from_buffers": (
         "test surface: the per-part codec's round trip under pack_parts"),

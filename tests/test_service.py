@@ -11,14 +11,20 @@ import hmac
 import json
 import os
 import pickle
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.apps import lr_dataset, run_lr, sio_dataset, run_sio
+from repro.apps import AppRun, lr_dataset, run_lr, sio_dataset, run_sio
 from repro.core.scheduler import JobChunkAuthority
 from repro.fabric.wire import (
     HEADER,
@@ -317,6 +323,48 @@ def test_submit_matches_oneshot(daemon):
     for a, b in zip(ref.outputs, run.result.outputs):
         assert np.array_equal(a.keys, b.keys)
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def _daemon_cli(*args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.service.daemon", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def test_daemon_cli_serves_until_sigint():
+    """``python -m repro.service.daemon`` prints its address, runs a
+    submitted job, and exits 0 on SIGINT."""
+    proc = _daemon_cli("--port", "0", "--backend", "serial")
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+        assert ready, "the daemon printed no address"
+        banner = proc.stdout.readline()
+        found = re.search(r" on (\S+):(\d+) ", banner)
+        assert found, banner
+        with ServiceClient(found.group(1), int(found.group(2))) as client:
+            run = client.submit("SIO", SIO_SPEC, n_gpus=2, timeout=60)
+        assert isinstance(run, AppRun)
+        assert (run.app, run.backend) == ("SIO", "serial")
+        assert run.size == SIO_SPEC["n_elements"]
+        proc.send_signal(signal.SIGINT)
+        _out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
+def test_daemon_cli_refuses_a_missing_key_file(tmp_path):
+    proc = _daemon_cli("--port", "0", "--auth-key-file",
+                       str(tmp_path / "no-such-key"))
+    _out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 2
+    assert err.startswith("error:"), err
 
 
 def test_resubmission_hits_dataset_cache(daemon):

@@ -10,7 +10,7 @@ resident one, because reclaimed descriptor chunks rebuild their
 payloads from ``(reader, index)`` on the respawned rank.
 
 Also pins the resolution rule (which datasets stay resident), runs
-jobs over ``.npy`` and text files through ``StreamedDataset``, and
+jobs over ``.npy`` and text files (each file is itself a dataset), and
 regression-tests the satellite fixes that rode along with the
 streaming PR: the dataset cache's per-key build locks, the executor
 pool's retire-on-failed-reset path, and the canonical content-based
@@ -42,7 +42,6 @@ from repro.workloads import (
     DatasetReader,
     KMeansDataset,
     NpySpanReader,
-    StreamedDataset,
     TextSpanReader,
     WorkItem,
     streamed,
@@ -247,26 +246,27 @@ def test_streamed_run_survives_mid_map_kill(backend):
     _assert_outputs_identical(clean, faulted, f"SIO/{backend}/streamed-kill")
 
 
-# --- reader unit tests ------------------------------------------------
+# --- file datasets and the one reader --------------------------------
 
 def test_npy_span_reader_round_trip(tmp_path):
     arr = np.arange(23 * 4, dtype=np.int64).reshape(23, 4)
     path = tmp_path / "rows.npy"
     np.save(path, arr)
-    reader = NpySpanReader(path, rows_per_chunk=5)
-    assert reader.n_chunks == 5  # 4 full spans + a 3-row tail
-    rebuilt = np.concatenate(
-        [reader.materialize(i).data for i in range(reader.n_chunks)]
-    )
+    ds = NpySpanReader(path, rows_per_chunk=5)
+    assert ds.n_chunks == 5  # 4 full spans + a 3-row tail
+    rebuilt = np.concatenate([c.data for c in ds.chunks()])
     assert np.array_equal(rebuilt, arr)
     # chunk_meta is exact and payload-free: rows and row-bytes.
-    assert reader.chunk_meta(0) == (5, 5 * 4 * 8)
-    assert reader.chunk_meta(4) == (3, 3 * 4 * 8)
+    assert ds.chunk_meta(0) == (5, 5 * 4 * 8)
+    assert ds.chunk_meta(4) == (3, 3 * 4 * 8)
+    assert (ds.chunk(4).logical_items, ds.chunk(4).logical_bytes) == ds.chunk_meta(4)
     # The span copy owns its bytes (not a view into the mmap).
-    item = reader.materialize(1)
+    item = ds.chunk(1)
     assert item.data.base is None or not isinstance(
         item.data.base, np.memmap
     )
+    with pytest.raises(IndexError):
+        ds.chunk(5)
 
 
 def test_text_span_reader_line_boundaries(tmp_path):
@@ -274,15 +274,16 @@ def test_text_span_reader_line_boundaries(tmp_path):
     blob = "\n".join(lines).encode() + b"\n"
     path = tmp_path / "corpus.txt"
     path.write_bytes(blob)
-    reader = TextSpanReader(path, chunk_bytes=256)
-    assert reader.n_chunks > 1
-    spans = [reader.materialize(i).data for i in range(reader.n_chunks)]
+    ds = TextSpanReader(path, chunk_bytes=256)
+    assert ds.n_chunks > 1
+    spans = [c.data for c in ds.chunks()]
     assert b"".join(s.tobytes() for s in spans) == blob
     for span in spans[:-1]:
         # No word is ever split: every non-final span ends on a newline.
         assert span[-1] == ord("\n")
-    for span in spans:
+    for i, span in enumerate(spans):
         assert span.dtype == np.uint8
+        assert ds.chunk_meta(i) == (len(span), len(span))
 
 
 def test_text_span_reader_rejects_empty_file(tmp_path):
@@ -294,14 +295,16 @@ def test_text_span_reader_rejects_empty_file(tmp_path):
 
 def test_reader_pickle_round_trips_to_process_cache(tmp_path):
     np.save(tmp_path / "a.npy", np.arange(12, dtype=np.uint32))
-    reader = NpySpanReader(tmp_path / "a.npy", rows_per_chunk=4)
+    ds = NpySpanReader(tmp_path / "a.npy", rows_per_chunk=4)
+    reader = ds.chunk_reader
+    assert isinstance(reader, DatasetReader)
     blob = pickle.dumps(reader)
     # Unpickling twice yields the *same* cached instance: one open
     # mmap / boundary scan per (path, geometry) per worker process,
     # however many descriptor chunks name it.
     r1, r2 = pickle.loads(blob), pickle.loads(blob)
     assert r1 is r2
-    assert np.array_equal(r1.materialize(0).data, reader.materialize(0).data)
+    assert np.array_equal(r1.materialize(0).data, ds.chunk(0).data)
 
 
 def test_dataset_reader_rejects_live_object_specs():
@@ -309,43 +312,47 @@ def test_dataset_reader_rejects_live_object_specs():
         DatasetReader(sio_dataset, {"n_elements": 1024, "rng": object()})
 
 
-# --- jobs over files: StreamedDataset ---------------------------------
+# --- jobs over files --------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["serial", "local"])
+@pytest.mark.parametrize("backend", ["serial", "local", "local-spawn"])
 def test_sio_over_a_npy_file_matches_the_in_memory_dataset(tmp_path, backend):
-    """The README's file path: SIO over a ``.npy`` read through
-    ``NpySpanReader`` (one chunk per ``chunk_elements`` rows) and
-    ``StreamedDataset`` gives bytewise the output of the same job over
-    the in-memory ``sio_dataset`` it was saved from."""
+    """The README's file path: SIO over a ``.npy`` read as an
+    ``NpySpanReader`` (one chunk per ``chunk_elements`` rows) gives
+    bytewise the serial output of the same job over the in-memory
+    ``sio_dataset`` it was saved from.  Spawned ranks inherit no open
+    map: each reopens the file from the path its reader key carries."""
     spec = {"n_elements": 6000, "chunk_elements": 1500, "key_space": 512,
             "seed": 31}
     ds = sio_dataset(**spec)
     path = tmp_path / "sio.npy"
     np.save(path, np.concatenate([c.data for c in ds.chunks()]))
-    on_file = StreamedDataset(
-        NpySpanReader(path, rows_per_chunk=spec["chunk_elements"])
-    )
+    on_file = NpySpanReader(path, rows_per_chunk=spec["chunk_elements"])
     assert on_file.n_chunks == ds.n_chunks
+    # Descriptor chunks: the ranks open the file, the driver builds no span.
+    assert on_file.chunk_reader is not None
     job = sio_job(spec["key_space"]).with_config(enable_stealing=False)
-    ref = make_executor(backend, N_WORKERS).run(job, ds)
-    got = make_executor(backend, N_WORKERS).run(job, on_file)
+    kind, _, start_method = backend.partition("-")
+    options = {"start_method": start_method} if start_method else {}
+    ref = make_executor("serial", N_WORKERS).run(job, ds)
+    got = make_executor(kind, N_WORKERS, **options).run(job, on_file)
     _assert_outputs_identical(ref, got, f"npy {backend}")
 
 
 @pytest.mark.parametrize("backend", ["serial", "local"])
 def test_wo_over_a_text_file_matches_the_oracle(tmp_path, backend):
-    """WO over a text file read through ``TextSpanReader`` and
-    ``StreamedDataset`` counts every word the ``word_counts`` oracle
-    counts over the in-memory corpus the file was written from (and
-    the oracle reads the same counts off the file)."""
+    """WO over a text file read as a ``TextSpanReader`` counts every
+    word the ``word_counts`` oracle counts over the in-memory corpus
+    the file was written from (and the oracle reads the same counts
+    off the file)."""
     from repro.apps.word_occurrence import wo_mph
     from repro.baselines.serial import word_counts
 
     ds = wo_dataset(n_chars=60_000, chunk_chars=10_000, seed=22, n_words=500)
     path = tmp_path / "corpus.txt"
     path.write_bytes(b"".join(c.data.tobytes() for c in ds.chunks()))
-    on_file = StreamedDataset(TextSpanReader(path, chunk_bytes=10_000))
+    on_file = TextSpanReader(path, chunk_bytes=10_000)
     assert on_file.n_chunks > 1
+    assert on_file.chunk_reader is not None
     job = wo_job(N_WORKERS, n_words=500)
     result = make_executor(backend, N_WORKERS).run(job, on_file)
     mph = wo_mph(500)
@@ -359,18 +366,23 @@ def test_wo_over_a_text_file_matches_the_oracle(tmp_path, backend):
 
 def test_descriptor_chunk_pickles_small_and_rematerialises(tmp_path):
     np.save(tmp_path / "d.npy", np.arange(1 << 16, dtype=np.uint32))
-    reader = NpySpanReader(tmp_path / "d.npy", rows_per_chunk=1 << 14)
-    items, bytes_ = reader.chunk_meta(2)
-    chunk = Chunk.from_descriptor(reader, 2, items, bytes_)
+    ds = NpySpanReader(tmp_path / "d.npy", rows_per_chunk=1 << 14)
+    # A dataset= SUBMIT to the daemon pickles the dataset itself: it
+    # travels as its path, not as a copy of the mapped rows.
+    shipped = pickle.dumps(ds)
+    assert len(shipped) < 4096
+    assert np.array_equal(pickle.loads(shipped).chunk(3).data, ds.chunk(3).data)
+    chunk = resolve_chunks(ds, None)[2]
     assert not _resident(chunk)
+    assert (chunk.logical_items, chunk.logical_bytes) == ds.chunk_meta(2)
     blob = pickle.dumps(chunk)
     # Descriptor-only on the wire: far smaller than the 64 KiB payload.
     assert len(blob) < 4096
     clone = pickle.loads(blob)
-    assert np.array_equal(clone.data, reader.materialize(2).data)
+    assert np.array_equal(clone.data, ds.chunk(2).data)
     clone.release()
     assert not _resident(clone)
-    assert np.array_equal(clone.data, reader.materialize(2).data)
+    assert np.array_equal(clone.data, ds.chunk(2).data)
 
 
 # --- satellite 2: per-key cache build locks ---------------------------
