@@ -278,11 +278,13 @@ def drive_rank(link) -> None:
             run.map_chunk(*grant)
         run.finish_map()
         link.mark_posted()
-        for dest in range(run.n_workers):
-            if dest != run.rank:
-                _src, parts, chunk_ids = run.batch_for(dest)
-                link.send(dest, parts, chunk_ids)
-                served.add(dest)
+        # Staggered order: at each step every rank sends to a different
+        # peer, so no inbox queues the whole world's batches at once.
+        for step in range(1, run.n_workers):
+            dest = (run.rank + step) % run.n_workers
+            _src, parts, chunk_ids = run.batch_for(dest)
+            link.send(dest, parts, chunk_ids)
+            served.add(dest)
         link.report(run.reduce(link.recv_all()), stats, None)
     except BaseException:
         error = traceback.format_exc()

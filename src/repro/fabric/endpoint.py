@@ -162,8 +162,6 @@ class RankEndpoint:
         #: the pull state machine, built once ASSIGN has delivered the
         #: grant pipelining depth and the scripted fault injection
         self._puller = None
-        #: outbound batches :meth:`send` delivered
-        self._batches_sent = 0
         # Early-exchange inbox: a background thread accepts inbound
         # shuffle batches while this rank is still mapping, so the
         # exchange only waits for genuinely late data.
@@ -294,8 +292,9 @@ class RankEndpoint:
                 max_frame_bytes=self.max_frame_bytes,
             )
             return
-        # One frame per batch, each one delivered.
-        stats.shuffle_frames_sent = self._batches_sent
+        # One frame per batch, and drive_rank reports only once every
+        # peer's batch is ACKed.
+        stats.shuffle_frames_sent = self.n_workers - 1
         send_frame(
             self._control,
             MSG_RESULT,
@@ -509,7 +508,6 @@ class RankEndpoint:
         receives.
         """
         self._send_batch(dest, parts, chunk_ids)
-        self._batches_sent += 1
 
     def unblock(self, dest: int) -> None:
         """Best-effort empty batch so ``dest`` stops waiting on this

@@ -216,6 +216,18 @@ def test_happy_path_order_and_report():
         assert len(parts) == len(tags)
 
 
+def test_ranks_send_in_staggered_order():
+    """Rank r sends to r+1, r+2, ... (mod n), so at each step every
+    inbox receives one batch instead of all ranks queueing at rank 0."""
+    job, chunks = _job_and_chunks()
+    link = _FakeLink(job, [(chunks[0], 1)], inbound=[(0, [], []), (2, [], [])])
+    link.rank = 1
+    drive_rank(link)
+    assert link.calls == ["mark_posted", "send:2", "send:0", "recv_all"]
+    (_output, _stats, error), = link.reports
+    assert error is None
+
+
 class _ExplodingMapper(Mapper):
     def map_chunk(self, chunk):
         raise ValueError("bad chunk")
