@@ -103,10 +103,6 @@ class Executor:
     #: loop): a ``speculate_after`` plan has nothing to hedge there
     can_speculate: bool = True
 
-    #: grant requests a rank keeps in flight beyond the one it waits
-    #: on; the prefetching process backends set their own
-    prefetch_window: int = 0
-
     def __init__(
         self,
         n_workers: int,
@@ -121,7 +117,7 @@ class Executor:
         if initial_distribution not in DISTRIBUTIONS:
             raise ValueError(
                 f"initial_distribution {initial_distribution!r} must be "
-                "'round_robin', 'blocks', or 'single' (all chunks start on "
+                "'round_robin' or 'single' (all chunks start on "
                 "rank 0, as when one node ingested the data)"
             )
         if fault_plan is not None:
@@ -379,10 +375,6 @@ class Executor:
             schedule=schedule,
             context=f"{job.name}@{self.job_id}" if self.job_id else job.name,
             speculate_after=None if fault is None else fault.speculate_after,
-            # Prefetching backends (local, cluster) pipeline requests;
-            # the window sets which request proves which grants mapped
-            # — see ChunkService.request.
-            prefetch=self.prefetch_window,
             obs=obs,
             job_id=self.job_id,
         )
@@ -445,8 +437,9 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
 
     ``kwargs`` go to the backend factory verbatim (e.g. ``cluster=`` /
     ``network=`` for ``"sim"``, ``start_method=`` for ``"local"``).
-    Every built-in backend accepts ``initial_distribution=`` and
-    ``fault_plan=`` (both validated when the executor is built), the
+    Every built-in backend accepts ``initial_distribution=``
+    (``"round_robin"`` or ``"single"``) and ``fault_plan=`` (both
+    validated when the executor is built), the
     observability knobs ``obs=`` (an :class:`~repro.obs.Observability`
     bundle) and ``trace_path=`` (write the run's JSONL span/event trace
     there; implies tracing) — both off by default, and passive when on,
@@ -454,7 +447,10 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
     (fold each chunk's map output at once, into the job's accumulator
     or through its ``fused`` partial reducer, priced as the map kernel
     alone; ``None``, the default, respects the job's own
-    :class:`~repro.core.config.PipelineConfig`).
+    :class:`~repro.core.config.PipelineConfig`).  How far ahead a rank
+    pulls is not a setting: a ``local``/``cluster`` rank keeps one
+    request ahead of the chunk it maps
+    (:data:`~repro.core.scheduler.PULL_AHEAD`).
 
     ``executor=`` short-circuits construction with a pre-built
     instance — the job service's warm-pool path: every app's ``run_*``

@@ -34,7 +34,7 @@ __all__ = [
     "ChunkService",
     "JobChunkAuthority",
     "DISTRIBUTIONS",
-    "DEFAULT_PREFETCH_WINDOW",
+    "PULL_AHEAD",
     "GRANT_CHUNK",
     "GRANT_DONE",
     "GRANT_RETRY",
@@ -46,16 +46,17 @@ __all__ = [
 ]
 
 #: Deterministic initial chunk distributions shared by all backends.
-DISTRIBUTIONS = ("round_robin", "blocks", "single")
+DISTRIBUTIONS = ("round_robin", "single")
 
 
-#: Default pull-ahead window: each worker keeps this many chunk
-#: requests in flight beyond the one it is mapping, so the grant
+#: The pull window beyond the chunk being mapped: a rank keeps this
+#: many chunk requests in flight ahead of its map, so the grant
 #: round-trip (and the payload materialisation behind it) overlaps map
-#: compute — the real backends' analogue of the sim's double buffer.
-#: 0 disables prefetch (request/map strictly alternate, the pre-PR-9
-#: behaviour).
-DEFAULT_PREFETCH_WINDOW = 1
+#: compute — GPMR's one-ahead double buffer.  A protocol constant:
+#: :class:`~repro.exec.rank.GrantPuller` pipelines ``1 + PULL_AHEAD``
+#: requests and :meth:`ChunkService.request` proves grants mapped on
+#: that same count.
+PULL_AHEAD = 1
 
 
 def resolve_chunks(
@@ -91,8 +92,7 @@ def distribute_chunks(
 ) -> List[List[Chunk]]:
     """Initial chunk placement, identical on every backend.
 
-    ``round_robin``: chunk i to worker ``i % n``; ``blocks``:
-    contiguous runs of ``ceil(n_chunks / n_workers)``; ``single``:
+    ``round_robin``: chunk i to worker ``i % n``; ``single``:
     everything on worker 0 (as when one node ingested the data).
 
     This is the single definition of placement the bit-parity contract
@@ -108,10 +108,6 @@ def distribute_chunks(
     if how == "round_robin":
         for i, chunk in enumerate(chunks):
             out[i % n_workers].append(chunk)
-    elif how == "blocks":
-        per = (len(chunks) + n_workers - 1) // n_workers
-        for w in range(n_workers):
-            out[w].extend(chunks[w * per : (w + 1) * per])
     else:  # "single"
         out[0].extend(chunks)
     return out
@@ -324,7 +320,11 @@ class ChunkService:
     At most two copies of a chunk are live; receivers keep exactly one
     (see :func:`repro.core.dataflow.merge_incoming`), and :attr:`trace`
     keeps only the kept copy's grant, so it still grants every chunk
-    exactly once.
+    exactly once.  Which grants are still in flight is read off the
+    :data:`PULL_AHEAD` window (see :meth:`request`); a worker that pulls
+    fewer ahead (the sim's faulted ranks, serial) only proves its
+    grants mapped later, and only speculation, which those backends
+    refuse, reads the split.
 
     Requests are serialised under a lock: the sim calls :meth:`request`
     from its event loop, the serial backend from its interleaved rank
@@ -345,7 +345,6 @@ class ChunkService:
         schedule: Optional[ScheduleTrace] = None,
         context: Optional[str] = None,
         speculate_after: Optional[float] = None,
-        prefetch: int = 0,
         obs=None,
         job_id: Optional[str] = None,
     ) -> None:
@@ -372,10 +371,6 @@ class ChunkService:
             )
         self.enable_stealing = enable_stealing
         self.speculate_after = speculate_after
-        #: requests a worker keeps pipelined beyond the one being
-        #: answered (its pull window is ``1 + prefetch``); sets which
-        #: request proves which grants mapped — see :meth:`request`.
-        self.prefetch = max(0, int(prefetch))
         #: worker -> what it is served next, in order: queued chunks on
         #: a live run; under replay, its traced grants as Assignments
         self._queues: List[Deque] = [deque() for _ in range(n)]
@@ -429,7 +424,7 @@ class ChunkService:
         if not 0 <= worker < self.n_workers:
             raise ValueError(f"worker {worker} out of range")
         with self._lock:
-            # A worker's pull loop keeps ``W = 1 + prefetch`` requests in
+            # A worker's pull loop keeps ``W = 1 + PULL_AHEAD`` requests in
             # flight and tops the window up only after it has mapped
             # what its last answer granted, so its request number
             # ``W + i`` proves every grant among its first ``i`` answers
@@ -441,7 +436,7 @@ class ChunkService:
             # prefetcher's buffered chunk is exactly what speculation
             # must be allowed to duplicate.
             unproven = self._unproven[worker]
-            while len(unproven) > self.prefetch:
+            while len(unproven) > PULL_AHEAD:
                 cid = unproven.popleft()
                 if cid in self._outstanding[worker]:
                     chunk, _granted_at = self._outstanding[worker].pop(cid)
@@ -763,7 +758,6 @@ class JobChunkAuthority:
         schedule: Optional[ScheduleTrace] = None,
         context: Optional[str] = None,
         speculate_after: Optional[float] = None,
-        prefetch: int = 0,
         obs=None,
     ) -> ChunkService:
         """Open a job-scoped :class:`ChunkService` namespace.
@@ -794,7 +788,6 @@ class JobChunkAuthority:
                 schedule=schedule,
                 context=context,
                 speculate_after=speculate_after,
-                prefetch=prefetch,
                 obs=obs,
                 job_id=job_id,
             )

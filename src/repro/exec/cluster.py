@@ -53,7 +53,7 @@ from ..core.executor import Executor, register_backend
 from ..core.faults import FaultPlan, WorkerFailure
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
-from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, ChunkService
+from ..core.scheduler import ChunkService
 from ..core.stats import WorkerStats
 from ..obs import NULL_OBS, Observability
 from ..fabric import (
@@ -141,7 +141,6 @@ class _Ranks:
             timeout_seconds=ex.timeout_seconds,
             max_frame_bytes=ex.max_frame_bytes,
             auth_key=ex.auth_key,
-            prefetch_window=ex.prefetch_window,
         )
         self.procs: Dict[int, mp.process.BaseProcess] = {}
         self._incarnations: Dict[int, int] = {}
@@ -212,6 +211,9 @@ class ClusterExecutor(Executor):
     closed — hangs up on the ranks, which then exit.  A run that raises
     tears every rank down, and the next run starts afresh; a spawned
     rank found dead when a run starts is replaced before its ASSIGN.
+    Each rank requests one chunk ahead of the one it maps
+    (:data:`~repro.core.scheduler.PULL_AHEAD`, not a setting), so the
+    next grant's wire round-trip hides under the current map.
 
     ``fault_plan`` (a :class:`~repro.core.faults.FaultPlan`) arms the
     recovery machinery, per run: a spawned rank it kills mid-map is
@@ -242,7 +244,6 @@ class ClusterExecutor(Executor):
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
         auth_key: Optional[bytes] = None,
-        prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
         fused: Optional[bool] = None,
     ) -> None:
         super().__init__(
@@ -253,11 +254,6 @@ class ClusterExecutor(Executor):
             trace_path=trace_path,
             fused=fused,
         )
-        #: grant pipelining depth shipped to ranks via ASSIGN: each
-        #: rank keeps up to ``1 + prefetch_window`` CHUNK_REQ frames in
-        #: flight so the next grant's wire time hides under the current
-        #: chunk's map (0 restores strict request/reply)
-        self.prefetch_window = max(0, int(prefetch_window))
         #: shared HMAC key; when set the coordinator challenges every
         #: connection and spawned local ranks answer with the same key
         #: (externally launched ranks pass it via
@@ -396,7 +392,6 @@ class LocalExecutor(ClusterExecutor):
         fault_plan: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
         trace_path: Optional[str] = None,
-        prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
         fused: Optional[bool] = None,
     ) -> None:
         super().__init__(
@@ -409,7 +404,6 @@ class LocalExecutor(ClusterExecutor):
             fault_plan=fault_plan,
             obs=obs,
             trace_path=trace_path,
-            prefetch_window=prefetch_window,
             fused=fused,
         )
 

@@ -15,7 +15,7 @@ module is the only place it is written down for the real backends:
   ``local`` and ``cluster`` backends share; the serial backend has no
   link at all and steps *n* :class:`RankRun`\\ s round-robin itself.
 * :class:`GrantPuller` is the rank-side half of the pull protocol
-  (prefetch window, drain-after-DONE, RETRY back-off, stall and kill
+  (one-ahead pull window, drain-after-DONE, RETRY back-off, stall and kill
   injection), parameterised only by how a request is sent and how an
   answer is received.
 
@@ -52,7 +52,7 @@ from ..core.dataflow import MapPhaseOutput, MapRunner, merge_incoming, reduce_wo
 from ..core.chunk import Chunk
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
-from ..core.scheduler import GRANT_DONE, GRANT_RETRY
+from ..core.scheduler import GRANT_DONE, GRANT_RETRY, PULL_AHEAD
 from ..core.stats import WorkerStats
 from ..obs import NULL_OBS
 
@@ -77,13 +77,14 @@ class GrantPuller:
     ``GRANT_RETRY`` code).  The service answers strictly one answer per
     request, in order.
 
-    Requests are *pipelined*: up to ``1 + prefetch`` ride ahead of their
-    answers, so the grant for chunk ``i+1`` is usually already buffered
-    while chunk ``i`` maps and the ``grant_wait`` span measures only the
-    exposed wait.  The same window is what lets the scheduler prove
-    grants mapped (request number ``1 + prefetch + i`` is only ever
-    sent after everything in the first ``i`` answers was mapped — see
-    :meth:`~repro.core.scheduler.ChunkService.request`).
+    Requests are *pipelined*: ``1 + PULL_AHEAD`` ride ahead of their
+    answers (:data:`~repro.core.scheduler.PULL_AHEAD`, a protocol
+    constant), so the grant for chunk ``i+1`` is usually already
+    buffered while chunk ``i`` maps and the ``grant_wait`` span measures
+    only the exposed wait.  The same window is what lets the scheduler
+    prove grants mapped (request number ``1 + PULL_AHEAD + i`` is only
+    ever sent after everything in the first ``i`` answers was mapped —
+    see :meth:`~repro.core.scheduler.ChunkService.request`).
 
     A DONE answer stops the top-up but not the drain: a pipelined
     answer behind a DONE may still be a chunk (reclaim or speculation
@@ -104,7 +105,6 @@ class GrantPuller:
         rank: int,
         send_request: Callable[[], None],
         recv_answer: Callable[[], Tuple[int, Optional[Chunk], int]],
-        prefetch: int = 0,
         stall_seconds: float = 0.0,
         kill_at_chunk: Optional[int] = None,
         obs=NULL_OBS,
@@ -112,7 +112,6 @@ class GrantPuller:
         self.rank = rank
         self._send_request = send_request
         self._recv_answer = recv_answer
-        self.prefetch = max(0, int(prefetch))
         self.stall_seconds = float(stall_seconds)
         self.kill_at_chunk = kill_at_chunk
         self.obs = obs
@@ -128,7 +127,7 @@ class GrantPuller:
         while True:
             if self.stall_seconds:
                 time.sleep(self.stall_seconds)
-            while not self._draining and self._pending < 1 + self.prefetch:
+            while not self._draining and self._pending < 1 + PULL_AHEAD:
                 self._send_request()
                 self._pending += 1
             if self._draining and self._pending == 0:

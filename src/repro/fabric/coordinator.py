@@ -75,7 +75,7 @@ from .wire import (
     send_versioned_error,
     set_nodelay,
 )
-from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, RETRY
+from ..core.scheduler import RETRY
 from ..obs import NULL_OBS
 
 __all__ = ["Coordinator", "ClusterTimeout", "RankFailure"]
@@ -134,7 +134,6 @@ class Coordinator:
         liveness_probe: Optional[Callable[[], None]] = None,
         obs: Optional[Any] = None,
         auth_key: Optional[bytes] = None,
-        prefetch_window: int = DEFAULT_PREFETCH_WINDOW,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -142,10 +141,6 @@ class Coordinator:
         self.timeout_seconds = float(timeout_seconds)
         self.max_frame_bytes = int(max_frame_bytes)
         self.liveness_probe = liveness_probe
-        #: grant pipelining depth shipped to every rank via ASSIGN:
-        #: ranks keep up to ``1 + prefetch_window`` CHUNK_REQ frames in
-        #: flight so the next grant overlaps the current chunk's map
-        self.prefetch_window = max(0, int(prefetch_window))
         #: when set, every accepted connection (registration and
         #: mid-run replacement alike) must pass the HMAC challenge-response
         #: handshake before its first pickled frame is read
@@ -374,7 +369,6 @@ class Coordinator:
             "max_frame_bytes": self.max_frame_bytes,
             "fault": fault,
             "obs": self.obs.enabled,
-            "prefetch": self.prefetch_window,
         }
         send_frame(self._conns[rank], MSG_ASSIGN, payload,
                    max_frame_bytes=self.max_frame_bytes)

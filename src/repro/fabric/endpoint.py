@@ -555,10 +555,9 @@ class RankEndpoint:
         received and start the inbox.  Returns the job.
 
         Chunks are not in the frame — the rank pulls them via
-        :meth:`request_chunk`, through the puller built here: ASSIGN
-        carries the grant pipelining depth (up to ``1 + prefetch``
-        CHUNK_REQ frames ride ahead of their answers) and the rank's
-        scripted fault injection.
+        :meth:`request_chunk`, through the puller built here, which
+        keeps one CHUNK_REQ ahead of the chunk it maps; ASSIGN carries
+        the rank's scripted fault injection.
         """
         # Imported here: repro.exec imports repro.fabric (the cluster
         # backend), so a module-level import would be circular.
@@ -573,7 +572,6 @@ class RankEndpoint:
             self.rank,
             self._send_chunk_request,
             self._recv_chunk_answer,
-            prefetch=int(assign.get("prefetch", 0)),
             stall_seconds=float(fault.get("stall_seconds", 0.0)),
             kill_at_chunk=fault.get("kill_at_chunk"),
             obs=self.obs,

@@ -117,8 +117,9 @@ __all__ = [
 #: any pickled frame whenever the listener holds a key) and the
 #: multi-job control frames SUBMIT/JOB_RESULT/JOB_ERROR spoken by
 #: ``repro.service``'s daemon and client.  Still v5 (no frame change):
-#: ranks may *pipeline* CHUNK_REQ frames — up to ``1 + prefetch``
-#: requests in flight, the window shipped as ASSIGN's ``prefetch`` key
+#: ranks may *pipeline* CHUNK_REQ frames — ``1 + PULL_AHEAD``
+#: requests in flight, a constant both ends hold
+#: (:data:`repro.core.scheduler.PULL_AHEAD`; ASSIGN carries no window)
 #: — because the coordinator has always answered exactly one frame per
 #: request; a CHUNK_GRANT may carry a descriptor-only streamed chunk
 #: that the rank re-materialises locally, and BATCH frames may arrive

@@ -32,6 +32,10 @@ __all__ = ["ExecutorPool"]
 #: A lease key: backend name, worker count, and the frozen kwargs.
 PoolKey = Tuple[str, int, Tuple]
 
+#: Idle executors shelved per configuration; a release beyond this
+#: retires (closes) the surplus instance instead.
+MAX_IDLE_PER_KEY = 4
+
 
 class ExecutorPool:
     """Reusable executors keyed by configuration; thread-safe.
@@ -40,18 +44,16 @@ class ExecutorPool:
     (``pool_warm_hits``) and builds cold otherwise
     (``pool_cold_builds``); ``release()`` resets the instance and
     shelves it for the next job, retiring surplus instances beyond
-    ``max_idle_per_key`` via the executors' idempotent ``close()``.
+    :data:`MAX_IDLE_PER_KEY` via the executors' idempotent ``close()``.
     """
 
     def __init__(
         self,
         chunk_authority: Optional[JobChunkAuthority] = None,
         obs=None,
-        max_idle_per_key: int = 4,
     ) -> None:
         self.chunk_authority = chunk_authority
         self.obs = obs or NULL_OBS
-        self.max_idle_per_key = int(max_idle_per_key)
         self._idle: Dict[PoolKey, List[Executor]] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -96,7 +98,7 @@ class ExecutorPool:
         executor.chunk_authority = None
         with self._lock:
             stack = self._idle.setdefault(key, [])
-            if self._closed or len(stack) >= self.max_idle_per_key:
+            if self._closed or len(stack) >= MAX_IDLE_PER_KEY:
                 retire = True
             else:
                 retire = False

@@ -186,70 +186,55 @@ class Worker:
         else:
             self.binner.submit(step.parts)
 
-    def _map_loop(self) -> Generator:
-        """The normal double-buffered pull loop."""
-        job = self.job
-        t_phase = self.env.now
-        assignment = self.scheduler.request(self.rank)
-        fetch = (
-            self.env.process(self._fetch_proc(assignment)) if assignment else None
-        )
-        while assignment is not None:
-            in_alloc = yield fetch
-            t_chunk = self.env.now
-
-            # Prefetch the next chunk while this one maps (double buffer).
-            next_assignment = self.scheduler.request(self.rank)
-            next_fetch = None
-            if next_assignment is not None and job.config.double_buffer:
-                next_fetch = self.env.process(self._fetch_proc(next_assignment))
-
-            yield from self._map_one(assignment.chunk, in_alloc, t_chunk)
-            assignment = next_assignment
-            if assignment is not None and next_fetch is None:
-                next_fetch = self.env.process(self._fetch_proc(assignment))
-            fetch = next_fetch
-        self.stats.add("map", self.env.now - t_phase)
-
-    def _map_loop_faulted(self) -> Generator:
-        """Sequential pull loop for a fault-injected rank.
-
-        No prefetch and no mid-map binning (submissions buffer in
-        ``_deferred_parts``), so at its scripted death ordinal the rank
-        can lose *everything* un-posted — exactly like SIGKILL on a
-        real backend — reclaim its grants, and carry on as its own
-        respawned replacement.  Modeled time keeps flowing; only the
-        replacement's life lands in this worker's stats.
-        """
-        t_phase = self.env.now
+    def _next_grant(self) -> Generator:
+        """The next assignment (None when done), after the scripted
+        stall.  A scripted death on the grant restarts the rank as its
+        own replacement — exactly like SIGKILL on a real backend, its
+        grants reclaimed and its un-posted map output, state, buffered
+        bins and stats gone; modeled time keeps flowing."""
         while True:
             if self.stall_seconds:
                 yield self.env.timeout(self.stall_seconds)
             assignment = self.scheduler.request(self.rank)
-            if assignment is None:
-                break
-            if self.death.strikes(self.scheduler):
-                # The replacement starts clean: un-posted map output,
-                # accumulated state, buffered bins, and the dead
-                # incarnation's stats all die with the process.
-                self.runner = MapRunner(self.job, self.comm.size)
-                self._deferred_parts = []
-                self.stats = WorkerStats(rank=self.rank)
-                t_phase = self.env.now
-                continue
+            if assignment is None or not self.death.strikes(self.scheduler):
+                return assignment
+            self.runner = MapRunner(self.job, self.comm.size)
+            self._deferred_parts = []
+            self.stats = WorkerStats(rank=self.rank)
+            self._t_map = self.env.now
+
+    def _map_loop(self, ahead: bool) -> Generator:
+        """The pull loop.  ``ahead`` (an unfaulted rank) requests chunk
+        i+1 while chunk i maps, and fetches it too with
+        ``double_buffer``; a faulted rank pulls one chunk at a time."""
+        self._t_map = self.env.now
+        assignment = yield from self._next_grant()
+        fetch = None
+        while assignment is not None:
+            if fetch is None:
+                fetch = self.env.process(self._fetch_proc(assignment))
+            in_alloc = yield fetch
             t_chunk = self.env.now
-            in_alloc = yield self.env.process(self._fetch_proc(assignment))
+            fetch = None
+            if ahead:
+                following = yield from self._next_grant()
+                if following is not None and self.job.config.double_buffer:
+                    fetch = self.env.process(self._fetch_proc(following))
             yield from self._map_one(assignment.chunk, in_alloc, t_chunk)
-        self.stats.add("map", self.env.now - t_phase)
+            if not ahead:
+                following = yield from self._next_grant()
+            assignment = following
+        self.stats.add("map", self.env.now - self._t_map)
 
     def map_phase(self) -> Generator:
         """Process the worker's entire map workload."""
         job = self.job
-        if self.death.kill_at is not None or self.stall_seconds:
+        # A faulted rank bins nothing mid-map (submissions buffer in
+        # ``_deferred_parts``), so a death loses only what it holds.
+        faulted = self.death.kill_at is not None or self.stall_seconds > 0
+        if faulted:
             self._deferred_parts = []
-            yield from self._map_loop_faulted()
-        else:
-            yield from self._map_loop()
+        yield from self._map_loop(ahead=not faulted)
 
         # -- post-map paths: the accumulator flush, or the
         # combine pass that streams the buffered pairs back through

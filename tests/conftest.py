@@ -7,14 +7,16 @@ property tiers cannot flake on a slow shared runner.  Locally the
 default profile keeps exploring fresh examples.
 
 Resource accounting: every test that builds a ``local``/``cluster``
-executor or a job service must leave no child process alive (after a
-bounded join) and no more file descriptors open than it found.  Rank
-processes outlive a run and live until their executor closes, so a
-leak here is a process that would live as long as the program.
+executor or a job service must leave no child process and no thread it
+started alive (after a bounded join) and no more file descriptors open
+than it found.  Rank processes outlive a run and live until their
+executor closes, so a leak here is a process (or a coordinator or
+service thread) that would live as long as the program.
 """
 
 import multiprocessing as mp
 import os
+import threading
 import time
 
 import pytest
@@ -24,7 +26,7 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
 
-#: how long a finished test's child processes get to exit
+#: how long a finished test's child processes and threads get to exit
 CHILD_JOIN_SECONDS = 10.0
 
 
@@ -53,6 +55,7 @@ def _resource_accounting(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", _counting_init)
     fds_before = _open_fds()
+    threads_before = set(threading.enumerate())
     yield
     if not built:
         return
@@ -63,10 +66,14 @@ def _resource_accounting(monkeypatch):
     for child in alive:
         child.kill()
         child.join()
+    for thread in set(threading.enumerate()) - threads_before:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    threads = [t.name for t in set(threading.enumerate()) - threads_before]
     leaked = sorted(_open_fds() - fds_before)
     details = {
         fd: os.readlink(f"/proc/self/fd/{fd}")
         for fd in leaked if os.path.exists(f"/proc/self/fd/{fd}")
     }
     assert not alive, f"{built} left child processes alive: {alive}"
+    assert not threads, f"{built} left threads running: {sorted(threads)}"
     assert not leaked, f"{built} left file descriptors open: {details}"

@@ -253,7 +253,7 @@ def test_sim_run_emits_replayable_schedule_trace():
 def test_stealing_disabled_respects_config():
     ds = make_dataset(n=10_000, chunk=2_500)  # 4 chunks
     job = count_job(config=PipelineConfig(enable_stealing=False))
-    rt = GPMRRuntime(n_gpus=2, initial_distribution="blocks")
+    rt = GPMRRuntime(n_gpus=2, initial_distribution="single")
     result = rt.run(job, ds)
     assert result.stats.total_steals == 0
     np.testing.assert_array_equal(result_counts(result), reference_counts(ds))

@@ -110,7 +110,7 @@ def test_steals_ledger_accuracy_and_exhaustion_with_stealing(seed):
     n = rng.randint(2, 5)
     chunks = make_chunks(rng.randint(1, 24))
     s = ChunkService(
-        chunks, n, initial_distribution=rng.choice(("round_robin", "blocks", "single"))
+        chunks, n, initial_distribution=rng.choice(("round_robin", "single"))
     )
 
     order = list(range(n))
@@ -172,7 +172,7 @@ def test_trace_round_trip_replays_identical_grant_order(seed):
     n = rng.randint(2, 5)
     chunks = make_chunks(rng.randint(2, 20))
     recorder = ChunkService(
-        chunks, n, initial_distribution=rng.choice(("round_robin", "blocks", "single"))
+        chunks, n, initial_distribution=rng.choice(("round_robin", "single"))
     )
     order = list(range(n))
     rng.shuffle(order)
@@ -492,7 +492,8 @@ def test_speculation_duplicates_only_aged_inflight_grants():
     chunks = make_chunks(2)
     sched = ChunkService(chunks, 3, initial_distribution="single", speculate_after=30.0)
     g0 = sched.request(0)
-    g1 = sched.request(0)          # g0 -> mapped, g1 stays in flight
+    g1 = sched.request(0)
+    assert sched.request(0) is None  # request W + 1: g0 -> mapped, g1 stays in flight
     # Under-age in-flight work elsewhere: ask-again, not done.
     assert sched.request(1) is RETRY
     # Age the in-flight grant past the threshold; the idle worker
@@ -539,7 +540,8 @@ def test_mapped_but_unposted_chunks_are_not_speculation_candidates():
     chunks = make_chunks(2)
     sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=0.0)
     g0 = sched.request(0)
-    g1 = sched.request(0)          # g0 -> mapped, g1 in flight
+    g1 = sched.request(0)
+    assert sched.request(0) is None  # request W + 1: g0 -> mapped, g1 in flight
     for cid, (chunk, t) in list(sched._outstanding[0].items()):
         sched._outstanding[0][cid] = (chunk, t - 10.0)
     dup = sched.request(1)
@@ -548,13 +550,13 @@ def test_mapped_but_unposted_chunks_are_not_speculation_candidates():
 
 
 def test_prefetch_window_request_proves_exactly_the_consumed_answers():
-    """With a pull window of W = 1 + prefetch, request number W + i
+    """With a pull window of W = 1 + PULL_AHEAD, request number W + i
     proves the grants among the worker's first i answers mapped — no
     more (a buffered grant stays a speculation candidate) and no less
     (non-grant answers advance the proof too, so an idle worker's
     prefetch tail does not stay "in flight" forever)."""
     chunks = make_chunks(3)
-    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=30.0, prefetch=1)
+    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=30.0)
     a = sched.request(0)           # request 1
     b = sched.request(0)           # request 2 = W: proves nothing yet
     assert set(sched._outstanding[0]) == {a.chunk.index, b.chunk.index}
@@ -579,7 +581,7 @@ def test_stalled_prefetchers_buffered_grant_is_still_speculated():
     proven mapped by the requests already in flight, so once it ages an
     idle peer duplicates it."""
     chunks = make_chunks(2)
-    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=5.0, prefetch=1)
+    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=5.0)
     a = sched.request(0)           # being mapped by the stalled worker
     b = sched.request(0)           # buffered behind it
     for cid, (chunk, t) in list(sched._outstanding[0].items()):
@@ -597,7 +599,7 @@ def test_reclaim_reopens_the_pull_window_for_the_replacement():
     """A respawned rank starts a fresh window: its first W requests
     prove nothing about the grants its new incarnation receives."""
     chunks = make_chunks(3)
-    sched = ChunkService(chunks, 1, initial_distribution="single", prefetch=1)
+    sched = ChunkService(chunks, 1, initial_distribution="single")
     for _ in range(3):
         sched.request(0)
     sched.reclaim(0)

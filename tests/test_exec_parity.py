@@ -153,16 +153,16 @@ def test_parity_with_fewer_chunks_than_workers():
     lr_validate(results["local"], ds)
 
 
-def test_parity_blocks_distribution():
-    """The alternative contiguous-blocks placement is canonical too."""
+def test_parity_single_distribution():
+    """The all-on-rank-0 placement is canonical too."""
     ds = sio_dataset(60_000, chunk_elements=9_000, key_space=1 << 14, seed=29)
     job = sio_job(key_space=1 << 14).with_config(enable_stealing=False)
-    ref = make_executor("sim", 4, initial_distribution="blocks").run(job, dataset=ds)
+    ref = make_executor("sim", 4, initial_distribution="single").run(job, dataset=ds)
     for backend in ("serial", "local", "cluster"):
-        got = make_executor(backend, 4, initial_distribution="blocks").run(
+        got = make_executor(backend, 4, initial_distribution="single").run(
             job, dataset=ds
         )
-        _assert_outputs_identical(ref, got, f"blocks/{backend}")
+        _assert_outputs_identical(ref, got, f"single/{backend}")
 
 
 class _BoomMapper(Mapper):

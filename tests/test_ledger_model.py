@@ -3,8 +3,9 @@
 A hypothesis :class:`RuleBasedStateMachine` drives one service through
 any interleaving of what ranks do to it:
 
-* **pull** — a worker requests within its ``1 + prefetch`` window (the
-  answers it has not yet mapped), exactly as the rank-side puller does;
+* **pull** — a worker requests within its ``1 + PULL_AHEAD`` window
+  (the answers it has not yet mapped), exactly as the rank-side puller
+  does;
 * **map** — the worker takes its oldest answer off the window;
 * **post** — a worker told "done" with an empty window ships its
   batches (``mark_posted``);
@@ -37,8 +38,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import RETRY, Chunk, ChunkService, WorkerStats
-
-DISTRIBUTIONS = ("round_robin", "blocks", "single")
+from repro.core.scheduler import DISTRIBUTIONS, PULL_AHEAD
 
 
 def _chunks(n):
@@ -81,13 +81,11 @@ class LedgerMachine(RuleBasedStateMachine):
         how=st.sampled_from(DISTRIBUTIONS),
         stealing=st.booleans(),
         speculate=st.booleans(),
-        prefetch=st.integers(0, 2),
         replay=st.booleans(),
     )
-    def setup(self, n, n_chunks, how, stealing, speculate, prefetch, replay):
+    def setup(self, n, n_chunks, how, stealing, speculate, replay):
         self.n = n
         self.chunks = _chunks(n_chunks)
-        self.prefetch = prefetch
         self.replayed = _record(self.chunks, n) if replay else None
         if replay:
             self.svc = ChunkService(self.chunks, n, schedule=self.replayed)
@@ -97,7 +95,6 @@ class LedgerMachine(RuleBasedStateMachine):
                 self.chunks, n, initial_distribution=how,
                 enable_stealing=stealing,
                 speculate_after=0.0 if speculate else None,
-                prefetch=prefetch,
             )
         self.speculating = speculate and not replay
         #: per worker: answers issued but not yet mapped, oldest first
@@ -125,9 +122,9 @@ class LedgerMachine(RuleBasedStateMachine):
         assert w not in self.holders[cid], "a worker was granted its own chunk twice"
         for h in self.holders[cid]:
             # A duplicate copies work its holder may still be mapping:
-            # one of the holder's last 1 + prefetch answers, never one
+            # one of the holder's last 1 + PULL_AHEAD answers, never one
             # its later requests prove mapped, never a posted one.
-            recent = self.answers[h][-(1 + self.prefetch):]
+            recent = self.answers[h][-(1 + PULL_AHEAD):]
             assert not self.posted[h]
             assert any(x is not None and x is not RETRY and x.chunk.index == cid
                        for x in recent)
@@ -142,7 +139,7 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(w=st.integers(0, 3))
     def pull(self, w):
         w %= self.n
-        if not self.posted[w] and len(self.window[w]) < 1 + self.prefetch:
+        if not self.posted[w] and len(self.window[w]) < 1 + PULL_AHEAD:
             self._pull(w)
 
     @rule(w=st.integers(0, 3))

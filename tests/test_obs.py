@@ -3,7 +3,8 @@
 The fast half covers the instruments themselves — span/event recording
 and ordering, histogram percentiles, snapshot/absorb merging, the
 JSONL and Chrome ``trace_event`` serializations, the ``JobStats`` dict
-round-trip, and the view CLI — plus traced-vs-untraced bit-parity on
+round-trip, and the record and view CLIs (in process and as
+``python -m`` modules) — plus traced-vs-untraced bit-parity on
 the in-process backends (sim, serial).
 
 The ``slow`` half runs the same parity contract on the process
@@ -14,6 +15,10 @@ rejoin, attributed to the right rank.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +294,32 @@ def test_record_cli_records_a_sim_trace(tmp_path, capsys):
     assert trace["meta"]["clock"] == "simulated"
     assert trace["records"]
     assert json.loads(chrome.read_text())["traceEvents"]
+
+
+def test_record_and_view_run_as_modules(tmp_path):
+    """The two CLIs as a user runs them, each in a fresh interpreter:
+    record a serial SIO trace, then render it."""
+    trace, chrome = tmp_path / "sio.trace.jsonl", tmp_path / "sio.chrome.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[1] / "src")
+        + os.pathsep + env.get("PYTHONPATH", "")
+    )
+
+    def _module(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", *argv], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    _module("repro.obs.record", "--app", "SIO", "--backend", "serial",
+            "-n", "2", "--out", str(trace), "--chrome", str(chrome))
+    lines = trace.read_text().splitlines()
+    assert lines and all(json.loads(line) for line in lines)
+    assert json.loads(chrome.read_text())["traceEvents"]
+    assert "stage seconds (Figure-2 buckets)" in _module("repro.obs.view", str(trace))
 
 
 # -- parity + content on the in-process backends -----------------------------

@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.core.kvset import KeyValueSet
 from repro.core.scheduler import resolve_chunks
-from repro.core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY
+from repro.core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY, PULL_AHEAD
 from repro.exec import rank as rank_mod
 from repro.exec.rank import GrantPuller, drive_rank
 from repro.obs import NULL_OBS, Observability
@@ -80,15 +80,14 @@ def no_backoff(monkeypatch):
     monkeypatch.setattr(rank_mod, "RETRY_BACKOFF_SECONDS", 0.0)
 
 
-@pytest.mark.parametrize("prefetch", (0, 1, 3))
-def test_puller_returns_none_only_with_nothing_unanswered(prefetch):
-    """However deep the window, every request posted is answered and
-    read before the pull ends — an unread grant would strand a chunk
-    the service considers delivered."""
+def test_puller_returns_none_only_with_nothing_unanswered():
+    """Every request posted is answered and read before the pull ends
+    — an unread grant would strand a chunk the service considers
+    delivered."""
     script = _Script(
-        [_grant("a"), _grant("b"), _grant("c"), *([DONE] * (1 + prefetch))]
+        [_grant("a"), _grant("b"), _grant("c"), *([DONE] * (1 + PULL_AHEAD))]
     )
-    puller = GrantPuller(0, script.send, script.recv, prefetch=prefetch)
+    puller = GrantPuller(0, script.send, script.recv)
     assert _pull_all(puller) == ["a", "b", "c"]
     assert script.unanswered == 0
     assert not script.answers  # and it asked exactly as often as needed
@@ -98,7 +97,7 @@ def test_chunk_behind_a_done_resumes_the_pull():
     """A pipelined answer behind a DONE may still be a chunk (reclaim
     or speculation freed it): it is mapped, and the window re-opens."""
     script = _Script([_grant("a"), DONE, _grant("late"), DONE, DONE])
-    puller = GrantPuller(0, script.send, script.recv, prefetch=1)
+    puller = GrantPuller(0, script.send, script.recv)
     assert _pull_all(puller) == ["a", "late"]
     assert script.unanswered == 0 and not script.answers
 
@@ -108,7 +107,7 @@ def test_retry_reopens_the_window(no_backoff):
     and a RETRY behind a DONE cancels the drain."""
     script = _Script([RETRY, RETRY, _grant("a"), DONE, RETRY, _grant("b"),
                       DONE, DONE])
-    puller = GrantPuller(0, script.send, script.recv, prefetch=1)
+    puller = GrantPuller(0, script.send, script.recv)
     assert _pull_all(puller) == ["a", "b"]
     assert script.unanswered == 0 and not script.answers
 
@@ -133,7 +132,7 @@ def test_grant_wait_recorded_once_per_answer(no_backoff):
     obs = Observability()
     answers = [_grant("a"), RETRY, _grant("b"), DONE, DONE]
     script = _Script(answers)
-    puller = GrantPuller(3, script.send, script.recv, prefetch=1, obs=obs)
+    puller = GrantPuller(3, script.send, script.recv, obs=obs)
     _pull_all(puller)
     waits = [r for r in obs.tracer.records if r["name"] == "grant_wait"]
     assert len(waits) == len(answers)

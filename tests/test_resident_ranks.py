@@ -74,12 +74,9 @@ REFS = {"sio": _serial(SIO_JOB, SIO), "kmc": _serial(KMC_JOB, KMC)}
 RUNS = [("sio", SIO_JOB, SIO), ("kmc", KMC_JOB, KMC), ("sio", SIO_JOB, SIO)]
 
 
-@pytest.mark.parametrize(
-    "backend,kwargs",
-    [("local", {}), ("cluster", {}), ("local", {"prefetch_window": 2})],
-)
-def test_back_to_back_jobs_reuse_the_rank_processes(backend, kwargs):
-    with make_executor(backend, 2, timeout_seconds=60.0, **kwargs) as ex:
+@pytest.mark.parametrize("backend", ["local", "cluster"])
+def test_back_to_back_jobs_reuse_the_rank_processes(backend):
+    with make_executor(backend, 2, timeout_seconds=60.0) as ex:
         pids = None
         for app, job, dataset in RUNS:
             result = ex.run(job, dataset)
