@@ -52,13 +52,21 @@ class Partitioner(ABC):
 
 
 class RoundRobinPartitioner(Partitioner):
-    """The paper's default for integer keys: ``key % n_parts``."""
+    """The paper's default for integer keys: ``key % n_parts``.
+
+    For a power-of-two ``n_parts`` the ids are ``key & (n_parts - 1)``,
+    several times cheaper than the division and the same ids: NumPy's
+    ``%`` is a floor modulo, which for a power of two is the low bits
+    of the two's-complement key, negative keys included.
+    """
 
     def partition(self, kv: KeyValueSet, n_parts: int) -> np.ndarray:
         keys = kv.keys
         if n_parts <= np.iinfo(keys.dtype).max:
-            # Modulus in the keys' own dtype: no 8-byte temporaries per
-            # 4-byte key (split_by takes any integer id dtype).
+            # In the keys' own dtype: no 8-byte temporaries per 4-byte
+            # key (split_by takes any integer id dtype).
+            if n_parts & (n_parts - 1) == 0:
+                return keys & keys.dtype.type(n_parts - 1)
             return keys % keys.dtype.type(n_parts)
         return (keys % np.uint64(n_parts)).astype(np.int64)
 

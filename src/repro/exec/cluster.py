@@ -134,6 +134,15 @@ class _Ranks:
     """
 
     def __init__(self, ex: "ClusterExecutor") -> None:
+        # Import before the first fork what every rank would otherwise
+        # import after it, on every job: numpy.random (datasets build
+        # their chunks through util.rng) and encodings.idna (the first
+        # getaddrinfo of a socket.create_connection).  The driver pays
+        # once per process here; at module level every process that
+        # imports this module would pay, forking or not.
+        import encodings.idna  # noqa: F401
+        import numpy.random  # noqa: F401
+
         self.coordinator = Coordinator(
             ex.n_workers,
             host=ex.host,

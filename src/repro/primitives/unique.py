@@ -41,20 +41,23 @@ def unique_segments(sorted_keys: np.ndarray) -> KeyRuns:
 
     Raises if the keys are not in non-decreasing order (the GPU code
     would silently produce garbage; we check because we can).
+
+    One head-flag pass with a sentinel at each end: ``heads[i]`` marks
+    where a run starts and ``heads[n]`` where the last one ends, so the
+    run bounds are one ``flatnonzero`` — the offsets are all but the
+    last bound and the counts the differences between neighbours.
     """
     k = as_1d_array(sorted_keys)
-    if len(k) == 0:
-        empty_off = np.empty(0, dtype=np.int64)
-        return KeyRuns(k.copy(), empty_off, empty_off.copy())
     # Compare rather than diff: unsigned dtypes wrap under subtraction.
     if np.any(k[1:] < k[:-1]):
         raise ValueError("unique_segments requires sorted keys")
-    heads = np.empty(len(k), dtype=bool)
-    heads[0] = True
-    np.not_equal(k[1:], k[:-1], out=heads[1:])
-    offsets = np.flatnonzero(heads).astype(np.int64)
-    counts = np.diff(np.concatenate((offsets, [len(k)])))
-    return KeyRuns(k[offsets], offsets, counts)
+    n = len(k)
+    heads = np.empty(n + 1, dtype=bool)
+    heads[0] = heads[n] = True
+    np.not_equal(k[1:], k[:-1], out=heads[1:n])
+    bounds = np.flatnonzero(heads).astype(np.int64, copy=False)
+    offsets = bounds[:-1]
+    return KeyRuns(k[offsets], offsets, bounds[1:] - offsets)
 
 
 def unique_segments_cost(n: int, n_unique: int, key_bytes: int = 4) -> list:

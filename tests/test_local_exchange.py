@@ -12,10 +12,12 @@ process backends' job path:
 
 And the rule that no wait on the job path is paced by a timer: an
 empty ``local`` job costs its forks and not a poll tick.  And no job,
-real or simulated, imports a third-party package besides NumPy, and
-no real-backend job loads the modeled cluster.
+real or simulated, imports a third-party package besides NumPy, no
+real-backend job loads the modeled cluster, and a forked rank imports
+nothing at all.
 """
 
+import multiprocessing as mp
 import os
 import subprocess
 import sys
@@ -241,3 +243,47 @@ def test_jobs_import_nothing_but_numpy_and_the_stdlib():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0.008821147323248416"
+
+
+_IMPORT_AFTER_FORK_SCRIPT = """
+import os, sys
+driver = os.getpid()
+
+def report(event, args):
+    if event == "import" and os.getpid() != driver:
+        os.write(2, f"IMPORT-AFTER-FORK {args[0]}\\n".encode())
+
+sys.addaudithook(report)
+from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
+from repro.core import make_executor
+
+ds = sio_dataset(1 << 15, chunk_elements=1 << 13, key_space=1 << 16, seed=3)
+job = sio_job(key_space=1 << 16)
+for backend in ("cluster", "local"):
+    with make_executor(backend, 2, start_method="fork") as ex:
+        ex.run(job, dataset=ds)
+print("ran")
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_forked_ranks_import_nothing():
+    """A forked rank finds every module it needs already loaded: the
+    driver imports what a rank's first chunk and first connection
+    would (``numpy.random``, ``encodings.idna``) before it forks, so no
+    rank pays an import on any job."""
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_AFTER_FORK_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ran"
+    late = sorted({
+        line.split()[1] for line in done.stderr.splitlines()
+        if line.startswith("IMPORT-AFTER-FORK ")
+    })
+    assert not late, f"ranks imported after the fork: {late}"
