@@ -16,6 +16,15 @@ set.  The paper's optimised GPU pipeline, reproduced here:
   writes;
 * the **partitioner sends all keys of a centre to one GPU**;
 * reduce is one key per thread (negligible time at these key counts).
+
+On the host the per-point distance/argmin is a screen and a definition.
+:func:`_nearest_center` scores every centre for a window of points with
+one BLAS product (``|c|² − 2x·c``, the half-norm trick of GPU Lloyd
+kernels) and settles each point whose nearest centre beats every other by
+more than a written rounding bound; :func:`_nearest_exact`, the windowed
+per-dimension kernel, decides the rest (near-ties, duplicate centres,
+NaN/inf, extreme scales), so the answer is the exact kernel's, bit for
+bit, whatever BLAS does.
 """
 
 from __future__ import annotations
@@ -59,11 +68,21 @@ __all__ = [
 #: ``window x k`` buffers stay in cache, as the paper's block stays in shared memory.
 _WINDOW = 1 << 10
 
+#: Points per screening window, measured on the same chunk shape: 2 Ki and
+#: 4 Ki are fastest, 1 Ki and 8 Ki 10-30 % slower.  The ``k x window`` scores
+#: and masks stay in cache.
+_SCREEN_WINDOW = 1 << 11
 
-def _nearest_center(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest centre per point, lowest index on a tie — the file's one host
-    distance/argmin.  Squared distances accumulate one dimension at a time,
-    left to right, a window of points at a time: no ``n x k x dims`` temporary."""
+#: Relative and absolute screen slack (see :func:`_nearest_center`).
+_REL_SLACK = 2.0 ** -40
+_ABS_SLACK = 2.0 ** -1000
+
+
+def _nearest_exact(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest centre per point, lowest index on a tie — the definition the
+    screen in :func:`_nearest_center` must reproduce.  Squared distances
+    accumulate one dimension at a time, left to right, a window of points at
+    a time: no ``n x k x dims`` temporary."""
     k, dims = centers.shape
     nearest = np.empty(len(pts), dtype=np.intp)
     d2, sq = np.empty((2, min(_WINDOW, len(pts)), k), dtype=np.float64)
@@ -80,13 +99,89 @@ def _nearest_center(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return nearest
 
 
+def _nearest_center(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """:func:`_nearest_exact`'s answer, bit for bit, from one BLAS product
+    per window; only the points the product cannot settle take the exact path.
+
+    The screen scores centre ``c`` for point ``x`` as ``S(c) = |c|² − 2x·c``:
+    ``A @ X`` with ``A = [−2c | |c|²]`` (``k x (dims+1)``) and ``X = [xᵀ; 1]``
+    (``(dims+1) x window``).  ``S`` orders the centres as ``|x − c|²`` does.
+    A point is settled when exactly one centre ``j`` scores within ``slack``
+    of the best; the smallest unsigned dtype that counts to ``k`` counts the
+    near centres and sums their indices, so a count of one names ``j``.
+
+    The bound.  Let ``d(c)`` be the real ``|x − c|²``, ``D(c)`` the exact
+    path's float value, ``R`` the largest centre norm and ``u = 2⁻⁵³``.  For
+    any summation order, blocking or FMA (BLAS may pick any), to first order
+    in ``u``: ``|S(c) − (d(c) − |x|²)| ≤ (2dims + 1)u(|x| + R)²`` and
+    ``|D(c) − d(c)| ≤ (dims + 2)u(|x| + R)²``.  With one more ``u(|x| + R)²``
+    for rounding ``best + slack``, every other centre has ``D(c) > D(j)`` —
+    strictly, so ``argmin`` has no tie to break — whenever ``slack ≥ 8(dims +
+    3)u(|x| + R)²``.  The slack used is 4x that, ``max(2⁻⁴⁰, (dims +
+    3)·2⁻⁴⁸)(|x|₁ + R)²`` (the 1-norm bounds ``|x|`` from above, and the
+    margin absorbs the slack's own rounding), plus ``2⁻¹⁰⁰⁰``: that floor
+    covers the absolute error of products in the subnormal range (each under
+    ``2⁻¹⁰²²``, even flushed to zero), where relative bounds fail.
+
+    Everything else takes the exact path: several near centres (near-ties,
+    exact ties, duplicate centres); a NaN in the score column (``best`` is NaN,
+    so no centre is near); and a slack that overflows — ``(|x| + R)²`` past
+    ``2¹⁰⁰⁰`` makes it infinite, so every centre is near.  Below ``2¹⁰⁰⁰`` no
+    score, distance or partial sum can overflow.
+    """
+    k, dims = centers.shape
+    n = len(pts)
+    w = min(_SCREEN_WINDOW, n)
+    # A = [-2c | |c|²]; its product with a window's [xᵀ; 1] is S.
+    a = np.empty((k, dims + 1), dtype=np.float64)
+    np.multiply(centers, -2.0, out=a[:, :dims])
+    np.add.reduce(centers * centers, axis=1, out=a[:, dims])
+    radius = np.sqrt(np.max(a[:, dims]))
+    rel = max(_REL_SLACK, (dims + 3) * 2.0**-48)
+    small = np.min_scalar_type(k)
+    rows = np.arange(k, dtype=small)[:, None]
+    count, index = np.empty((2, n), dtype=small)
+    xbuf, sbuf = np.empty((dims + 1) * w), np.empty(k * w)
+    nbuf, ibuf = np.empty(k * w, dtype=np.uint8), np.empty(k * w, dtype=small)
+    bound = np.empty(w)
+    # The screen stays silent; the exact path warns on the points it gets.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, _SCREEN_WINDOW):
+            window = pts[s : s + _SCREEN_WINDOW]
+            m = len(window)
+            x = xbuf[: (dims + 1) * m].reshape(dims + 1, m)
+            x[:dims] = window.T
+            x[dims] = 1.0
+            scores = np.matmul(a, x, out=sbuf[: k * m].reshape(k, m))
+            # best + rel·(|x|₁ + R)² + floor, squared at 2²⁴ times the scale
+            # so that (|x| + R)² past 2¹⁰⁰⁰ overflows to infinity.
+            b = bound[:m]
+            np.add.reduce(np.abs(x[:dims]), axis=0, out=b)
+            b += radius
+            b *= 2.0**12
+            np.square(b, out=b)
+            b *= rel * 2.0**-24
+            b += _ABS_SLACK
+            b += np.minimum.reduce(scores, axis=0)
+            near = nbuf[: k * m].reshape(k, m)
+            np.less_equal(scores, b, out=near.view(bool))
+            np.add.reduce(near, axis=0, dtype=small, out=count[s : s + m])
+            picked = np.multiply(near, rows, out=ibuf[: k * m].reshape(k, m))
+            np.add.reduce(picked, axis=0, out=index[s : s + m])
+    nearest = index.astype(np.intp)
+    todo = np.flatnonzero(count != 1)
+    if len(todo):
+        nearest[todo] = _nearest_exact(pts[todo], centers)
+    return nearest
+
+
 def _chunk_table(pts: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """One chunk's block-accumulated ``<key, partial>`` table: per centre,
     ``dims`` coordinate sums then the member count.
 
     The order of its float operations *is* the definition: distances as
-    :func:`_nearest_center` associates them, each centre's sums in point
-    order (what ``np.add.at`` would do).
+    :func:`_nearest_exact` associates them (the screen only ever returns its
+    answer), each centre's sums in point order (what ``np.add.at`` would do).
     """
     k, dims = centers.shape
     nearest = _nearest_center(pts, centers)

@@ -107,8 +107,12 @@ class SIOReducer(Reducer):
         if element is None:
             sums = segmented_reduce(values.astype(np.int64), offsets)
         else:
-            # Every value is ``element``: ``counts`` already is the sum.
-            sums = counts.astype(np.int64, copy=False) * element.astype(np.int64)
+            # Every value is ``element``: ``counts`` already is the sum.  It
+            # is a fresh array nothing reads after the reduce, so scale it in
+            # place rather than write a new one.
+            sums = counts.astype(np.int64, copy=False)
+            if element != 1:
+                sums *= element.astype(np.int64)
         return KeyValueSet(keys=keys, values=sums, scale=scale)
 
     def reduce_cost(self, n_values: int, n_keys: int) -> List[KernelLaunch]:

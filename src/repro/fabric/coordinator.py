@@ -480,11 +480,13 @@ class Coordinator:
         """Read the codec batch of 0 or 1 parts that follows ``rank``'s
         RESULT frame: its output, or None.  A rank that dies or
         garbles the stream partway through is a :class:`RankFailure`
-        (it has posted, so there is nothing to recover)."""
+        (it has posted, so there is nothing to recover).  The trip home is
+        the driver's ``result_recv`` span, attributed to ``rank``."""
         try:
-            _src, parts, _tags = recv_batch(
-                conn, max_frame_bytes=self.max_frame_bytes
-            )
+            with self.obs.tracer.span("result_recv", rank=rank):
+                _src, parts, _tags = recv_batch(
+                    conn, max_frame_bytes=self.max_frame_bytes
+                )
         except (FabricError, OSError) as exc:
             raise RankFailure(
                 rank, f"result output did not arrive intact: {exc}"

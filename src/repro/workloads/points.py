@@ -76,7 +76,8 @@ class KMeansDataset(Dataset):
         actual = max(1, logical // self.sample_factor)
         rng = generator(self.seed, stream=(index,))
         which = rng.integers(0, self.n_centers, size=actual)
-        pts = self.true_centers[which] + rng.normal(
+        # np.take gathers whole rows ~10x faster than fancy indexing.
+        pts = np.take(self.true_centers, which, axis=0) + rng.normal(
             0.0, self.spread, size=(actual, self.dims)
         )
         return WorkItem(

@@ -1,6 +1,11 @@
 """The KMC host kernel: one fixed-window Lloyd step, proven against the
 ``n x k x dims`` expression it replaced.
 
+``_nearest_center`` screens with one matrix product and hands the points
+it cannot settle to ``_nearest_exact``, the windowed kernel that *is* the
+definition; the screen must agree with it on every input, however BLAS
+orders the product (CI runs this file again with four BLAS threads).
+
 ``_reference_table`` is that expression, kept here as the oracle: up to
 seven dimensions NumPy's ``sum`` adds left to right, so the windowed
 kernel must equal it bit for bit; from eight dimensions ``sum`` goes
@@ -17,11 +22,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import kmeans
 from repro.apps.kmeans import (
+    _SCREEN_WINDOW,
     _WINDOW,
     KMCMapper,
     _chunk_table,
     _nearest_center,
+    _nearest_exact,
     kmc_dataset,
     kmc_extract_centers,
     kmc_job,
@@ -29,8 +37,10 @@ from repro.apps.kmeans import (
 from repro.core import make_executor
 from repro.core.chunk import Chunk
 
-#: chunk lengths that straddle the window
-SIZES = (0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 3 * _WINDOW + 5)
+#: chunk lengths that straddle the exact path's window and the screen's
+SIZES = (0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 3 * _WINDOW + 5) + (
+    _SCREEN_WINDOW - 1, _SCREEN_WINDOW, _SCREEN_WINDOW + 1, 3 * _SCREEN_WINDOW + 5
+)
 
 
 def _reference_table(pts, centers):
@@ -96,6 +106,84 @@ def test_ties_resolve_to_the_lowest_centre_index():
     np.testing.assert_array_equal(
         _nearest_center(np.tile(pts, (_WINDOW, 1)), centers), np.tile([0, 0, 0, 1], _WINDOW)
     )
+
+
+# -- the screen against the exact path ------------------------------------------
+
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, 5e-324, 1e308])
+
+
+@st.composite
+def _screen_inputs(draw):
+    """Points and centres at one scale between 1e-300 and 1e300 (points
+    optionally each at their own), with duplicate centres, points on and a
+    few ulps off the bisector of two centres, and NaN/inf/huge/subnormal
+    entries in points and centres.  Around 1e-160 every product is
+    subnormal: only the absolute slack floor keeps the screen right there."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.sampled_from(SIZES))
+    k = draw(st.sampled_from((1, 2, 7, 32, 255, 256, 300)))
+    dims = draw(st.integers(1, 17))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** draw(st.one_of(st.floats(-300, 300), st.floats(-165, -150)))
+    centers = rng.standard_normal((k, dims)) * scale
+    if draw(st.booleans()):
+        centers[rng.integers(0, k, k // 2 + 1)] = centers[0]
+    pts = rng.standard_normal((n, dims))
+    pts *= 10.0 ** rng.uniform(-300, 300, (n, 1)) if draw(st.booleans()) else scale
+    if n and k > 1 and draw(st.booleans()):
+        i, j = rng.integers(0, k, (2, n))
+        ulps = rng.integers(-4, 5, (n, dims)) * np.spacing(np.abs(centers[i]) + np.abs(centers[j]))
+        pts = (centers[i] + centers[j]) / 2 + ulps
+    for arr, fracs in ((pts, (0, 0.05)), (centers, (0, 0.3))):
+        hit = rng.random(arr.shape) < draw(st.sampled_from(fracs))
+        arr[hit] = rng.choice(_SPECIALS, hit.sum())
+    return pts, centers
+
+
+@settings(max_examples=150, deadline=None)
+@given(_screen_inputs())
+def test_screen_equals_the_exact_path(inputs):
+    pts, centers = inputs
+    with np.errstate(all="ignore"):
+        want = _nearest_exact(pts, centers)
+        got = _nearest_center(pts, centers)
+    np.testing.assert_array_equal(got, want)
+
+
+def _exact_path_load(monkeypatch, pts, centers):
+    """Points the screen hands to the exact path, and its answer."""
+    seen = []
+
+    def counted(p, c):
+        seen.append(len(p))
+        return _nearest_exact(p, c)
+
+    monkeypatch.setattr(kmeans, "_nearest_exact", counted)
+    got = _nearest_center(pts, centers)
+    np.testing.assert_array_equal(got, _nearest_exact(pts, centers))
+    return sum(seen)
+
+
+def test_the_screen_settles_every_point_of_a_ledger_sized_chunk(monkeypatch):
+    """A slack bug that sends every point to the exact path fails here
+    rather than only running slow."""
+    pts, centers = _draw(8, 1 << 17, 32, 2, coarse=False)
+    assert _exact_path_load(monkeypatch, pts, centers) == 0
+    ds = kmc_dataset(1 << 17, n_centers=32, dims=2, chunk_points=1 << 17, seed=1)
+    assert _exact_path_load(monkeypatch, ds.chunk(0).data, ds.start_centers()) == 0
+
+
+def test_ties_on_the_half_integer_grid_take_the_exact_path(monkeypatch):
+    pts, centers = _draw(9, 3 * _SCREEN_WINDOW + 5, 9, 2, coarse=True)
+    assert 0 < _exact_path_load(monkeypatch, pts, centers) < len(pts)
+
+
+def test_points_past_the_overflow_guard_take_the_exact_path(monkeypatch):
+    """``(|x| + R)²`` past 2¹⁰⁰⁰: no score may overflow, so no screening."""
+    centers = np.array([[2.0**498], [-(2.0**498)]])
+    pts = np.array([[2.0**500], [2.0**490], [-(2.0**490)]])
+    assert _exact_path_load(monkeypatch, pts, centers) == 1
 
 
 # -- staged == fused == naive on awkward inputs ---------------------------------

@@ -273,11 +273,11 @@ def test_mid_posting_failure_backfills_only_unserved_peers_fake_link():
 RANK_SPANS = {
     "grant_wait", "chunk_map", "map_finish", "shuffle_recv", "sort", "reduce",
 }
-#: spans a transport adds on top
+#: spans a transport adds on top (``result_recv`` is the driver's)
 LINK_SPANS = {
     "serial": set(),
-    "local": {"shuffle_send"},
-    "cluster": {"shuffle_send"},
+    "local": {"shuffle_send", "result_recv"},
+    "cluster": {"shuffle_send", "result_recv"},
 }
 
 
@@ -297,9 +297,12 @@ def test_backends_report_the_same_buckets_and_span_names():
                 r["rank"] for r in obs.tracer.records
                 if r["ev"] == "span" and r["name"] == name
             )
-            for name in ("map_finish", "shuffle_recv")
+            for name in ("map_finish", "shuffle_recv", "result_recv")
         }
-        assert per_rank == {"map_finish": [0, 1], "shuffle_recv": [0, 1]}, backend
+        home = [0, 1] if "result_recv" in extra else []
+        assert per_rank == {
+            "map_finish": [0, 1], "shuffle_recv": [0, 1], "result_recv": home,
+        }, backend
 
 
 # -- regression: speculation + prefetch no longer idles a healthy run ---------
