@@ -5,7 +5,7 @@ over the :mod:`repro.fabric` wire.  It survives because the perf
 ledger's ``exchange.shm_roundtrip_mb_s`` probe still imports
 :func:`encode_batch`, :func:`decode_batch` and :func:`release_segment`;
 it goes once a benchmark change retargets that probe at a
-transport-neutral round-trip (ROADMAP item 5(b)).
+transport-neutral round-trip (ROADMAP item 12).
 
 A batch is packed with the binary KVSet codec (:mod:`repro.core.kvset`)
 into one of two message shapes (the first element is the tag):

@@ -23,9 +23,6 @@ Quick start::
     from repro.service import ServiceClient
     with ServiceClient() as svc:
         run = svc.submit("SIO", {"n_elements": 20_000, "seed": 7})
-
-:mod:`repro.service.loadgen` drives many concurrent clients against a
-daemon and reports jobs/sec with p50/p99 latency.
 """
 
 from .cache import DatasetCache

@@ -41,8 +41,8 @@ from repro.core import (
 )
 from repro.core.chunk import Chunk
 from repro.core.combine import SumAccumulator, SumCombiner, SumPartialReducer
+from repro.core.dataflow import MapRunner, reduce_worker
 from repro.core.stats import WorkerStats
-from repro.exec.dataflow import MapRunner, reduce_worker
 from repro.obs import Observability
 from test_core_pipeline import KEY_SPACE, count_job, make_dataset
 

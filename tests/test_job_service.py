@@ -17,6 +17,7 @@ Run with ``python -m pytest tests/test_job_service.py -q -m slow``.
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -24,7 +25,6 @@ import pytest
 
 from repro.apps import APPS
 from repro.service import JobService, ServiceClient
-from repro.service.loadgen import run_load
 
 pytestmark = pytest.mark.slow
 
@@ -66,18 +66,54 @@ def _assert_identical(ref, got, tag):
         assert a.values.tobytes() == b.values.tobytes(), where
 
 
+def _run_load(address):
+    """``N_CLIENTS`` threads, each on its own connection, pipeline
+    ``JOBS_PER_CLIENT`` ``submit_async`` calls over ``MIX`` (staggered
+    so concurrent clients hit different apps), then collect them.
+
+    Returns ``(completed, failed, errors, wall_s)``.
+    """
+    counts = {"completed": 0, "failed": 0}
+    errors = []
+    lock = threading.Lock()
+    start_gate = threading.Event()
+
+    def client_thread(c):
+        jobs = [MIX[(c + j) % len(MIX)] for j in range(JOBS_PER_CLIENT)]
+        with ServiceClient(*address) as client:
+            start_gate.wait()
+            futures = [client.submit_async(app, spec, n_gpus=N_GPUS)
+                       for app, spec in jobs]
+            for fut in futures:
+                try:
+                    fut.result(timeout=300.0)
+                except Exception as exc:  # noqa: BLE001 - counted
+                    with lock:
+                        errors.append(str(exc))
+                        counts["failed"] += 1
+                else:
+                    with lock:
+                        counts["completed"] += 1
+
+    threads = [threading.Thread(target=client_thread, args=(c,))
+               for c in range(N_CLIENTS)]
+    for t in threads:
+        t.start()
+    t0 = time.perf_counter()
+    start_gate.set()
+    for t in threads:
+        t.join(timeout=600.0)
+        assert not t.is_alive(), f"client thread {t.name} still running"
+    return (counts["completed"], counts["failed"], errors,
+            time.perf_counter() - t0)
+
+
 def test_concurrent_load_bit_identical(daemon):
     """8 clients × 5 jobs, mixed apps: all complete, all bit-identical."""
-    report = run_load(
-        daemon.address,
-        n_clients=N_CLIENTS,
-        jobs_per_client=JOBS_PER_CLIENT,
-        mix=MIX,
-        n_gpus=N_GPUS,
-    )
-    assert report.failed == 0, report.errors
-    assert report.completed == N_CLIENTS * JOBS_PER_CLIENT
-    assert report.jobs_per_sec > 0
+    completed, failed, errors, wall_s = _run_load(daemon.address)
+    assert failed == 0, errors
+    assert completed == N_CLIENTS * JOBS_PER_CLIENT
+    assert completed / wall_s > 0
 
     # Spot-check every app in the mix against its one-shot twin on a
     # fresh connection (the daemon is still warm from the load).

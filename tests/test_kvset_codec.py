@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.dataflow import merge_incoming, reduce_worker
 from repro.core.kvset import (
     _FLAG_UNIFORM,
     _KV_HEADER,
@@ -23,7 +24,6 @@ from repro.core.kvset import (
     pack_parts,
     unpack_parts,
 )
-from repro.exec.dataflow import merge_incoming, reduce_worker
 
 
 def _round_trip(kv: KeyValueSet) -> KeyValueSet:

@@ -59,10 +59,9 @@ LR_SPEC = {"n_points": 1500, "chunk_points": 400, "seed": 4}
 
 @pytest.fixture
 def daemon():
-    svc = JobService(port=0, default_backend="serial",
-                     max_concurrent_jobs=2).start()
-    yield svc
-    svc.close()
+    with JobService(port=0, default_backend="serial",
+                    max_concurrent_jobs=2) as svc:
+        yield svc
 
 
 @pytest.fixture

@@ -17,8 +17,11 @@ pool's retire-on-failed-reset path, and the canonical content-based
 freeze keys.
 """
 
+import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -228,6 +231,76 @@ def test_spawned_ranks_rebuild_descriptor_chunks(app):
         job, dataset=ds
     )
     _assert_outputs_identical(ref, got, f"{app}/local-spawn/descriptor")
+
+
+# --- bounded driver memory --------------------------------------------
+
+_BOUNDED_RSS_SCRIPT = """
+import json
+from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
+from repro.core import make_executor
+from repro.core.chunk import Chunk
+
+N_ELEMENTS = 8 << 20  # uint32 keys: a 32 MiB logical payload
+SPEC = dict(n_elements=N_ELEMENTS, chunk_elements=N_ELEMENTS // 64,
+            key_space=1 << 16, seed=99)
+job = sio_job(key_space=1 << 16).with_config(enable_stealing=False)
+
+def peak_mib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+
+def run(backend, **source):
+    with make_executor(backend, 2) as ex:
+        result = ex.run(job, **source)
+    return [None if kv is None else (kv.keys.tobytes(), kv.values.tobytes())
+            for kv in result.outputs]
+
+# Imports, rank start-up and executor machinery go into the baseline,
+# so the growth below is data, not infrastructure.
+warm = sio_dataset(1 << 12, chunk_elements=1 << 10, key_space=1 << 16)
+for backend in ("local", "cluster"):
+    run(backend, dataset=warm)
+peak0 = peak_mib()
+growth, same, streamed = {}, {}, {}
+# The peak only rises: every streamed run goes before any resident one.
+for backend in ("local", "cluster"):
+    streamed[backend] = run(backend, dataset=sio_dataset(**SPEC))
+    growth[backend + "/streamed"] = peak_mib() - peak0
+for backend in ("local", "cluster"):
+    chunks = [Chunk.from_work_item(it) for it in sio_dataset(**SPEC).chunks()]
+    same[backend] = run(backend, chunks=chunks) == streamed[backend]
+    del chunks
+    growth[backend + "/resident"] = peak_mib() - peak0
+print(json.dumps({"payload_mib": N_ELEMENTS * 4 / (1 << 20),
+                  "growth_mib": growth, "same": same}))
+"""
+
+
+def test_streamed_driver_rss_stays_under_budget():
+    """A streamed SIO job over 4x an 8 MiB driver budget grows the
+    driver's RSS by less than the budget on both process backends; the
+    same job over resident ``chunks=`` grows it by at least half the
+    payload, and both give the same bytes.  The peak RSS is per
+    process, so the runs go in a fresh interpreter; it is read as
+    ``VmHWM``, because Linux carries the parent's RSS into a child's
+    ``ru_maxrss`` across fork and exec."""
+    budget_mib = 8
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_RSS_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    growth = got["growth_mib"]
+    assert got["payload_mib"] >= 4 * budget_mib
+    assert growth["local/streamed"] < budget_mib, growth
+    assert growth["cluster/streamed"] < budget_mib, growth
+    assert growth["cluster/resident"] >= got["payload_mib"] / 2, growth
+    assert got["same"] == {"local": True, "cluster": True}
 
 
 # --- kill -9 mid-map on a descriptor run ------------------------------

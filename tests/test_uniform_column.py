@@ -28,8 +28,8 @@ from repro.apps.sparse_int_occurrence import (
 )
 from repro.core import make_executor
 from repro.core.combine import combine_by_key_sum
+from repro.core.dataflow import reduce_worker
 from repro.core.kvset import KeyValueSet, pack_parts, unpack_parts
-from repro.exec.dataflow import reduce_worker
 from repro.primitives import (
     radix_sort_pairs,
     segmented_reduce,
