@@ -152,16 +152,6 @@ class Executor:
         self.obs = obs
         #: True once :meth:`close` ran; a closed executor refuses to run
         self._closed = False
-        #: shared multi-job pull authority (see
-        #: :class:`~repro.core.scheduler.JobChunkAuthority`).  ``None``
-        #: outside a job service: each run builds its own private
-        #: :class:`~repro.core.scheduler.ChunkService`.  A pool-managed
-        #: executor gets the daemon's shared authority here, so every
-        #: concurrent job's chunk queues live behind one front.
-        self.chunk_authority = None
-        #: namespace for the *next* run's chunk service and trace meta
-        #: (set per lease by the job service; ``None`` for one-shot runs)
-        self.job_id: Optional[str] = None
 
     def run(
         self,
@@ -201,10 +191,8 @@ class Executor:
         obs = self.obs
         if obs is not None:
             # One executor observes one run at a time: the bundle starts
-            # fresh, namespaced under the lease's job (None outside a
-            # job service).
+            # fresh, under the caller's job id (if it has one).
             obs.reset()
-            obs.set_job(self.job_id)
         service = self._make_chunk_service(all_chunks, job, schedule, obs)
         t_start = time.perf_counter()
         outputs, worker_stats, modeled = self._run_ranks(job, service, obs)
@@ -334,12 +322,9 @@ class Executor:
         jobs.  Per-run state on the built-in backends is already scoped
         to :meth:`run`, and the ranks ``local``/``cluster`` keep between
         runs hold nothing of a finished job, so they stay up: reset
-        clears the cross-run knobs a job service sets per lease
-        (``job_id``) and recorded observability, and refuses on a
-        closed executor.
+        clears recorded observability, and refuses on a closed executor.
         """
         self._check_open("reset")
-        self.job_id = None
         if self.obs is not None:
             self.obs.reset()
 
@@ -359,30 +344,18 @@ class Executor:
         schedule: Optional[ScheduleTrace],
         obs: Optional[Observability],
     ) -> ChunkService:
-        """Build (or borrow) the run's pull authority.
-
-        Standalone executors build a private
-        :class:`~repro.core.scheduler.ChunkService`; a pool-managed
-        executor with a :attr:`chunk_authority` opens a *job-scoped
-        namespace* on the shared authority instead, so concurrent jobs'
-        chunk queues coexist behind one front and the daemon can
-        inspect/close them by :attr:`job_id`.
-        """
+        """Build the run's private pull authority."""
         fault = self.fault_plan
-        settings = dict(
+        return ChunkService(
+            chunks,
+            self.n_workers,
             initial_distribution=self.initial_distribution,
             enable_stealing=job.config.enable_stealing,
             schedule=schedule,
-            context=f"{job.name}@{self.job_id}" if self.job_id else job.name,
+            context=job.name,
             speculate_after=None if fault is None else fault.speculate_after,
             obs=obs,
-            job_id=self.job_id,
         )
-        if self.chunk_authority is not None:
-            return self.chunk_authority.open_job(
-                chunks, self.n_workers, **settings
-            )
-        return ChunkService(chunks, self.n_workers, **settings)
 
     def __enter__(self) -> "Executor":
         return self

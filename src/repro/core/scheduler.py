@@ -15,7 +15,7 @@ coordinator's ``CHUNK_REQ`` frames alike.  Replaying a recorded
 :class:`ScheduleTrace` is not a second scheduler: the same service
 fills its per-worker queues with the trace's grants and serves them
 through the same ledger-writing grant path.  :class:`JobChunkAuthority`
-keys many jobs' services by job id.
+keys many jobs' services by job id; only the perf ledger uses it.
 """
 
 from __future__ import annotations
@@ -346,18 +346,11 @@ class ChunkService:
         context: Optional[str] = None,
         speculate_after: Optional[float] = None,
         obs=None,
-        job_id: Optional[str] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         n = self.n_workers = int(n_workers)
         self.context = context
-        #: namespace this service serves under a multi-job authority;
-        #: None for standalone one-shot runs.  When set, every traced
-        #: grant/steal/reclaim event carries ``job=<job_id>`` so
-        #: interleaved multi-job traces stay attributable.
-        self.job_id = job_id
-        self._job_kw = {"job": job_id} if job_id is not None else {}
         #: the run's observability bundle; grants/steals/reclaims are
         #: recorded as point events and counters (no-ops when untraced)
         self.obs = obs or NULL_OBS
@@ -525,18 +518,18 @@ class ChunkService:
         # duplicate of an aged in-flight chunk, not a queue steal.
         if len(self._grantees[cid]) > 1:
             tracer.event("grant", rank=worker, chunk=cid,
-                         victim=a.victim, speculative=True, **self._job_kw)
+                         victim=a.victim, speculative=True)
             tracer.event("speculate", rank=worker, chunk=cid,
-                         holder=a.victim, **self._job_kw)
+                         holder=a.victim)
             metrics.counter("speculative_grants").inc()
         elif a.victim != worker:
             tracer.event("grant", rank=worker, chunk=cid,
-                         victim=a.victim, steal=True, **self._job_kw)
+                         victim=a.victim, steal=True)
             tracer.event("steal", rank=worker, chunk=cid,
-                         victim=a.victim, **self._job_kw)
+                         victim=a.victim)
             metrics.counter("steals").inc()
         else:
-            tracer.event("grant", rank=worker, chunk=cid, **self._job_kw)
+            tracer.event("grant", rank=worker, chunk=cid)
         metrics.counter("chunks_granted").inc()
 
     # -- ownership / recovery ----------------------------------------------
@@ -617,7 +610,7 @@ class ChunkService:
             self.retries_by_worker[worker] = 0
             self.chunks_reclaimed += requeued
             self.obs.tracer.event("reclaim", rank=worker,
-                                  requeued=requeued, **self._job_kw)
+                                  requeued=requeued)
             self.obs.metrics.counter("chunks_reclaimed").inc(requeued)
             return requeued
 
@@ -661,8 +654,7 @@ class ChunkService:
             for cid, winner in self._winners().items():
                 name = ("speculation_win" if winner != self._grantees[cid][0]
                         else "speculation_loss")
-                self.obs.tracer.event(name, rank=winner, chunk=cid,
-                                      **self._job_kw)
+                self.obs.tracer.event(name, rank=winner, chunk=cid)
 
     # -- ledgers -------------------------------------------------------------
     @property
@@ -719,60 +711,31 @@ class ChunkService:
 
 
 class JobChunkAuthority:
-    """One pull front over many concurrent jobs' chunk queues.
+    """A registry of job-scoped :class:`ChunkService` namespaces.
 
-    The job service (:mod:`repro.service`) runs many jobs at once, each
-    with its own chunks, workers, and schedule — but operators want one
-    place to see and manage all in-flight chunk state.  The authority
-    is that place: a registry of *job-scoped* :class:`ChunkService`
-    namespaces keyed by ``job_id``.  A pool-managed executor whose
-    :attr:`~repro.core.executor.Executor.chunk_authority` is set routes
-    its run's service construction here (see
-    :meth:`~repro.core.executor.Executor._make_chunk_service`), so the
-    daemon can enumerate :attr:`active_jobs`, inspect a job's
-    :attr:`~ChunkService.remaining` count mid-flight, and retire its
-    queues with :meth:`close_job` once results are collected.
-
-    Chunk queues are deliberately *not* shared between jobs: stealing
-    never crosses a job boundary (a thief finishing job A's queue must
-    not drain job B's), which is exactly what per-job namespaces give
-    us for free while keeping every existing parity/replay contract
-    per job.  Thread-safe: open/close/get may race with job-runner
-    threads.
+    No backend and no service uses it: it is kept only for the perf
+    ledger, whose ``scheduler.open_close_job_us`` probe
+    (``benchmarks/perf/perf_probes.py``) imports and times
+    :meth:`open_job` / :meth:`close_job`.  Each job's chunk queues are
+    its own, so stealing never crosses a job boundary.  Thread-safe.
     """
 
-    def __init__(self, obs=None) -> None:
-        self.obs = obs or NULL_OBS
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: Dict[str, ChunkService] = {}
-        self._seq = 0
 
     def open_job(
-        self,
-        chunks: Sequence[Chunk],
-        n_workers: int,
-        *,
-        job_id: Optional[str] = None,
-        initial_distribution: str = "round_robin",
-        enable_stealing: bool = True,
-        schedule: Optional[ScheduleTrace] = None,
-        context: Optional[str] = None,
-        speculate_after: Optional[float] = None,
-        obs=None,
+        self, chunks: Sequence[Chunk], n_workers: int, *, job_id: str, **settings
     ) -> ChunkService:
-        """Open a job-scoped :class:`ChunkService` namespace.
+        """Open ``job_id``'s :class:`ChunkService` (``settings`` are its
+        keyword arguments).
 
-        ``job_id`` defaults to a fresh ``job<N>`` when the caller has
-        none.  Re-opening an id whose chunks are all drained supersedes
-        the old namespace (multi-phase apps like MM run several
-        ``ex.run`` calls under one job id, one phase at a time);
+        Re-opening an id whose chunks are all drained supersedes the old
+        namespace (a multi-phase job runs one phase at a time);
         re-opening an id with chunks still in flight is an error — two
         live services under one name would make the registry ambiguous.
         """
         with self._lock:
-            if job_id is None:
-                self._seq += 1
-                job_id = f"job{self._seq}"
             existing = self._jobs.get(job_id)
             if existing is not None and existing.remaining > 0:
                 raise ValueError(
@@ -780,20 +743,8 @@ class JobChunkAuthority:
                     "in flight on this authority; close_job() it before "
                     "reusing the id"
                 )
-            service = ChunkService(
-                chunks,
-                n_workers,
-                initial_distribution=initial_distribution,
-                enable_stealing=enable_stealing,
-                schedule=schedule,
-                context=context,
-                speculate_after=speculate_after,
-                obs=obs,
-                job_id=job_id,
-            )
+            service = ChunkService(chunks, n_workers, **settings)
             self._jobs[job_id] = service
-            self.obs.metrics.counter("jobs_opened").inc()
-            self.obs.metrics.gauge("jobs_active").set(len(self._jobs))
             return service
 
     def get(self, job_id: str) -> ChunkService:
@@ -808,15 +759,7 @@ class JobChunkAuthority:
         (``trace``, ``steals``, ...); only the registry entry goes.
         """
         with self._lock:
-            service = self._jobs.pop(job_id)
-            self.obs.metrics.gauge("jobs_active").set(len(self._jobs))
-            return service
-
-    @property
-    def active_jobs(self) -> Tuple[str, ...]:
-        """Ids of jobs with live chunk namespaces, sorted."""
-        with self._lock:
-            return tuple(sorted(self._jobs))
+            return self._jobs.pop(job_id)
 
     @property
     def remaining(self) -> int:

@@ -89,9 +89,9 @@ class Observability:
         job_id: Optional[str] = None,
     ) -> None:
         self.run_id = run_id or uuid.uuid4().hex[:12]
-        #: service-job namespace: stamped on every trace record and
-        #: metrics snapshot so interleaved multi-job traces stay
-        #: attributable (None outside a job service)
+        #: the caller's job name: stamped on every trace record,
+        #: metrics snapshot and the run meta, so interleaved traces of
+        #: several jobs stay attributable (None adds no field)
         self.job_id = job_id
         self.tracer = Tracer(job_id=job_id)
         self.metrics = MetricsRegistry(job_id=job_id)
@@ -104,17 +104,6 @@ class Observability:
         self.tracer.clear()
         self.metrics.clear()
         self.meta = {}
-
-    def set_job(self, job_id: Optional[str]) -> None:
-        """Re-namespace the bundle for the next observed job.
-
-        A pool-managed executor's bundle observes many jobs back to
-        back; the service calls this per lease so each run's records
-        and snapshots carry the job they belong to.
-        """
-        self.job_id = job_id
-        self.tracer.job_id = job_id
-        self.metrics.job_id = job_id
 
     def finish(
         self,
@@ -189,9 +178,6 @@ class _NullObservability:
     meta: Dict[str, Any] = {}
 
     def reset(self) -> None:
-        pass
-
-    def set_job(self, job_id: Optional[str]) -> None:
         pass
 
     def finish(self, backend: str, stats: Any = None, **extra: Any) -> None:

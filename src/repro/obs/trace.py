@@ -58,10 +58,10 @@ class Tracer:
     ) -> None:
         self.clock = clock
         self.rank = rank  #: default rank attribution for worker-side tracers
-        #: default job attribution (multi-job service runs): stamped on
+        #: default job attribution (the caller's job id): stamped on
         #: every record this tracer writes *and* on absorbed worker
         #: records that lack one, so interleaved jobs' spans never
-        #: cross-attribute.  None (one-shot runs) adds no field at all.
+        #: cross-attribute.  None adds no field at all.
         self.job_id = job_id
         self._records: List[Record] = []
         self._lock = threading.Lock()
@@ -150,9 +150,9 @@ class Tracer:
     def absorb(self, records: Optional[Iterable[Record]]) -> None:
         """Merge another tracer's exported records (e.g. from a worker).
 
-        Worker-side tracers don't know which service job their run
-        belongs to; when this (driver-side) tracer does, absorbed
-        records missing a ``job`` field inherit it here.
+        Worker-side tracers don't know which job their run belongs
+        to; when this (driver-side) tracer does, absorbed records
+        missing a ``job`` field inherit it here.
         """
         if not records:
             return

@@ -4,15 +4,14 @@ One-shot ``run_app`` pays executor construction, dataset ingest, and
 (for the cluster backend) fabric connection setup on every call.  This
 package amortizes all three across jobs: a persistent daemon
 (:mod:`repro.service.daemon`) owns a warm
-:class:`~repro.service.pool.ExecutorPool`, a
+:class:`~repro.service.pool.ExecutorPool` and a
 :class:`~repro.service.cache.DatasetCache` keyed off the ``APPS``
-registry, and one shared
-:class:`~repro.core.scheduler.JobChunkAuthority` giving every
-concurrent job its own chunk namespace.  Clients
-(:mod:`repro.service.client`) submit over the fabric wire protocol —
-HMAC-authenticated when the daemon holds a key — and get back the same
-``AppRun`` records one-shot runs produce, bit-identical outputs
-included.
+registry.  Clients (:mod:`repro.service.client`) submit over the
+fabric wire protocol — HMAC-authenticated when the daemon holds a key
+— and get back the same ``AppRun`` records one-shot runs produce,
+bit-identical outputs included.  A submission names an app, a dataset
+(by scalar spec, or shipped) and a worker count, nothing else: the
+daemon's backend runs every job, FIFO.
 
 Quick start::
 

@@ -28,13 +28,33 @@ from typing import Any, Dict, Tuple
 
 from ..apps import APPS
 from ..obs import NULL_OBS
-from ..util.freeze import freeze_kwargs
 
 __all__ = ["DatasetCache"]
 
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _spec_key(spec: Any) -> Tuple:
+    """A hashable key for a spec of scalar keyword arguments.
+
+    Each value keys on its type and value, so ``True`` and ``1`` never
+    share an entry.  Every ``*_dataset`` factory takes only scalars, so
+    anything else (a list, an array, a live object) is refused: its
+    repr could key on identity or truncate.
+    """
+    if not isinstance(spec, dict):
+        raise TypeError(f"a spec is a dict of scalars, not {type(spec).__name__}")
+    for name, value in spec.items():
+        if not isinstance(name, str) or type(value) not in _SCALARS:
+            raise TypeError(
+                f"spec entry {name!r}={value!r}: a spec holds only "
+                "str names and None/bool/int/float/str values"
+            )
+    return tuple(sorted((k, type(v).__name__, v) for k, v in spec.items()))
+
 
 class DatasetCache:
-    """LRU of built datasets keyed by ``(app, frozen spec)``."""
+    """LRU of built datasets keyed by ``(app, spec key)``."""
 
     def __init__(self, max_entries: int = 8, obs=None) -> None:
         if max_entries < 1:
@@ -61,9 +81,7 @@ class DatasetCache:
             raise ValueError(
                 f"unknown app {app!r}; registered: {sorted(APPS)}"
             ) from None
-        # A content-based key, shared with the executor pool: see
-        # repro.util.freeze for why reprs would miss or collide.
-        key = (app, freeze_kwargs(spec))
+        key = (app, _spec_key(spec))
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -76,23 +94,29 @@ class DatasetCache:
         # ingest, the rest wait and hit); different keys build — and
         # hit — concurrently.
         with build_lock:
-            with self._lock:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    self.obs.metrics.counter("dataset_cache_hits").inc()
-                    return self._entries[key], True
-            t0 = time.perf_counter()
-            dataset = factory(**spec)
-            self.obs.metrics.histogram("dataset_build_s").observe(
-                time.perf_counter() - t0
-            )
-            with self._lock:
-                self.obs.metrics.counter("dataset_cache_misses").inc()
-                self._entries[key] = dataset
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                self._building.pop(key, None)
-            return dataset, False
+            try:
+                with self._lock:
+                    if key in self._entries:
+                        self._entries.move_to_end(key)
+                        self.obs.metrics.counter("dataset_cache_hits").inc()
+                        return self._entries[key], True
+                t0 = time.perf_counter()
+                dataset = factory(**spec)
+                self.obs.metrics.histogram("dataset_build_s").observe(
+                    time.perf_counter() - t0
+                )
+                with self._lock:
+                    self.obs.metrics.counter("dataset_cache_misses").inc()
+                    self._entries[key] = dataset
+                    while len(self._entries) > self.max_entries:
+                        self._entries.popitem(last=False)
+                return dataset, False
+            finally:
+                # Built, hit or failed: a failed build must not leave
+                # its lock behind, or bad specs grow the dict forever.
+                with self._lock:
+                    if self._building.get(key) is build_lock:
+                        del self._building[key]
 
     def __len__(self) -> int:
         with self._lock:

@@ -141,28 +141,18 @@ class ServiceClient:
         *,
         dataset: Any = None,
         n_gpus: Optional[int] = None,
-        backend: Optional[str] = None,
-        schedule: Any = None,
-        priority: int = 0,
-        executor_kwargs: Optional[Dict[str, Any]] = None,
     ) -> "Future[AppRun]":
         """Queue one job; the Future resolves to its :class:`AppRun`.
 
-        Name the dataset by ``spec`` (factory kwargs — hits the
-        daemon's cache) or ship a built ``dataset`` object verbatim.
+        Name the dataset by ``spec`` (the factory's scalar kwargs —
+        hits the daemon's cache) or ship a built ``dataset`` object
+        verbatim.  ``n_gpus=None`` takes the daemon's default; the job
+        runs on the daemon's backend.
         """
         if (spec is None) == (dataset is None):
             raise ValueError("pass exactly one of spec= or dataset=")
-        return self._request({
-            "app": app,
-            "spec": spec,
-            "dataset": dataset,
-            "n_gpus": n_gpus,
-            "backend": backend,
-            "schedule": schedule,
-            "priority": priority,
-            "executor_kwargs": executor_kwargs or {},
-        })
+        named = {"spec": spec} if spec is not None else {"dataset": dataset}
+        return self._request({"app": app, "n_gpus": n_gpus, **named})
 
     def submit(self, app: str, spec=None, *, timeout=None, **kwargs) -> AppRun:
         """Blocking submit; returns the job's :class:`AppRun`."""

@@ -1,21 +1,27 @@
 """The persistent driver daemon: ``python -m repro.service.daemon``.
 
 One long-lived process owns what every one-shot ``run_app`` call used
-to rebuild: the warm :class:`~repro.service.pool.ExecutorPool`, the
-:class:`~repro.service.cache.DatasetCache`, and the shared multi-job
-:class:`~repro.core.scheduler.JobChunkAuthority`.  Clients connect
-over the fabric wire protocol (:mod:`repro.fabric.wire`), pass the HMAC
+to rebuild: the warm :class:`~repro.service.pool.ExecutorPool` and the
+:class:`~repro.service.cache.DatasetCache`.  Clients connect over the
+fabric wire protocol (:mod:`repro.fabric.wire`), pass the HMAC
 challenge-response handshake when the daemon holds a key, and submit
 jobs as ``SUBMIT`` frames; results return as ``JOB_RESULT`` /
 ``JOB_ERROR`` frames tagged with the client's sequence number, so one
 connection can pipeline many concurrent submissions.
 
-Admission is fair-by-priority: submissions land in a priority queue
-(lower number first, FIFO within a priority) drained by
-``max_concurrent_jobs`` runner threads — the concurrency limit *is*
-the admission policy, and each running job's chunks live in their own
-namespace on the shared authority, so jobs never steal each other's
-work.
+A ``SUBMIT`` payload has one of two shapes:
+
+* ``{seq, app, spec | dataset, n_gpus}`` runs ``app`` on the daemon's
+  backend over the cached dataset of ``spec`` (the factory's scalar
+  keyword arguments) or a shipped ``dataset``, on ``n_gpus`` workers
+  (``None``: the daemon's default; at most :data:`MAX_SUBMIT_GPUS`);
+* ``{seq, op: "metrics"}`` answers at once with the metrics snapshot
+  and ``pool_idle``.
+
+Any other key, or a bad value, is answered with a ``JOB_ERROR`` for
+that seq, and the connection keeps serving.  Admission is FIFO: one
+queue drained by ``max_concurrent_jobs`` runner threads, so the
+concurrency limit *is* the admission policy.
 
 The daemon never unpickles a byte from an unauthenticated connection:
 the handshake rides raw frames, and a legacy v4 ``HELLO`` (or any
@@ -36,9 +42,7 @@ import time
 import traceback
 from typing import Any, Dict, Optional, Tuple
 
-from ..apps import APPS, MMResult
-from ..core.executor import JobResult
-from ..core.scheduler import JobChunkAuthority
+from ..apps import APPS
 from ..fabric.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     MSG_JOB_ERROR,
@@ -68,24 +72,37 @@ __all__ = ["JobService", "main"]
 #: platform where shutting the listener down does not wake ``accept``.
 _POLL_SECONDS = 0.2
 
+#: Most workers one SUBMIT may ask for: the paper's largest cluster
+#: (a ``local`` daemon forks one rank per worker).
+MAX_SUBMIT_GPUS = 64
 
-def _strip_obs(result: Any) -> Any:
-    """A wire-safe copy of a run result (tracers hold locks)."""
-    if isinstance(result, JobResult) and result.obs is not None:
-        return JobResult(
-            stats=result.stats,
-            outputs=result.outputs,
-            schedule=result.schedule,
-            obs=None,
-        )
-    if isinstance(result, MMResult):
-        return MMResult(
-            product=result.product,
-            elapsed=result.elapsed,
-            phase1=_strip_obs(result.phase1),
-            phase2=_strip_obs(result.phase2),
-        )
-    return result
+_RUN_KEYS = frozenset({"seq", "app", "spec", "dataset", "n_gpus"})
+_METRICS_KEYS = frozenset({"seq", "op"})
+
+
+def _submit_error(submit: Dict[str, Any]) -> Optional[str]:
+    """Why ``submit`` fits neither SUBMIT shape, or None when it fits."""
+    if "op" in submit:
+        if submit["op"] != "metrics":
+            return f"unknown op {submit['op']!r}"
+        allowed = _METRICS_KEYS
+    else:
+        allowed = _RUN_KEYS
+    extra = sorted(map(repr, set(submit) - allowed))
+    if extra:
+        return f"SUBMIT key(s) {', '.join(extra)} not accepted"
+    if allowed is _METRICS_KEYS:
+        return None
+    if "app" not in submit:
+        return "SUBMIT names no app"
+    if (submit.get("spec") is None) == (submit.get("dataset") is None):
+        return "SUBMIT must carry exactly one of spec or dataset"
+    n_gpus = submit.get("n_gpus")
+    if n_gpus is not None and (
+        type(n_gpus) is not int or not 1 <= n_gpus <= MAX_SUBMIT_GPUS
+    ):
+        return f"n_gpus must be an int in [1, {MAX_SUBMIT_GPUS}], got {n_gpus!r}"
+    return None
 
 
 class JobService:
@@ -115,14 +132,12 @@ class JobService:
         #: driver, so this instruments control decisions, never the
         #: (bit-parity-locked) data path.
         self.obs = obs or Observability()
-        self.authority = JobChunkAuthority(obs=self.obs)
-        self.pool = ExecutorPool(chunk_authority=self.authority, obs=self.obs)
+        self.pool = ExecutorPool(obs=self.obs)
         self.cache = DatasetCache(max_entries=cache_entries, obs=self.obs)
         self._listener = socket.create_server((host, port), backlog=64)
         self._listener.settimeout(_POLL_SECONDS)
         self.host, self.port = self._listener.getsockname()[:2]
-        self._admission: "queue.PriorityQueue" = queue.PriorityQueue()
-        self._arrivals = itertools.count()
+        self._admission: "queue.SimpleQueue" = queue.SimpleQueue()
         self._job_ids = itertools.count(1)
         self._shutdown = threading.Event()
         self._threads: list = []
@@ -158,8 +173,8 @@ class JobService:
     def close(self) -> None:
         """Stop accepting, finish the admitted jobs, hang up on every
         client, release the pool.  The accept loop is woken by the
-        listener's shutdown, each runner by one sentinel ticket that
-        sorts after every real one."""
+        listener's shutdown, each runner by one ``None`` sentinel queued
+        after every admitted job."""
         self._shutdown.set()
         try:
             self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
@@ -167,7 +182,7 @@ class JobService:
             pass
         self._listener.close()
         for _ in range(self.max_concurrent_jobs):
-            self._admission.put((float("inf"), next(self._arrivals), None))
+            self._admission.put(None)
         for t in self._threads:
             t.join(timeout=5.0)
         # Hang up on the clients still connected: their readers see EOF
@@ -296,31 +311,20 @@ class JobService:
             )
             return
         seq = submit["seq"]
-        op = submit.get("op", "run")
-        if op == "metrics":
+        error = _submit_error(submit)
+        if error is not None:
+            # Answer this seq; the connection's other jobs keep going.
+            self._reply(
+                conn, send_lock, MSG_JOB_ERROR, {"seq": seq, "error": error}
+            )
+            return
+        if "op" in submit:
             # Introspection is answered inline — it must not queue
             # behind running jobs (it is how clients watch them).
             self._reply(
                 conn, send_lock, MSG_JOB_RESULT,
                 {"seq": seq, "metrics": self.obs.metrics.snapshot(),
-                 "active_jobs": self.authority.active_jobs,
                  "pool_idle": self.pool.idle_count},
-            )
-            return
-        if op != "run":
-            self._reply(
-                conn, send_lock, MSG_JOB_ERROR,
-                {"seq": seq, "error": f"unknown op {op!r}"},
-            )
-            return
-        try:
-            priority = int(submit.get("priority", 0))
-        except (TypeError, ValueError):
-            # Answer this seq; the connection's other jobs keep going.
-            self._reply(
-                conn, send_lock, MSG_JOB_ERROR,
-                {"seq": seq,
-                 "error": f"priority {submit.get('priority')!r} is not an integer"},
             )
             return
         ticket = {
@@ -329,7 +333,7 @@ class JobService:
             "submit": submit,
             "t_submitted": time.perf_counter(),
         }
-        self._admission.put((priority, next(self._arrivals), ticket))
+        self._admission.put(ticket)
         self.obs.metrics.gauge("admission_depth").set(self._admission.qsize())
 
     def _reply(
@@ -357,7 +361,7 @@ class JobService:
 
     def _runner_loop(self) -> None:
         while True:
-            _priority, _arrival, ticket = self._admission.get()
+            ticket = self._admission.get()
             if ticket is None:  # close()'s sentinel, one per runner
                 return
             self.obs.metrics.gauge("admission_depth").set(
@@ -370,7 +374,7 @@ class JobService:
         seq = submit["seq"]
         job_id = f"j{next(self._job_ids):04d}"
         try:
-            payload = self._execute(submit, job_id)
+            payload = self._execute(submit)
         except Exception:  # noqa: BLE001 - job failures go to the client
             self.obs.metrics.counter("jobs_failed").inc()
             self._reply(
@@ -382,10 +386,12 @@ class JobService:
         elapsed = time.perf_counter() - ticket["t_submitted"]
         self.obs.metrics.histogram("submit_to_result_s").observe(elapsed)
         self.obs.metrics.counter("jobs_completed").inc()
-        payload.update({"seq": seq, "service_elapsed": elapsed})
+        payload.update(
+            {"seq": seq, "job_id": job_id, "service_elapsed": elapsed}
+        )
         self._reply(ticket["conn"], ticket["send_lock"], MSG_JOB_RESULT, payload)
 
-    def _execute(self, submit: Dict[str, Any], job_id: str) -> Dict[str, Any]:
+    def _execute(self, submit: Dict[str, Any]) -> Dict[str, Any]:
         app = submit["app"]
         try:
             spec_entry = APPS[app]
@@ -393,44 +399,33 @@ class JobService:
             raise ValueError(
                 f"unknown app {app!r}; registered: {sorted(APPS)}"
             ) from None
-        backend = submit.get("backend") or self.default_backend
-        n_gpus = int(submit.get("n_gpus") or self.default_n_gpus)
-        executor_kwargs = dict(submit.get("executor_kwargs") or {})
-        schedule = submit.get("schedule")
+        backend = self.default_backend
+        n_gpus = submit.get("n_gpus") or self.default_n_gpus
 
         # Dataset: by spec (cached, the warm path) or shipped verbatim.
         t0 = time.perf_counter()
         if submit.get("spec") is not None:
-            dataset, cache_hit = self.cache.get(app, dict(submit["spec"]))
-        elif submit.get("dataset") is not None:
-            dataset, cache_hit = submit["dataset"], False
+            dataset, cache_hit = self.cache.get(app, submit["spec"])
         else:
-            raise ValueError("SUBMIT carries neither spec nor dataset")
+            dataset, cache_hit = submit["dataset"], False
         ingest_s = time.perf_counter() - t0
         self.obs.metrics.histogram("ingest_s").observe(ingest_s)
 
-        ex = self.pool.lease(backend, n_gpus, **executor_kwargs)
-        ex.job_id = job_id
+        ex = self.pool.lease(backend, n_gpus)
         try:
             result = spec_entry.runner(
-                n_gpus, dataset, backend=backend, schedule=schedule,
-                executor=ex,
+                n_gpus, dataset, backend=backend, executor=ex
             )
         finally:
-            # Retire the job's chunk namespace; the executor itself
-            # goes back on the shelf warm.
-            if job_id in self.authority.active_jobs:
-                self.authority.close_job(job_id)
-            self.pool.release(ex)
+            self.pool.release(ex)  # back on the shelf warm
         return {
-            "job_id": job_id,
             "app": app,
             "size": spec_entry.size_of(dataset),
             "n_gpus": n_gpus,
             "backend": backend,
             "elapsed": result.elapsed,
             "stats": getattr(result, "stats", None),
-            "result": _strip_obs(result),
+            "result": result,
             "cache_hit": cache_hit,
             "ingest_s": ingest_s,
         }

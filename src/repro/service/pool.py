@@ -2,35 +2,29 @@
 
 One-shot ``run_app`` pays full executor construction per call.  The
 pool inverts that for the job service: executors are built once per
-*configuration* — ``(backend, n_workers, kwargs)`` — leased to a job,
-and returned warm for the next job with the same shape.  A warm
+*configuration* — ``(backend, n_workers)`` — leased to a job, and
+returned warm for the next job with the same shape.  A warm
 ``local``/``cluster`` lease carries its live coordinator and rank
 processes (they belong to the executor from its first ``run()`` to
 ``close()``), so a warm job pays no fork and no registration; every
 lease also keeps the instance (no re-validation or registry dispatch)
 and the daemon-resident imports.  Retiring an executor closes it,
-which ends its ranks.
-
-Every lease is stamped with the daemon's shared
-:class:`~repro.core.scheduler.JobChunkAuthority` (when the pool has
-one), so runs on pooled executors open job-scoped chunk namespaces
-behind the one multi-job front rather than private services.
+which ends its ranks.  Pooled executors carry no observability, so
+no result a lease returns holds a tracer.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.executor import Executor, make_executor
-from ..core.scheduler import JobChunkAuthority
 from ..obs import NULL_OBS
-from ..util.freeze import freeze_kwargs
 
 __all__ = ["ExecutorPool"]
 
-#: A lease key: backend name, worker count, and the frozen kwargs.
-PoolKey = Tuple[str, int, Tuple]
+#: A lease key: backend name and worker count.
+PoolKey = Tuple[str, int]
 
 #: Idle executors shelved per configuration; a release beyond this
 #: retires (closes) the surplus instance instead.
@@ -47,12 +41,7 @@ class ExecutorPool:
     :data:`MAX_IDLE_PER_KEY` via the executors' idempotent ``close()``.
     """
 
-    def __init__(
-        self,
-        chunk_authority: Optional[JobChunkAuthority] = None,
-        obs=None,
-    ) -> None:
-        self.chunk_authority = chunk_authority
+    def __init__(self, obs=None) -> None:
         self.obs = obs or NULL_OBS
         self._idle: Dict[PoolKey, List[Executor]] = {}
         self._lock = threading.Lock()
@@ -60,11 +49,9 @@ class ExecutorPool:
 
     # -- leasing -----------------------------------------------------------
 
-    def lease(self, backend: str, n_workers: int, **kwargs) -> Executor:
+    def lease(self, backend: str, n_workers: int) -> Executor:
         """A runnable executor for this configuration, warm if possible."""
-        # kwargs may be unhashable (FaultPlan), so key on their content;
-        # repro.util.freeze refuses live objects it cannot key soundly.
-        key: PoolKey = (backend, int(n_workers), freeze_kwargs(kwargs))
+        key: PoolKey = (backend, int(n_workers))
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot lease from a closed ExecutorPool")
@@ -74,11 +61,8 @@ class ExecutorPool:
             self.obs.metrics.counter("pool_warm_hits").inc()
         else:
             self.obs.metrics.counter("pool_cold_builds").inc()
-            ex = make_executor(backend, n_workers, **kwargs)
+            ex = make_executor(backend, n_workers)
             ex._pool_key = key
-        # The daemon's shared multi-job chunk front; runs on this lease
-        # open job-scoped namespaces instead of private services.
-        ex.chunk_authority = self.chunk_authority
         return ex
 
     def release(self, executor: Executor) -> None:
@@ -95,7 +79,6 @@ class ExecutorPool:
             # failure to the caller.
             executor.close()
             raise
-        executor.chunk_authority = None
         with self._lock:
             stack = self._idle.setdefault(key, [])
             if self._closed or len(stack) >= MAX_IDLE_PER_KEY:

@@ -504,14 +504,30 @@ def test_absorb_stamps_absorbing_job():
 
 
 def test_observability_set_job_flows_everywhere():
-    obs = Observability()
-    obs.set_job("jX")
+    obs = Observability(job_id="jX")
     obs.tracer.event("grant", rank=0, ts=0.0)
     assert obs.tracer.records[0]["job"] == "jX"
     snap = obs.metrics.snapshot()
     assert snap["job_id"] == "jX"
     obs.finish(backend="sim")
     assert obs.meta["job_id"] == "jX"
+
+
+@pytest.mark.parametrize("backend", ["serial", "local"])
+def test_callers_job_id_survives_run(backend):
+    """A caller's job id stays on the bundle through run(): in the
+    meta, the metrics snapshot and every trace record, rank ones
+    included."""
+    obs = Observability(job_id="j1")
+    result = _run(backend, n_workers=2, obs=obs)
+    assert result.obs is obs
+    assert obs.job_id == "j1"
+    assert obs.meta["job_id"] == "j1"
+    assert obs.metrics.snapshot()["job_id"] == "j1"
+    records = obs.tracer.records
+    assert records
+    assert {rec.get("job") for rec in records} == {"j1"}
+    assert any(rec.get("rank") is not None for rec in records)
 
 
 def test_view_renders_interleaved_jobs():

@@ -39,6 +39,7 @@ from repro.fabric.wire import (
     PROTOCOL_VERSION,
     AuthenticationError,
     recv_raw_frame,
+    send_frame,
     send_raw_frame,
 )
 from repro.obs import Observability
@@ -49,6 +50,7 @@ from repro.service import (
     JobService,
     ServiceClient,
 )
+from repro.service.daemon import MAX_SUBMIT_GPUS
 
 KEY = b"test-secret"
 
@@ -221,6 +223,21 @@ def test_cache_unknown_app():
         DatasetCache().get("NOPE", {})
 
 
+def test_cache_failed_builds_leave_no_build_lock():
+    """A build that raises drops its per-key lock: bad specs must not
+    grow the lock table without bound."""
+    cache = DatasetCache()
+    for bad in range(3):
+        with pytest.raises(TypeError):
+            cache.get("SIO", {"no_such_argument": bad})
+    assert cache._building == {}
+    assert len(cache) == 0
+    # The same key builds fine once the spec is good.
+    _, hit = cache.get("SIO", SIO_SPEC)
+    assert hit is False
+    assert cache._building == {}
+
+
 # -- executor pool ----------------------------------------------------------
 
 
@@ -282,15 +299,19 @@ def test_authority_namespaces_are_isolated():
     auth = JobChunkAuthority()
     a = auth.open_job(chunks, 2, job_id="a")
     b = auth.open_job(chunks, 2, job_id="b")
-    assert set(auth.active_jobs) == {"a", "b"}
+    assert (auth.get("a"), auth.get("b")) == (a, b)
+    assert auth.remaining == 2 * len(chunks)
     # Drain job a completely; job b's queue must be untouched.
     while a.request(0) or a.request(1):
         pass
     assert a.remaining == 0
     assert b.remaining == len(chunks)
     assert auth.remaining == len(chunks)
-    auth.close_job("a")
-    assert set(auth.active_jobs) == {"b"}
+    assert auth.close_job("a") is a
+    with pytest.raises(KeyError):
+        auth.get("a")
+    assert auth.get("b") is b
+    assert auth.remaining == len(chunks)
 
 
 def test_authority_rejects_live_duplicate_but_supersedes_drained():
@@ -398,16 +419,94 @@ def test_unknown_app_is_job_error(daemon):
         assert run.app == "LR"
 
 
-def test_bad_priority_fails_only_its_own_submission(daemon):
-    """A SUBMIT whose priority is not an integer is answered with a
-    JOB_ERROR for its seq: the good job sent just before it on the same
-    connection still returns, and a later submit still works."""
+def _raw_submit(address, payload):
+    """Send one pickled SUBMIT on a fresh keyless connection and return
+    the daemon's reply ``(msg_type, payload)``."""
+    with socket.create_connection(address, timeout=5) as s:
+        s.settimeout(60)
+        recv_raw_frame(s, expect=MSG_WELCOME)
+        send_frame(s, MSG_SUBMIT, payload)
+        msg, blob = recv_raw_frame(s)
+    return msg, pickle.loads(blob)
+
+
+def test_submit_with_executor_kwargs_is_refused_and_writes_nothing(
+    daemon, tmp_path
+):
+    """A SUBMIT key outside the two shapes is refused for its seq:
+    a client cannot make the daemon write a trace file at its path."""
+    target = tmp_path / "x"
+    msg, reply = _raw_submit(daemon.address, {
+        "seq": 1, "app": "LR", "spec": LR_SPEC, "n_gpus": 2,
+        "executor_kwargs": {"trace_path": str(target)},
+    })
+    assert msg == MSG_JOB_ERROR
+    assert reply["seq"] == 1
+    assert "'executor_kwargs'" in reply["error"]
+    # The daemon still serves; a job after the refusal runs and the
+    # refused one never wrote its trace.
     with ServiceClient(*daemon.address) as client:
-        good = client.submit_async("SIO", SIO_SPEC, n_gpus=2)
-        bad = client.submit_async("LR", LR_SPEC, n_gpus=2, priority="high")
-        with pytest.raises(JobFailed, match="priority"):
-            bad.result(timeout=60)
-        assert good.result(timeout=60).app == "SIO"
+        assert client.submit("LR", LR_SPEC, n_gpus=2, timeout=60).app == "LR"
+    assert not target.exists()
+
+
+_RUN = {"seq": 7, "app": "LR", "spec": LR_SPEC, "n_gpus": 2}
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [({**_RUN, "priority": 0}, "'priority'"),
+     ({**_RUN, "schedule": None}, "'schedule'"),
+     ({**_RUN, "backend": "sim"}, "'backend'"),
+     ({**_RUN, "op": "run"}, "unknown op 'run'"),
+     ({"seq": 7, "op": "metrics", "app": "LR"}, "'app'"),
+     ({"seq": 7, "spec": LR_SPEC, "n_gpus": 2}, "names no app"),
+     ({"seq": 7, "app": "LR", "n_gpus": 2}, "exactly one of spec"),
+     ({**_RUN, "dataset": lr_dataset(**LR_SPEC)}, "exactly one of spec")],
+    ids=["priority", "schedule", "backend", "op-run", "metrics-with-app",
+         "no-app", "no-dataset", "spec-and-dataset"],
+)
+def test_submit_outside_the_two_shapes_is_refused(daemon, payload, named):
+    msg, reply = _raw_submit(daemon.address, payload)
+    assert msg == MSG_JOB_ERROR
+    assert reply["seq"] == 7
+    assert named in reply["error"]
+
+
+def test_job_ids_rise_in_submit_order_on_one_runner():
+    """Admission is FIFO: with one runner thread, the jobs pipelined on
+    one connection run (and are numbered) in the order sent."""
+    with JobService(port=0, default_backend="serial",
+                    max_concurrent_jobs=1) as svc:
+        with ServiceClient(*svc.address) as client:
+            futs = [
+                client.submit_async(app, spec, n_gpus=2)
+                for app, spec in [("LR", LR_SPEC), ("SIO", SIO_SPEC)] * 3
+            ]
+            ids = [f.result(timeout=60).job_id for f in futs]
+    assert ids == sorted(ids)
+    assert len(set(ids)) == len(ids)
+
+
+def test_spec_holding_a_list_is_refused_and_the_connection_serves_on(daemon):
+    with ServiceClient(*daemon.address) as client:
+        with pytest.raises(JobFailed, match="spec entry 'seed'"):
+            client.submit("SIO", {**SIO_SPEC, "seed": [3, 4]}, n_gpus=2,
+                          timeout=60)
+        assert client.submit("SIO", SIO_SPEC, n_gpus=2, timeout=60).app == "SIO"
+
+
+def test_n_gpus_out_of_bounds_is_refused_before_any_lease(daemon):
+    """Only an int in [1, MAX_SUBMIT_GPUS] reaches the pool: a refused
+    count builds no executor (and forks no rank)."""
+    with ServiceClient(*daemon.address) as client:
+        client.submit("LR", LR_SPEC, n_gpus=2, timeout=60)
+        before = client.metrics()["metrics"]["counters"]["pool_cold_builds"]
+        for bad in (0, -1, MAX_SUBMIT_GPUS + 1, 2.0, True, "2"):
+            with pytest.raises(JobFailed, match="n_gpus"):
+                client.submit("LR", LR_SPEC, n_gpus=bad, timeout=60)
+        after = client.metrics()["metrics"]["counters"]["pool_cold_builds"]
+        assert after == before
         assert client.submit("LR", LR_SPEC, n_gpus=2, timeout=60).app == "LR"
 
 
@@ -452,11 +551,11 @@ def test_metrics_op(daemon):
         snap = client.metrics()
     assert snap["metrics"]["counters"]["jobs_completed"] >= 1
     assert "submit_to_result_s" in snap["metrics"]["histograms"]
-    assert snap["active_jobs"] == ()
+    assert snap["pool_idle"] >= 1
 
 
 def test_mm_two_phase_through_service(daemon):
-    """MM reopens its job id for phase 2 — the supersede path."""
+    """MM's two phases run on one leased executor."""
     spec = {"m": 512, "tile": 256, "seed": 7}
     with ServiceClient(*daemon.address) as client:
         run = client.submit("MM", spec, n_gpus=2, timeout=60)

@@ -12,9 +12,8 @@ payloads from ``(reader, index)`` on the respawned rank.
 Also pins the resolution rule (which datasets stay resident), runs
 jobs over ``.npy`` and text files (each file is itself a dataset), and
 regression-tests the satellite fixes that rode along with the
-streaming PR: the dataset cache's per-key build locks, the executor
-pool's retire-on-failed-reset path, and the canonical content-based
-freeze keys.
+streaming PR: the dataset cache's per-key build locks and scalar spec
+keys, and the executor pool's retire-on-failed-reset path.
 """
 
 import json
@@ -37,9 +36,8 @@ from repro.core import FaultPlan, make_executor
 from repro.core.chunk import Chunk
 from repro.core.scheduler import resolve_chunks
 from repro.obs import Observability
-from repro.service.cache import DatasetCache
+from repro.service.cache import DatasetCache, _spec_key
 from repro.service.pool import ExecutorPool
-from repro.util.freeze import freeze_kwargs, freeze_value
 from repro.workloads import (
     Dataset,
     DatasetReader,
@@ -527,32 +525,20 @@ def test_pool_retires_executor_when_reset_raises():
     pool.close()
 
 
-# --- satellite 4: canonical content-based freeze keys -----------------
+# --- satellite 4: scalar-only spec keys ------------------------------
 
-def test_freeze_rejects_address_bearing_reprs():
-    # A default repr embeds the object's address — such a key would
-    # never match again, silently defeating the pool/cache.  Rejecting
-    # is the fix; keying on repr was the bug.
-    with pytest.raises(TypeError, match="canonicalise"):
-        freeze_kwargs({"obs": object()})
-
-
-def test_freeze_distinguishes_truncation_colliding_arrays():
-    a = np.arange(10_000, dtype=np.int64)
-    b = a.copy()
-    b[5_000] += 1
-    # repr() truncates both to "[0 1 2 ... 9997 9998 9999]" — a repr
-    # key would collide these distinct specs onto one cache entry.
-    assert repr(a) == repr(b)
-    assert freeze_value(a) != freeze_value(b)
-    # ...while genuinely equal arrays (even non-contiguous views that
-    # compare equal) share a key.
-    assert freeze_value(a) == freeze_value(np.arange(10_000, dtype=np.int64))
-    assert freeze_kwargs({"x": 1, "y": a}) == freeze_kwargs({"y": b - (b - a), "x": 1})
+def test_spec_key_rejects_non_scalars():
+    # A default repr embeds the object's address and an array's repr
+    # truncates, so such a key would never match again (or would
+    # match a different spec): refusing is the fix.
+    for value in (object(), [1, 2], np.arange(3), np.int64(3)):
+        with pytest.raises(TypeError, match="spec"):
+            _spec_key({"seed": value})
+    with pytest.raises(TypeError, match="spec"):
+        _spec_key([("seed", 1)])
 
 
-def test_freeze_plans_and_scalars_share_keys_by_value():
-    plan_a = FaultPlan(kill_rank_at_chunk={1: 2})
-    plan_b = FaultPlan(kill_rank_at_chunk={1: 2})
-    assert freeze_value(plan_a) == freeze_value(plan_b)
-    assert freeze_value(True) != freeze_value(1)  # no bool/int aliasing
+def test_spec_key_keeps_bool_and_int_apart():
+    assert _spec_key({"x": True}) != _spec_key({"x": 1})
+    assert _spec_key({"x": 1.0}) != _spec_key({"x": 1})
+    assert _spec_key({"a": 1, "b": "s"}) == _spec_key({"b": "s", "a": 1})

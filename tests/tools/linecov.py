@@ -2,6 +2,7 @@
 
     python tests/tools/linecov.py run -- python -m pytest -x -q
     python tests/tools/linecov.py report [--show fabric/endpoint.py]
+    python tests/tools/linecov.py report --budget tests/linecov_budget.json
 
 ``run`` executes the command with a generated ``sitecustomize`` first
 on ``PYTHONPATH``, which starts a ``sys.settrace`` recorder in every
@@ -22,6 +23,14 @@ on the path for the command's processes.
 code objects map instructions to) no process ran.  ``--show PART``
 also lists the missed line ranges of every file whose path contains
 ``PART``.
+
+``--budget FILE`` checks the counts against a JSON map of file (as the
+report names it) to missed lines, where a file not named may miss
+none.  The report exits non-zero when a count rose, and also when one
+fell but the budget still holds the old count: a budget only shrinks,
+and each shrink is written down in the change that earned it.  A file
+whose count varies from run to run (code only a timing race reaches)
+is budgeted as ``[fewest, most]``; only leaving that range fails.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import tempfile
 import threading
 import types
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
@@ -143,7 +153,7 @@ def _ranges(lines: list) -> str:
     return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def report(out: Path, show: list) -> int:
+def report(out: Path, show: list, budget: Optional[Path] = None) -> int:
     ran: dict = {}
     dumps = sorted(out.glob("*.json"))
     for dump in dumps:
@@ -169,7 +179,31 @@ def report(out: Path, show: list) -> int:
         for _n, _lines, name, missed in rows:
             if part in name and missed:
                 print(f"{name}: {_ranges(missed)}")
-    return 0
+    if budget is None:
+        return 0
+    return check_budget({name: n for n, _l, name, _m in rows if n}, budget)
+
+
+def check_budget(missed: dict, budget_path: Path) -> int:
+    """1, with a line per offence, when ``missed`` (file -> count) is
+    off its budget; 0 when every count matches."""
+    budget = json.loads(budget_path.read_text())
+    problems = []
+    for name in sorted(set(budget) | set(missed)):
+        allowed = budget.get(name, 0)
+        fewest, most = allowed if isinstance(allowed, list) else (allowed, allowed)
+        now = missed.get(name, 0)
+        if now > most:
+            problems.append(f"{name}: {now} missed lines, over its budget of "
+                            f"{most}: test the new lines or delete them")
+        elif now < fewest:
+            problems.append(f"{name}: {now} missed lines, under its budget of "
+                            f"{fewest}: lower the budget in {budget_path.name}")
+    for problem in problems:
+        print(problem)
+    print(f"budget {budget_path.name}: "
+          f"{'ok' if not problems else f'{len(problems)} file(s) off budget'}")
+    return 1 if problems else 0
 
 
 def main(argv=None) -> int:
@@ -182,13 +216,16 @@ def main(argv=None) -> int:
     report_p = sub.add_parser("report", help="print missed lines per file")
     report_p.add_argument("--show", action="append", default=[],
                           help="list the missed lines of files matching this")
+    report_p.add_argument("--budget", type=Path, default=None,
+                          help="fail unless each file's missed-line count "
+                          "matches this JSON budget")
     args = parser.parse_args(argv)
     if args.cmd == "run":
         command = args.command[1:] if args.command[:1] == ["--"] else args.command
         if not command:
             parser.error("run needs a command after --")
         return run(command, args.out)
-    return report(args.out, args.show)
+    return report(args.out, args.show, args.budget)
 
 
 if __name__ == "__main__":
