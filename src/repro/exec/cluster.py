@@ -57,7 +57,6 @@ from ..core.scheduler import ChunkService
 from ..core.stats import WorkerStats
 from ..obs import NULL_OBS, Observability
 from ..fabric import (
-    DEFAULT_MAX_FRAME_BYTES,
     Coordinator,
     PeerDisconnected,
     RankFailure,
@@ -100,7 +99,6 @@ def _rank_main(
     host: str,
     port: int,
     timeout_seconds: float,
-    max_frame_bytes: int,
     listen_port: int = 0,
     auth_key: Optional[bytes] = None,
 ) -> None:
@@ -111,7 +109,6 @@ def _rank_main(
             (host, port),
             listen_host="127.0.0.1",
             timeout_seconds=timeout_seconds,
-            max_frame_bytes=max_frame_bytes,
             listen_port=listen_port,
             auth_key=auth_key,
         )
@@ -148,7 +145,6 @@ class _Ranks:
             host=ex.host,
             port=ex.port,
             timeout_seconds=ex.timeout_seconds,
-            max_frame_bytes=ex.max_frame_bytes,
             auth_key=ex.auth_key,
         )
         self.procs: Dict[int, mp.process.BaseProcess] = {}
@@ -159,7 +155,7 @@ class _Ranks:
         # wildcard-bound coordinator over loopback.
         host, port = self.coordinator.address
         dial_host = "127.0.0.1" if host in ("0.0.0.0", "::", "") else host
-        self._rank_args = (dial_host, port, ex.timeout_seconds, ex.max_frame_bytes)
+        self._rank_args = (dial_host, port, ex.timeout_seconds)
         self._auth_key = ex.auth_key
 
     def spawn(self, rank: int, listen_port: int = 0) -> None:
@@ -247,7 +243,6 @@ class ClusterExecutor(Executor):
         timeout_seconds: float = 300.0,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         spawn_ranks: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
@@ -272,7 +267,6 @@ class ClusterExecutor(Executor):
         self.timeout_seconds = float(timeout_seconds)
         self.host = host
         self.port = int(port)
-        self.max_frame_bytes = int(max_frame_bytes)
         #: respawning a rank the fault plan kills needs
         #: ``spawn_ranks=True``: nobody restarts an externally launched
         #: rank, so its death is always a WorkerFailure

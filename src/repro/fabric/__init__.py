@@ -31,7 +31,6 @@ from .coordinator import ClusterTimeout, Coordinator, RankFailure
 from .endpoint import RankEndpoint, run_rank
 from .stream import recv_batch, send_batch
 from .wire import (
-    DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FabricError,
     FrameTooLarge,
@@ -59,7 +58,6 @@ __all__ = [
     "TruncatedFrame",
     "PeerDisconnected",
     "PROTOCOL_VERSION",
-    "DEFAULT_MAX_FRAME_BYTES",
     "send_frame",
     "recv_frame",
     "send_raw_frame",

@@ -63,7 +63,6 @@ from .wire import (
     MSG_HELLO,
     MSG_MAPS_DONE,
     MSG_RESULT,
-    DEFAULT_MAX_FRAME_BYTES,
     AuthenticationError,
     FabricError,
     PeerDisconnected,
@@ -130,7 +129,6 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         timeout_seconds: float = 120.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         liveness_probe: Optional[Callable[[], None]] = None,
         obs: Optional[Any] = None,
         auth_key: Optional[bytes] = None,
@@ -139,7 +137,6 @@ class Coordinator:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
         self.timeout_seconds = float(timeout_seconds)
-        self.max_frame_bytes = int(max_frame_bytes)
         self.liveness_probe = liveness_probe
         #: when set, every accepted connection (registration and
         #: mid-run replacement alike) must pass the HMAC challenge-response
@@ -232,15 +229,10 @@ class Coordinator:
         if self.auth_key is None:
             return True
         try:
-            deliver_challenge(
-                conn, self.auth_key, max_frame_bytes=self.max_frame_bytes
-            )
+            deliver_challenge(conn, self.auth_key)
             return True
         except ProtocolVersionError as exc:
-            send_versioned_error(
-                conn, str(exc), peer_version=exc.peer_version,
-                max_frame_bytes=self.max_frame_bytes,
-            )
+            send_versioned_error(conn, str(exc), peer_version=exc.peer_version)
             conn.close()
             raise
         except (AuthenticationError, ProtocolError, PeerDisconnected,
@@ -278,9 +270,7 @@ class Coordinator:
         if not self._authenticate(conn):
             return
         try:
-            _, hello = recv_frame(
-                conn, max_frame_bytes=self.max_frame_bytes, expect=MSG_HELLO
-            )
+            _, hello = recv_frame(conn, expect=MSG_HELLO)
         except ProtocolVersionError:
             conn.close()
             raise
@@ -366,17 +356,15 @@ class Coordinator:
             "epoch": self.epoch,
             "peers": dict(self.shuffle_peers),
             "n_workers": self.n_workers,
-            "max_frame_bytes": self.max_frame_bytes,
             "fault": fault,
             "obs": self.obs.enabled,
         }
-        send_frame(self._conns[rank], MSG_ASSIGN, payload,
-                   max_frame_bytes=self.max_frame_bytes)
+        send_frame(self._conns[rank], MSG_ASSIGN, payload)
 
     # -- 3. chunk service + result collection --------------------------------
     def collect_results(
         self,
-        chunk_service: Optional[Any] = None,
+        chunk_service: Any,
         respawner: Optional[Callable[[int, int], bool]] = None,
     ) -> List[Tuple[int, Any, Any]]:
         """Serve chunk pulls and gather one result per rank: its RESULT
@@ -426,9 +414,7 @@ class Coordinator:
                     if rank in results:
                         continue
                     try:
-                        msg_type, payload = recv_frame(
-                            key.fileobj, max_frame_bytes=self.max_frame_bytes
-                        )
+                        msg_type, payload = recv_frame(key.fileobj)
                     except PeerDisconnected as exc:
                         if self._recover_rank(
                             rank, sel, key.fileobj, chunk_service, respawner
@@ -453,8 +439,7 @@ class Coordinator:
                                 raise
                         continue
                     if msg_type == MSG_MAPS_DONE:
-                        if chunk_service is not None:
-                            chunk_service.mark_posted(rank)
+                        chunk_service.mark_posted(rank)
                         continue
                     if msg_type == MSG_RESULT:
                         results[rank] = (
@@ -484,9 +469,7 @@ class Coordinator:
         the driver's ``result_recv`` span, attributed to ``rank``."""
         try:
             with self.obs.tracer.span("result_recv", rank=rank):
-                _src, parts, _tags = recv_batch(
-                    conn, max_frame_bytes=self.max_frame_bytes
-                )
+                _src, parts, _tags = recv_batch(conn)
         except (FabricError, OSError) as exc:
             raise RankFailure(
                 rank, f"result output did not arrive intact: {exc}"
@@ -503,7 +486,7 @@ class Coordinator:
         rank: int,
         sel: selectors.BaseSelector,
         conn: socket.socket,
-        chunk_service: Optional[Any],
+        chunk_service: Any,
         respawner: Optional[Callable[[int, int], bool]],
     ) -> bool:
         """Try to survive ``rank``'s death; True if a replacement is due.
@@ -515,11 +498,7 @@ class Coordinator:
         so the peer directory every surviving rank already holds stays
         valid — pending batches re-route to the replacement by retry.
         """
-        if (
-            respawner is None
-            or chunk_service is None
-            or not chunk_service.can_recover(rank)
-        ):
+        if respawner is None or not chunk_service.can_recover(rank):
             return False
         try:
             sel.unregister(conn)
@@ -534,13 +513,8 @@ class Coordinator:
         self.obs.metrics.counter("respawns").inc()
         return True
 
-    def _answer_chunk_request(self, rank: int, chunk_service: Optional[Any]) -> None:
+    def _answer_chunk_request(self, rank: int, chunk_service: Any) -> None:
         """Reply to one rank's CHUNK_REQ with a grant, retry, or done."""
-        if chunk_service is None:
-            raise FabricError(
-                f"rank {rank} requested a chunk but no chunk service is "
-                "attached to this run"
-            )
         assignment = chunk_service.request(rank)
         if assignment is None:
             msg_type, payload = MSG_CHUNKS_DONE, {}
@@ -550,10 +524,7 @@ class Coordinator:
             msg_type = MSG_CHUNK_GRANT
             payload = {"chunk": assignment.chunk, "victim": assignment.victim}
         try:
-            send_frame(
-                self._conns[rank], msg_type, payload,
-                max_frame_bytes=self.max_frame_bytes,
-            )
+            send_frame(self._conns[rank], msg_type, payload)
         except PeerDisconnected as exc:
             raise RankFailure(
                 rank, f"disconnected while being granted a chunk: {exc}"

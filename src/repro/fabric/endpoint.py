@@ -29,8 +29,8 @@ the cluster backend on loopback.
   exactly one batch — a raw-codec ``BATCH`` frame followed by the
   batch's raw bytes, see :mod:`repro.fabric.stream` — and accepts
   exactly ``n-1`` inbound batches.  Self-destined parts never touch
-  the wire, and a batch larger than ``max_frame_bytes`` passes the
-  bound: it limits the frame, not the bytes behind it.
+  the wire, and a batch larger than the wire's frame bound passes it:
+  the bound limits the frame, not the bytes behind it.
 
 The endpoint is transport-complete for multi-host runs: the rank
 itself states where its shuffle listener is reachable (``listen_host``
@@ -62,7 +62,6 @@ from .wire import (
     MSG_MAPS_DONE,
     MSG_NAMES,
     MSG_RESULT,
-    DEFAULT_MAX_FRAME_BYTES,
     AuthenticationError,
     FabricError,
     PeerDisconnected,
@@ -101,14 +100,12 @@ class RankEndpoint:
         listen_host: str = "127.0.0.1",
         advertise_host: Optional[str] = None,
         timeout_seconds: float = 120.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         listen_port: int = 0,
         auth_key: Optional[bytes] = None,
     ) -> None:
         self.rank = int(rank)
         self.coordinator_address = tuple(coordinator)
         self.timeout_seconds = float(timeout_seconds)
-        self.max_frame_bytes = int(max_frame_bytes)
         #: shared secret for the coordinator's HMAC handshake; must
         #: match the coordinator's key (or be None when it has none)
         self.auth_key = auth_key
@@ -180,7 +177,7 @@ class RankEndpoint:
     def connect(self) -> None:
         """Dial the coordinator, send HELLO and wait for the first
         ASSIGN — the rank's one round trip before work.  Learns the
-        cluster size, the frame bound and the peer directory;
+        cluster size and the peer directory;
         :meth:`open` unpacks the rest."""
         self._control = set_nodelay(socket.create_connection(
             self.coordinator_address, timeout=self.timeout_seconds
@@ -188,15 +185,11 @@ class RankEndpoint:
         if self.auth_key is not None:
             # The coordinator challenges first thing on accept; answer
             # before any other frame goes out.
-            answer_challenge(
-                self._control, self.auth_key,
-                max_frame_bytes=self.max_frame_bytes,
-            )
+            answer_challenge(self._control, self.auth_key)
         send_frame(
             self._control,
             MSG_HELLO,
             {"rank": self.rank, "shuffle_address": self.shuffle_address},
-            max_frame_bytes=self.max_frame_bytes,
         )
         self._recv_assignment()
 
@@ -218,10 +211,7 @@ class RankEndpoint:
 
     def _recv_assignment(self) -> None:
         try:
-            _, assign = recv_frame(
-                self._control, max_frame_bytes=self.max_frame_bytes,
-                expect=MSG_ASSIGN,
-            )
+            _, assign = recv_frame(self._control, expect=MSG_ASSIGN)
         except ProtocolError as exc:
             if "AUTH_CHALLENGE" in str(exc):
                 # A keyed coordinator challenged us and we had nothing
@@ -232,7 +222,6 @@ class RankEndpoint:
                 ) from exc
             raise
         self.n_workers = int(assign["n_workers"])
-        self.max_frame_bytes = int(assign["max_frame_bytes"])
         self.peers = {int(r): tuple(a) for r, a in assign["peers"].items()}
         self._assignment = assign
 
@@ -244,15 +233,10 @@ class RankEndpoint:
         return self._puller.next()
 
     def _send_chunk_request(self) -> None:
-        send_frame(
-            self._control, MSG_CHUNK_REQ, {"rank": self.rank},
-            max_frame_bytes=self.max_frame_bytes,
-        )
+        send_frame(self._control, MSG_CHUNK_REQ, {"rank": self.rank})
 
     def _recv_chunk_answer(self) -> Tuple[int, Any, int]:
-        msg_type, payload = recv_frame(
-            self._control, max_frame_bytes=self.max_frame_bytes
-        )
+        msg_type, payload = recv_frame(self._control)
         if msg_type == MSG_CHUNKS_DONE:
             # A ``retry``-flagged CHUNKS_DONE asks the idle rank to
             # re-poll: speculation may still free up work.
@@ -270,10 +254,7 @@ class RankEndpoint:
         longer reclaimable, which is exactly when its output starts
         reaching peers — and when the ACKs withheld from batches that
         landed early are released, here rather than at any tick."""
-        send_frame(
-            self._control, MSG_MAPS_DONE, {"rank": self.rank},
-            max_frame_bytes=self.max_frame_bytes,
-        )
+        send_frame(self._control, MSG_MAPS_DONE, {"rank": self.rank})
         self._posted_event.set()
         self._release_withheld()
 
@@ -289,7 +270,6 @@ class RankEndpoint:
                 self._control,
                 MSG_ERROR,
                 {"rank": self.rank, "traceback": error, "stats": stats},
-                max_frame_bytes=self.max_frame_bytes,
             )
             return
         # One frame per batch, and drive_rank reports only once every
@@ -299,11 +279,10 @@ class RankEndpoint:
             self._control,
             MSG_RESULT,
             {"rank": self.rank, "stats": stats, "obs": self.obs.export()},
-            max_frame_bytes=self.max_frame_bytes,
         )
         send_batch(
             self._control, self.rank, [] if output is None else [output],
-            max_frame_bytes=self.max_frame_bytes, epoch=self.epoch,
+            epoch=self.epoch,
         )
 
     # -- data plane: the all-to-all exchange -------------------------------
@@ -355,16 +334,11 @@ class RankEndpoint:
                         sock,
                         self.rank,
                         parts,
-                        max_frame_bytes=self.max_frame_bytes,
                         chunk_ids=chunk_ids,
                         epoch=self.epoch,
                     )
                     if confirm:
-                        recv_raw_frame(
-                            sock,
-                            max_frame_bytes=self.max_frame_bytes,
-                            expect=MSG_BATCH_ACK,
-                        )
+                        recv_raw_frame(sock, expect=MSG_BATCH_ACK)
                 break
             except (OSError, FabricError):
                 if not confirm or time.monotonic() + backoff > deadline:
@@ -418,9 +392,7 @@ class RankEndpoint:
     def _ack(self, conn: socket.socket) -> None:
         """Confirm one received batch and hang up."""
         try:
-            send_raw_frame(
-                conn, MSG_BATCH_ACK, b"", max_frame_bytes=self.max_frame_bytes
-            )
+            send_raw_frame(conn, MSG_BATCH_ACK, b"")
         except (OSError, FabricError):
             pass  # sender abandoned this attempt and resends; dedup covers it
         try:
@@ -464,10 +436,7 @@ class RankEndpoint:
                 try:
                     set_nodelay(conn)
                     conn.settimeout(self.timeout_seconds)
-                    src, parts, tags = recv_batch(
-                        conn, max_frame_bytes=self.max_frame_bytes,
-                        epoch=self.epoch,
-                    )
+                    src, parts, tags = recv_batch(conn, epoch=self.epoch)
                 except ProtocolVersionError:
                     conn.close()
                     raise  # a version-skewed peer is a real failure
@@ -623,7 +592,6 @@ def run_rank(
     listen_host: str = "127.0.0.1",
     advertise_host: Optional[str] = None,
     timeout_seconds: float = 120.0,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     listen_port: int = 0,
     auth_key: Optional[bytes] = None,
 ) -> None:
@@ -642,7 +610,6 @@ def run_rank(
         listen_host=listen_host,
         advertise_host=advertise_host,
         timeout_seconds=timeout_seconds,
-        max_frame_bytes=max_frame_bytes,
         listen_port=listen_port,
         auth_key=auth_key,
     ) as endpoint:

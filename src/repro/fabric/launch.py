@@ -38,7 +38,7 @@ import sys
 from typing import Optional, Sequence
 
 from .endpoint import run_rank
-from .wire import DEFAULT_MAX_FRAME_BYTES, load_auth_key, parse_address
+from .wire import load_auth_key, parse_address
 
 __all__ = ["main", "build_parser"]
 
@@ -74,12 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         metavar="SECONDS",
         help="per-phase fabric timeout (default: 300)",
-    )
-    parser.add_argument(
-        "--max-frame-bytes",
-        type=int,
-        default=DEFAULT_MAX_FRAME_BYTES,
-        help="largest accepted wire frame (default: 1 GiB)",
     )
     parser.add_argument(
         "--listen-port",
@@ -130,7 +124,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             listen_host=args.listen_host,
             advertise_host=advertise,
             timeout_seconds=args.timeout,
-            max_frame_bytes=args.max_frame_bytes,
             listen_port=args.listen_port,
             auth_key=auth_key,
         )

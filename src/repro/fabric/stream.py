@@ -12,8 +12,8 @@ paper's MPI point-to-point message:
   manifest (per-part codec headers, order-preserving, no pickle),
   then an optional chunk-id tag block;
 * exactly ``total_nbytes`` raw key/value bytes straight after it, in
-  no frame.  ``max_frame_bytes`` bounds the frame, not these bytes, so
-  a batch of any size passes a small frame bound.
+  no frame.  The wire's frame bound limits the frame, not these bytes,
+  so a batch of any size passes it.
 
 Every payload byte is copied once per hop.  The sender hands the frame
 head, the header and the part arrays' own memory to one gathered
@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .wire import (
-    DEFAULT_MAX_FRAME_BYTES,
     HEADER,
     MSG_BATCH,
     ProtocolError,
@@ -74,7 +73,6 @@ def send_batch(
     src: int,
     parts: Sequence[KeyValueSet],
     *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     chunk_ids: Optional[Sequence[int]] = None,
     epoch: int = 0,
 ) -> int:
@@ -100,7 +98,7 @@ def send_batch(
         )
     header = _BATCH_HEADER.pack(src, epoch, flags, total_nbytes, len(manifest))
     length = len(header) + len(manifest) + len(tag_block)
-    head = _frame_head(MSG_BATCH, length, max_frame_bytes)
+    head = _frame_head(MSG_BATCH, length)
     _send_buffers(
         sock, [head, header, manifest, tag_block, *buffers],
         HEADER.size + length + total_nbytes,
@@ -109,10 +107,7 @@ def send_batch(
 
 
 def recv_batch(
-    sock: socket.socket,
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    epoch: Optional[int] = None,
+    sock: socket.socket, *, epoch: Optional[int] = None
 ) -> Tuple[int, List[KeyValueSet], Optional[List[int]]]:
     """Receive one batch; returns ``(source_rank, parts, chunk_ids)`` —
     ``chunk_ids`` is ``None`` when the sender shipped no provenance
@@ -126,9 +121,7 @@ def recv_batch(
     payload's only copy between the socket and the reduce path's
     concatenation is the kernel's.
     """
-    _, payload = recv_raw_frame(
-        sock, max_frame_bytes=max_frame_bytes, expect=MSG_BATCH
-    )
+    _, payload = recv_raw_frame(sock, expect=MSG_BATCH)
     if len(payload) < _BATCH_HEADER.size:
         raise ProtocolError(f"BATCH header truncated at {len(payload)} B")
     src, batch_epoch, hdr_flags, total_nbytes, manifest_len = (

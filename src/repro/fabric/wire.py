@@ -20,7 +20,7 @@ followed by its raw payload, outside any frame.  A raw frame leaves as
 a gathered ``sendmsg`` of its head and the caller's buffers and is read
 with ``recv_into``, so each payload byte is copied once per hop.  The
 length prefix makes message boundaries explicit on the byte stream,
-and an enforced ``max_frame_bytes`` bound rejects corrupted or hostile
+and the enforced :data:`MAX_FRAME_BYTES` bound rejects corrupted or hostile
 lengths before any allocation happens.
 
 EOF handling distinguishes two cases the coordinator cares about:
@@ -60,7 +60,7 @@ from typing import Any, Optional, Tuple, Union
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "DEFAULT_MAX_FRAME_BYTES",
+    "MAX_FRAME_BYTES",
     "MSG_NAMES",
     "MSG_HELLO",
     "MSG_WELCOME",
@@ -91,6 +91,7 @@ __all__ = [
     "set_nodelay",
     "send_frame",
     "recv_frame",
+    "decode_payload",
     "send_raw_frame",
     "recv_raw_frame",
     "send_versioned_error",
@@ -100,60 +101,21 @@ __all__ = [
     "parse_address",
 ]
 
-#: Bump on any incompatible header/message change.  v2: BATCH frames
-#: switched from one pickled payload to a raw binary-codec header frame
-#: followed by streamed BATCH_DATA chunk frames.  v3: chunk
-#: distribution went pull-based — ASSIGN carries job/config metadata
-#: only, and ranks fetch their chunks at runtime via
-#: CHUNK_REQ/CHUNK_GRANT/CHUNKS_DONE control frames.  v4: fault
-#: tolerance — a dead rank's replacement rejoins mid-run with a
-#: ``rejoin`` HELLO, BATCH header frames may carry chunk-id provenance
-#: tags and every received batch is confirmed with BATCH_ACK (senders retry
-#: unconfirmed batches, so a batch lost in a dead peer's kernel
-#: buffers is re-routed to its replacement), and ranks announce the
-#: end of their map phase with MAPS_DONE before shuffling.  v5: the
-#: job-service era — an HMAC challenge-response handshake
-#: (AUTH_CHALLENGE/AUTH_RESPONSE/AUTH_OK, raw frames, required before
-#: any pickled frame whenever the listener holds a key) and the
-#: multi-job control frames SUBMIT/JOB_RESULT/JOB_ERROR spoken by
-#: ``repro.service``'s daemon and client.  Still v5 (no frame change):
-#: ranks may *pipeline* CHUNK_REQ frames — ``1 + PULL_AHEAD``
-#: requests in flight, a constant both ends hold
-#: (:data:`repro.core.scheduler.PULL_AHEAD`; ASSIGN carries no window)
-#: — because the coordinator has always answered exactly one frame per
-#: request; a CHUNK_GRANT may carry a descriptor-only streamed chunk
-#: that the rank re-materialises locally, and BATCH frames may arrive
-#: at a peer that is still mapping (its ACK is simply withheld until
-#: it posts MAPS_DONE).  The ``epoch`` key v4 put on WELCOME, ASSIGN,
-#: CHUNK_GRANT and CHUNKS_DONE is gone; no receiver ever read it.  v6:
-#: a rank's control conversation is HELLO -> ASSIGN -> pull.  The
-#: coordinator no longer answers HELLO with WELCOME (ASSIGN carries
-#: ``max_frame_bytes``), the start barrier and RESUME are gone, and
-#: HELLO and ASSIGN lose their ``rejoin`` keys: a HELLO mid-run for a
-#: rank whose predecessor died is the replacement.  WELCOME stays for
-#: the job service's client handshake; type 4 stays reserved.  v7: a
-#: RESULT frame carries ``{rank, stats, obs}`` only, and the rank's
-#: output follows it on the control socket as one codec batch of 0 or
-#: 1 parts (:func:`repro.fabric.stream.send_batch`), so results stream
-#: through the frame bound like shuffle batches and pickle never
-#: carries payload bytes.  v8: ranks outlive a run.  A rank sends HELLO
-#: once, then serves ASSIGN -> pull -> RESULT on the same control
-#: connection for every run of its executor, until that connection
-#: closes.  ASSIGN carries the run's ``epoch``, and so does every BATCH
-#: header (a ``!I`` after the source rank); a shuffle listener drops a
-#: batch from another run's epoch.  v9: a batch is one BATCH frame
-#: followed by exactly its declared ``total_nbytes`` of raw payload, in
-#: no frame; BATCH_DATA is gone and type 9 stays reserved.
-PROTOCOL_VERSION = 9
+#: Bump on any incompatible header or message change; CHANGES.md keeps
+#: what each bump changed.  v10: ASSIGN loses ``max_frame_bytes`` (the
+#: bound is :data:`MAX_FRAME_BYTES`, the same on every peer).
+PROTOCOL_VERSION = 10
 
 MAGIC = b"GPMR"
 
 #: magic(4s) version(B) msg_type(B) reserved(2x) payload_len(Q)
 HEADER = struct.Struct("!4sBB2xQ")
 
-#: Refuse frames above this many payload bytes (1 GiB) unless the
-#: caller raises the bound explicitly.
-DEFAULT_MAX_FRAME_BYTES = 1 << 30
+#: Refuse frames above this many payload bytes (1 GiB), on send and on
+#: receive.  It bounds control-plane pickles only: a batch's payload
+#: follows its frame and passes it.  Read at call time, by
+#: :func:`_frame_head` and :func:`recv_raw_frame` alone.
+MAX_FRAME_BYTES = 1 << 30
 
 #: Most buffers one ``sendmsg`` call gathers (Linux's ``IOV_MAX``).
 _IOV_MAX = 1024
@@ -161,7 +123,7 @@ _IOV_MAX = 1024
 # -- message types ----------------------------------------------------------
 MSG_HELLO = 1    #: rank -> coordinator: register {rank, shuffle address}
 MSG_WELCOME = 2  #: daemon -> client: connection accepted {protocol}
-MSG_ASSIGN = 3   #: coordinator -> rank: {job, epoch, peers, n_workers, max_frame_bytes}
+MSG_ASSIGN = 3   #: coordinator -> rank: {job, epoch, peers, n_workers, fault, obs}
 MSG_BARRIER = 4  #: reserved (v5's start barrier); only the frame-RTT probe sends it
 MSG_RESULT = 6   #: rank -> coordinator: {rank, stats, obs}; output batch follows
 MSG_ERROR = 7    #: rank -> coordinator: {rank, traceback}
@@ -299,25 +261,19 @@ def _send_buffers(sock: socket.socket, buffers: list, nbytes: int) -> None:
         buffers = [memoryview(buffers[first])[sent:], *buffers[first + 1 :]]
 
 
-def _frame_head(msg_type: int, length: int, max_frame_bytes: int) -> bytes:
+def _frame_head(msg_type: int, length: int) -> bytes:
     """The 16-byte head of a ``length``-byte frame, refused with
-    :class:`FrameTooLarge` above the bound."""
-    if length > max_frame_bytes:
+    :class:`FrameTooLarge` above :data:`MAX_FRAME_BYTES`."""
+    if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(
             f"refusing to send {length} B "
             f"{MSG_NAMES.get(msg_type, msg_type)} frame "
-            f"(max_frame_bytes={max_frame_bytes})"
+            f"(MAX_FRAME_BYTES={MAX_FRAME_BYTES})"
         )
     return HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, length)
 
 
-def send_raw_frame(
-    sock: socket.socket,
-    msg_type: int,
-    payload,
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> int:
+def send_raw_frame(sock: socket.socket, msg_type: int, payload) -> int:
     """Send one framed message whose payload is raw bytes, as-is.
 
     The data plane's primitive: no pickling and no copy.  ``payload``
@@ -329,20 +285,17 @@ def send_raw_frame(
     """
     buffers = payload if isinstance(payload, list) else [payload]
     length = sum(map(len, buffers))
-    head = _frame_head(msg_type, length, max_frame_bytes)
+    head = _frame_head(msg_type, length)
     _send_buffers(sock, [head, *buffers], HEADER.size + length)
     return length
 
 
 def recv_raw_frame(
-    sock: socket.socket,
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    expect: Optional[int] = None,
+    sock: socket.socket, *, expect: Optional[int] = None
 ) -> Tuple[int, bytearray]:
     """Receive one frame; returns ``(msg_type, payload_bytes)``.
 
-    The header's magic, version and ``max_frame_bytes`` bound are
+    The header's magic, version and :data:`MAX_FRAME_BYTES` bound are
     checked before the payload is read straight into its buffer.  With
     ``expect``, a frame of any other type is a :class:`ProtocolError`
     (fail fast on desynchronised peers).
@@ -357,10 +310,10 @@ def recv_raw_frame(
             f"this build speaks v{PROTOCOL_VERSION}",
             peer_version=version,
         )
-    if length > max_frame_bytes:
+    if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(
             f"declared payload of {length} B exceeds "
-            f"max_frame_bytes={max_frame_bytes}"
+            f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
         )
     payload = _recv_exact(sock, length, at_boundary=False)
     if expect is not None and msg_type != expect:
@@ -371,38 +324,33 @@ def recv_raw_frame(
     return msg_type, payload
 
 
-def send_frame(
-    sock: socket.socket,
-    msg_type: int,
-    payload: Any,
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> int:
+def send_frame(sock: socket.socket, msg_type: int, payload: Any) -> int:
     """Pickle ``payload`` and send it as one framed message.
 
     The control plane's primitive (HELLO/ASSIGN/RESULT/...); shuffle
     batches use :mod:`repro.fabric.stream` raw frames instead.
     """
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return send_raw_frame(sock, msg_type, blob, max_frame_bytes=max_frame_bytes)
+    return send_raw_frame(sock, msg_type, blob)
 
 
 def recv_frame(
-    sock: socket.socket,
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    expect: Optional[int] = None,
+    sock: socket.socket, *, expect: Optional[int] = None
 ) -> Tuple[int, Any]:
     """Receive one pickled-payload frame; returns ``(msg_type, payload)``.
 
     A payload that does not unpickle (a length lie cut it short, or the
     bytes are not a pickle) is a :class:`ProtocolError`, like any other
     frame the stream could not have carried."""
-    msg_type, payload = recv_raw_frame(
-        sock, max_frame_bytes=max_frame_bytes, expect=expect
-    )
+    msg_type, payload = recv_raw_frame(sock, expect=expect)
+    return msg_type, decode_payload(msg_type, payload)
+
+
+def decode_payload(msg_type: int, payload) -> Any:
+    """Unpickle one received frame's payload; whatever unpickling
+    raises is a :class:`ProtocolError`."""
     try:
-        return msg_type, pickle.loads(payload)
+        return pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 - whatever a garbled pickle raises
         raise ProtocolError(
             f"undecodable {MSG_NAMES.get(msg_type, msg_type)} payload: {exc!r}"
@@ -429,12 +377,7 @@ def _auth_digest(key: bytes, nonce: bytes) -> bytes:
     return hmac.new(key, nonce, "sha256").digest()
 
 
-def deliver_challenge(
-    sock: socket.socket,
-    key: Union[str, bytes],
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> None:
+def deliver_challenge(sock: socket.socket, key: Union[str, bytes]) -> None:
     """Listener side of the HMAC handshake (à la
     ``multiprocessing.connection.deliver_challenge``).
 
@@ -448,30 +391,24 @@ def deliver_challenge(
     """
     key = _coerce_auth_key(key)
     nonce = os.urandom(CHALLENGE_BYTES)
-    send_raw_frame(sock, MSG_AUTH_CHALLENGE, nonce, max_frame_bytes=max_frame_bytes)
-    _, response = recv_raw_frame(
-        sock, max_frame_bytes=max_frame_bytes, expect=MSG_AUTH_RESPONSE
-    )
+    send_raw_frame(sock, MSG_AUTH_CHALLENGE, nonce)
+    _, response = recv_raw_frame(sock, expect=MSG_AUTH_RESPONSE)
     if not secrets.compare_digest(response, _auth_digest(key, nonce)):
         try:
             send_raw_frame(
                 sock,
                 MSG_JOB_ERROR,
                 json.dumps({"error": "authentication failed"}).encode("utf-8"),
-                max_frame_bytes=max_frame_bytes,
             )
         except FabricError:
             pass
         raise AuthenticationError("peer answered the challenge with a bad digest")
-    send_raw_frame(sock, MSG_AUTH_OK, b"", max_frame_bytes=max_frame_bytes)
+    send_raw_frame(sock, MSG_AUTH_OK, b"")
 
 
 def answer_challenge(
-    sock: socket.socket,
-    key: Union[str, bytes],
-    *,
+    sock: socket.socket, key: Union[str, bytes], *,
     challenge: Optional[bytes] = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> None:
     """Connecting side of the HMAC handshake.
 
@@ -485,14 +422,9 @@ def answer_challenge(
     if challenge is not None:
         nonce = challenge
     else:
-        _, nonce = recv_raw_frame(
-            sock, max_frame_bytes=max_frame_bytes, expect=MSG_AUTH_CHALLENGE
-        )
-    send_raw_frame(
-        sock, MSG_AUTH_RESPONSE, _auth_digest(key, nonce),
-        max_frame_bytes=max_frame_bytes,
-    )
-    msg_type, payload = recv_raw_frame(sock, max_frame_bytes=max_frame_bytes)
+        _, nonce = recv_raw_frame(sock, expect=MSG_AUTH_CHALLENGE)
+    send_raw_frame(sock, MSG_AUTH_RESPONSE, _auth_digest(key, nonce))
+    msg_type, payload = recv_raw_frame(sock)
     if msg_type != MSG_AUTH_OK:
         detail = payload.decode("utf-8", "replace") or "no detail"
         raise AuthenticationError(
@@ -529,11 +461,7 @@ def load_auth_key(
 
 
 def send_versioned_error(
-    sock: socket.socket,
-    detail: str,
-    *,
-    peer_version: Optional[int] = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    sock: socket.socket, detail: str, *, peer_version: Optional[int] = None
 ) -> None:
     """Refuse a mis-versioned or unauthorized peer with a raw frame.
 
@@ -548,12 +476,7 @@ def send_versioned_error(
     if peer_version is not None:
         body["peer_version"] = peer_version
     try:
-        send_raw_frame(
-            sock,
-            MSG_JOB_ERROR,
-            json.dumps(body).encode("utf-8"),
-            max_frame_bytes=max_frame_bytes,
-        )
+        send_raw_frame(sock, MSG_JOB_ERROR, json.dumps(body).encode("utf-8"))
     except FabricError:
         pass
 

@@ -18,14 +18,12 @@ what they compute.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 from concurrent.futures import Future
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..fabric.wire import (
-    DEFAULT_MAX_FRAME_BYTES,
     MSG_AUTH_CHALLENGE,
     MSG_JOB_ERROR,
     MSG_JOB_RESULT,
@@ -33,9 +31,10 @@ from ..fabric.wire import (
     MSG_WELCOME,
     AuthenticationError,
     FabricError,
-    PeerDisconnected,
     ProtocolError,
     answer_challenge,
+    decode_payload,
+    recv_frame,
     recv_raw_frame,
     send_frame,
 )
@@ -61,9 +60,7 @@ class ServiceClient:
         port: int = 7711,
         auth_key: Optional[Union[bytes, str]] = None,
         connect_timeout: float = 10.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
-        self.max_frame_bytes = int(max_frame_bytes)
         self._sock = socket.create_connection(
             (host, port), timeout=connect_timeout
         )
@@ -93,9 +90,7 @@ class ServiceClient:
         byte is unpickled before we know the connection is greeted.
         """
         try:
-            msg_type, payload = recv_raw_frame(
-                self._sock, max_frame_bytes=self.max_frame_bytes
-            )
+            msg_type, payload = recv_raw_frame(self._sock)
         except (FabricError, OSError) as exc:
             self._sock.close()
             raise ConnectionError(f"service handshake failed: {exc}") from exc
@@ -107,14 +102,8 @@ class ServiceClient:
                     "configured (pass auth_key=)"
                 )
             try:
-                answer_challenge(
-                    self._sock, auth_key, challenge=payload,
-                    max_frame_bytes=self.max_frame_bytes,
-                )
-                msg_type, payload = recv_raw_frame(
-                    self._sock, max_frame_bytes=self.max_frame_bytes,
-                    expect=MSG_WELCOME,
-                )
+                answer_challenge(self._sock, auth_key, challenge=payload)
+                msg_type, payload = recv_raw_frame(self._sock, expect=MSG_WELCOME)
             except (AuthenticationError, ProtocolError):
                 self._sock.close()
                 raise
@@ -130,7 +119,11 @@ class ServiceClient:
                 f"expected WELCOME or AUTH_CHALLENGE from service, "
                 f"got message type {msg_type}"
             )
-        return pickle.loads(payload)
+        try:
+            return decode_payload(msg_type, payload)
+        except ProtocolError:
+            self._sock.close()
+            raise
 
     # -- submission --------------------------------------------------------
 
@@ -179,10 +172,7 @@ class ServiceClient:
             self._pending[seq] = fut
         try:
             with self._send_lock:
-                send_frame(
-                    self._sock, MSG_SUBMIT, payload,
-                    max_frame_bytes=self.max_frame_bytes,
-                )
+                send_frame(self._sock, MSG_SUBMIT, payload)
         except (FabricError, OSError) as exc:
             with self._pending_lock:
                 self._pending.pop(seq, None)
@@ -194,12 +184,8 @@ class ServiceClient:
     def _reader_loop(self) -> None:
         while True:
             try:
-                msg_type, blob = recv_raw_frame(
-                    self._sock, max_frame_bytes=self.max_frame_bytes
-                )
-                payload = pickle.loads(blob)
-            except (FabricError, PeerDisconnected, OSError, EOFError,
-                    pickle.UnpicklingError) as exc:
+                msg_type, payload = recv_frame(self._sock)
+            except (FabricError, OSError) as exc:
                 self._fail_all(exc)
                 return
             seq = payload.get("seq") if isinstance(payload, dict) else None
@@ -208,7 +194,10 @@ class ServiceClient:
             if fut is None:
                 continue  # daemon replied to a seq we gave up on
             if msg_type == MSG_JOB_RESULT:
-                fut.set_result(self._to_result(payload))
+                try:
+                    fut.set_result(self._to_result(payload))
+                except KeyError as exc:
+                    fut.set_exception(ProtocolError(f"JOB_RESULT lacks {exc}"))
             elif msg_type == MSG_JOB_ERROR:
                 fut.set_exception(
                     JobFailed(payload.get("error", "job failed"),

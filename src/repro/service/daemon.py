@@ -44,17 +44,18 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..apps import APPS
 from ..fabric.wire import (
-    DEFAULT_MAX_FRAME_BYTES,
     MSG_JOB_ERROR,
     MSG_JOB_RESULT,
     MSG_SUBMIT,
     MSG_WELCOME,
     AuthenticationError,
     FabricError,
+    FrameTooLarge,
     PeerDisconnected,
     ProtocolError,
     ProtocolVersionError,
     PROTOCOL_VERSION,
+    _frame_head,
     deliver_challenge,
     load_auth_key,
     recv_frame,
@@ -117,7 +118,6 @@ class JobService:
         default_backend: str = "local",
         default_n_gpus: int = 2,
         cache_entries: int = 8,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         obs: Optional[Observability] = None,
     ) -> None:
         if max_concurrent_jobs < 1:
@@ -125,7 +125,6 @@ class JobService:
         self.auth_key = auth_key
         self.default_backend = default_backend
         self.default_n_gpus = int(default_n_gpus)
-        self.max_frame_bytes = int(max_frame_bytes)
         #: daemon-level observability: pool/cache counters, admission
         #: queue depth, and the submit-to-result latency histogram the
         #: service benchmark reads.  Always on — the daemon is the
@@ -237,16 +236,11 @@ class JobService:
         conn.settimeout(30.0)
         if self.auth_key is not None:
             try:
-                deliver_challenge(
-                    conn, self.auth_key, max_frame_bytes=self.max_frame_bytes
-                )
+                deliver_challenge(conn, self.auth_key)
             except ProtocolVersionError as exc:
                 # e.g. a legacy v4 HELLO where the AUTH_RESPONSE should
                 # be: refuse with a versioned raw frame, then close.
-                send_versioned_error(
-                    conn, str(exc), peer_version=exc.peer_version,
-                    max_frame_bytes=self.max_frame_bytes,
-                )
+                send_versioned_error(conn, str(exc), peer_version=exc.peer_version)
                 conn.close()
                 return False
             except (AuthenticationError, FabricError, socket.timeout, OSError):
@@ -263,7 +257,6 @@ class JobService:
                     "default_backend": self.default_backend,
                     "default_n_gpus": self.default_n_gpus,
                 },
-                max_frame_bytes=self.max_frame_bytes,
             )
         except (FabricError, OSError):
             conn.close()
@@ -278,16 +271,12 @@ class JobService:
         try:
             while not self._shutdown.is_set():
                 try:
-                    _, submit = recv_frame(
-                        conn, max_frame_bytes=self.max_frame_bytes,
-                        expect=MSG_SUBMIT,
-                    )
+                    _, submit = recv_frame(conn, expect=MSG_SUBMIT)
                 except ProtocolVersionError as exc:
                     # A legacy (keyless-era) client got past the greet
                     # only to speak v4 frames: versioned refusal, drop.
                     send_versioned_error(
-                        conn, str(exc), peer_version=exc.peer_version,
-                        max_frame_bytes=self.max_frame_bytes,
+                        conn, str(exc), peer_version=exc.peer_version
                     )
                     return
                 except (PeerDisconnected, OSError):
@@ -338,22 +327,34 @@ class JobService:
 
     def _reply(
         self, conn: socket.socket, send_lock: threading.Lock,
-        msg_type: int, payload: Any,
+        msg_type: int, payload: Dict[str, Any],
     ) -> None:
+        self._send(conn, send_lock, *self._encode(msg_type, payload))
+
+    @staticmethod
+    def _encode(msg_type: int, payload: Dict[str, Any]) -> Tuple[int, bytes]:
+        """Pickle one reply, checked against the frame bound.  A reply
+        that does not pickle or does not fit becomes a JOB_ERROR for its
+        seq that says why, so the client's Future resolves either way."""
         try:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            _frame_head(msg_type, len(blob))  # refuses before a byte is sent
+            return msg_type, blob
+        except FrameTooLarge as exc:
+            error = f"reply too large to send: {exc}"
         except Exception:  # noqa: BLE001 - result of arbitrary app code
-            payload = {
-                "seq": payload.get("seq"),
-                "error": "result not picklable:\n" + traceback.format_exc(),
-            }
-            msg_type = MSG_JOB_ERROR
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            error = "result not picklable:\n" + traceback.format_exc()
+        payload = {"seq": payload.get("seq"), "job_id": payload.get("job_id"),
+                   "error": error}
+        return MSG_JOB_ERROR, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @staticmethod
+    def _send(
+        conn: socket.socket, send_lock: threading.Lock, msg_type: int, blob: bytes
+    ) -> None:
         with send_lock:
             try:
-                send_raw_frame(
-                    conn, msg_type, blob, max_frame_bytes=self.max_frame_bytes
-                )
+                send_raw_frame(conn, msg_type, blob)
             except (FabricError, OSError):
                 pass  # client went away; the job still ran
 
@@ -385,11 +386,14 @@ class JobService:
             return
         elapsed = time.perf_counter() - ticket["t_submitted"]
         self.obs.metrics.histogram("submit_to_result_s").observe(elapsed)
-        self.obs.metrics.counter("jobs_completed").inc()
         payload.update(
             {"seq": seq, "job_id": job_id, "service_elapsed": elapsed}
         )
-        self._reply(ticket["conn"], ticket["send_lock"], MSG_JOB_RESULT, payload)
+        msg_type, blob = self._encode(MSG_JOB_RESULT, payload)
+        self.obs.metrics.counter(
+            "jobs_completed" if msg_type == MSG_JOB_RESULT else "jobs_failed"
+        ).inc()
+        self._send(ticket["conn"], ticket["send_lock"], msg_type, blob)
 
     def _execute(self, submit: Dict[str, Any]) -> Dict[str, Any]:
         app = submit["app"]

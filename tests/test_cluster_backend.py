@@ -8,6 +8,7 @@ entry point, exercised here over localhost), and executor-level
 configuration.
 """
 
+import multiprocessing as mp
 import os
 import subprocess
 import sys
@@ -148,15 +149,6 @@ def test_cluster_wildcard_bind_still_dials_loopback():
             assert a.values.tobytes() == b.values.tobytes()
 
 
-def test_cluster_frame_bound_is_enforced_end_to_end():
-    """A max_frame_bytes too small for the ASSIGN payload fails loudly
-    (bound plumbed driver -> coordinator -> ranks), not silently."""
-    job, ds = _job_and_dataset(seed=6)
-    ex = ClusterExecutor(2, max_frame_bytes=512, timeout_seconds=15.0)
-    with pytest.raises(Exception, match="frame|max_frame_bytes|failed"):
-        ex.run(job, dataset=ds)
-
-
 class _FanoutMapper(Mapper):
     """Emits 32 pairs per input element: shuffle volume >> input volume,
     so the exchange batches blow past a frame bound the (small) control
@@ -175,13 +167,19 @@ class _FanoutMapper(Mapper):
         return []
 
 
-def test_cluster_batch_larger_than_frame_bound_streams():
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="the patched frame bound reaches ranks only through fork",
+)
+def test_cluster_batch_larger_than_frame_bound_streams(monkeypatch):
     """Protocol v1 died with FrameTooLarge when one shuffle batch beat
-    max_frame_bytes, and up to v6 a reduced output past the bound died
+    the frame bound, and up to v6 a reduced output past the bound died
     in its pickled RESULT frame; the streamed data plane must complete
     the run — bit-identically — through a bound the batches exceed many
-    times and every rank's output exceeds too."""
+    times and every rank's output exceeds too.  The bound is patched
+    before the ranks fork, so driver and ranks hold the same one."""
     from repro.apps.sparse_int_occurrence import SIOReducer
+    from repro.fabric import wire
 
     ds = sio_dataset(16_000, chunk_elements=4_000, key_space=1 << 14, seed=21)
     job = MapReduceJob(
@@ -194,9 +192,9 @@ def test_cluster_batch_larger_than_frame_bound_streams():
     # carries ~1 MiB against a 32 KiB frame bound, and each rank's
     # reduced output (~8000 keys) is bigger than the bound too.
     bound = 1 << 15
-    got = ClusterExecutor(
-        2, max_frame_bytes=bound, timeout_seconds=60.0
-    ).run(job, dataset=ds)
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", bound)
+    with ClusterExecutor(2, start_method="fork", timeout_seconds=60.0) as ex:
+        got = ex.run(job, dataset=ds)
     assert got.stats.total_network_bytes > 4 * bound  # batches really big
     ref = make_executor("serial", 2).run(job, dataset=ds)
     assert all(out.nbytes_actual > bound for out in ref.outputs)

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.kvset import KeyValueSet
+from repro.core.scheduler import ChunkService
+from repro.fabric import wire
 from repro.fabric import (
     ClusterTimeout,
     Coordinator,
@@ -54,6 +56,13 @@ def pair():
     yield a, b
     a.close()
     b.close()
+
+
+@pytest.fixture
+def frame_bound(monkeypatch):
+    """``frame_bound(n)`` sets the wire's frame bound to ``n`` bytes
+    for this test."""
+    return lambda n: monkeypatch.setattr(wire, "MAX_FRAME_BYTES", n)
 
 
 # -- framing round-trips ----------------------------------------------------
@@ -165,12 +174,13 @@ def test_empty_batch_streams(pair):
     assert got == []
 
 
-def test_batch_larger_than_frame_bound_streams(pair):
+def test_batch_larger_than_frame_bound_streams(pair, frame_bound):
     """The bound limits the BATCH frame, not the raw payload behind
-    it: a batch far beyond max_frame_bytes arrives whole instead of
+    it: a batch far beyond MAX_FRAME_BYTES arrives whole instead of
     raising FrameTooLarge."""
     a, b = pair
     bound = 8192
+    frame_bound(bound)
     parts = _batch_parts(n_pairs=20_000, seed=1)  # ~300 KiB payload
     payload_nbytes = sum(
         p.keys.nbytes + p.values.nbytes for p in parts
@@ -179,12 +189,12 @@ def test_batch_larger_than_frame_bound_streams(pair):
     result = {}
     sender = threading.Thread(
         target=lambda: result.update(
-            sent=send_batch(a, 0, parts, max_frame_bytes=bound)
+            sent=send_batch(a, 0, parts)
         ),
         daemon=True,
     )
     sender.start()
-    src, got, _tags = recv_batch(b, max_frame_bytes=bound)
+    src, got, _tags = recv_batch(b)
     sender.join(timeout=10.0)
     assert src == 0
     _assert_parts_identical(got, parts)
@@ -225,7 +235,7 @@ def test_zero_key_batch_streams(pair):
     assert all(len(p) == 0 for p in got)
 
 
-def test_batch_exactly_at_frame_bound_streams(pair):
+def test_batch_exactly_at_frame_bound_streams(pair, frame_bound):
     """The bound limits the BATCH frame (header, manifest, tag block):
     a frame exactly at the bound leaves and its payload, ten times the
     bound, streams behind it; one byte less of bound is FrameTooLarge
@@ -241,18 +251,19 @@ def test_batch_exactly_at_frame_bound_streams(pair):
     assert nbytes > 10 * bound
 
     a, b = pair
+    frame_bound(bound - 1)
     with pytest.raises(FrameTooLarge):
-        send_batch(a, 1, parts, max_frame_bytes=bound - 1, chunk_ids=chunk_ids)
+        send_batch(a, 1, parts, chunk_ids=chunk_ids)
+    frame_bound(bound)
     result = {}
     sender = threading.Thread(
         target=lambda: result.update(
-            sent=send_batch(a, 1, parts, max_frame_bytes=bound,
-                            chunk_ids=chunk_ids)
+            sent=send_batch(a, 1, parts, chunk_ids=chunk_ids)
         ),
         daemon=True,
     )
     sender.start()
-    src, got, tags = recv_batch(b, max_frame_bytes=bound)
+    src, got, tags = recv_batch(b)
     sender.join(timeout=10.0)
     assert (src, tags) == (1, chunk_ids)
     _assert_parts_identical(got, parts)
@@ -311,7 +322,7 @@ def _deflate_bomb(inflated_nbytes):
     return b"".join(z.compress(zeros) for _ in range(inflated_nbytes >> 20)) + z.flush()
 
 
-def test_flagged_data_frame_is_refused_before_its_body_is_read(pair):
+def test_flagged_data_frame_is_refused_before_its_body_is_read(pair, frame_bound):
     """A BATCH frame — the data plane's one frame — with a nonzero
     unknown flag is a protocol error, and the raw body behind it is
     never read: a 64 KiB deflate bomb declared as its 64 MiB inflated
@@ -321,20 +332,20 @@ def test_flagged_data_frame_is_refused_before_its_body_is_read(pair):
 
     inflated = 64 << 20
     bound = 1 << 20
+    frame_bound(bound)
     bomb = _deflate_bomb(inflated)
     assert len(bomb) < bound
     manifest, _buffers, _nbytes = pack_parts([KeyValueSet.empty()])
     a, b = pair
     send_raw_frame(
-        a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, 1, inflated, len(manifest)) + manifest,
-        max_frame_bytes=bound,
+        a, MSG_BATCH, _BATCH_HEADER.pack(0, 0, 1, inflated, len(manifest)) + manifest
     )
     sender = threading.Thread(target=a.sendall, args=(bomb,), daemon=True)
     sender.start()
     tracemalloc.start()
     try:
         with pytest.raises(ProtocolError, match="flags"):
-            recv_batch(b, max_frame_bytes=bound)
+            recv_batch(b)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -359,10 +370,11 @@ def test_unknown_batch_header_flag_is_refused(pair):
             recv_batch(b)
 
 
-def test_unusably_small_frame_bound_is_loud(pair):
+def test_unusably_small_frame_bound_is_loud(pair, frame_bound):
     a, _ = pair
+    frame_bound(8)
     with pytest.raises(FrameTooLarge, match="refusing to send"):
-        send_batch(a, 0, _batch_parts(), max_frame_bytes=8)
+        send_batch(a, 0, _batch_parts())
 
 
 def test_zero_length_batch_chunk_is_protocol_error(pair):
@@ -477,25 +489,26 @@ def _reference_batch_stream(src, parts, chunk_ids):
     ) + payload
 
 
-def test_partial_sendmsg_writes_keep_the_batch_wire_format():
+def test_partial_sendmsg_writes_keep_the_batch_wire_format(frame_bound):
     """Gathered sends change no byte on the wire: through a socket
     that takes 1,000 B per sendmsg, a tagged batch far larger than the
     frame bound is the stream pack_parts plus the documented header
     describe, and it decodes back to its parts."""
     bound = 4096
+    frame_bound(bound)
     parts = _batch_parts(n_pairs=2000, seed=4) + [
         KeyValueSet(keys=np.arange(i + 1, dtype=np.uint32), values=np.ones(i + 1))
         for i in range(40)  # many small parts: one write gathers many views
     ]
     chunk_ids = list(range(len(parts)))
     trickle = _TrickleSocket()
-    sent = send_batch(trickle, 6, parts, max_frame_bytes=bound, chunk_ids=chunk_ids)
+    sent = send_batch(trickle, 6, parts, chunk_ids=chunk_ids)
     reference = _reference_batch_stream(6, parts, chunk_ids)
     assert len(reference) > 10 * bound
     assert bytes(trickle.wire) == reference
     assert trickle.calls >= len(reference) // 1000
     assert sent == len(reference) - HEADER.size
-    src, got, tags = recv_batch(_StreamSocket(trickle.wire), max_frame_bytes=bound)
+    src, got, tags = recv_batch(_StreamSocket(trickle.wire))
     assert (src, tags) == (6, chunk_ids)
     _assert_parts_identical(got, parts)
 
@@ -538,18 +551,16 @@ def _owner(array):
     return base.obj if isinstance(base, memoryview) else base
 
 
-def test_received_parts_are_writable_views_into_one_buffer(pair):
+def test_received_parts_are_writable_views_into_one_buffer(pair, frame_bound):
     """recv_batch decodes in place: every part's keys and values view
     the one NumPy buffer the payload was received into, and they
     are writable, like the arrays a pickle used to hand back."""
     a, b = pair
     parts = _batch_parts(n_pairs=4000, seed=5)
-    sender = threading.Thread(
-        target=send_batch, args=(a, 1, parts), kwargs={"max_frame_bytes": 8192},
-        daemon=True,
-    )
+    frame_bound(8192)
+    sender = threading.Thread(target=send_batch, args=(a, 1, parts), daemon=True)
     sender.start()
-    _src, got, _tags = recv_batch(b, max_frame_bytes=8192)
+    _src, got, _tags = recv_batch(b)
     sender.join(timeout=10.0)
     _assert_parts_identical(got, parts)
     arrays = [arr for part in got for arr in (part.keys, part.values)]
@@ -589,17 +600,17 @@ def _fuzz_streams():
     streams = []
     for parts, tags in _fuzz_shapes():
         trickle = _TrickleSocket()
-        send_batch(trickle, 2, parts, max_frame_bytes=1024, chunk_ids=tags,
-                   epoch=FUZZ_EPOCH)
+        send_batch(trickle, 2, parts, chunk_ids=tags, epoch=FUZZ_EPOCH)
         streams.append(bytes(trickle.wire))
     return streams
 
 
-def test_mutated_batch_streams_raise_only_protocol_errors():
+def test_mutated_batch_streams_raise_only_protocol_errors(frame_bound):
     """2,000 seeded mutations of valid BATCH streams (bit flips,
     truncations, 4-byte overwrites, the header's epoch field) through
     recv_batch: each decodes or raises ProtocolError — never TypeError,
     UnicodeDecodeError, a bare ValueError or anything else untyped."""
+    frame_bound(1024)
     rng = np.random.default_rng(2024)
     streams = _fuzz_streams()
     epoch_at = HEADER.size + 4  # after the BATCH header's source rank
@@ -621,8 +632,7 @@ def test_mutated_batch_streams_raise_only_protocol_errors():
             stale = lies[int(rng.integers(0, len(lies)))]
             struct.pack_into("!I", stream, epoch_at, stale)
         try:
-            recv_batch(_StreamSocket(stream), max_frame_bytes=1024,
-                       epoch=FUZZ_EPOCH)
+            recv_batch(_StreamSocket(stream), epoch=FUZZ_EPOCH)
         except ProtocolError:
             continue
         except Exception as exc:  # noqa: BLE001 - the escapes under test
@@ -709,13 +719,14 @@ def test_mutated_manifests_raise_only_codec_errors():
     assert escaped == [], escaped[:5]
 
 
-def test_mutated_frame_headers_raise_only_fabric_errors():
+def test_mutated_frame_headers_raise_only_fabric_errors(frame_bound):
     """1,200 seeded header mutations of valid control frames through
     ``recv_frame``: magic, version and type bytes, and the declared
     length (past the bound, inside it, and short of the payload).
     Each decodes or raises FabricError, and no read is sized past
-    ``max_frame_bytes``."""
+    ``MAX_FRAME_BYTES``."""
     bound = 4096
+    frame_bound(bound)
     payloads = [{"rank": 3, "pid": 41}, [1.5, None, "x" * 200], b"\0" * 900, ()]
     frames = [_frame(MSG_HELLO, pickle.dumps(p)) for p in payloads]
     rng = np.random.default_rng(5)
@@ -738,8 +749,7 @@ def test_mutated_frame_headers_raise_only_fabric_errors():
             struct.pack_into("!Q", frame, 8, lies[int(rng.integers(0, len(lies)))])
         sock = _LoggedStreamSocket(frame)
         try:
-            recv_frame(sock, max_frame_bytes=bound,
-                       expect=MSG_HELLO if case % 8 < 4 else None)
+            recv_frame(sock, expect=MSG_HELLO if case % 8 < 4 else None)
         except FabricError:
             pass
         except Exception as exc:  # noqa: BLE001 - the escapes under test
@@ -750,19 +760,21 @@ def test_mutated_frame_headers_raise_only_fabric_errors():
 
 # -- bound enforcement ------------------------------------------------------
 
-def test_oversized_send_is_refused(pair):
+def test_oversized_send_is_refused(pair, frame_bound):
     a, _ = pair
+    frame_bound(512)
     with pytest.raises(FrameTooLarge):
-        send_frame(a, MSG_HELLO, b"x" * 1024, max_frame_bytes=512)
+        send_frame(a, MSG_HELLO, b"x" * 1024)
 
 
-def test_oversized_declared_length_is_refused_before_allocation(pair):
+def test_oversized_declared_length_is_refused_before_allocation(pair, frame_bound):
     a, b = pair
+    frame_bound(1 << 20)
     # A hand-forged header declaring a huge payload must be rejected
     # from the 16 header bytes alone.
     a.sendall(HEADER.pack(MAGIC, PROTOCOL_VERSION, MSG_HELLO, 1 << 40))
     with pytest.raises(FrameTooLarge):
-        recv_frame(b, max_frame_bytes=1 << 20)
+        recv_frame(b)
 
 
 # -- truncation / disconnect ------------------------------------------------
@@ -1073,7 +1085,6 @@ def test_every_connection_of_a_live_run_disables_nagle(monkeypatch):
     connection and of every shuffle connection it opened."""
     from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
     from repro.core.scheduler import resolve_chunks
-    from repro.core.scheduler import ChunkService
     from repro.fabric import endpoint as endpoint_mod
 
     seen = {"shuffle connect": [], "shuffle accept": []}
@@ -1281,7 +1292,7 @@ def test_error_frame_before_first_pull_surfaces_rank_traceback():
         try:
             eps[0].report(None, None, "Traceback: boom before first pull")
             with pytest.raises(RankFailure, match="boom before first pull"):
-                coord.collect_results()
+                coord.collect_results(ChunkService([], 1))
         finally:
             for ep in eps:
                 ep.close()
@@ -1350,7 +1361,6 @@ def test_first_frame_to_a_rank_is_assign_then_a_retired_rank_is_readmitted():
     from repro.apps.sparse_int_occurrence import sio_dataset, sio_job
     from repro.core.faults import FaultPlan
     from repro.core.scheduler import resolve_chunks
-    from repro.core.scheduler import ChunkService
 
     ds = sio_dataset(4_000, chunk_elements=2_000, key_space=1 << 8, seed=3)
     service = ChunkService(resolve_chunks(ds, None), 2)
@@ -1364,7 +1374,7 @@ def test_first_frame_to_a_rank_is_assign_then_a_retired_rank_is_readmitted():
         for r, sock in enumerate(ranks):
             msg_type, assign = recv_frame(sock)
             assert msg_type == MSG_ASSIGN
-            assert assign["max_frame_bytes"] == coord.max_frame_bytes
+            assert "max_frame_bytes" not in assign
             assert "rejoin" not in assign
             seen[r] = assign["fault"]
         assert seen == {0: {"kill_at_chunk": 1}, 1: {}}
@@ -1421,7 +1431,7 @@ def test_malformed_hello_is_dropped_during_result_collection(payload):
         t = threading.Thread(target=_stray_then_result, daemon=True)
         t.start()
         try:
-            assert [r for r, _o, _s in coord.collect_results()] == [0]
+            assert [r for r, _o, _s in coord.collect_results(ChunkService([], 1))] == [0]
         finally:
             t.join(timeout=10.0)
             rank0.close()
@@ -1461,7 +1471,7 @@ def test_rank_dying_partway_through_its_result_is_a_rank_failure(cut):
         ranks[1].close()
         try:
             with pytest.raises(RankFailure) as failure:
-                coord.collect_results()
+                coord.collect_results(ChunkService([], 2))
         finally:
             ranks[0].close()
     assert failure.value.rank == 1
@@ -1573,3 +1583,33 @@ def test_launch_has_no_rejoin_flag(capsys):
         main(["--coordinator", "127.0.0.1:1", "--rank", "0", "--rejoin"])
     assert exc.value.code == 2
     assert "--rejoin" in capsys.readouterr().err
+
+
+def test_launch_has_no_frame_bound_flag(capsys):
+    """The frame bound is a protocol constant, not a rank setting."""
+    from repro.fabric.launch import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--coordinator", "127.0.0.1:1", "--rank", "0",
+              "--max-frame-bytes", "4096"])
+    assert exc.value.code == 2
+    assert "--max-frame-bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, said",
+    [(["--rank", "-1"], 2, "--rank must be >= 0"),
+     (["--rank", "0", "--auth-key-env", "GPMR_TEST_UNSET_KEY"], 2, "unset or empty"),
+     (["--rank", "0", "--listen-host", "127.0.0.1", "--timeout", "1"], 1,
+      "rank 0 failed")],
+    ids=["negative-rank", "unset-key-env", "unreachable-coordinator"],
+)
+def test_launch_main_error_arms(monkeypatch, capsys, argv, code, said):
+    """In process, ``main`` exits 2 on a negative rank or an unset key
+    variable and 1 on a coordinator it cannot reach, saying why on
+    stderr."""
+    from repro.fabric.launch import main
+
+    monkeypatch.delenv("GPMR_TEST_UNSET_KEY", raising=False)
+    assert main(["--coordinator", "127.0.0.1:1", *argv]) == code
+    assert said in capsys.readouterr().err

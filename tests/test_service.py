@@ -26,6 +26,7 @@ import pytest
 
 from repro.apps import AppRun, lr_dataset, run_lr, sio_dataset, run_sio
 from repro.core.scheduler import JobChunkAuthority
+from repro.fabric import wire
 from repro.fabric.wire import (
     HEADER,
     MAGIC,
@@ -34,10 +35,13 @@ from repro.fabric.wire import (
     MSG_AUTH_RESPONSE,
     MSG_HELLO,
     MSG_JOB_ERROR,
+    MSG_JOB_RESULT,
     MSG_SUBMIT,
     MSG_WELCOME,
     PROTOCOL_VERSION,
     AuthenticationError,
+    ProtocolError,
+    recv_frame,
     recv_raw_frame,
     send_frame,
     send_raw_frame,
@@ -531,6 +535,106 @@ def test_submit_after_the_daemon_closed_fails_at_once():
     finally:
         client.close()
         svc.close()
+
+
+class _UndecodableReply:
+    """Unpickles by calling ``int("not a number")``: a ValueError, not
+    an UnpicklingError."""
+
+    def __reduce__(self):
+        return (int, ("not a number",))
+
+
+def _fake_daemon(listener, welcome, reply):
+    """Serve one client on ``listener``: greet it with ``welcome``,
+    answer its first SUBMIT with ``reply`` (when given), then hold the
+    connection until the client hangs up."""
+    conn, _ = listener.accept()
+    with conn:
+        conn.settimeout(10)
+        send_frame(conn, MSG_WELCOME, welcome)
+        if reply is not None:
+            recv_frame(conn, expect=MSG_SUBMIT)
+            send_frame(conn, MSG_JOB_RESULT, reply)
+        conn.recv(1)
+
+
+def test_undecodable_reply_fails_the_submit_and_every_later_one():
+    """A reply whose unpickling raises ValueError ends the client's
+    reader as a lost connection: the pending submit raises
+    ConnectionError well inside its timeout, and the next refuses at
+    once, instead of both waiting on a reader that died."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(
+            target=_fake_daemon,
+            args=(listener, {"service": "fake"}, _UndecodableReply()),
+            daemon=True,
+        )
+        server.start()
+        client = ServiceClient(*listener.getsockname())
+        try:
+            started = time.monotonic()
+            with pytest.raises(ConnectionError, match="lost"):
+                client.submit("LR", LR_SPEC, n_gpus=2, timeout=3)
+            assert time.monotonic() - started < 2.0
+            started = time.monotonic()
+            with pytest.raises(ConnectionError, match="lost"):
+                client.submit("LR", LR_SPEC, n_gpus=2, timeout=3)
+            assert time.monotonic() - started < 0.5
+        finally:
+            client.close()
+            server.join(timeout=5.0)
+
+
+def test_reply_without_its_fields_fails_only_its_submit():
+    """A JOB_RESULT that unpickles but lacks a field the client reads
+    fails that submit with ProtocolError; the reader lives on."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(
+            target=_fake_daemon,
+            args=(listener, {"service": "fake"}, {"seq": 1}),
+            daemon=True,
+        )
+        server.start()
+        client = ServiceClient(*listener.getsockname())
+        try:
+            with pytest.raises(ProtocolError, match="'app'"):
+                client.submit("LR", LR_SPEC, n_gpus=2, timeout=3)
+            assert client._reader.is_alive()
+        finally:
+            client.close()
+            server.join(timeout=5.0)
+
+
+def test_undecodable_welcome_is_a_protocol_error():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(
+            target=_fake_daemon, args=(listener, _UndecodableReply(), None),
+            daemon=True,
+        )
+        server.start()
+        with pytest.raises(ProtocolError, match="WELCOME"):
+            ServiceClient(*listener.getsockname())
+        server.join(timeout=5.0)
+        assert not server.is_alive()  # the client closed its socket
+
+
+def test_reply_over_the_frame_bound_is_a_job_error(monkeypatch):
+    """A result too large for one frame is answered, for its seq, with
+    a JOB_ERROR naming its size and the bound, and the job counts as
+    failed; the connection serves on.  The daemon is serial, so no rank
+    process inherits the patched bound."""
+    bound = 4096
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", bound)
+    spec = {"n_elements": 20_000, "chunk_elements": 5_000, "seed": 3}
+    with JobService(port=0, default_backend="serial") as svc:
+        with ServiceClient(*svc.address) as client:
+            with pytest.raises(JobFailed, match=r"\d+ B JOB_RESULT.*4096"):
+                client.submit("SIO", spec, n_gpus=2, timeout=10)
+            counters = svc.obs.metrics.snapshot()["counters"]
+            assert counters.get("jobs_failed") == 1
+            assert "jobs_completed" not in counters
+            assert client.metrics()["metrics"]["counters"]["jobs_failed"] == 1
 
 
 def test_pipelined_submissions_one_connection(daemon):
