@@ -86,9 +86,9 @@ class WOMapper(Mapper):
             return KeyValueSet.empty(value_dtype=np.int64, scale=chunk.scale)
         hashes = segmented_poly_hashes(text, starts, lengths)
         slots = self.mph.lookup_hashes(hashes)
-        # ``<slot, 1>`` may become a uniform column like SIO's (see
-        # repro.core.kvset) once a ledger workload can show it:
-        # ``wo_small_cluster`` is fixed-cost only.
+        # ``<slot, 1>`` stays materialised: at ~18 k emissions a chunk,
+        # the accumulator's ``np.add.at`` costs what a uniform column's
+        # ``bincount`` would (see repro.core.kvset); the hash costs more.
         return KeyValueSet(
             keys=slots.astype(np.uint32),
             values=np.ones(len(slots), dtype=np.int64),

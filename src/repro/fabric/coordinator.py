@@ -15,10 +15,10 @@ output batch or ``ERROR``, over the framed wire protocol in
    ranks that are missing (a dead idle rank's replacement); with every
    rank connected it is a no-op.
 2. **Assignment** — once every rank is in, ``ASSIGN`` ships the
-   pickled job, the run's epoch, the frame bound and the full peer
-   directory (rank -> shuffle address).  The first one is the rank's
-   reply to its HELLO; a later one is the next run on the same
-   connection.  Chunks are *not* in the frame: distribution is
+   pickled job, the run's epoch and the full peer directory (rank ->
+   shuffle address); the frame bound is a protocol constant.  The first
+   one is the rank's reply to its HELLO; a later one is the next run on
+   the same connection.  Chunks are *not* in the frame: distribution is
    pull-based (phase 3).
 3. **Chunk service + result collection** — the coordinator multiplexes
    over all rank connections, answering each ``CHUNK_REQ`` from the

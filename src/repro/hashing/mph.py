@@ -5,8 +5,9 @@ in a single instruction"), so the paper assigns each dictionary word a
 unique four-byte integer via a minimal perfect hash [Cichelli 1980].
 We implement a displacement-based MPH in the CHD family:
 
-1. two vectorisable polynomial byte hashes ``h1, h2`` over the word
-   bytes;
+1. two polynomial byte hashes ``h1, h2``, ``h = h * base + (b + 1)``
+   per byte mod 2^64 (Horner's rule, run by the map kernel one byte
+   position at a time over all of a chunk's words);
 2. words are grouped into ``m ~ n / LAMBDA`` buckets by ``h1 % m``;
 3. buckets are placed largest-first: for each bucket we search a
    displacement ``d`` such that ``mix(h2, d) % n`` is a fresh,
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
+
+from ..primitives.sort import longest_first
 
 __all__ = ["PolyHashes", "poly_hashes_bytes", "MinimalPerfectHash", "MPHBuildError"]
 
@@ -72,37 +75,28 @@ def segmented_poly_hashes(
     """Vectorised base hashes for words packed in one byte array.
 
     ``data`` is a uint8 array; word ``i`` is
-    ``data[starts[i] : starts[i] + lengths[i]]``.  The polynomial hash
-    ``h = sum((b + 1) * base^(L - 1 - pos))`` is computed for all words
-    at once with a power table and ``np.add.reduceat`` — this is the
-    map-kernel path, so it must not loop per word.
+    ``data[starts[i] : starts[i] + lengths[i]]``.  This is the
+    map-kernel path, so it loops over byte positions, never over words:
+    with the words sorted longest-first, those that still have a byte at
+    position ``p`` are a prefix, and Horner's rule
+    ``h = h * base + (b + 1)`` advances that prefix for both bases from
+    one shared byte gather.  An empty word hashes to 0.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
+    hashes = [np.zeros(len(starts), dtype=np.uint64) for _ in _BASES]
     if len(starts) == 0:
-        e = np.empty(0, dtype=np.uint64)
-        return PolyHashes(e, e.copy())
-    max_len = int(lengths.max())
-    total = int(lengths.sum())
-
-    # Flatten all word bytes with their in-word positions.
-    within = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    byte_pos = np.repeat(starts, lengths) + within
-    raw = data[byte_pos].astype(np.uint64) + np.uint64(1)
-    # Exponent of the base for each byte: L - 1 - position.
-    exps = (np.repeat(lengths, lengths) - 1 - within).astype(np.int64)
-
-    seg_starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    hashes: List[np.ndarray] = []
-    with np.errstate(over="ignore"):  # modular 2^64 arithmetic is intended
-        for base in _BASES:
-            powers = np.empty(max_len, dtype=np.uint64)
-            powers[0] = 1
-            for p in range(1, max_len):  # max_len is tiny (longest word)
-                powers[p] = (powers[p - 1] * np.uint64(base)) & _MASK64
-            terms = (raw * powers[exps]) & _MASK64
-            sums = np.add.reduceat(terms, seg_starts)
-            hashes.append(sums.astype(np.uint64))
+        return PolyHashes(*hashes)
+    order, alive = longest_first(lengths)
+    pos = starts[order]
+    for k in alive:
+        byte = np.add(data[pos[:k]], 1, dtype=np.uint64)
+        for h, base in zip(hashes, _BASES):
+            h[:k] *= base  # wraps mod 2^64, as intended
+            h[:k] += byte
+        pos[:k] += 1
+    for h in hashes:
+        h[order] = h.copy()
     return PolyHashes(*hashes)
 
 

@@ -43,6 +43,7 @@ from .common import as_1d_array, launch_1d, uniform_element
 from ..hw.kernel import KernelLaunch
 
 __all__ = [
+    "longest_first",
     "radix_sort_pairs",
     "radix_sort_cost",
     "bitonic_sort_cost",
@@ -76,6 +77,17 @@ def _counting_order(digits: np.ndarray, bits: int) -> np.ndarray:
     pass (the narrowing cast keeps exactly the low 8 or 16 bits)."""
     narrow = np.uint8 if bits <= 8 else np.uint16
     return np.argsort(digits.astype(narrow), kind="stable")
+
+
+def longest_first(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable longest-first order of ``lengths`` (a counting sort on
+    the narrowest key dtype) and, per position ``p < max(lengths)``, the
+    count of rows longer than ``p``, which in that order are a prefix."""
+    max_len = int(lengths.max())
+    key = (max_len - lengths).astype(np.min_scalar_type(max_len))
+    order = np.argsort(key, kind="stable")
+    alive = len(lengths) - np.cumsum(np.bincount(lengths, minlength=max_len))
+    return order, alive[:max_len]
 
 
 def radix_sort_pairs(

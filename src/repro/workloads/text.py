@@ -18,6 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .base import Dataset, WorkItem
+from ..primitives.sort import longest_first
 from ..util.rng import generator
 from ..util.validation import check_positive
 
@@ -157,17 +158,18 @@ class TextDataset(Dataset):
         seps = np.where(
             (np.arange(n_words_est) + 1) % self.line_words == 0, 0x0A, 0x20
         ).astype(np.uint8)
-        # Vectorised gather/scatter assembly: copy every word's bytes
-        # from the dictionary blob into its output slot in one shot.
+        # Copy the words from the blob one byte position at a time: in
+        # longest-first order the words still that long are a prefix.
         out_starts = (np.cumsum(lens + 1) - (lens + 1)).astype(np.int64)
         total = int(lens.sum()) + n_words_est
         buf = np.empty(total, dtype=np.uint8)
-        within = np.arange(int(lens.sum())) - np.repeat(
-            np.cumsum(lens) - lens, lens
-        )
-        src = np.repeat(self._blob_offsets[ids], lens) + within
-        dst = np.repeat(out_starts, lens) + within
-        buf[dst] = self._blob[src]
+        order, alive = longest_first(lens)
+        src = self._blob_offsets[ids[order]]
+        dst = out_starts[order]
+        for k in alive:
+            buf[dst[:k]] = self._blob[src[:k]]
+            src[:k] += 1
+            dst[:k] += 1
         buf[out_starts + lens] = seps
         # Logical size tracks the generated bytes exactly so every chunk
         # carries the same integer scale (sample_factor); the nominal

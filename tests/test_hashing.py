@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import (
@@ -10,7 +10,7 @@ from repro.hashing import (
     poly_hashes_bytes,
     segmented_poly_hashes,
 )
-from repro.workloads import build_dictionary
+from repro.workloads import TextDataset, build_dictionary, tokenize
 
 
 def pack_words(words):
@@ -49,16 +49,46 @@ def test_segmented_hashes_empty_batch():
     assert len(seg) == 0
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.binary(min_size=1, max_size=20), min_size=1, max_size=30
-    )
+# Word shapes the length-sorted Horner loop must take: empty words
+# (spans ``(start, 0)``, hash 0), one-byte words, short words, and words
+# past 255 bytes, where the longest-first sort key widens to uint16.
+_WORDS = st.lists(
+    st.one_of(
+        st.just(b""),
+        st.binary(min_size=1, max_size=1),
+        st.binary(min_size=0, max_size=20),
+        st.binary(min_size=256, max_size=300),
+    ),
+    min_size=1,
+    max_size=30,
 )
+# Every word the same length, so no word drops out before the last step.
+_EQUAL_WORDS = st.integers(0, 20).flatmap(
+    lambda n: st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=30)
+)
+# One word past 65,535 bytes: the sort key widens to uint32.
+_PAST_U16 = [b"ab", np.random.default_rng(0).bytes(65_600), b"", b"z"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_WORDS, _EQUAL_WORDS))
+@example(_PAST_U16)
 def test_property_segmented_matches_scalar(words):
     data, starts, lengths = pack_words(words)
     seg = segmented_poly_hashes(data, starts, lengths)
     ref = poly_hashes_bytes(words)
+    np.testing.assert_array_equal(seg.h1, ref.h1)
+    np.testing.assert_array_equal(seg.h2, ref.h2)
+
+
+def test_segmented_hashes_match_scalar_on_a_full_dictionary_chunk():
+    ds = TextDataset(n_chars=1 << 17, chunk_chars=1 << 17, seed=7)
+    text = ds.chunk(0).data
+    starts, lengths = tokenize(text)
+    words = [text[s : s + n].tobytes() for s, n in zip(starts, lengths)]
+    seg = segmented_poly_hashes(text, starts, lengths)
+    ref = poly_hashes_bytes(words)
+    assert len(words) > 10_000
     np.testing.assert_array_equal(seg.h1, ref.h1)
     np.testing.assert_array_equal(seg.h2, ref.h2)
 

@@ -11,6 +11,7 @@ from repro.workloads import (
     TextDataset,
     tokenize,
 )
+from repro.util.rng import generator
 
 
 # -- integers -----------------------------------------------------------------
@@ -128,6 +129,42 @@ def test_text_dataset_sampled_chunk_smaller():
     assert samp.chunk(0).logical_items == pytest.approx(
         full.chunk(0).logical_items, rel=0.01
     )
+
+
+def _plain_corpus(ds, index):
+    """Chunk ``index`` of ``ds`` assembled word by word in plain Python,
+    from the same RNG draw ``TextDataset.chunk`` makes."""
+    logical = min(ds.chunk_chars, ds.n_chars - index * ds.chunk_chars)
+    target = max(16, logical // ds.sample_factor)
+    mean_word = sum(map(len, ds.dictionary)) / len(ds.dictionary) + 1.0
+    n_words = max(1, int(target / mean_word))
+    ids = generator(ds.seed, stream=(index,)).integers(
+        0, len(ds.dictionary), size=n_words
+    )
+    out = bytearray()
+    for j, i in enumerate(ids.tolist()):
+        out += ds.dictionary[i]
+        out += b"\n" if (j + 1) % ds.line_words == 0 else b" "
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n_chars=1 << 16, chunk_chars=1 << 14, n_words=500, seed=3, sample_factor=4),
+        dict(n_chars=10_000, chunk_chars=3_000, n_words=300, line_words=5, seed=1),
+        dict(n_chars=1 << 17, chunk_chars=1 << 17, seed=7),
+    ],
+    ids=["sampled", "short-last-chunk", "43k-dictionary"],
+)
+def test_text_dataset_bytes_match_plain_assembly(kwargs):
+    ds = TextDataset(**kwargs)
+    for i in range(ds.n_chunks):
+        item = ds.chunk(i)
+        assert item.data.tobytes() == _plain_corpus(ds, i)
+        size = len(item.data) * ds.sample_factor
+        assert ds.chunk_meta(i) == (size, size)
+        assert (item.logical_items, item.logical_bytes) == (size, size)
 
 
 # -- points ---------------------------------------------------------------------
