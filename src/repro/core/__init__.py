@@ -51,7 +51,6 @@ from .partitioner import (
 )
 from .reducer import Reducer
 from .scheduler import (
-    RETRY,
     Assignment,
     ChunkService,
     ScheduleGrant,
@@ -92,7 +91,6 @@ __all__ = [
     "KeyValueSet",
     "Chunk",
     "ChunkService",
-    "RETRY",
     "ScheduleGrant",
     "ScheduleTrace",
     "Assignment",

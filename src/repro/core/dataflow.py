@@ -70,8 +70,7 @@ class MapPhaseOutput:
     bytes_binned_by_dest: List[int] = field(default_factory=list)
     #: ``part_chunk_ids[dest][i]`` = id of the chunk that produced
     #: ``parts[dest][i]``, or -1 for finish-time (accumulate/combine)
-    #: emissions — the provenance tag speculative-duplicate dedup keys
-    #: on at the receivers
+    #: emissions — the provenance tag each part carries on the wire
     part_chunk_ids: List[List[int]] = field(default_factory=list)
 
     def bytes_self(self, rank: int) -> int:
@@ -265,27 +264,13 @@ def merge_incoming(batches: Sequence[Tuple]) -> List[KeyValueSet]:
     ``batches`` holds one entry per source, in arbitrary arrival order:
     ``(source_rank, parts)``, or ``(source_rank, parts, chunk_ids)``
     with one provenance tag per part (the chunk that produced it, -1
-    for finish-time emissions).  When tags are present, duplicate map
-    output from speculative re-execution is dropped here: the *first*
-    part per tagged chunk in canonical order is kept — deterministic,
-    and bit-identical to any other choice because duplicate copies of a
-    chunk's map output are themselves bit-identical.
+    for finish-time emissions).  A chunk has one live grant at a time
+    and a dead holder's output never ships, so the batches hold each
+    chunk's map output once.
     """
-    ordered = sorted(batches, key=lambda item: item[0])
     merged: List[KeyValueSet] = []
-    seen_chunks: set = set()
-    for entry in ordered:
-        src, parts = entry[0], entry[1]
-        chunk_ids = entry[2] if len(entry) > 2 and entry[2] is not None else None
-        if chunk_ids is None:
-            merged.extend(parts)
-            continue
-        for part, cid in zip(parts, chunk_ids):
-            if cid >= 0:
-                if cid in seen_chunks:
-                    continue
-                seen_chunks.add(cid)
-            merged.append(part)
+    for entry in sorted(batches, key=lambda item: item[0]):
+        merged.extend(entry[1])
     return merged
 
 

@@ -21,7 +21,7 @@ that dataflow executes:
   same real dataflow, run rank-by-rank in the current process.
 
 There is one driver, :meth:`Executor.run`: it resolves the chunks,
-pre-flights the (job, fault plan, schedule) triple, opens the pull
+pre-flights the (fault plan, schedule) pair, opens the pull
 authority, calls the one backend-specific step (:meth:`_run_ranks`),
 checks that every chunk was granted and closes the job.  The settings
 every backend shares (``initial_distribution``, ``fault_plan``) are
@@ -98,11 +98,6 @@ class Executor:
     #: registry name of the backend ("sim", "local", ...)
     name: str = "abstract"
 
-    #: False on backends whose ranks can never straggle behind idle
-    #: ones (the sim's modeled clock, serial's one-rank-at-a-time
-    #: loop): a ``speculate_after`` plan has nothing to hedge there
-    can_speculate: bool = True
-
     def __init__(
         self,
         n_workers: int,
@@ -122,13 +117,6 @@ class Executor:
             )
         if fault_plan is not None:
             fault_plan.validate_for(n_workers)
-            if fault_plan.speculate_after is not None and not self.can_speculate:
-                raise ValueError(
-                    f"speculate_after is not supported on the {self.name} "
-                    "backend: its ranks never straggle behind idle ones "
-                    "(the sim runs on modeled time, serial runs its ranks "
-                    "one at a time)"
-                )
         self.n_workers = int(n_workers)
         #: where each run's chunks start before any stealing
         self.initial_distribution = initial_distribution
@@ -185,9 +173,9 @@ class Executor:
         if self.fused is not None and job.config.fused != bool(self.fused):
             job = job.with_config(fused=bool(self.fused))
         all_chunks = resolve_chunks(dataset, chunks)
-        # Replay and plan validation happen here, in the driver, before
-        # any process exists — a bad run fails fast with full context.
-        self._preflight(job, schedule)
+        # Replay validation happens here, in the driver, before any
+        # process exists — a bad run fails fast with full context.
+        self._preflight(schedule)
         obs = self.obs
         if obs is not None:
             # One executor observes one run at a time: the bundle starts
@@ -208,14 +196,12 @@ class Executor:
         # written independently; they must agree rank for rank, or the
         # recorded trace would not describe the run it came from.
         service.validate_ledgers(worker_stats)
-        service.record_outcomes()
         stats = JobStats(
             job_name=job.name,
             n_gpus=self.n_workers,
             elapsed=elapsed,
             workers=worker_stats,
             chunks_reclaimed=service.chunks_reclaimed,
-            speculative_wins=service.speculative_wins,
             retries_by_worker=list(service.retries_by_worker),
             clock="wall" if modeled is None else "simulated",
         )
@@ -250,32 +236,15 @@ class Executor:
         """
         raise NotImplementedError
 
-    def _preflight(
-        self, job: MapReduceJob, schedule: Optional[ScheduleTrace]
-    ) -> None:
-        """Reject (job, fault plan, schedule) combinations that cannot
-        keep the bit-parity contract — one rule for every backend."""
-        fault = self.fault_plan
-        if fault is None:
-            return
-        if schedule is not None:
+    def _preflight(self, schedule: Optional[ScheduleTrace]) -> None:
+        """Reject a fault plan on a replayed run — one rule for every
+        backend: a recorded trace already fixes every grant, and
+        recovery would diverge from it."""
+        if self.fault_plan is not None and schedule is not None:
             raise ValueError(
                 "fault_plan and schedule replay are mutually exclusive: a "
                 "recorded trace already fixes every grant, so there is "
-                "nothing to reclaim or speculate"
-            )
-        if fault.speculate_after is None:
-            return
-        # Receivers drop a speculative duplicate by the chunk id tagged
-        # on each emitted part.  Emissions made at finish time fold
-        # many chunks into one untagged part, so a duplicated chunk
-        # inside them cannot be told apart.
-        if job.accumulator is not None or job.combiner is not None:
-            raise ValueError(
-                "speculate_after requires chunk-tagged map emissions; job "
-                f"{job.name!r} emits at finish time (an accumulator or a "
-                "combiner), and finish-time output cannot be de-duplicated "
-                "per chunk"
+                "nothing to reclaim"
             )
 
     # -- reusable lifecycle ------------------------------------------------
@@ -345,7 +314,6 @@ class Executor:
         obs: Optional[Observability],
     ) -> ChunkService:
         """Build the run's private pull authority."""
-        fault = self.fault_plan
         return ChunkService(
             chunks,
             self.n_workers,
@@ -353,7 +321,6 @@ class Executor:
             enable_stealing=job.config.enable_stealing,
             schedule=schedule,
             context=job.name,
-            speculate_after=None if fault is None else fault.speculate_after,
             obs=obs,
         )
 
@@ -423,7 +390,7 @@ def make_executor(backend: str, n_workers: int, **kwargs) -> Executor:
     :class:`~repro.core.config.PipelineConfig`).  How far ahead a rank
     pulls is not a setting: a ``local``/``cluster`` rank keeps one
     request ahead of the chunk it maps
-    (:data:`~repro.core.scheduler.PULL_AHEAD`).
+    (:data:`~repro.exec.rank.PULL_AHEAD`).
 
     ``executor=`` short-circuits construction with a pre-built
     instance — the job service's warm-pool path: every app's ``run_*``

@@ -7,7 +7,7 @@ return them to the pool (:meth:`~repro.core.scheduler.ChunkService.
 reclaim`) the moment a worker dies.  A :class:`FaultPlan` is the one
 object that configures all of it — what to break (deterministic kill
 and stall injection, so tests and benchmarks can script a failure) and
-how to recover (respawn budget, straggler speculation):
+how to recover (the respawn budget):
 
 * ``kill_rank_at_chunk`` — ``{rank: n}``: the rank SIGKILLs itself (or,
   on the sim/serial mirrors, models its death through
@@ -18,13 +18,7 @@ how to recover (respawn budget, straggler speculation):
   run.
 * ``stall_seconds`` — ``{rank: seconds}``: sleep before each of that
   rank's chunk requests (modeled time on the sim), making it a
-  straggler whose queued chunks get stolen — and, with speculation on,
-  whose in-flight chunks get re-executed.
-* ``speculate_after`` — age in seconds after which a grant still held
-  by an un-posted worker may be *speculatively* re-granted to an idle
-  worker.  Both copies map the chunk; receivers keep exactly one
-  (first in canonical source-major order), so duplicate map output
-  never double-counts.
+  straggler whose queued chunks get stolen.
 * ``max_respawns`` — per-rank replacement budget; a rank that dies
   more often, or dies after posting its shuffle batches (nothing left
   to reclaim — the unit of loss is the whole un-posted map phase), is
@@ -61,9 +55,6 @@ class FaultPlan:
     kill_rank_at_chunk: Mapping[int, int] = field(default_factory=dict)
     #: rank -> seconds slept before each of its chunk requests
     stall_seconds: Mapping[int, float] = field(default_factory=dict)
-    #: grant age (seconds) that triggers speculative re-execution;
-    #: None disables speculation
-    speculate_after: Optional[float] = None
     #: how many times each rank may be replaced before the run fails
     max_respawns: int = 1
 
@@ -91,11 +82,6 @@ class FaultPlan:
                 raise ValueError(
                     f"stall_seconds[{rank}] = {seconds}; must be >= 0"
                 )
-        if self.speculate_after is not None and self.speculate_after <= 0:
-            raise ValueError(
-                f"speculate_after = {self.speculate_after}; must be > 0 "
-                "(or None to disable speculation)"
-            )
         if self.max_respawns < 0:
             raise ValueError(f"max_respawns = {self.max_respawns}; must be >= 0")
 

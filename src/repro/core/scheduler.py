@@ -10,8 +10,10 @@ transfer when victim and thief live on different nodes.
 
 The service is the one thread-safe, driver-side pull authority of
 every backend — the sim's event loop, the serial backend's interleaved
-rank loop, the local backend's service thread and the cluster
-coordinator's ``CHUNK_REQ`` frames alike.  Replaying a recorded
+rank loop and the coordinator's ``CHUNK_REQ`` frames (``local`` and
+``cluster``) alike.  Balancing is work stealing only: a chunk has at
+most one live grant, and is granted again only after its holder died
+and :meth:`ChunkService.reclaim` returned it.  Replaying a recorded
 :class:`ScheduleTrace` is not a second scheduler: the same service
 fills its per-worker queues with the trace's grants and serves them
 through the same ledger-writing grant path.  :class:`JobChunkAuthority`
@@ -21,7 +23,6 @@ keys many jobs' services by job id; only the perf ledger uses it.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -34,11 +35,8 @@ __all__ = [
     "ChunkService",
     "JobChunkAuthority",
     "DISTRIBUTIONS",
-    "PULL_AHEAD",
     "GRANT_CHUNK",
     "GRANT_DONE",
-    "GRANT_RETRY",
-    "RETRY",
     "ScheduleGrant",
     "ScheduleTrace",
     "resolve_chunks",
@@ -47,16 +45,6 @@ __all__ = [
 
 #: Deterministic initial chunk distributions shared by all backends.
 DISTRIBUTIONS = ("round_robin", "single")
-
-
-#: The pull window beyond the chunk being mapped: a rank keeps this
-#: many chunk requests in flight ahead of its map, so the grant
-#: round-trip (and the payload materialisation behind it) overlaps map
-#: compute — GPMR's one-ahead double buffer.  A protocol constant:
-#: :class:`~repro.exec.rank.GrantPuller` pipelines ``1 + PULL_AHEAD``
-#: requests and :meth:`ChunkService.request` proves grants mapped on
-#: that same count.
-PULL_AHEAD = 1
 
 
 def resolve_chunks(
@@ -113,25 +101,9 @@ def distribute_chunks(
     return out
 
 
-class _Retry:
-    """Singleton "ask again shortly" answer to a chunk request.
-
-    Returned (only on speculation-enabled runs) to an idle worker while
-    other un-posted workers still hold in-flight grants that may age
-    into speculative re-execution — ``None`` would end the worker's
-    pull loop before the straggler's chunks became stealable.
-    """
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "RETRY"
-
-
-#: the tri-state pull answer: Assignment | RETRY | None (done)
-RETRY = _Retry()
-
-#: status codes of the same answer once it leaves the driver for a
-#: rank: every transport ships a ``(status, chunk, victim)`` triple
-GRANT_DONE, GRANT_CHUNK, GRANT_RETRY = 0, 1, 2
+#: status codes of a pull answer once it leaves the driver for a rank:
+#: every transport ships a ``(status, chunk, victim)`` triple
+GRANT_DONE, GRANT_CHUNK = 0, 1
 
 
 class Assignment(NamedTuple):
@@ -291,16 +263,14 @@ class ChunkService:
     Every backend's chunk distribution goes through one of these.  The
     service keeps one queue per worker and answers each worker's "next
     chunk?" at runtime: local work first, then a steal from the tail of
-    the *longest* queue, then — with ``speculate_after`` set — a
-    duplicate of an aged in-flight grant.  With a recorded ``schedule``
-    the queues hold that trace's grants instead, and each worker is
-    served its own in trace order, recorded victims included, so steal
-    pricing replays identically.  Either way every grant goes through
-    :meth:`_grant`, which writes every ledger — the live
-    :class:`ScheduleTrace`, the per-worker granted / steal / retry
-    counts, and chunk ownership — so any run (sim, serial, local or
-    cluster) leaves behind a schedule the other backends can replay
-    bit-for-bit.
+    the *longest* queue.  With a recorded ``schedule`` the queues hold
+    that trace's grants instead, and each worker is served its own in
+    trace order, recorded victims included, so steal pricing replays
+    identically.  Either way every grant goes through :meth:`_grant`,
+    which writes every ledger — the :attr:`trace`, the per-worker steal
+    and retry counts, and chunk ownership — so any run (sim, serial,
+    local or cluster) leaves behind a schedule the other backends can
+    replay bit-for-bit.  A chunk has at most one live grant.
 
     Ownership: a granted chunk stays charged to its worker until the
     worker posts its shuffle batches (:meth:`mark_posted`), because
@@ -308,28 +278,15 @@ class ChunkService:
     of loss under a worker death is every un-posted grant.
     :meth:`reclaim` returns a dead worker's grants to the pool and
     erases that incarnation from the trace and ledgers, so survivors or
-    a respawned replacement re-pull them.  A replay re-issues a
-    schedule that already survived its run, and recovery would diverge
-    from it: under replay no death is recoverable and :meth:`reclaim`
-    refuses.
-
-    Speculation: an idle worker's request may be answered with a
-    *duplicate* of a chunk another un-posted worker has held in flight
-    for longer than ``speculate_after`` seconds (and one queued chunk is
-    then enough to steal, so a straggler's queue drains completely).
-    At most two copies of a chunk are live; receivers keep exactly one
-    (see :func:`repro.core.dataflow.merge_incoming`), and :attr:`trace`
-    keeps only the kept copy's grant, so it still grants every chunk
-    exactly once.  Which grants are still in flight is read off the
-    :data:`PULL_AHEAD` window (see :meth:`request`); a worker that pulls
-    fewer ahead (the sim's faulted ranks, serial) only proves its
-    grants mapped later, and only speculation, which those backends
-    refuse, reads the split.
+    a respawned replacement re-pull them; a re-grant of a reclaimed
+    chunk is a retry.  A replay re-issues a schedule that already
+    survived its run, and recovery would diverge from it: under replay
+    no death is recoverable and :meth:`reclaim` refuses.
 
     Requests are serialised under a lock: the sim calls :meth:`request`
     from its event loop, the serial backend from its interleaved rank
-    loop, the local backend from a driver-side service thread, and the
-    cluster coordinator for each ``CHUNK_REQ`` control frame.
+    loop, and the cluster coordinator for each ``CHUNK_REQ`` control
+    frame.
     """
 
     #: a victim must have at least this many chunks queued to be robbed
@@ -344,7 +301,6 @@ class ChunkService:
         enable_stealing: bool = True,
         schedule: Optional[ScheduleTrace] = None,
         context: Optional[str] = None,
-        speculate_after: Optional[float] = None,
         obs=None,
     ) -> None:
         if n_workers < 1:
@@ -357,13 +313,7 @@ class ChunkService:
         self.obs.metrics.gauge("chunks_total").set(len(chunks))
         #: True when grants come from a recorded trace, not live stealing
         self.replaying = schedule is not None
-        if self.replaying and speculate_after is not None:
-            raise ValueError(
-                "speculation cannot run under a replayed schedule; "
-                "the trace already fixes every grant"
-            )
         self.enable_stealing = enable_stealing
-        self.speculate_after = speculate_after
         #: worker -> what it is served next, in order: queued chunks on
         #: a live run; under replay, its traced grants as Assignments
         self._queues: List[Deque] = [deque() for _ in range(n)]
@@ -377,31 +327,19 @@ class ChunkService:
             for g in schedule:
                 self._queues[g.worker].append(Assignment(by_id[g.chunk_id], g.victim))
 
-        #: every grant as issued, speculation duplicates included
-        self.raw_trace = ScheduleTrace()
+        #: the run's recorded schedule: every grant of a live
+        #: incarnation, in grant order
+        self.trace = ScheduleTrace()
         self.steals = 0
         self.steals_by_worker: List[int] = [0] * n
-        #: grants per worker including speculative losers (what each
-        #: worker really mapped — the ledger-validation ground truth)
-        self.granted_by_worker: List[int] = [0] * n
-        #: re-granted chunks per worker: reclaimed re-grants + duplicates
+        #: re-grants of reclaimed chunks, per worker
         self.retries_by_worker: List[int] = [0] * n
         #: chunks returned to the pool by :meth:`reclaim`, total
         self.chunks_reclaimed = 0
-        #: worker -> its answers not yet proven consumed, oldest first:
-        #: the granted chunk id, or None for a RETRY/done answer
-        self._unproven: List[Deque[Optional[int]]] = [deque() for _ in range(n)]
-        #: worker -> {chunk_id: (chunk, grant_monotonic)} granted and
-        #: *in flight*: not proven mapped yet — the speculation candidates
-        self._outstanding: List[Dict[int, Tuple[Chunk, float]]] = [{} for _ in range(n)]
-        #: worker -> {chunk_id: chunk} proven mapped but not yet posted —
-        #: still reclaimable on death, no longer speculation bait
-        self._mapped: List[Dict[int, Chunk]] = [{} for _ in range(n)]
-        #: worker -> chunk ids it posted shuffle output for
-        self._completed: List[Set[int]] = [set() for _ in range(n)]
+        #: worker -> {chunk_id: chunk} granted and not yet posted, in
+        #: grant order: what a death of the worker loses
+        self._held: List[Dict[int, Chunk]] = [{} for _ in range(n)]
         self._posted: List[bool] = [False] * n
-        #: chunk_id -> grantee workers, in grant order (len 2 == speculated)
-        self._grantees: Dict[int, List[int]] = {}
         #: chunk ids that went back to the pool at least once
         self._reclaimed_ids: Set[int] = set()
         # One lock over every ledger: a reclaim on the recovery path
@@ -409,41 +347,18 @@ class ChunkService:
         self._lock = threading.RLock()
 
     # -- dispatch ----------------------------------------------------------
-    def request(self, worker: int):
-        """The worker's next chunk (with its victim rank), None when
-        the worker is done, or :data:`RETRY` when a speculation-enabled
-        run wants the idle worker to ask again shortly.  Thread-safe;
-        grant order is total."""
+    def request(self, worker: int) -> Optional[Assignment]:
+        """The worker's next chunk (with its victim rank), or None when
+        the worker is done.  Thread-safe; grant order is total."""
         if not 0 <= worker < self.n_workers:
             raise ValueError(f"worker {worker} out of range")
         with self._lock:
-            # A worker's pull loop keeps ``W = 1 + PULL_AHEAD`` requests in
-            # flight and tops the window up only after it has mapped
-            # what its last answer granted, so its request number
-            # ``W + i`` proves every grant among its first ``i`` answers
-            # mapped — RETRY/done answers count as answers.  The
-            # proven-mapped grants stop being speculation candidates
-            # (duplicating finished work is pure waste) but stay
-            # reclaimable until the worker posts; answers still unproven
-            # may sit unread in the worker's pipeline — a stalled
-            # prefetcher's buffered chunk is exactly what speculation
-            # must be allowed to duplicate.
-            unproven = self._unproven[worker]
-            while len(unproven) > PULL_AHEAD:
-                cid = unproven.popleft()
-                if cid in self._outstanding[worker]:
-                    chunk, _granted_at = self._outstanding[worker].pop(cid)
-                    self._mapped[worker][cid] = chunk
             answer = self._next_for(worker)
-            if isinstance(answer, Assignment):
-                unproven.append(answer.chunk.index)
-                if self.obs.enabled:
-                    self._record_grant(worker, answer)
-            else:
-                unproven.append(None)
+            if answer is not None and self.obs.enabled:
+                self._record_grant(worker, answer)
             return answer
 
-    def _next_for(self, worker: int):
+    def _next_for(self, worker: int) -> Optional[Assignment]:
         q = self._queues[worker]
         if self.replaying:
             return self._grant(worker, *q.popleft()) if q else None
@@ -452,77 +367,28 @@ class ChunkService:
         if not self.enable_stealing:
             return None
         victim = max(range(self.n_workers), key=lambda w: len(self._queues[w]))
-        # With speculation armed a single queued chunk is stealable
-        # too: a straggler's queue must drain, not just shrink.
-        min_queue = 1 if self.speculate_after is not None else self.MIN_VICTIM_QUEUE
-        if len(self._queues[victim]) >= min_queue:
-            # Steal from the tail: the victim is about to work the head.
-            return self._grant(worker, self._queues[victim].pop(), victim)
-        if self.speculate_after is None:
+        if len(self._queues[victim]) < self.MIN_VICTIM_QUEUE:
             return None
-        return self._speculate(worker)
+        # Steal from the tail: the victim is about to work the head.
+        return self._grant(worker, self._queues[victim].pop(), victim)
 
     def _grant(self, worker: int, chunk: Chunk, victim: int) -> Assignment:
         """Record one grant in every ledger and hand the chunk out."""
         if victim != worker:
             self.steals += 1
             self.steals_by_worker[worker] += 1
-        self.raw_trace.record(worker, chunk.index, victim)
-        self.granted_by_worker[worker] += 1
-        grantees = self._grantees.setdefault(chunk.index, [])
-        if grantees or chunk.index in self._reclaimed_ids:
-            # A duplicate (speculative) copy or a reclaimed re-grant:
-            # either way this worker is re-executing lost/late work.
+        if chunk.index in self._reclaimed_ids:
             self.retries_by_worker[worker] += 1
-        grantees.append(worker)
-        self._outstanding[worker][chunk.index] = (chunk, time.monotonic())
+        self.trace.record(worker, chunk.index, victim)
+        self._held[worker][chunk.index] = chunk
         return Assignment(chunk=chunk, victim=victim)
-
-    def _speculate(self, worker: int):
-        """Duplicate the oldest over-age in-flight grant, or RETRY/None.
-
-        Only chunks held by *other, un-posted* workers qualify, each at
-        most once (two copies total).  While any such worker still
-        holds un-duplicated work the answer is :data:`RETRY` — the
-        requester asks again rather than leaving — and only when no
-        speculative grant can ever materialise does the worker get its
-        final ``None``.
-        """
-        now = time.monotonic()
-        best: Optional[Tuple[float, int, Chunk]] = None
-        more_later = False
-        for w in range(self.n_workers):
-            if w == worker or self._posted[w]:
-                continue
-            if self._queues[w]:
-                more_later = True
-            for cid, (chunk, granted_at) in self._outstanding[w].items():
-                if len(self._grantees.get(cid, ())) > 1:
-                    continue  # already double-granted
-                if now - granted_at < self.speculate_after:
-                    more_later = True
-                    continue
-                if best is None or granted_at < best[0]:
-                    best = (granted_at, w, chunk)
-        if best is not None:
-            _, holder, chunk = best
-            return self._grant(worker, chunk, holder)
-        return RETRY if more_later else None
 
     def _record_grant(self, worker: int, a: Assignment) -> None:
         """Trace one grant (caller holds the lock and checked enabled)."""
         tracer = self.obs.tracer
         metrics = self.obs.metrics
         cid = a.chunk.index
-        # More than one live grantee means this grant is a speculative
-        # duplicate of an aged in-flight chunk, not a queue steal.
-        if len(self._grantees[cid]) > 1:
-            tracer.event("grant", rank=worker, chunk=cid,
-                         victim=a.victim, speculative=True)
-            tracer.event("speculate", rank=worker, chunk=cid,
-                         holder=a.victim)
-            metrics.counter("speculative_grants").inc()
-        elif a.victim != worker:
+        if a.victim != worker:
             tracer.event("grant", rank=worker, chunk=cid,
                          victim=a.victim, steal=True)
             tracer.event("steal", rank=worker, chunk=cid,
@@ -546,15 +412,11 @@ class ChunkService:
             return not self.replaying and not self._posted[worker]
 
     def mark_posted(self, worker: int) -> None:
-        """The worker's shuffle batches are on their way: its grants
-        move from outstanding to completed and it leaves the pool of
-        recoverable / speculation-eligible workers."""
+        """The worker's shuffle batches are on their way: it holds no
+        reclaimable grant any more."""
         with self._lock:
             self._posted[worker] = True
-            self._completed[worker].update(self._mapped[worker])
-            self._completed[worker].update(self._outstanding[worker])
-            self._mapped[worker].clear()
-            self._outstanding[worker].clear()
+            self._held[worker].clear()
 
     def reclaim(self, worker: int) -> int:
         """Return a dead worker's un-posted grants to the pool.
@@ -563,10 +425,7 @@ class ChunkService:
         queue, in grant order — its replacement pulls them back first,
         or survivors steal them — and erases the dead incarnation from
         the trace and per-worker ledgers, since none of its map output
-        survived.
-        Chunks that also have a live speculative copy elsewhere are
-        *not* re-queued (the surviving copy covers them).  Returns the
-        number of chunks re-queued.
+        survived.  Returns the number of chunks re-queued.
         """
         with self._lock:
             if self.replaying:
@@ -579,97 +438,27 @@ class ChunkService:
                     f"cannot reclaim worker {worker}: it already posted its "
                     "shuffle batches"
                 )
-            lost = list(self._mapped[worker].values()) + [
-                chunk for chunk, _t in self._outstanding[worker].values()
-            ]
-            self._mapped[worker].clear()
-            self._outstanding[worker].clear()
-            # The replacement incarnation opens a fresh pull window.
-            self._unproven[worker].clear()
-            requeue = []
-            for chunk in lost:
-                grantees = self._grantees.get(chunk.index, [])
-                if worker in grantees:
-                    grantees.remove(worker)
-                self._reclaimed_ids.add(chunk.index)
-                if not grantees:  # else a speculative copy is in flight
-                    requeue.append(chunk)
+            lost = list(self._held[worker].values())
+            self._held[worker].clear()
+            self._reclaimed_ids.update(c.index for c in lost)
             # Back at the head, in grant order: the replacement pulls
             # the sequence the dead incarnation pulled, so an
             # order-sensitive fold sees the clean run's chunk order.
-            self._queues[worker].extendleft(reversed(requeue))
-            requeued = len(requeue)
+            self._queues[worker].extendleft(reversed(lost))
             # The dead incarnation mapped nothing durable; drop its
             # grants so the trace stays a grants-every-chunk-once schedule.
-            self.raw_trace.grants = [
-                g for g in self.raw_trace.grants if g.worker != worker
+            self.trace.grants = [
+                g for g in self.trace.grants if g.worker != worker
             ]
             self.steals -= self.steals_by_worker[worker]
             self.steals_by_worker[worker] = 0
-            self.granted_by_worker[worker] = 0
             self.retries_by_worker[worker] = 0
-            self.chunks_reclaimed += requeued
-            self.obs.tracer.event("reclaim", rank=worker,
-                                  requeued=requeued)
-            self.obs.metrics.counter("chunks_reclaimed").inc(requeued)
-            return requeued
-
-    # -- speculation outcome -------------------------------------------------
-    def _winners(self) -> Dict[int, int]:
-        """chunk_id -> kept worker, for every double-granted chunk.
-
-        The kept copy is the first in canonical source-major order
-        among grantees that completed — exactly the copy
-        :func:`repro.core.dataflow.merge_incoming` keeps at the
-        reducers, so the effective trace and the data agree.
-        """
-        winners: Dict[int, int] = {}
-        for cid, grantees in self._grantees.items():
-            if len(grantees) < 2:
-                continue
-            completers = [w for w in grantees if cid in self._completed[w]]
-            winners[cid] = min(completers if completers else grantees)
-        return winners
-
-    @property
-    def speculative_wins(self) -> int:
-        """Speculated chunks whose *duplicate* copy is the kept one."""
-        return sum(
-            winner != self._grantees[cid][0]
-            for cid, winner in self._winners().items()
-        )
-
-    def record_outcomes(self) -> None:
-        """Trace end-of-run speculation outcomes (no-op when untraced).
-
-        Emits one ``speculation_win``/``speculation_loss`` event per
-        double-granted chunk, attributed to the kept copy's rank —
-        known only once the run completes, hence recorded here rather
-        than at grant time.  Executors call this right before they
-        build :class:`~repro.core.stats.JobStats`.
-        """
-        if not self.obs.enabled:
-            return
-        with self._lock:
-            for cid, winner in self._winners().items():
-                name = ("speculation_win" if winner != self._grantees[cid][0]
-                        else "speculation_loss")
-                self.obs.tracer.event(name, rank=winner, chunk=cid)
+            self.chunks_reclaimed += len(lost)
+            self.obs.tracer.event("reclaim", rank=worker, requeued=len(lost))
+            self.obs.metrics.counter("chunks_reclaimed").inc(len(lost))
+            return len(lost)
 
     # -- ledgers -------------------------------------------------------------
-    @property
-    def trace(self) -> ScheduleTrace:
-        """The run's recorded schedule: every chunk granted exactly
-        once (speculation losers filtered, reclaimed incarnations
-        erased) — the replayable effective schedule."""
-        winners = self._winners()
-        if not winners:
-            return self.raw_trace
-        return ScheduleTrace(
-            g for g in self.raw_trace.grants
-            if g.chunk_id not in winners or g.worker == winners[g.chunk_id]
-        )
-
     @property
     def remaining(self) -> int:
         """Chunks (or, under replay, traced grants) not yet handed out."""
@@ -690,10 +479,7 @@ class ChunkService:
         ``chunks_stolen`` (the backends' ``WorkerStats``).
         """
         where = f" [{self.context}]" if self.context else ""
-        # The granted ledger, not the effective trace: a speculation
-        # loser really mapped its duplicate chunk even though the
-        # effective schedule drops that grant.
-        counts = self.granted_by_worker
+        counts = self.chunk_counts()
         steals = self.steals_by_worker
         for w in worker_stats:
             if w.chunks_mapped != counts[w.rank]:
@@ -747,11 +533,6 @@ class JobChunkAuthority:
             self._jobs[job_id] = service
             return service
 
-    def get(self, job_id: str) -> ChunkService:
-        """The live service for ``job_id`` (KeyError when not open)."""
-        with self._lock:
-            return self._jobs[job_id]
-
     def close_job(self, job_id: str) -> ChunkService:
         """Retire a job's namespace and return its (final) service.
 
@@ -760,12 +541,3 @@ class JobChunkAuthority:
         """
         with self._lock:
             return self._jobs.pop(job_id)
-
-    @property
-    def remaining(self) -> int:
-        """Undelivered chunks across every open job."""
-        with self._lock:
-            return sum(s.remaining for s in self._jobs.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<JobChunkAuthority jobs={len(self._jobs)}>"

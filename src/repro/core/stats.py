@@ -85,12 +85,8 @@ class JobStats:
     #: chunks the scheduler re-queued after worker deaths (0 on a
     #: failure-free run)
     chunks_reclaimed: int = 0
-    #: speculated chunks whose duplicate copy is the one the reducers
-    #: kept (first-in-canonical-order wins; see FaultPlan.speculate_after)
-    speculative_wins: int = 0
-    #: per-worker count of re-executed grants — reclaimed re-grants
-    #: plus speculative duplicates — in rank order; empty when the
-    #: backend ran without a fault plan's machinery engaged
+    #: per-worker count of re-executed grants (re-grants of reclaimed
+    #: chunks), in rank order
     retries_by_worker: List[int] = field(default_factory=list)
     #: what :attr:`elapsed` measures: ``"simulated"`` (the sim backend's
     #: modeled clock) or ``"wall"`` (real backends' wall-clock)
@@ -162,7 +158,6 @@ class JobStats:
             "elapsed": self.elapsed,
             "clock": self.clock,
             "chunks_reclaimed": self.chunks_reclaimed,
-            "speculative_wins": self.speculative_wins,
             "retries_by_worker": list(self.retries_by_worker),
             "workers": [w.to_dict() for w in self.workers],
         }

@@ -217,7 +217,7 @@ class ClusterExecutor(Executor):
     tears every rank down, and the next run starts afresh; a spawned
     rank found dead when a run starts is replaced before its ASSIGN.
     Each rank requests one chunk ahead of the one it maps
-    (:data:`~repro.core.scheduler.PULL_AHEAD`, not a setting), so the
+    (:data:`~repro.exec.rank.PULL_AHEAD`, not a setting), so the
     next grant's wire round-trip hides under the current map.
 
     ``fault_plan`` (a :class:`~repro.core.faults.FaultPlan`) arms the
@@ -226,11 +226,8 @@ class ClusterExecutor(Executor):
     the pool, and a replacement process rejoins under the same rank id
     — the run completes with output bit-identical to a failure-free
     run.  Its ``stall_seconds`` make a rank sleep before each chunk
-    request (a deliberate straggler whose queue gets stolen), and
-    ``speculate_after`` additionally re-executes straggling in-flight
-    grants on idle ranks; receivers drop the duplicate map output by
-    chunk-id provenance tags.  Without a plan, any rank death during a
-    run is a :class:`WorkerFailure`.
+    request (a deliberate straggler whose queue gets stolen).  Without
+    a plan, any rank death during a run is a :class:`WorkerFailure`.
     """
 
     name = "cluster"

@@ -15,9 +15,9 @@ module is the only place it is written down for the real backends:
   ``local`` and ``cluster`` backends share; the serial backend has no
   link at all and steps *n* :class:`RankRun`\\ s round-robin itself.
 * :class:`GrantPuller` is the rank-side half of the pull protocol
-  (one-ahead pull window, drain-after-DONE, RETRY back-off, stall and kill
-  injection), parameterised only by how a request is sent and how an
-  answer is received.
+  (one-ahead pull window, drain-after-DONE, stall and kill injection),
+  parameterised only by how a request is sent and how an answer is
+  received.
 
 A link is a plain object with::
 
@@ -52,18 +52,23 @@ from ..core.dataflow import MapPhaseOutput, MapRunner, merge_incoming, reduce_wo
 from ..core.chunk import Chunk
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
-from ..core.scheduler import GRANT_DONE, GRANT_RETRY, PULL_AHEAD
+from ..core.scheduler import GRANT_DONE
 from ..core.stats import WorkerStats
 from ..obs import NULL_OBS
 
 __all__ = [
+    "PULL_AHEAD",
     "GrantPuller",
     "RankRun",
     "drive_rank",
 ]
 
-#: how long an idle rank sleeps after a RETRY answer before re-asking
-RETRY_BACKOFF_SECONDS = 0.02
+#: The pull window beyond the chunk being mapped: a rank keeps this
+#: many chunk requests in flight ahead of its map, so the grant
+#: round-trip (and the payload materialisation behind it) overlaps map
+#: compute — GPMR's one-ahead double buffer.  A protocol constant, not
+#: a setting: :class:`GrantPuller` pipelines ``1 + PULL_AHEAD`` requests.
+PULL_AHEAD = 1
 
 Batch = Tuple[int, List[KeyValueSet], Optional[List[int]]]
 
@@ -73,25 +78,19 @@ class GrantPuller:
 
     ``send_request()`` posts one "next chunk?" request; ``recv_answer()``
     blocks for the next ``(status, chunk, victim)`` answer (status is a
-    :data:`~repro.core.scheduler.GRANT_CHUNK` / ``GRANT_DONE`` /
-    ``GRANT_RETRY`` code).  The service answers strictly one answer per
-    request, in order.
+    :data:`~repro.core.scheduler.GRANT_CHUNK` or ``GRANT_DONE`` code).
+    The service answers strictly one answer per request, in order.
 
     Requests are *pipelined*: ``1 + PULL_AHEAD`` ride ahead of their
-    answers (:data:`~repro.core.scheduler.PULL_AHEAD`, a protocol
-    constant), so the grant for chunk ``i+1`` is usually already
-    buffered while chunk ``i`` maps and the ``grant_wait`` span measures
-    only the exposed wait.  The same window is what lets the scheduler
-    prove grants mapped (request number ``1 + PULL_AHEAD + i`` is only
-    ever sent after everything in the first ``i`` answers was mapped —
-    see :meth:`~repro.core.scheduler.ChunkService.request`).
+    answers (:data:`PULL_AHEAD`), so the grant for chunk ``i+1`` is
+    usually already buffered while chunk ``i`` maps and the
+    ``grant_wait`` span measures only the exposed wait.
 
     A DONE answer stops the top-up but not the drain: a pipelined
-    answer behind a DONE may still be a chunk (reclaim or speculation
-    freed it), which resumes the pull, and an unread grant would strand
-    a chunk the service considers delivered.  Only "draining with
-    nothing pending" ends the pull.  RETRY (speculation may still free
-    up work) re-opens the window after a short back-off.
+    answer behind a DONE may still be a chunk (a reclaim freed it),
+    which resumes the pull, and an unread grant would strand a chunk
+    the service considers delivered.  Only "draining with nothing
+    pending" ends the pull.
 
     Fault injection lives here: ``stall_seconds`` sleeps before every
     round (a scripted straggler), and the process SIGKILLs itself upon
@@ -143,9 +142,6 @@ class GrantPuller:
                 self._draining = True
                 continue
             self._draining = False
-            if status == GRANT_RETRY:
-                time.sleep(RETRY_BACKOFF_SECONDS)
-                continue
             self._grants_received += 1
             if (
                 self.kill_at_chunk is not None

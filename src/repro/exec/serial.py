@@ -44,8 +44,6 @@ class SerialExecutor(Executor):
     """
 
     name = "serial"
-    #: with one rank running at a time no grant can age while others idle
-    can_speculate = False
 
     def _run_ranks(
         self,

@@ -74,7 +74,6 @@ from .wire import (
     send_versioned_error,
     set_nodelay,
 )
-from ..core.scheduler import RETRY
 from ..obs import NULL_OBS
 
 __all__ = ["Coordinator", "ClusterTimeout", "RankFailure"]
@@ -375,9 +374,7 @@ class Coordinator:
         :class:`~repro.core.scheduler.ChunkService`): the rank's next
         chunk rides back as a ``CHUNK_GRANT`` carrying the victim rank
         (so the worker can count its steals), or ``CHUNKS_DONE`` once
-        the service has nothing left for it (a ``retry`` flag instead
-        asks the idle rank to re-poll while speculation may still free
-        up work).  A ``MAPS_DONE`` frame marks the rank's map phase
+        the service has nothing left for it.  A ``MAPS_DONE`` frame marks the rank's map phase
         posted at the service.  Returns ``(rank, output, stats)``
         tuples in rank order.
 
@@ -514,12 +511,10 @@ class Coordinator:
         return True
 
     def _answer_chunk_request(self, rank: int, chunk_service: Any) -> None:
-        """Reply to one rank's CHUNK_REQ with a grant, retry, or done."""
+        """Reply to one rank's CHUNK_REQ with a grant or done."""
         assignment = chunk_service.request(rank)
         if assignment is None:
             msg_type, payload = MSG_CHUNKS_DONE, {}
-        elif assignment is RETRY:
-            msg_type, payload = MSG_CHUNKS_DONE, {"retry": True}
         else:
             msg_type = MSG_CHUNK_GRANT
             payload = {"chunk": assignment.chunk, "victim": assignment.victim}

@@ -30,7 +30,10 @@ the cluster backend on loopback.
   batch's raw bytes, see :mod:`repro.fabric.stream` — and accepts
   exactly ``n-1`` inbound batches.  Self-destined parts never touch
   the wire, and a batch larger than the wire's frame bound passes it:
-  the bound limits the frame, not the bytes behind it.
+  the bound limits the frame, not the bytes behind it.  With an
+  ``auth_key`` each shuffle connection passes the coordinator's HMAC
+  handshake before its batch, the sender answering the receiver's
+  challenge.
 
 The endpoint is transport-complete for multi-host runs: the rank
 itself states where its shuffle listener is reachable (``listen_host``
@@ -68,13 +71,14 @@ from .wire import (
     ProtocolError,
     ProtocolVersionError,
     answer_challenge,
+    deliver_challenge,
     recv_frame,
     recv_raw_frame,
     send_frame,
     send_raw_frame,
     set_nodelay,
 )
-from ..core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY
+from ..core.scheduler import GRANT_CHUNK, GRANT_DONE
 from ..obs import BYTES_BUCKETS, NULL_OBS, Observability
 
 __all__ = ["RankEndpoint", "run_rank"]
@@ -238,9 +242,7 @@ class RankEndpoint:
     def _recv_chunk_answer(self) -> Tuple[int, Any, int]:
         msg_type, payload = recv_frame(self._control)
         if msg_type == MSG_CHUNKS_DONE:
-            # A ``retry``-flagged CHUNKS_DONE asks the idle rank to
-            # re-poll: speculation may still free up work.
-            return (GRANT_RETRY if payload.get("retry") else GRANT_DONE), None, -1
+            return GRANT_DONE, None, -1
         if msg_type != MSG_CHUNK_GRANT:
             raise FabricError(
                 f"expected CHUNK_GRANT or CHUNKS_DONE, got "
@@ -330,6 +332,8 @@ class RankEndpoint:
                         # rebinding that port.  Abort and back off.
                         raise OSError("self-connected to own ephemeral port")
                     sock.settimeout(self.timeout_seconds)
+                    if self.auth_key is not None:
+                        answer_challenge(sock, self.auth_key)
                     sent = send_batch(
                         sock,
                         self.rank,
@@ -415,12 +419,15 @@ class RankEndpoint:
     def _inbox_loop(self, expected: int) -> None:
         """Accept, dedup, and buffer inbound batches until all arrive.
 
-        Every fully received batch is confirmed with BATCH_ACK — at
-        once when this rank has posted, else by :meth:`mark_posted`
-        (see :meth:`start_inbox`); a second batch from a source that
-        already delivered (its ACK got lost, or a speculative-recovery
-        resend) is acknowledged and dropped by the dedup on source
-        rank.  Each landed batch notifies :meth:`recv_all`.
+        With an ``auth_key`` every connection must pass the HMAC
+        handshake before a byte of its batch is read, so on a keyed
+        fabric only a keyed peer can fill a source rank's slot.  Every
+        fully received batch is confirmed with BATCH_ACK — at once when
+        this rank has posted, else by :meth:`mark_posted` (see
+        :meth:`start_inbox`); a second batch from a source that already
+        delivered (its ACK got lost and the sender resent) is
+        acknowledged and dropped by the dedup on source rank.  Each
+        landed batch notifies :meth:`recv_all`.
         """
         try:
             while not self._inbox_stop.is_set():
@@ -435,15 +442,20 @@ class RankEndpoint:
                     break  # listener closed; shutdown path
                 try:
                     set_nodelay(conn)
+                    if self.auth_key is not None:
+                        # The coordinator's handshake bound: one silent
+                        # client cannot hold the inbox for a deadline.
+                        conn.settimeout(min(5.0, self.timeout_seconds))
+                        deliver_challenge(conn, self.auth_key)
                     conn.settimeout(self.timeout_seconds)
                     src, parts, tags = recv_batch(conn, epoch=self.epoch)
                 except ProtocolVersionError:
                     conn.close()
                     raise  # a version-skewed peer is a real failure
-                except (ProtocolError, PeerDisconnected, socket.timeout,
-                        OSError):
-                    # A stray or abandoned connection, or a batch of
-                    # another run: drop it uncounted.
+                except (ProtocolError, AuthenticationError, PeerDisconnected,
+                        socket.timeout, OSError):
+                    # A stray, unauthenticated or abandoned connection,
+                    # or a batch of another run: drop it uncounted.
                     conn.close()
                     continue
                 with self._inbox_cond:

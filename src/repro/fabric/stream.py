@@ -58,8 +58,8 @@ __all__ = ["send_batch", "recv_batch"]
 _BATCH_HEADER = struct.Struct("!IIB3xQI")
 
 #: batch header flag: a chunk-id provenance tag block trails the
-#: manifest (one id per part; -1 = finish-time emission), letting
-#: receivers deduplicate speculative re-execution output
+#: manifest (one id per part; -1 = finish-time emission): which chunk
+#: made each part
 _FLAG_TAGS = 2
 
 _TAG_COUNT = struct.Struct("!I")
@@ -80,8 +80,8 @@ def send_batch(
     wire after the frame head (header, manifest, tags and payload).
 
     ``chunk_ids`` (optional, one per part) ships provenance tags in
-    the frame so receivers can drop speculative-duplicate map output
-    (see :func:`repro.core.dataflow.merge_incoming`).
+    the frame: the chunk that produced each part (see
+    :attr:`repro.core.dataflow.MapPhaseOutput.part_chunk_ids`).
     """
     manifest, buffers, total_nbytes = pack_parts(parts)
     flags = 0

@@ -102,9 +102,10 @@ __all__ = [
 ]
 
 #: Bump on any incompatible header or message change; CHANGES.md keeps
-#: what each bump changed.  v10: ASSIGN loses ``max_frame_bytes`` (the
-#: bound is :data:`MAX_FRAME_BYTES`, the same on every peer).
-PROTOCOL_VERSION = 10
+#: what each bump changed.  v11: CHUNKS_DONE loses its ``retry`` flag,
+#: and on a keyed fabric a shuffle connection is challenged before its
+#: batch.
+PROTOCOL_VERSION = 11
 
 MAGIC = b"GPMR"
 

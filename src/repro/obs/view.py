@@ -6,7 +6,7 @@ Prints, from one JSONL trace file:
 * the Figure-2 per-rank stage table, from the ``JobStats`` embedded
   in the trace meta (the authoritative end-of-job accounting);
 * per-rank span timelines (chunk maps, sorts, shuffles, waits);
-* the steal / reclaim / respawn / speculation chronology;
+* the steal / reclaim / respawn chronology;
 * metric summaries (counters, and p50/p95/p99 per histogram).
 
 ``--chrome OUT`` additionally converts the trace to the Chrome
@@ -28,8 +28,7 @@ __all__ = ["main", "render"]
 #: Point events worth a line in the chronology (grants are shown only
 #: with ``--grants``; a big run has one per chunk incarnation).
 CHRONOLOGY_EVENTS = frozenset({
-    "steal", "reclaim", "rank_dead", "respawn", "rejoin",
-    "speculate", "speculation_win", "speculation_loss", "batch_resend",
+    "steal", "reclaim", "rank_dead", "respawn", "rejoin", "batch_resend",
 })
 
 

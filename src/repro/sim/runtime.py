@@ -49,9 +49,6 @@ class GPMRRuntime(Executor):
     """
 
     name = "sim"
-    #: modeled time has no stragglers to hedge against that a recorded
-    #: schedule would not already show
-    can_speculate = False
 
     def __init__(
         self,

@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.core import (
-    RETRY,
     Chunk,
     ChunkService,
     ScheduleGrant,
@@ -49,7 +48,7 @@ def queue_len(svc, worker):
 
 def outstanding(svc, worker):
     """Chunk ids granted to ``worker`` and not yet posted, in grant order."""
-    return list(svc._mapped[worker]) + list(svc._outstanding[worker])
+    return list(svc._held[worker])
 
 
 def drain(scheduler, n_workers, order=None):
@@ -394,7 +393,7 @@ def test_replay_service_distribution_matches_trace():
     assert sum(len(p) for p in per_worker) == len(chunks)
 
 
-# -- fault tolerance: reclaim / speculation ----------------------------------
+# -- fault tolerance: reclaim ------------------------------------------------
 
 def test_reclaim_regrants_lost_chunks_exactly_once():
     """A dead worker's un-posted grants return to the pool and are
@@ -402,8 +401,7 @@ def test_reclaim_regrants_lost_chunks_exactly_once():
     chunk exactly once, and ``chunks_reclaimed`` counts the loss."""
     chunks = make_chunks(8)
     sched = ChunkService(chunks, 2, initial_distribution="round_robin")
-    # Worker 0 pulls twice: first grant moves to mapped on the second
-    # request, second stays in-flight — both are un-posted, both lost.
+    # Worker 0 pulls twice: both grants are un-posted, both are lost.
     a1 = sched.request(0)
     a2 = sched.request(0)
     lost_ids = {a1.chunk.index, a2.chunk.index}
@@ -461,160 +459,22 @@ def test_reclaim_after_mark_posted_raises():
         sched.reclaim(0)
 
 
-def test_reclaim_skips_chunks_with_live_speculative_copy():
-    """A lost chunk whose speculative duplicate is still in flight on a
-    survivor is covered — it must not be re-queued a third time."""
-    chunks = make_chunks(3)
-    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=0.05)
-    a = sched.request(0)           # worker 0 holds chunk a in flight
-    sched.request(0)
-    sched.request(0)
-    # Backdate worker 0's in-flight grants so they are over-age.
-    for cid, (chunk, t) in list(sched._outstanding[0].items()):
-        sched._outstanding[0][cid] = (chunk, t - 10.0)
-    dup = sched.request(1)         # worker 1 speculates a duplicate
-    assert dup is not None and dup is not RETRY
-    dup_id = dup.chunk.index
-    # Worker 1 dies holding only the duplicate: nothing re-queues,
-    # worker 0's original copy covers the chunk.
-    assert sched.reclaim(1) == 0
-    assert sched.chunks_reclaimed == 0
-    sched.mark_posted(0)
-    effective = [g.chunk_id for g in sched.trace.grants]
-    assert sorted(effective) == list(range(3))
-    assert a.chunk.index in effective and dup_id in effective
-
-
-def test_speculation_duplicates_only_aged_inflight_grants():
-    """Speculation answers RETRY while candidates are under-age, grants
-    the oldest over-age in-flight chunk at most twice, and the kept
-    copy is the canonical (lowest-rank) completer."""
-    chunks = make_chunks(2)
-    sched = ChunkService(chunks, 3, initial_distribution="single", speculate_after=30.0)
-    g0 = sched.request(0)
-    g1 = sched.request(0)
-    assert sched.request(0) is None  # request W + 1: g0 -> mapped, g1 stays in flight
-    # Under-age in-flight work elsewhere: ask-again, not done.
-    assert sched.request(1) is RETRY
-    # Age the in-flight grant past the threshold; the idle worker
-    # duplicates it.
-    chunk, t = sched._outstanding[0][g1.chunk.index]
-    sched._outstanding[0][g1.chunk.index] = (chunk, t - 60.0)
-    dup = sched.request(1)
-    assert dup.chunk.index == g1.chunk.index
-    # Max two copies: a double-granted chunk is never granted a third
-    # time, and with nothing else speculable the third worker is done.
-    assert sched.request(2) is None
-    # Both copies finish; the lower rank's copy is the kept one, and
-    # the effective trace filters the loser back to one-grant-per-chunk.
-    sched.mark_posted(0)
-    sched.mark_posted(1)
-    assert sched.speculative_wins == 0  # original (rank 0) won
-    kept = [g for g in sched.trace.grants
-            if g.chunk_id == g1.chunk.index]
-    assert len(kept) == 1 and kept[0].worker == 0
-    assert g0.chunk.index in [g.chunk_id for g in sched.trace.grants]
-
-
-def test_speculation_win_counts_when_duplicate_posts_first():
-    """If only the duplicate's holder posts, the duplicate is the kept
-    copy and counts as a speculative win."""
-    chunks = make_chunks(1)
-    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=0.01)
-    g = sched.request(0)
-    chunk, t = sched._outstanding[0][g.chunk.index]
-    sched._outstanding[0][g.chunk.index] = (chunk, t - 1.0)
-    dup = sched.request(1)
-    assert dup.chunk.index == g.chunk.index
-    sched.mark_posted(1)           # duplicate completes; original never posts
-    assert sched.speculative_wins == 1
-    kept = sched.trace.grants
-    assert [(x.worker, x.chunk_id) for x in kept if x.chunk_id == g.chunk.index] \
-        == [(1, g.chunk.index)]
-
-
-def test_mapped_but_unposted_chunks_are_not_speculation_candidates():
-    """A worker's next request moves its in-flight grants to
-    mapped-but-unposted; those stay reclaimable but stop being
-    speculation candidates (their output exists locally)."""
-    chunks = make_chunks(2)
-    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=0.0)
-    g0 = sched.request(0)
-    g1 = sched.request(0)
-    assert sched.request(0) is None  # request W + 1: g0 -> mapped, g1 in flight
-    for cid, (chunk, t) in list(sched._outstanding[0].items()):
-        sched._outstanding[0][cid] = (chunk, t - 10.0)
-    dup = sched.request(1)
-    assert dup.chunk.index == g1.chunk.index  # never the mapped g0
-    assert g0.chunk.index in sched._mapped[0]
-
-
-def test_prefetch_window_request_proves_exactly_the_consumed_answers():
-    """With a pull window of W = 1 + PULL_AHEAD, request number W + i
-    proves the grants among the worker's first i answers mapped — no
-    more (a buffered grant stays a speculation candidate) and no less
-    (non-grant answers advance the proof too, so an idle worker's
-    prefetch tail does not stay "in flight" forever)."""
-    chunks = make_chunks(3)
-    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=30.0)
-    a = sched.request(0)           # request 1
-    b = sched.request(0)           # request 2 = W: proves nothing yet
-    assert set(sched._outstanding[0]) == {a.chunk.index, b.chunk.index}
-    c = sched.request(0)           # request 3 = W + 1: a is mapped
-    assert set(sched._outstanding[0]) == {b.chunk.index, c.chunk.index}
-    assert set(sched._mapped[0]) == {a.chunk.index}
-    # The queue is dry; worker 0's remaining requests are answered
-    # RETRY/done, and each still proves one more answer consumed.
-    assert sched.request(1) is RETRY      # b, c in flight and under-age
-    assert sched.request(0) is None       # request 4: b is mapped
-    assert set(sched._outstanding[0]) == {c.chunk.index}
-    assert sched.request(0) is None       # request 5: c is mapped
-    assert not sched._outstanding[0]
-    # Nothing is in flight anywhere: the idle peer is released at once
-    # instead of RETRY-spinning until the tail ages past the threshold.
-    assert sched.request(1) is None
-    assert sched.retries_by_worker == [0, 0]
-
-
-def test_stalled_prefetchers_buffered_grant_is_still_speculated():
-    """A grant sitting unread in a stalled worker's pipeline is not
-    proven mapped by the requests already in flight, so once it ages an
-    idle peer duplicates it."""
-    chunks = make_chunks(2)
-    sched = ChunkService(chunks, 2, initial_distribution="single", speculate_after=5.0)
-    a = sched.request(0)           # being mapped by the stalled worker
-    b = sched.request(0)           # buffered behind it
-    for cid, (chunk, t) in list(sched._outstanding[0].items()):
-        sched._outstanding[0][cid] = (chunk, t - 10.0)
-    first = sched.request(1)
-    second = sched.request(1)
-    assert {first.chunk.index, second.chunk.index} == {
-        a.chunk.index, b.chunk.index
-    }
-    assert first.victim == second.victim == 0
-    assert sched.retries_by_worker == [0, 2]
-
-
-def test_reclaim_reopens_the_pull_window_for_the_replacement():
-    """A respawned rank starts a fresh window: its first W requests
-    prove nothing about the grants its new incarnation receives."""
+def test_replacement_holds_only_its_own_grants():
+    """After a reclaim the replacement incarnation re-pulls the lost
+    chunks in their grant order and holds exactly what it pulled; every
+    re-grant of a reclaimed chunk counts as a retry."""
     chunks = make_chunks(3)
     sched = ChunkService(chunks, 1, initial_distribution="single")
     for _ in range(3):
         sched.request(0)
-    sched.reclaim(0)
+    assert sched.reclaim(0) == 3
+    assert outstanding(sched, 0) == []
     a = sched.request(0)
     b = sched.request(0)
-    assert set(sched._outstanding[0]) == {a.chunk.index, b.chunk.index}
-    assert not sched._mapped[0]
-
-
-def test_chunk_service_rejects_speculation_under_replay():
-    chunks = make_chunks(4)
-    rec = ChunkService(chunks, 2, initial_distribution="round_robin")
-    drain(rec, 2)
-    with pytest.raises(ValueError, match="replayed schedule"):
-        ChunkService(chunks, 2, schedule=rec.trace, speculate_after=0.1)
+    assert [a.chunk.index, b.chunk.index] == [0, 1]
+    assert outstanding(sched, 0) == [0, 1]
+    assert sched.retries_by_worker == [2]
+    assert [g.chunk_id for g in sched.trace] == [0, 1]
 
 
 def test_chunk_service_reclaim_during_a_pull_storm_grants_every_chunk_once():

@@ -103,17 +103,6 @@ def test_fault_plan_is_checked_and_held_by_the_executor():
         ex.close()
 
 
-def test_speculation_is_refused_by_one_rule():
-    messages = []
-    for backend in ("sim", "serial"):
-        with pytest.raises(ValueError, match="speculate_after") as err:
-            make_executor(backend, 2, fault_plan=FaultPlan(speculate_after=0.1))
-        messages.append(
-            str(err.value).replace(f"on the {backend} backend", "on the backend")
-        )
-    assert messages[0] == messages[1]
-
-
 def test_gpmr_runtime_is_the_sim_executor():
     ex = make_executor("sim", 4)
     assert type(ex) is GPMRRuntime

@@ -41,6 +41,7 @@ from repro.fabric.wire import (
     MAGIC,
     MSG_ASSIGN,
     MSG_BATCH,
+    MSG_BATCH_ACK,
     MSG_HELLO,
     MSG_RESULT,
     PROTOCOL_VERSION,
@@ -1252,6 +1253,39 @@ def test_batch_from_another_run_is_dropped_uncounted(exchange_ranks):
         except ConnectionResetError:  # closed with the body unread
             reply = b""
         assert reply == b"", "a batch of another run was ACKed"
+    with receiver._inbox_cond:
+        assert receiver._inbox_have == set() and not receiver._inbox_batches
+    first._send_batch(0, _small_batch())
+    last._send_batch(0, _small_batch())
+    batches = receiver.recv_all()
+    assert [src for src, _parts, _tags in batches] == [1, 2]
+    for _src, parts, _tags in batches:
+        _assert_parts_identical(parts, _small_batch())
+
+
+def test_keyed_inbox_drops_a_keyless_batch_then_takes_the_peers(exchange_ranks):
+    """On a keyed fabric a shuffle connection must pass the HMAC
+    handshake before its batch is read: a keyless batch claiming rank
+    1's slot is dropped unACKed and uncounted, and rank 1's keyed batch
+    still completes the exchange with its own parts."""
+    receiver, first, last = exchange_ranks
+    for ep in exchange_ranks:
+        ep.auth_key = b"shuffle-key"
+    receiver._posted_event.set()
+    receiver.start_inbox()
+    forged = [KeyValueSet(keys=np.arange(3, dtype=np.uint32), values=np.full(3, 7.0))]
+    with socket.create_connection(receiver.shuffle_address, timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        send_batch(sock, first.rank, forged, epoch=receiver.epoch)
+        reply = b""
+        try:
+            while chunk := sock.recv(4096):  # read to the inbox's hang-up
+                reply += chunk
+        except ConnectionResetError:  # closed with the body unread
+            pass
+    assert not reply.startswith(
+        HEADER.pack(MAGIC, PROTOCOL_VERSION, MSG_BATCH_ACK, 0)
+    ), "a keyless batch was ACKed"
     with receiver._inbox_cond:
         assert receiver._inbox_have == set() and not receiver._inbox_batches
     first._send_batch(0, _small_batch())

@@ -1,4 +1,4 @@
-"""Fault tolerance: kill -9 mid-map, reclaim, respawn, speculate.
+"""Fault tolerance: kill -9 mid-map, reclaim, respawn.
 
 The contract under test is the tentpole one: kill a rank mid-map on
 any backend and the job still completes with output **bit-identical**
@@ -11,14 +11,9 @@ schedules stay record/replay-able.  A loop of the kill scenario, each
 run under a hard deadline, guards against a recovery that hangs once
 in a hundred runs.
 
-Speculative re-execution is checked the same way: a scripted straggler
-forces a duplicate grant, both copies ship, and the canonical-winner
-dedup at the receivers keeps the output bit-identical — a duplicate
-never double-counts.
-
 The tier is marked ``slow`` (real processes, real sockets, scripted
 stalls): the default ``pytest -m "not slow"`` run skips it, and CI
-executes it in its own ``fault-tolerance`` job.
+executes it in its own ``kill-recovery`` job.
 """
 
 import threading
@@ -285,35 +280,6 @@ def test_respawn_budget_exhaustion_fails_the_run():
         )
 
 
-# -- speculation: duplicate never double-counts ------------------------------
-
-@pytest.mark.parametrize(
-    "backend,kwargs",
-    [
-        ("local", {}),
-        ("cluster", {"timeout_seconds": 60.0}),
-    ],
-)
-def test_speculative_duplicate_never_double_counts(backend, kwargs):
-    """A scripted straggler forces a speculative duplicate; both copies
-    ship their batches, the receivers keep the canonical one, and the
-    output stays bit-identical to an unfaulted run."""
-    ds = sio_dataset(
-        n_elements=32_000, chunk_elements=2_000, key_space=1 << 14, seed=9
-    )
-    job = sio_job(ds.key_space, map_sleep_seconds=0.05)
-    ref = make_executor(backend, 2, **kwargs).run(job, dataset=ds)
-    got = make_executor(
-        backend,
-        2,
-        fault_plan=FaultPlan(stall_seconds={1: 0.3}, speculate_after=0.1),
-        **kwargs,
-    ).run(job, dataset=ds)
-    sio_validate(got, ds)
-    assert got.stats.speculative_wins > 0
-    _assert_bit_identical(ref, got, f"{backend} speculation")
-
-
 # -- plan validation at the executor boundary --------------------------------
 
 def test_fault_plan_and_schedule_replay_are_mutually_exclusive():
@@ -325,26 +291,6 @@ def test_fault_plan_and_schedule_replay_are_mutually_exclusive():
         ds = _dataset()
         with pytest.raises(ValueError, match="schedule"):
             ex.run(sio_job(ds.key_space), dataset=ds, schedule=clean.schedule)
-
-
-def test_speculation_rejected_on_deterministic_backends():
-    with pytest.raises(ValueError, match="sim backend"):
-        make_executor("sim", 2, fault_plan=FaultPlan(speculate_after=0.1))
-    with pytest.raises(ValueError, match="one at a time"):
-        make_executor("serial", 2, fault_plan=FaultPlan(speculate_after=0.1))
-
-
-def test_speculation_rejected_with_accumulator_jobs():
-    """Accumulated map state is not idempotent across duplicate grants;
-    the executor refuses the combination up front."""
-    from repro.apps.linear_regression import lr_dataset, lr_job
-
-    ds = lr_dataset(n_points=4_000, chunk_points=500)
-    ex = make_executor(
-        "local", 2, fault_plan=FaultPlan(speculate_after=0.1)
-    )
-    with pytest.raises(ValueError, match="accumulat|combine"):
-        ex.run(lr_job(use_accumulation=True), dataset=ds)
 
 
 def test_out_of_range_rank_rejected_at_construction():

@@ -9,7 +9,6 @@ def test_defaults_are_a_no_op_plan():
     plan = FaultPlan()
     assert plan.kill_rank_at_chunk == {}
     assert plan.stall_seconds == {}
-    assert plan.speculate_after is None
     assert plan.max_respawns == 1
     assert plan.kill_for(0) is None
     assert plan.stall_for(0) == 0.0
@@ -39,14 +38,6 @@ def test_negative_ranks_rejected():
 def test_negative_stall_rejected():
     with pytest.raises(ValueError, match="must be >= 0"):
         FaultPlan(stall_seconds={0: -0.1})
-
-
-def test_speculate_after_must_be_positive_or_none():
-    with pytest.raises(ValueError, match="must be > 0"):
-        FaultPlan(speculate_after=0.0)
-    with pytest.raises(ValueError, match="must be > 0"):
-        FaultPlan(speculate_after=-1.0)
-    assert FaultPlan(speculate_after=0.5).speculate_after == 0.5
 
 
 def test_negative_respawn_budget_rejected():

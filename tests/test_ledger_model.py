@@ -11,16 +11,12 @@ any interleaving of what ranks do to it:
   batches (``mark_posted``);
 * **die** — an un-posted worker loses every grant of its incarnation
   and the service reclaims them;
-* **speculate** — runs built with ``speculate_after=0`` duplicate any
-  in-flight grant an idle worker can take, and only one its holder's
-  later requests do not yet prove mapped;
 * **replay** — a service built from a recorded trace re-issues it.
 
 The model keeps only counts and holders, never the queues, and checks
 the service against them after every step: the granted and steal
-ledgers agree per worker, a chunk never has more than two live copies
-(one without speculation), and the effective trace never grants a
-chunk twice.  At the end every chunk is granted exactly once, and
+ledgers agree per worker, a chunk has at most one live holder, and
+the trace never grants a chunk twice.  At the end every chunk is granted exactly once, and
 ``ChunkService(schedule=svc.trace)`` re-issues the same grants.
 """
 
@@ -37,8 +33,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core import RETRY, Chunk, ChunkService, WorkerStats
-from repro.core.scheduler import DISTRIBUTIONS, PULL_AHEAD
+from repro.core import Chunk, ChunkService, WorkerStats
+from repro.core.scheduler import DISTRIBUTIONS
+from repro.exec.rank import PULL_AHEAD
 
 
 def _chunks(n):
@@ -80,10 +77,9 @@ class LedgerMachine(RuleBasedStateMachine):
         n_chunks=st.integers(0, 12),
         how=st.sampled_from(DISTRIBUTIONS),
         stealing=st.booleans(),
-        speculate=st.booleans(),
         replay=st.booleans(),
     )
-    def setup(self, n, n_chunks, how, stealing, speculate, replay):
+    def setup(self, n, n_chunks, how, stealing, replay):
         self.n = n
         self.chunks = _chunks(n_chunks)
         self.replayed = _record(self.chunks, n) if replay else None
@@ -94,13 +90,9 @@ class LedgerMachine(RuleBasedStateMachine):
             self.svc = ChunkService(
                 self.chunks, n, initial_distribution=how,
                 enable_stealing=stealing,
-                speculate_after=0.0 if speculate else None,
             )
-        self.speculating = speculate and not replay
         #: per worker: answers issued but not yet mapped, oldest first
         self.window = [deque() for _ in range(n)]
-        #: per worker: every answer its current incarnation received
-        self.answers = [[] for _ in range(n)]
         #: per worker: the last answer it mapped was "done"
         self.told_done = [False] * n
         self.posted = [False] * n
@@ -115,19 +107,9 @@ class LedgerMachine(RuleBasedStateMachine):
     def _pull(self, w):
         a = self.svc.request(w)
         self.window[w].append(a)
-        self.answers[w].append(a)
-        if a is None or a is RETRY:
+        if a is None:
             return
         cid = a.chunk.index
-        assert w not in self.holders[cid], "a worker was granted its own chunk twice"
-        for h in self.holders[cid]:
-            # A duplicate copies work its holder may still be mapping:
-            # one of the holder's last 1 + PULL_AHEAD answers, never one
-            # its later requests prove mapped, never a posted one.
-            recent = self.answers[h][-(1 + PULL_AHEAD):]
-            assert not self.posted[h]
-            assert any(x is not None and x is not RETRY and x.chunk.index == cid
-                       for x in recent)
         self.holders[cid].append(w)
         self.held_by[w].append(cid)
         self.granted[w] += 1
@@ -166,14 +148,12 @@ class LedgerMachine(RuleBasedStateMachine):
                 self.svc.reclaim(w)
             return
         assert self.svc.can_recover(w)
-        requeue = 0
         for cid in self.held_by[w]:
             self.holders[cid].remove(w)
-            requeue += not self.holders[cid]
+        requeue = len(self.held_by[w])
         assert self.svc.reclaim(w) == requeue
         self.reclaimed += requeue
         self.held_by[w] = []
-        self.answers[w] = []
         self.window[w].clear()
         self.told_done[w] = False
         self.granted[w] = self.steals[w] = 0
@@ -196,12 +176,11 @@ class LedgerMachine(RuleBasedStateMachine):
         assert self.svc.chunks_reclaimed == self.reclaimed
 
     @invariant()
-    def copies_bounded(self):
-        most = 2 if self.speculating else 1
-        assert all(len(h) <= most for h in self.holders.values())
+    def at_most_one_live_holder_per_chunk(self):
+        assert all(len(h) <= 1 for h in self.holders.values())
 
     @invariant()
-    def effective_trace_grants_each_chunk_at_most_once(self):
+    def trace_grants_each_chunk_at_most_once(self):
         ids = [g.chunk_id for g in self.svc.trace]
         assert len(ids) == len(set(ids))
 

@@ -27,8 +27,7 @@ ALLOWED = {
     ("apps/sparse_int_occurrence.py", "sleep"): (
         1, "fault injection: map_sleep_seconds scripts a slow map kernel"),
     ("exec/rank.py", "sleep"): (
-        2, "fault injection: FaultPlan.stall_seconds makes a straggler; "
-           "back-off: RETRY_BACKOFF_SECONDS between re-asks, speculation only"),
+        1, "fault injection: FaultPlan.stall_seconds makes a straggler"),
     ("fabric/coordinator.py", "settimeout(_POLL_SECONDS)"): (
         1, "liveness bound: the admission accept re-checks the deadline "
            "and the ranks' processes between connections"),

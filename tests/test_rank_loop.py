@@ -4,15 +4,13 @@ These are the pieces every real backend runs (``repro.exec.rank``), so
 they are tested once, here, against scripted transports:
 
 * :class:`GrantPuller` against a scripted answer list — the pipelined
-  pull state machine (window, drain-after-DONE, RETRY, kill ordinal,
-  one ``grant_wait`` record per answer);
+  pull state machine (window, drain-after-DONE, kill ordinal, one
+  ``grant_wait`` record per answer);
 * :func:`drive_rank` against an in-memory fake link — the failure
   courtesy;
 * the three real backends report the same stage buckets and span names
   for the same job;
-* the two end-to-end regressions the loop's consolidation fixed: a
-  healthy speculation-armed run no longer idles for ``speculate_after``,
-  and the speculation pre-flight is one rule on every backend.
+* the pre-flight is one rule on every backend.
 """
 
 from collections import deque
@@ -20,7 +18,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.apps.linear_regression import lr_job
 from repro.apps.sparse_int_occurrence import sio_dataset, sio_job, sio_validate
 from repro.core import (
     FaultPlan,
@@ -30,13 +27,12 @@ from repro.core import (
 )
 from repro.core.kvset import KeyValueSet
 from repro.core.scheduler import resolve_chunks
-from repro.core.scheduler import GRANT_CHUNK, GRANT_DONE, GRANT_RETRY, PULL_AHEAD
+from repro.core.scheduler import GRANT_CHUNK, GRANT_DONE
 from repro.exec import rank as rank_mod
-from repro.exec.rank import GrantPuller, drive_rank
+from repro.exec.rank import PULL_AHEAD, GrantPuller, drive_rank
 from repro.obs import NULL_OBS, Observability
 
 DONE = (GRANT_DONE, None, -1)
-RETRY = (GRANT_RETRY, None, -1)
 
 
 def _grant(chunk, victim=0):
@@ -75,11 +71,6 @@ def _pull_all(puller):
         got.append(nxt[0])
 
 
-@pytest.fixture
-def no_backoff(monkeypatch):
-    monkeypatch.setattr(rank_mod, "RETRY_BACKOFF_SECONDS", 0.0)
-
-
 def test_puller_returns_none_only_with_nothing_unanswered():
     """Every request posted is answered and read before the pull ends
     — an unread grant would strand a chunk the service considers
@@ -94,21 +85,11 @@ def test_puller_returns_none_only_with_nothing_unanswered():
 
 
 def test_chunk_behind_a_done_resumes_the_pull():
-    """A pipelined answer behind a DONE may still be a chunk (reclaim
-    or speculation freed it): it is mapped, and the window re-opens."""
+    """A pipelined answer behind a DONE may still be a chunk (a reclaim
+    freed it): it is mapped, and the window re-opens."""
     script = _Script([_grant("a"), DONE, _grant("late"), DONE, DONE])
     puller = GrantPuller(0, script.send, script.recv)
     assert _pull_all(puller) == ["a", "late"]
-    assert script.unanswered == 0 and not script.answers
-
-
-def test_retry_reopens_the_window(no_backoff):
-    """RETRY is "ask again", not "done": the puller keeps requesting,
-    and a RETRY behind a DONE cancels the drain."""
-    script = _Script([RETRY, RETRY, _grant("a"), DONE, RETRY, _grant("b"),
-                      DONE, DONE])
-    puller = GrantPuller(0, script.send, script.recv)
-    assert _pull_all(puller) == ["a", "b"]
     assert script.unanswered == 0 and not script.answers
 
 
@@ -119,8 +100,7 @@ def test_kill_ordinal_fires_on_receipt_of_the_nth_grant(monkeypatch):
     monkeypatch.setattr(
         rank_mod.os, "kill", lambda pid, sig: kills.append(sig)
     )
-    script = _Script([_grant("a"), RETRY, _grant("b"), _grant("c"), DONE])
-    monkeypatch.setattr(rank_mod, "RETRY_BACKOFF_SECONDS", 0.0)
+    script = _Script([_grant("a"), DONE, _grant("b"), _grant("c"), DONE])
     puller = GrantPuller(0, script.send, script.recv, kill_at_chunk=2)
     assert puller.next()[0] == "a"
     assert not kills
@@ -128,9 +108,9 @@ def test_kill_ordinal_fires_on_receipt_of_the_nth_grant(monkeypatch):
     assert kills == [rank_mod.signal.SIGKILL]
 
 
-def test_grant_wait_recorded_once_per_answer(no_backoff):
+def test_grant_wait_recorded_once_per_answer():
     obs = Observability()
-    answers = [_grant("a"), RETRY, _grant("b"), DONE, DONE]
+    answers = [_grant("a"), DONE, _grant("b"), DONE, DONE]
     script = _Script(answers)
     puller = GrantPuller(3, script.send, script.recv, obs=obs)
     _pull_all(puller)
@@ -305,80 +285,29 @@ def test_backends_report_the_same_buckets_and_span_names():
         }, backend
 
 
-# -- regression: speculation + prefetch no longer idles a healthy run ---------
+# -- one pre-flight rule -------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ("local", "cluster"))
-def test_healthy_speculation_armed_run_does_not_wait_out_the_threshold(backend):
-    """Idle healthy ranks used to RETRY-spin against each other's
-    already-mapped prefetch tail until it aged past ``speculate_after``
-    and then re-execute it: every speculation-armed job took at least
-    the threshold.  With the exact mapped-proof nothing is in flight
-    once both ranks idle, so both are released at once."""
-    ds = sio_dataset(32_000, chunk_elements=2_000, key_space=1 << 14, seed=9)
-    obs = Observability()
-    result = make_executor(
-        backend, 2, fault_plan=FaultPlan(speculate_after=3.0), obs=obs,
-    ).run(sio_job(ds.key_space), dataset=ds)
-    sio_validate(result, ds)
-    assert result.stats.elapsed < 1.0
-    assert result.stats.retries_by_worker == [0, 0]
-    assert result.stats.speculative_wins == 0
-    counters = obs.metrics.snapshot()["counters"]
-    assert counters.get("speculative_grants", 0) == 0
-
-
-# -- regression: one speculation pre-flight -----------------------------------
-
-def _fused_sio():
-    return sio_job(1 << 12).with_config(fused=True)
-
-
-def _fused_lr():
-    """A fused run folds into the accumulator: still a finish-time emitter."""
-    return lr_job(use_accumulation=True).with_config(fused=True)
-
-
-_SPECULATE = FaultPlan(speculate_after=0.5)
-_PREFLIGHT_CASES = [
-    # (job factory, plan, replaying a schedule?, rejection pattern or None)
-    (lambda: sio_job(1 << 12), _SPECULATE, False, None),
-    (_fused_sio, _SPECULATE, False, None),
-    (lambda: lr_job(use_accumulation=True), _SPECULATE, False,
-     "finish-time output cannot be de-duplicated"),
-    (_fused_lr, _SPECULATE, False, "finish-time output cannot be de-duplicated"),
-    (lambda: lr_job(use_accumulation=True), FaultPlan(), False, None),
-    (lambda: sio_job(1 << 12), FaultPlan(kill_rank_at_chunk={0: 1}), True,
-     "mutually exclusive"),
-]
+_PREFLIGHT_CASES = {
+    "plan-without-replay": (FaultPlan(kill_rank_at_chunk={0: 1}), False, None),
+    "replay-without-plan": (None, True, None),
+    "plan-with-replay": (FaultPlan(kill_rank_at_chunk={0: 1}), True,
+                         "mutually exclusive"),
+}
 
 
 @pytest.mark.parametrize("backend", ("serial", "local", "cluster"))
-@pytest.mark.parametrize("make_job,plan,replay,rejects", _PREFLIGHT_CASES)
-def test_preflight_is_one_rule_on_every_backend(
-    backend, make_job, plan, replay, rejects
-):
-    """Every real backend accepts and rejects the same (job, plan)
-    pairs with the same message: chunk-tagged emissions (a fused
-    per-chunk fold included) can be speculated, finish-time emissions
-    cannot, and a plan never rides a replayed schedule."""
+@pytest.mark.parametrize("case", sorted(_PREFLIGHT_CASES))
+def test_preflight_is_one_rule_on_every_backend(backend, case):
+    """Every real backend accepts and rejects the same (plan, replay)
+    pairs with the same message: a plan never rides a replayed
+    schedule."""
+    plan, replay, rejects = _PREFLIGHT_CASES[case]
     ex = make_executor(backend, 2)
-    # Attached after construction so the rule itself is what is under
-    # test (the serial backend refuses speculative plans up front).
     ex.fault_plan = plan
     schedule = object() if replay else None
     if rejects is None:
-        ex._preflight(make_job(), schedule)
+        ex._preflight(schedule)
     else:
         with pytest.raises(ValueError, match=rejects):
-            ex._preflight(make_job(), schedule)
+            ex._preflight(schedule)
 
-
-@pytest.mark.parametrize("backend", ("local", "cluster"))
-def test_fused_sio_with_speculation_runs_on_both_process_backends(backend):
-    """Seed bug: the cluster backend rejected every fused job under
-    ``speculate_after`` while the local backend accepted them."""
-    ds = sio_dataset(16_000, chunk_elements=2_000, key_space=1 << 12, seed=4)
-    result = make_executor(
-        backend, 2, fused=True, fault_plan=FaultPlan(speculate_after=5.0),
-    ).run(sio_job(ds.key_space), dataset=ds)
-    sio_validate(result, ds)

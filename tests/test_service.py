@@ -303,19 +303,18 @@ def test_authority_namespaces_are_isolated():
     auth = JobChunkAuthority()
     a = auth.open_job(chunks, 2, job_id="a")
     b = auth.open_job(chunks, 2, job_id="b")
-    assert (auth.get("a"), auth.get("b")) == (a, b)
-    assert auth.remaining == 2 * len(chunks)
+    assert a is not b
+    assert a.remaining == b.remaining == len(chunks)
     # Drain job a completely; job b's queue must be untouched.
     while a.request(0) or a.request(1):
         pass
     assert a.remaining == 0
     assert b.remaining == len(chunks)
-    assert auth.remaining == len(chunks)
     assert auth.close_job("a") is a
     with pytest.raises(KeyError):
-        auth.get("a")
-    assert auth.get("b") is b
-    assert auth.remaining == len(chunks)
+        auth.close_job("a")
+    assert auth.close_job("b") is b
+    assert b.remaining == len(chunks)
 
 
 def test_authority_rejects_live_duplicate_but_supersedes_drained():
@@ -332,7 +331,8 @@ def test_authority_rejects_live_duplicate_but_supersedes_drained():
     # Drained: a multi-phase app may reopen the id for its next phase.
     second = auth.open_job(chunks, 2, job_id="mm")
     assert second is not first
-    assert auth.get("mm") is second
+    assert second.remaining == len(chunks)
+    assert auth.close_job("mm") is second
 
 
 # -- daemon end-to-end (serial backend; fast) -------------------------------
